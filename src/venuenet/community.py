@@ -1,13 +1,23 @@
 """Greedy modularity clustering and cluster-level network projection.
 
-The clustering is plain Clauset-Newman-Moore agglomeration: start from
+The clustering is Clauset-Newman-Moore agglomeration: start from
 singletons, repeatedly apply the merge with the largest modularity gain, stop
 when no merge gains. Cluster ids are the lexicographically smallest member
 venue key, which makes tie-breaking total and runs reproducible.
+
+Merge candidates live in one max-heap of (-dQ, ci, cj) entries with ci < cj,
+so the heap order is the selection rule itself: largest dQ first, ties to the
+smallest pair. Stale entries are invalidated lazily: a popped entry is skipped
+when a cluster is gone, the pair is no longer adjacent, or its dQ recomputed
+now differs from the stored one. A merge changes only the dQ of pairs that
+include the surviving cluster, so only those are pushed again. The merge
+sequence is the one a full rescan of all pairs per merge would give.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 from .graph import VenueGraph
@@ -67,12 +77,13 @@ def modularity(g: VenueGraph, assignment: dict[str, str], weighted: bool = True)
         degree_sum[cu] = degree_sum.get(cu, 0.0) + wt(w)
         degree_sum[cv] = degree_sum.get(cv, 0.0) + wt(w)
 
-    q = 0.0
-    for cluster in set(assignment.values()):
+    # sorted clusters and an exact sum: Q must not depend on the hash seed
+    terms = []
+    for cluster in sorted(set(assignment.values())):
         e_cc = intra.get(cluster, 0.0) / m
         a_c = degree_sum.get(cluster, 0.0) / (2 * m)
-        q += e_cc - a_c * a_c
-    return q
+        terms.append(e_cc - a_c * a_c)
+    return math.fsum(terms)
 
 
 def greedy_modularity_partition(
@@ -82,7 +93,8 @@ def greedy_modularity_partition(
 
     The merge candidate is the connected cluster pair with the largest
     dQ = w_between/m - S_i*S_j/(2m^2); ties go to the smallest (sorted)
-    pair of cluster ids. Stops when no merge has dQ > 0 and returns the
+    pair of cluster ids. Candidates come from a lazily invalidated max-heap
+    (see the module docstring). Stops when no merge has dQ > 0 and returns the
     best-Q state seen. When `trace` is given, a snapshot (assignment copy,
     incrementally tracked Q) is appended after every merge.
     """
@@ -114,28 +126,22 @@ def greedy_modularity_partition(
     best_assignment = dict(assignment)
     two_m_sq = 2 * m * m
 
-    while True:
-        best_gain = 0.0
-        best_pair: tuple[str, str] | None = None
-        for ci in sorted(between):
-            row = between[ci]
-            si = degree_sum[ci]
-            for cj in row:
-                if cj <= ci:
-                    continue
-                gain = row[cj] / m - si * degree_sum[cj] / two_m_sq
-                if gain > best_gain or (
-                    gain == best_gain
-                    and best_pair is not None
-                    and gain > 0.0
-                    and (ci, cj) < best_pair
-                ):
-                    best_gain = gain
-                    best_pair = (ci, cj)
-        if best_pair is None or best_gain <= 0.0:
+    def gain(ci: str, cj: str) -> float:
+        return between[ci][cj] / m - degree_sum[ci] * degree_sum[cj] / two_m_sq
+
+    # popping (-dQ, ci, cj) yields the largest dQ, ties to the smallest pair
+    heap = [(-gain(ci, cj), ci, cj) for ci, row in between.items() for cj in row if ci < cj]
+    heapq.heapify(heap)
+
+    while heap:
+        neg_gain, ci, cj = heapq.heappop(heap)
+        if ci not in between or cj not in between[ci] or gain(ci, cj) != -neg_gain:
+            continue
+        best_gain = -neg_gain
+        if best_gain <= 0.0:
             break
 
-        ci, cj = best_pair  # ci < cj, so the merged cluster keeps id ci
+        # ci < cj, so the merged cluster keeps id ci
         members[ci].extend(members[cj])
         intra[ci] += intra[cj] + between[ci][cj]
         degree_sum[ci] += degree_sum[cj]
@@ -153,6 +159,10 @@ def greedy_modularity_partition(
         del degree_sum[cj]
         for venue in members[ci]:
             assignment[venue] = ci
+        # only pairs that include ci changed their dQ
+        for ck in between[ci]:
+            a, b = (ci, ck) if ci < ck else (ck, ci)
+            heapq.heappush(heap, (-gain(a, b), a, b))
 
         q += best_gain
         if trace is not None:

@@ -220,13 +220,16 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
         refs = obj.get("refs", [])
         if not isinstance(refs, list) or any(not isinstance(t, str) or not t for t in refs):
             raise MalformedEntryError(position, "refs must be a list of non-empty strings")
+        authors = obj.get("authors", [])
+        if not isinstance(authors, list):
+            raise MalformedEntryError(position, f"authors must be a list of names, got {authors!r}")
 
         records.append(
             PublicationRecord(
                 record_id=record_id,
                 source=source,
                 title=title,
-                authors=_make_authors(obj.get("authors", []), position),
+                authors=_make_authors(authors, position),
                 venue_key=venue_key,
                 year=_check_year(obj.get("year"), position),
                 references=tuple(refs),

@@ -51,25 +51,6 @@ class VenueGraph:
         current = self._adj.get(u, {}).get(v, 0.0)
         self.add_edge(u, v, current + amount)
 
-    def remove_node(self, key: str) -> None:
-        for nbr in list(self._adj[key]):
-            self.remove_edge(key, nbr)
-        if self.directed:
-            for u, nbrs in self._adj.items():
-                if key in nbrs:
-                    del nbrs[key]
-                    self._edge_count -= 1
-        del self._adj[key]
-        del self._nodes[key]
-
-    def remove_edge(self, u: str, v: str) -> None:
-        if v not in self._adj.get(u, {}):
-            return
-        del self._adj[u][v]
-        if not self.directed:
-            del self._adj[v][u]
-        self._edge_count -= 1
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -146,7 +127,9 @@ class VenueGraph:
     def subgraph(self, keys: Iterable[str]) -> "VenueGraph":
         keep = set(keys)
         g = VenueGraph(directed=self.directed)
-        for key in keep:
+        # sorted, not set order: node order feeds float sums such as the
+        # average clustering coefficient, which must not depend on the hash seed
+        for key in sorted(keep):
             g.add_node(key, **self._nodes[key])
         for u, v, w in self.edges():
             if u in keep and v in keep:

@@ -32,7 +32,6 @@ class NonPositiveWeightError(MetricError):
 class MetricVector:
     metric: str
     values: dict[str, float]
-    fingerprint: str
     converged: bool = True
     residual: float = 0.0
     iterations: int = 0
@@ -240,7 +239,6 @@ def betweenness_centrality(
     return MetricVector(
         metric="betweenness",
         values={v: cb[index[v]] for v in nodes},
-        fingerprint=g.fingerprint(),
     )
 
 
@@ -294,7 +292,6 @@ def pagerank(
     return MetricVector(
         metric="pagerank",
         values={v: scores[index[v]] for v in nodes},
-        fingerprint=g.fingerprint(),
         converged=converged if n else True,
         residual=residual,
         iterations=iterations if n else 0,

@@ -150,14 +150,17 @@ class PipelineConfig:
             if key not in by_name:
                 raise ConfigError(f"unknown config key {key!r}")
             kind = by_name[key].type
-            if key == "slice_years":
-                kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip()) if value else ()
-            elif kind == "float":
-                kwargs[key] = float(value)
-            elif kind == "int":
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = value
+            try:
+                if key == "slice_years":
+                    kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip()) if value else ()
+                elif kind == "float":
+                    kwargs[key] = float(value)
+                elif kind == "int":
+                    kwargs[key] = int(value)
+                else:
+                    kwargs[key] = value
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r} has invalid value {value!r}") from exc
         return cls(**kwargs)
 
     @classmethod

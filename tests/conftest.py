@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +29,21 @@ def small_corpus():
         '{"id": "p4", "title": "Applications", "authors": ["Grace Hopper", "Alan Turing"], "venue": "v2", "year": 2000, "refs": ["p1", "ext shared classic"]}',
         '{"id": "p5", "title": "Unrelated topic", "authors": ["John McCarthy"], "venue": "v3", "year": 2000, "refs": ["ext niche reference"]}',
     )
+
+
+@pytest.fixture
+def under_hash_seeds():
+    """Run a Python snippet in fresh interpreters with PYTHONHASHSEED 0 and 1
+    and return their stdout, so a test can require identical output."""
+    path = [str(Path(__file__).parent.parent / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+
+    def run(script: str) -> list[str]:
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, path)))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        return outputs
+
+    return run

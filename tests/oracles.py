@@ -3,13 +3,15 @@
 These deliberately use different algorithms than the library: Floyd-Warshall
 distances with direct path counting instead of Brandes, full-matrix alignment
 DP instead of the rolling-array scorer, pairwise modularity sums instead of
-the cluster-aggregated form, and exhaustive partition search.
+the cluster-aggregated form, exhaustive partition search, and a full pair
+rescan per merge instead of the heap-based greedy modularity loop.
 """
 
 from __future__ import annotations
 
 import random
 
+from venuenet.community import ClusterPartition, CommunityError, modularity
 from venuenet.graph import VenueGraph
 
 INF = float("inf")
@@ -244,3 +246,94 @@ def random_test_graph(
                 w = rng.choice(DYADIC_WEIGHTS) if weighted else 1.0
                 g.add_edge(nodes[i], nodes[j], w)
     return g, weighted
+
+
+def greedy_modularity_scan(
+    g: VenueGraph, weighted: bool = True, trace: list | None = None
+) -> ClusterPartition:
+    """Greedy modularity agglomeration by a full rescan of every connected
+    cluster pair on each merge: the reference for the library's heap-based
+    merge loop, which must give the same trace and partition.
+
+    The merge candidate is the connected cluster pair with the largest
+    dQ = w_between/m - S_i*S_j/(2m^2); ties go to the smallest (sorted)
+    pair of cluster ids. Stops when no merge has dQ > 0 and returns the
+    best-Q state seen. When `trace` is given, a snapshot (assignment copy,
+    incrementally tracked Q) is appended after every merge.
+    """
+    if g.directed:
+        raise CommunityError("greedy modularity clustering expects an undirected graph")
+    nodes = sorted(g.nodes)
+    if not nodes:
+        return ClusterPartition(assignment={}, q=0.0)
+
+    def wt(w: float) -> float:
+        return w if weighted else 1.0
+
+    m = sum(wt(w) for _, _, w in g.edges())
+    if m == 0:
+        return ClusterPartition(assignment={v: v for v in nodes}, q=0.0)
+
+    # cluster id = smallest member key; singletons to start
+    members: dict[str, list[str]] = {v: [v] for v in nodes}
+    degree_sum: dict[str, float] = {v: sum(wt(w) for w in g.neighbors(v).values()) for v in nodes}
+    intra: dict[str, float] = {v: 0.0 for v in nodes}
+    between: dict[str, dict[str, float]] = {v: {} for v in nodes}
+    for u, v, w in g.edges():
+        between[u][v] = between[u].get(v, 0.0) + wt(w)
+        between[v][u] = between[v].get(u, 0.0) + wt(w)
+
+    assignment = {v: v for v in nodes}
+    q = modularity(g, assignment, weighted=weighted)
+    best_q = q
+    best_assignment = dict(assignment)
+    two_m_sq = 2 * m * m
+
+    while True:
+        best_gain = 0.0
+        best_pair: tuple[str, str] | None = None
+        for ci in sorted(between):
+            row = between[ci]
+            si = degree_sum[ci]
+            for cj in row:
+                if cj <= ci:
+                    continue
+                gain = row[cj] / m - si * degree_sum[cj] / two_m_sq
+                if gain > best_gain or (
+                    gain == best_gain
+                    and best_pair is not None
+                    and gain > 0.0
+                    and (ci, cj) < best_pair
+                ):
+                    best_gain = gain
+                    best_pair = (ci, cj)
+        if best_pair is None or best_gain <= 0.0:
+            break
+
+        ci, cj = best_pair  # ci < cj, so the merged cluster keeps id ci
+        members[ci].extend(members[cj])
+        intra[ci] += intra[cj] + between[ci][cj]
+        degree_sum[ci] += degree_sum[cj]
+        del between[ci][cj]
+        for ck, w in between[cj].items():
+            if ck == ci:
+                continue
+            between[ci][ck] = between[ci].get(ck, 0.0) + w
+            link = between[ck]
+            link[ci] = link.get(ci, 0.0) + w
+            del link[cj]
+        del between[cj]
+        del members[cj]
+        del intra[cj]
+        del degree_sum[cj]
+        for venue in members[ci]:
+            assignment[venue] = ci
+
+        q += best_gain
+        if trace is not None:
+            trace.append((dict(assignment), q))
+        if q > best_q:
+            best_q = q
+            best_assignment = dict(assignment)
+
+    return ClusterPartition(assignment=best_assignment, q=modularity(g, best_assignment, weighted=weighted))

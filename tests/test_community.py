@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from oracles import best_modularity_exhaustive, modularity_pairsum_oracle, random_test_graph
+from oracles import (
+    best_modularity_exhaustive,
+    greedy_modularity_scan,
+    modularity_pairsum_oracle,
+    random_test_graph,
+)
 from venuenet.community import (
     ClusterPartition,
     IncompleteAssignmentError,
@@ -13,7 +18,15 @@ from venuenet.community import (
     write_partition,
 )
 from venuenet.graph import VenueGraph
-from venuenet.networks import CouplingMatrix
+from venuenet.networks import (
+    COSINE_MIN_DEFAULT,
+    CouplingMatrix,
+    ThresholdRule,
+    apply_threshold,
+    build_coupling_matrix,
+    build_knowledge_network,
+)
+from venuenet.synth import scale_corpus
 
 
 def two_triangles():
@@ -62,6 +75,23 @@ class TestModularity:
             assert modularity(g, assignment, weighted=weighted) == pytest.approx(
                 modularity_pairsum_oracle(g, assignment, weighted=weighted), abs=1e-9
             )
+
+    def test_q_independent_of_hash_seed(self, under_hash_seeds):
+        script = """
+import random
+from venuenet.community import modularity
+from venuenet.graph import VenueGraph
+rng = random.Random(1103)
+nodes = [f"q{i:03d}" for i in range(300)]
+g = VenueGraph()
+for start in range(0, 300, 10):
+    for x in range(start, start + 10):
+        for y in range(x + 1, start + 10):
+            g.add_edge(nodes[x], nodes[y], rng.uniform(0.1, 1.0))
+print(repr(modularity(g, {v: nodes[i // 10 * 10] for i, v in enumerate(nodes)})))
+"""
+        q0, q1 = under_hash_seeds(script)
+        assert q0 == q1
 
     def test_unweighted_mode(self):
         g = VenueGraph()
@@ -144,6 +174,70 @@ class TestGreedyPartition:
         g = two_triangles()
         p = greedy_modularity_partition(g)
         assert p.q == modularity(g, p.assignment)
+
+
+def random_weighted_graph(rng: random.Random, n: int, p: float, weight) -> VenueGraph:
+    g = VenueGraph()
+    nodes = [f"n{i:03d}" for i in range(n)]
+    for v in nodes:
+        g.add_node(v)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                g.add_edge(nodes[i], nodes[j], weight())
+    return g
+
+
+def planted_groups_graph(rng: random.Random, groups: int, size: int) -> VenueGraph:
+    g = VenueGraph()
+    nodes = [f"g{i:03d}" for i in range(groups * size)]
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            same = i // size == j // size
+            if rng.random() < (0.7 if same else 0.03):
+                g.add_edge(nodes[i], nodes[j], rng.choice((1.0, 2.0)) if same else 1.0)
+    return g
+
+
+class TestHeapMatchesScan:
+    """The heap-based merge loop picks exactly the merges of a full rescan:
+    same trace (assignment and tracked Q after every merge), same partition."""
+
+    def assert_same(self, g: VenueGraph, weighted: bool = True) -> None:
+        got_trace, want_trace = [], []
+        got = greedy_modularity_partition(g, weighted=weighted, trace=got_trace)
+        want = greedy_modularity_scan(g, weighted=weighted, trace=want_trace)
+        assert got_trace == want_trace
+        assert got.assignment == want.assignment
+        assert got.q == want.q
+
+    def test_random_graphs(self):
+        rng = random.Random(2004)
+        for _ in range(40):
+            g, weighted = random_test_graph(rng, max_nodes=30, directed=False)
+            self.assert_same(g, weighted=weighted)
+            self.assert_same(g, weighted=not weighted)
+        for _ in range(20):
+            g = random_weighted_graph(rng, rng.randint(5, 60), rng.uniform(0.05, 0.4), lambda: rng.uniform(0.01, 1.0))
+            self.assert_same(g)
+
+    def test_small_integer_weights_force_ties(self):
+        rng = random.Random(2005)
+        for _ in range(40):
+            g = random_weighted_graph(rng, rng.randint(4, 40), rng.uniform(0.1, 0.5), lambda: float(rng.randint(1, 3)))
+            self.assert_same(g)
+            self.assert_same(g, weighted=False)
+
+    def test_planted_groups(self):
+        rng = random.Random(2006)
+        for _ in range(10):
+            self.assert_same(planted_groups_graph(rng, rng.randint(2, 8), rng.randint(3, 10)))
+
+    def test_knowledge_network_of_scale_corpus(self):
+        knowledge = build_knowledge_network(build_coupling_matrix(scale_corpus(300, 10)))
+        reduced = apply_threshold(knowledge, ThresholdRule("cosine", COSINE_MIN_DEFAULT))
+        assert reduced.edge_count() > 1000
+        self.assert_same(reduced)
 
 
 class TestProjection:

@@ -92,6 +92,12 @@ class TestParseJsonl:
         with pytest.raises(MalformedEntryError):
             corpus_from_lines('{"id": "p1", "title": "A", "authors": ["  "]}')
 
+    def test_non_list_authors_rejected(self):
+        for authors in ('"Ada"', '{"name": "Ada"}', "7"):
+            with pytest.raises(MalformedEntryError) as exc:
+                corpus_from_lines('{"id": "p0", "title": "A"}', f'{{"id": "p1", "title": "A", "authors": {authors}}}')
+            assert exc.value.position == "line 2"
+
     def test_venue_metadata_line(self):
         corpus = corpus_from_lines(
             '{"venue_key": "v1", "name": "Journal of Tests", "kind": "journal"}',

@@ -80,6 +80,24 @@ class TestGraphContainer:
         assert g.copy() == g
 
 
+    def test_subgraph_node_order_independent_of_hash_seed(self, under_hash_seeds):
+        script = """
+import random
+from venuenet.graph import VenueGraph
+from venuenet.metrics import average_clustering_coefficient
+rng = random.Random(5)
+nodes = [f"n{i:03d}" for i in range(300)]
+g = VenueGraph()
+for i in range(300):
+    for j in range(i + 1, 300):
+        if rng.random() < 0.05:
+            g.add_edge(nodes[i], nodes[j], 1.0)
+print(list(g.subgraph(nodes[::2]).nodes))
+print(repr(average_clustering_coefficient(g.copy())))
+"""
+        run0, run1 = under_hash_seeds(script)
+        assert run0 == run1
+
 class TestDensity:
     def test_complete_graph(self):
         assert density(complete(4)) == 1.0

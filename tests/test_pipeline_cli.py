@@ -71,6 +71,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_text("schema = other/9\n")
 
+    def test_unreadable_values_exit_1_naming_the_key(self, tmp_path):
+        for key, value in [("pagerank_max_iter", "2.5"), ("cosine_min", "high"), ("slice_years", "1990, x")]:
+            path = tmp_path / "cfg.txt"
+            path.write_text(f"schema = venuenet-config/1\n{key} = {value}\n")
+            with pytest.raises(ConfigError, match=key):
+                PipelineConfig.load(path)
+            result = CliRunner().invoke(main, ["run", "--config", str(path)])
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)  # not an escaped traceback
+            assert result.stderr.splitlines() == [f"error: config key {key!r} has invalid value {value!r}"]
+
     def test_validation_errors(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text('{"id": "p1", "title": "T"}\n')
