@@ -15,7 +15,6 @@ from .corpus import Corpus, CorpusError, load_corpus, parse_corpus, save_corpus,
 from .exports import ExportError, FORMATS, export_graph, load_graph, write_graph
 from .graph import VenueGraph
 from .pipeline import ConfigError, PipelineConfig, StageError, run_pipeline
-from .subgraphs import ProfileRow
 
 
 def _fail_input(message: str) -> None:
@@ -205,10 +204,7 @@ def project(matrix_path: str, partition_path: str, out: str, assignment_out: str
     projection = community.project_to_cluster_network(matrix, partition)
     write_graph(projection.graph, out)
     if assignment_out:
-        with open(assignment_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("venue_key\tcluster_id\n")
-            for venue in sorted(projection.new_assignments):
-                fh.write(f"{venue}\t{projection.new_assignments[venue]}\n")
+        community.write_assignment(partition, projection, assignment_out)
     click.echo(
         f"{len(projection.new_assignments)} venues assigned to clusters, "
         f"{len(projection.unassigned)} left unassigned"
@@ -218,9 +214,9 @@ def project(matrix_path: str, partition_path: str, out: str, assignment_out: str
 @main.command(name="metrics")
 @click.option("--graph", "graph_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--metric", type=click.Choice(["density", "clustering", "betweenness", "pagerank", "lcc"]), required=True)
-@click.option("--d", "damping", default=0.85, show_default=True)
-@click.option("--tol", default=1e-8, show_default=True)
-@click.option("--max-iter", default=200, show_default=True)
+@click.option("--d", "damping", default=metrics.DEFAULT_PAGERANK_D, show_default=True)
+@click.option("--tol", default=metrics.DEFAULT_PAGERANK_TOL, show_default=True)
+@click.option("--max-iter", default=metrics.DEFAULT_PAGERANK_MAX_ITER, show_default=True)
 @click.option("--normalized/--no-normalized", default=True, show_default=True)
 @click.option("--weighted/--unweighted", default=False, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), help="Write per-node TSV (betweenness, pagerank).")
@@ -256,14 +252,11 @@ def metrics_cmd(
                 )
     except metrics.MetricError as exc:
         _fail_input(str(exc))
-    lines = [f"{node}\t{value!r}" for node, value in vector.top()]
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"node\t{vector.metric}\n")
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        click.echo(f"wrote {len(lines)} rows")
+        metrics.write_metric_tsv(vector, out)
+        click.echo(f"wrote {len(vector.values)} rows")
     else:
-        click.echo("\n".join(lines))
+        click.echo("\n".join(f"{node}\t{value!r}" for node, value in vector.top()))
 
 
 @main.command(name="subgraphs")
@@ -275,48 +268,20 @@ def metrics_cmd(
 def subgraphs_cmd(corpus_path: str, venue_kind: str, family: str, pagerank_path: str | None, out: str) -> None:
     """Profile and classify per-venue co-authorship and citation subgraphs."""
     corpus = _load_corpus_or_fail(corpus_path)
-    ranks: dict[str, float] = {}
-    if pagerank_path:
-        with open(pagerank_path, encoding="utf-8") as fh:
-            fh.readline()
-            for line in fh:
-                node, value = line.rstrip("\n").split("\t")
-                ranks[node] = float(value)
-
-    citation_index = subgraphs.publication_citation_graph(corpus)
+    try:
+        ranks = metrics.read_metric_tsv(pagerank_path, "pagerank") if pagerank_path else {}
+    except (OSError, ValueError) as exc:
+        _fail_input(str(exc))
+    profiled = subgraphs.profile_venues(corpus, ranks)
     families = ["coauthorship", "citation"] if family == "both" else [family]
-    rows: dict[str, list[ProfileRow]] = {f: [] for f in families}
-    by_venue = corpus.records_by_venue()
-    for venue in sorted(by_venue):
-        kind = corpus.venue_kind(venue)
-        if venue_kind != "all" and kind != venue_kind:
-            continue
-        for fam in families:
-            if fam == "coauthorship":
-                sg = subgraphs.extract_coauthorship_subgraph(corpus, venue, records=by_venue[venue])
-            else:
-                sg = subgraphs.extract_citation_subgraph(
-                    corpus, venue, citation_index, records=by_venue[venue]
-                )
-            if sg.graph.node_count() == 0:
-                continue
-            profile = subgraphs.subgraph_profile(sg)
-            rows[fam].append(
-                ProfileRow(
-                    venue_key=venue,
-                    kind=kind,
-                    profile=profile,
-                    pagerank=ranks.get(venue),
-                    network_type=subgraphs.classify_network_type(profile),
-                )
-            )
+    rows = {f: [r for r in profiled[f] if venue_kind in ("all", r.kind)] for f in families}
     subgraphs.write_profiles(rows, out)
     click.echo(f"profiled {sum(len(v) for v in rows.values())} subgraphs")
 
 
 @main.command()
 @click.option("--profiles", "profiles_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--bins", default=20, show_default=True)
+@click.option("--bins", default=subgraphs.DEFAULT_HISTOGRAM_BINS, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Histogram TSV path.")
 @click.option("--medians-out", required=True, type=click.Path(dir_okay=False))
 def stats(profiles_path: str, bins: int, out: str, medians_out: str) -> None:
@@ -325,13 +290,7 @@ def stats(profiles_path: str, bins: int, out: str, medians_out: str) -> None:
         rows = subgraphs.read_profiles(profiles_path)
     except (OSError, ValueError) as exc:
         _fail_input(str(exc))
-    first = True
-    for family in sorted(rows):
-        if not rows[family]:
-            continue
-        report = subgraphs.profile_statistics(rows[family], bins=bins)
-        subgraphs.write_stat_report(report, family, out, medians_out, append=not first)
-        first = False
+    subgraphs.write_statistics(rows, bins, out, medians_out)
     click.echo(f"wrote statistics for {sum(len(v) for v in rows.values())} profiles")
 
 

@@ -283,6 +283,19 @@ def write_partition(p: ClusterPartition, path) -> None:
             fh.write(f"{venue}\t{p.assignment[venue]}\n")
 
 
+def write_assignment(p: ClusterPartition, projection: ClusterProjection, path) -> None:
+    """Each venue with its cluster and the rule that placed it: `clustered` (in the partition), `best-cosine` (adopted by
+    projection) or `unassigned` (blank cluster)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("venue_key\tcluster_id\trule\n")
+        for venue in sorted(p.assignment):
+            fh.write(f"{venue}\t{p.assignment[venue]}\tclustered\n")
+        for venue in sorted(projection.new_assignments):
+            fh.write(f"{venue}\t{projection.new_assignments[venue]}\tbest-cosine\n")
+        for venue in projection.unassigned:
+            fh.write(f"{venue}\t\tunassigned\n")
+
+
 def read_partition(path) -> ClusterPartition:
     assignment: dict[str, str] = {}
     q = 0.0

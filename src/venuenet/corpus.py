@@ -31,6 +31,7 @@ YEAR_MAX = 2100
 JOURNAL = "journal"
 CONFERENCE = "conference"
 UNKNOWN_KIND = "unknown"
+VENUE_KINDS = (JOURNAL, CONFERENCE, UNKNOWN_KIND)
 
 METADATA_CORPUS = "metadata-corpus"
 CITATION_CORPUS = "citation-corpus"
@@ -181,10 +182,13 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
     seen_ids: set[str] = set()
 
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.decode("utf-8").strip()
+        position = f"line {lineno}"
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise MalformedEntryError(position, f"invalid UTF-8 at byte {exc.start}") from exc
         if not line:
             continue
-        position = f"line {lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -197,9 +201,15 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
             continue
         if "venue_key" in obj and "id" not in obj:
             key = obj["venue_key"]
-            venue_table[key] = VenueInfo(
-                name=obj.get("name", key), kind=obj.get("kind", UNKNOWN_KIND)
-            )
+            if not isinstance(key, str) or not key:
+                raise MalformedEntryError(position, f"venue_key must be a non-empty string, got {key!r}")
+            name = obj.get("name", key)
+            if not isinstance(name, str):
+                raise MalformedEntryError(position, f"venue name must be a string, got {name!r}")
+            kind = obj.get("kind", UNKNOWN_KIND)
+            if kind not in VENUE_KINDS:
+                raise MalformedEntryError(position, f"venue kind must be one of {', '.join(VENUE_KINDS)}, got {kind!r}")
+            venue_table[key] = VenueInfo(name=name, kind=kind)
             continue
 
         if "id" not in obj:

@@ -167,14 +167,21 @@ def link_corpora(
     return [best[left] for left in sorted(best)]
 
 
-def attach_references(meta: Corpus, cite: Corpus, matches: list[MatchPair]) -> Corpus:
-    """Carry reference lists from matched citation records onto the metadata
-    corpus, rewriting targets that are themselves matched citation records to
-    the corresponding metadata ids."""
+def right_to_left_ids(matches: list[MatchPair]) -> dict[str, str]:
+    """Metadata id of each matched citation id; a right id matched by several
+    left records goes to the smallest left id."""
     right_to_left: dict[str, str] = {}
     for pair in matches:
         if pair.right not in right_to_left or pair.left < right_to_left[pair.right]:
             right_to_left[pair.right] = pair.left
+    return right_to_left
+
+
+def attach_references(meta: Corpus, cite: Corpus, matches: list[MatchPair]) -> Corpus:
+    """Carry reference lists from matched citation records onto the metadata
+    corpus, rewriting targets that are themselves matched citation records to
+    the corresponding metadata ids."""
+    right_to_left = right_to_left_ids(matches)
     left_to_right = {pair.left: pair.right for pair in matches}
 
     records: list[PublicationRecord] = []

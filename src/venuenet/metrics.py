@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 from .graph import VenueGraph
 
+DEFAULT_PAGERANK_D = 0.85
+DEFAULT_PAGERANK_TOL = 1e-8
+DEFAULT_PAGERANK_MAX_ITER = 200
+
 
 class MetricError(Exception):
     pass
@@ -246,7 +250,10 @@ def betweenness_centrality(
 
 
 def pagerank(
-    g: VenueGraph, d: float = 0.85, tol: float = 1e-8, max_iter: int = 200
+    g: VenueGraph,
+    d: float = DEFAULT_PAGERANK_D,
+    tol: float = DEFAULT_PAGERANK_TOL,
+    max_iter: int = DEFAULT_PAGERANK_MAX_ITER,
 ) -> MetricVector:
     if not g.directed:
         raise MetricError("pagerank requires a directed graph")
@@ -296,3 +303,33 @@ def pagerank(
         residual=residual,
         iterations=iterations if n else 0,
     )
+
+
+# -- per-node TSV ----------------------------------------------------------
+
+
+def write_metric_tsv(vector: MetricVector, path) -> None:
+    """`node<TAB><metric>` header, then one row per node, highest value first."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"node\t{vector.metric}\n")
+        for node, value in vector.top():
+            fh.write(f"{node}\t{value!r}\n")
+
+
+def read_metric_tsv(path, metric: str) -> dict[str, float]:
+    """Per-node values of a file written by write_metric_tsv for `metric`.
+    A wrong header or a malformed row raises ValueError naming its line."""
+    values: dict[str, float] = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        if header.rstrip("\n") != f"node\t{metric}":
+            raise ValueError(f"{path}: line 1: expected header 'node<TAB>{metric}', got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split("\t")
+            try:
+                if len(fields) != 2 or not fields[0]:
+                    raise ValueError
+                values[fields[0]] = float(fields[1])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected 'node<TAB>value', got {line!r}") from None
+    return values

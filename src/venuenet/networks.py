@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import metrics
 from .corpus import Corpus
 from .graph import VenueGraph
-from .linkage import MatchPair
+from .linkage import MatchPair, right_to_left_ids
 
 COSINE_MIN_DEFAULT = 0.1
 CITATION_MIN_DEFAULT = 50.0
@@ -177,11 +177,7 @@ def build_citation_network(c: Corpus, matches: list[MatchPair] | None = None) ->
     citations become node metadata (`self_citations`), not edges; venues with
     no citation activity at all are left out.
     """
-    right_to_left: dict[str, str] = {}
-    if matches:
-        for pair in matches:
-            if pair.right not in right_to_left or pair.left < right_to_left[pair.right]:
-                right_to_left[pair.right] = pair.left
+    right_to_left = right_to_left_ids(matches or [])
 
     edge_counts: dict[tuple[str, str], int] = {}
     self_citations: dict[str, int] = {}

@@ -15,7 +15,7 @@ from . import community, linkage, metrics, networks, subgraphs
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, parse_corpus, save_corpus, validate_corpus
 from .exports import export_graph, write_graph
 from .graph import VenueGraph
-from .subgraphs import ClassificationCuts, ProfileRow
+from .subgraphs import DEFAULT_CUTS, ClassificationCuts, ProfileRow
 
 CONFIG_SCHEMA = "venuenet-config/1"
 MANIFEST_SCHEMA = "venuenet-manifest/1"
@@ -58,14 +58,14 @@ class PipelineConfig:
     sw_min: float = linkage.DEFAULT_SW_MIN
     cosine_min: float = networks.COSINE_MIN_DEFAULT
     citation_min: float = networks.CITATION_MIN_DEFAULT
-    pagerank_d: float = 0.85
-    pagerank_tol: float = 1e-8
-    pagerank_max_iter: int = 200
-    cut_very_low: float = 0.05
-    cut_low: float = 0.25
-    cut_medium: float = 0.6
-    cut_high: float = 0.85
-    histogram_bins: int = 20
+    pagerank_d: float = metrics.DEFAULT_PAGERANK_D
+    pagerank_tol: float = metrics.DEFAULT_PAGERANK_TOL
+    pagerank_max_iter: int = metrics.DEFAULT_PAGERANK_MAX_ITER
+    cut_very_low: float = DEFAULT_CUTS.very_low_max
+    cut_low: float = DEFAULT_CUTS.low_max
+    cut_medium: float = DEFAULT_CUTS.medium_max
+    cut_high: float = DEFAULT_CUTS.high_max
+    histogram_bins: int = subgraphs.DEFAULT_HISTOGRAM_BINS
     slice_years: tuple[int, ...] = ()
     out_dir: str = "out"
 
@@ -241,13 +241,6 @@ class _Run:
         self.manifest.stages.append(rec)
 
 
-def _write_metric_tsv(vector: metrics.MetricVector, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"node\t{vector.metric}\n")
-        for node, value in vector.top():
-            fh.write(f"{node}\t{value!r}\n")
-
-
 def _stage_ingest(run: _Run) -> None:
     cfg = run.cfg
     with open(cfg.metadata_corpus, "rb") as fh:
@@ -340,14 +333,7 @@ def _stage_project(run: _Run) -> None:
     graph_path = run.out_dir / "cluster_graph.tsv"
     write_graph(projection.graph, graph_path)
     assign_path = run.out_dir / "cluster_assignment.tsv"
-    with open(assign_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("venue_key\tcluster_id\trule\n")
-        for venue in sorted(run.partition.assignment):
-            fh.write(f"{venue}\t{run.partition.assignment[venue]}\tclustered\n")
-        for venue in sorted(projection.new_assignments):
-            fh.write(f"{venue}\t{projection.new_assignments[venue]}\tbest-cosine\n")
-        for venue in projection.unassigned:
-            fh.write(f"{venue}\t\tunassigned\n")
+    community.write_assignment(run.partition, projection, assign_path)
 
     clustered = run.knowledge_reduced.copy()
     for venue in clustered.nodes:
@@ -368,73 +354,24 @@ def _stage_metrics(run: _Run) -> None:
     )
     b_path = run.out_dir / "betweenness.tsv"
     p_path = run.out_dir / "pagerank.tsv"
-    _write_metric_tsv(betweenness, b_path)
-    _write_metric_tsv(run.pagerank, p_path)
+    metrics.write_metric_tsv(betweenness, b_path)
+    metrics.write_metric_tsv(run.pagerank, p_path)
     run.record("metrics", b_path, p_path)
 
 
 def _stage_subgraphs(run: _Run) -> None:
-    cfg = run.cfg
-    corpus = run.linked
-    cuts = cfg.classification_cuts()
-    citation_index = subgraphs.publication_citation_graph(corpus)
-    ranks = run.pagerank.values if run.pagerank else {}
-
-    by_family: dict[str, list[ProfileRow]] = {"coauthorship": [], "citation": []}
-    by_venue = corpus.records_by_venue()
-    for venue in sorted(by_venue):
-        kind = corpus.venue_kind(venue)
-        rank = ranks.get(venue)
-        coauth = subgraphs.extract_coauthorship_subgraph(corpus, venue, records=by_venue[venue])
-        if coauth.graph.node_count() > 0:
-            profile = subgraphs.subgraph_profile(coauth)
-            by_family["coauthorship"].append(
-                ProfileRow(
-                    venue_key=venue,
-                    kind=kind,
-                    profile=profile,
-                    pagerank=rank,
-                    network_type=subgraphs.classify_network_type(profile, cuts),
-                )
-            )
-        cite = subgraphs.extract_citation_subgraph(
-            corpus, venue, citation_index, records=by_venue[venue]
-        )
-        if cite.graph.node_count() > 0:
-            profile = subgraphs.subgraph_profile(cite)
-            by_family["citation"].append(
-                ProfileRow(
-                    venue_key=venue,
-                    kind=kind,
-                    profile=profile,
-                    pagerank=rank,
-                    network_type=subgraphs.classify_network_type(profile, cuts),
-                )
-            )
-
-    run.profiles = by_family
+    run.profiles = subgraphs.profile_venues(
+        run.linked, run.pagerank.values, run.cfg.classification_cuts()
+    )
     path = run.out_dir / "profiles.tsv"
-    subgraphs.write_profiles(by_family, path)
+    subgraphs.write_profiles(run.profiles, path)
     run.record("subgraphs", path)
 
 
 def _stage_stats(run: _Run) -> None:
-    cfg = run.cfg
     hist_path = run.out_dir / "histograms.tsv"
     med_path = run.out_dir / "medians.tsv"
-    first = True
-    for family in sorted(run.profiles):
-        rows = run.profiles[family]
-        if not rows:
-            continue
-        report = subgraphs.profile_statistics(rows, bins=cfg.histogram_bins)
-        subgraphs.write_stat_report(report, family, hist_path, med_path, append=not first)
-        first = False
-    if first:  # no profiles at all; still emit headered files
-        with open(hist_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("subgraph\tmetric\tvenue_kind\tbin_lo\tbin_hi\tmass\n")
-        with open(med_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("subgraph\tmetric\tpagerank_bin\tmedian\n")
+    subgraphs.write_statistics(run.profiles, run.cfg.histogram_bins, hist_path, med_path)
     run.record("stats", hist_path, med_path)
 
 

@@ -29,6 +29,8 @@ TYPE_4 = "Type4"
 
 METRIC_NAMES = ("m1_density", "m2_avg_clustering", "m3_max_betweenness", "m4_lcc_fraction")
 
+DEFAULT_HISTOGRAM_BINS = 20
+
 
 class SubgraphError(Exception):
     pass
@@ -206,6 +208,36 @@ class ProfileRow:
     network_type: str = ""
 
 
+def profile_venues(
+    c: Corpus, ranks: dict[str, float], cuts: ClassificationCuts = DEFAULT_CUTS
+) -> dict[str, list[ProfileRow]]:
+    """Profile and classify the co-authorship and citation subgraphs of every
+    venue with publications, keyed by family. A venue gets no row in a family
+    whose subgraph is empty; `ranks` supplies each row's PageRank, if any."""
+    citation_index = publication_citation_graph(c)
+    by_family: dict[str, list[ProfileRow]] = {"coauthorship": [], "citation": []}
+    by_venue = c.records_by_venue()
+    for venue in sorted(by_venue):
+        records = by_venue[venue]
+        for family, sg in (
+            ("coauthorship", extract_coauthorship_subgraph(c, venue, records=records)),
+            ("citation", extract_citation_subgraph(c, venue, citation_index, records=records)),
+        ):
+            if sg.graph.node_count() == 0:
+                continue
+            profile = subgraph_profile(sg)
+            by_family[family].append(
+                ProfileRow(
+                    venue_key=venue,
+                    kind=c.venue_kind(venue),
+                    profile=profile,
+                    pagerank=ranks.get(venue),
+                    network_type=classify_network_type(profile, cuts),
+                )
+            )
+    return by_family
+
+
 @dataclass
 class HistogramBin:
     lo: float
@@ -230,7 +262,7 @@ def _normalized_histogram(values: Sequence[float], bins: int) -> list[HistogramB
     ]
 
 
-def profile_statistics(rows: Iterable[ProfileRow], bins: int = 20) -> StatReport:
+def profile_statistics(rows: Iterable[ProfileRow], bins: int = DEFAULT_HISTOGRAM_BINS) -> StatReport:
     """Normalized metric histograms (overall and split by venue kind) and
     per-PageRank-bin metric medians. PageRank values are binned by rounding
     to two decimals; rows without a score are left out of the medians."""
@@ -310,18 +342,23 @@ def read_profiles(path) -> dict[str, list[ProfileRow]]:
     return rows
 
 
-def write_stat_report(report: StatReport, family: str, histogram_path, medians_path, append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(histogram_path, mode, encoding="utf-8", newline="\n") as fh:
-        if not append:
-            fh.write("subgraph\tmetric\tvenue_kind\tbin_lo\tbin_hi\tmass\n")
-        for metric in METRIC_NAMES:
-            for kind in sorted(report.histograms[metric]):
-                for b in report.histograms[metric][kind]:
-                    fh.write(f"{family}\t{metric}\t{kind}\t{b.lo!r}\t{b.hi!r}\t{b.mass!r}\n")
-    with open(medians_path, mode, encoding="utf-8", newline="\n") as fh:
-        if not append:
-            fh.write("subgraph\tmetric\tpagerank_bin\tmedian\n")
-        for metric in METRIC_NAMES:
-            for rank, median in report.pagerank_medians[metric]:
-                fh.write(f"{family}\t{metric}\t{rank!r}\t{median!r}\n")
+def write_statistics(rows_by_family: dict[str, list[ProfileRow]], bins: int, histogram_path, medians_path) -> None:
+    """Write the histograms and PageRank medians of every family with
+    profiles, in family order. Both files get their header even when there
+    are no profiles at all."""
+    with open(histogram_path, "w", encoding="utf-8", newline="\n") as hist, open(
+        medians_path, "w", encoding="utf-8", newline="\n"
+    ) as med:
+        hist.write("subgraph\tmetric\tvenue_kind\tbin_lo\tbin_hi\tmass\n")
+        med.write("subgraph\tmetric\tpagerank_bin\tmedian\n")
+        for family in sorted(rows_by_family):
+            if not rows_by_family[family]:
+                continue
+            report = profile_statistics(rows_by_family[family], bins=bins)
+            for metric in METRIC_NAMES:
+                for kind in sorted(report.histograms[metric]):
+                    for b in report.histograms[metric][kind]:
+                        hist.write(f"{family}\t{metric}\t{kind}\t{b.lo!r}\t{b.hi!r}\t{b.mass!r}\n")
+            for metric in METRIC_NAMES:
+                for rank, median in report.pagerank_medians[metric]:
+                    med.write(f"{family}\t{metric}\t{rank!r}\t{median!r}\n")

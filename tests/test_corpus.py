@@ -98,6 +98,19 @@ class TestParseJsonl:
                 corpus_from_lines('{"id": "p0", "title": "A"}', f'{{"id": "p1", "title": "A", "authors": {authors}}}')
             assert exc.value.position == "line 2"
 
+    def test_malformed_venue_line_or_bytes_carry_line(self):
+        for bad in (
+            b'{"venue_key": 7}',
+            b'{"venue_key": ""}',
+            b'{"venue_key": "v", "name": 7}',
+            b'{"venue_key": "v", "kind": ["x"]}',
+            b'{"venue_key": "v", "kind": "magazine"}',
+            b'{"id": "p1", "title": "\xff"}',
+        ):
+            with pytest.raises(MalformedEntryError) as exc:
+                parse_jsonl(io.BytesIO(b'{"id": "p0", "title": "A"}\n' + bad + b"\n"))
+            assert exc.value.position == "line 2", bad
+
     def test_venue_metadata_line(self):
         corpus = corpus_from_lines(
             '{"venue_key": "v1", "name": "Journal of Tests", "kind": "journal"}',

@@ -8,6 +8,7 @@ from venuenet.cli import main
 from venuenet.community import read_partition
 from venuenet.corpus import save_corpus
 from venuenet.exports import load_graph
+from venuenet.subgraphs import write_profiles
 from venuenet.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -15,7 +16,7 @@ from venuenet.pipeline import (
     run_pipeline,
     STAGES,
 )
-from venuenet.synth import planted_group_corpus, split_for_linkage
+from venuenet.synth import planted_group_corpus, scale_corpus, split_for_linkage
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +317,57 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "hist.tsv").read_text().startswith("subgraph\tmetric")
 
+    def test_stats_on_zero_profiles_writes_headers(self, tmp_path):
+        profiles = tmp_path / "profiles.tsv"
+        write_profiles({}, profiles)
+        hist, med = tmp_path / "hist.tsv", tmp_path / "med.tsv"
+        result = CliRunner().invoke(
+            main, ["stats", "--profiles", str(profiles), "--out", str(hist), "--medians-out", str(med)]
+        )
+        assert result.exit_code == 0, result.output
+        assert hist.read_text() == "subgraph\tmetric\tvenue_kind\tbin_lo\tbin_hi\tmass\n"
+        assert med.read_text() == "subgraph\tmetric\tpagerank_bin\tmedian\n"
+
+    def test_subgraphs_bad_pagerank_file_exits_1_naming_the_line(self, tmp_path):
+        runner = CliRunner()
+        corpus_path = self._write_fixture(tmp_path)
+        short = tmp_path / "short.tsv"
+        short.write_text("node\tpagerank\ng0v00\t1.5\ng0v01\n")
+        wrong = tmp_path / "wrong.tsv"
+        wrong.write_text("node\tbetweenness\ng0v00\t0.5\n")
+        for path, expected in [
+            (tmp_path / "missing.tsv", "missing.tsv"),
+            (short, "line 3"),
+            (wrong, "line 1"),
+        ]:
+            result = runner.invoke(
+                main, ["subgraphs", str(corpus_path), "--pagerank", str(path), "--out", str(tmp_path / "p.tsv")]
+            )
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)  # not an escaped traceback
+            assert len(result.stderr.splitlines()) == 1
+            assert result.stderr.startswith("error: ") and expected in result.stderr
+
+    def test_malformed_jsonl_exits_1_with_line(self, tmp_path):
+        runner = CliRunner()
+        for i, bad in enumerate(
+            [
+                b'{"venue_key": 7}',
+                b'{"venue_key": "v", "name": 7, "kind": ["x"]}',
+                b'{"id": "p1", "title": "caf\xe9"}',
+            ]
+        ):
+            path = tmp_path / f"bad{i}.jsonl"
+            path.write_bytes(b'{"id": "p0", "title": "A", "venue": "v"}\n' + bad + b"\n")
+            for args in (
+                ["ingest", str(path), "--out", str(tmp_path / "c.jsonl")],
+                ["run", "--corpus", str(path), "--out-dir", str(tmp_path / "out")],
+            ):
+                result = runner.invoke(main, args)
+                assert result.exit_code == 1, (bad, args[0], result.output)
+                assert isinstance(result.exception, SystemExit)
+                assert "malformed entry at line 2" in result.stderr
+
     def test_slice_command(self, tmp_path):
         runner = CliRunner()
         corpus_path = self._write_fixture(tmp_path)
@@ -436,3 +488,71 @@ class TestCli:
         result = runner.invoke(main, ["run", "--config", str(cfg_path)])
         assert result.exit_code == 0, result.output
         assert "pipeline complete" in result.output
+
+
+class TestStageByStageCli:
+    ARTIFACTS = (
+        "corpus_metadata.jsonl",
+        "coupling.json",
+        "knowledge_full.tsv",
+        "citation_full.tsv",
+        "knowledge.tsv",
+        "citation.tsv",
+        "partition.tsv",
+        "cluster_graph.tsv",
+        "cluster_assignment.tsv",
+        "betweenness.tsv",
+        "pagerank.tsv",
+        "profiles.tsv",
+        "histograms.tsv",
+        "medians.tsv",
+    )
+
+    def _corpus(self, tmp_path: Path) -> Path:
+        """A synth corpus whose F' is non-empty at the default citation
+        threshold, plus a weakly coupled venue (adopted by best cosine) and a
+        venue that shares no reference (unassigned), both of unknown kind."""
+        corpus = scale_corpus(24, 80, groups=6)
+        shared = next(t for t in corpus.records[0].references if corpus.has_record(t))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            for i in range(3):
+                weak = {"id": f"weak{i}", "title": f"Weak {i}", "authors": ["Wen Weak", f"Co Author{i}"],
+                        "venue": "x-weak", "year": 2001, "refs": [shared] + [f"weak raw {i} {j}" for j in range(20)]}
+                lone = {"id": f"lone{i}", "title": f"Lone {i}", "authors": ["Lou Lone"],
+                        "venue": "x-lone", "year": 2002, "refs": [f"lone raw {i}"]}
+                fh.write(json.dumps(weak) + "\n" + json.dumps(lone) + "\n")
+        return path
+
+    def test_cli_chain_reproduces_run_artifacts(self, tmp_path):
+        runner = CliRunner()
+        corpus = self._corpus(tmp_path)
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--corpus", str(corpus), "--out-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        rules = [line.split("\t")[2] for line in (run_dir / "cluster_assignment.tsv").read_text().splitlines()[1:]]
+        assert {"clustered", "best-cosine", "unassigned"} <= set(rules)
+        assert (run_dir / "pagerank.tsv").read_text().count("\n") > 1
+
+        d = tmp_path / "cli"
+        d.mkdir()
+        steps = [
+            ["ingest", str(corpus), "--out", d / "corpus_metadata.jsonl"],
+            ["build", d / "corpus_metadata.jsonl", "--network", "knowledge", "--matrix-out", d / "coupling.json", "--out", d / "knowledge_full.tsv"],
+            ["build", d / "corpus_metadata.jsonl", "--network", "citation", "--out", d / "citation_full.tsv"],
+            ["threshold", d / "knowledge_full.tsv", "--rule", "cosine", "--out", d / "knowledge.tsv"],
+            ["threshold", d / "citation_full.tsv", "--rule", "citation", "--out", d / "citation.tsv"],
+            ["cluster", "--graph", d / "knowledge.tsv", "--out", d / "partition.tsv"],
+            ["project", "--matrix", d / "coupling.json", "--partition", d / "partition.tsv", "--out", d / "cluster_graph.tsv", "--assignment-out", d / "cluster_assignment.tsv"],
+            ["metrics", "--graph", d / "citation.tsv", "--metric", "betweenness", "--weighted", "--out", d / "betweenness.tsv"],
+            ["metrics", "--graph", d / "citation.tsv", "--metric", "pagerank", "--out", d / "pagerank.tsv"],
+            ["subgraphs", d / "corpus_metadata.jsonl", "--pagerank", d / "pagerank.tsv", "--out", d / "profiles.tsv"],
+            ["stats", "--profiles", d / "profiles.tsv", "--out", d / "histograms.tsv", "--medians-out", d / "medians.tsv"],
+        ]
+        for step in steps:
+            result = runner.invoke(main, [str(arg) for arg in step])
+            assert result.exit_code == 0, (step[0], result.output)
+
+        differing = [name for name in self.ARTIFACTS if (d / name).read_bytes() != (run_dir / name).read_bytes()]
+        assert differing == []
