@@ -11,7 +11,17 @@ import sys
 import click
 
 from . import community, linkage, metrics, networks, subgraphs
-from .corpus import Corpus, CorpusError, load_corpus, parse_corpus, save_corpus, slice_by_year, validate_corpus
+from .corpus import (
+    CORPUS_SOURCES,
+    METADATA_CORPUS,
+    Corpus,
+    CorpusError,
+    load_corpus,
+    parse_corpus,
+    save_corpus,
+    slice_by_year,
+    validate_corpus,
+)
 from .exports import ExportError, FORMATS, export_graph, load_graph, write_graph
 from .graph import VenueGraph
 from .pipeline import ConfigError, PipelineConfig, StageError, run_pipeline
@@ -44,7 +54,7 @@ def main() -> None:
 @main.command()
 @click.argument("input_path", type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "dblp-xml"]), default="jsonl")
-@click.option("--source", type=click.Choice(["metadata-corpus", "citation-corpus"]), default="metadata-corpus")
+@click.option("--source", type=click.Choice(CORPUS_SOURCES), default=METADATA_CORPUS)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def ingest(input_path: str, fmt: str, source: str, out: str) -> None:
     """Parse a corpus file and write it in canonical JSONL form."""
@@ -286,6 +296,8 @@ def subgraphs_cmd(corpus_path: str, venue_kind: str, family: str, pagerank_path:
 @click.option("--medians-out", required=True, type=click.Path(dir_okay=False))
 def stats(profiles_path: str, bins: int, out: str, medians_out: str) -> None:
     """Normalized metric histograms and per-PageRank medians from profiles."""
+    if bins < 1:
+        _fail_input(f"histogram_bins must be >= 1, got {bins}")
     try:
         rows = subgraphs.read_profiles(profiles_path)
     except (OSError, ValueError) as exc:

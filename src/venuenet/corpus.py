@@ -35,6 +35,7 @@ VENUE_KINDS = (JOURNAL, CONFERENCE, UNKNOWN_KIND)
 
 METADATA_CORPUS = "metadata-corpus"
 CITATION_CORPUS = "citation-corpus"
+CORPUS_SOURCES = (METADATA_CORPUS, CITATION_CORPUS)
 
 
 class CorpusError(Exception):
@@ -198,6 +199,8 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
 
         if "source" in obj and "id" not in obj and "venue_key" not in obj:
             source = obj["source"]
+            if source not in CORPUS_SOURCES:
+                raise MalformedEntryError(position, f"source must be one of {', '.join(CORPUS_SOURCES)}, got {source!r}")
             continue
         if "venue_key" in obj and "id" not in obj:
             key = obj["venue_key"]

@@ -63,9 +63,6 @@ class VenueGraph:
     def edge_count(self) -> int:
         return self._edge_count
 
-    def has_node(self, key: str) -> bool:
-        return key in self._nodes
-
     def has_edge(self, u: str, v: str) -> bool:
         return v in self._adj.get(u, {})
 
@@ -78,9 +75,6 @@ class VenueGraph:
 
     def degree(self, key: str) -> int:
         return len(self._adj[key])
-
-    def weighted_degree(self, key: str) -> float:
-        return sum(self._adj[key].values())
 
     def edges(self) -> Iterator[tuple[str, str, float]]:
         """Each edge once; undirected edges with sorted endpoints."""
@@ -99,16 +93,6 @@ class VenueGraph:
 
     def total_edge_weight(self) -> float:
         return sum(w for _, _, w in self.edges())
-
-    def isolated_nodes(self) -> list[str]:
-        if self.directed:
-            incident = set()
-            for u, nbrs in self._adj.items():
-                if nbrs:
-                    incident.add(u)
-                incident.update(nbrs)
-            return sorted(k for k in self._nodes if k not in incident)
-        return sorted(k for k, nbrs in self._adj.items() if not nbrs)
 
     def undirected_view(self) -> "VenueGraph":
         """Symmetrized copy; antiparallel weights are summed. No-op copy if undirected."""

@@ -2,12 +2,15 @@
 
 Matching runs in three stages: canopy blocking on author last names, a cheap
 Jaccard similarity over title token sets to discard clear non-matches, and an
-expensive Smith-Waterman local alignment to confirm the survivors. Each left
+expensive Smith-Waterman local alignment to confirm the survivors. Inside a
+canopy, prefix filtering skips the pairs that cannot pass the Jaccard gate. Each left
 (metadata) record keeps at most its single best right (citation) partner.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 
 from .corpus import Corpus, PublicationRecord
@@ -49,6 +52,48 @@ def jaccard_title_similarity(t1: frozenset[str], t2: frozenset[str]) -> float:
     return inter / (len(t1) + len(t2) - inter)
 
 
+# Half-width of the first alignment band; a second, certified pass widens it.
+SW_BAND = 2
+
+
+def _banded_sw_best(s1: str, s2: str, w: int, match: int, mismatch: int, gap: int) -> int:
+    """Best local alignment score over the cells -w <= i - j <= (n1 - n2) + w
+    of the (n1 + 1) x (n2 + 1) table, n1 = len(s1) >= n2 = len(s2); cells
+    outside the band read as 0. One row, updated in place."""
+    n2 = len(s2)
+    row = [0] * (n2 + 1)
+    best = 0
+    lo_shift = len(s1) - n2 + w
+    for i, a in enumerate(s1, 1):
+        # plain comparisons: max/min calls cost a tenth of a short title's DP
+        lo = i - lo_shift
+        if lo < 1:
+            lo = 1
+        hi = i + w
+        if hi > n2:
+            hi = n2
+        diag = row[lo - 1]
+        left = 0
+        j = lo
+        for b in s2[lo - 1:hi]:
+            up = row[j]
+            score = diag + match if a == b else diag + mismatch
+            diag = up
+            up += gap
+            if up > score:
+                score = up
+            left += gap
+            if left > score:
+                score = left
+            if score < 0:
+                score = 0
+            elif score > best:
+                best = score
+            row[j] = left = score
+            j += 1
+    return best
+
+
 def smith_waterman_similarity(
     s1: str,
     s2: str,
@@ -57,33 +102,28 @@ def smith_waterman_similarity(
     gap: int = DEFAULT_SW_GAP,
 ) -> float:
     """Best local alignment score normalized by the maximum achievable score,
-    match * min(len(s1), len(s2)). Empty operands score 0. Rolling two-row DP.
+    match * min(len(s1), len(s2)). Empty operands score 0.
+
+    The score is exact. With match > 0, mismatch <= match and gap <= 0, an
+    alignment scores at most match per diagonal step, and one that leaves the
+    band of half-width w makes at most n2 - w - 1 of them. So a banded best B
+    above match * (n2 - w - 1) is the table's best; otherwise one more pass
+    with w = n2 - B // match certifies itself. Other scores fill the full table
+    (w = n2).
     """
     if not s1 or not s2:
         return 0.0
-    if s1 == s2:
-        return 1.0
-    # iterate rows over the longer string so the rolling arrays stay short
+    # the band runs along the longer string so the row stays short
     if len(s2) > len(s1):
         s1, s2 = s2, s1
     n2 = len(s2)
-    prev = [0] * (n2 + 1)
-    best = 0
-    for a in s1:
-        cur = [0] * (n2 + 1)
-        for j in range(1, n2 + 1):
-            score = prev[j - 1] + (match if a == s2[j - 1] else mismatch)
-            up = prev[j] + gap
-            if up > score:
-                score = up
-            left = cur[j - 1] + gap
-            if left > score:
-                score = left
-            if score > 0:
-                cur[j] = score
-                if score > best:
-                    best = score
-        prev = cur
+    if match <= 0 or gap > 0 or mismatch > match:
+        return _banded_sw_best(s1, s2, n2, match, mismatch, gap) / (match * n2)
+    if s1 == s2:
+        return 1.0
+    best = _banded_sw_best(s1, s2, SW_BAND, match, mismatch, gap)
+    if best <= match * (n2 - SW_BAND - 1):
+        best = _banded_sw_best(s1, s2, n2 - best // match, match, mismatch, gap)
     return best / (match * n2)
 
 
@@ -117,6 +157,61 @@ def _comparison_title(title: str) -> str:
     return " ".join(title.lower().split())
 
 
+def _min_overlap(t: float, size: int) -> int:
+    """Fewest tokens a title of `size` tokens shares with any partner whose
+    Jaccard with it reaches t, as |x & y| >= t * |x | y| >= t * |x|. The product
+    is shrunk by a relative 1e-9 before rounding up, so float error (in it or
+    in the gate's rounded quotient) can only lower the result."""
+    return math.ceil(t * size * (1.0 - 1e-9))
+
+
+def _prefix_candidates(
+    canopies: list[Canopy],
+    tokens_a: dict[str, frozenset[str]],
+    tokens_b: dict[str, frozenset[str]],
+    t: float,
+) -> set[tuple[str, str]]:
+    """Pairs sharing a canopy that may have Jaccard >= t > 0: a superset of
+    those that do, by prefix and length filtering.
+
+    Tokens are ordered rare first (ties by the token). Two titles that share
+    at least o tokens share one among the first |x| - o + 1 of each, so each
+    title needs only its first |x| - _min_overlap(t, |x|) + 1 tokens indexed
+    and probed. A pair also needs t * |x| <= |y| <= |x| / t.
+    """
+    freq = Counter(tok for side in (tokens_a, tokens_b) for toks in side.values() for tok in toks)
+    rank = {tok: i for i, tok in enumerate(sorted(freq, key=lambda tok: (freq[tok], tok)))}
+
+    def prefixes(tokens: dict[str, frozenset[str]]) -> dict[str, tuple[int, int, list[str]]]:
+        out = {}
+        for rid, toks in tokens.items():
+            need = _min_overlap(t, len(toks))
+            if toks:
+                prefix = sorted(toks, key=rank.__getitem__)[: max(0, len(toks) - need + 1)]
+            else:
+                # two empty titles score 1.0; "" is no token, so only they meet
+                prefix = [""]
+            out[rid] = (len(toks), need, prefix)
+        return out
+
+    left_info, right_info = prefixes(tokens_a), prefixes(tokens_b)
+    pairs: set[tuple[str, str]] = set()
+    for canopy in canopies:
+        index: dict[str, list[str]] = defaultdict(list)
+        for right in canopy.right_members:
+            _, _, prefix = right_info[right]
+            for tok in prefix:
+                index[tok].append(right)
+        for left in canopy.left_members:
+            size, need, prefix = left_info[left]
+            for tok in prefix:
+                for right in index.get(tok, ()):
+                    right_size, right_need, _ = right_info[right]
+                    if need <= right_size and right_need <= size:
+                        pairs.add((left, right))
+    return pairs
+
+
 def link_corpora(
     a: Corpus,
     b: Corpus,
@@ -128,7 +223,8 @@ def link_corpora(
 ) -> list[MatchPair]:
     """Match records of corpus a (left) to corpus b (right).
 
-    Every cross-corpus pair sharing a canopy is gated by Jaccard, confirmed by
+    Every cross-corpus pair sharing a canopy whose titles can reach
+    `jaccard_min` (see `_prefix_candidates`) is gated by Jaccard, confirmed by
     Smith-Waterman, then reduced to one best partner per left record (highest
     alignment score, ties to the lexicographically smallest right id).
     """
@@ -137,11 +233,12 @@ def link_corpora(
     titles_a = {r.record_id: _comparison_title(r.title) for r in a.records}
     titles_b = {r.record_id: _comparison_title(r.title) for r in b.records}
 
-    pairs: set[tuple[str, str]] = set()
-    for canopy in canopy_partition(a, b):
-        for left in canopy.left_members:
-            for right in canopy.right_members:
-                pairs.add((left, right))
+    canopies = canopy_partition(a, b)
+    if jaccard_min > 0:
+        pairs = _prefix_candidates(canopies, tokens_a, tokens_b, jaccard_min)
+    else:
+        # zero-overlap pairs pass a gate of 0 (or NaN), so every pair is one
+        pairs = {(left, right) for c in canopies for left in c.left_members for right in c.right_members}
 
     best: dict[str, MatchPair] = {}
     for left, right in sorted(pairs):

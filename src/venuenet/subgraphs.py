@@ -318,8 +318,11 @@ def read_profiles(path) -> dict[str, list[ProfileRow]]:
         header = fh.readline()
         if header.strip() != PROFILES_HEADER:
             raise ValueError(f"unexpected profiles header: {header!r}")
-        for line in fh:
+        width = PROFILES_HEADER.count("\t") + 1
+        for lineno, line in enumerate(fh, start=2):
             fields = line.rstrip("\n").split("\t")
+            if len(fields) != width:
+                raise ValueError(f"{path}: line {lineno}: expected {width} tab-separated fields, got {len(fields)}")
             venue, kind, family = fields[0], fields[1], fields[2]
             profile = SubgraphProfile(
                 m1_density=float(fields[3]),

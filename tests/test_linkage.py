@@ -1,9 +1,12 @@
 import random
 import string
 
+import pytest
+
 from conftest import corpus_from_lines
 from oracles import sw_score_matrix
 from venuenet.linkage import (
+    DEFAULT_SW_MIN,
     MatchPair,
     attach_references,
     canopy_partition,
@@ -13,6 +16,9 @@ from venuenet.linkage import (
     tokenize_title,
     unmatchable_records,
 )
+from venuenet.synth import linkage_benchmark_corpora
+
+JACCARD_GATES = (0, 0.05, 0.1, 1 / 3, 0.5, 2 / 3, 0.7, 0.9, 1.0)
 
 
 def make_corpus(entries, source):
@@ -23,6 +29,46 @@ def make_corpus(entries, source):
         for rid, title, authors in entries
     ]
     return corpus_from_lines(*lines, source=source)
+
+
+def random_text(rng, length, alphabet=string.ascii_lowercase):
+    return "".join(rng.choice(alphabet) for _ in range(length))
+
+
+def with_typos(text, count, rng):
+    """`count` single-character inserts, deletes or substitutions."""
+    for _ in range(count):
+        pos = rng.randrange(len(text) + 1)
+        op = rng.choice(("insert", "delete", "substitute"))
+        if op == "insert":
+            text = text[:pos] + rng.choice(string.ascii_lowercase) + text[pos:]
+        elif pos < len(text):
+            text = text[:pos] + (rng.choice(string.ascii_lowercase) if op == "substitute" else "") + text[pos + 1 :]
+    return text
+
+
+def brute_force_link(a, b, jmin, smin):
+    """All cross pairs sharing any last-name key, gated and reduced to one
+    best partner per left record like link_corpora."""
+    best = {}
+    for ra in a.records:
+        keys_a = {au.last_name_key for au in ra.authors}
+        for rb in b.records:
+            if not keys_a & {au.last_name_key for au in rb.authors}:
+                continue
+            j = jaccard_title_similarity(tokenize_title(ra.title), tokenize_title(rb.title))
+            if j < jmin:
+                continue
+            s = smith_waterman_similarity(" ".join(ra.title.lower().split()), " ".join(rb.title.lower().split()))
+            if s < smin:
+                continue
+            cur = best.get(ra.record_id)
+            if cur is None or s > cur[1] or (s == cur[1] and rb.record_id < cur[0]):
+                best[ra.record_id] = (rb.record_id, s, j)
+    return [
+        MatchPair(left=left, right=right, jaccard=j, sw_similarity=s)
+        for left, (right, s, j) in sorted(best.items())
+    ]
 
 
 class TestTokenizer:
@@ -99,9 +145,41 @@ class TestSmithWaterman:
             value = smith_waterman_similarity(s1, s2)
             assert 0.0 <= value <= 1.0
 
+    def test_near_duplicate_titles_match_oracle(self):
+        rng = random.Random(12)
+        words = [random_text(rng, rng.randint(2, 9)) for _ in range(200)]
+        for _ in range(300):
+            title = " ".join(rng.choice(words) for _ in range(rng.randint(4, 12)))
+            typos = with_typos(title, rng.randint(0, 6), rng)
+            shift = rng.randint(0, 3)  # as many inserts at the front as deletes at the back
+            shifted = random_text(rng, shift) + title[: len(title) - shift]
+            for other in (typos, shifted):
+                assert smith_waterman_similarity(title, other) == sw_score_matrix(title, other), (title, other)
+
+    def test_optimum_off_the_band_matches_oracle(self):
+        rng = random.Random(13)
+        cases = []
+        for _ in range(40):
+            x, y, z = (random_text(rng, rng.randint(lo, hi)) for lo, hi in ((8, 30), (10, 40), (5, 30)))
+            cases += [
+                (x + y, y + z),  # a suffix of one aligns with a prefix of the other
+                (y + x, z + y),
+                (random_text(rng, rng.randint(60, 120)) + with_typos(y, 2, rng) + x, y),
+                (y[:4] * rng.randint(5, 15), y[1:4] * rng.randint(2, 8)),
+                (random_text(rng, 150, "ab"), random_text(rng, rng.randint(1, 6), "ab")),
+            ]
+        for s1, s2 in cases:
+            assert smith_waterman_similarity(s1, s2) == sw_score_matrix(s1, s2), (s1, s2)
+
     def test_custom_scoring(self):
-        s1, s2 = "graph theory", "graph teory"
-        assert smith_waterman_similarity(s1, s2, 3, -2, -2) == sw_score_matrix(s1, s2, 3, -2, -2)
+        rng = random.Random(14)
+        pairs = [("graph theory", "graph teory"), ("abab", "abab"), ("ab", "ba")]
+        for _ in range(60):
+            s1 = random_text(rng, rng.randint(1, 30), "abc ")
+            pairs += [(s1, with_typos(s1, rng.randint(0, 4), rng)), (s1, random_text(rng, rng.randint(1, 30), "abc "))]
+        for scores in [(3, -2, -2), (1, 0, 0), (2, 5, -1), (2, -1, 1)]:
+            for s1, s2 in pairs:
+                assert smith_waterman_similarity(s1, s2, *scores) == sw_score_matrix(s1, s2, *scores), (s1, s2, scores)
 
 
 class TestCanopies:
@@ -198,30 +276,50 @@ class TestLinkCorpora:
 
         a = make_corpus(random_entries("a", 80), "metadata-corpus")
         b = make_corpus(random_entries("b", 80), "citation-corpus")
-        jmin, smin = 0.4, 0.5
-        got = link_corpora(a, b, jaccard_min=jmin, sw_min=smin)
+        assert link_corpora(a, b, jaccard_min=0.4, sw_min=0.5) == brute_force_link(a, b, 0.4, 0.5)
 
-        # brute force over all cross pairs sharing any last-name key
-        best = {}
-        for ra in a.records:
-            keys_a = {au.last_name_key for au in ra.authors}
-            for rb in b.records:
-                if not keys_a & {au.last_name_key for au in rb.authors}:
-                    continue
-                j = jaccard_title_similarity(tokenize_title(ra.title), tokenize_title(rb.title))
-                if j < jmin:
-                    continue
-                s = smith_waterman_similarity(" ".join(ra.title.lower().split()), " ".join(rb.title.lower().split()))
-                if s < smin:
-                    continue
-                cur = best.get(ra.record_id)
-                if cur is None or s > cur[1] or (s == cur[1] and rb.record_id < cur[0]):
-                    best[ra.record_id] = (rb.record_id, s, j)
-        expected = [
-            MatchPair(left=left, right=right, jaccard=j, sw_similarity=s)
-            for left, (right, s, j) in sorted(best.items())
-        ]
-        assert got == expected
+    @pytest.mark.parametrize("jmin", JACCARD_GATES)
+    def test_candidates_match_all_pairs_on_benchmark_corpora(self, jmin):
+        meta, cite, _ = linkage_benchmark_corpora(n=200)
+        assert link_corpora(meta, cite, jaccard_min=jmin) == brute_force_link(meta, cite, jmin, DEFAULT_SW_MIN)
+
+    @pytest.mark.parametrize("smin", (0.0, 0.5))
+    @pytest.mark.parametrize("jmin", JACCARD_GATES)
+    def test_candidates_match_all_pairs_with_empty_and_one_token_titles(self, jmin, smin):
+        rng = random.Random(23)
+        words = [random_text(rng, 2, "abcdef") * rng.randint(1, 2) for _ in range(12)]
+        left, right = [], []
+        for i in range(60):
+            title = " ".join(rng.choice(words) for _ in range(rng.choice((0, 0, 1, 1, 2, 3, 4))))
+            mangle = rng.choice(("copy", "join", "drop", "typo", "new"))
+            if mangle == "join":  # a lost space: no shared token, a good alignment
+                other = title.replace(" ", "", 1)
+            elif mangle == "drop":
+                other = " ".join(title.split()[1:])
+            elif mangle == "typo" and title:
+                other = with_typos(title, 1, rng)
+            elif mangle == "new":
+                other = " ".join(rng.choice(words) for _ in range(rng.randint(0, 3)))
+            else:
+                other = title
+            left.append((f"a{i:02d}", title, [f"A. Name{rng.randrange(4)}"]))
+            right.append((f"b{i:02d}", other, [f"B. Name{rng.randrange(4)}"]))
+        a = make_corpus(left, "metadata-corpus")
+        b = make_corpus(right, "citation-corpus")
+        got = link_corpora(a, b, jaccard_min=jmin, sw_min=smin)
+        assert got == brute_force_link(a, b, jmin, smin)
+        if jmin == 0 and smin > 0:
+            assert any(m.jaccard == 0.0 for m in got)
+        if smin == 0:
+            assert any(a.record(m.left).title == b.record(m.right).title == "" for m in got)
+
+    def test_pair_exactly_at_the_gate_survives_float_rounding(self):
+        # 0.55 * 100 is 55.00000000000001 in floats, but 55 of 100 tokens give 0.55
+        words = [f"w{i}" for i in range(100)]
+        a = make_corpus([("a1", " ".join(words), ["X. Same"])], "metadata-corpus")
+        b = make_corpus([("b1", " ".join(words[:55]), ["X. Same"])], "citation-corpus")
+        assert 0.55 * 100 > 55
+        assert link_corpora(a, b, jaccard_min=0.55) == [MatchPair(left="a1", right="b1", jaccard=0.55, sw_similarity=1.0)]
 
     def test_threshold_monotonicity(self):
         rng = random.Random(33)

@@ -8,7 +8,7 @@ from venuenet.cli import main
 from venuenet.community import read_partition
 from venuenet.corpus import save_corpus
 from venuenet.exports import load_graph
-from venuenet.subgraphs import write_profiles
+from venuenet.subgraphs import PROFILES_HEADER, write_profiles
 from venuenet.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -328,6 +328,29 @@ class TestCli:
         assert hist.read_text() == "subgraph\tmetric\tvenue_kind\tbin_lo\tbin_hi\tmass\n"
         assert med.read_text() == "subgraph\tmetric\tpagerank_bin\tmedian\n"
 
+    def test_stats_bad_input_exits_1_with_one_error_line(self, tmp_path):
+        header = PROFILES_HEADER + "\n"
+        short = tmp_path / "short.tsv"
+        short.write_text(header + "v1\tjournal\tcitation\t0.1\n")
+        one_row = tmp_path / "one.tsv"
+        one_row.write_text(header + "v1\tjournal\tcitation\t0.1\t0.2\t0.3\t0.4\t3\t2\tdense\t0.5\n")
+        no_rows = tmp_path / "none.tsv"
+        no_rows.write_text(header)
+        for path, bins, expected in [
+            (short, "10", "line 2"),
+            (one_row, "0", "histogram_bins must be >= 1, got 0"),
+            (no_rows, "0", "histogram_bins must be >= 1, got 0"),
+        ]:
+            result = CliRunner().invoke(
+                main,
+                ["stats", "--profiles", str(path), "--bins", bins,
+                 "--out", str(tmp_path / "h.tsv"), "--medians-out", str(tmp_path / "m.tsv")],
+            )
+            assert result.exit_code == 1, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert len(result.stderr.splitlines()) == 1
+            assert result.stderr.startswith("error: ") and expected in result.stderr
+
     def test_subgraphs_bad_pagerank_file_exits_1_naming_the_line(self, tmp_path):
         runner = CliRunner()
         corpus_path = self._write_fixture(tmp_path)
@@ -355,6 +378,7 @@ class TestCli:
                 b'{"venue_key": 7}',
                 b'{"venue_key": "v", "name": 7, "kind": ["x"]}',
                 b'{"id": "p1", "title": "caf\xe9"}',
+                b'{"source": 7}',
             ]
         ):
             path = tmp_path / f"bad{i}.jsonl"
