@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .exports import ExportError, FORMATS, export_graph, load_graph, write_graph
 from .graph import VenueGraph
-from .pipeline import ConfigError, PipelineConfig, StageError, run_pipeline
+from .pipeline import ConfigError, PipelineConfig, StageError, check_unit_interval, run_pipeline
 
 
 def _fail_input(message: str) -> None:
@@ -100,6 +100,11 @@ def slice_cmd(corpus_path: str, year: int, out: str) -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def link(left: str, right: str, jaccard_min: float, sw_min: float, out: str) -> None:
     """Match records of the left (metadata) corpus to the right (citation) one."""
+    try:
+        check_unit_interval("jaccard_min", jaccard_min)
+        check_unit_interval("sw_min", sw_min)
+    except ConfigError as exc:
+        _fail_input(str(exc))
     a = _load_corpus_or_fail(left)
     b = _load_corpus_or_fail(right)
     matches = linkage.link_corpora(a, b, jaccard_min=jaccard_min, sw_min=sw_min)

@@ -168,12 +168,19 @@ def _check_year(year, position: str) -> int | None:
     return year
 
 
-def _make_authors(names: Iterable[str], position: str) -> tuple[AuthorName, ...]:
+def _make_authors(
+    names: Iterable[str], position: str, interned: dict[str, AuthorName]
+) -> tuple[AuthorName, ...]:
+    """`interned` holds one AuthorName per distinct full name seen so far in
+    the parse, so each name's blocking key is computed once."""
     authors = []
     for name in names:
         if not isinstance(name, str) or not name.strip():
             raise MalformedEntryError(position, f"empty or non-string author name {name!r}")
-        authors.append(AuthorName.from_full_name(name))
+        author = interned.get(name)
+        if author is None:
+            author = interned[name] = AuthorName.from_full_name(name)
+        authors.append(author)
     return tuple(authors)
 
 
@@ -181,6 +188,7 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
     records: list[PublicationRecord] = []
     venue_table: dict[str, VenueInfo] = {}
     seen_ids: set[str] = set()
+    interned: dict[str, AuthorName] = {}
 
     for lineno, raw in enumerate(stream, start=1):
         position = f"line {lineno}"
@@ -242,7 +250,7 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
                 record_id=record_id,
                 source=source,
                 title=title,
-                authors=_make_authors(authors, position),
+                authors=_make_authors(authors, position, interned),
                 venue_key=venue_key,
                 year=_check_year(obj.get("year"), position),
                 references=tuple(refs),
@@ -265,6 +273,7 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
     records: list[PublicationRecord] = []
     venue_table: dict[str, VenueInfo] = {}
     seen_ids: set[str] = set()
+    interned: dict[str, AuthorName] = {}
     index = 0
 
     try:
@@ -308,7 +317,7 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
                 if c.text and c.text.strip() and c.text.strip() != "..."
             )
             authors = _make_authors(
-                (a.text or "" for a in elem.findall("author")), position
+                (a.text or "" for a in elem.findall("author")), position, interned
             )
             records.append(
                 PublicationRecord(

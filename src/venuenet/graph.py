@@ -27,6 +27,18 @@ class VenueGraph:
 
     # -- construction -------------------------------------------------
 
+    @classmethod
+    def from_adjacency(cls, adj: dict[str, dict[str, float]], directed: bool) -> "VenueGraph":
+        """A graph that takes ownership of `adj` (node -> neighbour -> weight,
+        both directions of each undirected edge, every endpoint a key) as is:
+        node and neighbour order stay as given, nothing is checked."""
+        g = cls(directed=directed)
+        g._nodes = {key: {} for key in adj}
+        g._adj = adj
+        arcs = sum(map(len, adj.values()))
+        g._edge_count = arcs if directed else arcs // 2
+        return g
+
     def add_node(self, key: str, **attrs: Any) -> None:
         if key not in self._nodes:
             self._nodes[key] = {}

@@ -10,8 +10,11 @@ so scores hover around 1 instead of summing to 1.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import VenueGraph
 
@@ -58,11 +61,22 @@ def density(g: VenueGraph) -> float:
     return g.edge_count() / possible
 
 
-def local_clustering(g: VenueGraph) -> dict[str, float]:
+def neighbor_sets(g: VenueGraph) -> dict[str, set[str]]:
+    """Each node's neighbours with edge direction ignored, in node order."""
+    sets = {v: set(g.neighbors(v)) for v in g.nodes}
+    if g.directed:
+        for u in g.nodes:
+            for v in g.neighbors(u):
+                sets[v].add(u)
+    return sets
+
+
+def local_clustering(g: VenueGraph, nbr_sets: dict[str, set[str]] | None = None) -> dict[str, float]:
     """Closed triads over centered triples per node; 0 where degree < 2.
-    Directed graphs are symmetrized first."""
-    und = g if not g.directed else g.undirected_view()
-    nbr_sets = {v: set(und.neighbors(v)) for v in und.nodes}
+    Directed graphs are symmetrized first. `nbr_sets` is neighbor_sets(g),
+    when the caller has it already."""
+    if nbr_sets is None:
+        nbr_sets = neighbor_sets(g)
     out: dict[str, float] = {}
     for v, nbrs in nbr_sets.items():
         k = len(nbrs)
@@ -76,23 +90,21 @@ def local_clustering(g: VenueGraph) -> dict[str, float]:
     return out
 
 
-def average_clustering_coefficient(g: VenueGraph) -> float:
+def average_clustering_coefficient(g: VenueGraph, nbr_sets: dict[str, set[str]] | None = None) -> float:
     n = g.node_count()
     if n == 0:
         return 0.0
-    values = local_clustering(g)
+    values = local_clustering(g, nbr_sets)
     return sum(values.values()) / n
 
 
-def connected_components(g: VenueGraph) -> list[set[str]]:
+def connected_components(g: VenueGraph, nbr_sets: dict[str, set[str]] | None = None) -> list[set[str]]:
     """Weakly connected components (direction ignored), largest first."""
-    adj: dict[str, set[str]] = {v: set() for v in g.nodes}
-    for u, v, _ in g.edges():
-        adj[u].add(v)
-        adj[v].add(u)
+    if nbr_sets is None:
+        nbr_sets = neighbor_sets(g)
     seen: set[str] = set()
     components: list[set[str]] = []
-    for start in g.nodes:
+    for start in nbr_sets:
         if start in seen:
             continue
         comp = {start}
@@ -100,7 +112,7 @@ def connected_components(g: VenueGraph) -> list[set[str]]:
         seen.add(start)
         while queue:
             node = queue.popleft()
-            for nbr in adj[node]:
+            for nbr in nbr_sets[node]:
                 if nbr not in seen:
                     seen.add(nbr)
                     comp.add(nbr)
@@ -123,38 +135,131 @@ def largest_component_fraction(g: VenueGraph) -> float:
 # -- betweenness ---------------------------------------------------------
 
 
-def _brandes_unweighted(nodes: list[str], adj: list[list[int]]) -> list[float]:
-    n = len(nodes)
-    cb = [0.0] * n
-    for s in range(n):
-        stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = [0] * n
-        sigma[s] = 1
-        dist = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            dv = dist[v]
-            sv = sigma[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        delta = [0.0] * n
-        while stack:
-            w = stack.pop()
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                cb[w] += delta[w]
-    return cb
+# Upper bound on the (source, node) cells one block of the unweighted kernel
+# holds. A block's arrays grow with its cells and with the edges its frontiers
+# expand, so the bound caps the kernel's memory on any graph.
+BRANDES_BLOCK_CELLS = 8192
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """range(starts[i], starts[i] + counts[i]) for every i, concatenated,
+    and the i each element came from."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    ranges = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    ranges += np.arange(owner.size)
+    return ranges, owner
+
+
+def _weak_component_labels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's weakly connected component."""
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, tails, label[heads])
+        np.minimum.at(new, heads, label[tails])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _brandes_unweighted(indptr: np.ndarray, heads: np.ndarray) -> list[float]:
+    """Brandes' accumulation over unit-length edges from every source of the
+    graph whose node i has the successors heads[indptr[i]:indptr[i + 1]],
+    in adjacency order.
+
+    Sources are taken component by component (weakly connected), in
+    ascending order inside each, and each source gets a row of array cells,
+    one per node of its component. Blocks of consecutive rows holding at most
+    BRANDES_BLOCK_CELLS cells (or one row, if it alone is larger) run their
+    breadth-first searches level-synchronously. Path counts are exact
+    integers, moved to Python integers before they could pass int64. The
+    floats are those of the one-source-at-a-time loop, operation for
+    operation: each delta[v] folds its DAG successors in descending BFS
+    position (the loop's pop order) and each cb[w] folds its sources in
+    ascending order, blocks one after another; numpy's unbuffered `add.at`
+    applies its additions in index order.
+    """
+    n = indptr.size - 1
+    if n == 0:
+        return []
+    label = _weak_component_labels(n, np.repeat(np.arange(n), np.diff(indptr)), heads)
+    max_in = max(int(np.bincount(heads, minlength=1).max()), 1)
+
+    # Sources by component, ascending inside each; `position` is a node's
+    # offset inside its component's cells of a row.
+    order = np.argsort(label, kind="stable")
+    first = np.flatnonzero(np.r_[True, label[order][1:] != label[order][:-1]])
+    size = np.diff(np.r_[first, n])
+    row_first = np.repeat(first, size)  # row i is the source order[i]
+    row_len = np.repeat(size, size)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n) - row_first
+
+    cb = np.zeros(n)
+    ends = np.cumsum(row_len)
+    start = 0
+    while start < n:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + BRANDES_BLOCK_CELLS, side="right")))
+        rows = slice(start, stop)
+        _accumulate_block(order[rows], row_first[rows], row_len[rows], order, position, indptr, heads, max_in, cb)
+        start = stop
+    return cb.tolist()
+
+
+def _accumulate_block(sources, row_first, row_len, order, position, indptr, heads, max_in, cb) -> None:
+    """Add to cb the dependencies of one block's sources, row by row."""
+    row_start = np.cumsum(row_len) - row_len
+    cell_index, cell_row = _concat_ranges(row_first, row_len)
+    cell_node = order[cell_index]
+    cell_base = row_start[cell_row]  # the first cell of the cell's row
+    cells = cell_node.size
+    dist = np.full(cells, -1, dtype=np.int64)
+    sigma = np.zeros(cells, dtype=np.int64)
+    rank = np.zeros(cells, dtype=np.int64)  # BFS position inside a level
+    first_slot = np.full(cells, _INT64_MAX, dtype=np.int64)  # first candidate naming the cell
+    frontier = row_start + position[sources]
+    dist[frontier] = 0
+    sigma[frontier] = 1
+    levels = []  # DAG edges (parent, child) into each level, latest child first
+    level = 0
+    while frontier.size:
+        if sigma.dtype != object and int(sigma[frontier].max()) > _INT64_MAX // max_in:
+            sigma = sigma.astype(object)
+        tails = cell_node[frontier]
+        edge, owner = _concat_ranges(indptr[tails], indptr[tails + 1] - indptr[tails])
+        parent = frontier[owner]
+        del owner  # the expansion arrays are the block's largest: drop each early
+        child = position[heads[edge]]
+        del edge
+        child += cell_base[parent]
+        # Every unvisited child joins the next level, so these are the DAG
+        # edges into it. They come in (source, BFS position of parent,
+        # adjacency) order: first occurrences give the level in BFS order.
+        on_dag = dist[child] < 0
+        parent, child = parent[on_dag], child[on_dag]
+        slot = np.arange(child.size)
+        np.minimum.at(first_slot, child, slot)
+        frontier = child[first_slot[child] == slot]
+        level += 1
+        dist[frontier] = level
+        rank[frontier] = np.arange(frontier.size)
+        np.add.at(sigma, child, sigma[parent])
+        # Only the order among one parent's children matters, and their
+        # ranks are distinct, so an unstable sort will do.
+        latest_first = np.argsort(rank[child])[::-1]
+        parent, child = parent[latest_first], child[latest_first]
+        levels.append((parent, child))
+
+    sigma = sigma.astype(np.float64)
+    delta = np.zeros(cells)
+    for parent, child in reversed(levels):
+        np.add.at(delta, parent, sigma[parent] * ((1.0 + delta[child]) / sigma[child]))
+    reached = dist > 0
+    np.add.at(cb, cell_node[reached], delta[reached])
 
 
 def _brandes_weighted(nodes: list[str], adj: list[list[tuple[int, float]]]) -> list[float]:
@@ -202,6 +307,16 @@ def _brandes_weighted(nodes: list[str], adj: list[list[tuple[int, float]]]) -> l
     return cb
 
 
+def betweenness_scale(n: int, directed: bool) -> float:
+    """Factor that normalizes the betweenness of an n-node graph: one over
+    the node pairs that exclude the node, (n-1)(n-2) ordered ones for
+    directed graphs and half as many for undirected ones; 0 below 3 nodes."""
+    pairs = (n - 1) * (n - 2)
+    if not directed:
+        pairs /= 2
+    return 1.0 / pairs if pairs > 0 else 0.0
+
+
 def betweenness_centrality(
     g: VenueGraph, weighted: bool = False, normalized: bool = True
 ) -> MetricVector:
@@ -226,24 +341,21 @@ def betweenness_centrality(
                 row.append((index[v], 1.0 / w))
         cb = _brandes_weighted(nodes, adj_w)
     else:
-        adj_u: list[list[int]] = [[] for _ in range(n)]
-        for u in nodes:
-            adj_u[index[u]] = [index[v] for v in g.neighbors(u)]
-        cb = _brandes_unweighted(nodes, adj_u)
+        successors = [g.neighbors(u) for u in nodes]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, successors), dtype=np.int64, count=n), out=indptr[1:])
+        heads = np.fromiter(
+            map(index.__getitem__, itertools.chain.from_iterable(successors)), dtype=np.int64, count=int(indptr[-1])
+        )
+        cb = _brandes_unweighted(indptr, heads)
 
     if not g.directed:
         cb = [x / 2.0 for x in cb]
     if normalized:
-        pairs = (n - 1) * (n - 2)
-        if not g.directed:
-            pairs /= 2
-        scale = 1.0 / pairs if pairs > 0 else 0.0
+        scale = betweenness_scale(n, g.directed)
         cb = [x * scale for x in cb]
 
-    return MetricVector(
-        metric="betweenness",
-        values={v: cb[index[v]] for v in nodes},
-    )
+    return MetricVector(metric="betweenness", values=dict(zip(nodes, cb)))
 
 
 # -- PageRank ------------------------------------------------------------

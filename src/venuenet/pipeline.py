@@ -49,6 +49,12 @@ class StageError(PipelineError):
         self.manifest = manifest
 
 
+def check_unit_interval(name: str, value: float) -> None:
+    """The range rule of the similarity thresholds: 0 <= value <= 1 (NaN fails)."""
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must be in [0, 1], got {value}")
+
+
 @dataclass
 class PipelineConfig:
     metadata_corpus: str = ""
@@ -86,9 +92,7 @@ class PipelineConfig:
         if self.corpus_format not in ("jsonl", "dblp-xml"):
             raise ConfigError(f"unknown corpus_format {self.corpus_format!r}")
         for name in ("jaccard_min", "sw_min", "cosine_min"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
+            check_unit_interval(name, getattr(self, name))
         if self.citation_min < 0:
             raise ConfigError(f"citation_min must be >= 0, got {self.citation_min}")
         if not 0.0 < self.pagerank_d < 1.0:

@@ -58,11 +58,11 @@ class CitationSubgraph:
 
 def publication_citation_graph(c: Corpus) -> dict[str, list[str]]:
     """Publication-level citation adjacency over in-corpus references."""
-    adj: dict[str, list[str]] = {}
-    for rec in c.records:
-        targets = [t for t in rec.references if c.has_record(t) and t != rec.record_id]
-        adj[rec.record_id] = targets
-    return adj
+    has_record = c.has_record
+    return {
+        rec.record_id: [t for t in rec.references if has_record(t) and t != rec.record_id]
+        for rec in c.records
+    }
 
 
 def extract_coauthorship_subgraph(
@@ -74,15 +74,22 @@ def extract_coauthorship_subgraph(
         raise UnknownVenueError(f"unknown venue {venue_key!r}")
     if records is None:
         records = [r for r in c.records if r.venue_key == venue_key]
-    g = VenueGraph(directed=False)
+    # Nodes and neighbours in first-seen order, as add_node/increment_edge
+    # would insert them.
+    adj: dict[str, dict[str, float]] = {}
     for rec in records:
         names = sorted({a.full_name for a in rec.authors})
         for name in names:
-            g.add_node(name)
-        for x in range(len(names)):
-            for y in range(x + 1, len(names)):
-                g.increment_edge(names[x], names[y], 1.0)
-    return CoauthorshipSubgraph(venue_key=venue_key, graph=g)
+            if name not in adj:
+                adj[name] = {}
+        for x, u in enumerate(names):
+            nbrs = adj[u]
+            for v in names[x + 1 :]:
+                weight = nbrs.get(v)
+                weight = 1.0 if weight is None else weight + 1.0  # every 1.0 is one shared float
+                nbrs[v] = weight
+                adj[v][u] = weight
+    return CoauthorshipSubgraph(venue_key=venue_key, graph=VenueGraph.from_adjacency(adj, directed=False))
 
 
 def extract_citation_subgraph(
@@ -104,20 +111,15 @@ def extract_citation_subgraph(
     if records is None:
         records = [r for r in c.records if r.venue_key == venue_key]
 
-    cited: set[str] = set()
-    for rec in records:
-        for target in rec.references:
-            if c.has_record(target):
-                cited.add(target)
-
-    g = VenueGraph(directed=True)
-    for node in sorted(cited):
-        g.add_node(node)
-    for node in sorted(cited):
+    has_record = c.has_record
+    cited = {target for rec in records for target in rec.references if has_record(target)}
+    adj: dict[str, dict[str, float]] = {node: {} for node in sorted(cited)}
+    for node, nbrs in adj.items():
         for target in citation_index.get(node, ()):
             if target in cited:
-                g.increment_edge(node, target, 1.0)
-    return CitationSubgraph(venue_key=venue_key, graph=g)
+                weight = nbrs.get(target)
+                nbrs[target] = 1.0 if weight is None else weight + 1.0
+    return CitationSubgraph(venue_key=venue_key, graph=VenueGraph.from_adjacency(adj, directed=True))
 
 
 @dataclass(frozen=True)
@@ -133,19 +135,52 @@ class SubgraphProfile:
         return (self.m1_density, self.m2_avg_clustering, self.m3_max_betweenness, self.m4_lcc_fraction)
 
 
-def subgraph_profile(sg: CoauthorshipSubgraph | CitationSubgraph) -> SubgraphProfile:
+def subgraph_profile(sg: CoauthorshipSubgraph | CitationSubgraph, m3: float | None = None) -> SubgraphProfile:
+    """M1-M4 of one subgraph; `m3` is its maximum normalized betweenness when
+    the caller has it already (profile_venues does, a batch of venues at once)."""
     g = sg.graph
-    if g.node_count() == 0:
+    n = g.node_count()
+    if n == 0:
         raise EmptySubgraphError(f"venue {sg.venue_key!r} has an empty subgraph")
-    betweenness = metrics.betweenness_centrality(g, weighted=False, normalized=True)
+    if m3 is None:
+        m3 = metrics.betweenness_centrality(g, weighted=False, normalized=True).max_value()
+    nbr_sets = metrics.neighbor_sets(g)
     return SubgraphProfile(
         m1_density=metrics.density(g),
-        m2_avg_clustering=metrics.average_clustering_coefficient(g),
-        m3_max_betweenness=betweenness.max_value(),
-        m4_lcc_fraction=metrics.largest_component_fraction(g),
-        node_count=g.node_count(),
+        m2_avg_clustering=metrics.average_clustering_coefficient(g, nbr_sets),
+        m3_max_betweenness=m3,
+        m4_lcc_fraction=len(metrics.connected_components(g, nbr_sets)[0]) / n,
+        node_count=n,
         edge_count=g.edge_count(),
     )
+
+
+def max_betweenness(graphs: Sequence[VenueGraph]) -> list[float]:
+    """M3 (maximum normalized betweenness) of each of `graphs`, all directed
+    or all undirected, from one unnormalized betweenness run over their
+    disjoint union, scaled per graph as `normalized=True` scales it. Union
+    keys carry a fixed-width graph index prefix, so they cannot clash and
+    sort inside a graph as the graph's own keys do: every value is the one
+    the graph gets on its own."""
+    if not graphs:
+        return []
+    width = len(str(len(graphs) - 1))
+    union_adj: dict[str, dict[str, float]] = {}
+    union_keys: list[list[str]] = []
+    for i, g in enumerate(graphs):
+        prefix = f"{i:0{width}d}"
+        key = {v: prefix + v for v in g.nodes}
+        for u, ku in key.items():
+            nbrs = g.neighbors(u)
+            union_adj[ku] = dict(zip(map(key.__getitem__, nbrs), nbrs.values()))
+        union_keys.append(list(key.values()))
+    union = VenueGraph.from_adjacency(union_adj, directed=graphs[0].directed)
+    values = metrics.betweenness_centrality(union, weighted=False, normalized=False).values
+    # scale >= 0 and rounding is monotone, so max(x * scale) == max(x) * scale
+    return [
+        max(map(values.__getitem__, keys)) * metrics.betweenness_scale(g.node_count(), g.directed)
+        for g, keys in zip(graphs, union_keys)
+    ]
 
 
 @dataclass(frozen=True)
@@ -213,29 +248,49 @@ def profile_venues(
 ) -> dict[str, list[ProfileRow]]:
     """Profile and classify the co-authorship and citation subgraphs of every
     venue with publications, keyed by family. A venue gets no row in a family
-    whose subgraph is empty; `ranks` supplies each row's PageRank, if any."""
+    whose subgraph is empty; `ranks` supplies each row's PageRank, if any.
+    M3 comes from one batched betweenness run per batch of venues."""
     citation_index = publication_citation_graph(c)
-    by_family: dict[str, list[ProfileRow]] = {"coauthorship": [], "citation": []}
     by_venue = c.records_by_venue()
-    for venue in sorted(by_venue):
-        records = by_venue[venue]
-        for family, sg in (
-            ("coauthorship", extract_coauthorship_subgraph(c, venue, records=records)),
-            ("citation", extract_citation_subgraph(c, venue, citation_index, records=records)),
-        ):
-            if sg.graph.node_count() == 0:
-                continue
-            profile = subgraph_profile(sg)
-            by_family[family].append(
-                ProfileRow(
-                    venue_key=venue,
-                    kind=c.venue_kind(venue),
-                    profile=profile,
-                    pagerank=ranks.get(venue),
-                    network_type=classify_network_type(profile, cuts),
+    venues = sorted(by_venue)
+    extractors = {
+        "coauthorship": lambda v: extract_coauthorship_subgraph(c, v, records=by_venue[v]),
+        "citation": lambda v: extract_citation_subgraph(c, v, citation_index, records=by_venue[v]),
+    }
+    by_family: dict[str, list[ProfileRow]] = {}
+    for family, extract in extractors.items():
+        rows = by_family[family] = []
+        for batch in _batches(sg for sg in map(extract, venues) if sg.graph.node_count()):
+            for sg, m3 in zip(batch, max_betweenness([sg.graph for sg in batch])):
+                profile = subgraph_profile(sg, m3)
+                rows.append(
+                    ProfileRow(
+                        venue_key=sg.venue_key,
+                        kind=c.venue_kind(sg.venue_key),
+                        profile=profile,
+                        pagerank=ranks.get(sg.venue_key),
+                        network_type=classify_network_type(profile, cuts),
+                    )
                 )
-            )
     return by_family
+
+
+def _batches(sgs: Iterable[CoauthorshipSubgraph | CitationSubgraph]):
+    """Consecutive subgraphs in lists whose squared node counts sum to at
+    most metrics.BRANDES_BLOCK_CELLS (a larger subgraph goes alone): each
+    list's union fits one block of the batched betweenness kernel, and only
+    one list of subgraphs and its union are held at a time."""
+    batch: list = []
+    cells = 0
+    for sg in sgs:
+        n = sg.graph.node_count()
+        if batch and cells + n * n > metrics.BRANDES_BLOCK_CELLS:
+            yield batch
+            batch, cells = [], 0
+        batch.append(sg)
+        cells += n * n
+    if batch:
+        yield batch
 
 
 @dataclass
@@ -324,15 +379,18 @@ def read_profiles(path) -> dict[str, list[ProfileRow]]:
             if len(fields) != width:
                 raise ValueError(f"{path}: line {lineno}: expected {width} tab-separated fields, got {len(fields)}")
             venue, kind, family = fields[0], fields[1], fields[2]
-            profile = SubgraphProfile(
-                m1_density=float(fields[3]),
-                m2_avg_clustering=float(fields[4]),
-                m3_max_betweenness=float(fields[5]),
-                m4_lcc_fraction=float(fields[6]),
-                node_count=int(fields[7]),
-                edge_count=int(fields[8]),
-            )
-            rank = float(fields[10]) if fields[10] else None
+            try:
+                profile = SubgraphProfile(
+                    m1_density=float(fields[3]),
+                    m2_avg_clustering=float(fields[4]),
+                    m3_max_betweenness=float(fields[5]),
+                    m4_lcc_fraction=float(fields[6]),
+                    node_count=int(fields[7]),
+                    edge_count=int(fields[8]),
+                )
+                rank = float(fields[10]) if fields[10] else None
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             rows.setdefault(family, []).append(
                 ProfileRow(
                     venue_key=venue,

@@ -3,13 +3,15 @@
 These deliberately use different algorithms than the library: Floyd-Warshall
 distances with direct path counting instead of Brandes, full-matrix alignment
 DP instead of the rolling-array scorer, pairwise modularity sums instead of
-the cluster-aggregated form, exhaustive partition search, and a full pair
-rescan per merge instead of the heap-based greedy modularity loop.
+the cluster-aggregated form, exhaustive partition search, a full pair
+rescan per merge instead of the heap-based greedy modularity loop, and
+Brandes one source at a time instead of the source-batched kernel.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from venuenet.community import ClusterPartition, CommunityError, modularity
 from venuenet.graph import VenueGraph
@@ -99,6 +101,43 @@ def betweenness_oracle(g: VenueGraph, weighted: bool = False, normalized: bool =
         scale = 1.0 / pairs if pairs > 0 else 0.0
         result = {v: x * scale for v, x in result.items()}
     return result
+
+
+def brandes_unweighted_loop(adj: list[list[int]]) -> list[float]:
+    """Brandes' accumulation one source at a time over unit-length edges:
+    the scalar reference the library's source-batched kernel must equal bit
+    for bit (same float operations in the same order)."""
+    n = len(adj)
+    cb = [0.0] * n
+    for s in range(n):
+        stack: list[int] = []
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0] * n
+        sigma[s] = 1
+        dist = [-1] * n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            dv = dist[v]
+            sv = sigma[v]
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    queue.append(w)
+                if dist[w] == dv + 1:
+                    sigma[w] += sv
+                    preds[w].append(v)
+        delta = [0.0] * n
+        while stack:
+            w = stack.pop()
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                cb[w] += delta[w]
+    return cb
 
 
 def density_oracle(g: VenueGraph) -> float:

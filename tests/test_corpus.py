@@ -92,6 +92,25 @@ class TestParseJsonl:
         with pytest.raises(MalformedEntryError):
             corpus_from_lines('{"id": "p1", "title": "A", "authors": ["  "]}')
 
+    def test_author_names_interned_per_parse(self):
+        corpus = corpus_from_lines(
+            '{"id": "p1", "title": "A", "authors": ["Ada Lovelace", "Alan Turing"]}',
+            '{"id": "p2", "title": "B", "authors": ["Alan Turing", "Ada Lovelace"]}',
+        )
+        p1, p2 = corpus.records
+        assert p1.authors[0] is p2.authors[1] and p1.authors[1] is p2.authors[0]
+        assert p1.authors[0] == AuthorName("Ada Lovelace", "lovelace")
+
+    def test_every_author_occurrence_checked(self):
+        # a name seen before does not skip the check of a later bad entry
+        for bad in ('""', '"  "', "7", "null"):
+            with pytest.raises(MalformedEntryError) as exc:
+                corpus_from_lines(
+                    '{"id": "p1", "title": "A", "authors": ["Ada Lovelace"]}',
+                    f'{{"id": "p2", "title": "B", "authors": ["Ada Lovelace", {bad}]}}',
+                )
+            assert exc.value.position == "line 2"
+
     def test_non_list_authors_rejected(self):
         for authors in ('"Ada"', '{"name": "Ada"}', "7"):
             with pytest.raises(MalformedEntryError) as exc:
@@ -179,6 +198,19 @@ class TestParseDblpXml:
         assert corpus.venue_table["conf/vldb"].kind == "conference"
         assert corpus.venue_table["conf/vldb"].name == "VLDB"
         assert ley.references == ()
+
+    def test_author_names_interned_per_parse(self):
+        xml = (
+            b"<dblp>"
+            b"<article key=\"journals/x/Y1\"><title>A</title><author>Ada Lovelace</author></article>"
+            b"<article key=\"journals/x/Y2\"><title>B</title><author>Ada Lovelace</author><author></author></article>"
+            b"</dblp>"
+        )
+        with pytest.raises(MalformedEntryError) as exc:
+            parse_dblp_xml(io.BytesIO(xml))
+        assert "journals/x/Y2" in str(exc.value)
+        corpus = parse_dblp_xml(io.BytesIO(xml.replace(b"<author></author>", b"")))
+        assert corpus.records[0].authors[0] is corpus.records[1].authors[0]
 
     def test_missing_title_is_malformed(self):
         bad = b"<dblp><article key=\"journals/x/Y1\"><year>2000</year></article></dblp>"

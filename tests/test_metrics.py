@@ -1,15 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
 from oracles import (
     average_clustering_oracle,
     betweenness_oracle,
+    brandes_unweighted_loop,
     components_oracle,
     density_oracle,
     lcc_fraction_oracle,
     random_test_graph,
 )
+from venuenet import metrics
 from venuenet.graph import GraphError, VenueGraph
 from venuenet.metrics import (
     EmptyGraphError,
@@ -22,6 +25,7 @@ from venuenet.metrics import (
     density,
     largest_component_fraction,
     local_clustering,
+    neighbor_sets,
     pagerank,
 )
 
@@ -235,6 +239,123 @@ class TestBetweenness:
         assert raw.values["x"] == 0.0
 
 
+def random_adjacency(rng: random.Random, n: int, p: float, directed: bool) -> list[list[int]]:
+    """Int adjacency lists with each pair linked with probability p, every
+    list in shuffled order (neighbour order decides BFS order)."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n) if directed else range(i + 1, n):
+            if i != j and rng.random() < p:
+                adj[i].append(j)
+                if not directed:
+                    adj[j].append(i)
+    for row in adj:
+        rng.shuffle(row)
+    return adj
+
+
+def layered_diamond(layers: int, directed: bool) -> list[list[int]]:
+    """Node 0, then `layers` layers of 3 nodes, each linked to every node of
+    the next layer, then one last node: 3**layers shortest paths end to end."""
+    adj: list[list[int]] = [[] for _ in range(3 * layers + 2)]
+    previous = [0]
+    for layer in range(layers + 1):
+        current = [3 * layer + 1 + k for k in range(3)] if layer < layers else [3 * layers + 1]
+        for u in previous:
+            for v in current:
+                adj[u].append(v)
+                if not directed:
+                    adj[v].append(u)
+        previous = current
+    return adj
+
+
+class TestBatchedBrandes:
+    """The source-batched kernel must equal the one-source-at-a-time loop
+    bit for bit: same path counts, same float operations in the same order."""
+
+    BUDGETS = (metrics.BRANDES_BLOCK_CELLS, 1, 7, 50)
+
+    def assert_kernel_equals_loop(self, adj, monkeypatch):
+        indptr = np.zeros(len(adj) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in adj], out=indptr[1:])
+        heads = np.array([v for row in adj for v in row], dtype=np.int64)
+        want = brandes_unweighted_loop(adj)
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(metrics, "BRANDES_BLOCK_CELLS", budget)
+            assert metrics._brandes_unweighted(indptr, heads) == want, budget
+
+    def test_random_graphs(self, monkeypatch):
+        rng = random.Random(5)
+        for _ in range(150):
+            n = rng.randint(0, 40)
+            adj = random_adjacency(rng, n, rng.uniform(0.02, 0.9), directed=rng.random() < 0.5)
+            self.assert_kernel_equals_loop(adj, monkeypatch)
+
+    def test_small_and_disconnected_graphs(self, monkeypatch):
+        for adj in (
+            [],
+            [[]],
+            [[], []],
+            [[1], [0]],
+            [[1], []],  # directed 2-node
+            [[1, 2], [0, 2], [0, 1], [], [5], [4], []],  # triangle, isolate, pair, isolate
+            [[1, 2, 3, 4], [0], [0], [0], [0]],  # star: 4 DAG successors from the hub
+            [[4, 1, 3, 2], [5], [5], [5], [5], []],  # directed fan-out and back in
+        ):
+            self.assert_kernel_equals_loop(adj, monkeypatch)
+
+    def test_many_dag_successors(self, monkeypatch):
+        # Two hubs joined through five middle nodes: from either hub every
+        # middle node is a DAG successor, and each has two DAG predecessors
+        # from the far side.
+        adj = [[2, 3, 4, 5, 6], [6, 5, 4, 3, 2]] + [[0, 1] for _ in range(5)]
+        self.assert_kernel_equals_loop(adj, monkeypatch)
+        assert sum(len(row) >= 3 for row in adj) == 2
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_path_counts_past_int64(self, directed, monkeypatch):
+        # 3**45 end-to-end paths: past 2**53 (float) and 2**63 (int64).
+        adj = layered_diamond(45, directed)
+        assert 3**45 > 2**63
+        self.assert_kernel_equals_loop(adj, monkeypatch)
+
+    def test_betweenness_centrality_uses_loop_order(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            g, _ = random_test_graph(rng, max_nodes=20, weighted=False)
+            nodes = sorted(g.nodes)
+            index = {v: i for i, v in enumerate(nodes)}
+            cb = brandes_unweighted_loop([[index[v] for v in g.neighbors(u)] for u in nodes])
+            if not g.directed:
+                cb = [x / 2.0 for x in cb]
+            assert betweenness_centrality(g, normalized=False).values == dict(zip(nodes, cb))
+
+    # Past brute-force sizes; 1.5 edges per node gives a giant component
+    # plus small ones, 0.6 only small components (and keeps networkx quick).
+    @pytest.mark.parametrize(
+        "n, edges_per_node, directed",
+        [(200, 1.5, False), (200, 1.5, True), (800, 1.5, True), (2000, 0.6, False)],
+    )
+    def test_matches_networkx(self, n, edges_per_node, directed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n + directed)
+        g = VenueGraph(directed=directed)
+        nodes = [f"n{i:04d}" for i in range(n)]
+        for v in nodes:
+            g.add_node(v)
+        for _ in range(int(edges_per_node * n)):
+            u, v = rng.sample(nodes, 2)
+            g.add_edge(u, v, 1.0)
+        other = nx.DiGraph() if directed else nx.Graph()
+        other.add_nodes_from(nodes)
+        other.add_edges_from((u, v) for u, v, _ in g.edges())
+        got = betweenness_centrality(g, normalized=True).values
+        want = nx.betweenness_centrality(other, normalized=True)
+        for v in nodes:
+            assert got[v] == pytest.approx(want[v], rel=1e-9, abs=1e-12)
+
+
 class TestPagerank:
     def test_isolated_node(self):
         g = VenueGraph(directed=True)
@@ -307,6 +428,19 @@ class TestPagerank:
             pagerank(g, d=1.0)
         with pytest.raises(ValueError):
             pagerank(g, tol=0.0)
+
+
+class TestNeighborSets:
+    def test_equal_to_the_symmetrized_copy(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            g, _ = random_test_graph(rng, max_nodes=15)
+            und = g.undirected_view()
+            sets = neighbor_sets(g)
+            assert list(sets) == list(und.nodes)
+            assert sets == {v: set(und.neighbors(v)) for v in und.nodes}
+            # the same floats as clustering over the copy, summed in node order
+            assert average_clustering_coefficient(g) == sum(local_clustering(und).values()) / g.node_count()
 
 
 class TestBruteForceAgreement:

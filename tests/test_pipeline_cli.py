@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -351,6 +354,39 @@ class TestCli:
             assert len(result.stderr.splitlines()) == 1
             assert result.stderr.startswith("error: ") and expected in result.stderr
 
+    def test_stats_non_numeric_field_exits_1_naming_the_line(self, tmp_path):
+        path = tmp_path / "profiles.tsv"
+        path.write_text(PROFILES_HEADER + "\nv1\tjournal\tcitation\tabc\t0.2\t0.3\t0.4\t3\t2\tType1\t0.5\n")
+        result = CliRunner().invoke(
+            main, ["stats", "--profiles", str(path), "--out", str(tmp_path / "h.tsv"), "--medians-out", str(tmp_path / "m.tsv")]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"error: {path}: line 2: ") and "'abc'" in result.stderr
+
+    def test_link_thresholds_range_checked(self, tmp_path):
+        left, right = tmp_path / "left.jsonl", tmp_path / "right.jsonl"
+        left.write_text('{"id": "a1", "title": "Graph mining basics", "authors": ["Ada Lovelace"]}\n')
+        right.write_text('{"id": "b1", "title": "Unrelated words entirely", "authors": ["Ada Lovelace"]}\n')
+        out = tmp_path / "matches.tsv"
+        for jaccard, sw, expected in [
+            ("nan", "-5", "jaccard_min must be in [0, 1], got nan"),
+            ("0.5", "-5", "sw_min must be in [0, 1], got -5.0"),
+            ("1.5", "0.5", "jaccard_min must be in [0, 1], got 1.5"),
+            ("0.5", "nan", "sw_min must be in [0, 1], got nan"),
+        ]:
+            result = CliRunner().invoke(
+                main,
+                ["link", "--left", str(left), "--right", str(right), "--jaccard-min", jaccard, "--sw-min", sw, "--out", str(out)],
+            )
+            assert result.exit_code == 1, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr == f"error: {expected}\n"
+            assert not out.exists()
+        result = CliRunner().invoke(main, ["link", "--left", str(left), "--right", str(right), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+
     def test_subgraphs_bad_pagerank_file_exits_1_naming_the_line(self, tmp_path):
         runner = CliRunner()
         corpus_path = self._write_fixture(tmp_path)
@@ -580,3 +616,24 @@ class TestStageByStageCli:
 
         differing = [name for name in self.ARTIFACTS if (d / name).read_bytes() != (run_dir / name).read_bytes()]
         assert differing == []
+
+
+class TestRunAcrossHashSeeds:
+    def test_artifact_hashes_equal_under_two_hash_seeds(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(scale_corpus(30, 12, groups=6, seed=4), corpus)
+        src = str(Path(__file__).parent.parent / "src")
+        hashes = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"out{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+            done = subprocess.run(
+                [sys.executable, "-m", "venuenet.cli", "run", "--corpus", str(corpus), "--out-dir", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            manifest = json.loads((out / "manifest.json").read_text())
+            hashes.append([(s["name"], o["path"], o["sha256"]) for s in manifest["stages"] for o in s["outputs"]])
+        assert len(hashes[0]) >= 14
+        assert hashes[0] == hashes[1]

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from conftest import corpus_from_lines
+from venuenet import metrics
 from venuenet.graph import VenueGraph
 from venuenet.subgraphs import (
+    PROFILES_HEADER,
     ClassificationCuts,
     EmptySubgraphError,
     ProfileRow,
@@ -15,12 +17,13 @@ from venuenet.subgraphs import (
     extract_citation_subgraph,
     extract_coauthorship_subgraph,
     profile_statistics,
+    profile_venues,
     publication_citation_graph,
     read_profiles,
     subgraph_profile,
     write_profiles,
 )
-from venuenet.synth import ARCHETYPE_GENERATORS
+from venuenet.synth import ARCHETYPE_GENERATORS, scale_corpus
 
 
 def profile_of(m1, m2, m3, m4):
@@ -335,3 +338,113 @@ class TestProfileIO:
         assert got.network_type == "Type3"
         assert got.profile.as_tuple() == (0.1, 0.2, 0.3, 0.4)
         assert again["citation"][0].pagerank is None
+
+
+def coauthorship_by_increments(records) -> VenueGraph:
+    """The co-authorship graph built edge by edge through the graph's own
+    builders: the node and neighbour order extraction must keep."""
+    g = VenueGraph(directed=False)
+    for rec in records:
+        names = sorted({a.full_name for a in rec.authors})
+        for name in names:
+            g.add_node(name)
+        for x, y in itertools.combinations(names, 2):
+            g.increment_edge(x, y, 1.0)
+    return g
+
+
+def citation_by_increments(corpus, records, citation_index) -> VenueGraph:
+    cited = sorted({t for rec in records for t in rec.references if corpus.has_record(t)})
+    g = VenueGraph(directed=True)
+    for node in cited:
+        g.add_node(node)
+    for node in cited:
+        for target in citation_index[node]:
+            if target in cited:
+                g.increment_edge(node, target, 1.0)
+    return g
+
+
+def adjacency_in_order(g: VenueGraph):
+    return [(u, list(g.neighbors(u).items())) for u in g.nodes], g.edge_count()
+
+
+TINY_LINES = (
+    '{"venue_key": "solo", "name": "Solo", "kind": "journal"}',
+    '{"id": "s1", "title": "T", "authors": ["Ann Alone"], "venue": "solo", "refs": ["c1"]}',
+    '{"id": "d1", "title": "T", "authors": ["Bo Pair", "Cy Pair"], "venue": "duo", "refs": ["c1", "c2"]}',
+    '{"id": "d2", "title": "T", "authors": ["Cy Pair", "Bo Pair"], "venue": "duo", "refs": ["c2", "c1", "raw"]}',
+    '{"id": "t1", "title": "T", "authors": ["Di Tri", "Ed Tri", "Flo Tri"], "venue": "tri", "refs": ["c1", "c2", "c3"]}',
+    '{"id": "t2", "title": "T", "authors": ["Gus Far"], "venue": "tri", "refs": ["c3", "t2"]}',
+    '{"id": "n1", "title": "T", "authors": ["Hal None"], "venue": "none", "refs": ["raw"]}',
+    '{"id": "c1", "title": "C", "authors": ["Ida Cite"], "venue": "cited", "refs": ["c2"]}',
+    '{"id": "c2", "title": "C", "authors": ["Ida Cite"], "venue": "cited", "refs": ["c1", "c2"]}',
+    '{"id": "c3", "title": "C", "authors": ["Ida Cite"], "venue": "cited", "refs": ["c2", "c2"]}',
+)
+
+
+class TestBatchedProfiles:
+    """profile_venues computes M3 for a whole family in one batched run over
+    the union of the venue subgraphs; every row must equal the profile of the
+    venue's subgraph on its own."""
+
+    CORPORA = {
+        "scale": lambda: scale_corpus(40, 25, groups=8, seed=5),
+        "tiny-scale": lambda: scale_corpus(60, 2, groups=6, seed=9),
+        "tiny-lines": lambda: corpus_from_lines(*TINY_LINES),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_extraction_keeps_builder_order(self, name):
+        corpus = self.CORPORA[name]()
+        index = publication_citation_graph(corpus)
+        for venue, records in corpus.records_by_venue().items():
+            co = extract_coauthorship_subgraph(corpus, venue, records=records).graph
+            assert adjacency_in_order(co) == adjacency_in_order(coauthorship_by_increments(records))
+            cit = extract_citation_subgraph(corpus, venue, index, records=records).graph
+            assert adjacency_in_order(cit) == adjacency_in_order(citation_by_increments(corpus, records, index))
+
+    # The default budget, one venue per batch, and a budget that splits
+    # batches of venues (and the kernel's blocks) mid-component.
+    @pytest.mark.parametrize("budget", [metrics.BRANDES_BLOCK_CELLS, 1, 300])
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_rows_equal_per_venue_profiles(self, name, budget, monkeypatch):
+        corpus = self.CORPORA[name]()
+        ranks = {venue: 1.0 + i / 8 for i, venue in enumerate(sorted(corpus.venue_table))}
+        monkeypatch.setattr(metrics, "BRANDES_BLOCK_CELLS", budget)
+        rows = profile_venues(corpus, ranks)
+        monkeypatch.undo()
+        index = publication_citation_graph(corpus)
+        by_venue = corpus.records_by_venue()
+        for family, extract in (
+            ("coauthorship", lambda v: extract_coauthorship_subgraph(corpus, v)),
+            ("citation", lambda v: extract_citation_subgraph(corpus, v, index)),
+        ):
+            expected = []
+            for venue in sorted(by_venue):
+                sg = extract(venue)
+                if sg.graph.node_count():
+                    profile = subgraph_profile(sg)  # M3 from this venue's graph alone
+                    expected.append((venue, corpus.venue_kind(venue), profile, ranks.get(venue),
+                                     classify_network_type(profile)))
+            got = [(r.venue_key, r.kind, r.profile, r.pagerank, r.network_type) for r in rows[family]]
+            assert got == expected
+        if name == "tiny-lines":
+            sizes = {r.venue_key: r.profile.node_count for r in rows["citation"]}
+            assert sizes == {"cited": 2, "duo": 2, "solo": 1, "tri": 4}
+            assert {r.venue_key: r.profile.node_count for r in rows["coauthorship"]} == {
+                "cited": 1, "duo": 2, "none": 1, "solo": 1, "tri": 4,
+            }
+
+
+class TestReadProfilesErrors:
+    @pytest.mark.parametrize("column", [3, 6, 7, 8, 10])
+    def test_non_numeric_field_names_file_and_line(self, tmp_path, column):
+        row = "v1\tjournal\tcitation\t0.1\t0.2\t0.3\t0.4\t3\t2\tType1\t0.5".split("\t")
+        bad = list(row)
+        bad[column] = "abc"
+        path = tmp_path / "profiles.tsv"
+        path.write_text(PROFILES_HEADER + "\n" + "\t".join(row) + "\n" + "\t".join(bad) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_profiles(path)
+        assert str(exc.value).startswith(f"{path}: line 3: ") and "'abc'" in str(exc.value)
