@@ -32,6 +32,11 @@ def _fail_input(message: str) -> None:
     sys.exit(1)
 
 
+def _warn(message: str | None) -> None:
+    if message:
+        click.echo(f"warning: {message}", err=True)
+
+
 def _load_corpus_or_fail(path: str) -> Corpus:
     try:
         return load_corpus(path)
@@ -261,10 +266,7 @@ def metrics_cmd(
             vector = metrics.betweenness_centrality(graph, weighted=weighted, normalized=normalized)
         else:
             vector = metrics.pagerank(graph, d=damping, tol=tol, max_iter=max_iter)
-            if not vector.converged:
-                click.echo(
-                    f"warning: pagerank did not converge (residual {vector.residual:.3g})", err=True
-                )
+            _warn(vector.convergence_warning())
     except metrics.MetricError as exc:
         _fail_input(str(exc))
     if out:
@@ -367,10 +369,14 @@ def run(
     try:
         manifest = run_pipeline(cfg)
     except StageError as exc:
+        for warning in exc.manifest.warnings:
+            _warn(warning)
         click.echo(f"error: {exc}", err=True)
         if exc.stage == "ingest" and isinstance(exc.cause, (OSError, CorpusError)):
             sys.exit(1)
         sys.exit(2)
+    for warning in manifest.warnings:
+        _warn(warning)
     stages = ", ".join(manifest.stage_names())
     click.echo(f"pipeline complete: {stages}")
     click.echo(f"manifest: {cfg.out_dir}/manifest.json")

@@ -202,6 +202,8 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedEntryError(position, f"invalid JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise MalformedEntryError(position, "JSON nested too deeply") from exc
         if not isinstance(obj, dict):
             raise MalformedEntryError(position, "expected a JSON object")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import xml.etree.ElementTree as ET
+from typing import Any
 
 from .graph import VenueGraph
 
@@ -23,13 +24,21 @@ class ExportError(Exception):
     pass
 
 
-def export_graph(g: VenueGraph, format: str) -> bytes:
+def export_graph(g: VenueGraph, format: str, node_attrs: dict[str, dict[str, Any]] | None = None) -> bytes:
+    """`g` in `format`; `node_attrs` ({name: {node: value}}, every node
+    given) adds attributes to the nodes as written, leaving `g` as it is."""
+    nodes = g.nodes
+    if node_attrs:
+        nodes = {
+            node: {**attrs, **{name: values[node] for name, values in node_attrs.items()}}
+            for node, attrs in nodes.items()
+        }
     if format == "graphml":
-        return _to_graphml(g)
+        return _to_graphml(g, nodes)
     if format == "edge-tsv":
-        return _to_tsv(g)
+        return _to_tsv(g, nodes)
     if format == "json":
-        return _to_json(g)
+        return _to_json(g, nodes)
     raise ExportError(f"unknown export format {format!r}")
 
 
@@ -84,46 +93,67 @@ def _parse_attr(text: str, attr_type: str):
     return text
 
 
-def _to_graphml(g: VenueGraph) -> bytes:
-    root = ET.Element("graphml", xmlns=_GRAPHML_NS)
+_ATTRIB_ESCAPES = (
+    ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+    ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"),
+)
+_TEXT_ESCAPES = _ATTRIB_ESCAPES[:3]
+
+
+def _escape(text: str, escapes=_ATTRIB_ESCAPES) -> str:
+    """ElementTree's escaping of an attribute value (or, with
+    _TEXT_ESCAPES, of element text)."""
+    for char, entity in escapes:
+        if char in text:
+            text = text.replace(char, entity)
+    return text
+
+
+def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
+    """The bytes ElementTree writes for the GraphML tree of `g` whose node
+    attributes are `nodes`, indented by `ET.indent`, written directly."""
     attr_values: dict[str, list] = {}
-    for attrs in g.nodes.values():
+    for attrs in nodes.values():
         for name, value in attrs.items():
             attr_values.setdefault(name, []).append(value)
     attr_types = {name: _attr_type(values) for name, values in sorted(attr_values.items())}
 
+    lines = ["<?xml version='1.0' encoding='utf-8'?>", f'<graphml xmlns="{_GRAPHML_NS}">']
     key_ids: dict[str, str] = {}
-    for i, (name, attr_type) in enumerate(sorted(attr_types.items())):
-        key_id = f"d{i}"
-        key_ids[name] = key_id
-        ET.SubElement(
-            root, "key", id=key_id, attrib={"for": "node", "attr.name": name, "attr.type": attr_type}
-        )
+    for i, (name, attr_type) in enumerate(attr_types.items()):
+        key_ids[name] = f"d{i}"
+        lines.append(f'  <key for="node" attr.name="{_escape(name)}" attr.type="{attr_type}" id="d{i}" />')
     weight_key = f"d{len(key_ids)}"
-    ET.SubElement(
-        root,
-        "key",
-        id=weight_key,
-        attrib={"for": "edge", "attr.name": "weight", "attr.type": "double"},
-    )
+    lines.append(f'  <key for="edge" attr.name="weight" attr.type="double" id="{weight_key}" />')
 
-    graph_el = ET.SubElement(
-        root, "graph", edgedefault="directed" if g.directed else "undirected"
-    )
-    for node in sorted(g.nodes):
-        node_el = ET.SubElement(graph_el, "node", id=node)
-        for name in sorted(g.nodes[node]):
-            data = ET.SubElement(node_el, "data", key=key_ids[name])
-            data.text = _format_attr(g.nodes[node][name], attr_types[name])
-    for u, v, w in g.sorted_edges():
-        edge_el = ET.SubElement(graph_el, "edge", source=u, target=v)
-        data = ET.SubElement(edge_el, "data", key=weight_key)
-        data.text = repr(w)
-
-    ET.indent(root)
-    buf = io.BytesIO()
-    ET.ElementTree(root).write(buf, encoding="utf-8", xml_declaration=True)
-    return buf.getvalue()
+    graph = f'  <graph edgedefault="{"directed" if g.directed else "undirected"}"'
+    if not nodes:
+        lines.append(graph + " />")
+    else:
+        lines.append(graph + ">")
+        ids = {node: _escape(node) for node in nodes}
+        for node in sorted(nodes):
+            attrs = nodes[node]
+            if not attrs:
+                lines.append(f'    <node id="{ids[node]}" />')
+                continue
+            lines.append(f'    <node id="{ids[node]}">')
+            for name in sorted(attrs):
+                text = _escape(_format_attr(attrs[name], attr_types[name]), _TEXT_ESCAPES)
+                data = f'      <data key="{key_ids[name]}"'
+                lines.append(f"{data}>{text}</data>" if text else data + " />")
+            lines.append("    </node>")
+        for u, v, w in g.sorted_edges():
+            lines.append(
+                f'    <edge source="{ids[u]}" target="{ids[v]}">\n'
+                f'      <data key="{weight_key}">{w!r}</data>\n'
+                "    </edge>"
+            )
+        lines.append("  </graph>")
+    lines.append("</graphml>")
+    # ElementTree's writer turns what UTF-8 cannot encode (lone surrogates)
+    # into character references.
+    return "\n".join(lines).encode("utf-8", "xmlcharrefreplace")
 
 
 def _from_graphml(data: bytes) -> VenueGraph:
@@ -155,11 +185,11 @@ def _from_graphml(data: bytes) -> VenueGraph:
 # -- edge TSV ---------------------------------------------------------------
 
 
-def _to_tsv(g: VenueGraph) -> bytes:
+def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
     out = io.StringIO()
     out.write(f"# venuenet-graph directed={'true' if g.directed else 'false'}\n")
-    for node in sorted(g.nodes):
-        attrs = json.dumps(g.nodes[node], sort_keys=True)
+    for node in sorted(nodes):
+        attrs = json.dumps(nodes[node], sort_keys=True)
         out.write(f"#node\t{node}\t{attrs}\n")
     for u, v, w in g.sorted_edges():
         out.write(f"{u}\t{v}\t{w!r}\n")
@@ -189,11 +219,11 @@ def _from_tsv(data: bytes) -> VenueGraph:
 # -- JSON -------------------------------------------------------------------
 
 
-def _to_json(g: VenueGraph) -> bytes:
+def _to_json(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
     obj = {
         "format": "venuenet-graph/1",
         "directed": g.directed,
-        "nodes": [[node, g.nodes[node]] for node in sorted(g.nodes)],
+        "nodes": [[node, nodes[node]] for node in sorted(nodes)],
         "edges": [[u, v, w] for u, v, w in g.sorted_edges()],
     }
     return (json.dumps(obj, sort_keys=True, indent=0) + "\n").encode("utf-8")

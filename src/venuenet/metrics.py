@@ -50,6 +50,12 @@ class MetricVector:
     def max_value(self) -> float:
         return max(self.values.values()) if self.values else 0.0
 
+    def convergence_warning(self) -> str | None:
+        """The warning to show when the iteration stopped before converging."""
+        if self.converged:
+            return None
+        return f"{self.metric} did not converge (residual {self.residual:.3g})"
+
 
 def density(g: VenueGraph) -> float:
     n = g.node_count()

@@ -13,6 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import mul
+
+import numpy as np
 
 from . import metrics
 from .corpus import Corpus
@@ -21,6 +25,13 @@ from .linkage import MatchPair, right_to_left_ids
 
 COSINE_MIN_DEFAULT = 0.1
 CITATION_MIN_DEFAULT = 50.0
+
+# Venue pairs build_knowledge_network expands at once. Its transient arrays
+# take about 100 bytes a pair, so the bound caps the build's memory however
+# many pairs the corpus has (2.4 million at 100k publications).
+KNOWLEDGE_PAIR_BUDGET = 1 << 15
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class NetworkError(Exception):
@@ -56,15 +67,20 @@ class CouplingMatrix:
         return len(universe)
 
     def norm_squared(self, venue: str) -> int:
-        return sum(c * c for c in self.vectors[venue].values())
+        vec = self.vectors[venue]
+        return sum(map(mul, vec.values(), vec.values()))
 
     def to_json(self) -> bytes:
-        obj = {
-            "venues": self.venues,
-            "vectors": {v: dict(sorted(self.vectors[v].items())) for v in sorted(self.vectors)},
-            "publication_counts": dict(sorted(self.publication_counts.items())),
+        """The bytes of `json.dumps(..., sort_keys=True, indent=0)` over the
+        venues, vectors and publication counts, written directly: `indent`
+        would force json's pure-Python encoder."""
+        venues = "[\n" + ",\n".join(map(encode_basestring_ascii, self.venues)) + "\n]" if self.venues else "[]"
+        top = {
+            "publication_counts": _json_dict(self.publication_counts),
+            "vectors": _json_dict({v: _json_dict(vec) for v, vec in self.vectors.items()}),
+            "venues": venues,
         }
-        return json.dumps(obj, sort_keys=True, indent=0).encode("utf-8")
+        return _json_dict(top).encode("ascii")
 
     @classmethod
     def from_json(cls, data: bytes) -> "CouplingMatrix":
@@ -74,6 +90,16 @@ class CouplingMatrix:
             vectors={v: {k: int(c) for k, c in vec.items()} for v, vec in obj["vectors"].items()},
             publication_counts={v: int(c) for v, c in obj.get("publication_counts", {}).items()},
         )
+
+
+def _json_dict(d: dict) -> str:
+    """`json.dumps(d, sort_keys=True, indent=0)` for string keys and values
+    that are ints or JSON text already."""
+    keys = sorted(d)
+    if not keys:
+        return "{}"
+    items = map("{}: {}".format, map(encode_basestring_ascii, keys), map(d.__getitem__, keys))
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 def normalize_reference_key(target: str) -> str:
@@ -137,36 +163,78 @@ def build_knowledge_network(m: CouplingMatrix) -> VenueGraph:
     """Undirected venue graph weighted by coupling-vector cosine similarity.
 
     Every matrix venue becomes a node; venue pairs with orthogonal vectors
-    simply carry no edge. Candidate pairs are found through an inverted
-    index over cited keys, so disjoint venues are never compared.
+    simply carry no edge, and disjoint venues are never compared. Each weight
+    is float(dot) / sqrt(float(n_i * n_j)) over exact integer dots and norms,
+    the correctly rounded operations of `dot / math.sqrt(n_i * n_j)`; edges
+    are added in sorted venue order.
     """
-    g = VenueGraph(directed=False)
+    names = sorted(m.venues)  # a venue's index orders it by name
+    norms = [m.norm_squared(venue) for venue in names]
+    # By Cauchy-Schwarz every partial dot is at most the largest norm and
+    # every norm product at most its square: int64 holds them all or none.
+    dtype = object if max(norms, default=0) ** 2 > _INT64_MAX else np.int64
+    pairs, dots = _pair_dots([m.vectors[venue] for venue in names], dtype)
+
+    positive = dots > 0
+    vi, vj = np.divmod(pairs[positive], len(names))
+    norm = np.array(norms, dtype=dtype)
+    weights = dots[positive].astype(np.float64) / np.sqrt((norm[vi] * norm[vj]).astype(np.float64))
+    adj: dict[str, dict[str, float]] = {venue: {} for venue in m.venues}
+    for i, j, weight in zip(vi.tolist(), vj.tolist(), weights.tolist()):
+        adj[names[i]][names[j]] = weight
+        adj[names[j]][names[i]] = weight
+    g = VenueGraph.from_adjacency(adj, directed=False)
     for venue in m.venues:
-        g.add_node(venue, publication_count=m.publication_counts.get(venue, 0))
-
-    by_key: dict[str, list[str]] = {}
-    for venue in m.venues:
-        for key in m.vectors[venue]:
-            by_key.setdefault(key, []).append(venue)
-
-    dots: dict[tuple[str, str], int] = {}
-    for key, sharing in by_key.items():
-        if len(sharing) < 2:
-            continue
-        for x in range(len(sharing)):
-            vi = sharing[x]
-            ci = m.vectors[vi][key]
-            for y in range(x + 1, len(sharing)):
-                vj = sharing[y]
-                pair = (vi, vj) if vi <= vj else (vj, vi)
-                dots[pair] = dots.get(pair, 0) + ci * m.vectors[vj][key]
-
-    norms = {venue: m.norm_squared(venue) for venue in m.venues}
-    for (vi, vj), dot in sorted(dots.items()):
-        weight = dot / math.sqrt(norms[vi] * norms[vj])
-        if weight > 0:
-            g.add_edge(vi, vj, weight)
+        g.nodes[venue]["publication_count"] = m.publication_counts.get(venue, 0)
     return g
+
+
+def _pair_dots(vectors: list[dict[str, int]], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The dot product of every pair of vectors that share a key, as pair
+    ids i * len(vectors) + j (i < j), ascending, and exact sums of `dtype`.
+
+    A row-wise sparse product over the key-sorted entries: each key's
+    vectors expand to vector pairs, KNOWLEDGE_PAIR_BUDGET pairs at a time,
+    and each chunk is summed per pair before the chunks are merged.
+    """
+    keys: list[str] = []
+    counts: list[int] = []
+    for vec in vectors:
+        keys.extend(vec)
+        counts.extend(vec.values())
+    # Entries sorted by key (a key's id is its first entry), vectors
+    # ascending inside each key; entry e pairs with the row_len[e] entries
+    # after it in its key.
+    key_id: dict[str, int] = {}
+    ids = np.fromiter(map(key_id.setdefault, keys, range(len(keys))), dtype=np.int64, count=len(keys))
+    order = np.argsort(ids, kind="stable")
+    owner = np.repeat(np.arange(len(vectors)), list(map(len, vectors)))[order]
+    count = np.array(counts, dtype=dtype)[order]
+    starts = np.diff(ids[order], prepend=-1) != 0
+    key_end = np.r_[np.flatnonzero(starts)[1:], ids.size][np.cumsum(starts) - 1]
+    row_len = key_end - 1 - np.arange(ids.size)
+    row_end = np.cumsum(row_len)
+    total = int(row_len.sum())
+
+    pair_parts = [np.zeros(0, dtype=np.int64)]
+    dot_parts = [np.zeros(0, dtype=dtype)]
+    for start in range(0, total, KNOWLEDGE_PAIR_BUDGET):
+        pair = np.arange(start, min(start + KNOWLEDGE_PAIR_BUDGET, total))
+        left = np.searchsorted(row_end, pair, side="right")
+        right = pair - (row_end[left] - row_len[left]) + left + 1
+        pairs, dots = _sum_per_pair(owner[left] * len(vectors) + owner[right], count[left] * count[right])
+        pair_parts.append(pairs)
+        dot_parts.append(dots)
+    return _sum_per_pair(np.concatenate(pair_parts), np.concatenate(dot_parts))
+
+
+def _sum_per_pair(pairs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pair ids (all >= 0), ascending, and the sum of the
+    values of each."""
+    order = np.argsort(pairs)
+    pairs = pairs[order]
+    starts = np.flatnonzero(np.diff(pairs, prepend=-1))
+    return pairs[starts], np.add.reduceat(values[order], starts)
 
 
 def build_citation_network(c: Corpus, matches: list[MatchPair] | None = None) -> VenueGraph:

@@ -181,9 +181,13 @@ class StageRecord:
 
 @dataclass
 class RunManifest:
+    """The stages run and their hashed outputs. `warnings` are for the
+    user (the CLI prints them) and are not written to manifest.json."""
+
     config: dict
     stages: list[StageRecord] = field(default_factory=list)
     failed_stage: str | None = None
+    warnings: list[str] = field(default_factory=list)
 
     def stage_names(self) -> list[str]:
         return [s.name for s in self.stages]
@@ -309,11 +313,17 @@ def _stage_threshold(run: _Run) -> None:
     write_graph(run.knowledge_reduced, k_path)
     write_graph(run.citation_reduced, f_path)
 
+    k_summary = networks.summarize(run.knowledge)
+    # K' is a subgraph of K, so equal node and edge counts mean K' = K. Both
+    # list nodes and neighbours in name order (the coupling matrix sorts its
+    # venues), so even the clustering sum, which follows node order, agrees.
+    reduced = run.knowledge_reduced
+    kept_all = (reduced.node_count(), reduced.edge_count()) == (k_summary.nodes, k_summary.edges)
     summaries = {
         "F": networks.summarize(run.citation),
         "F'": networks.summarize(run.citation_reduced),
-        "K": networks.summarize(run.knowledge),
-        "K'": networks.summarize(run.knowledge_reduced),
+        "K": k_summary,
+        "K'": k_summary if kept_all else networks.summarize(reduced),
     }
     table_path = run.out_dir / "network_summary.txt"
     with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -339,12 +349,11 @@ def _stage_project(run: _Run) -> None:
     assign_path = run.out_dir / "cluster_assignment.tsv"
     community.write_assignment(run.partition, projection, assign_path)
 
-    clustered = run.knowledge_reduced.copy()
-    for venue in clustered.nodes:
-        clustered.nodes[venue]["cluster"] = run.partition.assignment.get(venue, "")
+    assignment = run.partition.assignment
+    clusters = {venue: assignment.get(venue, "") for venue in run.knowledge_reduced.nodes}
     graphml_path = run.out_dir / "knowledge_clustered.graphml"
     with open(graphml_path, "wb") as fh:
-        fh.write(export_graph(clustered, "graphml"))
+        fh.write(export_graph(run.knowledge_reduced, "graphml", {"cluster": clusters}))
     run.record("project", graph_path, assign_path, graphml_path)
 
 
@@ -360,6 +369,9 @@ def _stage_metrics(run: _Run) -> None:
     p_path = run.out_dir / "pagerank.tsv"
     metrics.write_metric_tsv(betweenness, b_path)
     metrics.write_metric_tsv(run.pagerank, p_path)
+    warning = run.pagerank.convergence_warning()
+    if warning:
+        run.manifest.warnings.append(warning)
     run.record("metrics", b_path, p_path)
 
 

@@ -4,17 +4,25 @@ These deliberately use different algorithms than the library: Floyd-Warshall
 distances with direct path counting instead of Brandes, full-matrix alignment
 DP instead of the rolling-array scorer, pairwise modularity sums instead of
 the cluster-aggregated form, exhaustive partition search, a full pair
-rescan per merge instead of the heap-based greedy modularity loop, and
-Brandes one source at a time instead of the source-batched kernel.
+rescan per merge instead of the heap-based greedy modularity loop, Brandes
+one source at a time instead of the source-batched kernel, a per-key
+dictionary loop instead of the chunked sparse cosine product, and the
+standard library's encoders instead of the direct JSON and GraphML writers.
 """
 
 from __future__ import annotations
 
+import io
+import json
+import math
 import random
+import xml.etree.ElementTree as ET
 from collections import deque
 
 from venuenet.community import ClusterPartition, CommunityError, modularity
+from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
 from venuenet.graph import VenueGraph
+from venuenet.networks import CouplingMatrix
 
 INF = float("inf")
 
@@ -376,3 +384,92 @@ def greedy_modularity_scan(
             best_assignment = dict(assignment)
 
     return ClusterPartition(assignment=best_assignment, q=modularity(g, best_assignment, weighted=weighted))
+
+
+def knowledge_network_loop(m: CouplingMatrix) -> VenueGraph:
+    """The knowledge network by an inverted index over cited keys and a
+    dictionary of pair dots, one key at a time: the reference for the
+    library's sparse product, which must give the same graph (nodes,
+    attributes, neighbour order and every weight bit)."""
+    g = VenueGraph(directed=False)
+    for venue in m.venues:
+        g.add_node(venue, publication_count=m.publication_counts.get(venue, 0))
+
+    by_key: dict[str, list[str]] = {}
+    for venue in m.venues:
+        for key in m.vectors[venue]:
+            by_key.setdefault(key, []).append(venue)
+
+    dots: dict[tuple[str, str], int] = {}
+    for key, sharing in by_key.items():
+        if len(sharing) < 2:
+            continue
+        for x in range(len(sharing)):
+            vi = sharing[x]
+            ci = m.vectors[vi][key]
+            for y in range(x + 1, len(sharing)):
+                vj = sharing[y]
+                pair = (vi, vj) if vi <= vj else (vj, vi)
+                dots[pair] = dots.get(pair, 0) + ci * m.vectors[vj][key]
+
+    norms = {venue: sum(c * c for c in m.vectors[venue].values()) for venue in m.venues}
+    for (vi, vj), dot in sorted(dots.items()):
+        weight = dot / math.sqrt(norms[vi] * norms[vj])
+        if weight > 0:
+            g.add_edge(vi, vj, weight)
+    return g
+
+
+def coupling_json_dumps(m: CouplingMatrix) -> bytes:
+    """`CouplingMatrix.to_json` through json's own (pure-Python, since
+    indented) encoder."""
+    obj = {
+        "venues": m.venues,
+        "vectors": {v: dict(sorted(m.vectors[v].items())) for v in sorted(m.vectors)},
+        "publication_counts": dict(sorted(m.publication_counts.items())),
+    }
+    return json.dumps(obj, sort_keys=True, indent=0).encode("utf-8")
+
+
+def graphml_et(g: VenueGraph) -> bytes:
+    """GraphML of `g` built as an ElementTree, indented by `ET.indent` and
+    written by ElementTree: the bytes the library's direct writer must give."""
+    root = ET.Element("graphml", xmlns=_GRAPHML_NS)
+    attr_values: dict[str, list] = {}
+    for attrs in g.nodes.values():
+        for name, value in attrs.items():
+            attr_values.setdefault(name, []).append(value)
+    attr_types = {name: _attr_type(values) for name, values in sorted(attr_values.items())}
+
+    key_ids: dict[str, str] = {}
+    for i, (name, attr_type) in enumerate(sorted(attr_types.items())):
+        key_id = f"d{i}"
+        key_ids[name] = key_id
+        ET.SubElement(
+            root, "key", id=key_id, attrib={"for": "node", "attr.name": name, "attr.type": attr_type}
+        )
+    weight_key = f"d{len(key_ids)}"
+    ET.SubElement(
+        root,
+        "key",
+        id=weight_key,
+        attrib={"for": "edge", "attr.name": "weight", "attr.type": "double"},
+    )
+
+    graph_el = ET.SubElement(
+        root, "graph", edgedefault="directed" if g.directed else "undirected"
+    )
+    for node in sorted(g.nodes):
+        node_el = ET.SubElement(graph_el, "node", id=node)
+        for name in sorted(g.nodes[node]):
+            data = ET.SubElement(node_el, "data", key=key_ids[name])
+            data.text = _format_attr(g.nodes[node][name], attr_types[name])
+    for u, v, w in g.sorted_edges():
+        edge_el = ET.SubElement(graph_el, "edge", source=u, target=v)
+        data = ET.SubElement(edge_el, "data", key=weight_key)
+        data.text = repr(w)
+
+    ET.indent(root)
+    buf = io.BytesIO()
+    ET.ElementTree(root).write(buf, encoding="utf-8", xml_declaration=True)
+    return buf.getvalue()

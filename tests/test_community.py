@@ -100,6 +100,33 @@ print(repr(modularity(g, {v: nodes[i // 10 * 10] for i, v in enumerate(nodes)}))
         assignment = {"a": "x", "b": "x", "c": "y", "d": "y"}
         assert modularity(g, assignment, weighted=False) == 0.5
 
+    @pytest.mark.parametrize("n", [200, 800, 2000])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_matches_networkx(self, n, weighted):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n + weighted)
+        g = VenueGraph()
+        nodes = [f"n{i:04d}" for i in range(n)]
+        for v in nodes:
+            g.add_node(v)
+        for _ in range(2 * n):
+            u, v = rng.sample(nodes, 2)
+            g.add_edge(u, v, rng.uniform(0.1, 10.0))
+        other = nx.Graph()
+        other.add_nodes_from(nodes)
+        other.add_weighted_edges_from(g.edges())
+        weight = "weight" if weighted else None
+        partitions = [
+            {v: f"c{rng.randrange(12)}" for v in nodes},  # random: Q near 0 or below
+            greedy_modularity_partition(g, weighted=weighted).assignment,
+        ]
+        for assignment in partitions:
+            clusters: dict[str, set[str]] = {}
+            for v, c in assignment.items():
+                clusters.setdefault(c, set()).add(v)
+            want = nx.community.modularity(other, clusters.values(), weight=weight)
+            assert modularity(g, assignment, weighted=weighted) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
 
 class TestGreedyPartition:
     def test_two_triangles_exact(self):

@@ -82,6 +82,13 @@ class TestParseJsonl:
             corpus_from_lines('{"id": "p1", "title": "A"}', "{not json")
         assert "line 2" in str(exc.value)
 
+    def test_deeply_nested_json_carries_line(self):
+        # json.loads raises RecursionError here, not JSONDecodeError
+        with pytest.raises(MalformedEntryError) as exc:
+            corpus_from_lines('{"id": "p1", "title": "A"}', "[" * 100_000)
+        assert exc.value.position == "line 2"
+        assert "nested" in exc.value.reason
+
     def test_year_out_of_range(self):
         with pytest.raises(MalformedEntryError):
             corpus_from_lines('{"id": "p1", "title": "A", "year": 1850}')

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from oracles import graphml_et
 from venuenet.exports import ExportError, FORMATS, export_graph, import_graph
 from venuenet.graph import VenueGraph
 
@@ -81,6 +84,96 @@ class TestGraphML:
         for node in again.nodes:
             assert "cluster" in again.nodes[node]
             assert "publication_count" in again.nodes[node]
+
+
+ODD_NAMES = ["a&b", "<tag>", 'say "hi"', "it's", "tab\there", "new\nline", "cr\rlf", "caf\u00e9 \u2603 \U0001f600", "&amp;", "]]>", " "]
+
+
+def odd_graph(directed: bool) -> VenueGraph:
+    """Names and values that ElementTree escapes, every attribute type, and
+    nodes with and without attributes."""
+    g = VenueGraph(directed=directed)
+    for i, name in enumerate(ODD_NAMES):
+        g.add_node(name)
+        if i % 3:
+            g.add_node(
+                name,
+                flag=i % 2 == 0,  # boolean
+                count=i,  # long
+                ratio=i / 7 if i % 2 else i,  # double: ints and floats mixed
+                label=name,  # string
+                mixed=True if i % 2 else 5,  # string: bools and ints mixed
+                blank="" if i % 4 else "  ",  # empty and whitespace-only text
+                **{"odd <name> & \"key\"": 1.5},
+            )
+    for i, u in enumerate(ODD_NAMES):
+        for v in ODD_NAMES[i + 1 :: 3]:
+            g.add_edge(u, v, 1.0 / (i + 3))
+            if directed:
+                g.add_edge(v, u, 2.0 + i)
+    return g
+
+
+class TestGraphMLWriter:
+    """The direct writer gives ElementTree's bytes, indentation included."""
+
+    @pytest.mark.parametrize("make", ALL_GRAPHS, ids=lambda f: f.__name__)
+    def test_fixture_graphs(self, make):
+        assert export_graph(make(), "graphml") == graphml_et(make())
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_escapes_and_attribute_types(self, directed):
+        g = odd_graph(directed)
+        assert export_graph(g, "graphml") == graphml_et(g)
+        again = import_graph(export_graph(g, "graphml"), "graphml")
+        assert again.sorted_edges() == g.sorted_edges()
+        assert again.nodes["a&b"] == {}
+
+    def test_lone_surrogate_becomes_a_character_reference(self):
+        g = VenueGraph()
+        g.add_edge("\ud800", "b", 1.0)
+        assert b"&#55296;" in export_graph(g, "graphml")
+        assert export_graph(g, "graphml") == graphml_et(g)
+
+    def test_empty_and_edgeless_graphs(self):
+        for directed in (False, True):
+            g = VenueGraph(directed=directed)
+            assert export_graph(g, "graphml") == graphml_et(g)
+            g.add_node("a")
+            g.add_node("b", publication_count=3)
+            assert export_graph(g, "graphml") == graphml_et(g)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            g = VenueGraph(directed=rng.random() < 0.5)
+            names = rng.sample(ODD_NAMES + [f"v{i}" for i in range(20)], rng.randint(0, 25))
+            for name in names:
+                g.add_node(name, **({"publication_count": rng.randint(0, 9)} if rng.random() < 0.7 else {}))
+            for _ in range(rng.randint(0, 40)):
+                if len(names) > 1:
+                    u, v = rng.sample(names, 2)
+                    g.add_edge(u, v, rng.random() + 0.01)
+            assert export_graph(g, "graphml") == graphml_et(g)
+
+
+class TestNodeAttrs:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_same_bytes_as_a_tagged_copy(self, fmt):
+        g = odd_graph(directed=False)
+        fingerprint = g.fingerprint()
+        clusters = {node: f"c{i % 3}" for i, node in enumerate(g.nodes)}
+        tagged = g.copy()
+        for node in tagged.nodes:
+            tagged.nodes[node]["cluster"] = clusters[node]
+        assert export_graph(g, fmt, {"cluster": clusters}) == export_graph(tagged, fmt)
+        assert g.fingerprint() == fingerprint  # g itself is not tagged
+
+    def test_overrides_an_existing_attribute(self):
+        g = clustered_graph()
+        relabelled = {node: "x" for node in g.nodes}
+        again = import_graph(export_graph(g, "graphml", {"cluster": relabelled}), "graphml")
+        assert {attrs["cluster"] for attrs in again.nodes.values()} == {"x"}
 
 
 class TestTsvDialect:

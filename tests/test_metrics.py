@@ -355,6 +355,30 @@ class TestBatchedBrandes:
         for v in nodes:
             assert got[v] == pytest.approx(want[v], rel=1e-9, abs=1e-12)
 
+    # Weights drawn from a continuous range, so no two path lengths tie and
+    # the two Dijkstra implementations see the same shortest paths.
+    @pytest.mark.parametrize(
+        "n, edges_per_node, directed",
+        [(200, 1.5, False), (200, 1.5, True), (800, 1.5, True), (2000, 0.6, False)],
+    )
+    def test_weighted_matches_networkx(self, n, edges_per_node, directed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(7 * n + directed)
+        g = VenueGraph(directed=directed)
+        nodes = [f"n{i:04d}" for i in range(n)]
+        for v in nodes:
+            g.add_node(v)
+        for _ in range(int(edges_per_node * n)):
+            u, v = rng.sample(nodes, 2)
+            g.add_edge(u, v, rng.uniform(0.1, 10.0))
+        other = nx.DiGraph() if directed else nx.Graph()
+        other.add_nodes_from(nodes)
+        other.add_weighted_edges_from(((u, v, 1.0 / w) for u, v, w in g.edges()), weight="distance")
+        got = betweenness_centrality(g, weighted=True, normalized=True).values
+        want = nx.betweenness_centrality(other, normalized=True, weight="distance")
+        for v in nodes:
+            assert got[v] == pytest.approx(want[v], rel=1e-9, abs=1e-12)
+
 
 class TestPagerank:
     def test_isolated_node(self):

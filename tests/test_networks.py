@@ -1,8 +1,11 @@
+import math
 import random
 
 import pytest
 
 from conftest import corpus_from_lines
+from oracles import coupling_json_dumps, knowledge_network_loop
+from venuenet import networks
 from venuenet.graph import VenueGraph
 from venuenet.linkage import MatchPair
 from venuenet.networks import (
@@ -18,6 +21,7 @@ from venuenet.networks import (
     format_summary_table,
     summarize,
 )
+from venuenet.synth import scale_corpus
 
 
 class TestCouplingMatrix:
@@ -148,6 +152,119 @@ class TestKnowledgeNetwork:
         g = build_knowledge_network(build_coupling_matrix(corpus))
         assert g.node_count() == 1
         assert g.edge_count() == 0
+
+
+def random_matrix(rng: random.Random, max_venues: int = 30, counts=(1, 1, 1, 2, 3)) -> CouplingMatrix:
+    """Venues citing keys from a small pool, so that keys are shared, counts
+    tie and some venues have a single key or nothing in common with any."""
+    pool = [f"k{i}" for i in range(rng.randint(1, 40))]
+    venues = [f"v{i:02d}" for i in range(rng.randint(0, max_venues))]
+    vectors = {}
+    for v in venues:
+        keys = rng.sample(pool, rng.choice([1, 1, rng.randint(1, len(pool))]))
+        if rng.random() < 0.15:
+            keys = [f"only-{v}"]  # disjoint from every other venue
+        vectors[v] = {k: rng.choice(counts) for k in keys}
+    return CouplingMatrix(venues=venues, vectors=vectors, publication_counts={v: rng.randint(1, 9) for v in venues})
+
+
+class TestKnowledgeKernel:
+    """build_knowledge_network equals the per-key dictionary loop: same node
+    order and attributes, same neighbour order, every weight bit equal."""
+
+    BUDGETS = (networks.KNOWLEDGE_PAIR_BUDGET, 1, 2, 5)
+
+    def assert_equals_loop(self, m, monkeypatch):
+        want = knowledge_network_loop(m)
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(networks, "KNOWLEDGE_PAIR_BUDGET", budget)
+            got = build_knowledge_network(m)
+            assert list(got.nodes.items()) == list(want.nodes.items()), budget
+            for node in want.nodes:
+                assert list(got.neighbors(node).items()) == list(want.neighbors(node).items()), (budget, node)
+            assert got.edge_count() == want.edge_count()
+
+    def test_seeded_random_matrices(self, monkeypatch):
+        rng = random.Random(5)
+        for _ in range(120):
+            self.assert_equals_loop(random_matrix(rng), monkeypatch)
+
+    def test_corpus_matrices(self, monkeypatch):
+        for venues, papers in ((40, 5), (60, 2)):
+            self.assert_equals_loop(build_coupling_matrix(scale_corpus(venues, papers, seed=3)), monkeypatch)
+
+    def test_ties_single_keys_and_disjoint_vectors(self, monkeypatch):
+        m = CouplingMatrix(
+            venues=["a", "b", "c", "d", "e"],
+            vectors={
+                "a": {"x": 2, "y": 2},
+                "b": {"x": 2, "y": 2},  # a tie: cosine exactly 1
+                "c": {"x": 1},  # a single key
+                "d": {"z": 4},  # nothing in common with any venue
+                "e": {"w": 1, "v": 1},
+            },
+            publication_counts={"a": 1, "b": 2},
+        )
+        self.assert_equals_loop(m, monkeypatch)
+        g = build_knowledge_network(m)
+        assert g.weight("a", "b") == 1.0
+        assert g.degree("d") == 0 and g.degree("e") == 0
+        assert g.nodes["c"] == {"publication_count": 0}
+
+    def test_no_venues_and_no_shared_keys(self, monkeypatch):
+        self.assert_equals_loop(CouplingMatrix(venues=[], vectors={}), monkeypatch)
+        self.assert_equals_loop(CouplingMatrix(venues=["a", "b"], vectors={"a": {"x": 1}, "b": {"y": 1}}), monkeypatch)
+
+    def test_unsorted_venue_list(self, monkeypatch):
+        # nodes keep the matrix's order; edges are still added in name order
+        rng = random.Random(8)
+        for _ in range(20):
+            m = random_matrix(rng)
+            rng.shuffle(m.venues)
+            self.assert_equals_loop(m, monkeypatch)
+
+    @pytest.mark.parametrize("scale", [2**17, 2**33, 2**70])
+    def test_python_integer_path(self, scale, monkeypatch):
+        # Squared norms past 2**63: int64 would wrap the norm products (and
+        # at 2**33 the dots, at 2**70 the counts themselves).
+        rng = random.Random(scale % 1000)
+        for _ in range(20):
+            m = random_matrix(rng, max_venues=12, counts=(scale, scale + 1, scale * 3 - 7, 1))
+            self.assert_equals_loop(m, monkeypatch)
+
+    def test_norm_products_at_the_int64_boundary(self, monkeypatch):
+        # 3037000499**2 <= 2**63 - 1 < 3037000500**2: two equal vectors with
+        # a norm either side, whose norm product is the largest there is
+        for norm in (3037000499, 3037000500):
+            vec, rest = {}, norm
+            while rest:  # greedy sum of squares
+                vec[f"k{len(vec)}"] = math.isqrt(rest)
+                rest -= vec[f"k{len(vec) - 1}"] ** 2
+            m = CouplingMatrix(venues=["a", "b"], vectors={"a": vec, "b": dict(vec)})
+            assert m.norm_squared("a") == norm
+            self.assert_equals_loop(m, monkeypatch)
+            assert build_knowledge_network(m).weight("a", "b") == 1.0
+
+
+class TestCouplingJson:
+    def test_equals_json_dumps(self):
+        rng = random.Random(2)
+        for _ in range(60):
+            m = random_matrix(rng)
+            assert m.to_json() == coupling_json_dumps(m)
+            again = CouplingMatrix.from_json(m.to_json())
+            assert (again.venues, again.vectors, again.publication_counts) == (m.venues, m.vectors, m.publication_counts)
+
+    def test_escaped_and_empty_parts(self):
+        odd = ['q"uote', "back\\slash", "tab\tnew\nline\r", "caf\u00e9 \u2603", "ctl\x01", "\ud800", ""]
+        m = CouplingMatrix(
+            venues=odd + ["empty"],
+            vectors={**{v: {k: i + 1 for i, k in enumerate(odd)} for v in odd}, "empty": {}},
+            publication_counts={v: 7 for v in odd},
+        )
+        assert m.to_json() == coupling_json_dumps(m)
+        for empty in (CouplingMatrix(venues=[], vectors={}), CouplingMatrix(venues=["a"], vectors={"a": {}})):
+            assert empty.to_json() == coupling_json_dumps(empty)
 
 
 class TestCitationNetwork:

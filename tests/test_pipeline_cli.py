@@ -11,6 +11,8 @@ from venuenet.cli import main
 from venuenet.community import read_partition
 from venuenet.corpus import save_corpus
 from venuenet.exports import load_graph
+from venuenet.networks import summarize
+from oracles import graphml_et
 from venuenet.subgraphs import PROFILES_HEADER, write_profiles
 from venuenet.pipeline import (
     ConfigError,
@@ -198,6 +200,28 @@ class TestRunPipeline:
         out_dir = Path(cfg.out_dir)
         for year in (1995, 2000):
             assert (out_dir / "snapshots" / str(year) / "knowledge.tsv").is_file()
+
+    @pytest.mark.parametrize("cosine_min", [0.0, 0.1, 0.6])
+    def test_k_prime_outputs_equal_recomputation(self, tmp_path, planted, cosine_min):
+        # the K' summary and the clustered GraphML are written without a
+        # copy of K' (and with K's summary when K' = K): same bytes as
+        # recomputing them from knowledge.tsv and partition.tsv
+        corpus, _ = planted
+        corpus_path = tmp_path / "fixture.jsonl"
+        save_corpus(corpus, corpus_path)
+        cfg = fixture_config(tmp_path, corpus_path, cosine_min=cosine_min)
+        run_pipeline(cfg)
+        out_dir = Path(cfg.out_dir)
+        reduced = load_graph(out_dir / "knowledge.tsv")
+        summaries = json.loads((out_dir / "network_summary.json").read_text())
+        assert summaries["K'"] == summarize(reduced).to_dict()
+        if cosine_min == 0.0:
+            assert summaries["K'"] == summaries["K"]
+        tagged = reduced.copy()
+        partition = read_partition(out_dir / "partition.tsv")
+        for venue in tagged.nodes:
+            tagged.nodes[venue]["cluster"] = partition.assignment.get(venue, "")
+        assert (out_dir / "knowledge_clustered.graphml").read_bytes() == graphml_et(tagged)
 
     def test_stage_failure_reports_stage_and_partial_manifest(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -415,6 +439,7 @@ class TestCli:
                 b'{"venue_key": "v", "name": 7, "kind": ["x"]}',
                 b'{"id": "p1", "title": "caf\xe9"}',
                 b'{"source": 7}',
+                b"[" * 100_000,
             ]
         ):
             path = tmp_path / f"bad{i}.jsonl"
@@ -426,7 +451,37 @@ class TestCli:
                 result = runner.invoke(main, args)
                 assert result.exit_code == 1, (bad, args[0], result.output)
                 assert isinstance(result.exception, SystemExit)
+                assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
                 assert "malformed entry at line 2" in result.stderr
+
+    def test_run_warns_when_pagerank_does_not_converge(self, tmp_path):
+        corpus_path = tmp_path / "cycle.jsonl"  # F: a -> b -> c -> a and a -> c
+        corpus_path.write_text(
+            '{"id": "p1", "title": "One", "authors": ["A"], "venue": "a", "refs": ["p2"]}\n'
+            '{"id": "p2", "title": "Two", "authors": ["B"], "venue": "b", "refs": ["p3"]}\n'
+            '{"id": "p3", "title": "Three", "authors": ["C"], "venue": "c", "refs": ["p1"]}\n'
+            '{"id": "p4", "title": "Four", "authors": ["A"], "venue": "a", "refs": ["p3"]}\n'
+        )
+        runner = CliRunner()
+        out_dir = tmp_path / "out"
+        cfg = PipelineConfig(metadata_corpus=str(corpus_path), out_dir=str(out_dir), citation_min=0.0)
+        cfg.save(tmp_path / "config.txt")
+        result = runner.invoke(main, ["run", "--config", str(tmp_path / "config.txt")])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+
+        cfg.pagerank_max_iter = 1
+        cfg.save(tmp_path / "config.txt")
+        result = runner.invoke(main, ["run", "--config", str(tmp_path / "config.txt")])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.startswith("warning: pagerank did not converge (residual ")
+        assert len(result.stderr.splitlines()) == 1
+        # the warning stays out of the manifest: the same config run
+        # in-process, where nothing prints it, writes the same bytes
+        warned = (out_dir / "manifest.json").read_bytes()
+        manifest = run_pipeline(cfg)
+        assert manifest.warnings == [result.stderr.removeprefix("warning: ").rstrip("\n")]
+        assert (out_dir / "manifest.json").read_bytes() == warned
 
     def test_slice_command(self, tmp_path):
         runner = CliRunner()
