@@ -121,7 +121,7 @@ def link(left: str, right: str, jaccard_min: float, sw_min: float, out: str) -> 
 @main.command()
 @click.argument("corpus_path", type=click.Path(dir_okay=False))
 @click.option("--network", type=click.Choice(["knowledge", "citation"]), required=True)
-@click.option("--matches", "matches_path", type=click.Path(dir_okay=False))
+@click.option("--matches", "matches_path", type=click.Path(dir_okay=False), help="Rewrite matched citation ids to their metadata ids first.")
 @click.option("--threshold", "threshold_value", type=float, default=None, help="Apply the matching edge threshold before writing.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--matrix-out", type=click.Path(dir_okay=False), help="Also write the coupling matrix (knowledge only).")
@@ -135,6 +135,12 @@ def build(
 ) -> None:
     """Build the knowledge (undirected cosine) or citation (directed count) network."""
     corpus = _load_corpus_or_fail(corpus_path)
+    if matches_path:
+        try:
+            matches = linkage.read_matches(matches_path)
+        except (OSError, ValueError) as exc:
+            _fail_input(str(exc))
+        corpus = linkage.rewrite_matched_references(corpus, matches)
     if network == "knowledge":
         matrix = networks.build_coupling_matrix(corpus)
         graph = networks.build_knowledge_network(matrix)
@@ -142,8 +148,7 @@ def build(
             with open(matrix_out, "wb") as fh:
                 fh.write(matrix.to_json())
     else:
-        matches = linkage.read_matches(matches_path) if matches_path else None
-        graph = networks.build_citation_network(corpus, matches)
+        graph = networks.build_citation_network(corpus)
     summaries = {network: networks.summarize(graph)}
     if threshold_value is not None:
         rule = networks.ThresholdRule(
@@ -218,6 +223,11 @@ def project(matrix_path: str, partition_path: str, out: str, assignment_out: str
     try:
         with open(matrix_path, "rb") as fh:
             matrix = networks.CouplingMatrix.from_json(fh.read())
+    except OSError as exc:
+        _fail_input(str(exc))
+    except ValueError as exc:
+        _fail_input(f"{matrix_path}: {exc}")
+    try:
         partition = community.read_partition(partition_path)
     except (OSError, ValueError) as exc:
         _fail_input(str(exc))

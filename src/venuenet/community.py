@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 
+from . import networks
 from .graph import VenueGraph
 from .networks import CouplingMatrix, cosine_of_vectors
 
@@ -195,14 +197,8 @@ def project_to_cluster_network(m: CouplingMatrix, p: ClusterPartition) -> Cluste
     the adopted venues.
     """
     aggregates: dict[str, dict[str, int]] = {}
-    venue_counts: dict[str, int] = {}
-    pub_counts: dict[str, int] = {}
     for venue, cluster in p.assignment.items():
-        agg = aggregates.setdefault(cluster, {})
-        venue_counts[cluster] = venue_counts.get(cluster, 0) + 1
-        pub_counts[cluster] = pub_counts.get(cluster, 0) + m.publication_counts.get(venue, 0)
-        for key, count in m.vectors.get(venue, {}).items():
-            agg[key] = agg.get(key, 0) + count
+        _add_counts(aggregates.setdefault(cluster, {}), m.vectors.get(venue, {}))
 
     cluster_ids = sorted(aggregates)
     new_assignments: dict[str, str] = {}
@@ -224,37 +220,27 @@ def project_to_cluster_network(m: CouplingMatrix, p: ClusterPartition) -> Cluste
             new_assignments[venue] = best_cluster
 
     for venue, cluster in new_assignments.items():
-        agg = aggregates[cluster]
-        venue_counts[cluster] += 1
-        pub_counts[cluster] = pub_counts.get(cluster, 0) + m.publication_counts.get(venue, 0)
-        for key, count in m.vectors[venue].items():
-            agg[key] = agg.get(key, 0) + count
+        _add_counts(aggregates[cluster], m.vectors[venue])
 
-    cluster_matrix = CouplingMatrix(
-        venues=cluster_ids,
-        vectors={c: aggregates[c] for c in cluster_ids},
-        publication_counts={c: pub_counts.get(c, 0) for c in cluster_ids},
-    )
-
-    graph = VenueGraph(directed=False)
-    for cluster in cluster_ids:
-        graph.add_node(
-            cluster,
-            venue_count=venue_counts.get(cluster, 0),
-            publication_count=pub_counts.get(cluster, 0),
-        )
-    for x in range(len(cluster_ids)):
-        for y in range(x + 1, len(cluster_ids)):
-            weight = cosine_of_vectors(aggregates[cluster_ids[x]], aggregates[cluster_ids[y]])
-            if weight > 0:
-                graph.add_edge(cluster_ids[x], cluster_ids[y], weight)
-
+    members = {**p.assignment, **new_assignments}
+    pub_counts = dict.fromkeys(cluster_ids, 0)
+    for venue, cluster in members.items():
+        pub_counts[cluster] += m.publication_counts.get(venue, 0)
+    cluster_matrix = CouplingMatrix(cluster_ids, {c: aggregates[c] for c in cluster_ids}, pub_counts)
+    graph = networks.build_knowledge_network(cluster_matrix)
+    for cluster, count in Counter(members.values()).items():
+        graph.nodes[cluster]["venue_count"] = count
     return ClusterProjection(
         cluster_matrix=cluster_matrix,
         new_assignments=new_assignments,
         unassigned=unassigned,
         graph=graph,
     )
+
+
+def _add_counts(into: dict[str, int], vector: dict[str, int]) -> None:
+    for key, count in vector.items():
+        into[key] = into.get(key, 0) + count
 
 
 def cluster_domain_composition(
@@ -300,15 +286,18 @@ def read_partition(path) -> ClusterPartition:
     assignment: dict[str, str] = {}
     q = 0.0
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("q="):
-                        q = float(token[2:])
-                continue
-            if not line or line == PARTITION_HEADER:
-                continue
-            venue, cluster = line.split("\t")
-            assignment[venue] = cluster
+            try:
+                if line.startswith("#"):
+                    for token in line[1:].split():
+                        if token.startswith("q="):
+                            q = float(token[2:])
+                elif line and line != PARTITION_HEADER:
+                    fields = line.split("\t")
+                    if len(fields) != 2:
+                        raise ValueError(f"expected 2 tab-separated fields, got {len(fields)}")
+                    assignment[fields[0]] = fields[1]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return ClusterPartition(assignment=assignment, q=q)

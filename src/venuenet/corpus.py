@@ -25,6 +25,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from typing import BinaryIO, Iterable
 
+import numpy as np
+
 YEAR_MIN = 1900
 YEAR_MAX = 2100
 
@@ -94,6 +96,31 @@ class VenueInfo:
     kind: str = UNKNOWN_KIND
 
 
+def normalize_reference_key(target: str) -> str:
+    return " ".join(target.lower().split())
+
+
+@dataclass(frozen=True)
+class ReferenceIndex:
+    """Every reference of a corpus resolved once. Record r (its row in
+    `records`) has the targets targets[offsets[r]:offsets[r + 1]]: the row
+    of the record a target names by id, or -1 - k for external_keys[k], the
+    target normalized. record_venue[r] indexes the sorted `venues` (-1: none).
+    """
+
+    venues: list[str]
+    record_venue: np.ndarray
+    offsets: np.ndarray
+    targets: np.ndarray
+    external_keys: list[str]
+
+    def references_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The targets of `rows`, row after row, and the row of each."""
+        lengths = self.offsets[rows + 1] - self.offsets[rows]
+        starts = np.repeat(self.offsets[rows] - np.cumsum(lengths) + lengths, lengths)
+        return self.targets[starts + np.arange(starts.size)], np.repeat(rows, lengths)
+
+
 @dataclass
 class Corpus:
     records: list[PublicationRecord]
@@ -101,13 +128,39 @@ class Corpus:
     source: str = METADATA_CORPUS
 
     def __post_init__(self) -> None:
-        self._by_id: dict[str, PublicationRecord] = {r.record_id: r for r in self.records}
+        self._rows: dict[str, int] = {r.record_id: i for i, r in enumerate(self.records)}
+        self._references: ReferenceIndex | None = None
 
     def record(self, record_id: str) -> PublicationRecord:
-        return self._by_id[record_id]
+        return self.records[self._rows[record_id]]
+
+    def row(self, record_id: str) -> int:
+        """The record's position in `records`."""
+        return self._rows[record_id]
 
     def has_record(self, record_id: str) -> bool:
-        return record_id in self._by_id
+        return record_id in self._rows
+
+    def reference_index(self) -> ReferenceIndex:
+        """The index, built on first use; the records must not change after.
+        Every reader of the references reads it."""
+        if self._references is None:
+            venues = sorted({r.venue_key for r in self.records} - {None})
+            venue_ids = {venue: i for i, venue in enumerate(venues)}
+            flat = [target for r in self.records for target in r.references]
+            codes = dict(self._rows)
+            external: dict[str, int] = {}
+            for target in dict.fromkeys(flat):  # each distinct target once, in first-seen order
+                if target not in codes:
+                    codes[target] = -1 - external.setdefault(normalize_reference_key(target), len(external))
+            self._references = ReferenceIndex(
+                venues=venues,
+                record_venue=np.array([venue_ids.get(r.venue_key, -1) for r in self.records], dtype=np.int64),
+                offsets=np.cumsum([0] + [len(r.references) for r in self.records], dtype=np.int64),
+                targets=np.fromiter(map(codes.__getitem__, flat), dtype=np.int64, count=len(flat)),
+                external_keys=list(external),
+            )
+        return self._references
 
     def records_by_venue(self) -> dict[str, list[PublicationRecord]]:
         index: dict[str, list[PublicationRecord]] = {}
@@ -200,10 +253,10 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedEntryError(position, f"invalid JSON ({exc.msg})") from exc
         except RecursionError as exc:
             raise MalformedEntryError(position, "JSON nested too deeply") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+            raise MalformedEntryError(position, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
             raise MalformedEntryError(position, "expected a JSON object")
 
@@ -335,6 +388,8 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
             elem.clear()
     except ET.ParseError as exc:
         raise MalformedEntryError(f"line {exc.position[0]}", f"XML syntax error: {exc.msg if hasattr(exc, 'msg') else exc}") from exc
+    except LookupError as exc:  # the XML declaration names an unknown encoding
+        raise MalformedEntryError("line 1", str(exc)) from exc
 
     return Corpus(records=records, venue_table=venue_table, source=source)
 
@@ -389,38 +444,16 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 def validate_corpus(corpus: Corpus) -> ValidationReport:
     """Report structural issues without mutating anything."""
-    dangling: list[str] = []
-    empty_titles: list[str] = []
-    unresolved = 0
-    resolved = 0
-    no_venue = 0
-    no_author = 0
-    seen_dangling: set[str] = set()
-
-    for rec in corpus.records:
-        if rec.venue_key is None:
-            no_venue += 1
-        elif rec.venue_key not in corpus.venue_table and rec.venue_key not in seen_dangling:
-            seen_dangling.add(rec.venue_key)
-            dangling.append(rec.venue_key)
-        if not rec.title.strip():
-            empty_titles.append(rec.record_id)
-        if not rec.authors:
-            no_author += 1
-        for target in rec.references:
-            if corpus.has_record(target):
-                resolved += 1
-            else:
-                unresolved += 1
-
+    index = corpus.reference_index()
+    resolved = int(np.count_nonzero(index.targets >= 0))
     return ValidationReport(
         record_count=len(corpus.records),
-        dangling_venue_keys=sorted(dangling),
-        empty_title_ids=empty_titles,
-        unresolved_reference_count=unresolved,
+        dangling_venue_keys=[venue for venue in index.venues if venue not in corpus.venue_table],
+        empty_title_ids=[r.record_id for r in corpus.records if not r.title.strip()],
+        unresolved_reference_count=index.targets.size - resolved,
         resolved_reference_count=resolved,
-        no_venue_count=no_venue,
-        no_author_count=no_author,
+        no_venue_count=int(np.count_nonzero(index.record_venue < 0)),
+        no_author_count=sum(not r.authors for r in corpus.records),
     )
 
 

@@ -13,7 +13,7 @@ import json
 import xml.etree.ElementTree as ET
 from typing import Any
 
-from .graph import VenueGraph
+from .graph import GraphError, VenueGraph
 
 FORMATS = ("graphml", "edge-tsv", "json")
 
@@ -59,7 +59,11 @@ def write_graph(g: VenueGraph, path, format: str = "edge-tsv") -> None:
 
 def load_graph(path, format: str = "edge-tsv") -> VenueGraph:
     with open(path, "rb") as fh:
-        return import_graph(fh.read(), format)
+        data = fh.read()
+    try:
+        return import_graph(data, format)
+    except ExportError as exc:
+        raise ExportError(f"{path}: {exc}") from None
 
 
 # -- GraphML ---------------------------------------------------------------
@@ -199,21 +203,39 @@ def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
 def _from_tsv(data: bytes) -> VenueGraph:
     lines = data.decode("utf-8").splitlines()
     if not lines or not lines[0].startswith("# venuenet-graph"):
-        raise ExportError("missing edge-tsv header line")
+        raise ExportError("line 1: missing edge-tsv header line")
     directed = "directed=true" in lines[0]
     g = VenueGraph(directed=directed)
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        if line.startswith("#node\t"):
-            _, node, attrs = line.split("\t", 2)
-            g.add_node(node, **json.loads(attrs))
-            continue
-        if line.startswith("#"):
-            continue
-        u, v, w = line.split("\t")
-        g.add_edge(u, v, float(w))
+        try:
+            if line.startswith("#node\t"):
+                _, node, attrs = _fields(line, 3, "#node line")
+                g.add_node(node, **_attr_object(attrs))
+            elif not line.startswith("#"):
+                u, v, w = _fields(line, 3, "edge row")
+                g.add_edge(u, v, float(w))
+        except (ValueError, GraphError) as exc:
+            raise ExportError(f"line {lineno}: {exc}") from None
     return g
+
+
+def _fields(line: str, count: int, what: str) -> list[str]:
+    fields = line.split("\t", count - 1)
+    if len(fields) != count:
+        raise ValueError(f"{what} needs {count} tab-separated fields, got {len(fields)}")
+    return fields
+
+
+def _attr_object(text: str) -> dict:
+    try:
+        attrs = json.loads(text)
+    except RecursionError:
+        raise ValueError("node attributes nested too deeply") from None
+    if not isinstance(attrs, dict):
+        raise ValueError(f"node attributes must be a JSON object, got {text!r}")
+    return attrs
 
 
 # -- JSON -------------------------------------------------------------------
@@ -230,12 +252,30 @@ def _to_json(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
 
 
 def _from_json(data: bytes) -> VenueGraph:
-    obj = json.loads(data.decode("utf-8"))
-    if obj.get("format") != "venuenet-graph/1":
-        raise ExportError(f"unknown JSON graph format {obj.get('format')!r}")
-    g = VenueGraph(directed=bool(obj["directed"]))
-    for node, attrs in obj["nodes"]:
-        g.add_node(node, **attrs)
-    for u, v, w in obj["edges"]:
-        g.add_edge(u, v, float(w))
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ExportError("JSON nested too deeply") from None
+    except ValueError as exc:
+        raise ExportError(f"invalid JSON ({exc})") from None
+    if not isinstance(obj, dict) or obj.get("format") != "venuenet-graph/1":
+        raise ExportError("not a venuenet-graph/1 JSON object")
+    nodes, edges = obj.get("nodes"), obj.get("edges")
+    if not _rows_of(nodes, (str, dict)) or not _rows_of(edges, (str, str, (int, float))):
+        raise ExportError("'nodes' must list [name, attributes] and 'edges' [source, target, weight]")
+    g = VenueGraph(directed=obj.get("directed") is True)
+    try:
+        for node, attrs in nodes:
+            g.add_node(node, **attrs)
+        for u, v, w in edges:
+            g.add_edge(u, v, float(w))
+    except (GraphError, OverflowError) as exc:
+        raise ExportError(str(exc)) from None
     return g
+
+
+def _rows_of(items, types: tuple) -> bool:
+    """Whether `items` is a list of lists whose fields have `types`."""
+    return isinstance(items, list) and all(
+        isinstance(item, list) and len(item) == len(types) and all(map(isinstance, item, types)) for item in items
+    )

@@ -39,7 +39,7 @@ class VenueGraph:
         g._edge_count = arcs if directed else arcs // 2
         return g
 
-    def add_node(self, key: str, **attrs: Any) -> None:
+    def add_node(self, key: str, /, **attrs: Any) -> None:
         if key not in self._nodes:
             self._nodes[key] = {}
             self._adj[key] = {}

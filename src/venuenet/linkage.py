@@ -10,10 +10,11 @@ canopy, prefix filtering skips the pairs that cannot pass the Jaccard gate. Each
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 
-from .corpus import Corpus, PublicationRecord
+from .corpus import Corpus
 
 DEFAULT_JACCARD_MIN = 0.5
 DEFAULT_SW_MIN = 0.9
@@ -37,10 +38,14 @@ class Canopy:
     right_members: list[str] = field(default_factory=list)
 
 
+# A token is a run of alphanumeric characters (str.isalnum): word
+# characters other than the underscore.
+_TOKEN = re.compile(r"[^\W_]+")
+
+
 def tokenize_title(title: str) -> frozenset[str]:
     """Lowercased word-token set: punctuation stripped, duplicates collapsed."""
-    cleaned = "".join(c if c.isalnum() else " " for c in title.lower())
-    return frozenset(cleaned.split())
+    return frozenset(_TOKEN.findall(title.lower()))
 
 
 def jaccard_title_similarity(t1: frozenset[str], t2: frozenset[str]) -> float:
@@ -276,23 +281,23 @@ def right_to_left_ids(matches: list[MatchPair]) -> dict[str, str]:
 
 def attach_references(meta: Corpus, cite: Corpus, matches: list[MatchPair]) -> Corpus:
     """Carry reference lists from matched citation records onto the metadata
-    corpus, rewriting targets that are themselves matched citation records to
-    the corresponding metadata ids."""
-    right_to_left = right_to_left_ids(matches)
-    left_to_right = {pair.left: pair.right for pair in matches}
+    corpus, rewriting every target, carried or a record's own, as
+    `rewrite_matched_references` does."""
+    carried = {pair.left: cite.record(pair.right).references for pair in matches}
+    return rewrite_matched_references(meta, matches, carried)
 
-    records: list[PublicationRecord] = []
-    for rec in meta.records:
-        right_id = left_to_right.get(rec.record_id)
-        if right_id is None:
-            records.append(replace(rec))
-            continue
-        refs = tuple(
-            right_to_left.get(target, target)
-            for target in cite.record(right_id).references
-        )
-        records.append(replace(rec, references=refs))
-    return Corpus(records=records, venue_table=dict(meta.venue_table), source=meta.source)
+
+def rewrite_matched_references(c: Corpus, matches: list[MatchPair], carried: dict | None = None) -> Corpus:
+    """`c` with every target that is a matched citation id rewritten to its
+    metadata id (the only place matches change where a reference points),
+    after `carried` replaced the references of the records it names."""
+    right_to_left = right_to_left_ids(matches)
+    carried = carried or {}
+    records = [
+        replace(rec, references=tuple(right_to_left.get(t, t) for t in carried.get(rec.record_id, rec.references)))
+        for rec in c.records
+    ]
+    return Corpus(records=records, venue_table=dict(c.venue_table), source=c.source)
 
 
 MATCHES_HEADER = "left_id\tright_id\tjaccard\tsw_similarity"
@@ -310,8 +315,14 @@ def read_matches(path) -> list[MatchPair]:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip() != MATCHES_HEADER:
-            raise ValueError(f"unexpected matches header: {header!r}")
-        for line in fh:
-            left, right, j, s = line.rstrip("\n").split("\t")
-            matches.append(MatchPair(left=left, right=right, jaccard=float(j), sw_similarity=float(s)))
+            raise ValueError(f"{path}: line 1: unexpected matches header: {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 4:
+                raise ValueError(f"{path}: line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
+            left, right, j, s = fields
+            try:
+                matches.append(MatchPair(left=left, right=right, jaccard=float(j), sw_similarity=float(s)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return matches

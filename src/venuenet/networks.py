@@ -5,7 +5,8 @@ lists, including references that resolve to nothing inside the corpus (those
 still discriminate venues, e.g. citations into other disciplines). The
 knowledge network weights venue pairs by cosine similarity of their coupling
 vectors; the citation network counts inter-venue citations along references
-that resolve to corpus records, directly or through cross-corpus matches.
+that resolve to corpus records. Both read the corpus's reference index;
+cross-corpus matches are resolved before, by `linkage`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from . import metrics
 from .corpus import Corpus
 from .graph import VenueGraph
-from .linkage import MatchPair, right_to_left_ids
 
 COSINE_MIN_DEFAULT = 0.1
 CITATION_MIN_DEFAULT = 50.0
@@ -84,12 +84,29 @@ class CouplingMatrix:
 
     @classmethod
     def from_json(cls, data: bytes) -> "CouplingMatrix":
-        obj = json.loads(data.decode("utf-8"))
-        return cls(
-            venues=list(obj["venues"]),
-            vectors={v: {k: int(c) for k, c in vec.items()} for v, vec in obj["vectors"].items()},
-            publication_counts={v: int(c) for v, c in obj.get("publication_counts", {}).items()},
-        )
+        """The matrix `to_json` wrote; ValueError names what is malformed."""
+        try:
+            obj = json.loads(data.decode("utf-8"))
+        except RecursionError:
+            raise ValueError("coupling matrix JSON nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise ValueError("coupling matrix must be a JSON object")
+        venues, vectors = obj.get("venues"), obj.get("vectors")
+        counts = obj.get("publication_counts", {})
+        if not isinstance(venues, list) or not all(isinstance(v, str) for v in venues) or len(set(venues)) != len(venues):
+            raise ValueError("coupling matrix 'venues' must be a list of distinct strings")
+        if not isinstance(vectors, dict) or not all(map(_is_count_map, vectors.values())):
+            raise ValueError("coupling matrix 'vectors' must map venues to objects of integer counts")
+        if not _is_count_map(counts):
+            raise ValueError("coupling matrix 'publication_counts' must map venues to integers")
+        missing = [v for v in venues if v not in vectors]
+        if missing:
+            raise ValueError(f"coupling matrix venue {missing[0]!r} has no vector")
+        return cls(venues=venues, vectors=vectors, publication_counts=counts)
+
+
+def _is_count_map(obj) -> bool:
+    return isinstance(obj, dict) and all(type(c) is int for c in obj.values())
 
 
 def _json_dict(d: dict) -> str:
@@ -102,34 +119,30 @@ def _json_dict(d: dict) -> str:
     return "{\n" + ",\n".join(items) + "\n}"
 
 
-def normalize_reference_key(target: str) -> str:
-    return " ".join(target.lower().split())
-
-
 def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
     """Aggregate reference counts per venue over the full reference lists.
 
     Records without a venue are skipped; venues whose papers carry no
     references end up with empty vectors and are excluded from the matrix.
+    An external key equal to a record id counts as that record's key.
     """
-    vectors: dict[str, dict[str, int]] = {}
-    publication_counts: dict[str, int] = {}
-    for rec in c.records:
-        venue = rec.venue_key
-        if venue is None:
-            continue
-        publication_counts[venue] = publication_counts.get(venue, 0) + 1
-        if not rec.references:
-            continue
-        vec = vectors.setdefault(venue, {})
-        for target in rec.references:
-            key = target if c.has_record(target) else normalize_reference_key(target)
-            vec[key] = vec.get(key, 0) + 1
-    venues = sorted(vectors)
+    index = c.reference_index()
+    names = [r.record_id for r in c.records] + index.external_keys
+    first: dict[str, int] = {}
+    key_of = np.fromiter(map(first.setdefault, names, range(len(names))), dtype=np.int64, count=len(names))
+    keys = key_of[np.where(index.targets >= 0, index.targets, len(c.records) - 1 - index.targets)]
+    venue = np.repeat(index.record_venue, np.diff(index.offsets))
+    cells, counts = np.unique(venue[venue >= 0] * len(names) + keys[venue >= 0], return_counts=True)
+    cell_venue, cell_key = np.divmod(cells, len(names))
+    active, starts = np.unique(cell_venue, return_index=True)
+    bounds = [*starts.tolist(), cells.size]
+    cell_names, counts = [names[k] for k in cell_key.tolist()], counts.tolist()
+    publications = np.bincount(index.record_venue[index.record_venue >= 0], minlength=len(index.venues))
+    venues = [index.venues[v] for v in active.tolist()]  # sorted, as venue ids are
     return CouplingMatrix(
         venues=venues,
-        vectors={v: vectors[v] for v in venues},
-        publication_counts={v: publication_counts[v] for v in venues},
+        vectors={v: dict(zip(cell_names[lo:hi], counts[lo:hi])) for v, lo, hi in zip(venues, bounds, bounds[1:])},
+        publication_counts={index.venues[v]: int(publications[v]) for v in active.tolist()},
     )
 
 
@@ -237,49 +250,35 @@ def _sum_per_pair(pairs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
     return pairs[starts], np.add.reduceat(values[order], starts)
 
 
-def build_citation_network(c: Corpus, matches: list[MatchPair] | None = None) -> VenueGraph:
+def build_citation_network(c: Corpus) -> VenueGraph:
     """Directed venue graph with inter-venue citation counts as weights.
 
-    A reference counts when its target resolves to a corpus record (directly,
-    or via a match pair whose right id equals the target). Within-venue
+    A reference counts when its target resolves to a corpus record. Within-venue
     citations become node metadata (`self_citations`), not edges; venues with
     no citation activity at all are left out.
     """
-    right_to_left = right_to_left_ids(matches or [])
-
-    edge_counts: dict[tuple[str, str], int] = {}
-    self_citations: dict[str, int] = {}
-    publication_counts: dict[str, int] = {}
-    for rec in c.records:
-        src_venue = rec.venue_key
-        if src_venue is None:
-            continue
-        publication_counts[src_venue] = publication_counts.get(src_venue, 0) + 1
-        for target in rec.references:
-            resolved = target if c.has_record(target) else right_to_left.get(target)
-            if resolved is None or not c.has_record(resolved):
-                continue
-            dst_venue = c.record(resolved).venue_key
-            if dst_venue is None:
-                continue
-            if dst_venue == src_venue:
-                self_citations[src_venue] = self_citations.get(src_venue, 0) + 1
-            else:
-                pair = (src_venue, dst_venue)
-                edge_counts[pair] = edge_counts.get(pair, 0) + 1
+    index = c.reference_index()
+    venues, record_venue = index.venues, index.record_venue
+    targets = index.targets
+    src = np.repeat(record_venue, np.diff(index.offsets))[targets >= 0]
+    dst = record_venue[targets[targets >= 0]]
+    live = (src >= 0) & (dst >= 0)
+    src, dst = src[live], dst[live]
+    self_citations = np.bincount(src[src == dst], minlength=len(venues))
+    # venue ids follow venue names, so pair ids ascend as (source, target) names do
+    pairs, counts = np.unique(src[src != dst] * len(venues) + dst[src != dst], return_counts=True)
+    publications = np.bincount(record_venue[record_venue >= 0], minlength=len(venues))
 
     g = VenueGraph(directed=True)
-    active = sorted(
-        {v for pair in edge_counts for v in pair} | set(self_citations)
-    )
-    for venue in active:
+    active = np.union1d(np.flatnonzero(self_citations), np.concatenate(np.divmod(pairs, len(venues))))
+    for v in active.tolist():
         g.add_node(
-            venue,
-            publication_count=publication_counts.get(venue, 0),
-            self_citations=self_citations.get(venue, 0),
+            venues[v],
+            publication_count=int(publications[v]),
+            self_citations=int(self_citations[v]),
         )
-    for (src, dst), count in sorted(edge_counts.items()):
-        g.add_edge(src, dst, float(count))
+    for pair, count in zip(pairs.tolist(), counts.tolist()):
+        g.add_edge(venues[pair // len(venues)], venues[pair % len(venues)], float(count))
     return g
 
 

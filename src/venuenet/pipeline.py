@@ -226,7 +226,6 @@ class _Run:
         self.meta: Corpus | None = None
         self.cite: Corpus | None = None
         self.linked: Corpus | None = None
-        self.matches: list[linkage.MatchPair] = []
         self.coupling: networks.CouplingMatrix | None = None
         self.knowledge: VenueGraph | None = None
         self.citation: VenueGraph | None = None
@@ -273,16 +272,13 @@ def _stage_ingest(run: _Run) -> None:
 
 def _stage_link(run: _Run) -> None:
     cfg = run.cfg
+    matches = []
+    run.linked = run.meta
     if run.cite is not None:
-        run.matches = linkage.link_corpora(
-            run.meta, run.cite, jaccard_min=cfg.jaccard_min, sw_min=cfg.sw_min
-        )
-        run.linked = linkage.attach_references(run.meta, run.cite, run.matches)
-    else:
-        run.matches = []
-        run.linked = run.meta
+        matches = linkage.link_corpora(run.meta, run.cite, jaccard_min=cfg.jaccard_min, sw_min=cfg.sw_min)
+        run.linked = linkage.attach_references(run.meta, run.cite, matches)
     path = run.out_dir / "matches.tsv"
-    linkage.write_matches(run.matches, path)
+    linkage.write_matches(matches, path)
     run.record("link", path)
 
 
@@ -292,7 +288,7 @@ def _stage_build(run: _Run) -> None:
     with open(coupling_path, "wb") as fh:
         fh.write(run.coupling.to_json())
     run.knowledge = networks.build_knowledge_network(run.coupling)
-    run.citation = networks.build_citation_network(run.linked, run.matches)
+    run.citation = networks.build_citation_network(run.linked)
     k_path = run.out_dir / "knowledge_full.tsv"
     f_path = run.out_dir / "citation_full.tsv"
     write_graph(run.knowledge, k_path)

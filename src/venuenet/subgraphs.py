@@ -58,10 +58,13 @@ class CitationSubgraph:
 
 def publication_citation_graph(c: Corpus) -> dict[str, list[str]]:
     """Publication-level citation adjacency over in-corpus references."""
-    has_record = c.has_record
+    index = c.reference_index()
+    ids = [r.record_id for r in c.records]
+    bounds = index.offsets.tolist()
+    targets = index.targets.tolist()
     return {
-        rec.record_id: [t for t in rec.references if has_record(t) and t != rec.record_id]
-        for rec in c.records
+        ids[r]: [ids[t] for t in targets[bounds[r] : bounds[r + 1]] if t >= 0 and t != r]
+        for r in range(len(ids))
     }
 
 
@@ -92,33 +95,32 @@ def extract_coauthorship_subgraph(
     return CoauthorshipSubgraph(venue_key=venue_key, graph=VenueGraph.from_adjacency(adj, directed=False))
 
 
-def extract_citation_subgraph(
-    c: Corpus,
-    venue_key: str,
-    citation_index: dict[str, list[str]] | None = None,
-    records: Sequence | None = None,
-) -> CitationSubgraph:
+def extract_citation_subgraph(c: Corpus, venue_key: str, records: Sequence | None = None) -> CitationSubgraph:
     """Induced citation graph over the publications the venue cites.
 
     The node set is exactly the venue's reference targets that resolve to
     corpus records; edges are the corpus-wide citations among that set.
-    Precomputed `citation_index` / `records` avoid per-venue corpus scans.
+    `records` optionally short-circuits the corpus scan with the venue's own
+    publication list.
     """
     if venue_key not in c.venue_table:
         raise UnknownVenueError(f"unknown venue {venue_key!r}")
-    if citation_index is None:
-        citation_index = publication_citation_graph(c)
     if records is None:
         records = [r for r in c.records if r.venue_key == venue_key]
-
-    has_record = c.has_record
-    cited = {target for rec in records for target in rec.references if has_record(target)}
-    adj: dict[str, dict[str, float]] = {node: {} for node in sorted(cited)}
-    for node, nbrs in adj.items():
-        for target in citation_index.get(node, ()):
-            if target in cited:
-                weight = nbrs.get(target)
-                nbrs[target] = 1.0 if weight is None else weight + 1.0
+    index = c.reference_index()
+    targets, _ = index.references_of(np.array([c.row(r.record_id) for r in records], dtype=np.int64))
+    names = {row: c.records[row].record_id for row in targets[targets >= 0].tolist()}
+    nodes = np.array(sorted(names, key=names.__getitem__), dtype=np.int64)
+    adj: dict[str, dict[str, float]] = {names[row]: {} for row in nodes.tolist()}
+    # nodes in name order, each one's neighbours in the order it cites them
+    targets, owners = index.references_of(nodes)
+    cited = np.zeros(len(c.records) + 1, dtype=bool)  # the last slot stands for every external key
+    cited[nodes] = True
+    edge = cited[np.maximum(targets, -1)] & (targets != owners)
+    for u, v in zip(owners[edge].tolist(), targets[edge].tolist()):
+        nbrs, target = adj[names[u]], names[v]
+        weight = nbrs.get(target)
+        nbrs[target] = 1.0 if weight is None else weight + 1.0
     return CitationSubgraph(venue_key=venue_key, graph=VenueGraph.from_adjacency(adj, directed=True))
 
 
@@ -250,12 +252,11 @@ def profile_venues(
     venue with publications, keyed by family. A venue gets no row in a family
     whose subgraph is empty; `ranks` supplies each row's PageRank, if any.
     M3 comes from one batched betweenness run per batch of venues."""
-    citation_index = publication_citation_graph(c)
     by_venue = c.records_by_venue()
     venues = sorted(by_venue)
     extractors = {
         "coauthorship": lambda v: extract_coauthorship_subgraph(c, v, records=by_venue[v]),
-        "citation": lambda v: extract_citation_subgraph(c, v, citation_index, records=by_venue[v]),
+        "citation": lambda v: extract_citation_subgraph(c, v, records=by_venue[v]),
     }
     by_family: dict[str, list[ProfileRow]] = {}
     for family, extract in extractors.items():

@@ -6,8 +6,11 @@ DP instead of the rolling-array scorer, pairwise modularity sums instead of
 the cluster-aggregated form, exhaustive partition search, a full pair
 rescan per merge instead of the heap-based greedy modularity loop, Brandes
 one source at a time instead of the source-batched kernel, a per-key
-dictionary loop instead of the chunked sparse cosine product, and the
-standard library's encoders instead of the direct JSON and GraphML writers.
+dictionary loop instead of the chunked sparse cosine product, the
+standard library's encoders instead of the direct JSON and GraphML writers,
+per-reference `Corpus.has_record` calls instead of the corpus's reference
+index, a pairwise cosine loop instead of the sparse product for the cluster
+network, and a per-character scan instead of the title token regex.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import xml.etree.ElementTree as ET
 from collections import deque
 
 from venuenet.community import ClusterPartition, CommunityError, modularity
+from venuenet.corpus import Corpus, PublicationRecord, VenueInfo, normalize_reference_key
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
 from venuenet.graph import VenueGraph
-from venuenet.networks import CouplingMatrix
+from venuenet.networks import CouplingMatrix, cosine_of_vectors
 
 INF = float("inf")
 
@@ -473,3 +477,131 @@ def graphml_et(g: VenueGraph) -> bytes:
     buf = io.BytesIO()
     ET.ElementTree(root).write(buf, encoding="utf-8", xml_declaration=True)
     return buf.getvalue()
+
+
+def coupling_matrix_loop(c: Corpus) -> CouplingMatrix:
+    """Coupling counts with one `has_record` call per reference: a target
+    that is a record id is its own key, any other its normalized form."""
+    vectors: dict[str, dict[str, int]] = {}
+    publication_counts: dict[str, int] = {}
+    for rec in c.records:
+        venue = rec.venue_key
+        if venue is None:
+            continue
+        publication_counts[venue] = publication_counts.get(venue, 0) + 1
+        if not rec.references:
+            continue
+        vec = vectors.setdefault(venue, {})
+        for target in rec.references:
+            key = target if c.has_record(target) else normalize_reference_key(target)
+            vec[key] = vec.get(key, 0) + 1
+    venues = sorted(vectors)
+    return CouplingMatrix(
+        venues=venues,
+        vectors={v: vectors[v] for v in venues},
+        publication_counts={v: publication_counts[v] for v in venues},
+    )
+
+
+def citation_network_loop(c: Corpus) -> VenueGraph:
+    """F with one `has_record` call per reference, built node by node and
+    edge by edge in sorted order."""
+    edge_counts: dict[tuple[str, str], int] = {}
+    self_citations: dict[str, int] = {}
+    publication_counts: dict[str, int] = {}
+    for rec in c.records:
+        src_venue = rec.venue_key
+        if src_venue is None:
+            continue
+        publication_counts[src_venue] = publication_counts.get(src_venue, 0) + 1
+        for target in rec.references:
+            if not c.has_record(target):
+                continue
+            dst_venue = c.record(target).venue_key
+            if dst_venue is None:
+                continue
+            if dst_venue == src_venue:
+                self_citations[src_venue] = self_citations.get(src_venue, 0) + 1
+            else:
+                pair = (src_venue, dst_venue)
+                edge_counts[pair] = edge_counts.get(pair, 0) + 1
+
+    g = VenueGraph(directed=True)
+    for venue in sorted({v for pair in edge_counts for v in pair} | set(self_citations)):
+        g.add_node(
+            venue,
+            publication_count=publication_counts.get(venue, 0),
+            self_citations=self_citations.get(venue, 0),
+        )
+    for (src, dst), count in sorted(edge_counts.items()):
+        g.add_edge(src, dst, float(count))
+    return g
+
+
+def publication_citation_graph_loop(c: Corpus) -> dict[str, list[str]]:
+    """Each record's in-corpus references other than itself, in order."""
+    return {
+        rec.record_id: [t for t in rec.references if c.has_record(t) and t != rec.record_id]
+        for rec in c.records
+    }
+
+
+def cluster_network_loop(
+    cluster_matrix: CouplingMatrix, venue_counts: dict[str, int]
+) -> VenueGraph:
+    """The cluster network by one `cosine_of_vectors` call per cluster
+    pair, in sorted pair order."""
+    clusters = cluster_matrix.venues
+    graph = VenueGraph(directed=False)
+    for cluster in clusters:
+        graph.add_node(
+            cluster,
+            venue_count=venue_counts.get(cluster, 0),
+            publication_count=cluster_matrix.publication_counts.get(cluster, 0),
+        )
+    for x in range(len(clusters)):
+        for y in range(x + 1, len(clusters)):
+            weight = cosine_of_vectors(cluster_matrix.vectors[clusters[x]], cluster_matrix.vectors[clusters[y]])
+            if weight > 0:
+                graph.add_edge(clusters[x], clusters[y], weight)
+    return graph
+
+
+def tokenize_title_loop(title: str) -> frozenset[str]:
+    """Title tokens by testing every character with `str.isalnum`."""
+    cleaned = "".join(c if c.isalnum() else " " for c in title.lower())
+    return frozenset(cleaned.split())
+
+
+def random_reference_corpus(seed: int, records: int = 60) -> Corpus:
+    """Seeded corpus whose references mix record ids (self-citations and
+    repeats included), upper-cased record ids (external keys that normalize
+    to a record id) and raw strings in several spellings. Some records have
+    no venue, and one venue is missing from the venue table."""
+    rng = random.Random(seed)
+    ids = [f"p{i}" for i in range(records)]
+    venues = [f"v{i}" for i in range(rng.randint(1, 6))]
+    raw = ["classic book", "Classic  Book", " other work", "OTHER WORK", "p1 x"]
+    recs = []
+    for rid in ids:
+        refs = []
+        for _ in range(rng.randint(0, 6)):
+            r = rng.random()
+            if r < 0.5:
+                refs.append(rng.choice(ids))
+            elif r < 0.7:
+                refs.append(rng.choice(ids).upper())
+            else:
+                refs.append(rng.choice(raw))
+        recs.append(
+            PublicationRecord(
+                record_id=rid,
+                source="metadata-corpus",
+                title="T",
+                authors=(),
+                venue_key=rng.choice(venues + [None]),
+                year=None,
+                references=tuple(refs),
+            )
+        )
+    return Corpus(records=recs, venue_table={v: VenueInfo(name=v) for v in venues[1:]})

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import (
     best_modularity_exhaustive,
+    cluster_network_loop,
     greedy_modularity_scan,
     modularity_pairsum_oracle,
     random_test_graph,
@@ -17,6 +18,7 @@ from venuenet.community import (
     read_partition,
     write_partition,
 )
+from venuenet.exports import export_graph
 from venuenet.graph import VenueGraph
 from venuenet.networks import (
     COSINE_MIN_DEFAULT,
@@ -346,6 +348,40 @@ class TestProjection:
         assert projection.graph.nodes["c1"]["venue_count"] == 3  # two members + adopted v3
 
 
+class TestClusterNetworkKernel:
+    """The cluster graph comes from the knowledge-network kernel; its edge
+    TSV must equal the pairwise cosine loop's, byte for byte."""
+
+    def _assert_equals_loop(self, m, p):
+        projection = project_to_cluster_network(m, p)
+        venue_counts = {cluster: projection.graph.nodes[cluster]["venue_count"] for cluster in projection.graph.nodes}
+        expected = cluster_network_loop(projection.cluster_matrix, venue_counts)
+        assert export_graph(projection.graph, "edge-tsv") == export_graph(expected, "edge-tsv")
+        members = {}
+        for venue, cluster in [*p.assignment.items(), *projection.new_assignments.items()]:
+            members[cluster] = members.get(cluster, 0) + 1
+        assert venue_counts == members
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_random_matrices(self, seed):
+        rng = random.Random(seed)
+        keys = [f"k{i}" for i in range(rng.randint(1, 30))]
+        top = rng.choice([3, 1000, 1 << 40])  # 2^40 overflows int64 norm products
+        vectors = {
+            f"v{i:02d}": {k: rng.randint(1, top) for k in rng.sample(keys, rng.randint(0, len(keys)))}
+            for i in range(rng.randint(1, 30))
+        }
+        m = CouplingMatrix(venues=sorted(vectors), vectors=vectors, publication_counts={v: rng.randint(0, 9) for v in vectors})
+        clusters = rng.randint(1, 8)
+        assignment = {v: f"c{rng.randrange(clusters)}" for v in vectors if rng.random() < 0.8}
+        self._assert_equals_loop(m, ClusterPartition(assignment=assignment, q=0.0))
+
+    def test_workload_shaped_corpus(self):
+        m = build_coupling_matrix(scale_corpus(60, 8, groups=6, seed=4))
+        k_prime = apply_threshold(build_knowledge_network(m), ThresholdRule("cosine", COSINE_MIN_DEFAULT))
+        self._assert_equals_loop(m, greedy_modularity_partition(k_prime))
+
+
 class TestDomainComposition:
     def test_counts_and_uncategorized(self):
         from venuenet.community import cluster_domain_composition
@@ -369,3 +405,10 @@ class TestPartitionIO:
         again = read_partition(path)
         assert again.assignment == p.assignment
         assert again.q == p.q
+
+    def test_bad_rows_name_the_line(self, tmp_path):
+        path = tmp_path / "partition.tsv"
+        for text, line in [("# q=0.5\nvenue_key\tcluster_id\nv1\n", 3), ("# q=abc\n", 1), ("v1\tc1\tx\n", 1)]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"^{path}: line {line}: "):
+                read_partition(path)

@@ -1,9 +1,11 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from conftest import corpus_from_lines
+from oracles import random_reference_corpus
 from venuenet.corpus import (
     AuthorName,
     Corpus,
@@ -12,6 +14,7 @@ from venuenet.corpus import (
     PublicationRecord,
     VenueInfo,
     last_name_key,
+    normalize_reference_key,
     parse_dblp_xml,
     parse_jsonl,
     serialize_corpus,
@@ -293,6 +296,45 @@ class TestValidation:
         before = serialize_corpus(small_corpus)
         validate_corpus(small_corpus)
         assert serialize_corpus(small_corpus) == before
+
+
+class TestReferenceIndex:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_per_reference_has_record(self, seed):
+        corpus = random_reference_corpus(seed)
+        index = corpus.reference_index()
+        assert corpus.reference_index() is index  # built once
+        assert index.venues == sorted({r.venue_key for r in corpus.records} - {None})
+        assert index.offsets[-1] == index.targets.size
+        for row, rec in enumerate(corpus.records):
+            venue = index.record_venue[row]
+            assert (index.venues[venue] if venue >= 0 else None) == rec.venue_key
+            targets = index.targets[index.offsets[row] : index.offsets[row + 1]].tolist()
+            assert len(targets) == len(rec.references)
+            for ref, t in zip(rec.references, targets):
+                if corpus.has_record(ref):
+                    assert t == corpus.row(ref)
+                else:
+                    assert t < 0 and index.external_keys[-1 - t] == normalize_reference_key(ref)
+        assert len(set(index.external_keys)) == len(index.external_keys)
+        report = validate_corpus(corpus)
+        refs = [t for rec in corpus.records for t in rec.references]
+        assert report.resolved_reference_count == sum(map(corpus.has_record, refs))
+        assert report.unresolved_reference_count == len(refs) - report.resolved_reference_count
+
+    def test_references_of_rows(self):
+        corpus = random_reference_corpus(3)
+        index = corpus.reference_index()
+        rows = np.array([5, 0, 5, 17], dtype=np.int64)
+        targets, owners = index.references_of(rows)
+        expected = [(t, r) for r in rows.tolist() for t in index.targets[index.offsets[r] : index.offsets[r + 1]].tolist()]
+        assert list(zip(targets.tolist(), owners.tolist())) == expected
+        targets, owners = index.references_of(np.zeros(0, dtype=np.int64))
+        assert targets.size == owners.size == 0
+
+    def test_empty_corpus(self):
+        index = Corpus(records=[], venue_table={}).reference_index()
+        assert index.targets.size == 0 and index.offsets.tolist() == [0] and index.venues == []
 
 
 class TestSliceByYear:

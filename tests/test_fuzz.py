@@ -1,0 +1,128 @@
+"""Property-based fuzzing of every parser and stage reader: whatever the
+bytes, only the documented input errors may escape (the CLI turns those into
+exit 1 with a message), never a traceback-producing exception."""
+
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from venuenet.community import read_partition
+from venuenet.corpus import CorpusError, parse_dblp_xml, parse_jsonl
+from venuenet.exports import ExportError, import_graph
+from venuenet.linkage import MATCHES_HEADER, read_matches
+from venuenet.networks import CouplingMatrix
+from venuenet.pipeline import ConfigError, PipelineConfig
+
+INPUT_ERRORS = (CorpusError, ConfigError, ExportError, ValueError)
+
+FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+RECORD_KEYS = ["id", "title", "authors", "venue", "year", "refs", "venue_key", "name", "kind", "source",
+               "format", "directed", "nodes", "edges", "venues", "vectors", "publication_counts"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["journal", "metadata-corpus", "venuenet-graph/1", "p1", "v1"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(RECORD_KEYS) | st.text(max_size=4), children, max_size=5),
+    max_leaves=12,
+)
+
+# pieces of well-formed input, shuffled into the ill-formed
+fragments = st.sampled_from(
+    ["\t", "\n", "#", "#node\t", " ", "=", ",", "nan", "-1", "0", "1e999", "1.5", "a", "b", "{}", "[1]",
+     '{"key": 1}', "[" * 3000, "9" * 5000, "\x00", "\udcff", "é"]
+) | st.text(max_size=6)
+texts = st.lists(fragments, max_size=30).map("".join)
+
+
+def _encode(text: str) -> bytes:
+    return text.encode("utf-8", "surrogateescape")  # "\udcff" becomes the invalid byte 0xff
+
+
+def _only_input_errors(fn, *args):
+    try:
+        fn(*args)
+    except INPUT_ERRORS:
+        pass
+
+
+def _from_file(reader, data: bytes):
+    fd, path = tempfile.mkstemp()
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        _only_input_errors(reader, path)
+    finally:
+        os.unlink(path)
+
+
+@FUZZ
+@given(st.lists(json_values.map(json.dumps).map(str.encode) | st.binary(max_size=20) | texts.map(_encode), max_size=6))
+def test_parse_jsonl(lines):
+    _only_input_errors(parse_jsonl, io.BytesIO(b"\n".join(lines)))
+
+
+XML_PIECES = st.sampled_from(
+    ["<dblp>", "</dblp>", '<article key="journals/j/a1">', '<inproceedings key="conf/c/b2">', "</article>",
+     "</inproceedings>", "<article>", '<article key="">', "<title>", "</title>", "<author>", "</author>",
+     "<year>", "</year>", "<cite>", "</cite>", "<journal>", "</journal>", "1995", "99999", "x" * 3,
+     "&amp;", "&bogus;", "<![CDATA[", "]]>", "<?xml version='1.0' encoding='foo'?>", "\x00"]
+) | st.text(max_size=5)
+
+
+@FUZZ
+@given(st.lists(XML_PIECES, max_size=40).map("".join) | st.binary(max_size=40).map(lambda b: b.decode("latin-1")))
+def test_parse_dblp_xml(text):
+    _only_input_errors(parse_dblp_xml, io.BytesIO(_encode(text)))
+
+
+CONFIG_KEYS = st.sampled_from(["schema", "metadata_corpus", "cosine_min", "pagerank_max_iter", "slice_years",
+                               "histogram_bins", "citation_min", "mystery"]) | st.text(max_size=5)
+
+
+@FUZZ
+@given(st.lists(st.tuples(CONFIG_KEYS, texts), max_size=8), texts)
+def test_pipeline_config_from_text(pairs, tail):
+    _only_input_errors(PipelineConfig.from_text, "".join(f"{k} = {v}\n" for k, v in pairs) + tail)
+
+
+@FUZZ
+@given(texts)
+def test_edge_tsv_reader(body):
+    _only_input_errors(import_graph, _encode("# venuenet-graph directed=true\n" + body), "edge-tsv")
+    _only_input_errors(import_graph, _encode(body), "edge-tsv")
+
+
+@FUZZ
+@given(json_values, json_values, st.booleans())
+def test_json_graph_reader(nodes, edges, directed):
+    doc = {"format": "venuenet-graph/1", "directed": directed, "nodes": nodes, "edges": edges}
+    _only_input_errors(import_graph, json.dumps(doc).encode(), "json")
+    _only_input_errors(import_graph, json.dumps(nodes).encode(), "json")
+
+
+@FUZZ
+@given(json_values, json_values, json_values, texts)
+def test_coupling_matrix_reader(venues, vectors, counts, raw):
+    doc = {"venues": venues, "vectors": vectors, "publication_counts": counts}
+    _only_input_errors(CouplingMatrix.from_json, json.dumps(doc).encode())
+    _only_input_errors(CouplingMatrix.from_json, _encode(raw))
+
+
+@FUZZ
+@given(texts, st.booleans())
+def test_matches_reader(body, with_header):
+    _from_file(read_matches, _encode((MATCHES_HEADER + "\n" if with_header else "") + body))
+
+
+@FUZZ
+@given(texts)
+def test_partition_reader(body):
+    _from_file(read_partition, _encode(body))

@@ -3,8 +3,12 @@ import string
 
 import pytest
 
+from click.testing import CliRunner
+
 from conftest import corpus_from_lines
-from oracles import sw_score_matrix
+from oracles import sw_score_matrix, tokenize_title_loop
+from venuenet.cli import main
+from venuenet.exports import load_graph
 from venuenet.linkage import (
     DEFAULT_SW_MIN,
     MatchPair,
@@ -15,7 +19,10 @@ from venuenet.linkage import (
     smith_waterman_similarity,
     tokenize_title,
     unmatchable_records,
+    write_matches,
 )
+from venuenet.networks import CouplingMatrix, build_citation_network, build_coupling_matrix
+from venuenet.subgraphs import extract_citation_subgraph
 from venuenet.synth import linkage_benchmark_corpora
 
 JACCARD_GATES = (0, 0.05, 0.1, 1 / 3, 0.5, 2 / 3, 0.7, 0.9, 1.0)
@@ -82,6 +89,24 @@ class TestTokenizer:
 
     def test_no_empty_tokens(self):
         assert tokenize_title("!!! ... ---") == frozenset()
+
+    def test_underscore_and_unicode_separate_tokens(self):
+        assert tokenize_title("snake_case Straße 2ⁿ Ⅻ") == frozenset({"snake", "case", "straße", "2ⁿ", "ⅻ"})
+
+    def test_every_code_point_equals_character_scan(self):
+        # Space-separated blocks: where the two disagree on a character, one
+        # has a token holding it and the other has none, so the sets differ.
+        for start in range(0, 0x110000, 256):
+            title = " ".join(map(chr, range(start, min(start + 256, 0x110000))))
+            assert tokenize_title(title) == tokenize_title_loop(title), hex(start)
+
+    def test_random_mixed_strings_equal_character_scan(self):
+        rng = random.Random(17)
+        alphabet = string.ascii_letters + string.digits + string.punctuation + " \t_" + "éßİıǅⅫ²٣€—\u0301\u00a0"
+        for _ in range(3000):
+            title = "".join(rng.choice(alphabet) if rng.random() < 0.9 else chr(rng.randrange(0x110000))
+                            for _ in range(rng.randrange(30)))
+            assert tokenize_title(title) == tokenize_title_loop(title), repr(title)
 
 
 class TestJaccard:
@@ -362,3 +387,65 @@ class TestAttachReferences:
         cite = corpus_from_lines('{"source": "citation-corpus"}', '{"id": "c9", "title": "Other"}')
         linked = attach_references(meta, cite, [])
         assert linked.record("m1").references == ("keep me",)
+
+
+def _write_lines(path, *lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestOneResolutionRule:
+    """A matched citation id is rewritten to its metadata id first; a target
+    then resolves when it is a record id; otherwise it is an external key."""
+
+    CITE = ('{"source": "citation-corpus"}', '{"id": "c2", "title": "Two"}')
+
+    def _linked(self, *meta_lines):
+        meta = corpus_from_lines(*meta_lines)
+        cite = corpus_from_lines(*self.CITE)
+        return attach_references(meta, cite, [MatchPair(left="m2", right="c2", jaccard=1.0, sw_similarity=1.0)])
+
+    def _assert_points_at_m2(self, linked):
+        assert linked.record("m1").references == ("m2",)
+        assert build_citation_network(linked).sorted_edges() == [("A", "B", 1.0)]
+        assert build_coupling_matrix(linked).vectors["A"] == {"m2": 1}
+        assert list(extract_citation_subgraph(linked, "A").graph.nodes) == ["m2"]
+
+    def test_unmatched_record_own_reference_to_a_matched_citation_id(self):
+        self._assert_points_at_m2(
+            self._linked(
+                '{"id": "m1", "title": "One", "venue": "A", "refs": ["c2"]}',
+                '{"id": "m2", "title": "Two", "venue": "B"}',
+            )
+        )
+
+    def test_matched_id_first_when_the_target_is_also_a_record_id(self):
+        meta_lines = (
+            '{"id": "m1", "title": "One", "venue": "A", "refs": ["c2"]}',
+            '{"id": "m2", "title": "Two", "venue": "B"}',
+            '{"id": "c2", "title": "Three", "venue": "C"}',
+        )
+        self._assert_points_at_m2(self._linked(*meta_lines))
+
+    def test_build_with_matches_applies_the_same_rewrite(self, tmp_path):
+        corpus = _write_lines(
+            tmp_path / "meta.jsonl",
+            '{"id": "m1", "title": "One", "venue": "A", "refs": ["c2", "c2"]}',
+            '{"id": "m2", "title": "Two", "venue": "B", "refs": ["c2"]}',
+            '{"id": "c2", "title": "Three", "venue": "C"}',
+        )
+        matches = tmp_path / "matches.tsv"
+        write_matches([MatchPair(left="m2", right="c2", jaccard=1.0, sw_similarity=1.0)], matches)
+        runner = CliRunner()
+        out, matrix = tmp_path / "f.tsv", tmp_path / "coupling.json"
+        result = runner.invoke(main, ["build", str(corpus), "--network", "citation", "--matches", str(matches), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert load_graph(out).sorted_edges() == [("A", "B", 2.0)]
+        assert load_graph(out).nodes["B"]["self_citations"] == 1
+        result = runner.invoke(
+            main,
+            ["build", str(corpus), "--network", "knowledge", "--matches", str(matches),
+             "--out", str(tmp_path / "k.tsv"), "--matrix-out", str(matrix)],
+        )
+        assert result.exit_code == 0, result.output
+        assert CouplingMatrix.from_json(matrix.read_bytes()).vectors == {"A": {"m2": 2}, "B": {"m2": 1}}

@@ -4,10 +4,17 @@ import random
 import pytest
 
 from conftest import corpus_from_lines
-from oracles import coupling_json_dumps, knowledge_network_loop
+from oracles import (
+    citation_network_loop,
+    coupling_json_dumps,
+    coupling_matrix_loop,
+    knowledge_network_loop,
+    random_reference_corpus,
+)
 from venuenet import networks
+from venuenet.exports import export_graph
 from venuenet.graph import VenueGraph
-from venuenet.linkage import MatchPair
+from venuenet.linkage import MatchPair, rewrite_matched_references
 from venuenet.networks import (
     CouplingMatrix,
     ThresholdRule,
@@ -312,8 +319,9 @@ class TestCitationNetwork:
             '{"id": "b1", "title": "B", "venue": "B", "refs": []}',
         )
         matches = [MatchPair(left="b1", right="cx9", jaccard=1.0, sw_similarity=1.0)]
-        g = build_citation_network(corpus, matches)
+        g = build_citation_network(rewrite_matched_references(corpus, matches))
         assert g.weight("A", "B") == 1.0
+        assert build_citation_network(corpus).edge_count() == 0
 
     def test_total_weight_identity(self):
         # total edge weight == resolvable references minus within-venue citations
@@ -339,6 +347,46 @@ class TestCitationNetwork:
                     if corpus.record(t).venue_key == rec.venue_key:
                         within += 1
         assert g.total_edge_weight() == resolvable - within
+
+
+def adjacency_in_order(g: VenueGraph):
+    return [(u, g.nodes[u], list(g.neighbors(u).items())) for u in g.nodes]
+
+
+class TestBuildersOnTheReferenceIndex:
+    """Coupling and F read the corpus's reference index; they must equal the
+    per-reference `has_record` loops they replaced."""
+
+    CORPORA = [lambda s=s: random_reference_corpus(s) for s in range(10)] + [
+        lambda: scale_corpus(30, 12, groups=5, seed=2),
+        lambda: corpus_from_lines('{"id": "a", "title": "A"}'),
+    ]
+
+    @pytest.mark.parametrize("make", CORPORA)
+    def test_coupling_matrix_equals_loop(self, make):
+        corpus = make()
+        m, expected = build_coupling_matrix(corpus), coupling_matrix_loop(corpus)
+        assert m == expected
+        assert m.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("make", CORPORA)
+    def test_citation_network_equals_loop(self, make):
+        corpus = make()
+        g, expected = build_citation_network(corpus), citation_network_loop(corpus)
+        assert adjacency_in_order(g) == adjacency_in_order(expected)
+        assert export_graph(g, "edge-tsv") == export_graph(expected, "edge-tsv")
+
+    def test_in_corpus_id_shares_key_with_a_normalized_reference(self):
+        corpus = corpus_from_lines(
+            '{"id": "a1", "title": "A", "venue": "A", "refs": ["p1", " P1 "]}',
+            '{"id": "b1", "title": "B", "venue": "B", "refs": ["P1"]}',
+            '{"id": "p1", "title": "P", "venue": "C"}',
+        )
+        m = build_coupling_matrix(corpus)
+        assert m.vectors == {"A": {"p1": 2}, "B": {"p1": 1}}
+        # only the reference that is the record id resolves
+        g = build_citation_network(corpus)
+        assert g.sorted_edges() == [("A", "C", 1.0)]
 
 
 class TestThreshold:

@@ -11,6 +11,7 @@ from venuenet.cli import main
 from venuenet.community import read_partition
 from venuenet.corpus import save_corpus
 from venuenet.exports import load_graph
+from venuenet.linkage import MATCHES_HEADER
 from venuenet.networks import summarize
 from oracles import graphml_et
 from venuenet.subgraphs import PROFILES_HEADER, write_profiles
@@ -603,6 +604,53 @@ class TestCli:
         result = runner.invoke(main, ["run", "--config", str(cfg_path)])
         assert result.exit_code == 0, result.output
         assert "pipeline complete" in result.output
+
+
+TSV_HEADER = "# venuenet-graph directed=false\n"
+PARTITION_OK = "venue_key\tcluster_id\nv1\tv1\n"
+MATRIX_OK = '{"venues": ["v1"], "vectors": {"v1": {"k": 1}}}'
+
+# (case, command, {file name: content}, the file and position the error must name)
+READER_CASES = [
+    ("tsv-deep-node-attrs", "threshold", {"g.tsv": TSV_HEADER + "#node\tv1\t" + "[" * 100_000 + "\n"}, "g.tsv", "line 2"),
+    ("tsv-non-object-node-attrs", "threshold", {"g.tsv": TSV_HEADER + "#node\tv1\t[1]\n"}, "g.tsv", "line 2"),
+    ("tsv-self-loop", "threshold", {"g.tsv": TSV_HEADER + "a\tb\t1.0\na\ta\t1.0\n"}, "g.tsv", "line 3"),
+    ("tsv-negative-weight", "threshold", {"g.tsv": TSV_HEADER + "a\tb\t-1\n"}, "g.tsv", "line 2"),
+    ("tsv-nan-weight", "threshold", {"g.tsv": TSV_HEADER + "a\tb\tnan\n"}, "g.tsv", "line 2"),
+    ("tsv-short-row", "threshold", {"g.tsv": TSV_HEADER + "a\tb\n"}, "g.tsv", "line 2"),
+    ("json-graph-nodes-not-a-list", "export",
+     {"g.json": '{"format": "venuenet-graph/1", "directed": false, "nodes": 5, "edges": []}'}, "g.json", "'nodes'"),
+    ("matrix-deep", "project", {"m.json": "[" * 100_000, "p.tsv": PARTITION_OK}, "m.json", "nested too deeply"),
+    ("matrix-venues-not-a-list", "project",
+     {"m.json": '{"venues": 5, "vectors": {}}', "p.tsv": PARTITION_OK}, "m.json", "'venues'"),
+    ("matrix-top-level-list", "project", {"m.json": "[1, 2]", "p.tsv": PARTITION_OK}, "m.json", "JSON object"),
+    ("matrix-empty-object", "project", {"m.json": "{}", "p.tsv": PARTITION_OK}, "m.json", "'venues'"),
+    ("matrix-invalid-json", "project", {"m.json": '{"venues": [}', "p.tsv": PARTITION_OK}, "m.json", "line 1"),
+    ("partition-short-row", "project", {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v2\n"}, "p.tsv", "line 3"),
+    ("matches-missing-file", "build", {"c.jsonl": '{"id": "p1", "title": "T"}\n'}, "m.tsv", "No such file"),
+    ("matches-two-field-row", "build",
+     {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\n"}, "m.tsv", "line 2"),
+]
+READER_ARGS = {
+    "threshold": ["threshold", "{g.tsv}", "--rule", "cosine", "--out", "{out.tsv}"],
+    "export": ["export", "{g.json}", "--in-format", "json", "--format", "edge-tsv", "--out", "{out.tsv}"],
+    "project": ["project", "--matrix", "{m.json}", "--partition", "{p.tsv}", "--out", "{out.tsv}"],
+    "build": ["build", "{c.jsonl}", "--network", "citation", "--matches", "{m.tsv}", "--out", "{out.tsv}"],
+}
+
+
+@pytest.mark.parametrize("case, command, files, bad_file, position", READER_CASES, ids=[c[0] for c in READER_CASES])
+def test_stage_readers_exit_1_naming_file_and_position(tmp_path, case, command, files, bad_file, position):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    args = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in READER_ARGS[command]]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception  # not an escaped traceback
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert str(tmp_path / bad_file) in lines[0] and position in lines[0], lines[0]
+    assert not (tmp_path / "out.tsv").exists()
 
 
 class TestStageByStageCli:

@@ -25,3 +25,37 @@ def test_modules_import_only_stdlib_click_and_numpy():
                 continue
             found += [(path.name, name) for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def _calls_and_imports(path: Path) -> tuple[set[str], set[str]]:
+    """Names of the functions and methods `path` calls, and every module it
+    imports or imports from, as absolute names (`venuenet.linkage` for
+    `from . import linkage` or `from .linkage import x` in the package)."""
+    calls, imports = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+        elif isinstance(node, ast.Import):
+            imports.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["venuenet" if node.level else "", node.module]))
+            imports.add(module)
+            imports.update(f"{module}.{alias.name}" for alias in node.names)
+    return calls, imports
+
+
+def test_references_resolve_in_one_place():
+    """Only corpus.py asks whether a target is a record id (the others read
+    its reference index), only linkage.py applies the matched-id rewrite,
+    and the networks do not depend on linkage."""
+    found = []
+    for path in sorted(Path(venuenet.__file__).parent.rglob("*.py")):
+        calls, imports = _calls_and_imports(path)
+        if "has_record" in calls and path.name != "corpus.py":
+            found.append((path.name, "has_record"))
+        if "right_to_left_ids" in calls and path.name != "linkage.py":
+            found.append((path.name, "right_to_left_ids"))
+        if path.name == "networks.py" and "venuenet.linkage" in imports:
+            found.append((path.name, "imports linkage"))
+    assert found == []

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import corpus_from_lines
+from oracles import publication_citation_graph_loop, random_reference_corpus
 from venuenet import metrics
 from venuenet.graph import VenueGraph
 from venuenet.subgraphs import (
@@ -145,9 +146,8 @@ class TestCitationExtraction:
                 % (pid, i % 4, str(refs).replace("'", '"'))
             )
         corpus = corpus_from_lines(*lines)
-        index = publication_citation_graph(corpus)
         for venue in ["v0", "v1", "v2", "v3"]:
-            sg = extract_citation_subgraph(corpus, venue, index)
+            sg = extract_citation_subgraph(corpus, venue)
             cited = set()
             for rec in corpus.records:
                 if rec.venue_key == venue:
@@ -397,12 +397,22 @@ class TestBatchedProfiles:
     @pytest.mark.parametrize("name", sorted(CORPORA))
     def test_extraction_keeps_builder_order(self, name):
         corpus = self.CORPORA[name]()
-        index = publication_citation_graph(corpus)
+        index = publication_citation_graph_loop(corpus)
         for venue, records in corpus.records_by_venue().items():
             co = extract_coauthorship_subgraph(corpus, venue, records=records).graph
             assert adjacency_in_order(co) == adjacency_in_order(coauthorship_by_increments(records))
-            cit = extract_citation_subgraph(corpus, venue, index, records=records).graph
+            cit = extract_citation_subgraph(corpus, venue, records=records).graph
             assert adjacency_in_order(cit) == adjacency_in_order(citation_by_increments(corpus, records, index))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reference_index_readers_equal_has_record_oracles(self, seed):
+        corpus = random_reference_corpus(seed)  # self-citations, repeats, ids in upper case
+        index = publication_citation_graph_loop(corpus)
+        assert publication_citation_graph(corpus) == index
+        for venue, records in corpus.records_by_venue().items():
+            if venue in corpus.venue_table:
+                cit = extract_citation_subgraph(corpus, venue, records=records).graph
+                assert adjacency_in_order(cit) == adjacency_in_order(citation_by_increments(corpus, records, index))
 
     # The default budget, one venue per batch, and a budget that splits
     # batches of venues (and the kernel's blocks) mid-component.
@@ -414,11 +424,10 @@ class TestBatchedProfiles:
         monkeypatch.setattr(metrics, "BRANDES_BLOCK_CELLS", budget)
         rows = profile_venues(corpus, ranks)
         monkeypatch.undo()
-        index = publication_citation_graph(corpus)
         by_venue = corpus.records_by_venue()
         for family, extract in (
             ("coauthorship", lambda v: extract_coauthorship_subgraph(corpus, v)),
-            ("citation", lambda v: extract_citation_subgraph(corpus, v, index)),
+            ("citation", lambda v: extract_citation_subgraph(corpus, v)),
         ):
             expected = []
             for venue in sorted(by_venue):
