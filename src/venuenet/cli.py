@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .exports import ExportError, FORMATS, export_graph, load_graph, write_graph
 from .graph import VenueGraph
-from .pipeline import ConfigError, PipelineConfig, StageError, check_unit_interval, run_pipeline
+from .pipeline import ConfigError, PipelineConfig, RunManifest, StageError, check_unit_interval, run_pipeline
 
 
 def _fail_input(message: str) -> None:
@@ -35,6 +35,15 @@ def _fail_input(message: str) -> None:
 def _warn(message: str | None) -> None:
     if message:
         click.echo(f"warning: {message}", err=True)
+
+
+def _report(manifest: RunManifest, verbose: bool) -> None:
+    """Print a run's stage timings (with `verbose`) and its warnings on stderr."""
+    if verbose:
+        for timing in manifest.timings:
+            click.echo(timing.describe(), err=True)
+    for warning in manifest.warnings:
+        _warn(warning)
 
 
 def _load_corpus_or_fail(path: str) -> Corpus:
@@ -347,6 +356,7 @@ def export(graph_path: str, in_format: str, fmt: str, out: str) -> None:
 @click.option("--out-dir", type=click.Path(file_okay=False), help="Output directory (overrides config).")
 @click.option("--cosine-min", type=float, default=None, help="Knowledge-network threshold (overrides config).")
 @click.option("--citation-min", type=float, default=None, help="Citation-network threshold (overrides config).")
+@click.option("--verbose", is_flag=True, help="Print each stage's wall time, CPU time and peak RSS on stderr.")
 def run(
     config_path: str | None,
     corpus_path: str | None,
@@ -355,8 +365,10 @@ def run(
     out_dir: str | None,
     cosine_min: float | None,
     citation_min: float | None,
+    verbose: bool,
 ) -> None:
-    """Run the full pipeline and write a manifest of hashed artifacts."""
+    """Run the full pipeline and write a manifest of hashed artifacts and a
+    run report (run_report.json) of what each stage cost."""
     try:
         cfg = PipelineConfig.load(config_path) if config_path else PipelineConfig()
         if corpus_path:
@@ -379,14 +391,12 @@ def run(
     try:
         manifest = run_pipeline(cfg)
     except StageError as exc:
-        for warning in exc.manifest.warnings:
-            _warn(warning)
+        _report(exc.manifest, verbose)
         click.echo(f"error: {exc}", err=True)
         if exc.stage == "ingest" and isinstance(exc.cause, (OSError, CorpusError)):
             sys.exit(1)
         sys.exit(2)
-    for warning in manifest.warnings:
-        _warn(warning)
+    _report(manifest, verbose)
     stages = ", ".join(manifest.stage_names())
     click.echo(f"pipeline complete: {stages}")
     click.echo(f"manifest: {cfg.out_dir}/manifest.json")

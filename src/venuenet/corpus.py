@@ -18,12 +18,13 @@ may legitimately point at preprints or venues outside the corpus).
 
 from __future__ import annotations
 
-import io
 import json
 import unicodedata
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, replace
-from typing import BinaryIO, Iterable
+from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -71,12 +72,24 @@ def last_name_key(full_name: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class AuthorName:
+    """An author by full name. Its blocking key (`last_name_key`) is
+    computed on first read and kept: only linkage reads it, and a parse
+    shares one AuthorName among all occurrences of a name."""
+
     full_name: str
-    last_name_key: str
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_full_name(cls, full_name: str) -> "AuthorName":
-        return cls(full_name=full_name, last_name_key=last_name_key(full_name))
+        return cls(full_name)
+
+    @property
+    def last_name_key(self) -> str:
+        key = self._key
+        if key is None:
+            key = last_name_key(self.full_name)
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 @dataclass(slots=True)
@@ -225,92 +238,123 @@ def _make_authors(
     names: Iterable[str], position: str, interned: dict[str, AuthorName]
 ) -> tuple[AuthorName, ...]:
     """`interned` holds one AuthorName per distinct full name seen so far in
-    the parse, so each name's blocking key is computed once."""
+    the parse, so each name is checked and stored once."""
     authors = []
     for name in names:
-        if not isinstance(name, str) or not name.strip():
+        if not isinstance(name, str):  # before the lookup: a list is no dict key
             raise MalformedEntryError(position, f"empty or non-string author name {name!r}")
         author = interned.get(name)
         if author is None:
-            author = interned[name] = AuthorName.from_full_name(name)
+            if not name.strip():
+                raise MalformedEntryError(position, f"empty or non-string author name {name!r}")
+            author = interned[name] = AuthorName(name)
         authors.append(author)
     return tuple(authors)
 
 
+# json's C scanner, called on a line directly: json.loads would add a type
+# check, a BOM check and two whitespace matches around it per line. A line
+# the scan does not take whole goes to json.loads, for its error message.
+_scan_json = make_scanner(json.JSONDecoder())
+
+
+def _all_strings(items: list) -> bool:
+    try:
+        "".join(items)  # str.join takes strings only; one C loop, no generator
+    except TypeError:
+        return False
+    return True
+
+
+def _loads(line: str, position: str):
+    """json.loads(line), its failures as malformed entries with its message."""
+    try:
+        return json.loads(line)
+    except RecursionError as exc:
+        raise MalformedEntryError(position, "JSON nested too deeply") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        raise MalformedEntryError(position, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+
+
+def _venue_line(obj: dict, position: str) -> tuple[str, VenueInfo]:
+    key = obj["venue_key"]
+    if not isinstance(key, str) or not key:
+        raise MalformedEntryError(position, f"venue_key must be a non-empty string, got {key!r}")
+    name = obj.get("name", key)
+    if not isinstance(name, str):
+        raise MalformedEntryError(position, f"venue name must be a string, got {name!r}")
+    kind = obj.get("kind", UNKNOWN_KIND)
+    if kind not in VENUE_KINDS:
+        raise MalformedEntryError(position, f"venue kind must be one of {', '.join(VENUE_KINDS)}, got {kind!r}")
+    return key, VenueInfo(name=name, kind=kind)
+
+
 def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPUS) -> Corpus:
+    """One JSON object per line: records, venue lines and a source header.
+
+    Each line is decoded on its own; the first bad line raises with its
+    number. The checks run in a fixed order, so a line with several faults
+    always reports the same one."""
     records: list[PublicationRecord] = []
     venue_table: dict[str, VenueInfo] = {}
     seen_ids: set[str] = set()
     interned: dict[str, AuthorName] = {}
 
     for lineno, raw in enumerate(stream, start=1):
-        position = f"line {lineno}"
         try:
             line = raw.decode("utf-8").strip()
         except UnicodeDecodeError as exc:
-            raise MalformedEntryError(position, f"invalid UTF-8 at byte {exc.start}") from exc
+            raise MalformedEntryError(f"line {lineno}", f"invalid UTF-8 at byte {exc.start}") from exc
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except RecursionError as exc:
-            raise MalformedEntryError(position, "JSON nested too deeply") from exc
-        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-            raise MalformedEntryError(position, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-        if not isinstance(obj, dict):
-            raise MalformedEntryError(position, "expected a JSON object")
-
-        if "source" in obj and "id" not in obj and "venue_key" not in obj:
-            source = obj["source"]
-            if source not in CORPUS_SOURCES:
-                raise MalformedEntryError(position, f"source must be one of {', '.join(CORPUS_SOURCES)}, got {source!r}")
-            continue
-        if "venue_key" in obj and "id" not in obj:
-            key = obj["venue_key"]
-            if not isinstance(key, str) or not key:
-                raise MalformedEntryError(position, f"venue_key must be a non-empty string, got {key!r}")
-            name = obj.get("name", key)
-            if not isinstance(name, str):
-                raise MalformedEntryError(position, f"venue name must be a string, got {name!r}")
-            kind = obj.get("kind", UNKNOWN_KIND)
-            if kind not in VENUE_KINDS:
-                raise MalformedEntryError(position, f"venue kind must be one of {', '.join(VENUE_KINDS)}, got {kind!r}")
-            venue_table[key] = VenueInfo(name=name, kind=kind)
-            continue
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            obj = _loads(line, f"line {lineno}")
+        if obj.__class__ is not dict:
+            raise MalformedEntryError(f"line {lineno}", "expected a JSON object")
 
         if "id" not in obj:
-            raise MalformedEntryError(position, "record missing 'id'")
+            if "venue_key" in obj:
+                key, info = _venue_line(obj, f"line {lineno}")
+                venue_table[key] = info
+            elif "source" in obj:
+                source = obj["source"]
+                if source not in CORPUS_SOURCES:
+                    raise MalformedEntryError(
+                        f"line {lineno}", f"source must be one of {', '.join(CORPUS_SOURCES)}, got {source!r}"
+                    )
+            else:
+                raise MalformedEntryError(f"line {lineno}", "record missing 'id'")
+            continue
+
         record_id = obj["id"]
-        if not isinstance(record_id, str) or not record_id:
-            raise MalformedEntryError(position, f"record id must be a non-empty string, got {record_id!r}")
+        if record_id.__class__ is not str or not record_id:
+            raise MalformedEntryError(f"line {lineno}", f"record id must be a non-empty string, got {record_id!r}")
         if record_id in seen_ids:
-            raise DuplicateRecordIdError(record_id, position)
+            raise DuplicateRecordIdError(record_id, f"line {lineno}")
         seen_ids.add(record_id)
 
         title = obj.get("title", "")
-        if not isinstance(title, str):
-            raise MalformedEntryError(position, "title must be a string")
+        if title.__class__ is not str:
+            raise MalformedEntryError(f"line {lineno}", "title must be a string")
         venue_key = obj.get("venue")
-        if venue_key is not None and (not isinstance(venue_key, str) or not venue_key):
-            raise MalformedEntryError(position, f"venue must be a non-empty string or null, got {venue_key!r}")
+        if venue_key is not None and (venue_key.__class__ is not str or not venue_key):
+            raise MalformedEntryError(f"line {lineno}", f"venue must be a non-empty string or null, got {venue_key!r}")
         refs = obj.get("refs", [])
-        if not isinstance(refs, list) or any(not isinstance(t, str) or not t for t in refs):
-            raise MalformedEntryError(position, "refs must be a list of non-empty strings")
-        authors = obj.get("authors", [])
-        if not isinstance(authors, list):
-            raise MalformedEntryError(position, f"authors must be a list of names, got {authors!r}")
+        if refs.__class__ is not list or "" in refs or not _all_strings(refs):
+            raise MalformedEntryError(f"line {lineno}", "refs must be a list of non-empty strings")
+        names = obj.get("authors", [])
+        if names.__class__ is not list:
+            raise MalformedEntryError(f"line {lineno}", f"authors must be a list of names, got {names!r}")
+        authors = _make_authors(names, f"line {lineno}", interned)
+        year = obj.get("year")
+        if year is not None and (year.__class__ is not int or not YEAR_MIN <= year <= YEAR_MAX):
+            _check_year(year, f"line {lineno}")
 
-        records.append(
-            PublicationRecord(
-                record_id=record_id,
-                source=source,
-                title=title,
-                authors=_make_authors(authors, position, interned),
-                venue_key=venue_key,
-                year=_check_year(obj.get("year"), position),
-                references=tuple(refs),
-            )
-        )
+        records.append(PublicationRecord(record_id, source, title, authors, venue_key, year, tuple(refs)))
         if venue_key is not None and venue_key not in venue_table:
             venue_table[venue_key] = VenueInfo(name=venue_key, kind=UNKNOWN_KIND)
 
@@ -402,31 +446,31 @@ def parse_corpus(stream: BinaryIO, format: str, source: str = METADATA_CORPUS) -
     raise ValueError(f"unknown corpus format {format!r}")
 
 
+def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
+    """The canonical JSONL lines of `corpus`: the bytes `json.dumps(obj,
+    sort_keys=True)` gives for each line's object, written directly. Keys
+    come in sorted order, strings are ASCII-escaped by the C encoder, and
+    a record's `venue` and `year` are left out when absent."""
+    enc = encode_basestring_ascii
+    yield f'{{"source": {enc(corpus.source)}}}\n'
+    venue_table = corpus.venue_table
+    for key in sorted(venue_table):
+        info = venue_table[key]
+        yield f'{{"kind": {enc(info.kind)}, "name": {enc(info.name)}, "venue_key": {enc(key)}}}\n'
+    for rec in corpus.records:
+        authors = ", ".join([enc(a.full_name) for a in rec.authors])
+        refs = ", ".join(map(enc, rec.references))
+        venue = "" if rec.venue_key is None else f', "venue": {enc(rec.venue_key)}'
+        year = "" if rec.year is None else f', "year": {int.__repr__(rec.year)}'
+        yield (
+            f'{{"authors": [{authors}], "id": {enc(rec.record_id)}, "refs": [{refs}], '
+            f'"title": {enc(rec.title)}{venue}{year}}}\n'
+        )
+
+
 def serialize_corpus(corpus: Corpus) -> bytes:
     """Canonical JSONL serialization; parse(serialize(c)) == c."""
-    out = io.StringIO()
-    out.write(json.dumps({"source": corpus.source}, sort_keys=True) + "\n")
-    for key in sorted(corpus.venue_table):
-        info = corpus.venue_table[key]
-        out.write(
-            json.dumps(
-                {"venue_key": key, "name": info.name, "kind": info.kind}, sort_keys=True
-            )
-            + "\n"
-        )
-    for rec in corpus.records:
-        obj: dict = {
-            "id": rec.record_id,
-            "title": rec.title,
-            "authors": [a.full_name for a in rec.authors],
-            "refs": list(rec.references),
-        }
-        if rec.venue_key is not None:
-            obj["venue"] = rec.venue_key
-        if rec.year is not None:
-            obj["year"] = rec.year
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
-    return out.getvalue().encode("utf-8")
+    return "".join(_jsonl_lines(corpus)).encode("utf-8")
 
 
 def load_corpus(path) -> Corpus:
@@ -435,8 +479,9 @@ def load_corpus(path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_corpus(corpus))
+    """serialize_corpus(corpus), streamed to `path` a line at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:  # the lines are ASCII
+        fh.writelines(_jsonl_lines(corpus))
 
 
 # -- validation and slicing ----------------------------------------------

@@ -161,28 +161,65 @@ def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
 
 
 def _from_graphml(data: bytes) -> VenueGraph:
-    root = ET.fromstring(data.decode("utf-8"))
+    """The graph of a GraphML document. A malformed one raises ExportError
+    naming the problem and where it is: a line and column, a byte, or the
+    node or edge."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ExportError(f"line {line}: invalid UTF-8 at byte {exc.start}") from None
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:  # its message ends with the line and column
+        raise ExportError(f"XML syntax error: {exc}") from None
     ns = {"g": _GRAPHML_NS}
     keys: dict[str, tuple[str, str]] = {}  # key id -> (attr name, attr type)
     for key_el in root.findall("g:key", ns):
-        keys[key_el.get("id")] = (key_el.get("attr.name"), key_el.get("attr.type"))
+        key_id, name = key_el.get("id"), key_el.get("attr.name")
+        if key_id is None or name is None:
+            raise ExportError(f"<key id={key_id!r} attr.name={name!r}>: needs both an id and an attr.name")
+        keys[key_id] = (name, key_el.get("attr.type", "string"))
     graph_el = root.find("g:graph", ns)
     if graph_el is None:
         raise ExportError("GraphML document has no graph element")
+
+    def data_of(el, where: str):
+        """(attr name, attr type, text) of each data child of `el`."""
+        for data_el in el.findall("g:data", ns):
+            key_id = data_el.get("key")
+            if key_id not in keys:
+                raise ExportError(f"{where}: data key {key_id!r} is not declared by any <key>")
+            yield (*keys[key_id], data_el.text or "")
+
     g = VenueGraph(directed=graph_el.get("edgedefault") == "directed")
     for node_el in graph_el.findall("g:node", ns):
+        node = node_el.get("id")
+        if node is None:
+            raise ExportError("<node> without an id")
         attrs = {}
-        for data_el in node_el.findall("g:data", ns):
-            name, attr_type = keys[data_el.get("key")]
-            attrs[name] = _parse_attr(data_el.text or "", attr_type)
-        g.add_node(node_el.get("id"), **attrs)
+        for name, attr_type, text in data_of(node_el, f"node {node!r}"):
+            try:
+                attrs[name] = _parse_attr(text, attr_type)
+            except ValueError:
+                raise ExportError(f"node {node!r}: {name!r} is not a valid {attr_type}: {text!r}") from None
+        g.add_node(node, **attrs)
     for edge_el in graph_el.findall("g:edge", ns):
+        u, v = edge_el.get("source"), edge_el.get("target")
+        where = f"edge {u!r} -> {v!r}"
+        if u is None or v is None:
+            raise ExportError(f"{where}: needs a source and a target")
         weight = 1.0
-        for data_el in edge_el.findall("g:data", ns):
-            name, _ = keys[data_el.get("key")]
+        for name, _, text in data_of(edge_el, where):
             if name == "weight":
-                weight = float(data_el.text)
-        g.add_edge(edge_el.get("source"), edge_el.get("target"), weight)
+                try:
+                    weight = float(text)
+                except ValueError:
+                    raise ExportError(f"{where}: weight is not a number: {text!r}") from None
+        try:
+            g.add_edge(u, v, weight)
+        except GraphError as exc:
+            raise ExportError(f"{where}: {exc}") from None
     return g
 
 

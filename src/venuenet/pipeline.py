@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from time import perf_counter, process_time
 
 from . import community, linkage, metrics, networks, subgraphs
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, parse_corpus, save_corpus, validate_corpus
@@ -19,6 +21,7 @@ from .subgraphs import DEFAULT_CUTS, ClassificationCuts, ProfileRow
 
 CONFIG_SCHEMA = "venuenet-config/1"
 MANIFEST_SCHEMA = "venuenet-manifest/1"
+REPORT_SCHEMA = "venuenet-run-report/1"
 
 STAGES = (
     "ingest",
@@ -180,14 +183,41 @@ class StageRecord:
 
 
 @dataclass
+class StageTiming:
+    """What one completed stage cost: wall time (`perf_counter`), the
+    process's CPU time (`process_time`), and the process's peak RSS so far
+    (`getrusage`; None where the platform has no `resource` module)."""
+
+    name: str
+    wall_s: float
+    cpu_s: float
+    peak_rss_mb: float | None
+
+    def describe(self) -> str:
+        rss = "n/a" if self.peak_rss_mb is None else f"{self.peak_rss_mb:.1f} MB"
+        return f"stage {self.name}: wall {self.wall_s:.3f} s, cpu {self.cpu_s:.3f} s, peak rss {rss}"
+
+
+def _peak_rss_mb() -> float | None:
+    try:
+        import resource  # on first use, so that importing venuenet stays as fast
+    except ImportError:  # Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes on macOS, KiB elsewhere
+
+
+@dataclass
 class RunManifest:
-    """The stages run and their hashed outputs. `warnings` are for the
-    user (the CLI prints them) and are not written to manifest.json."""
+    """The stages run and their hashed outputs. `warnings` (for the user;
+    the CLI prints them) and `timings` go to run_report.json, never to
+    manifest.json, which must not change between identical runs."""
 
     config: dict
     stages: list[StageRecord] = field(default_factory=list)
     failed_stage: str | None = None
     warnings: list[str] = field(default_factory=list)
+    timings: list[StageTiming] = field(default_factory=list)
 
     def stage_names(self) -> list[str]:
         return [s.name for s in self.stages]
@@ -205,6 +235,22 @@ class RunManifest:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+
+    def report_dict(self) -> dict:
+        """The run report: per completed stage its timing, then warnings."""
+        out = {
+            "schema": REPORT_SCHEMA,
+            "stages": [asdict(t) for t in self.timings],
+            "warnings": list(self.warnings),
+        }
+        if self.failed_stage is not None:
+            out["failed_stage"] = self.failed_stage
+        return out
+
+    def save_report(self, path) -> None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(self.report_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
 
@@ -424,28 +470,35 @@ _STAGE_FUNCS = {
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
-    """Execute all stages, writing artifacts and a manifest under cfg.out_dir.
+    """Execute all stages, writing artifacts, manifest.json and
+    run_report.json under cfg.out_dir.
 
     Any stage failure aborts the run; the raised StageError names the stage
     and carries the manifest of stages completed so far, which is also written
-    to disk.
+    to disk with its report.
     """
     cfg.validate()
     run = _Run(cfg)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(run.out_dir / "config.txt")
 
+    def save() -> None:
+        run.manifest.save(run.out_dir / "manifest.json")
+        run.manifest.save_report(run.out_dir / "run_report.json")
+
     stage_list = list(STAGES)
     if cfg.slice_years:
         stage_list.append("snapshots")
     for stage in stage_list:
         func = _STAGE_FUNCS[stage]
+        wall, cpu = perf_counter(), process_time()
         try:
             func(run)
         except Exception as exc:
             run.manifest.failed_stage = stage
-            run.manifest.save(run.out_dir / "manifest.json")
+            save()
             raise StageError(stage, exc, run.manifest) from exc
+        run.manifest.timings.append(StageTiming(stage, perf_counter() - wall, process_time() - cpu, _peak_rss_mb()))
 
-    run.manifest.save(run.out_dir / "manifest.json")
+    save()
     return run.manifest

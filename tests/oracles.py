@@ -7,7 +7,8 @@ the cluster-aggregated form, exhaustive partition search, a full pair
 rescan per merge instead of the heap-based greedy modularity loop, Brandes
 one source at a time instead of the source-batched kernel, a per-key
 dictionary loop instead of the chunked sparse cosine product, the
-standard library's encoders instead of the direct JSON and GraphML writers,
+standard library's encoders instead of the direct JSON, corpus JSONL and
+GraphML writers,
 per-reference `Corpus.has_record` calls instead of the corpus's reference
 index, a pairwise cosine loop instead of the sparse product for the cluster
 network, and a per-character scan instead of the title token regex.
@@ -23,7 +24,7 @@ import xml.etree.ElementTree as ET
 from collections import deque
 
 from venuenet.community import ClusterPartition, CommunityError, modularity
-from venuenet.corpus import Corpus, PublicationRecord, VenueInfo, normalize_reference_key
+from venuenet.corpus import AuthorName, Corpus, PublicationRecord, VenueInfo, normalize_reference_key
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
 from venuenet.graph import VenueGraph
 from venuenet.networks import CouplingMatrix, cosine_of_vectors
@@ -605,3 +606,64 @@ def random_reference_corpus(seed: int, records: int = 60) -> Corpus:
             )
         )
     return Corpus(records=recs, venue_table={v: VenueInfo(name=v) for v in venues[1:]})
+
+
+def serialize_corpus_dumps(corpus: Corpus) -> bytes:
+    """Canonical JSONL through `json.dumps(..., sort_keys=True)` per line:
+    the bytes the library's direct corpus writer must give."""
+    out = io.StringIO()
+    out.write(json.dumps({"source": corpus.source}, sort_keys=True) + "\n")
+    for key in sorted(corpus.venue_table):
+        info = corpus.venue_table[key]
+        out.write(json.dumps({"venue_key": key, "name": info.name, "kind": info.kind}, sort_keys=True) + "\n")
+    for rec in corpus.records:
+        obj: dict = {
+            "id": rec.record_id,
+            "title": rec.title,
+            "authors": [a.full_name for a in rec.authors],
+            "refs": list(rec.references),
+        }
+        if rec.venue_key is not None:
+            obj["venue"] = rec.venue_key
+        if rec.year is not None:
+            obj["year"] = rec.year
+        out.write(json.dumps(obj, sort_keys=True) + "\n")
+    return out.getvalue().encode("utf-8")
+
+
+# Characters that JSON must escape or that are easy to mishandle: quotes,
+# backslashes, control characters, non-ASCII (BMP and astral) and lone
+# surrogates. Only low ones: a high surrogate written before a low one would
+# read back as the astral character the pair encodes.
+AWKWARD_CHARS = '"\\/\x00\x01\x1f\x7f\t\n\r\x08\x0c \xe9\xdf\u2028\u4e2d\U0001f600\udc80\udfffab'
+
+
+def random_jsonl_corpus(seed: int, records: int = 40) -> Corpus:
+    """Seeded corpus for which `parse_jsonl(serialize_corpus(c)) == c`
+    should hold: every string field mixes AWKWARD_CHARS, some records have
+    no venue or no year, and every record's venue is in the venue table."""
+    rng = random.Random(seed)
+
+    def text(min_size: int = 0) -> str:
+        return "".join(rng.choice(AWKWARD_CHARS) for _ in range(rng.randint(min_size, 8)))
+
+    source = rng.choice(["metadata-corpus", "citation-corpus"])
+    venues = {
+        "v" + text(): VenueInfo(name=text(), kind=rng.choice(["journal", "conference", "unknown"]))
+        for _ in range(rng.randint(0, 5))
+    }
+    ids = list(dict.fromkeys("p" + text() for _ in range(records)))
+    authors = [AuthorName("n" + text()) for _ in range(10)]
+    recs = [
+        PublicationRecord(
+            record_id=rid,
+            source=source,
+            title=text(),
+            authors=tuple(rng.choice(authors) for _ in range(rng.randint(0, 4))),
+            venue_key=rng.choice([*venues, None]),
+            year=rng.choice([None, 1900, 1999, 2100]),
+            references=tuple(rng.choice([rng.choice(ids), text(1)]) for _ in range(rng.randint(0, 5))),
+        )
+        for rid in ids
+    ]
+    return Corpus(records=recs, venue_table=venues, source=source)

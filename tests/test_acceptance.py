@@ -209,11 +209,15 @@ def test_end_to_end_fixture(tmp_path):
         frozenset(m) for m in planted_sets.values()
     }
 
-    first = {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    def outputs() -> dict:  # every file but the run report, which holds the run's timings
+        return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*")
+                if p.is_file() and p.name != "run_report.json"}
+
+    first = outputs()
     shutil.rmtree(out_dir)
     run_pipeline(cfg)
-    second = {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
-    identical = first == second
+    second = outputs()
+    identical = first == second and (out_dir / "run_report.json").is_file()
 
     elapsed = time.perf_counter() - started
     report(

@@ -1,11 +1,12 @@
 import io
+import json
 import random
 
 import numpy as np
 import pytest
 
 from conftest import corpus_from_lines
-from oracles import random_reference_corpus
+from oracles import random_jsonl_corpus, random_reference_corpus, serialize_corpus_dumps
 from venuenet.corpus import (
     AuthorName,
     Corpus,
@@ -17,10 +18,12 @@ from venuenet.corpus import (
     normalize_reference_key,
     parse_dblp_xml,
     parse_jsonl,
+    save_corpus,
     serialize_corpus,
     slice_by_year,
     validate_corpus,
 )
+from venuenet.synth import scale_corpus, split_for_linkage
 
 
 class TestLastNameKey:
@@ -51,6 +54,78 @@ class TestLastNameKey:
         assert last_name_key("   ") == ""
 
 
+# A line after a good one, and the reason the parser's own checks must give.
+# The checks run in a fixed order, so a line with several faults (the last
+# rows) always names the same one.
+MALFORMED_LINES = [
+    (b'{"id": "p1", "title": "A", "year": 1850}', 'year 1850 outside [1900, 2100]'),
+    (b'{"id": "p1", "year": 2150}', 'year 2150 outside [1900, 2100]'),
+    (b'{"id": "p1", "year": "1999"}', "year must be an integer, got '1999'"),
+    (b'{"id": "p1", "year": 1999.0}', 'year must be an integer, got 1999.0'),
+    (b'{"id": "p1", "year": true}', 'year must be an integer, got True'),
+    (b'{"id": "p1", "year": NaN}', 'year must be an integer, got nan'),
+    (b'{"id": "p1", "year": 1e400}', 'year must be an integer, got inf'),
+    (b'{"id": "p1", "authors": ["  "]}', "empty or non-string author name '  '"),
+    (b'{"id": "p1", "authors": ["Ada", ""]}', "empty or non-string author name ''"),
+    (b'{"id": "p1", "authors": ["Ada", 7]}', 'empty or non-string author name 7'),
+    (b'{"id": "p1", "authors": ["Ada", null]}', 'empty or non-string author name None'),
+    (b'{"id": "p1", "authors": ["Ada", [1]]}', 'empty or non-string author name [1]'),
+    (b'{"id": "p1", "authors": [{"a": 1}]}', "empty or non-string author name {'a': 1}"),
+    (b'{"id": "p1", "authors": "Ada"}', "authors must be a list of names, got 'Ada'"),
+    (b'{"id": "p1", "authors": {"name": "Ada"}}', "authors must be a list of names, got {'name': 'Ada'}"),
+    (b'{"id": "p1", "authors": null}', 'authors must be a list of names, got None'),
+    (b'{"venue_key": 7}', 'venue_key must be a non-empty string, got 7'),
+    (b'{"venue_key": ""}', "venue_key must be a non-empty string, got ''"),
+    (b'{"venue_key": "v", "name": 7}', 'venue name must be a string, got 7'),
+    (b'{"venue_key": "v", "kind": ["x"]}', "venue kind must be one of journal, conference, unknown, got ['x']"),
+    (b'{"venue_key": "v", "kind": "magazine"}', "venue kind must be one of journal, conference, unknown, got 'magazine'"),
+    (b'{"id": "p1", "title": "\xff"}', 'invalid UTF-8 at byte 23'),
+    (b'{"source": "elsewhere"}', "source must be one of metadata-corpus, citation-corpus, got 'elsewhere'"),
+    (b'{"source": [1]}', 'source must be one of metadata-corpus, citation-corpus, got [1]'),
+    (b'{"source": "bogus", "venue_key": 7}', 'venue_key must be a non-empty string, got 7'),
+    (b'{"title": "A"}', "record missing 'id'"),
+    (b'{}', "record missing 'id'"),
+    (b'{"id": 7}', 'record id must be a non-empty string, got 7'),
+    (b'{"id": ""}', "record id must be a non-empty string, got ''"),
+    (b'{"id": null}', 'record id must be a non-empty string, got None'),
+    (b'{"id": "p1", "title": 7}', 'title must be a string'),
+    (b'{"id": "p1", "venue": 7}', 'venue must be a non-empty string or null, got 7'),
+    (b'{"id": "p1", "venue": ""}', "venue must be a non-empty string or null, got ''"),
+    (b'{"id": "p1", "refs": "x"}', 'refs must be a list of non-empty strings'),
+    (b'{"id": "p1", "refs": [""]}', 'refs must be a list of non-empty strings'),
+    (b'{"id": "p1", "refs": [7]}', 'refs must be a list of non-empty strings'),
+    (b'{"id": "p1", "refs": null}', 'refs must be a list of non-empty strings'),
+    (b'{"id": "p1", "refs": [["x"]]}', 'refs must be a list of non-empty strings'),
+    (b'{"id": "p1", "refs": {"a": 1}}', 'refs must be a list of non-empty strings'),
+    (b'{"id": "p1", "refs": ["x", null]}', 'refs must be a list of non-empty strings'),
+    (b'[1, 2]', 'expected a JSON object'),
+    (b'"str"', 'expected a JSON object'),
+    (b'7', 'expected a JSON object'),
+    (b'null', 'expected a JSON object'),
+    (b'{"id": 7, "title": 7}', 'record id must be a non-empty string, got 7'),
+    (b'{"id": "p9", "title": 7, "refs": 7}', 'title must be a string'),
+    (b'{"id": "p9", "refs": 7, "authors": 7}', 'refs must be a list of non-empty strings'),
+    (b'{"id": "p9", "authors": [7], "year": "x"}', 'empty or non-string author name 7'),
+    (b'  \t{"id": "p1", "year": 0}  ', 'year 0 outside [1900, 2100]'),
+]
+# Lines json.loads rejects: the reason is json.loads's own message.
+INVALID_JSON_LINES = [
+    b'{not json',
+    b'{"id": "p1"} trailing',
+    b'{"id": "p1"}{"id": "p2"}',
+    b'{"id": "p1"}, {"id": "p2"}',
+    b'\xef\xbb\xbf{"id": "p1"}',
+    b'{"id": "p1", "title": "A\x01"}',
+    b'{"id": "p1", "title": "\\ud800"',
+    b'{"id": "p1", "title": "A", }',
+    b'{"id": "p1" "title": "A"}',
+    b"{'id': 'p1'}",
+    b'{"id": "p1", "title": "A}',
+    b'{"id": "p1", "title": "\\x"}',
+    b'{"id": "p1", "year": 1' + b"0" * 5000 + b"}",  # past the integer digit limit
+]
+
+
 class TestParseJsonl:
     def test_empty_stream(self):
         corpus = parse_jsonl(io.BytesIO(b""))
@@ -78,7 +153,29 @@ class TestParseJsonl:
                 '{"id": "p1", "title": "B", "authors": [], "refs": []}',
             )
         assert exc.value.record_id == "p1"
-        assert "p1" in str(exc.value)
+        assert str(exc.value) == "duplicate record id 'p1' at line 2"
+
+    def test_malformed_lines_keep_message_and_line(self):
+        for line, reason in MALFORMED_LINES:
+            with pytest.raises(MalformedEntryError) as exc:
+                parse_jsonl(io.BytesIO(b'{"id": "p0", "title": "A"}\n' + line + b"\n"))
+            assert str(exc.value) == f"malformed entry at line 2: {reason}", line
+
+    def test_invalid_json_reports_json_loads_message(self):
+        for line in INVALID_JSON_LINES:
+            with pytest.raises(ValueError) as loads_exc:
+                json.loads(line.decode("utf-8").strip())
+            with pytest.raises(MalformedEntryError) as exc:
+                parse_jsonl(io.BytesIO(b'{"id": "p0", "title": "A"}\n' + line + b"\n"))
+            reason = f"invalid JSON ({getattr(loads_exc.value, 'msg', loads_exc.value)})"
+            assert str(exc.value) == f"malformed entry at line 2: {reason}", line
+
+    def test_lines_are_decoded_one_at_a_time(self):
+        # Decoded as one document, these three lines would read as three
+        # objects, and the file would be misread without an error.
+        with pytest.raises(MalformedEntryError) as exc:
+            parse_jsonl(io.BytesIO(b'{"a":1\n"b":2}\n{"c":3}, {"d":4}\n'))
+        assert exc.value.position == "line 1"
 
     def test_malformed_json_carries_line(self):
         with pytest.raises(MalformedEntryError) as exc:
@@ -109,7 +206,8 @@ class TestParseJsonl:
         )
         p1, p2 = corpus.records
         assert p1.authors[0] is p2.authors[1] and p1.authors[1] is p2.authors[0]
-        assert p1.authors[0] == AuthorName("Ada Lovelace", "lovelace")
+        assert p1.authors[0] == AuthorName("Ada Lovelace")
+        assert p1.authors[0].last_name_key == "lovelace"
 
     def test_every_author_occurrence_checked(self):
         # a name seen before does not skip the check of a later bad entry
@@ -171,6 +269,33 @@ class TestRoundTrip:
         )
         again = parse_jsonl(io.BytesIO(serialize_corpus(corpus)))
         assert again == corpus
+
+
+class TestCanonicalWriter:
+    """The direct writer against `json.dumps(..., sort_keys=True)` per line."""
+
+    def _check(self, corpus: Corpus, tmp_path) -> None:
+        data = serialize_corpus(corpus)
+        assert data == serialize_corpus_dumps(corpus)
+        save_corpus(corpus, tmp_path / "c.jsonl")
+        assert (tmp_path / "c.jsonl").read_bytes() == data
+        assert parse_jsonl(io.BytesIO(data)) == corpus
+
+    def test_awkward_strings_and_absent_fields(self, tmp_path):
+        for seed in range(60):
+            self._check(random_jsonl_corpus(seed), tmp_path)
+
+    def test_workload_corpora(self, tmp_path):
+        self._check(scale_corpus(150, 100, seed=1), tmp_path)
+        self._check(scale_corpus(800, 10, seed=1), tmp_path)
+        meta, cite = split_for_linkage(scale_corpus(60, 50, seed=1))
+        self._check(meta, tmp_path)
+        # as read from a DBLP file, the citation side names its venues too
+        self._check(Corpus(cite.records, dict(meta.venue_table), cite.source), tmp_path)
+
+    def test_empty_corpus(self, tmp_path):
+        self._check(Corpus(records=[], venue_table={}), tmp_path)
+        assert serialize_corpus(Corpus(records=[], venue_table={})) == b'{"source": "metadata-corpus"}\n'
 
 
 DBLP_SAMPLE = b"""<?xml version="1.0" encoding="UTF-8"?>
@@ -380,6 +505,20 @@ class TestSliceByYear:
 
 
 class TestAuthorName:
+    def test_key_computed_on_first_read_once_per_name(self, monkeypatch):
+        import venuenet.corpus
+
+        calls = []
+        monkeypatch.setattr(venuenet.corpus, "last_name_key", lambda name: calls.append(name) or last_name_key(name))
+        corpus = corpus_from_lines(
+            '{"id": "p1", "title": "A", "authors": ["José Peña", "Alan Turing"]}',
+            '{"id": "p2", "title": "B", "authors": ["Alan Turing", "José Peña"]}',
+        )
+        assert calls == []  # the parse leaves the key alone
+        keys = [a.last_name_key for r in corpus.records for a in r.authors]
+        assert keys == ["pena", "turing", "turing", "pena"]
+        assert sorted(calls) == ["Alan Turing", "José Peña"]
+
     def test_derived_key_is_deterministic(self):
         a = AuthorName.from_full_name("Michael Ley")
         b = AuthorName.from_full_name("Michael Ley")

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from venuenet.community import read_partition
 from venuenet.corpus import CorpusError, parse_dblp_xml, parse_jsonl
-from venuenet.exports import ExportError, import_graph
+from venuenet.exports import _GRAPHML_NS, ExportError, export_graph, import_graph
+from venuenet.graph import VenueGraph
 from venuenet.linkage import MATCHES_HEADER, read_matches
 from venuenet.networks import CouplingMatrix
 from venuenet.pipeline import ConfigError, PipelineConfig
@@ -126,3 +127,57 @@ def test_matches_reader(body, with_header):
 @given(texts)
 def test_partition_reader(body):
     _from_file(read_partition, _encode(body))
+
+
+GRAPHML_PIECES = st.sampled_from(
+    ["<graphml>", f'<graphml xmlns="{_GRAPHML_NS}">', "</graphml>", '<graph edgedefault="directed">', "<graph>",
+     "</graph>", '<key id="d0" for="node" attr.name="n" attr.type="long"/>',
+     '<key id="d1" for="edge" attr.name="weight" attr.type="double"/>', '<key id="d2" attr.name="b" attr.type="boolean"/>',
+     '<key id="d3" attr.name="x"/>', '<key attr.name="y"/>', '<key id="d4"/>', '<node id="a">', '<node id="b"/>', "<node>",
+     "</node>", '<edge source="a" target="b">', '<edge source="a" target="a">', '<edge source="a">', "</edge>", "<edge/>",
+     '<data key="d0">', '<data key="d1">', '<data key="d3">', '<data key="d9">', "<data>", "</data>", '<data key="d1"/>',
+     "1", "-1", "0", "x", "nan", "1e999", "9" * 5000, "&amp;", "&bogus;", "<![CDATA[", "]]>", "\x00", "\udcff"]
+) | st.text(max_size=5)
+
+
+@FUZZ
+@given(st.lists(GRAPHML_PIECES, max_size=40).map("".join))
+def test_graphml_reader(text):
+    try:
+        import_graph(_encode(text), "graphml")
+    except (ExportError, ValueError):
+        pass
+
+
+# Text that XML 1.0 can carry: no control characters, surrogates or
+# non-characters. A carriage return survives in an attribute (it is written
+# as a character reference) but not in element text, so node ids may hold
+# one and attribute values may not.
+xml_text = st.text(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters="\ufffe\uffff")
+                   | st.sampled_from("\t\n&<>\"'"), max_size=6)
+ATTR_VALUES = {
+    "count": st.integers(-(2**63), 2**63),
+    "score": st.floats(allow_nan=False),
+    "flag": st.booleans(),
+    "label": xml_text,
+}
+
+
+@st.composite
+def graphs(draw):
+    g = VenueGraph(directed=draw(st.booleans()))
+    nodes = draw(st.lists(xml_text | st.just("a\rb"), unique=True, max_size=8))
+    names = draw(st.lists(st.sampled_from(sorted(ATTR_VALUES)), unique=True))
+    for node in nodes:
+        g.add_node(node, **{name: draw(ATTR_VALUES[name]) for name in names if draw(st.booleans())})
+    if len(nodes) > 1:
+        for u, v in draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=12)):
+            if u != v:
+                g.add_edge(u, v, draw(st.floats(min_value=1e-300, allow_infinity=False)))
+    return g
+
+
+@FUZZ
+@given(graphs())
+def test_graphml_round_trip(g):
+    assert import_graph(export_graph(g, "graphml"), "graphml") == g

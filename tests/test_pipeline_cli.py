@@ -158,15 +158,20 @@ class TestRunPipeline:
         cfg.out_dir = str(tmp_path / "rerun")
         out_dir = Path(cfg.out_dir)
 
+        def outputs() -> dict:
+            # every file but the run report, which holds the run's timings
+            assert (out_dir / "run_report.json").is_file()
+            return {
+                p.relative_to(out_dir): p.read_bytes()
+                for p in out_dir.rglob("*")
+                if p.is_file() and p.name != "run_report.json"
+            }
+
         run_pipeline(cfg)
-        first = {
-            p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()
-        }
+        first = outputs()
         shutil.rmtree(out_dir)
         run_pipeline(cfg)
-        second = {
-            p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()
-        }
+        second = outputs()
         assert set(first) == set(second)
         for rel in first:
             assert first[rel] == second[rel], f"{rel} differs between reruns"
@@ -234,6 +239,44 @@ class TestRunPipeline:
         assert exc.value.manifest.stage_names() == []
         saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert saved["failed_stage"] == "ingest"
+        report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert report["failed_stage"] == "ingest" and report["stages"] == []
+
+
+class TestRunReport:
+    def test_report_lists_the_manifest_stages_with_costs(self, tmp_path, planted):
+        corpus, _ = planted
+        corpus_path = tmp_path / "fixture.jsonl"
+        save_corpus(corpus, corpus_path)
+        cfg = fixture_config(tmp_path, corpus_path, slice_years=(1995,), pagerank_max_iter=1)
+        manifest = run_pipeline(cfg)
+        out_dir = Path(cfg.out_dir)
+        report = json.loads((out_dir / "run_report.json").read_text())
+        assert report["schema"] == "venuenet-run-report/1"
+        assert [s["name"] for s in report["stages"]] == manifest.stage_names() == list(STAGES) + ["snapshots"]
+        for stage in report["stages"]:
+            assert set(stage) == {"name", "wall_s", "cpu_s", "peak_rss_mb"}
+            assert stage["wall_s"] >= 0 and stage["cpu_s"] >= 0
+            assert stage["peak_rss_mb"] is None or stage["peak_rss_mb"] > 0
+        assert report["warnings"] == manifest.warnings and len(report["warnings"]) == 1  # PageRank stopped early
+        # the report is not an artifact: the manifest neither hashes nor names it
+        assert "run_report.json" not in (out_dir / "manifest.json").read_text()
+
+    def test_verbose_prints_each_stage_and_leaves_manifest_alone(self, tmp_path, planted):
+        corpus, _ = planted
+        corpus_path = tmp_path / "fixture.jsonl"
+        save_corpus(corpus, corpus_path)
+        out_dir = tmp_path / "out"
+        args = ["run", "--corpus", str(corpus_path), "--out-dir", str(out_dir), "--citation-min", "2"]
+        manifests, stderrs = [], []
+        for extra in ([], ["--verbose"]):
+            result = CliRunner().invoke(main, args + extra)
+            assert result.exit_code == 0, result.output
+            manifests.append((out_dir / "manifest.json").read_bytes())
+            stderrs.append(result.stderr.splitlines())
+        assert manifests[0] == manifests[1]
+        assert stderrs[0] == []
+        assert [line.split(":")[0] for line in stderrs[1]] == [f"stage {name}" for name in STAGES]
 
 
 class TestCli:
@@ -607,6 +650,8 @@ class TestCli:
 
 
 TSV_HEADER = "# venuenet-graph directed=false\n"
+GRAPHML_HEAD = '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph edgedefault="undirected">'
+GRAPHML_TAIL = "</graph></graphml>"
 PARTITION_OK = "venue_key\tcluster_id\nv1\tv1\n"
 MATRIX_OK = '{"venues": ["v1"], "vectors": {"v1": {"k": 1}}}'
 
@@ -630,19 +675,28 @@ READER_CASES = [
     ("matches-missing-file", "build", {"c.jsonl": '{"id": "p1", "title": "T"}\n'}, "m.tsv", "No such file"),
     ("matches-two-field-row", "build",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\n"}, "m.tsv", "line 2"),
+    ("graphml-truncated", "export-graphml", {"g.graphml": "<graphml"}, "g.graphml", "line 1, column 0"),
+    ("graphml-undeclared-data-key", "export-graphml",
+     {"g.graphml": GRAPHML_HEAD + '<node id="a"><data key="d9">x</data></node>' + GRAPHML_TAIL}, "g.graphml", "node 'a'"),
+    ("graphml-non-utf8", "export-graphml",
+     {"g.graphml": (GRAPHML_HEAD + "\n<node id='a'/>").encode() + b"\xff" + GRAPHML_TAIL.encode()}, "g.graphml", "line 2"),
+    ("graphml-long-holds-text", "export-graphml",
+     {"g.graphml": GRAPHML_HEAD.replace("<graph ", '<key id="d0" for="node" attr.name="n" attr.type="long"/><graph ')
+      + '<node id="a"><data key="d0">x</data></node>' + GRAPHML_TAIL}, "g.graphml", "node 'a'"),
 ]
 READER_ARGS = {
     "threshold": ["threshold", "{g.tsv}", "--rule", "cosine", "--out", "{out.tsv}"],
     "export": ["export", "{g.json}", "--in-format", "json", "--format", "edge-tsv", "--out", "{out.tsv}"],
     "project": ["project", "--matrix", "{m.json}", "--partition", "{p.tsv}", "--out", "{out.tsv}"],
     "build": ["build", "{c.jsonl}", "--network", "citation", "--matches", "{m.tsv}", "--out", "{out.tsv}"],
+    "export-graphml": ["export", "{g.graphml}", "--in-format", "graphml", "--format", "json", "--out", "{out.tsv}"],
 }
 
 
 @pytest.mark.parametrize("case, command, files, bad_file, position", READER_CASES, ids=[c[0] for c in READER_CASES])
 def test_stage_readers_exit_1_naming_file_and_position(tmp_path, case, command, files, bad_file, position):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     args = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in READER_ARGS[command]]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 1, result.output
