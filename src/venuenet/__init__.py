@@ -40,7 +40,6 @@ from .networks import (
     build_citation_network,
     build_coupling_matrix,
     build_knowledge_network,
-    cosine_similarity,
     summarize,
 )
 from .pipeline import PipelineConfig, RunManifest, run_pipeline
@@ -82,7 +81,6 @@ __all__ = [
     "build_knowledge_network",
     "canopy_partition",
     "classify_network_type",
-    "cosine_similarity",
     "density",
     "export_graph",
     "extract_citation_subgraph",

@@ -16,6 +16,7 @@ from .corpus import (
     METADATA_CORPUS,
     Corpus,
     CorpusError,
+    check_names,
     load_corpus,
     parse_corpus,
     save_corpus,
@@ -75,6 +76,7 @@ def ingest(input_path: str, fmt: str, source: str, out: str) -> None:
     try:
         with open(input_path, "rb") as fh:
             corpus = parse_corpus(fh, fmt, source=source)
+        check_names(corpus)
     except (OSError, CorpusError) as exc:
         _fail_input(str(exc))
     save_corpus(corpus, out)
@@ -341,8 +343,12 @@ def export(graph_path: str, in_format: str, fmt: str, out: str) -> None:
     """Re-serialize a graph into GraphML, edge TSV, or JSON."""
     graph = _load_graph_or_fail(graph_path, in_format)
     try:
+        data = export_graph(graph, fmt)
+    except ExportError as exc:
+        _fail_input(str(exc))
+    try:
         with open(out, "wb") as fh:
-            fh.write(export_graph(graph, fmt))
+            fh.write(data)
     except OSError as exc:
         _fail_input(f"cannot write {out!r}: {exc}")
     click.echo(f"wrote {fmt} with {graph.node_count()} nodes, {graph.edge_count()} edges")

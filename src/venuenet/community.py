@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import networks
 from .graph import VenueGraph
-from .networks import CouplingMatrix, cosine_of_vectors
+from .networks import CouplingMatrix
 
 
 class CommunityError(Exception):
@@ -48,9 +48,6 @@ class ClusterPartition:
         for venue in sorted(self.assignment):
             grouped.setdefault(self.assignment[venue], []).append(venue)
         return grouped
-
-    def member_sets(self) -> set[frozenset[str]]:
-        return {frozenset(members) for members in self.clusters().values()}
 
 
 def modularity(g: VenueGraph, assignment: dict[str, str], weighted: bool = True) -> float:
@@ -116,7 +113,6 @@ def greedy_modularity_partition(
     # cluster id = smallest member key; singletons to start
     members: dict[str, list[str]] = {v: [v] for v in nodes}
     degree_sum: dict[str, float] = {v: sum(wt(w) for w in g.neighbors(v).values()) for v in nodes}
-    intra: dict[str, float] = {v: 0.0 for v in nodes}
     between: dict[str, dict[str, float]] = {v: {} for v in nodes}
     for u, v, w in g.edges():
         between[u][v] = between[u].get(v, 0.0) + wt(w)
@@ -145,7 +141,6 @@ def greedy_modularity_partition(
 
         # ci < cj, so the merged cluster keeps id ci
         members[ci].extend(members[cj])
-        intra[ci] += intra[cj] + between[ci][cj]
         degree_sum[ci] += degree_sum[cj]
         del between[ci][cj]
         for ck, w in between[cj].items():
@@ -157,7 +152,6 @@ def greedy_modularity_partition(
             del link[cj]
         del between[cj]
         del members[cj]
-        del intra[cj]
         del degree_sum[cj]
         for venue in members[ci]:
             assignment[venue] = ci
@@ -201,23 +195,19 @@ def project_to_cluster_network(m: CouplingMatrix, p: ClusterPartition) -> Cluste
         _add_counts(aggregates.setdefault(cluster, {}), m.vectors.get(venue, {}))
 
     cluster_ids = sorted(aggregates)
-    new_assignments: dict[str, str] = {}
-    unassigned: list[str] = []
-    for venue in m.venues:
-        if venue in p.assignment:
-            continue
-        vec = m.vectors[venue]
-        best_cluster = None
-        best_cos = 0.0
-        for cluster in cluster_ids:
-            cos = cosine_of_vectors(vec, aggregates[cluster])
-            if cos > best_cos:
-                best_cos = cos
-                best_cluster = cluster
-        if best_cluster is None:
-            unassigned.append(venue)
-        else:
-            new_assignments[venue] = best_cluster
+    # Positions 0..k-1 are the clusters in id order, k.. the unclustered
+    # venues: a cluster may be named after an unclustered venue.
+    loose = [venue for venue in m.venues if venue not in p.assignment]
+    k = len(cluster_ids)
+    best_cos = [0.0] * len(loose)
+    best: list[int | None] = [None] * len(loose)  # each loose venue's cluster position
+    vectors = [aggregates[cluster] for cluster in cluster_ids] + [m.vectors[venue] for venue in loose]
+    for i, j, cos in zip(*networks.pair_cosines(vectors)):
+        # pairs come in ascending (i, j) order, so a tie keeps the smallest cluster id
+        if i < k <= j and cos > best_cos[j - k]:
+            best_cos[j - k], best[j - k] = cos, i
+    new_assignments = {venue: cluster_ids[i] for venue, i in zip(loose, best) if i is not None}
+    unassigned = [venue for venue, i in zip(loose, best) if i is None]
 
     for venue, cluster in new_assignments.items():
         _add_counts(aggregates[cluster], m.vectors[venue])

@@ -19,6 +19,7 @@ may legitimately point at preprints or venues outside the corpus).
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
@@ -78,10 +79,6 @@ class AuthorName:
 
     full_name: str
     _key: str | None = field(default=None, init=False, repr=False, compare=False)
-
-    @classmethod
-    def from_full_name(cls, full_name: str) -> "AuthorName":
-        return cls(full_name)
 
     @property
     def last_name_key(self) -> str:
@@ -150,9 +147,6 @@ class Corpus:
     def row(self, record_id: str) -> int:
         """The record's position in `records`."""
         return self._rows[record_id]
-
-    def has_record(self, record_id: str) -> bool:
-        return record_id in self._rows
 
     def reference_index(self) -> ReferenceIndex:
         """The index, built on first use; the records must not change after.
@@ -471,6 +465,27 @@ def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
 def serialize_corpus(corpus: Corpus) -> bytes:
     """Canonical JSONL serialization; parse(serialize(c)) == c."""
     return "".join(_jsonl_lines(corpus)).encode("utf-8")
+
+
+# What a record id or venue key cannot hold (compiled on first use): C0 controls
+# break TSV rows, U+0085, U+2028 and U+2029 end a line for `str.splitlines`, and
+# XML 1.0 has no lone surrogates, U+FFFE or U+FFFF.
+_UNCARRIED = "[\x00-\x1f\x85\u2028\u2029\ud800-\udfff\ufffe\uffff]"
+
+
+def check_names(corpus: Corpus) -> None:
+    """Raise MalformedEntryError, naming the record's id and 1-based
+    position, for the first record whose id or venue key holds a character
+    the network, partition and GraphML artifacts cannot carry."""
+    search = re.compile(_UNCARRIED).search
+    for position, rec in enumerate(corpus.records, start=1):
+        bad = search(rec.record_id) or search(rec.venue_key or "")
+        if bad:
+            what = "record id" if bad.string == rec.record_id else "venue key"
+            raise MalformedEntryError(
+                f"record {position} (id {rec.record_id!r})",
+                f"{what} {bad.string!r} holds {bad.group()!r}, which the output artifacts cannot carry",
+            )
 
 
 def load_corpus(path) -> Corpus:

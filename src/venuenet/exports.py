@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import xml.etree.ElementTree as ET
 from typing import Any
 
@@ -101,21 +102,34 @@ _ATTRIB_ESCAPES = (
     ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
     ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"),
 )
-_TEXT_ESCAPES = _ATTRIB_ESCAPES[:3]
+# A carriage return in element text would read back as a line feed.
+_TEXT_ESCAPES = (*_ATTRIB_ESCAPES[:3], ("\r", "&#13;"))
+
+# What XML 1.0 cannot carry, not even as a character reference (compiled on first use).
+_NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 def _escape(text: str, escapes=_ATTRIB_ESCAPES) -> str:
     """ElementTree's escaping of an attribute value (or, with
-    _TEXT_ESCAPES, of element text)."""
+    _TEXT_ESCAPES, of element text, plus a carriage return)."""
     for char, entity in escapes:
         if char in text:
             text = text.replace(char, entity)
     return text
 
 
+def _check_xml(text: str, where: str) -> str:
+    bad = re.search(_NOT_XML, text)
+    if bad:
+        raise ExportError(f"{where}: {bad.group()!r} cannot be written in XML 1.0")
+    return text
+
+
 def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
     """The bytes ElementTree writes for the GraphML tree of `g` whose node
-    attributes are `nodes`, indented by `ET.indent`, written directly."""
+    attributes are `nodes`, indented by `ET.indent`, written directly, except
+    that a carriage return in data text is a character reference. A node or
+    attribute holding what XML 1.0 cannot carry raises ExportError naming it."""
     attr_values: dict[str, list] = {}
     for attrs in nodes.values():
         for name, value in attrs.items():
@@ -126,7 +140,8 @@ def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
     key_ids: dict[str, str] = {}
     for i, (name, attr_type) in enumerate(attr_types.items()):
         key_ids[name] = f"d{i}"
-        lines.append(f'  <key for="node" attr.name="{_escape(name)}" attr.type="{attr_type}" id="d{i}" />')
+        attr_name = _escape(_check_xml(name, f"attribute {name!r}"))
+        lines.append(f'  <key for="node" attr.name="{attr_name}" attr.type="{attr_type}" id="d{i}" />')
     weight_key = f"d{len(key_ids)}"
     lines.append(f'  <key for="edge" attr.name="weight" attr.type="double" id="{weight_key}" />')
 
@@ -135,7 +150,7 @@ def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
         lines.append(graph + " />")
     else:
         lines.append(graph + ">")
-        ids = {node: _escape(node) for node in nodes}
+        ids = {node: _escape(_check_xml(node, f"node {node!r}")) for node in nodes}
         for node in sorted(nodes):
             attrs = nodes[node]
             if not attrs:
@@ -143,7 +158,8 @@ def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
                 continue
             lines.append(f'    <node id="{ids[node]}">')
             for name in sorted(attrs):
-                text = _escape(_format_attr(attrs[name], attr_types[name]), _TEXT_ESCAPES)
+                text = _format_attr(attrs[name], attr_types[name])
+                text = _escape(_check_xml(text, f"attribute {name!r} of node {node!r}"), _TEXT_ESCAPES)
                 data = f'      <data key="{key_ids[name]}"'
                 lines.append(f"{data}>{text}</data>" if text else data + " />")
             lines.append("    </node>")
@@ -155,9 +171,7 @@ def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
             )
         lines.append("  </graph>")
     lines.append("</graphml>")
-    # ElementTree's writer turns what UTF-8 cannot encode (lone surrogates)
-    # into character references.
-    return "\n".join(lines).encode("utf-8", "xmlcharrefreplace")
+    return "\n".join(lines).encode("utf-8")
 
 
 def _from_graphml(data: bytes) -> VenueGraph:

@@ -8,8 +8,7 @@ symmetrically but reported once, with canonical (sorted) endpoint order.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 
 class GraphError(Exception):
@@ -59,10 +58,6 @@ class VenueGraph:
         if not self.directed:
             self._adj[v][u] = weight
 
-    def increment_edge(self, u: str, v: str, amount: float = 1.0) -> None:
-        current = self._adj.get(u, {}).get(v, 0.0)
-        self.add_edge(u, v, current + amount)
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -75,18 +70,9 @@ class VenueGraph:
     def edge_count(self) -> int:
         return self._edge_count
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adj.get(u, {})
-
-    def weight(self, u: str, v: str) -> float:
-        return self._adj[u][v]
-
     def neighbors(self, key: str) -> dict[str, float]:
         """Successors for directed graphs, all neighbors for undirected."""
         return self._adj[key]
-
-    def degree(self, key: str) -> int:
-        return len(self._adj[key])
 
     def edges(self) -> Iterator[tuple[str, str, float]]:
         """Each edge once; undirected edges with sorted endpoints."""
@@ -102,50 +88,6 @@ class VenueGraph:
 
     def sorted_edges(self) -> list[tuple[str, str, float]]:
         return sorted(self.edges())
-
-    def total_edge_weight(self) -> float:
-        return sum(w for _, _, w in self.edges())
-
-    def undirected_view(self) -> "VenueGraph":
-        """Symmetrized copy; antiparallel weights are summed. No-op copy if undirected."""
-        g = VenueGraph(directed=False)
-        for key, attrs in self._nodes.items():
-            g.add_node(key, **attrs)
-        if not self.directed:
-            for u, v, w in self.edges():
-                g.add_edge(u, v, w)
-            return g
-        for u, nbrs in self._adj.items():
-            for v, w in nbrs.items():
-                g.increment_edge(u, v, w)
-        return g
-
-    def subgraph(self, keys: Iterable[str]) -> "VenueGraph":
-        keep = set(keys)
-        g = VenueGraph(directed=self.directed)
-        # sorted, not set order: node order feeds float sums such as the
-        # average clustering coefficient, which must not depend on the hash seed
-        for key in sorted(keep):
-            g.add_node(key, **self._nodes[key])
-        for u, v, w in self.edges():
-            if u in keep and v in keep:
-                g.add_edge(u, v, w)
-        return g
-
-    def copy(self) -> "VenueGraph":
-        return self.subgraph(self._nodes)
-
-    def fingerprint(self) -> str:
-        """Stable content hash over nodes, attributes, and edges."""
-        h = hashlib.sha256()
-        h.update(b"directed" if self.directed else b"undirected")
-        for key in sorted(self._nodes):
-            h.update(key.encode())
-            for name in sorted(self._nodes[key]):
-                h.update(f"{name}={self._nodes[key][name]!r}".encode())
-        for u, v, w in self.sorted_edges():
-            h.update(f"{u}\t{v}\t{w!r}".encode())
-        return h.hexdigest()[:16]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VenueGraph):

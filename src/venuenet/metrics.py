@@ -43,9 +43,8 @@ class MetricVector:
     residual: float = 0.0
     iterations: int = 0
 
-    def top(self, k: int | None = None) -> list[tuple[str, float]]:
-        ranked = sorted(self.values.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked if k is None else ranked[:k]
+    def top(self) -> list[tuple[str, float]]:
+        return sorted(self.values.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def max_value(self) -> float:
         return max(self.values.values()) if self.values else 0.0
@@ -126,10 +125,6 @@ def connected_components(g: VenueGraph, nbr_sets: dict[str, set[str]] | None = N
         components.append(comp)
     components.sort(key=lambda c: (-len(c), min(c)))
     return components
-
-
-def component_count(g: VenueGraph) -> int:
-    return len(connected_components(g))
 
 
 def largest_component_fraction(g: VenueGraph) -> float:
@@ -268,23 +263,23 @@ def _accumulate_block(sources, row_first, row_len, order, position, indptr, head
     np.add.at(cb, cell_node[reached], delta[reached])
 
 
-def _brandes_weighted(nodes: list[str], adj: list[list[tuple[int, float]]]) -> list[float]:
-    n = len(nodes)
+def _brandes_weighted(adj: list[list[tuple[int, float]]]) -> list[float]:
+    n = len(adj)
     cb = [0.0] * n
     inf = float("inf")
     for s in range(n):
         stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
+        preds: list[list[int] | None] = [None] * n  # a node's list is made when it is reached
         sigma = [0] * n
         sigma[s] = 1
         settled = [False] * n
         seen = [inf] * n
         seen[s] = 0.0
-        heap: list[tuple[float, int, int]] = [(0.0, s, s)]
+        heap: list[tuple[float, int]] = [(0.0, s)]
         push = heapq.heappush
         pop = heapq.heappop
         while heap:
-            d_v, _, v = pop(heap)
+            d_v, v = pop(heap)
             if settled[v]:
                 continue
             settled[v] = True
@@ -296,20 +291,18 @@ def _brandes_weighted(nodes: list[str], adj: list[list[tuple[int, float]]]) -> l
                 d_w = d_v + length
                 if d_w < seen[w]:
                     seen[w] = d_w
-                    push(heap, (d_w, w, w))
+                    push(heap, (d_w, w))
                     sigma[w] = sv
                     preds[w] = [v]
                 elif d_w == seen[w]:
                     sigma[w] += sv
                     preds[w].append(v)
         delta = [0.0] * n
-        while stack:
-            w = stack.pop()
+        for w in reversed(stack[1:]):  # stack[0] is s
             coeff = (1.0 + delta[w]) / sigma[w]
             for v in preds[w]:
                 delta[v] += sigma[v] * coeff
-            if w != s:
-                cb[w] += delta[w]
+            cb[w] += delta[w]
     return cb
 
 
@@ -345,7 +338,7 @@ def betweenness_centrality(
                 if not w > 0:
                     raise NonPositiveWeightError(f"edge {u!r}->{v!r} has non-positive weight {w!r}")
                 row.append((index[v], 1.0 / w))
-        cb = _brandes_weighted(nodes, adj_w)
+        cb = _brandes_weighted(adj_w)
     else:
         successors = [g.neighbors(u) for u in nodes]
         indptr = np.zeros(n + 1, dtype=np.int64)

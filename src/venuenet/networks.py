@@ -12,7 +12,6 @@ cross-corpus matches are resolved before, by `linkage`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import mul
@@ -38,10 +37,6 @@ class NetworkError(Exception):
     pass
 
 
-class UndefinedVenueError(NetworkError):
-    pass
-
-
 class ThresholdRuleError(NetworkError):
     """Threshold rule applied to a graph of the wrong directedness."""
 
@@ -58,17 +53,6 @@ class CouplingMatrix:
     venues: list[str]
     vectors: dict[str, dict[str, int]]
     publication_counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def universe_size(self) -> int:
-        universe: set[str] = set()
-        for vec in self.vectors.values():
-            universe.update(vec)
-        return len(universe)
-
-    def norm_squared(self, venue: str) -> int:
-        vec = self.vectors[venue]
-        return sum(map(mul, vec.values(), vec.values()))
 
     def to_json(self) -> bytes:
         """The bytes of `json.dumps(..., sort_keys=True, indent=0)` over the
@@ -146,32 +130,6 @@ def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
     )
 
 
-def cosine_similarity(m: CouplingMatrix, i: str, j: str) -> float:
-    """Cosine of the coupling vectors of venues i and j."""
-    if i not in m.vectors:
-        raise UndefinedVenueError(f"venue {i!r} not in coupling matrix")
-    if j not in m.vectors:
-        raise UndefinedVenueError(f"venue {j!r} not in coupling matrix")
-    return cosine_of_vectors(m.vectors[i], m.vectors[j])
-
-
-def cosine_of_vectors(a: dict[str, int], b: dict[str, int]) -> float:
-    if not a or not b:
-        return 0.0
-    if len(b) < len(a):
-        a, b = b, a
-    dot = 0
-    for key, count in a.items():
-        other = b.get(key)
-        if other is not None:
-            dot += count * other
-    if dot == 0:
-        return 0.0
-    norm_a = sum(c * c for c in a.values())
-    norm_b = sum(c * c for c in b.values())
-    return dot / math.sqrt(norm_a * norm_b)
-
-
 def build_knowledge_network(m: CouplingMatrix) -> VenueGraph:
     """Undirected venue graph weighted by coupling-vector cosine similarity.
 
@@ -182,24 +140,29 @@ def build_knowledge_network(m: CouplingMatrix) -> VenueGraph:
     are added in sorted venue order.
     """
     names = sorted(m.venues)  # a venue's index orders it by name
-    norms = [m.norm_squared(venue) for venue in names]
-    # By Cauchy-Schwarz every partial dot is at most the largest norm and
-    # every norm product at most its square: int64 holds them all or none.
-    dtype = object if max(norms, default=0) ** 2 > _INT64_MAX else np.int64
-    pairs, dots = _pair_dots([m.vectors[venue] for venue in names], dtype)
-
-    positive = dots > 0
-    vi, vj = np.divmod(pairs[positive], len(names))
-    norm = np.array(norms, dtype=dtype)
-    weights = dots[positive].astype(np.float64) / np.sqrt((norm[vi] * norm[vj]).astype(np.float64))
     adj: dict[str, dict[str, float]] = {venue: {} for venue in m.venues}
-    for i, j, weight in zip(vi.tolist(), vj.tolist(), weights.tolist()):
+    for i, j, weight in zip(*pair_cosines([m.vectors[venue] for venue in names])):
         adj[names[i]][names[j]] = weight
         adj[names[j]][names[i]] = weight
     g = VenueGraph.from_adjacency(adj, directed=False)
     for venue in m.venues:
         g.nodes[venue]["publication_count"] = m.publication_counts.get(venue, 0)
     return g
+
+
+def pair_cosines(vectors: list[dict[str, int]]) -> tuple[list[int], list[int], list[float]]:
+    """Each pair i < j of `vectors` with a positive dot, ascending, and its
+    cosine float(dot) / sqrt(float(n_i * n_j)) over exact integers."""
+    norms = [sum(map(mul, vec.values(), vec.values())) for vec in vectors]
+    # By Cauchy-Schwarz every partial dot is at most the largest norm and
+    # every norm product at most its square: int64 holds them all or none.
+    dtype = object if max(norms, default=0) ** 2 > _INT64_MAX else np.int64
+    pairs, dots = _pair_dots(vectors, dtype)
+    positive = dots > 0
+    vi, vj = np.divmod(pairs[positive], len(vectors))
+    norm = np.array(norms, dtype=dtype)
+    cosines = dots[positive].astype(np.float64) / np.sqrt((norm[vi] * norm[vj]).astype(np.float64))
+    return vi.tolist(), vj.tolist(), cosines.tolist()
 
 
 def _pair_dots(vectors: list[dict[str, int]], dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -348,12 +311,13 @@ class NetworkSummary:
 
 
 def summarize(g: VenueGraph) -> NetworkSummary:
+    nbr_sets = metrics.neighbor_sets(g)
     return NetworkSummary(
         nodes=g.node_count(),
         edges=g.edge_count(),
-        components=metrics.component_count(g),
+        components=len(metrics.connected_components(g, nbr_sets)),
         density=metrics.density(g),
-        clustering_coefficient=metrics.average_clustering_coefficient(g),
+        clustering_coefficient=metrics.average_clustering_coefficient(g, nbr_sets),
     )
 
 

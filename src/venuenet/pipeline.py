@@ -14,7 +14,7 @@ from pathlib import Path
 from time import perf_counter, process_time
 
 from . import community, linkage, metrics, networks, subgraphs
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, parse_corpus, save_corpus, validate_corpus
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, check_names, parse_corpus, save_corpus, validate_corpus
 from .exports import export_graph, write_graph
 from .graph import VenueGraph
 from .subgraphs import DEFAULT_CUTS, ClassificationCuts, ProfileRow
@@ -298,6 +298,7 @@ def _stage_ingest(run: _Run) -> None:
     cfg = run.cfg
     with open(cfg.metadata_corpus, "rb") as fh:
         run.meta = parse_corpus(fh, cfg.corpus_format, source="metadata-corpus")
+    check_names(run.meta)
     out = run.out_dir / "corpus_metadata.jsonl"
     save_corpus(run.meta, out)
     report = validate_corpus(run.meta)
@@ -310,6 +311,7 @@ def _stage_ingest(run: _Run) -> None:
     if cfg.citation_corpus:
         with open(cfg.citation_corpus, "rb") as fh:
             run.cite = parse_corpus(fh, cfg.corpus_format, source="citation-corpus")
+        check_names(run.cite)
         cite_out = run.out_dir / "corpus_citation.jsonl"
         save_corpus(run.cite, cite_out)
         outputs.append(cite_out)

@@ -77,8 +77,8 @@ def extract_coauthorship_subgraph(
         raise UnknownVenueError(f"unknown venue {venue_key!r}")
     if records is None:
         records = [r for r in c.records if r.venue_key == venue_key]
-    # Nodes and neighbours in first-seen order, as add_node/increment_edge
-    # would insert them.
+    # Nodes and neighbours in first-seen order, as add_edge would insert
+    # them; a pair's weight counts the papers it shares.
     adj: dict[str, dict[str, float]] = {}
     for rec in records:
         names = sorted({a.full_name for a in rec.authors})

@@ -233,7 +233,7 @@ def planted_group_corpus(
                         record_id=record_id,
                         source=METADATA_CORPUS,
                         title=title,
-                        authors=tuple(AuthorName.from_full_name(n) for n in names),
+                        authors=tuple(AuthorName(n) for n in names),
                         venue_key=venue,
                         year=1990 + (pi % 20),
                         references=tuple(refs),
@@ -297,7 +297,7 @@ def linkage_benchmark_corpora(
                 titles.add(title)
                 break
         authors = tuple(
-            AuthorName.from_full_name(f"{rng.choice(_FIRST_NAMES)} {rng.choice(surnames)}")
+            AuthorName(f"{rng.choice(_FIRST_NAMES)} {rng.choice(surnames)}")
             for _ in range(rng.randint(1, 3))
         )
         left_id = f"m{i:04d}"
@@ -394,7 +394,7 @@ def scale_corpus(
                     record_id=record_id,
                     source=METADATA_CORPUS,
                     title=" ".join(rng.choice(vocab) for _ in range(7)),
-                    authors=tuple(AuthorName.from_full_name(n) for n in names),
+                    authors=tuple(AuthorName(n) for n in names),
                     venue_key=key,
                     year=1980 + (pi % 30),
                     references=tuple(refs),

@@ -9,9 +9,10 @@ one source at a time instead of the source-batched kernel, a per-key
 dictionary loop instead of the chunked sparse cosine product, the
 standard library's encoders instead of the direct JSON, corpus JSONL and
 GraphML writers,
-per-reference `Corpus.has_record` calls instead of the corpus's reference
-index, a pairwise cosine loop instead of the sparse product for the cluster
-network, and a per-character scan instead of the title token regex.
+per-reference record id lookups instead of the corpus's reference index, a
+pairwise cosine loop instead of the sparse product for the cluster network
+and for adopting unclustered venues, and a per-character scan instead of the
+title token regex.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from venuenet.community import ClusterPartition, CommunityError, modularity
 from venuenet.corpus import AuthorName, Corpus, PublicationRecord, VenueInfo, normalize_reference_key
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
 from venuenet.graph import VenueGraph
-from venuenet.networks import CouplingMatrix, cosine_of_vectors
+from venuenet.networks import CouplingMatrix
 
 INF = float("inf")
 
@@ -161,13 +162,13 @@ def density_oracle(g: VenueGraph) -> float:
     count = 0
     for u in nodes:
         for v in nodes:
-            if u != v and g.has_edge(u, v):
+            if u != v and v in g.neighbors(u):
                 count += 1
     return count / (n * (n - 1))  # undirected edges appear twice, matching 2|E|
 
 
 def clustering_oracle(g: VenueGraph) -> dict[str, float]:
-    und = g.undirected_view()
+    und = undirected_view(g)
     nodes = sorted(und.nodes)
     out = {}
     for v in nodes:
@@ -179,7 +180,7 @@ def clustering_oracle(g: VenueGraph) -> dict[str, float]:
         closed = 0
         for a in range(k):
             for b in range(a + 1, k):
-                if und.has_edge(nbrs[a], nbrs[b]):
+                if nbrs[b] in und.neighbors(nbrs[a]):
                     closed += 1
         out[v] = closed / (k * (k - 1) / 2)
     return out
@@ -438,7 +439,8 @@ def coupling_json_dumps(m: CouplingMatrix) -> bytes:
 
 def graphml_et(g: VenueGraph) -> bytes:
     """GraphML of `g` built as an ElementTree, indented by `ET.indent` and
-    written by ElementTree: the bytes the library's direct writer must give."""
+    written by ElementTree: the bytes the library's direct writer must give
+    wherever all text is XML 1.0 and no data text holds a CR."""
     root = ET.Element("graphml", xmlns=_GRAPHML_NS)
     attr_values: dict[str, list] = {}
     for attrs in g.nodes.values():
@@ -480,9 +482,14 @@ def graphml_et(g: VenueGraph) -> bytes:
     return buf.getvalue()
 
 
+def record_ids(c: Corpus) -> set[str]:
+    return {rec.record_id for rec in c.records}
+
+
 def coupling_matrix_loop(c: Corpus) -> CouplingMatrix:
-    """Coupling counts with one `has_record` call per reference: a target
+    """Coupling counts with one record id lookup per reference: a target
     that is a record id is its own key, any other its normalized form."""
+    ids = record_ids(c)
     vectors: dict[str, dict[str, int]] = {}
     publication_counts: dict[str, int] = {}
     for rec in c.records:
@@ -494,7 +501,7 @@ def coupling_matrix_loop(c: Corpus) -> CouplingMatrix:
             continue
         vec = vectors.setdefault(venue, {})
         for target in rec.references:
-            key = target if c.has_record(target) else normalize_reference_key(target)
+            key = target if target in ids else normalize_reference_key(target)
             vec[key] = vec.get(key, 0) + 1
     venues = sorted(vectors)
     return CouplingMatrix(
@@ -505,8 +512,9 @@ def coupling_matrix_loop(c: Corpus) -> CouplingMatrix:
 
 
 def citation_network_loop(c: Corpus) -> VenueGraph:
-    """F with one `has_record` call per reference, built node by node and
+    """F with one record id lookup per reference, built node by node and
     edge by edge in sorted order."""
+    ids = record_ids(c)
     edge_counts: dict[tuple[str, str], int] = {}
     self_citations: dict[str, int] = {}
     publication_counts: dict[str, int] = {}
@@ -516,7 +524,7 @@ def citation_network_loop(c: Corpus) -> VenueGraph:
             continue
         publication_counts[src_venue] = publication_counts.get(src_venue, 0) + 1
         for target in rec.references:
-            if not c.has_record(target):
+            if target not in ids:
                 continue
             dst_venue = c.record(target).venue_key
             if dst_venue is None:
@@ -541,10 +549,69 @@ def citation_network_loop(c: Corpus) -> VenueGraph:
 
 def publication_citation_graph_loop(c: Corpus) -> dict[str, list[str]]:
     """Each record's in-corpus references other than itself, in order."""
+    ids = record_ids(c)
     return {
-        rec.record_id: [t for t in rec.references if c.has_record(t) and t != rec.record_id]
+        rec.record_id: [t for t in rec.references if t in ids and t != rec.record_id]
         for rec in c.records
     }
+
+
+def cosine_of_vectors(a: dict[str, int], b: dict[str, int]) -> float:
+    """Cosine of two count vectors: an exact integer dot over the smaller
+    vector's keys, divided by the square root of the exact norm product."""
+    if not a or not b:
+        return 0.0
+    if len(b) < len(a):
+        a, b = b, a
+    dot = 0
+    for key, count in a.items():
+        other = b.get(key)
+        if other is not None:
+            dot += count * other
+    if dot == 0:
+        return 0.0
+    norm_a = sum(c * c for c in a.values())
+    norm_b = sum(c * c for c in b.values())
+    return dot / math.sqrt(norm_a * norm_b)
+
+
+def undirected_view(g: VenueGraph) -> VenueGraph:
+    """Symmetrized copy of `g`: antiparallel weights are summed; an
+    undirected graph is copied as it is."""
+    und = VenueGraph(directed=False)
+    for key, attrs in g.nodes.items():
+        und.add_node(key, **attrs)
+    for u, v, w in g.edges():
+        current = und.neighbors(u).get(v, 0.0) if g.directed else 0.0
+        und.add_edge(u, v, current + w)
+    return und
+
+
+def adopt_by_cosine_loop(m: CouplingMatrix, p: ClusterPartition) -> tuple[dict[str, str], list[str]]:
+    """The venues of `m` missing from `p`, each with the cluster whose
+    aggregate vector it is most cosine-similar to (ties to the smallest
+    cluster id), by one `cosine_of_vectors` call per venue and cluster; and
+    the venues with no positive cosine to any cluster, in matrix order."""
+    aggregates: dict[str, dict[str, int]] = {}
+    for venue, cluster in p.assignment.items():
+        into = aggregates.setdefault(cluster, {})
+        for key, count in m.vectors.get(venue, {}).items():
+            into[key] = into.get(key, 0) + count
+    new_assignments: dict[str, str] = {}
+    unassigned: list[str] = []
+    for venue in m.venues:
+        if venue in p.assignment:
+            continue
+        best_cluster, best_cos = None, 0.0
+        for cluster in sorted(aggregates):
+            cos = cosine_of_vectors(m.vectors[venue], aggregates[cluster])
+            if cos > best_cos:
+                best_cluster, best_cos = cluster, cos
+        if best_cluster is None:
+            unassigned.append(venue)
+        else:
+            new_assignments[venue] = best_cluster
+    return new_assignments, unassigned
 
 
 def cluster_network_loop(

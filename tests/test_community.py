@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import (
+    adopt_by_cosine_loop,
     best_modularity_exhaustive,
     cluster_network_loop,
     greedy_modularity_scan,
@@ -134,7 +135,8 @@ class TestGreedyPartition:
     def test_two_triangles_exact(self):
         p = greedy_modularity_partition(two_triangles())
         assert p.q == 0.5
-        assert p.member_sets() == {frozenset({"a1", "a2", "a3"}), frozenset({"b1", "b2", "b3"})}
+        clusters = {frozenset(m) for m in p.clusters().values()}
+        assert clusters == {frozenset({"a1", "a2", "a3"}), frozenset({"b1", "b2", "b3"})}
 
     def test_edgeless_graph_singletons(self):
         g = VenueGraph()
@@ -162,7 +164,7 @@ class TestGreedyPartition:
                         g.add_edge(grp[i], grp[j], 1.0)
             g.add_edge(a[0], b[0], 1.0)
             p = greedy_modularity_partition(g)
-            assert p.member_sets() == {frozenset(a), frozenset(b)}
+            assert {frozenset(m) for m in p.clusters().values()} == {frozenset(a), frozenset(b)}
 
     def test_directed_rejected(self):
         from venuenet.community import CommunityError
@@ -339,7 +341,7 @@ class TestProjection:
         m = self._matrix({"v1": {"a": 1, "b": 1}, "v2": {"b": 1, "c": 1}})
         p = ClusterPartition(assignment={"v1": "c1", "v2": "c2"}, q=0.0)
         projection = project_to_cluster_network(m, p)
-        assert projection.graph.weight("c1", "c2") == 0.5
+        assert projection.graph.neighbors("c1")["c2"] == 0.5
 
     def test_venue_count_attribute(self):
         m = self._matrix({"v1": {"a": 1}, "v2": {"a": 1}, "v3": {"a": 9}})
@@ -380,6 +382,52 @@ class TestClusterNetworkKernel:
         m = build_coupling_matrix(scale_corpus(60, 8, groups=6, seed=4))
         k_prime = apply_threshold(build_knowledge_network(m), ThresholdRule("cosine", COSINE_MIN_DEFAULT))
         self._assert_equals_loop(m, greedy_modularity_partition(k_prime))
+
+
+class TestAdoptionKernel:
+    """Unclustered venues are adopted through the knowledge-network kernel;
+    the adoptions (in order) and the unassigned venues must equal the
+    per-pair cosine loop's."""
+
+    def _assert_equals_loop(self, m, p):
+        projection = project_to_cluster_network(m, p)
+        new_assignments, unassigned = adopt_by_cosine_loop(m, p)
+        assert list(projection.new_assignments.items()) == list(new_assignments.items())
+        assert projection.unassigned == unassigned
+        return projection
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_partitions_of_scale_corpora(self, seed):
+        m = build_coupling_matrix(scale_corpus(120, 8, seed=seed))
+        k = build_knowledge_network(m)
+        for cut in (0.1, 0.3, 0.5, 0.7):
+            self._assert_equals_loop(m, greedy_modularity_partition(apply_threshold(k, ThresholdRule("cosine", cut))))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_random_matrices(self, seed):
+        rng = random.Random(seed)
+        keys = [f"k{i}" for i in range(rng.randint(1, 20))]
+        top = rng.choice([3, 1000, 2**31 + 11, 1 << 40])  # past 2^31, and past int64 norm products
+        venues = [f"v{i:02d}" for i in range(rng.randint(1, 30))]
+        vectors = {}
+        for venue in venues:
+            sample = rng.sample(keys, rng.randint(1, len(keys)))
+            if rng.random() < 0.2:
+                sample = [f"only-{venue}"]  # orthogonal to every cluster
+            vectors[venue] = {key: rng.randint(1, top) for key in sample}
+        rng.shuffle(venues)
+        # cluster ids of their own, or venue keys (of unclustered venues too)
+        ids = [f"c{i}" for i in range(rng.randint(1, 6))] if seed % 2 else rng.sample(venues, min(len(venues), 4))
+        assignment = {venue: rng.choice(ids) for venue in venues if rng.random() < 0.6}
+        m = CouplingMatrix(venues=venues, vectors=vectors, publication_counts={v: 1 for v in venues})
+        self._assert_equals_loop(m, ClusterPartition(assignment=assignment, q=0.0))
+
+    def test_cluster_named_after_an_unclustered_venue(self):
+        m = CouplingMatrix(venues=["a", "b", "c"], vectors={"a": {"x": 1}, "b": {"x": 2}, "c": {"y": 1}})
+        projection = self._assert_equals_loop(m, ClusterPartition(assignment={"a": "b"}, q=0.0))
+        assert projection.new_assignments == {"b": "b"}
+        assert projection.unassigned == ["c"]
+        assert projection.graph.nodes["b"]["venue_count"] == 2
 
 
 class TestDomainComposition:

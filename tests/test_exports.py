@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -61,8 +62,8 @@ class TestRoundTrips:
         g.add_edge("a", "b", 0.1)  # not dyadic; repr round-trip must still be exact
         g.add_edge("a", "c", 1e-9)
         again = import_graph(export_graph(g, fmt), fmt)
-        assert again.weight("a", "b") == 0.1
-        assert again.weight("a", "c") == 1e-9
+        assert again.neighbors("a")["b"] == 0.1
+        assert again.neighbors("a")["c"] == 1e-9
 
 
 class TestGraphML:
@@ -130,10 +131,31 @@ class TestGraphMLWriter:
         assert again.nodes["a&b"] == {}
 
     def test_lone_surrogate_becomes_a_character_reference(self):
+        # XML 1.0 has no lone surrogates, not even as a character reference
         g = VenueGraph()
         g.add_edge("\ud800", "b", 1.0)
-        assert b"&#55296;" in export_graph(g, "graphml")
-        assert export_graph(g, "graphml") == graphml_et(g)
+        with pytest.raises(ExportError):
+            export_graph(g, "graphml")
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"])
+    def test_refuses_what_xml_cannot_carry(self, char):
+        g = VenueGraph()
+        g.add_edge(f"a{char}", "b", 1.0)
+        with pytest.raises(ExportError, match="^" + re.escape(f"node {f'a{char}'!r}: ")):
+            export_graph(g, "graphml")
+        g = VenueGraph()
+        g.add_node("a", label=f"x{char}")
+        with pytest.raises(ExportError, match="^attribute 'label' of node 'a': "):
+            export_graph(g, "graphml")
+        with pytest.raises(ExportError, match="^" + re.escape(f"attribute {f'n{char}'!r}: ")):
+            export_graph(graph_with_isolate(), "graphml", {f"n{char}": dict.fromkeys(["a", "b", "loner"], 1)})
+
+    def test_carriage_return_in_data_text_reads_back(self):
+        g = VenueGraph()
+        g.add_node("a\rb", label="x\ry\r\nz", note="\t\n")
+        data = export_graph(g, "graphml")
+        assert b"x&#13;y&#13;\nz" in data
+        assert import_graph(data, "graphml") == g
 
     def test_empty_and_edgeless_graphs(self):
         for directed in (False, True):
@@ -161,13 +183,12 @@ class TestNodeAttrs:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_same_bytes_as_a_tagged_copy(self, fmt):
         g = odd_graph(directed=False)
-        fingerprint = g.fingerprint()
         clusters = {node: f"c{i % 3}" for i, node in enumerate(g.nodes)}
-        tagged = g.copy()
+        tagged = odd_graph(directed=False)
         for node in tagged.nodes:
             tagged.nodes[node]["cluster"] = clusters[node]
         assert export_graph(g, fmt, {"cluster": clusters}) == export_graph(tagged, fmt)
-        assert g.fingerprint() == fingerprint  # g itself is not tagged
+        assert g == odd_graph(directed=False)  # g itself is not tagged
 
     def test_overrides_an_existing_attribute(self):
         g = clustered_graph()

@@ -13,7 +13,7 @@ from venuenet.corpus import save_corpus
 from venuenet.exports import load_graph
 from venuenet.linkage import MATCHES_HEADER
 from venuenet.networks import summarize
-from oracles import graphml_et
+from oracles import graphml_et, record_ids
 from venuenet.subgraphs import PROFILES_HEADER, write_profiles
 from venuenet.pipeline import (
     ConfigError,
@@ -223,7 +223,7 @@ class TestRunPipeline:
         assert summaries["K'"] == summarize(reduced).to_dict()
         if cosine_min == 0.0:
             assert summaries["K'"] == summaries["K"]
-        tagged = reduced.copy()
+        tagged = load_graph(out_dir / "knowledge.tsv")
         partition = read_partition(out_dir / "partition.tsv")
         for venue in tagged.nodes:
             tagged.nodes[venue]["cluster"] = partition.assignment.get(venue, "")
@@ -535,6 +535,38 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("bad", ["v\t1", "v\n1", "v\r1", "\x01", "v\x1f", "v\x85", "v\u2028", "v\u2029", "\ud800", "v\udfff", "v\ufffe", "v\uffff"])
+    def test_ids_and_venue_keys_the_artifacts_cannot_carry_exit_1(self, tmp_path, bad):
+        runner = CliRunner()
+        good = tmp_path / "good.jsonl"
+        good.write_text('{"id": "p0", "title": "A", "venue": "v", "refs": ["x"]}\n')
+        for field in ("id", "venue"):
+            record = {"id": "p1", "title": "B", "venue": "w", "refs": ["x"], field: bad}
+            path = tmp_path / f"bad-{field}.jsonl"
+            path.write_text(good.read_text() + json.dumps(record) + "\n")  # ASCII: json escapes every such character
+            for args in (
+                ["ingest", str(path), "--out", str(tmp_path / "c.jsonl")],
+                ["run", "--corpus", str(path), "--out-dir", str(tmp_path / "out")],
+                ["run", "--left", str(good), "--right", str(path), "--out-dir", str(tmp_path / "out2")],
+            ):
+                result = runner.invoke(main, args)
+                assert result.exit_code == 1, (args[0], result.output)
+                assert isinstance(result.exception, SystemExit)
+                lines = result.stderr.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+                assert f"record 2 (id {record['id']!r})" in lines[0] and repr(bad) in lines[0], lines[0]
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_export_refuses_text_xml_cannot_carry(self, tmp_path):
+        graph = tmp_path / "g.tsv"
+        graph.write_text("# venuenet-graph directed=false\na\x01\tb\t1.0\n")
+        out = tmp_path / "g.graphml"
+        result = CliRunner().invoke(main, ["export", str(graph), "--format", "graphml", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: node 'a\\x01'") and len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_run_command_and_exit_codes(self, tmp_path):
         runner = CliRunner()
         corpus_path = self._write_fixture(tmp_path)
@@ -730,7 +762,8 @@ class TestStageByStageCli:
         threshold, plus a weakly coupled venue (adopted by best cosine) and a
         venue that shares no reference (unassigned), both of unknown kind."""
         corpus = scale_corpus(24, 80, groups=6)
-        shared = next(t for t in corpus.records[0].references if corpus.has_record(t))
+        ids = record_ids(corpus)
+        shared = next(t for t in corpus.records[0].references if t in ids)
         path = tmp_path / "corpus.jsonl"
         save_corpus(corpus, path)
         with open(path, "a", encoding="utf-8") as fh:

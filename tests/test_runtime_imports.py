@@ -59,3 +59,52 @@ def test_references_resolve_in_one_place():
         if path.name == "networks.py" and "venuenet.linkage" in imports:
             found.append((path.name, "imports linkage"))
     assert found == []
+
+
+GUARDED_MODULES = ("graph", "networks", "community", "metrics", "subgraphs", "corpus", "linkage", "exports", "pipeline")
+
+
+def _definitions(tree: ast.Module):
+    """Each top-level function and class, and each public method of a
+    top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def _references(tree: ast.Module):
+    """(name, line) of each name, attribute and string constant: a string
+    names what bench/tracing.py wraps by attribute name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_every_definition_has_a_caller():
+    """Every top-level function, class and public method of the core modules
+    is referenced from the program or the benchmark outside its own body, or
+    is public API in venuenet.__all__."""
+    package = Path(venuenet.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in [*package.glob("*.py"), *bench.glob("*.py")]}
+    references = {path: list(_references(tree)) for path, tree in trees.items()}
+    unused = []
+    for module in GUARDED_MODULES:
+        path = package / f"{module}.py"
+        for node in _definitions(trees[path]):
+            if node.name in venuenet.__all__:
+                continue
+            body = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and (where != path or line not in body)
+                for where, refs in references.items()
+                for name, line in refs
+            ):
+                unused.append(f"{module}.{node.name}")
+    assert unused == []
