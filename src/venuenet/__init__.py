@@ -47,10 +47,7 @@ from .subgraphs import (
     ClassificationCuts,
     SubgraphProfile,
     classify_network_type,
-    extract_citation_subgraph,
-    extract_coauthorship_subgraph,
     profile_statistics,
-    subgraph_profile,
 )
 
 __version__ = "0.1.0"
@@ -83,8 +80,6 @@ __all__ = [
     "classify_network_type",
     "density",
     "export_graph",
-    "extract_citation_subgraph",
-    "extract_coauthorship_subgraph",
     "greedy_modularity_partition",
     "import_graph",
     "jaccard_title_similarity",
@@ -100,7 +95,6 @@ __all__ = [
     "serialize_corpus",
     "slice_by_year",
     "smith_waterman_similarity",
-    "subgraph_profile",
     "summarize",
     "tokenize_title",
     "validate_corpus",

@@ -49,9 +49,11 @@ def _report(manifest: RunManifest, verbose: bool) -> None:
 
 def _load_corpus_or_fail(path: str) -> Corpus:
     try:
-        return load_corpus(path)
+        corpus = load_corpus(path)
+        check_names(corpus)
     except (OSError, CorpusError) as exc:
         _fail_input(str(exc))
+    return corpus
 
 
 def _load_graph_or_fail(path: str, fmt: str = "edge-tsv") -> VenueGraph:

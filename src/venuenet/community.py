@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from . import networks
 from .graph import VenueGraph
+from .metrics import left_sum
 from .networks import CouplingMatrix
 
 
@@ -64,7 +65,7 @@ def modularity(g: VenueGraph, assignment: dict[str, str], weighted: bool = True)
     def wt(w: float) -> float:
         return w if weighted else 1.0
 
-    m = sum(wt(w) for _, _, w in g.edges())
+    m = left_sum(wt(w) for _, _, w in g.edges())
     if m == 0:
         return 0.0
     intra: dict[str, float] = {}
@@ -106,13 +107,13 @@ def greedy_modularity_partition(
     def wt(w: float) -> float:
         return w if weighted else 1.0
 
-    m = sum(wt(w) for _, _, w in g.edges())
+    m = left_sum(wt(w) for _, _, w in g.edges())
     if m == 0:
         return ClusterPartition(assignment={v: v for v in nodes}, q=0.0)
 
     # cluster id = smallest member key; singletons to start
     members: dict[str, list[str]] = {v: [v] for v in nodes}
-    degree_sum: dict[str, float] = {v: sum(wt(w) for w in g.neighbors(v).values()) for v in nodes}
+    degree_sum: dict[str, float] = {v: left_sum(wt(w) for w in g.neighbors(v).values()) for v in nodes}
     between: dict[str, dict[str, float]] = {v: {} for v in nodes}
     for u, v, w in g.edges():
         between[u][v] = between[u].get(v, 0.0) + wt(w)

@@ -18,6 +18,7 @@ may legitimately point at preprints or venues outside the corpus).
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import unicodedata
@@ -124,12 +125,6 @@ class ReferenceIndex:
     targets: np.ndarray
     external_keys: list[str]
 
-    def references_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The targets of `rows`, row after row, and the row of each."""
-        lengths = self.offsets[rows + 1] - self.offsets[rows]
-        starts = np.repeat(self.offsets[rows] - np.cumsum(lengths) + lengths, lengths)
-        return self.targets[starts + np.arange(starts.size)], np.repeat(rows, lengths)
-
 
 @dataclass
 class Corpus:
@@ -168,13 +163,6 @@ class Corpus:
                 external_keys=list(external),
             )
         return self._references
-
-    def records_by_venue(self) -> dict[str, list[PublicationRecord]]:
-        index: dict[str, list[PublicationRecord]] = {}
-        for rec in self.records:
-            if rec.venue_key is not None:
-                index.setdefault(rec.venue_key, []).append(rec)
-        return index
 
     def venue_kind(self, venue_key: str) -> str:
         info = self.venue_table.get(venue_key)
@@ -288,7 +276,19 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
 
     Each line is decoded on its own; the first bad line raises with its
     number. The checks run in a fixed order, so a line with several faults
-    always reports the same one."""
+    always reports the same one. The cyclic garbage collector is paused
+    meanwhile: records hold no reference cycles, and its passes over them
+    would grow with the corpus."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_jsonl(stream, source)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str) -> Corpus:
     records: list[PublicationRecord] = []
     venue_table: dict[str, VenueInfo] = {}
     seen_ids: set[str] = set()
@@ -476,7 +476,8 @@ _UNCARRIED = "[\x00-\x1f\x85\u2028\u2029\ud800-\udfff\ufffe\uffff]"
 def check_names(corpus: Corpus) -> None:
     """Raise MalformedEntryError, naming the record's id and 1-based
     position, for the first record whose id or venue key holds a character
-    the network, partition and GraphML artifacts cannot carry."""
+    the network, partition and GraphML artifacts cannot carry, or whose
+    venue key starts with `#`, which the edge TSV reader takes for a comment."""
     search = re.compile(_UNCARRIED).search
     for position, rec in enumerate(corpus.records, start=1):
         bad = search(rec.record_id) or search(rec.venue_key or "")
@@ -485,6 +486,11 @@ def check_names(corpus: Corpus) -> None:
             raise MalformedEntryError(
                 f"record {position} (id {rec.record_id!r})",
                 f"{what} {bad.string!r} holds {bad.group()!r}, which the output artifacts cannot carry",
+            )
+        if (rec.venue_key or "").startswith("#"):
+            raise MalformedEntryError(
+                f"record {position} (id {rec.record_id!r})",
+                f"venue key {rec.venue_key!r} starts with '#', which an edge TSV would read as a comment",
             )
 
 

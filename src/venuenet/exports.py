@@ -240,7 +240,19 @@ def _from_graphml(data: bytes) -> VenueGraph:
 # -- edge TSV ---------------------------------------------------------------
 
 
+# What a node of an edge TSV cannot hold: a tab splits a row, a
+# `str.splitlines` break ends it, and UTF-8 has no lone surrogates.
+_NOT_TSV = "[\t\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]"
+
+
 def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
+    """The edge TSV of `g` whose node attributes are `nodes`. A node name the
+    reader would split, or take for a comment, raises ExportError naming it."""
+    for node in nodes:
+        bad = re.search(_NOT_TSV, node)
+        if bad or node.startswith("#"):
+            what = repr(bad.group()) if bad else "a leading '#'"
+            raise ExportError(f"node {node!r}: {what} cannot be written in edge TSV")
     out = io.StringIO()
     out.write(f"# venuenet-graph directed={'true' if g.directed else 'false'}\n")
     for node in sorted(nodes):

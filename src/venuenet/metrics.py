@@ -9,9 +9,10 @@ so scores hover around 1 instead of summing to 1.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-from collections import deque
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,6 @@ class MetricVector:
     def top(self) -> list[tuple[str, float]]:
         return sorted(self.values.items(), key=lambda kv: (-kv[1], kv[0]))
 
-    def max_value(self) -> float:
-        return max(self.values.values()) if self.values else 0.0
-
     def convergence_warning(self) -> str | None:
         """The warning to show when the iteration stopped before converging."""
         if self.converged:
@@ -56,75 +54,89 @@ class MetricVector:
         return f"{self.metric} did not converge (residual {self.residual:.3g})"
 
 
+@dataclass(frozen=True)
+class CSRGraph:
+    """A graph on nodes 0..n-1 without names or weights: node i's successors (when
+    undirected, its neighbours) are heads[indptr[i]:indptr[i + 1]], in adjacency order."""
+
+    indptr: np.ndarray
+    heads: np.ndarray
+    directed: bool
+
+    def node_count(self) -> int:
+        return self.indptr.size - 1
+
+
+def left_sum(values) -> float:
+    """The floats added from the left on any Python (3.12's sum() compensates)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def density(g: VenueGraph) -> float:
+    return edge_density(g.node_count(), g.edge_count(), g.directed)
+
+
+def edge_density(n: int, edges: int, directed: bool) -> float:
+    """Edges over the possible ones among n nodes."""
+    return 0.0 if n <= 1 else (edges if directed else 2 * edges) / (n * (n - 1))
+
+
+def local_clustering(g: VenueGraph) -> dict[str, float]:
+    """Closed triads over centered triples per node, in node order; 0 where
+    degree < 2. Directed graphs are symmetrized first."""
+    nodes = list(g.nodes)
+    return dict(zip(nodes, csr_local_clustering(_csr(g, nodes)).tolist()))
+
+
+def average_clustering_coefficient(g: VenueGraph) -> float:
     n = g.node_count()
-    if n <= 1:
-        return 0.0
-    possible = n * (n - 1)
-    if not g.directed:
-        return 2 * g.edge_count() / possible
-    return g.edge_count() / possible
+    return left_sum(local_clustering(g).values()) / n if n else 0.0
 
 
-def neighbor_sets(g: VenueGraph) -> dict[str, set[str]]:
-    """Each node's neighbours with edge direction ignored, in node order."""
-    sets = {v: set(g.neighbors(v)) for v in g.nodes}
-    if g.directed:
-        for u in g.nodes:
-            for v in g.neighbors(u):
-                sets[v].add(u)
-    return sets
+# Upper bound on the pairs of arcs one pass of csr_local_clustering checks.
+WEDGE_BLOCK = 1 << 12
 
 
-def local_clustering(g: VenueGraph, nbr_sets: dict[str, set[str]] | None = None) -> dict[str, float]:
-    """Closed triads over centered triples per node; 0 where degree < 2.
-    Directed graphs are symmetrized first. `nbr_sets` is neighbor_sets(g),
-    when the caller has it already."""
-    if nbr_sets is None:
-        nbr_sets = neighbor_sets(g)
-    out: dict[str, float] = {}
-    for v, nbrs in nbr_sets.items():
-        k = len(nbrs)
-        if k < 2:
-            out[v] = 0.0
-            continue
-        links = 0
-        for u in nbrs:
-            links += len(nbrs & nbr_sets[u])
-        out[v] = links / (k * (k - 1))  # each link double-counted vs k*(k-1)/2 pairs
-    return out
-
-
-def average_clustering_coefficient(g: VenueGraph, nbr_sets: dict[str, set[str]] | None = None) -> float:
+def csr_local_clustering(g: CSRGraph) -> np.ndarray:
+    """local_clustering of each node of `g`, from exact triangle counts (Latapy
+    2008): with each edge oriented from its end of lower (degree, node) rank,
+    a triangle is one closed pair of arcs out of its lowest node."""
     n = g.node_count()
-    if n == 0:
-        return 0.0
-    values = local_clustering(g, nbr_sets)
-    return sum(values.values()) / n
+    tails = np.repeat(np.arange(n), np.diff(g.indptr))
+    keys = _distinct((np.minimum(tails, g.heads) * n + np.maximum(tails, g.heads))[tails != g.heads])
+    del tails  # keys holds each edge once, direction ignored: no arc-sized array is needed after it
+    lo, hi = np.divmod(keys, max(n, 1))
+    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    rank = np.argsort(np.argsort(degree, kind="stable"))
+    up = rank[lo] < rank[hi]
+    low, high = np.where(up, lo, hi), np.where(up, hi, lo)
+    order = np.argsort(low)
+    low, high = low[order], high[order]
+    after = np.searchsorted(low, low, side="right") - np.arange(low.size) - 1  # later arcs out of the node
+    ends = np.cumsum(after)
+    triangles = np.zeros(n, dtype=np.int64)
+    start = 0
+    while start < low.size:  # the pairs of arcs out of one node, at most WEDGE_BLOCK at a time
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - after[start] + WEDGE_BLOCK, side="right")))
+        j, i = _concat_ranges(np.arange(start + 1, stop + 1), after[start:stop])
+        a, b = high[start + i], high[j]
+        wedge = np.minimum(a, b) * n + np.maximum(a, b)
+        closed = keys[np.minimum(np.searchsorted(keys, wedge), keys.size - 1)] == wedge
+        triangles += np.bincount(np.concatenate((low[start + i][closed], a[closed], b[closed])), minlength=n)
+        start = stop
+    # a node's links, the ordered pairs of adjacent neighbours, are twice its triangles
+    return np.where(degree > 1, 2 * triangles / np.maximum(degree * (degree - 1), 1), 0.0)
 
 
-def connected_components(g: VenueGraph, nbr_sets: dict[str, set[str]] | None = None) -> list[set[str]]:
+def connected_components(g: VenueGraph) -> list[set[str]]:
     """Weakly connected components (direction ignored), largest first."""
-    if nbr_sets is None:
-        nbr_sets = neighbor_sets(g)
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in nbr_sets:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            node = queue.popleft()
-            for nbr in nbr_sets[node]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    comp.add(nbr)
-                    queue.append(nbr)
-        components.append(comp)
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return components
+    nodes = list(g.nodes)
+    csr = _csr(g, nodes)
+    labels = _weak_component_labels(len(nodes), np.repeat(np.arange(len(nodes)), np.diff(csr.indptr)), csr.heads)
+    components: dict[int, set[str]] = {}
+    for node, label in zip(nodes, labels.tolist()):
+        components.setdefault(label, set()).add(node)
+    return sorted(components.values(), key=lambda c: (-len(c), min(c)))
 
 
 def largest_component_fraction(g: VenueGraph) -> float:
@@ -151,6 +163,23 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
     ranges = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     ranges += np.arange(owner.size)
     return ranges, owner
+
+
+def _csr(g: VenueGraph, nodes: list[str]) -> CSRGraph:
+    """`g` on nodes 0..n-1, node i standing for nodes[i]."""
+    index = {v: i for i, v in enumerate(nodes)}
+    successors = [g.neighbors(u) for u in nodes]
+    indptr = np.r_[0, np.cumsum(np.fromiter(map(len, successors), dtype=np.int64, count=len(nodes)))]
+    heads = map(index.__getitem__, itertools.chain.from_iterable(successors))
+    return CSRGraph(indptr, np.fromiter(heads, dtype=np.int64, count=int(indptr[-1])), g.directed)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values), by one sort: numpy 2.4's np.unique hashes and was many times slower on these keys."""
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def _weak_component_labels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -317,43 +346,42 @@ def betweenness_scale(n: int, directed: bool) -> float:
 
 
 def betweenness_centrality(
-    g: VenueGraph, weighted: bool = False, normalized: bool = True
-) -> MetricVector:
+    g: VenueGraph | CSRGraph, weighted: bool = False, normalized: bool = True
+) -> MetricVector | list[float]:
     """Shortest-path betweenness with endpoints excluded.
 
     Weighted mode turns edge weights into distances as 1/weight, so strong
     connections act as short paths. Normalization divides by the number of
     node pairs excluding the node itself: (n-1)(n-2) for directed graphs,
-    (n-1)(n-2)/2 for undirected ones.
+    (n-1)(n-2)/2 for undirected ones. A CSRGraph has neither weights nor
+    names: its values come back as a list in node order.
     """
-    nodes = sorted(g.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-
-    if weighted:
-        adj_w: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u in nodes:
-            row = adj_w[index[u]]
-            for v, w in g.neighbors(u).items():
-                if not w > 0:
-                    raise NonPositiveWeightError(f"edge {u!r}->{v!r} has non-positive weight {w!r}")
-                row.append((index[v], 1.0 / w))
-        cb = _brandes_weighted(adj_w)
+    if isinstance(g, CSRGraph):
+        nodes, cb = range(g.node_count()), _brandes_unweighted(g.indptr, g.heads)
     else:
-        successors = [g.neighbors(u) for u in nodes]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, successors), dtype=np.int64, count=n), out=indptr[1:])
-        heads = np.fromiter(
-            map(index.__getitem__, itertools.chain.from_iterable(successors)), dtype=np.int64, count=int(indptr[-1])
-        )
-        cb = _brandes_unweighted(indptr, heads)
+        nodes = sorted(g.nodes)
+        if weighted:
+            index = {v: i for i, v in enumerate(nodes)}
+            adj_w: list[list[tuple[int, float]]] = [[] for _ in range(len(nodes))]
+            for u in nodes:
+                row = adj_w[index[u]]
+                for v, w in g.neighbors(u).items():
+                    if not w > 0:
+                        raise NonPositiveWeightError(f"edge {u!r}->{v!r} has non-positive weight {w!r}")
+                    row.append((index[v], 1.0 / w))
+            cb = _brandes_weighted(adj_w)
+        else:
+            csr = _csr(g, nodes)
+            cb = _brandes_unweighted(csr.indptr, csr.heads)
 
     if not g.directed:
         cb = [x / 2.0 for x in cb]
     if normalized:
-        scale = betweenness_scale(n, g.directed)
+        scale = betweenness_scale(len(nodes), g.directed)
         cb = [x * scale for x in cb]
 
+    if isinstance(g, CSRGraph):
+        return cb
     return MetricVector(metric="betweenness", values=dict(zip(nodes, cb)))
 
 

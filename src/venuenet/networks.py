@@ -292,11 +292,12 @@ class NetworkSummary:
     ROW_NAMES = ("Nodes", "Edges", "Components", "Density", "Clustering coef.")
 
     def rows(self) -> list[tuple[str, str]]:
+        percent = f"{self.density * 100:.2g}"
         return [
             ("Nodes", f"{self.nodes:,}"),
             ("Edges", f"{self.edges:,}"),
             ("Components", f"{self.components:,}"),
-            ("Density", f"{self.density * 100:.2g}%"),
+            ("Density", "100%" if percent == "1e+02" else f"{percent}%"),  # 99.5% and up round to 1e+02
             ("Clustering coef.", f"{self.clustering_coefficient:.3f}"),
         ]
 
@@ -311,13 +312,12 @@ class NetworkSummary:
 
 
 def summarize(g: VenueGraph) -> NetworkSummary:
-    nbr_sets = metrics.neighbor_sets(g)
     return NetworkSummary(
         nodes=g.node_count(),
         edges=g.edge_count(),
-        components=len(metrics.connected_components(g, nbr_sets)),
+        components=len(metrics.connected_components(g)),
         density=metrics.density(g),
-        clustering_coefficient=metrics.average_clustering_coefficient(g, nbr_sets),
+        clustering_coefficient=metrics.average_clustering_coefficient(g),
     )
 
 

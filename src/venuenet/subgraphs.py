@@ -7,7 +7,8 @@ citation subgraph takes every publication the venue's papers cite that
 resolves inside the corpus and induces the publication-level citation edges
 among them. Four metrics summarize either subgraph: density (M1), average
 local clustering (M2), maximum normalized betweenness (M3), and the fraction
-of nodes in the largest connected component (M4).
+of nodes in the largest connected component (M4). Each family is measured
+on one block, the disjoint union of every venue's subgraph of that family.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import metrics
 from .corpus import Corpus
-from .graph import VenueGraph
 
 TYPE_1 = "Type1"
 TYPE_2 = "Type2"
@@ -30,30 +30,6 @@ TYPE_4 = "Type4"
 METRIC_NAMES = ("m1_density", "m2_avg_clustering", "m3_max_betweenness", "m4_lcc_fraction")
 
 DEFAULT_HISTOGRAM_BINS = 20
-
-
-class SubgraphError(Exception):
-    pass
-
-
-class UnknownVenueError(SubgraphError):
-    pass
-
-
-class EmptySubgraphError(SubgraphError):
-    pass
-
-
-@dataclass
-class CoauthorshipSubgraph:
-    venue_key: str
-    graph: VenueGraph  # undirected; author full names as nodes
-
-
-@dataclass
-class CitationSubgraph:
-    venue_key: str
-    graph: VenueGraph  # directed; record ids of cited publications as nodes
 
 
 def publication_citation_graph(c: Corpus) -> dict[str, list[str]]:
@@ -68,60 +44,98 @@ def publication_citation_graph(c: Corpus) -> dict[str, list[str]]:
     }
 
 
-def extract_coauthorship_subgraph(
-    c: Corpus, venue_key: str, records: Sequence | None = None
-) -> CoauthorshipSubgraph:
-    """`records` optionally short-circuits the corpus scan with the venue's
-    own publication list (as produced by Corpus.records_by_venue)."""
-    if venue_key not in c.venue_table:
-        raise UnknownVenueError(f"unknown venue {venue_key!r}")
-    if records is None:
-        records = [r for r in c.records if r.venue_key == venue_key]
-    # Nodes and neighbours in first-seen order, as add_edge would insert
-    # them; a pair's weight counts the papers it shares.
-    adj: dict[str, dict[str, float]] = {}
-    for rec in records:
-        names = sorted({a.full_name for a in rec.authors})
-        for name in names:
-            if name not in adj:
-                adj[name] = {}
-        for x, u in enumerate(names):
-            nbrs = adj[u]
-            for v in names[x + 1 :]:
-                weight = nbrs.get(v)
-                weight = 1.0 if weight is None else weight + 1.0  # every 1.0 is one shared float
-                nbrs[v] = weight
-                adj[v][u] = weight
-    return CoauthorshipSubgraph(venue_key=venue_key, graph=VenueGraph.from_adjacency(adj, directed=False))
+@dataclass(frozen=True)
+class SubgraphBlock:
+    """The disjoint union of one family's venue subgraphs. Venue i of `venues`
+    (those with nodes, in name order) owns nodes bounds[i]:bounds[i + 1] of
+    `graph` in name order, each with its neighbours in the order the venue's
+    graph met them, and a largest component of largest[i] nodes. `clustering`
+    holds the nodes' local clustering, each venue's in the order met."""
+
+    venues: list[str]
+    bounds: list[int]
+    graph: metrics.CSRGraph
+    largest: list[int]
+    clustering: list[float]
 
 
-def extract_citation_subgraph(c: Corpus, venue_key: str, records: Sequence | None = None) -> CitationSubgraph:
-    """Induced citation graph over the publications the venue cites.
+def _block(venues: list[str], node_venue, tails, heads, first_seen, directed: bool) -> SubgraphBlock:
+    """The block of nodes 0..n-1, grouped by venue, with the arcs tails -> heads (both ways
+    round, when undirected) in the order met and `first_seen`, the nodes in the order met."""
+    n = node_venue.size
+    indptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=n))]
+    graph = metrics.CSRGraph(indptr, heads[np.argsort(tails, kind="stable")], directed)
+    present, starts = np.unique(node_venue, return_index=True)
+    sizes = np.bincount(metrics._weak_component_labels(n, tails, heads), minlength=n)
+    return SubgraphBlock(
+        venues=[venues[v] for v in present.tolist()],
+        bounds=[*starts.tolist(), n],
+        graph=graph,
+        largest=np.maximum.reduceat(sizes, starts).tolist() if n else [],
+        clustering=metrics.csr_local_clustering(graph)[first_seen].tolist(),
+    )
 
-    The node set is exactly the venue's reference targets that resolve to
-    corpus records; edges are the corpus-wide citations among that set.
-    `records` optionally short-circuits the corpus scan with the venue's own
-    publication list.
-    """
-    if venue_key not in c.venue_table:
-        raise UnknownVenueError(f"unknown venue {venue_key!r}")
-    if records is None:
-        records = [r for r in c.records if r.venue_key == venue_key]
+
+def extract_coauthorship_subgraph(c: Corpus) -> SubgraphBlock:
+    """The co-authorship block: per venue, a node per author of one of its
+    papers and an edge per pair of authors who wrote one of them together.
+    A venue's graph meets its papers in corpus order, each paper's distinct
+    authors in name order and their pairs in lexicographic order."""
+    return _block(*_coauthorship_arcs(c), directed=False)
+
+
+def _coauthorship_arcs(c: Corpus):
+    """_block's arguments for co-authorship (a frame of its own, freed before the block is built)."""
     index = c.reference_index()
-    targets, _ = index.references_of(np.array([c.row(r.record_id) for r in records], dtype=np.int64))
-    names = {row: c.records[row].record_id for row in targets[targets >= 0].tolist()}
-    nodes = np.array(sorted(names, key=names.__getitem__), dtype=np.int64)
-    adj: dict[str, dict[str, float]] = {names[row]: {} for row in nodes.tolist()}
-    # nodes in name order, each one's neighbours in the order it cites them
-    targets, owners = index.references_of(nodes)
-    cited = np.zeros(len(c.records) + 1, dtype=bool)  # the last slot stands for every external key
-    cited[nodes] = True
-    edge = cited[np.maximum(targets, -1)] & (targets != owners)
-    for u, v in zip(owners[edge].tolist(), targets[edge].tolist()):
-        nbrs, target = adj[names[u]], names[v]
-        weight = nbrs.get(target)
-        nbrs[target] = 1.0 if weight is None else weight + 1.0
-    return CitationSubgraph(venue_key=venue_key, graph=VenueGraph.from_adjacency(adj, directed=True))
+    flat = [a.full_name for r in c.records for a in r.authors]
+    rank = {name: i for i, name in enumerate(sorted(set(flat)))}  # author ids in name order
+    author = np.fromiter(map(rank.__getitem__, flat), dtype=np.int64, count=len(flat))
+    record = np.repeat(np.arange(len(c.records)), [len(r.authors) for r in c.records])
+    width = max(len(rank), 1)
+    del flat, rank
+    # each paper's distinct authors in name order, papers with a venue only
+    record, author = np.divmod(metrics._distinct((record * width + author)[index.record_venue[record] >= 0]), width)
+    node_keys, first, node = np.unique(index.record_venue[record] * width + author, return_index=True, return_inverse=True)
+    node_venue = node_keys // width
+    # each pair (x, y), x before y in one paper, as x -> y then y -> x
+    after = np.searchsorted(record, record, side="right") - np.arange(record.size) - 1
+    y, x = metrics._concat_ranges(np.arange(record.size) + 1, after)
+    x, y = _first_met(node[x], node[y], node_keys.size)
+    tails, heads = np.stack((x, y), axis=1).ravel(), np.stack((y, x), axis=1).ravel()
+    return index.venues, node_venue, tails, heads, np.lexsort((first, node_venue))
+
+
+def extract_citation_subgraph(c: Corpus) -> SubgraphBlock:
+    """The citation block: per venue, a node per corpus record its papers
+    cite and an arc per citation among those records, in citation order."""
+    return _block(*_citation_arcs(c), directed=True)
+
+
+def _citation_arcs(c: Corpus):
+    """As _coauthorship_arcs, for citation."""
+    index = c.reference_index()
+    ids = [r.record_id for r in c.records]
+    by_name = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    rank = np.argsort(by_name)  # record ids in name order
+    owners = np.repeat(np.arange(len(ids)), np.diff(index.offsets))
+    cited = (index.targets >= 0) & (index.record_venue[owners] >= 0)
+    node_keys = metrics._distinct(index.record_venue[owners[cited]] * len(ids) + rank[index.targets[cited]])
+    node_venue, node_row = np.divmod(node_keys, max(len(ids), 1))
+    node_row = by_name[node_row]
+    # each node's citations of another record, then those of a node of its venue
+    other = (index.targets >= 0) & (index.targets != owners)
+    cites = np.r_[0, np.cumsum(np.bincount(owners[other], minlength=len(ids)))]
+    arc, tails = metrics._concat_ranges(cites[node_row], cites[node_row + 1] - cites[node_row])
+    keys = node_venue[tails] * len(ids) + rank[index.targets[other][arc]]
+    heads = np.minimum(np.searchsorted(node_keys, keys), node_keys.size - 1)
+    hit = node_keys[heads] == keys
+    return index.venues, node_venue, *_first_met(tails[hit], heads[hit], node_keys.size), np.arange(node_keys.size)
+
+
+def _first_met(tails, heads, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs tails[i] -> heads[i] in the order given, each once."""
+    first = np.sort(np.unique(tails * n + heads, return_index=True)[1])
+    return tails[first], heads[first]
 
 
 @dataclass(frozen=True)
@@ -137,52 +151,21 @@ class SubgraphProfile:
         return (self.m1_density, self.m2_avg_clustering, self.m3_max_betweenness, self.m4_lcc_fraction)
 
 
-def subgraph_profile(sg: CoauthorshipSubgraph | CitationSubgraph, m3: float | None = None) -> SubgraphProfile:
-    """M1-M4 of one subgraph; `m3` is its maximum normalized betweenness when
-    the caller has it already (profile_venues does, a batch of venues at once)."""
-    g = sg.graph
-    n = g.node_count()
-    if n == 0:
-        raise EmptySubgraphError(f"venue {sg.venue_key!r} has an empty subgraph")
-    if m3 is None:
-        m3 = metrics.betweenness_centrality(g, weighted=False, normalized=True).max_value()
-    nbr_sets = metrics.neighbor_sets(g)
+def subgraph_profile(block: SubgraphBlock, i: int, betweenness: list[float]) -> SubgraphProfile:
+    """M1-M4 of venue i's subgraph in `block`, given the block's unnormalized
+    betweenness (no path leaves a venue, and max(x) * scale == max(x * scale)
+    for scale >= 0). M2 adds the clustering in the order the graph met it."""
+    lo, hi = block.bounds[i], block.bounds[i + 1]
+    n, directed = hi - lo, block.graph.directed
+    edges = int(block.graph.indptr[hi] - block.graph.indptr[lo]) // (1 if directed else 2)
     return SubgraphProfile(
-        m1_density=metrics.density(g),
-        m2_avg_clustering=metrics.average_clustering_coefficient(g, nbr_sets),
-        m3_max_betweenness=m3,
-        m4_lcc_fraction=len(metrics.connected_components(g, nbr_sets)[0]) / n,
+        m1_density=metrics.edge_density(n, edges, directed),
+        m2_avg_clustering=metrics.left_sum(block.clustering[lo:hi]) / n,
+        m3_max_betweenness=max(betweenness[lo:hi]) * metrics.betweenness_scale(n, directed),
+        m4_lcc_fraction=block.largest[i] / n,
         node_count=n,
-        edge_count=g.edge_count(),
+        edge_count=edges,
     )
-
-
-def max_betweenness(graphs: Sequence[VenueGraph]) -> list[float]:
-    """M3 (maximum normalized betweenness) of each of `graphs`, all directed
-    or all undirected, from one unnormalized betweenness run over their
-    disjoint union, scaled per graph as `normalized=True` scales it. Union
-    keys carry a fixed-width graph index prefix, so they cannot clash and
-    sort inside a graph as the graph's own keys do: every value is the one
-    the graph gets on its own."""
-    if not graphs:
-        return []
-    width = len(str(len(graphs) - 1))
-    union_adj: dict[str, dict[str, float]] = {}
-    union_keys: list[list[str]] = []
-    for i, g in enumerate(graphs):
-        prefix = f"{i:0{width}d}"
-        key = {v: prefix + v for v in g.nodes}
-        for u, ku in key.items():
-            nbrs = g.neighbors(u)
-            union_adj[ku] = dict(zip(map(key.__getitem__, nbrs), nbrs.values()))
-        union_keys.append(list(key.values()))
-    union = VenueGraph.from_adjacency(union_adj, directed=graphs[0].directed)
-    values = metrics.betweenness_centrality(union, weighted=False, normalized=False).values
-    # scale >= 0 and rounding is monotone, so max(x * scale) == max(x) * scale
-    return [
-        max(map(values.__getitem__, keys)) * metrics.betweenness_scale(g.node_count(), g.directed)
-        for g, keys in zip(graphs, union_keys)
-    ]
 
 
 @dataclass(frozen=True)
@@ -251,47 +234,17 @@ def profile_venues(
     """Profile and classify the co-authorship and citation subgraphs of every
     venue with publications, keyed by family. A venue gets no row in a family
     whose subgraph is empty; `ranks` supplies each row's PageRank, if any.
-    M3 comes from one batched betweenness run per batch of venues."""
-    by_venue = c.records_by_venue()
-    venues = sorted(by_venue)
-    extractors = {
-        "coauthorship": lambda v: extract_coauthorship_subgraph(c, v, records=by_venue[v]),
-        "citation": lambda v: extract_citation_subgraph(c, v, records=by_venue[v]),
-    }
+    Each family's M3 comes from one betweenness run over its block."""
     by_family: dict[str, list[ProfileRow]] = {}
-    for family, extract in extractors.items():
+    for family, extract in (("coauthorship", extract_coauthorship_subgraph), ("citation", extract_citation_subgraph)):
+        block = extract(c)
+        betweenness = metrics.betweenness_centrality(block.graph, normalized=False)
         rows = by_family[family] = []
-        for batch in _batches(sg for sg in map(extract, venues) if sg.graph.node_count()):
-            for sg, m3 in zip(batch, max_betweenness([sg.graph for sg in batch])):
-                profile = subgraph_profile(sg, m3)
-                rows.append(
-                    ProfileRow(
-                        venue_key=sg.venue_key,
-                        kind=c.venue_kind(sg.venue_key),
-                        profile=profile,
-                        pagerank=ranks.get(sg.venue_key),
-                        network_type=classify_network_type(profile, cuts),
-                    )
-                )
+        for i, venue in enumerate(block.venues):
+            profile = subgraph_profile(block, i, betweenness)
+            network_type = classify_network_type(profile, cuts)
+            rows.append(ProfileRow(venue, c.venue_kind(venue), profile, ranks.get(venue), network_type))
     return by_family
-
-
-def _batches(sgs: Iterable[CoauthorshipSubgraph | CitationSubgraph]):
-    """Consecutive subgraphs in lists whose squared node counts sum to at
-    most metrics.BRANDES_BLOCK_CELLS (a larger subgraph goes alone): each
-    list's union fits one block of the batched betweenness kernel, and only
-    one list of subgraphs and its union are held at a time."""
-    batch: list = []
-    cells = 0
-    for sg in sgs:
-        n = sg.graph.node_count()
-        if batch and cells + n * n > metrics.BRANDES_BLOCK_CELLS:
-            yield batch
-            batch, cells = [], 0
-        batch.append(sg)
-        cells += n * n
-    if batch:
-        yield batch
 
 
 @dataclass

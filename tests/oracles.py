@@ -11,8 +11,10 @@ standard library's encoders instead of the direct JSON, corpus JSONL and
 GraphML writers,
 per-reference record id lookups instead of the corpus's reference index, a
 pairwise cosine loop instead of the sparse product for the cluster network
-and for adopting unclustered venues, and a per-character scan instead of the
-title token regex.
+and for adopting unclustered venues, a per-character scan instead of the
+title token regex, each venue's subgraph built and measured on its own as a
+dict-of-dicts graph instead of the per-family block, and neighbour-set
+intersections instead of triangle counts for local clustering.
 """
 
 from __future__ import annotations
@@ -23,12 +25,18 @@ import math
 import random
 import xml.etree.ElementTree as ET
 from collections import deque
+from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
+
+from venuenet import metrics
 from venuenet.community import ClusterPartition, CommunityError, modularity
-from venuenet.corpus import AuthorName, Corpus, PublicationRecord, VenueInfo, normalize_reference_key
+from venuenet.corpus import AuthorName, Corpus, PublicationRecord, ReferenceIndex, VenueInfo, normalize_reference_key
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
 from venuenet.graph import VenueGraph
 from venuenet.networks import CouplingMatrix
+from venuenet.subgraphs import DEFAULT_CUTS, SubgraphProfile, classify_network_type
 
 INF = float("inf")
 
@@ -183,6 +191,35 @@ def clustering_oracle(g: VenueGraph) -> dict[str, float]:
                 if nbrs[b] in und.neighbors(nbrs[a]):
                     closed += 1
         out[v] = closed / (k * (k - 1) / 2)
+    return out
+
+
+def neighbor_sets(g: VenueGraph) -> dict[str, set[str]]:
+    """Each node's neighbours with edge direction ignored, in node order."""
+    sets = {v: set(g.neighbors(v)) for v in g.nodes}
+    if g.directed:
+        for u in g.nodes:
+            for v in g.neighbors(u):
+                sets[v].add(u)
+    return sets
+
+
+def local_clustering_by_sets(g: VenueGraph) -> dict[str, float]:
+    """Local clustering in node order from neighbour-set intersections: a
+    node's links are the sizes of its set's intersections with its
+    neighbours' sets, over k * (k - 1), the same int / int division as the
+    triangle counts of metrics.local_clustering."""
+    nbr_sets = neighbor_sets(g)
+    out: dict[str, float] = {}
+    for v, nbrs in nbr_sets.items():
+        k = len(nbrs)
+        if k < 2:
+            out[v] = 0.0
+            continue
+        links = 0
+        for u in nbrs:
+            links += len(nbrs & nbr_sets[u])
+        out[v] = links / (k * (k - 1))  # each link double-counted vs k*(k-1)/2 pairs
     return out
 
 
@@ -734,3 +771,145 @@ def random_jsonl_corpus(seed: int, records: int = 40) -> Corpus:
         for rid in ids
     ]
     return Corpus(records=recs, venue_table=venues, source=source)
+
+
+# -- per-venue subgraphs ------------------------------------------------------
+
+
+def references_of(index: ReferenceIndex, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The targets of `rows` in the reference index, row after row, and the row of each."""
+    lengths = index.offsets[rows + 1] - index.offsets[rows]
+    starts = np.repeat(index.offsets[rows] - np.cumsum(lengths) + lengths, lengths)
+    return index.targets[starts + np.arange(starts.size)], np.repeat(rows, lengths)
+
+
+def records_by_venue(c: Corpus) -> dict[str, list[PublicationRecord]]:
+    """Each venue's records, in corpus order."""
+    index: dict[str, list[PublicationRecord]] = {}
+    for rec in c.records:
+        if rec.venue_key is not None:
+            index.setdefault(rec.venue_key, []).append(rec)
+    return index
+
+
+class UnknownVenueError(Exception):
+    pass
+
+
+class EmptySubgraphError(Exception):
+    pass
+
+
+@dataclass
+class CoauthorshipSubgraph:
+    venue_key: str
+    graph: VenueGraph  # undirected; author full names as nodes
+
+
+@dataclass
+class CitationSubgraph:
+    venue_key: str
+    graph: VenueGraph  # directed; record ids of cited publications as nodes
+
+
+def extract_coauthorship_subgraph(
+    c: Corpus, venue_key: str, records: Sequence | None = None
+) -> CoauthorshipSubgraph:
+    """One venue's co-authorship graph as dicts: nodes and neighbours in
+    first-seen order, as add_edge would insert them, a pair's weight counting
+    the papers it shares. `records` optionally gives the venue's papers;
+    without them a venue missing from the venue table raises."""
+    if records is None:
+        if venue_key not in c.venue_table:
+            raise UnknownVenueError(f"unknown venue {venue_key!r}")
+        records = [r for r in c.records if r.venue_key == venue_key]
+    adj: dict[str, dict[str, float]] = {}
+    for rec in records:
+        names = sorted({a.full_name for a in rec.authors})
+        for name in names:
+            if name not in adj:
+                adj[name] = {}
+        for x, u in enumerate(names):
+            nbrs = adj[u]
+            for v in names[x + 1 :]:
+                weight = nbrs.get(v)
+                weight = 1.0 if weight is None else weight + 1.0
+                nbrs[v] = weight
+                adj[v][u] = weight
+    return CoauthorshipSubgraph(venue_key=venue_key, graph=VenueGraph.from_adjacency(adj, directed=False))
+
+
+def extract_citation_subgraph(c: Corpus, venue_key: str, records: Sequence | None = None) -> CitationSubgraph:
+    """One venue's citation graph as dicts: the venue's reference targets
+    that resolve to corpus records, in name order, and the corpus-wide
+    citations among them, each node's in the order it cites them. `records`
+    is as for extract_coauthorship_subgraph."""
+    if records is None:
+        if venue_key not in c.venue_table:
+            raise UnknownVenueError(f"unknown venue {venue_key!r}")
+        records = [r for r in c.records if r.venue_key == venue_key]
+    index = c.reference_index()
+    targets, _ = references_of(index, np.array([c.row(r.record_id) for r in records], dtype=np.int64))
+    names = {row: c.records[row].record_id for row in targets[targets >= 0].tolist()}
+    nodes = np.array(sorted(names, key=names.__getitem__), dtype=np.int64)
+    adj: dict[str, dict[str, float]] = {names[row]: {} for row in nodes.tolist()}
+    targets, owners = references_of(index, nodes)
+    cited = np.zeros(len(c.records) + 1, dtype=bool)  # the last slot stands for every external key
+    cited[nodes] = True
+    edge = cited[np.maximum(targets, -1)] & (targets != owners)
+    for u, v in zip(owners[edge].tolist(), targets[edge].tolist()):
+        nbrs, target = adj[names[u]], names[v]
+        weight = nbrs.get(target)
+        nbrs[target] = 1.0 if weight is None else weight + 1.0
+    return CitationSubgraph(venue_key=venue_key, graph=VenueGraph.from_adjacency(adj, directed=True))
+
+
+def subgraph_profile(sg: CoauthorshipSubgraph | CitationSubgraph) -> SubgraphProfile:
+    """M1-M4 of one subgraph on its own, through the graph metrics."""
+    g = sg.graph
+    n = g.node_count()
+    if n == 0:
+        raise EmptySubgraphError(f"venue {sg.venue_key!r} has an empty subgraph")
+    return SubgraphProfile(
+        m1_density=metrics.density(g),
+        m2_avg_clustering=metrics.average_clustering_coefficient(g),
+        m3_max_betweenness=max(metrics.betweenness_centrality(g, weighted=False, normalized=True).values.values()),
+        m4_lcc_fraction=len(metrics.connected_components(g)[0]) / n,
+        node_count=n,
+        edge_count=g.edge_count(),
+    )
+
+
+def rows_of(rows: dict) -> dict[str, list[tuple]]:
+    """profile_venues' rows as profile_rows_per_venue gives them."""
+    return {
+        family: [(r.venue_key, r.kind, r.profile, r.pagerank, r.network_type) for r in family_rows]
+        for family, family_rows in rows.items()
+    }
+
+
+def profile_rows_per_venue(c: Corpus, ranks: dict[str, float], cuts=DEFAULT_CUTS) -> dict[str, list[tuple]]:
+    """(venue, kind, profile, pagerank, type) of every venue with a non-empty
+    subgraph, per family, each venue's subgraph extracted and measured alone."""
+    rows: dict[str, list[tuple]] = {}
+    for family, extract in (("coauthorship", extract_coauthorship_subgraph), ("citation", extract_citation_subgraph)):
+        rows[family] = []
+        for venue, records in sorted(records_by_venue(c).items()):
+            sg = extract(c, venue, records)
+            if sg.graph.node_count():
+                profile = subgraph_profile(sg)
+                rows[family].append((venue, c.venue_kind(venue), profile, ranks.get(venue), classify_network_type(profile, cuts)))
+    return rows
+
+
+def coauthorship_corpus(graphs: dict[str, VenueGraph]) -> Corpus:
+    """A corpus whose co-authorship subgraph of venue v has the nodes and
+    edges of graphs[v]: a two-author paper per edge and a one-author paper
+    per node without edges (weights are not kept)."""
+    recs = []
+    for venue, g in graphs.items():
+        papers = [(u, v) for u, v, _ in g.edges()] + [(v,) for v in g.nodes if not g.neighbors(v)]
+        for i, names in enumerate(papers):
+            recs.append(PublicationRecord(f"{venue}/{i}", "metadata-corpus", "T", tuple(map(AuthorName, names)),
+                                          venue, None, ()))
+    return Corpus(records=recs, venue_table={v: VenueInfo(name=v) for v in graphs})

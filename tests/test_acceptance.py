@@ -14,6 +14,7 @@ from oracles import (
     average_clustering_oracle,
     best_modularity_exhaustive,
     betweenness_oracle,
+    coauthorship_corpus,
     density_oracle,
     lcc_fraction_oracle,
     random_test_graph,
@@ -32,7 +33,7 @@ from venuenet.metrics import (
 )
 from venuenet.networks import ThresholdRule, apply_threshold
 from venuenet.pipeline import PipelineConfig, run_pipeline, STAGES
-from venuenet.subgraphs import CoauthorshipSubgraph, classify_network_type, subgraph_profile
+from venuenet.subgraphs import profile_venues
 from venuenet.synth import (
     ARCHETYPE_GENERATORS,
     linkage_benchmark_corpora,
@@ -230,15 +231,12 @@ def test_end_to_end_fixture(tmp_path):
 def test_archetype_classification():
     """Each archetype generator (n = 100, 50 seeds) is labeled as its own
     type in at least 95% of instances."""
-    rates = {}
-    for expected, generator in ARCHETYPE_GENERATORS.items():
-        hits = 0
-        for seed in range(50):
-            graph = generator(100, seed=seed)
-            profile = subgraph_profile(CoauthorshipSubgraph(venue_key="x", graph=graph))
-            if classify_network_type(profile) == expected:
-                hits += 1
-        rates[expected] = hits / 50
+    graphs = {f"{t}/{seed:02d}": gen(100, seed=seed) for t, gen in ARCHETYPE_GENERATORS.items() for seed in range(50)}
+    rows = profile_venues(coauthorship_corpus(graphs), {})["coauthorship"]
+    rates = {
+        expected: sum(r.network_type == expected for r in rows if r.venue_key.startswith(expected + "/")) / 50
+        for expected in ARCHETYPE_GENERATORS
+    }
     report(
         "archetype-classification",
         all(rate >= 0.95 for rate in rates.values()),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import corpus_from_lines
-from oracles import random_jsonl_corpus, random_reference_corpus, record_ids, serialize_corpus_dumps
+from oracles import random_jsonl_corpus, random_reference_corpus, record_ids, references_of, serialize_corpus_dumps
 from venuenet.corpus import (
     AuthorName,
     Corpus,
@@ -127,6 +127,29 @@ INVALID_JSON_LINES = [
 
 
 class TestParseJsonl:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_callers_gc_state(self, enabled):
+        import gc
+
+        seen = []
+
+        def lines():
+            seen.append(gc.isenabled())  # while the records are built
+            yield b'{"id": "p1", "title": "A"}\n'
+            yield b'{"id": "p1", "title": "B"}\n'  # a duplicate id: the parse raises
+
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert parse_jsonl([b'{"id": "p1", "title": "A"}\n']).records[0].record_id == "p1"
+            assert gc.isenabled() is enabled
+            with pytest.raises(DuplicateRecordIdError):
+                parse_jsonl(lines())
+            assert gc.isenabled() is enabled
+            assert seen == [False]
+        finally:
+            gc.enable() if was else gc.disable()
+
     def test_empty_stream(self):
         corpus = parse_jsonl(io.BytesIO(b""))
         assert corpus.records == []
@@ -452,10 +475,10 @@ class TestReferenceIndex:
         corpus = random_reference_corpus(3)
         index = corpus.reference_index()
         rows = np.array([5, 0, 5, 17], dtype=np.int64)
-        targets, owners = index.references_of(rows)
+        targets, owners = references_of(index, rows)
         expected = [(t, r) for r in rows.tolist() for t in index.targets[index.offsets[r] : index.offsets[r + 1]].tolist()]
         assert list(zip(targets.tolist(), owners.tolist())) == expected
-        targets, owners = index.references_of(np.zeros(0, dtype=np.int64))
+        targets, owners = references_of(index, np.zeros(0, dtype=np.int64))
         assert targets.size == owners.size == 0
 
     def test_empty_corpus(self):

@@ -90,11 +90,15 @@ class TestGraphML:
 ODD_NAMES = ["a&b", "<tag>", 'say "hi"', "it's", "tab\there", "new\nline", "cr\rlf", "caf\u00e9 \u2603 \U0001f600", "&amp;", "]]>", " "]
 
 
-def odd_graph(directed: bool) -> VenueGraph:
+# The odd names an edge TSV can carry: no tab, no line break.
+TSV_ODD_NAMES = [name for name in ODD_NAMES if not re.search("[\t\n\r]", name)]
+
+
+def odd_graph(directed: bool, names: list[str] = ODD_NAMES) -> VenueGraph:
     """Names and values that ElementTree escapes, every attribute type, and
     nodes with and without attributes."""
     g = VenueGraph(directed=directed)
-    for i, name in enumerate(ODD_NAMES):
+    for i, name in enumerate(names):
         g.add_node(name)
         if i % 3:
             g.add_node(
@@ -107,8 +111,8 @@ def odd_graph(directed: bool) -> VenueGraph:
                 blank="" if i % 4 else "  ",  # empty and whitespace-only text
                 **{"odd <name> & \"key\"": 1.5},
             )
-    for i, u in enumerate(ODD_NAMES):
-        for v in ODD_NAMES[i + 1 :: 3]:
+    for i, u in enumerate(names):
+        for v in names[i + 1 :: 3]:
             g.add_edge(u, v, 1.0 / (i + 3))
             if directed:
                 g.add_edge(v, u, 2.0 + i)
@@ -182,13 +186,14 @@ class TestGraphMLWriter:
 class TestNodeAttrs:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_same_bytes_as_a_tagged_copy(self, fmt):
-        g = odd_graph(directed=False)
+        names = TSV_ODD_NAMES if fmt == "edge-tsv" else ODD_NAMES  # an edge TSV refuses the others
+        g = odd_graph(directed=False, names=names)
         clusters = {node: f"c{i % 3}" for i, node in enumerate(g.nodes)}
-        tagged = odd_graph(directed=False)
+        tagged = odd_graph(directed=False, names=names)
         for node in tagged.nodes:
             tagged.nodes[node]["cluster"] = clusters[node]
         assert export_graph(g, fmt, {"cluster": clusters}) == export_graph(tagged, fmt)
-        assert g == odd_graph(directed=False)  # g itself is not tagged
+        assert g == odd_graph(directed=False, names=names)  # g itself is not tagged
 
     def test_overrides_an_existing_attribute(self):
         g = clustered_graph()
@@ -212,6 +217,22 @@ class TestTsvDialect:
     def test_missing_header_rejected(self):
         with pytest.raises(ExportError):
             import_graph(b"a\tb\t1.0\n", "edge-tsv")
+
+    @pytest.mark.parametrize("name", ["#x", "#node", "a\tb", "a\nb", "a\rb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x1eb",
+                                      "a\x85b", "a\u2028b", "a\u2029b", "\ud800", "a\udfff"])
+    def test_refuses_names_the_reader_would_misread(self, name):
+        # A leading '#' reads as a comment, a tab splits the row, a line
+        # break ends it, and UTF-8 has no lone surrogates.
+        for make in (lambda g: g.add_edge(name, "b", 1.0), lambda g: g.add_node(name)):
+            g = VenueGraph()
+            make(g)
+            with pytest.raises(ExportError, match="^" + re.escape(f"node {name!r}: ")):
+                export_graph(g, "edge-tsv")
+
+    def test_odd_names_it_can_carry_round_trip(self):
+        for directed in (False, True):
+            g = odd_graph(directed, names=TSV_ODD_NAMES + ["x#y", "a b ", ""])
+            assert import_graph(export_graph(g, "edge-tsv"), "edge-tsv") == g
 
 
 class TestErrors:

@@ -196,3 +196,30 @@ def test_graphml_round_trip(g):
         return
     assert all(map(xml_carries, texts))
     assert import_graph(data, "graphml") == g
+
+
+def tsv_carries(name: str) -> bool:
+    """Whether an edge TSV row can hold node `name`: no leading '#' (a
+    comment), no tab, no `str.splitlines` break and no lone surrogate."""
+    return (
+        not name.startswith("#")
+        and "\t" not in name
+        and len(f"x{name}x".splitlines()) == 1
+        and not any("\ud800" <= c <= "\udfff" for c in name)
+    )
+
+
+@FUZZ
+@given(graphs(), st.lists(st.sampled_from(["#", "#node", "a#", "\t", "\x1c", "\x1d", "\x1e", "\u2028", " "]), max_size=3))
+def test_edge_tsv_round_trip(g, extra):
+    """Export refuses exactly the graphs with a node an edge TSV cannot
+    carry and round-trips every other."""
+    for name in extra:
+        g.add_node(name)
+    try:
+        data = export_graph(g, "edge-tsv")
+    except ExportError:
+        assert not all(map(tsv_carries, g.nodes))
+        return
+    assert all(map(tsv_carries, g.nodes))
+    assert import_graph(data, "edge-tsv") == g

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import corpus_from_lines
-from oracles import sw_score_matrix, tokenize_title_loop
+from oracles import extract_citation_subgraph, sw_score_matrix, tokenize_title_loop
 from venuenet.cli import main
 from venuenet.exports import load_graph
 from venuenet.linkage import (
@@ -22,7 +22,6 @@ from venuenet.linkage import (
     write_matches,
 )
 from venuenet.networks import CouplingMatrix, build_citation_network, build_coupling_matrix
-from venuenet.subgraphs import extract_citation_subgraph
 from venuenet.synth import linkage_benchmark_corpora
 
 JACCARD_GATES = (0, 0.05, 0.1, 1 / 3, 0.5, 2 / 3, 0.7, 0.9, 1.0)

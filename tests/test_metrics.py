@@ -10,6 +10,8 @@ from oracles import (
     components_oracle,
     density_oracle,
     lcc_fraction_oracle,
+    local_clustering_by_sets,
+    neighbor_sets,
     random_test_graph,
     undirected_view,
 )
@@ -24,8 +26,8 @@ from venuenet.metrics import (
     connected_components,
     density,
     largest_component_fraction,
+    left_sum,
     local_clustering,
-    neighbor_sets,
     pagerank,
 )
 from venuenet.networks import ThresholdRule, apply_threshold
@@ -454,6 +456,39 @@ class TestPagerank:
             pagerank(g, d=1.0)
         with pytest.raises(ValueError):
             pagerank(g, tol=0.0)
+
+
+class TestLeftSum:
+    def test_adds_from_the_left_on_every_interpreter(self):
+        # Python 3.12's compensated sum() gives 2.0 here, 3.11's and this one 0.0
+        values = [0.1] * 10 + [1e16, 1.0, -1e16]
+        assert left_sum(values) == 0.0
+        total = 0.0
+        for x in values:
+            total += x
+        assert left_sum(iter(values)) == total
+
+    def test_empty_is_float_zero(self):
+        assert left_sum([]) == 0.0 and isinstance(left_sum([]), float)
+
+
+class TestClusteringByTriangles:
+    def test_equal_to_neighbour_set_intersections(self):
+        # every value bit for bit, in node order, and the mean summed from the left
+        rng = random.Random(37)
+        for _ in range(60):
+            g, _ = random_test_graph(rng, max_nodes=25)
+            want = local_clustering_by_sets(g)
+            assert list(local_clustering(g).items()) == list(want.items())
+            assert average_clustering_coefficient(g) == (left_sum(want.values()) / g.node_count() if want else 0.0)
+
+    @pytest.mark.parametrize("budget", [1, 2, 7])
+    def test_wedge_budgets(self, budget, monkeypatch):
+        rng = random.Random(41)
+        graphs = [random_test_graph(rng, max_nodes=20)[0] for _ in range(20)]
+        want = [local_clustering(g) for g in graphs]
+        monkeypatch.setattr(metrics, "WEDGE_BLOCK", budget)
+        assert [local_clustering(g) for g in graphs] == want
 
 
 class TestNeighborSets:

@@ -487,3 +487,19 @@ class TestSummarize:
         assert lines[0].split() == ["Property", "K", "K'"]
         assert lines[1].startswith("Nodes")
         assert len(lines) == 6
+
+    @pytest.mark.parametrize(
+        "density, shown",
+        [(1.0, "100%"), (0.995, "100%"), (0.9949, "99%"), (0.5, "50%"), (0.0123, "1.2%"), (0.0, "0%"), (5e-7, "5e-05%")],
+    )
+    def test_density_percent(self, density, shown):
+        # two significant digits, as before, except that 99.5% and up print
+        # as 100% rather than 1e+02%
+        summary = networks.NetworkSummary(nodes=2, edges=1, components=1, density=density, clustering_coefficient=0.0)
+        assert dict(summary.rows())["Density"] == shown
+
+    def test_complete_graph_table_reads_100_percent(self):
+        g = VenueGraph()
+        g.add_edge("a", "b", 1.0)
+        assert "1e+02" not in format_summary_table({"K": summarize(g)})
+        assert format_summary_table({"K": summarize(g)}).splitlines()[4].split() == ["Density", "100%"]

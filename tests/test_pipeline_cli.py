@@ -557,6 +557,34 @@ class TestCli:
                 assert f"record 2 (id {record['id']!r})" in lines[0] and repr(bad) in lines[0], lines[0]
         assert not (tmp_path / "c.jsonl").exists()
 
+    def test_venue_key_with_a_leading_hash_exits_1(self, tmp_path):
+        # the edge TSV reader would take its rows for comments
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "p0", "title": "A", "venue": "y", "refs": ["x"]}\n'
+                        '{"id": "p1", "title": "B", "venue": "#x", "refs": ["x"]}\n')
+        for args in (
+            ["ingest", str(path), "--out", str(tmp_path / "c2.jsonl")],
+            ["build", str(path), "--network", "knowledge", "--out", str(tmp_path / "k.tsv")],
+            ["run", "--corpus", str(path), "--out-dir", str(tmp_path / "out")],
+        ):
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 1, (args[0], result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr.startswith("error: ") and "record 2 (id 'p1')" in result.stderr, result.stderr
+            assert "'#x' starts with '#'" in result.stderr
+        assert not (tmp_path / "k.tsv").exists()
+
+    def test_export_refuses_names_edge_tsv_cannot_carry(self, tmp_path):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"format": "venuenet-graph/1", "directed": false, "nodes": [["\\ud800", {}], ["b", {}]], '
+                         '"edges": [["\\ud800", "b", 1.0]]}')
+        out = tmp_path / "g.tsv"
+        result = CliRunner().invoke(main, ["export", str(graph), "--in-format", "json", "--format", "edge-tsv", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: node '\\ud800'") and len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_export_refuses_text_xml_cannot_carry(self, tmp_path):
         graph = tmp_path / "g.tsv"
         graph.write_text("# venuenet-graph directed=false\na\x01\tb\t1.0\n")

@@ -108,3 +108,41 @@ def test_every_definition_has_a_caller():
             ):
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+# The only builtin sum() calls in the package, each adding integers. Python
+# 3.12 made sum() of floats compensated, so a float sum would give other bits
+# on other interpreters; float sums go through metrics.left_sum.
+INTEGER_SUMS = {
+    ("cli.py", "subgraphs_cmd"),  # profile count
+    ("cli.py", "stats"),  # profile count
+    ("corpus.py", "validate_corpus"),  # no_author_count
+    ("graph.py", "from_adjacency"),  # arc count
+    ("networks.py", "pair_cosines"),  # coupling norms
+}
+
+
+class _SumCalls(ast.NodeVisitor):
+    """(file, innermost enclosing function) of each builtin sum() call."""
+
+    def __init__(self, filename: str):
+        self.filename, self.scope, self.sites = filename, "<module>", []
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "sum":
+            self.sites.append((self.filename, self.scope))
+        self.generic_visit(node)
+
+
+def test_builtin_sum_only_at_integer_sites():
+    sites = []
+    for path in sorted(Path(venuenet.__file__).parent.rglob("*.py")):
+        visitor = _SumCalls(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        sites += visitor.sites
+    assert sorted(sites) == sorted(INTEGER_SUMS)

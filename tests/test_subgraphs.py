@@ -4,24 +4,35 @@ import random
 import pytest
 
 from conftest import corpus_from_lines
-from oracles import publication_citation_graph_loop, random_reference_corpus, record_ids
-from venuenet import metrics
+from oracles import (
+    CitationSubgraph,
+    CoauthorshipSubgraph,
+    EmptySubgraphError,
+    UnknownVenueError,
+    coauthorship_corpus,
+    extract_citation_subgraph,
+    extract_coauthorship_subgraph,
+    local_clustering_by_sets,
+    profile_rows_per_venue,
+    publication_citation_graph_loop,
+    random_reference_corpus,
+    record_ids,
+    records_by_venue,
+    rows_of,
+    subgraph_profile,
+)
+from venuenet import metrics, subgraphs
 from venuenet.graph import VenueGraph
 from venuenet.subgraphs import (
     PROFILES_HEADER,
     ClassificationCuts,
-    EmptySubgraphError,
     ProfileRow,
     SubgraphProfile,
-    UnknownVenueError,
     classify_network_type,
-    extract_citation_subgraph,
-    extract_coauthorship_subgraph,
     profile_statistics,
     profile_venues,
     publication_citation_graph,
     read_profiles,
-    subgraph_profile,
     write_profiles,
 )
 from venuenet.synth import ARCHETYPE_GENERATORS, scale_corpus
@@ -161,23 +172,25 @@ class TestCitationExtraction:
             assert {(u, v) for u, v, _ in sg.graph.edges()} == expected_edges
 
 
+def profile_of_graph(g: VenueGraph) -> SubgraphProfile:
+    """The profile profile_venues gives a venue whose co-authorship subgraph
+    has the nodes and edges of g."""
+    [row] = profile_venues(coauthorship_corpus({"v": g}), {})["coauthorship"]
+    return row.profile
+
+
 class TestProfiles:
     def test_triangle(self):
         g = VenueGraph()
         for a, b in [("x", "y"), ("y", "z"), ("x", "z")]:
             g.add_edge(a, b, 1.0)
-        from venuenet.subgraphs import CoauthorshipSubgraph
-
-        p = subgraph_profile(CoauthorshipSubgraph(venue_key="v", graph=g))
-        assert p.as_tuple() == (1.0, 1.0, 0.0, 1.0)
+        assert profile_of_graph(g).as_tuple() == (1.0, 1.0, 0.0, 1.0)
 
     def test_star_five(self):
         g = VenueGraph()
         for i in range(4):
             g.add_edge("hub", f"leaf{i}", 1.0)
-        from venuenet.subgraphs import CoauthorshipSubgraph
-
-        p = subgraph_profile(CoauthorshipSubgraph(venue_key="v", graph=g))
+        p = profile_of_graph(g)
         assert p.m1_density == pytest.approx(0.4, abs=1e-12)
         assert p.m2_avg_clustering == 0.0
         assert p.m3_max_betweenness == 1.0
@@ -187,34 +200,35 @@ class TestProfiles:
         g = VenueGraph()
         g.add_node("x")
         g.add_node("y")
-        from venuenet.subgraphs import CoauthorshipSubgraph
-
-        p = subgraph_profile(CoauthorshipSubgraph(venue_key="v", graph=g))
-        assert p.as_tuple() == (0.0, 0.0, 0.0, 0.5)
+        assert profile_of_graph(g).as_tuple() == (0.0, 0.0, 0.0, 0.5)
 
     def test_empty_subgraph_error(self):
-        from venuenet.subgraphs import CoauthorshipSubgraph
-
+        # the per-venue oracle refuses an empty subgraph; profile_venues
+        # gives such a venue no row
         with pytest.raises(EmptySubgraphError):
             subgraph_profile(CoauthorshipSubgraph(venue_key="v", graph=VenueGraph()))
+        corpus = corpus_from_lines('{"id": "p1", "title": "T", "venue": "v1"}')
+        assert profile_venues(corpus, {}) == {"coauthorship": [], "citation": []}
 
     def test_recompute_identical(self):
-        gen = ARCHETYPE_GENERATORS["Type3"]
-        g = gen(60, seed=5)
-        from venuenet.subgraphs import CoauthorshipSubgraph
-
-        sg = CoauthorshipSubgraph(venue_key="v", graph=g)
-        assert subgraph_profile(sg) == subgraph_profile(sg)
+        g = ARCHETYPE_GENERATORS["Type3"](60, seed=5)
+        assert profile_of_graph(g) == profile_of_graph(g)
 
     def test_directed_citation_profile_conventions(self):
+        corpus = corpus_from_lines(
+            '{"id": "w", "title": "T", "venue": "v", "refs": ["a", "b", "c"]}',
+            '{"id": "a", "title": "A", "refs": ["b"]}',
+            '{"id": "b", "title": "B", "refs": ["c"]}',
+            '{"id": "c", "title": "C"}',
+        )
+        [row] = profile_venues(corpus, {})["citation"]
+        p = row.profile
+        assert p.m1_density == pytest.approx(2 / 6, abs=1e-12)  # directed density
+        assert p.m4_lcc_fraction == 1.0  # weak components
         g = VenueGraph(directed=True)
         g.add_edge("a", "b", 1.0)
         g.add_edge("b", "c", 1.0)
-        from venuenet.subgraphs import CitationSubgraph
-
-        p = subgraph_profile(CitationSubgraph(venue_key="v", graph=g))
-        assert p.m1_density == pytest.approx(2 / 6, abs=1e-12)  # directed density
-        assert p.m4_lcc_fraction == 1.0  # weak components
+        assert p == subgraph_profile(CitationSubgraph(venue_key="v", graph=g))
 
 
 class TestClassification:
@@ -234,15 +248,11 @@ class TestClassification:
         assert classify_network_type(profile_of(0.1, 0.7, 0.1, 0.3), cuts) == "Type2"
 
     def test_generators_label_correctly(self):
-        for expected, generator in ARCHETYPE_GENERATORS.items():
-            hits = 0
-            for seed in range(10):
-                g = generator(100, seed=seed)
-                from venuenet.subgraphs import CoauthorshipSubgraph
-
-                profile = subgraph_profile(CoauthorshipSubgraph(venue_key="x", graph=g))
-                if classify_network_type(profile) == expected:
-                    hits += 1
+        graphs = {f"{t}/{seed}": gen(100, seed=seed) for t, gen in ARCHETYPE_GENERATORS.items() for seed in range(10)}
+        rows = profile_venues(coauthorship_corpus(graphs), {})["coauthorship"]
+        assert len(rows) == len(graphs)
+        for expected in ARCHETYPE_GENERATORS:
+            hits = sum(r.network_type == expected for r in rows if r.venue_key.startswith(expected + "/"))
             assert hits >= 9, f"{expected}: {hits}/10"
 
 
@@ -385,22 +395,74 @@ TINY_LINES = (
 )
 
 
+EDGE_CASE_LINES = (
+    # authors shared across venues, one named twice in a paper; va's
+    # co-authorship graph has two components
+    '{"id": "a1", "title": "T", "authors": ["Al X", "Bea Y", "Al X"], "venue": "va", "refs": ["a1", "b1", "raw"]}',
+    '{"id": "a2", "title": "T", "authors": ["Dee W", "Cal Z"], "venue": "va", "refs": ["b2", "a1", "b2"]}',
+    # self-citations, citations of other venues' records and of external keys
+    '{"id": "b1", "title": "T", "authors": ["Cal Z", "Al X"], "venue": "vb", "refs": ["a2", "b1", "a1", "Raw"]}',
+    '{"id": "b2", "title": "T", "authors": [], "venue": "vb", "refs": ["b1", "b2"]}',
+    # an empty co-authorship family, then an empty citation family
+    '{"id": "c1", "title": "T", "authors": [], "venue": "vc", "refs": ["a1", "a2"]}',
+    '{"id": "d1", "title": "T", "authors": ["Eve V"], "venue": "vd", "refs": ["nowhere", "D1"]}',
+    '{"id": "n1", "title": "T", "authors": ["Al X", "Eve V"], "refs": ["d1"]}',
+)
+
+
+def layered_diamond_graph(layers: int) -> VenueGraph:
+    """A start node, `layers` layers of 3 nodes each linked to all of the
+    next layer, and an end node: 3**layers shortest paths end to end."""
+    g = VenueGraph()
+    previous = ["start"]
+    for layer in range(layers + 1):
+        current = [f"l{layer:02d}.{k}" for k in range(3)] if layer < layers else ["end"]
+        for u in previous:
+            for v in current:
+                g.add_edge(u, v, 1.0)
+        previous = current
+    return g
+
+
 class TestBatchedProfiles:
-    """profile_venues computes M3 for a whole family in one batched run over
-    the union of the venue subgraphs; every row must equal the profile of the
-    venue's subgraph on its own."""
+    """profile_venues measures each family on one block, the union of its
+    venue subgraphs, with one betweenness run; every row must equal the
+    profile of the venue's subgraph on its own."""
 
     CORPORA = {
         "scale": lambda: scale_corpus(40, 25, groups=8, seed=5),
         "tiny-scale": lambda: scale_corpus(60, 2, groups=6, seed=9),
         "tiny-lines": lambda: corpus_from_lines(*TINY_LINES),
+        "edge-cases": lambda: corpus_from_lines(*EDGE_CASE_LINES),
     }
+
+    def test_edge_cases(self):
+        corpus = corpus_from_lines(*EDGE_CASE_LINES)
+        rows = profile_venues(corpus, {})
+        co = {r.venue_key: r.profile for r in rows["coauthorship"]}
+        cit = {r.venue_key: r.profile for r in rows["citation"]}
+        assert sorted(co) == ["va", "vb", "vd"] and sorted(cit) == ["va", "vb", "vc"]
+        assert (co["va"].node_count, co["va"].edge_count, co["va"].m4_lcc_fraction) == (4, 2, 0.5)
+        # vb cites a1, a2, b1 and b2, among which a1 -> b1, a2 -> b2 (twice),
+        # a2 -> a1, b1 -> a2, b1 -> a1 and b2 -> b1; their self-citations are no arcs
+        assert (cit["vb"].node_count, cit["vb"].edge_count) == (4, 6)
+        assert rows_of(rows) == profile_rows_per_venue(corpus, {})
+
+    def test_path_counts_past_int64_on_a_block(self):
+        # the kernel moves path counts to Python integers past int64; the
+        # other venues of the block must not notice
+        assert 3**45 > 2**63
+        graphs = {"a": layered_diamond_graph(2), "b": layered_diamond_graph(45), "c": layered_diamond_graph(3)}
+        corpus = coauthorship_corpus(graphs)
+        rows = profile_venues(corpus, {})
+        assert rows_of(rows) == profile_rows_per_venue(corpus, {})
+        assert [r.profile.node_count for r in rows["coauthorship"]] == [8, 137, 11]
 
     @pytest.mark.parametrize("name", sorted(CORPORA))
     def test_extraction_keeps_builder_order(self, name):
         corpus = self.CORPORA[name]()
         index = publication_citation_graph_loop(corpus)
-        for venue, records in corpus.records_by_venue().items():
+        for venue, records in records_by_venue(corpus).items():
             co = extract_coauthorship_subgraph(corpus, venue, records=records).graph
             assert adjacency_in_order(co) == adjacency_in_order(coauthorship_by_increments(records))
             cit = extract_citation_subgraph(corpus, venue, records=records).graph
@@ -411,10 +473,39 @@ class TestBatchedProfiles:
         corpus = random_reference_corpus(seed)  # self-citations, repeats, ids in upper case
         index = publication_citation_graph_loop(corpus)
         assert publication_citation_graph(corpus) == index
-        for venue, records in corpus.records_by_venue().items():
-            if venue in corpus.venue_table:
-                cit = extract_citation_subgraph(corpus, venue, records=records).graph
-                assert adjacency_in_order(cit) == adjacency_in_order(citation_by_increments(corpus, records, index))
+        for venue, records in records_by_venue(corpus).items():
+            cit = extract_citation_subgraph(corpus, venue, records=records).graph
+            assert adjacency_in_order(cit) == adjacency_in_order(citation_by_increments(corpus, records, index))
+        # one venue is missing from the venue table: it is profiled all the same
+        assert rows_of(profile_venues(corpus, {})) == profile_rows_per_venue(corpus, {})
+
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_block_holds_each_venue_graph_in_order(self, name):
+        """Venue by venue, the block's nodes in name order with their
+        neighbours in the venue graph's order, and the clustering in the
+        order the graph met its nodes."""
+        corpus = self.CORPORA[name]()
+        by_venue = records_by_venue(corpus)
+        for extract_block, extract in (
+            (subgraphs.extract_coauthorship_subgraph, extract_coauthorship_subgraph),
+            (subgraphs.extract_citation_subgraph, extract_citation_subgraph),
+        ):
+            block = extract_block(corpus)
+            g = block.graph
+            graphs = [extract(corpus, venue, by_venue[venue]).graph for venue in sorted(by_venue)]
+            assert block.venues == [v for v, sg in zip(sorted(by_venue), graphs) if sg.node_count()]
+            for i, sg in enumerate(sg for sg in graphs if sg.node_count()):
+                lo, hi = block.bounds[i], block.bounds[i + 1]
+                names = sorted(sg.nodes)
+                local = {v: lo + k for k, v in enumerate(names)}
+                assert [g.heads[g.indptr[local[u]] : g.indptr[local[u] + 1]].tolist() for u in names] == [
+                    [local[v] for v in sg.neighbors(u)] for u in names
+                ]
+                assert g.indptr[hi] - g.indptr[lo] == sg.edge_count() * (1 if g.directed else 2)
+                assert block.largest[i] == len(metrics.connected_components(sg)[0])
+                clustering = local_clustering_by_sets(sg)
+                assert block.clustering[lo:hi] == [clustering[v] for v in sg.nodes]
+            assert g.indptr[-1] == len(g.heads) and g.node_count() == (block.bounds[-1] if block.venues else 0)
 
     # The default budget, one venue per batch, and a budget that splits
     # batches of venues (and the kernel's blocks) mid-component.
@@ -426,20 +517,7 @@ class TestBatchedProfiles:
         monkeypatch.setattr(metrics, "BRANDES_BLOCK_CELLS", budget)
         rows = profile_venues(corpus, ranks)
         monkeypatch.undo()
-        by_venue = corpus.records_by_venue()
-        for family, extract in (
-            ("coauthorship", lambda v: extract_coauthorship_subgraph(corpus, v)),
-            ("citation", lambda v: extract_citation_subgraph(corpus, v)),
-        ):
-            expected = []
-            for venue in sorted(by_venue):
-                sg = extract(venue)
-                if sg.graph.node_count():
-                    profile = subgraph_profile(sg)  # M3 from this venue's graph alone
-                    expected.append((venue, corpus.venue_kind(venue), profile, ranks.get(venue),
-                                     classify_network_type(profile)))
-            got = [(r.venue_key, r.kind, r.profile, r.pagerank, r.network_type) for r in rows[family]]
-            assert got == expected
+        assert rows_of(rows) == profile_rows_per_venue(corpus, ranks)  # M3 from each venue's graph alone
         if name == "tiny-lines":
             sizes = {r.venue_key: r.profile.node_count for r in rows["citation"]}
             assert sizes == {"cited": 2, "duo": 2, "solo": 1, "tri": 4}
