@@ -44,12 +44,6 @@ class ClusterPartition:
     def cluster_count(self) -> int:
         return len(set(self.assignment.values()))
 
-    def clusters(self) -> dict[str, list[str]]:
-        grouped: dict[str, list[str]] = {}
-        for venue in sorted(self.assignment):
-            grouped.setdefault(self.assignment[venue], []).append(venue)
-        return grouped
-
 
 def modularity(g: VenueGraph, assignment: dict[str, str], weighted: bool = True) -> float:
     """Newman modularity Q of a node-to-cluster assignment.

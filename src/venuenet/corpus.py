@@ -139,10 +139,6 @@ class Corpus:
     def record(self, record_id: str) -> PublicationRecord:
         return self.records[self._rows[record_id]]
 
-    def row(self, record_id: str) -> int:
-        """The record's position in `records`."""
-        return self._rows[record_id]
-
     def reference_index(self) -> ReferenceIndex:
         """The index, built on first use; the records must not change after.
         Every reader of the references reads it."""
@@ -167,15 +163,6 @@ class Corpus:
     def venue_kind(self, venue_key: str) -> str:
         info = self.venue_table.get(venue_key)
         return info.kind if info else UNKNOWN_KIND
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (
-            self.records == other.records
-            and self.venue_table == other.venue_table
-            and self.source == other.source
-        )
 
 
 @dataclass

@@ -402,34 +402,23 @@ def pagerank(
         raise ValueError(f"tolerance must be positive, got {tol}")
 
     nodes = sorted(g.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    out_deg = [len(g.neighbors(v)) for v in nodes]
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for u in nodes:
-        ui = index[u]
-        for v in g.neighbors(u):
-            preds[index[v]].append(ui)
+    csr = _csr(g, nodes)
+    out_deg = np.diff(csr.indptr)
+    # arcs grouped by head, each node's predecessors ascending: np.add.at adds
+    # them in that order, from 0.0, as the recursive sum is defined
+    by_head = np.argsort(csr.heads, kind="stable")
+    heads, tails = csr.heads[by_head], np.repeat(np.arange(n), out_deg)[by_head]
 
-    scores = [1.0] * n
-    base = 1.0 - d
+    scores = np.ones(n)
     residual = 0.0
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        new = [0.0] * n
-        residual = 0.0
-        for i in range(n):
-            total = 0.0
-            for j in preds[i]:
-                total += scores[j] / out_deg[j]
-            value = base + d * total
-            new[i] = value
-            diff = value - scores[i]
-            if diff < 0:
-                diff = -diff
-            if diff > residual:
-                residual = diff
+        total = np.zeros(n)
+        np.add.at(total, heads, scores[tails] / out_deg[tails])
+        new = (1.0 - d) + d * total
+        residual = float(np.abs(new - scores).max(initial=0.0))
         scores = new
         if residual < tol:
             converged = True
@@ -437,7 +426,7 @@ def pagerank(
 
     return MetricVector(
         metric="pagerank",
-        values={v: scores[index[v]] for v in nodes},
+        values=dict(zip(nodes, scores.tolist())),
         converged=converged if n else True,
         residual=residual,
         iterations=iterations if n else 0,

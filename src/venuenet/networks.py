@@ -11,6 +11,7 @@ cross-corpus matches are resolved before, by `linkage`.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -24,11 +25,6 @@ from .graph import VenueGraph
 
 COSINE_MIN_DEFAULT = 0.1
 CITATION_MIN_DEFAULT = 50.0
-
-# Venue pairs build_knowledge_network expands at once. Its transient arrays
-# take about 100 bytes a pair, so the bound caps the build's memory however
-# many pairs the corpus has (2.4 million at 100k publications).
-KNOWLEDGE_PAIR_BUDGET = 1 << 15
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -86,6 +82,12 @@ class CouplingMatrix:
         missing = [v for v in venues if v not in vectors]
         if missing:
             raise ValueError(f"coupling matrix venue {missing[0]!r} has no vector")
+        uncounted = [v for v, vec in vectors.items() if any(c < 1 for c in vec.values())]
+        if uncounted:
+            raise ValueError(f"coupling matrix venue {uncounted[0]!r} has a reference count below 1")
+        negative = [v for v, c in counts.items() if c < 0]
+        if negative:
+            raise ValueError(f"coupling matrix venue {negative[0]!r} has a negative publication count")
         return cls(venues=venues, vectors=vectors, publication_counts=counts)
 
 
@@ -169,48 +171,50 @@ def _pair_dots(vectors: list[dict[str, int]], dtype) -> tuple[np.ndarray, np.nda
     """The dot product of every pair of vectors that share a key, as pair
     ids i * len(vectors) + j (i < j), ascending, and exact sums of `dtype`.
 
-    A row-wise sparse product over the key-sorted entries: each key's
-    vectors expand to vector pairs, KNOWLEDGE_PAIR_BUDGET pairs at a time,
-    and each chunk is summed per pair before the chunks are merged.
+    Gustavson's row-wise sparse product over the key-sorted entries: vector
+    i's entries expand to the later vectors sharing their key, the products
+    add into one dense accumulator row, and the row's nonzero slots are read
+    off and reset. Beside the entry arrays, memory follows one vector's
+    expansion and the distinct pairs, not every expanded pair.
     """
-    keys: list[str] = []
-    counts: list[int] = []
-    for vec in vectors:
-        keys.extend(vec)
-        counts.extend(vec.values())
+    lengths = list(map(len, vectors))
+    bounds = [0, *itertools.accumulate(lengths)]  # vector i's entries are bounds[i] .. bounds[i + 1] - 1
     # Entries sorted by key (a key's id is its first entry), vectors
-    # ascending inside each key; entry e pairs with the row_len[e] entries
-    # after it in its key.
+    # ascending inside each key: the entry at sorted position p pairs with
+    # the later vectors at p + 1 .. key_end[p] - 1.
     key_id: dict[str, int] = {}
-    ids = np.fromiter(map(key_id.setdefault, keys, range(len(keys))), dtype=np.int64, count=len(keys))
+    keys = itertools.chain.from_iterable(vectors)
+    ids = np.fromiter(map(key_id.setdefault, keys, itertools.count()), dtype=np.int64, count=bounds[-1])
+    count = np.fromiter(itertools.chain.from_iterable(map(dict.values, vectors)), dtype=dtype, count=bounds[-1])
     order = np.argsort(ids, kind="stable")
-    owner = np.repeat(np.arange(len(vectors)), list(map(len, vectors)))[order]
-    count = np.array(counts, dtype=dtype)[order]
+    owner = np.repeat(np.arange(len(vectors)), lengths)[order]
+    sorted_count = count[order]
     starts = np.diff(ids[order], prepend=-1) != 0
     key_end = np.r_[np.flatnonzero(starts)[1:], ids.size][np.cumsum(starts) - 1]
-    row_len = key_end - 1 - np.arange(ids.size)
-    row_end = np.cumsum(row_len)
-    total = int(row_len.sum())
+    # Entry e, in vector order, sits at sorted position position[e] and has
+    # partners[e] partners. Its products are numbered ends[e] - partners[e]
+    # .. ends[e] - 1, in vector order, and product q pairs with the entry at
+    # sorted position q + shift[e].
+    position = np.empty_like(order)
+    position[order] = np.arange(ids.size)
+    partners = key_end[position] - position - 1
+    ends = np.cumsum(partners)
+    shift = position + 1 - (ends - partners)
+    first = np.r_[0, ends][bounds].tolist()  # vector i's products are first[i] .. first[i + 1] - 1
+    del ids, order, starts, key_end, position, ends  # the row loop reads only what is left
 
+    row = np.zeros(len(vectors), dtype=dtype)
     pair_parts = [np.zeros(0, dtype=np.int64)]
     dot_parts = [np.zeros(0, dtype=dtype)]
-    for start in range(0, total, KNOWLEDGE_PAIR_BUDGET):
-        pair = np.arange(start, min(start + KNOWLEDGE_PAIR_BUDGET, total))
-        left = np.searchsorted(row_end, pair, side="right")
-        right = pair - (row_end[left] - row_len[left]) + left + 1
-        pairs, dots = _sum_per_pair(owner[left] * len(vectors) + owner[right], count[left] * count[right])
-        pair_parts.append(pairs)
-        dot_parts.append(dots)
-    return _sum_per_pair(np.concatenate(pair_parts), np.concatenate(dot_parts))
-
-
-def _sum_per_pair(pairs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pair ids (all >= 0), ascending, and the sum of the
-    values of each."""
-    order = np.argsort(pairs)
-    pairs = pairs[order]
-    starts = np.flatnonzero(np.diff(pairs, prepend=-1))
-    return pairs[starts], np.add.reduceat(values[order], starts)
+    for i, (lo, hi, start, stop) in enumerate(zip(bounds, bounds[1:], first, first[1:])):
+        span = partners[lo:hi]
+        partner = np.arange(start, stop) + np.repeat(shift[lo:hi], span)
+        np.add.at(row, owner[partner], np.repeat(count[lo:hi], span) * sorted_count[partner])
+        j = np.flatnonzero(row)
+        pair_parts.append(i * len(vectors) + j)
+        dot_parts.append(row[j])
+        row[j] = 0
+    return np.concatenate(pair_parts), np.concatenate(dot_parts)
 
 
 def build_citation_network(c: Corpus) -> VenueGraph:

@@ -6,7 +6,9 @@ DP instead of the rolling-array scorer, pairwise modularity sums instead of
 the cluster-aggregated form, exhaustive partition search, a full pair
 rescan per merge instead of the heap-based greedy modularity loop, Brandes
 one source at a time instead of the source-batched kernel, a per-key
-dictionary loop instead of the chunked sparse cosine product, the
+dictionary loop instead of the row-wise sparse cosine product, PageRank
+one node and one predecessor at a time instead of one array pass per
+iteration, the
 standard library's encoders instead of the direct JSON, corpus JSONL and
 GraphML writers,
 per-reference record id lookups instead of the corpus's reference index, a
@@ -35,6 +37,7 @@ from venuenet.community import ClusterPartition, CommunityError, modularity
 from venuenet.corpus import AuthorName, Corpus, PublicationRecord, ReferenceIndex, VenueInfo, normalize_reference_key
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
 from venuenet.graph import VenueGraph
+from venuenet.metrics import MetricVector
 from venuenet.networks import CouplingMatrix
 from venuenet.subgraphs import DEFAULT_CUTS, SubgraphProfile, classify_network_type
 
@@ -160,6 +163,53 @@ def brandes_unweighted_loop(adj: list[list[int]]) -> list[float]:
             if w != s:
                 cb[w] += delta[w]
     return cb
+
+
+def pagerank_loop(g: VenueGraph, d: float = 0.85, tol: float = 1e-8, max_iter: int = 200) -> MetricVector:
+    """PageRank one node and one predecessor at a time: the scalar reference
+    the library's array iteration must equal bit for bit (values, residual,
+    iterations and convergence)."""
+    nodes = sorted(g.nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    n = len(nodes)
+    out_deg = [len(g.neighbors(v)) for v in nodes]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for u in nodes:
+        ui = index[u]
+        for v in g.neighbors(u):
+            preds[index[v]].append(ui)
+
+    scores = [1.0] * n
+    base = 1.0 - d
+    residual = 0.0
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        new = [0.0] * n
+        residual = 0.0
+        for i in range(n):
+            total = 0.0
+            for j in preds[i]:
+                total += scores[j] / out_deg[j]
+            value = base + d * total
+            new[i] = value
+            diff = value - scores[i]
+            if diff < 0:
+                diff = -diff
+            if diff > residual:
+                residual = diff
+        scores = new
+        if residual < tol:
+            converged = True
+            break
+
+    return MetricVector(
+        metric="pagerank",
+        values={v: scores[index[v]] for v in nodes},
+        converged=converged if n else True,
+        residual=residual,
+        iterations=iterations if n else 0,
+    )
 
 
 def density_oracle(g: VenueGraph) -> float:
@@ -519,6 +569,19 @@ def graphml_et(g: VenueGraph) -> bytes:
     return buf.getvalue()
 
 
+def record_rows(c: Corpus) -> dict[str, int]:
+    """Each record id's position in `c.records`."""
+    return {r.record_id: i for i, r in enumerate(c.records)}
+
+
+def cluster_sets(p: ClusterPartition) -> set[frozenset[str]]:
+    """The partition's clusters as sets of venues, ids ignored."""
+    grouped: dict[str, set[str]] = {}
+    for venue, cluster in p.assignment.items():
+        grouped.setdefault(cluster, set()).add(venue)
+    return set(map(frozenset, grouped.values()))
+
+
 def record_ids(c: Corpus) -> set[str]:
     return {rec.record_id for rec in c.records}
 
@@ -849,7 +912,8 @@ def extract_citation_subgraph(c: Corpus, venue_key: str, records: Sequence | Non
             raise UnknownVenueError(f"unknown venue {venue_key!r}")
         records = [r for r in c.records if r.venue_key == venue_key]
     index = c.reference_index()
-    targets, _ = references_of(index, np.array([c.row(r.record_id) for r in records], dtype=np.int64))
+    rows = record_rows(c)
+    targets, _ = references_of(index, np.array([rows[r.record_id] for r in records], dtype=np.int64))
     names = {row: c.records[row].record_id for row in targets[targets >= 0].tolist()}
     nodes = np.array(sorted(names, key=names.__getitem__), dtype=np.int64)
     adj: dict[str, dict[str, float]] = {names[row]: {} for row in nodes.tolist()}

@@ -14,6 +14,7 @@ from oracles import (
     average_clustering_oracle,
     best_modularity_exhaustive,
     betweenness_oracle,
+    cluster_sets,
     coauthorship_corpus,
     density_oracle,
     lcc_fraction_oracle,
@@ -145,7 +146,7 @@ def test_modularity_criteria():
     for a, b in [("a1", "a2"), ("a2", "a3"), ("a1", "a3"), ("b1", "b2"), ("b2", "b3"), ("b1", "b3")]:
         g.add_edge(a, b, 1.0)
     p = greedy_modularity_partition(g)
-    exact_ok = p.q == 0.5 and {frozenset(m) for m in p.clusters().values()} == {
+    exact_ok = p.q == 0.5 and cluster_sets(p) == {
         frozenset({"a1", "a2", "a3"}),
         frozenset({"b1", "b2", "b3"}),
     }
@@ -163,7 +164,7 @@ def test_modularity_criteria():
                     planted.add_edge(grp[i], grp[j], 1.0)
         planted.add_edge(rng.choice(a), rng.choice(b), 1.0)
         partition = greedy_modularity_partition(planted)
-        if {frozenset(m) for m in partition.clusters().values()} == {frozenset(a), frozenset(b)}:
+        if cluster_sets(partition) == {frozenset(a), frozenset(b)}:
             recovered += 1
 
     gap = 0.0
@@ -206,7 +207,7 @@ def test_end_to_end_fixture(tmp_path):
     planted_sets = {}
     for venue, gi in truth.items():
         planted_sets.setdefault(gi, set()).add(venue)
-    partition_ok = {frozenset(m) for m in partition.clusters().values()} == {
+    partition_ok = cluster_sets(partition) == {
         frozenset(m) for m in planted_sets.values()
     }
 

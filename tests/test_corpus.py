@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import corpus_from_lines
-from oracles import random_jsonl_corpus, random_reference_corpus, record_ids, references_of, serialize_corpus_dumps
+from oracles import (
+    random_jsonl_corpus,
+    random_reference_corpus,
+    record_ids,
+    record_rows,
+    references_of,
+    serialize_corpus_dumps,
+)
 from venuenet.corpus import (
     AuthorName,
     Corpus,
@@ -450,7 +457,7 @@ class TestReferenceIndex:
     @pytest.mark.parametrize("seed", range(12))
     def test_equals_per_reference_lookup(self, seed):
         corpus = random_reference_corpus(seed)
-        ids = record_ids(corpus)
+        ids, rows = record_ids(corpus), record_rows(corpus)
         index = corpus.reference_index()
         assert corpus.reference_index() is index  # built once
         assert index.venues == sorted({r.venue_key for r in corpus.records} - {None})
@@ -462,7 +469,7 @@ class TestReferenceIndex:
             assert len(targets) == len(rec.references)
             for ref, t in zip(rec.references, targets):
                 if ref in ids:
-                    assert t == corpus.row(ref)
+                    assert t == rows[ref]
                 else:
                     assert t < 0 and index.external_keys[-1 - t] == normalize_reference_key(ref)
         assert len(set(index.external_keys)) == len(index.external_keys)

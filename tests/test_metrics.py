@@ -12,6 +12,7 @@ from oracles import (
     lcc_fraction_oracle,
     local_clustering_by_sets,
     neighbor_sets,
+    pagerank_loop,
     random_test_graph,
     undirected_view,
 )
@@ -444,6 +445,37 @@ class TestPagerank:
         assert vector.iterations == 3
         assert vector.residual > 1e-15
         assert len(vector.values) == 3  # result still returned
+
+    def test_equals_loop(self):
+        # seeded digraphs with dangling and isolated nodes, inserted out of
+        # name order, some stopped by max_iter before they converge
+        rng = random.Random(31)
+        graphs = [(VenueGraph(directed=True), 200)]  # empty
+        for _ in range(60):
+            names = [f"v{i:02d}" for i in range(rng.randint(1, 25))]
+            rng.shuffle(names)
+            g = VenueGraph(directed=True)
+            for v in names:
+                g.add_node(v)
+            for _ in range(rng.randint(0, 3 * len(names)) if len(names) > 1 else 0):
+                g.add_edge(*rng.sample(names, 2), 1.0)
+            graphs.append((g, rng.choice([1, 3, 200])))
+        seen = set()
+        for g, max_iter in graphs:
+            want = pagerank_loop(g, d=0.85, tol=1e-10, max_iter=max_iter)
+            got = pagerank(g, d=0.85, tol=1e-10, max_iter=max_iter)
+            assert got == want
+            assert list(got.values) == list(want.values)
+            tails, heads = {u for u, _, _ in g.edges()}, {v for _, v, _ in g.edges()}
+            cases = {
+                "empty": not g.nodes,
+                "dangling": heads - tails,
+                "isolated": set(g.nodes) - tails - heads,
+                "unsorted": list(g.nodes) != sorted(g.nodes),
+                "stopped": not got.converged,
+            }
+            seen |= {case for case, present in cases.items() if present}
+        assert seen == {"empty", "dangling", "isolated", "unsorted", "stopped"}
 
     def test_undirected_rejected(self):
         with pytest.raises(MetricError):

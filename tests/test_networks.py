@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -182,28 +183,24 @@ class TestKnowledgeKernel:
     """build_knowledge_network equals the per-key dictionary loop: same node
     order and attributes, same neighbour order, every weight bit equal."""
 
-    BUDGETS = (networks.KNOWLEDGE_PAIR_BUDGET, 1, 2, 5)
-
-    def assert_equals_loop(self, m, monkeypatch):
+    def assert_equals_loop(self, m):
         want = knowledge_network_loop(m)
-        for budget in self.BUDGETS:
-            monkeypatch.setattr(networks, "KNOWLEDGE_PAIR_BUDGET", budget)
-            got = build_knowledge_network(m)
-            assert list(got.nodes.items()) == list(want.nodes.items()), budget
-            for node in want.nodes:
-                assert list(got.neighbors(node).items()) == list(want.neighbors(node).items()), (budget, node)
-            assert got.edge_count() == want.edge_count()
+        got = build_knowledge_network(m)
+        assert list(got.nodes.items()) == list(want.nodes.items())
+        for node in want.nodes:
+            assert list(got.neighbors(node).items()) == list(want.neighbors(node).items()), node
+        assert got.edge_count() == want.edge_count()
 
-    def test_seeded_random_matrices(self, monkeypatch):
+    def test_seeded_random_matrices(self):
         rng = random.Random(5)
         for _ in range(120):
-            self.assert_equals_loop(random_matrix(rng), monkeypatch)
+            self.assert_equals_loop(random_matrix(rng))
 
-    def test_corpus_matrices(self, monkeypatch):
+    def test_corpus_matrices(self):
         for venues, papers in ((40, 5), (60, 2)):
-            self.assert_equals_loop(build_coupling_matrix(scale_corpus(venues, papers, seed=3)), monkeypatch)
+            self.assert_equals_loop(build_coupling_matrix(scale_corpus(venues, papers, seed=3)))
 
-    def test_ties_single_keys_and_disjoint_vectors(self, monkeypatch):
+    def test_ties_single_keys_and_disjoint_vectors(self):
         m = CouplingMatrix(
             venues=["a", "b", "c", "d", "e"],
             vectors={
@@ -215,34 +212,59 @@ class TestKnowledgeKernel:
             },
             publication_counts={"a": 1, "b": 2},
         )
-        self.assert_equals_loop(m, monkeypatch)
+        self.assert_equals_loop(m)
         g = build_knowledge_network(m)
         assert g.neighbors("a")["b"] == 1.0
         assert len(g.neighbors("d")) == 0 and len(g.neighbors("e")) == 0
         assert g.nodes["c"] == {"publication_count": 0}
 
-    def test_no_venues_and_no_shared_keys(self, monkeypatch):
-        self.assert_equals_loop(CouplingMatrix(venues=[], vectors={}), monkeypatch)
-        self.assert_equals_loop(CouplingMatrix(venues=["a", "b"], vectors={"a": {"x": 1}, "b": {"y": 1}}), monkeypatch)
+    @pytest.mark.parametrize("empty_at", [(0.0,), (0.5,), (1.0,), (0.0, 0.5, 1.0), (0.0, 0.0, 0.0)])
+    def test_empty_vectors_first_middle_and_last(self, empty_at):
+        # The cluster projection passes an empty vector for a cluster whose
+        # venues have no coupling vector; random_matrix never makes one.
+        rng = random.Random(len(empty_at))
+        fixed = [{"x": 1, "y": 2}, {"x": 3}, {"y": 1, "z": 1}, {"z": 2, "x": 1}, {"w": 1}]
+        for vectors in [fixed] + [list(random_matrix(rng).vectors.values()) for _ in range(20)]:
+            for at in empty_at:  # a fraction of the way along the vectors
+                vectors.insert(round(at * len(vectors)), {})
+            names = [f"v{i:03d}" for i in range(len(vectors))]  # the kernel sees the vectors in this order
+            self.assert_equals_loop(CouplingMatrix(venues=names, vectors=dict(zip(names, vectors))))
 
-    def test_unsorted_venue_list(self, monkeypatch):
+    def test_memory_follows_one_row(self):
+        # The row-wise product holds the entry arrays, one vector's expansion
+        # and a row of n slots (11 MB on this corpus); the chunked product,
+        # which kept every expanded venue pair, peaked at 33 MB.
+        m = build_coupling_matrix(scale_corpus(2000, 10, seed=3))
+        tracemalloc.start()
+        try:
+            build_knowledge_network(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
+
+    def test_no_venues_and_no_shared_keys(self):
+        self.assert_equals_loop(CouplingMatrix(venues=[], vectors={}))
+        self.assert_equals_loop(CouplingMatrix(venues=["a", "b"], vectors={"a": {"x": 1}, "b": {"y": 1}}))
+
+    def test_unsorted_venue_list(self):
         # nodes keep the matrix's order; edges are still added in name order
         rng = random.Random(8)
         for _ in range(20):
             m = random_matrix(rng)
             rng.shuffle(m.venues)
-            self.assert_equals_loop(m, monkeypatch)
+            self.assert_equals_loop(m)
 
     @pytest.mark.parametrize("scale", [2**17, 2**33, 2**70])
-    def test_python_integer_path(self, scale, monkeypatch):
+    def test_python_integer_path(self, scale):
         # Squared norms past 2**63: int64 would wrap the norm products (and
         # at 2**33 the dots, at 2**70 the counts themselves).
         rng = random.Random(scale % 1000)
         for _ in range(20):
             m = random_matrix(rng, max_venues=12, counts=(scale, scale + 1, scale * 3 - 7, 1))
-            self.assert_equals_loop(m, monkeypatch)
+            self.assert_equals_loop(m)
 
-    def test_norm_products_at_the_int64_boundary(self, monkeypatch):
+    def test_norm_products_at_the_int64_boundary(self):
         # 3037000499**2 <= 2**63 - 1 < 3037000500**2: two equal vectors with
         # a norm either side, whose norm product is the largest there is
         for norm in (3037000499, 3037000500):
@@ -252,7 +274,7 @@ class TestKnowledgeKernel:
                 rest -= vec[f"k{len(vec) - 1}"] ** 2
             m = CouplingMatrix(venues=["a", "b"], vectors={"a": vec, "b": dict(vec)})
             assert sum(c * c for c in vec.values()) == norm
-            self.assert_equals_loop(m, monkeypatch)
+            self.assert_equals_loop(m)
             assert build_knowledge_network(m).neighbors("a")["b"] == 1.0
 
 

@@ -13,7 +13,7 @@ from venuenet.corpus import save_corpus
 from venuenet.exports import load_graph
 from venuenet.linkage import MATCHES_HEADER
 from venuenet.networks import summarize
-from oracles import graphml_et, record_ids
+from oracles import cluster_sets, graphml_et, record_ids
 from venuenet.subgraphs import PROFILES_HEADER, write_profiles
 from venuenet.pipeline import (
     ConfigError,
@@ -145,7 +145,7 @@ class TestRunPipeline:
         cfg = fixture_config(tmp_path, corpus_path)
         run_pipeline(cfg)
         partition = read_partition(Path(cfg.out_dir) / "partition.tsv")
-        got = {frozenset(m) for m in partition.clusters().values()}
+        got = cluster_sets(partition)
         assert got == planted_member_sets(truth)
 
     def test_reruns_byte_identical(self, tmp_path, planted):
@@ -194,7 +194,7 @@ class TestRunPipeline:
         assert citation.directed
         assert citation.edge_count() > 0
         partition = read_partition(out_dir / "partition.tsv")
-        assert {frozenset(m) for m in partition.clusters().values()} == planted_member_sets(truth)
+        assert cluster_sets(partition) == planted_member_sets(truth)
 
     def test_snapshot_series(self, tmp_path, planted):
         corpus, truth = planted
@@ -731,6 +731,14 @@ READER_CASES = [
     ("matrix-top-level-list", "project", {"m.json": "[1, 2]", "p.tsv": PARTITION_OK}, "m.json", "JSON object"),
     ("matrix-empty-object", "project", {"m.json": "{}", "p.tsv": PARTITION_OK}, "m.json", "'venues'"),
     ("matrix-invalid-json", "project", {"m.json": '{"venues": [}', "p.tsv": PARTITION_OK}, "m.json", "line 1"),
+    ("matrix-negative-counts", "project",
+     {"m.json": '{"venues": ["a", "b"], "vectors": {"a": {"x": -1}, "b": {"x": -1}}, "publication_counts": {"a": -3}}',
+      "p.tsv": "venue_key\tcluster_id\na\ta\n"}, "m.json", "venue 'a'"),
+    ("matrix-zero-count", "project",
+     {"m.json": '{"venues": ["v1", "v2"], "vectors": {"v1": {"k": 1}, "v2": {"k": 0}}}', "p.tsv": PARTITION_OK},
+     "m.json", "venue 'v2'"),
+    ("matrix-negative-publication-count", "project",
+     {"m.json": MATRIX_OK[:-1] + ', "publication_counts": {"v1": -1}}', "p.tsv": PARTITION_OK}, "m.json", "venue 'v1'"),
     ("partition-short-row", "project", {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v2\n"}, "p.tsv", "line 3"),
     ("matches-missing-file", "build", {"c.jsonl": '{"id": "p1", "title": "T"}\n'}, "m.tsv", "No such file"),
     ("matches-two-field-row", "build",
