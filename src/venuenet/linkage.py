@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .corpus import Corpus
+import numpy as np
+
+from .corpus import Corpus, PublicationRecord
 
 DEFAULT_JACCARD_MIN = 0.5
 DEFAULT_SW_MIN = 0.9
@@ -59,44 +61,132 @@ def jaccard_title_similarity(t1: frozenset[str], t2: frozenset[str]) -> float:
 
 # Half-width of the first alignment band; a second, certified pass widens it.
 SW_BAND = 2
+# Minus infinity for the left-gap scan: cells off the table must not feed it
+# (with gap > 0 not even as 0).
+_OFF_TABLE = -(1 << 40)
 
 
-def _banded_sw_best(s1: str, s2: str, w: int, match: int, mismatch: int, gap: int) -> int:
-    """Best local alignment score over the cells -w <= i - j <= (n1 - n2) + w
-    of the (n1 + 1) x (n2 + 1) table, n1 = len(s1) >= n2 = len(s2); cells
-    outside the band read as 0. One row, updated in place."""
-    n2 = len(s2)
-    row = [0] * (n2 + 1)
-    best = 0
-    lo_shift = len(s1) - n2 + w
-    for i, a in enumerate(s1, 1):
-        # plain comparisons: max/min calls cost a tenth of a short title's DP
-        lo = i - lo_shift
-        if lo < 1:
-            lo = 1
-        hi = i + w
-        if hi > n2:
-            hi = n2
-        diag = row[lo - 1]
-        left = 0
-        j = lo
-        for b in s2[lo - 1:hi]:
-            up = row[j]
-            score = diag + match if a == b else diag + mismatch
-            diag = up
-            up += gap
-            if up > score:
-                score = up
-            left += gap
-            if left > score:
-                score = left
-            if score < 0:
-                score = 0
-            elif score > best:
-                best = score
-            row[j] = left = score
-            j += 1
+def _code_columns(strings: list[str], starts: list[int], height: int) -> np.ndarray:
+    """(height, len(strings)) int32 matrix whose column p holds the code
+    points of strings[p] from row starts[p] on, spaces around them. Every
+    str encodes, lone surrogates included."""
+    text = "".join([(" " * start + s).ljust(height) for start, s in zip(starts, strings)])
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<i4")
+    return codes.reshape(len(strings), height).T.copy()
+
+
+def _banded_sw_best(
+    s1s: list[str], s2s: list[str], w: np.ndarray, match: int, mismatch: int, gap: int
+) -> np.ndarray:
+    """Best local alignment score of each pair (s1s[p], s2s[p]) over the
+    cells -w[p] <= i - j <= (n1 - n2) + w[p] of its (n1 + 1) x (n2 + 1)
+    table, n1 = len(s1) >= n2 = len(s2) >= 1; cells outside the band read
+    as 0. Pairs whose band widths n1 - n2 + 2w + 1 share a power of two run
+    as one batch, so no pair is padded to more than twice its band."""
+    n1 = np.fromiter(map(len, s1s), np.int64, len(s1s))
+    n2 = np.fromiter(map(len, s2s), np.int64, len(s2s))
+    group = np.frexp(n1 - n2 + 2 * w + 1)[1]
+    order = np.lexsort((-n1, group))
+    best = np.empty(len(s1s), np.int64)
+    for batch in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        best[batch] = _banded_sw_batch(
+            [s1s[k] for k in batch], [s2s[k] for k in batch], n1[batch], n2[batch], w[batch], match, mismatch, gap
+        )
     return best
+
+
+def _banded_sw_batch(
+    s1s: list[str], s2s: list[str], n1: np.ndarray, n2: np.ndarray, w: np.ndarray, match: int, mismatch: int, gap: int
+) -> np.ndarray:
+    """`_banded_sw_best` of one batch whose pairs come longest s1 first; n1
+    and n2 are their lengths.
+
+    All pairs advance one table row at a time, each pair a column of the
+    arrays. Cell (i, j) is stored at d = j - i + off, off = n1 - n2 + w, so a
+    pair's band is d < n1 - n2 + 2w + 1 and the row above holds the diagonal
+    and up neighbours at d and d + 1. s2 is laid out shifted down by off, so
+    row i compares s1[i - 1] with one plain slice, and row i touches only the
+    pairs with n1 >= i.
+    """
+    count = len(s1s)
+    off = n1 - n2 + w
+    band = off + w + 1
+    width = int(band.max())
+    rows = int(n1[0])
+    s1_codes = _code_columns(s1s, [0] * count, rows)
+    s2_codes = _code_columns(s2s, off.tolist(), rows + width - 1)
+    # row k of s2_codes is column j = k - off + 1 of the table
+    k = np.arange(rows + width - 1)[:, None]
+    off_table = (k < off) | (k >= off + n2)
+    live = np.searchsorted(-n1, -np.arange(rows), side="left")
+    off_band = np.arange(width)[:, None] >= band
+    ramp = np.arange(width)[:, None] * gap
+    # the row above, overwritten in place by each new row; its row `width`
+    # stays 0, the cell above a band's end
+    above = np.zeros((width + 1, count), np.int64)
+    up, step = np.empty((2, width, count), np.int64)
+    outside = np.empty((width, count), bool)
+    best = np.zeros(count, np.int64)
+    for r, p in enumerate(live.tolist()):
+        score = above[:width, :p]
+        np.add(above[1:, :p], gap, out=up[:, :p])
+        np.equal(s2_codes[r : r + width, :p], s1_codes[r, :p], out=step[:, :p])
+        step[:, :p] *= match - mismatch
+        score += step[:, :p]
+        score += mismatch
+        np.maximum(score, up[:, :p], out=score)
+        np.maximum(score, 0, out=score)
+        # the left neighbour: score[d] = max(score[d], score[d - 1] + gap)
+        # unrolls to d * gap + max(score[k] - k * gap for k <= d)
+        row_off_table = off_table[r : r + width, :p]
+        np.copyto(score, _OFF_TABLE, where=row_off_table)
+        score -= ramp
+        np.maximum.accumulate(score, axis=0, out=score)
+        score += ramp
+        np.logical_or(row_off_table, off_band[:, :p], out=outside[:, :p])
+        np.copyto(score, 0, where=outside[:, :p])
+        np.maximum(best[:p], score.max(axis=0), out=best[:p])
+    return best
+
+
+def smith_waterman_similarities(
+    pairs: list[tuple[str, str]],
+    match: int = DEFAULT_SW_MATCH,
+    mismatch: int = DEFAULT_SW_MISMATCH,
+    gap: int = DEFAULT_SW_GAP,
+) -> list[float]:
+    """`smith_waterman_similarity` of every pair, scored in one batch."""
+    scores = [0.0] * len(pairs)
+    banded = match > 0 and gap <= 0 and mismatch <= match
+    todo, longer, shorter = [], [], []
+    for k, (s1, s2) in enumerate(pairs):
+        if not s1 or not s2:
+            continue
+        # the table's rows run along the longer string
+        if len(s2) > len(s1):
+            s1, s2 = s2, s1
+        if banded and s1 == s2:
+            scores[k] = 1.0
+            continue
+        todo.append(k)
+        longer.append(s1)
+        shorter.append(s2)
+    if not todo:
+        return scores
+    n2 = np.fromiter(map(len, shorter), np.int64, len(shorter))
+    if not banded:
+        best = _banded_sw_best(longer, shorter, n2, match, mismatch, gap)
+    else:
+        best = _banded_sw_best(longer, shorter, np.full_like(n2, SW_BAND), match, mismatch, gap)
+        redo = np.flatnonzero(best <= match * (n2 - SW_BAND - 1))
+        if redo.size:
+            best[redo] = _banded_sw_best(
+                [longer[k] for k in redo], [shorter[k] for k in redo],
+                n2[redo] - best[redo] // match, match, mismatch, gap,
+            )
+    for k, b, n in zip(todo, best.tolist(), n2.tolist()):
+        scores[k] = b / (match * n)
+    return scores
 
 
 def smith_waterman_similarity(
@@ -116,20 +206,7 @@ def smith_waterman_similarity(
     with w = n2 - B // match certifies itself. Other scores fill the full table
     (w = n2).
     """
-    if not s1 or not s2:
-        return 0.0
-    # the band runs along the longer string so the row stays short
-    if len(s2) > len(s1):
-        s1, s2 = s2, s1
-    n2 = len(s2)
-    if match <= 0 or gap > 0 or mismatch > match:
-        return _banded_sw_best(s1, s2, n2, match, mismatch, gap) / (match * n2)
-    if s1 == s2:
-        return 1.0
-    best = _banded_sw_best(s1, s2, SW_BAND, match, mismatch, gap)
-    if best <= match * (n2 - SW_BAND - 1):
-        best = _banded_sw_best(s1, s2, n2 - best // match, match, mismatch, gap)
-    return best / (match * n2)
+    return smith_waterman_similarities([(s1, s2)], match, mismatch, gap)[0]
 
 
 def canopy_partition(a: Corpus, b: Corpus) -> list[Canopy]:
@@ -217,6 +294,27 @@ def _prefix_candidates(
     return pairs
 
 
+def _jaccard_survivors(a: Corpus, b: Corpus, jaccard_min: float) -> list[tuple[str, str, float]]:
+    """(left, right, Jaccard) of every cross-corpus pair sharing a canopy
+    whose titles reach `jaccard_min`, in pair order. The token sets die with
+    the call, before the alignments run."""
+    tokens_a = {r.record_id: tokenize_title(r.title) for r in a.records}
+    tokens_b = {r.record_id: tokenize_title(r.title) for r in b.records}
+    canopies = canopy_partition(a, b)
+    if jaccard_min > 0:
+        pairs = _prefix_candidates(canopies, tokens_a, tokens_b, jaccard_min)
+    else:
+        # zero-overlap pairs pass a gate of 0 (or NaN), so every pair is one
+        pairs = {(left, right) for c in canopies for left in c.left_members for right in c.right_members}
+    survivors = []
+    for left, right in sorted(pairs):
+        j = jaccard_title_similarity(tokens_a[left], tokens_b[right])
+        if j < jaccard_min:
+            continue
+        survivors.append((left, right, j))
+    return survivors
+
+
 def link_corpora(
     a: Corpus,
     b: Corpus,
@@ -233,26 +331,15 @@ def link_corpora(
     Smith-Waterman, then reduced to one best partner per left record (highest
     alignment score, ties to the lexicographically smallest right id).
     """
-    tokens_a = {r.record_id: tokenize_title(r.title) for r in a.records}
-    tokens_b = {r.record_id: tokenize_title(r.title) for r in b.records}
+    survivors = _jaccard_survivors(a, b, jaccard_min)
     titles_a = {r.record_id: _comparison_title(r.title) for r in a.records}
     titles_b = {r.record_id: _comparison_title(r.title) for r in b.records}
-
-    canopies = canopy_partition(a, b)
-    if jaccard_min > 0:
-        pairs = _prefix_candidates(canopies, tokens_a, tokens_b, jaccard_min)
-    else:
-        # zero-overlap pairs pass a gate of 0 (or NaN), so every pair is one
-        pairs = {(left, right) for c in canopies for left in c.left_members for right in c.right_members}
+    scores = smith_waterman_similarities(
+        [(titles_a[left], titles_b[right]) for left, right, _ in survivors], sw_match, sw_mismatch, sw_gap
+    )
 
     best: dict[str, MatchPair] = {}
-    for left, right in sorted(pairs):
-        j = jaccard_title_similarity(tokens_a[left], tokens_b[right])
-        if j < jaccard_min:
-            continue
-        s = smith_waterman_similarity(
-            titles_a[left], titles_b[right], sw_match, sw_mismatch, sw_gap
-        )
+    for (left, right, j), s in zip(survivors, scores):
         if s < sw_min:
             continue
         candidate = MatchPair(left=left, right=right, jaccard=j, sw_similarity=s)
@@ -294,7 +381,10 @@ def rewrite_matched_references(c: Corpus, matches: list[MatchPair], carried: dic
     right_to_left = right_to_left_ids(matches)
     carried = carried or {}
     records = [
-        replace(rec, references=tuple(right_to_left.get(t, t) for t in carried.get(rec.record_id, rec.references)))
+        PublicationRecord(
+            rec.record_id, rec.source, rec.title, rec.authors, rec.venue_key, rec.year,
+            tuple(right_to_left.get(t, t) for t in carried.get(rec.record_id, rec.references)),
+        )
         for rec in c.records
     ]
     return Corpus(records=records, venue_table=dict(c.venue_table), source=c.source)

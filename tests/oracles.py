@@ -2,7 +2,8 @@
 
 These deliberately use different algorithms than the library: Floyd-Warshall
 distances with direct path counting instead of Brandes, full-matrix alignment
-DP instead of the rolling-array scorer, pairwise modularity sums instead of
+DP and a one-cell-at-a-time banded row instead of the batched diagonal-row
+scorer, pairwise modularity sums instead of
 the cluster-aggregated form, exhaustive partition search, a full pair
 rescan per merge instead of the heap-based greedy modularity loop, Brandes
 one source at a time instead of the source-batched kernel, a per-key
@@ -59,6 +60,44 @@ def sw_score_matrix(s1: str, s2: str, match: int = 2, mismatch: int = -1, gap: i
             if score > best:
                 best = score
     return best / (match * min(n, m))
+
+
+def banded_sw_best_loop(s1: str, s2: str, w: int, match: int, mismatch: int, gap: int) -> int:
+    """Best local alignment score over the cells -w <= i - j <= (n1 - n2) + w
+    of the (n1 + 1) x (n2 + 1) table, n1 = len(s1) >= n2 = len(s2); cells
+    outside the band read as 0. One row updated in place, one cell at a time,
+    instead of the library's batched diagonal rows."""
+    n2 = len(s2)
+    row = [0] * (n2 + 1)
+    best = 0
+    lo_shift = len(s1) - n2 + w
+    for i, a in enumerate(s1, 1):
+        lo = i - lo_shift
+        if lo < 1:
+            lo = 1
+        hi = i + w
+        if hi > n2:
+            hi = n2
+        diag = row[lo - 1]
+        left = 0
+        j = lo
+        for b in s2[lo - 1:hi]:
+            up = row[j]
+            score = diag + match if a == b else diag + mismatch
+            diag = up
+            up += gap
+            if up > score:
+                score = up
+            left += gap
+            if left > score:
+                score = left
+            if score < 0:
+                score = 0
+            elif score > best:
+                best = score
+            row[j] = left = score
+            j += 1
+    return best
 
 
 def _distance_matrices(g: VenueGraph, weighted: bool):

@@ -24,7 +24,7 @@ from oracles import (
 from venuenet.community import greedy_modularity_partition, read_partition
 from venuenet.corpus import save_corpus
 from venuenet.graph import VenueGraph
-from venuenet.linkage import link_corpora, smith_waterman_similarity
+from venuenet.linkage import link_corpora, smith_waterman_similarities
 from venuenet.metrics import (
     average_clustering_coefficient,
     betweenness_centrality,
@@ -105,16 +105,18 @@ def test_pagerank_fixed_point():
 
 
 def test_smith_waterman_oracle_equality():
-    """Optimized scorer equals the full-table DP oracle on 10,000 random
-    string pairs of length <= 64, exactly."""
+    """Optimized scorer, one batch as `link_corpora` calls it, equals the
+    full-table DP oracle on 10,000 random string pairs of length <= 64,
+    exactly."""
     rng = random.Random(424242)
     alphabet = "abcdefgh "
-    mismatches = 0
+    pairs = []
     for _ in range(10_000):
         s1 = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 64)))
         s2 = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 64)))
-        if smith_waterman_similarity(s1, s2) != sw_score_matrix(s1, s2):
-            mismatches += 1
+        pairs.append((s1, s2))
+    scores = smith_waterman_similarities(pairs)
+    mismatches = sum(score != sw_score_matrix(s1, s2) for score, (s1, s2) in zip(scores, pairs))
     report("smith-waterman-oracle", mismatches == 0, f"{mismatches} mismatches in 10000 pairs")
 
 

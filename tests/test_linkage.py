@@ -1,21 +1,27 @@
+import json
 import random
 import string
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from click.testing import CliRunner
 
 from conftest import corpus_from_lines
-from oracles import extract_citation_subgraph, sw_score_matrix, tokenize_title_loop
+from oracles import banded_sw_best_loop, extract_citation_subgraph, sw_score_matrix, tokenize_title_loop
+from venuenet import linkage
 from venuenet.cli import main
 from venuenet.exports import load_graph
 from venuenet.linkage import (
     DEFAULT_SW_MIN,
+    SW_BAND,
     MatchPair,
     attach_references,
     canopy_partition,
     jaccard_title_similarity,
     link_corpora,
+    smith_waterman_similarities,
     smith_waterman_similarity,
     tokenize_title,
     unmatchable_records,
@@ -53,9 +59,27 @@ def with_typos(text, count, rng):
     return text
 
 
-def brute_force_link(a, b, jmin, smin):
+def near_duplicate_pairs(rng, count, words_per_title=(4, 12)):
+    """Title pairs shaped like the linkage workload's: a title of random
+    words and a copy with up to six typos, or one shifted by as many inserts
+    at the front as deletes at the back."""
+    words = [random_text(rng, rng.randint(2, 9)) for _ in range(200)]
+    pairs = []
+    for _ in range(count):
+        title = " ".join(rng.choice(words) for _ in range(rng.randint(*words_per_title)))
+        if rng.random() < 0.8:
+            other = with_typos(title, rng.randint(0, 6), rng)
+        else:
+            shift = rng.randint(0, 3)
+            other = random_text(rng, shift) + title[: len(title) - shift]
+        pairs.append((title, other))
+    return pairs
+
+
+def brute_force_link(a, b, jmin, smin, score=smith_waterman_similarity):
     """All cross pairs sharing any last-name key, gated and reduced to one
-    best partner per left record like link_corpora."""
+    best partner per left record like link_corpora, each pair scored alone
+    by `score`."""
     best = {}
     for ra in a.records:
         keys_a = {au.last_name_key for au in ra.authors}
@@ -65,7 +89,7 @@ def brute_force_link(a, b, jmin, smin):
             j = jaccard_title_similarity(tokenize_title(ra.title), tokenize_title(rb.title))
             if j < jmin:
                 continue
-            s = smith_waterman_similarity(" ".join(ra.title.lower().split()), " ".join(rb.title.lower().split()))
+            s = score(" ".join(ra.title.lower().split()), " ".join(rb.title.lower().split()))
             if s < smin:
                 continue
             cur = best.get(ra.record_id)
@@ -206,6 +230,89 @@ class TestSmithWaterman:
                 assert smith_waterman_similarity(s1, s2, *scores) == sw_score_matrix(s1, s2, *scores), (s1, s2, scores)
 
 
+SCORE_SETTINGS = [(2, -1, -1), (3, -2, -2), (1, 0, 0), (2, 1, 0), (2, 5, -1), (2, -1, 1)]
+
+
+class TestBatchKernel:
+    """The batched diagonal-row kernel against the one-cell-at-a-time loop."""
+
+    @staticmethod
+    def oriented(pairs):
+        return [(s1, s2) if len(s1) >= len(s2) else (s2, s1) for s1, s2 in pairs if s1 and s2]
+
+    def assert_equals_loop(self, pairs, widths, scores):
+        s1s, s2s = (list(side) for side in zip(*pairs))
+        got = linkage._banded_sw_best(s1s, s2s, np.array(widths), *scores)
+        assert got.tolist() == [banded_sw_best_loop(s1, s2, w, *scores) for (s1, s2), w in zip(pairs, widths)]
+        return got
+
+    @pytest.mark.parametrize("scores", SCORE_SETTINGS)
+    def test_equals_loop_at_the_first_the_certified_and_the_full_band(self, scores):
+        rng = random.Random(41)
+        pairs = near_duplicate_pairs(rng, 150)
+        for _ in range(60):
+            alphabet = rng.choice(("ab", "abc ", string.ascii_lowercase + " "))
+            pairs.append((random_text(rng, rng.randint(1, 70), alphabet), random_text(rng, rng.randint(1, 70), alphabet)))
+        pairs = self.oriented(pairs)
+        match = scores[0]
+        n2 = [len(s2) for _, s2 in pairs]
+        first = self.assert_equals_loop(pairs, [SW_BAND] * len(pairs), scores)
+        # the second pass's width; settings outside the banded regime can make it negative
+        self.assert_equals_loop(pairs, [max(0, n - b // match) for n, b in zip(n2, first.tolist())], scores)
+        self.assert_equals_loop(pairs, n2, scores)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_batches_and_bands_equal_loop(self, seed):
+        rng = random.Random(seed)
+        scores = rng.choice(SCORE_SETTINGS)
+        pairs = self.oriented(
+            (random_text(rng, rng.randint(1, 40), "abcd "), random_text(rng, rng.randint(1, 40), "abcd "))
+            for _ in range(rng.randint(1, 80))
+        )
+        self.assert_equals_loop(pairs, [rng.randint(0, len(s2) + 2) for _, s2 in pairs], scores)
+
+    @pytest.mark.parametrize("scores", SCORE_SETTINGS)
+    def test_pair_scores_the_same_alone_and_in_a_shuffled_batch(self, scores):
+        rng = random.Random(43)
+        pairs = near_duplicate_pairs(rng, 40) + [
+            ("", ""), ("", "data"), ("data", ""), ("same title", "same title"), ("x", "y"), ("a", "a"),
+            ("a" * 90, "a"), ("b", "ab" * 45), ("graph theory", "graph teory"),
+        ]
+        for _ in range(40):
+            pairs.append((random_text(rng, rng.randint(0, 100), "abc "), random_text(rng, rng.randint(0, 12), "abc ")))
+        rng.shuffle(pairs)
+        alone = [smith_waterman_similarity(s1, s2, *scores) for s1, s2 in pairs]
+        assert smith_waterman_similarities(pairs, *scores) == alone
+        assert alone == [sw_score_matrix(s1, s2, *scores) for s1, s2 in pairs]
+        assert smith_waterman_similarities([], *scores) == []
+
+    def test_code_points_of_surrogates_astral_characters_and_combining_marks(self):
+        pairs = [
+            ("\ud800", "\ud800"), ("a\ud800b", "a\udc00b"), ("x\udfffy z", "x\udfffy"),
+            ("\U0001F600 smile", "\U0001F601 smile"), ("\U0001F600", "\U0001F600"),
+            ("cafe\u0301 au lait", "caf\u00e9 au lait"), ("e\u0301\u0301", "e\u0301"),
+            ("\x00 nul", "\x00 nul"), ("\uffff\U0010ffff", "\U0010ffff\uffff"),
+        ]
+        assert smith_waterman_similarities(pairs) == [sw_score_matrix(s1, s2) for s1, s2 in pairs]
+        assert [smith_waterman_similarity(s1, s2) for s1, s2 in pairs] == [sw_score_matrix(s1, s2) for s1, s2 in pairs]
+
+    def test_memory_follows_the_code_matrices(self):
+        # 3,000 pairs of about 60 characters take 3.1 MB: the int32 code
+        # matrices, the off-table mask and a few rows of band cells per pair.
+        # Padding every second-pass band to the widest (161 cells against a
+        # median of 13) took 8.3 MB.
+        rng = random.Random(47)
+        pairs = near_duplicate_pairs(rng, 3000, words_per_title=(8, 10))
+        assert 55 <= sum(len(s1) for s1, _ in pairs) / len(pairs) <= 65
+        tracemalloc.start()
+        try:
+            smith_waterman_similarities(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
+
+
 class TestCanopies:
     def test_shared_last_name(self):
         a = make_corpus([("a1", "Paper one", ["Michael Ley"])], "metadata-corpus")
@@ -336,6 +443,26 @@ class TestLinkCorpora:
             assert any(m.jaccard == 0.0 for m in got)
         if smin == 0:
             assert any(a.record(m.left).title == b.record(m.right).title == "" for m in got)
+
+    @pytest.mark.parametrize("jmin", (0, 0.3))
+    def test_titles_with_surrogates_astral_characters_and_combining_marks(self, jmin):
+        # JSON's "\\ud800" decodes to a lone surrogate, which UTF-8 cannot
+        # encode; ASCII-only JSON carries every title.
+        rng = random.Random(29)
+        alphabet = ["a", "b", "\u00e9", "e\u0301", "\u0301", "\ud800", "\udc01", "\U0001F600", "\U00010400"]
+        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4))) for _ in range(15)]
+        left, right = [], []
+        for i in range(40):
+            title = " ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
+            other = title if rng.random() < 0.3 else " ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
+            left.append((f"a{i:02d}", json.dumps(title)[1:-1], [f"A. Name{rng.randrange(3)}"]))
+            right.append((f"b{i:02d}", json.dumps(other)[1:-1], [f"B. Name{rng.randrange(3)}"]))
+        a = make_corpus(left, "metadata-corpus")
+        b = make_corpus(right, "citation-corpus")
+        assert any("\ud800" in r.title for r in a.records) and any("\U0001F600" in r.title for r in b.records)
+        got = link_corpora(a, b, jaccard_min=jmin, sw_min=0.5)
+        assert got == brute_force_link(a, b, jmin, 0.5, score=sw_score_matrix)
+        assert any(m.sw_similarity < 1.0 for m in got)
 
     def test_pair_exactly_at_the_gate_survives_float_rounding(self):
         # 0.55 * 100 is 55.00000000000001 in floats, but 55 of 100 tokens give 0.55
