@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -61,6 +63,9 @@ def jaccard_title_similarity(t1: frozenset[str], t2: frozenset[str]) -> float:
 
 # Half-width of the first alignment band; a second, certified pass widens it.
 SW_BAND = 2
+# Pairs scored per batch: enough to spread numpy's per-row cost, few enough
+# that a batch of 60-character titles holds about 4 MB.
+SW_CHUNK = 4096
 # Minus infinity for the left-gap scan: cells off the table must not feed it
 # (with gap > 0 not even as 0).
 _OFF_TABLE = -(1 << 40)
@@ -81,14 +86,17 @@ def _banded_sw_best(
     """Best local alignment score of each pair (s1s[p], s2s[p]) over the
     cells -w[p] <= i - j <= (n1 - n2) + w[p] of its (n1 + 1) x (n2 + 1)
     table, n1 = len(s1) >= n2 = len(s2) >= 1; cells outside the band read
-    as 0. Pairs whose band widths n1 - n2 + 2w + 1 share a power of two run
-    as one batch, so no pair is padded to more than twice its band."""
+    as 0. Pairs whose band widths n1 - n2 + 2w + 1 share a power of two and
+    whose lengths n1 share one run as one batch, so no pair is padded to more
+    than twice its band or twice its length."""
     n1 = np.fromiter(map(len, s1s), np.int64, len(s1s))
     n2 = np.fromiter(map(len, s2s), np.int64, len(s2s))
-    group = np.frexp(n1 - n2 + 2 * w + 1)[1]
-    order = np.lexsort((-n1, group))
+    band_exp = np.frexp(n1 - n2 + 2 * w + 1)[1]
+    rows_exp = np.frexp(n1)[1]
+    order = np.lexsort((-n1, rows_exp, band_exp))
+    cuts = np.flatnonzero(np.diff(band_exp[order]) | np.diff(rows_exp[order])) + 1
     best = np.empty(len(s1s), np.int64)
-    for batch in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+    for batch in np.split(order, cuts):
         best[batch] = _banded_sw_batch(
             [s1s[k] for k in batch], [s2s[k] for k in batch], n1[batch], n2[batch], w[batch], match, mismatch, gap
         )
@@ -150,12 +158,22 @@ def _banded_sw_batch(
 
 
 def smith_waterman_similarities(
-    pairs: list[tuple[str, str]],
+    pairs: Iterable[tuple[str, str]],
     match: int = DEFAULT_SW_MATCH,
     mismatch: int = DEFAULT_SW_MISMATCH,
     gap: int = DEFAULT_SW_GAP,
 ) -> list[float]:
-    """`smith_waterman_similarity` of every pair, scored in one batch."""
+    """`smith_waterman_similarity` of every pair, scored in batches of
+    SW_CHUNK pairs, so the working set follows one batch, not the input."""
+    pairs = iter(pairs)
+    scores: list[float] = []
+    while chunk := list(islice(pairs, SW_CHUNK)):
+        scores += _similarities(chunk, match, mismatch, gap)
+    return scores
+
+
+def _similarities(pairs: list[tuple[str, str]], match: int, mismatch: int, gap: int) -> list[float]:
+    """`smith_waterman_similarities` of one batch."""
     scores = [0.0] * len(pairs)
     banded = match > 0 and gap <= 0 and mismatch <= match
     todo, longer, shorter = [], [], []
@@ -205,6 +223,10 @@ def smith_waterman_similarity(
     above match * (n2 - w - 1) is the table's best; otherwise one more pass
     with w = n2 - B // match certifies itself. Other scores fill the full table
     (w = n2).
+
+    A call is a batch of one pair and pays the batch's fixed numpy cost for
+    every table row (1 to 2 ms for a 60-character pair); score many
+    pairs with one call of `smith_waterman_similarities`.
     """
     return smith_waterman_similarities([(s1, s2)], match, mismatch, gap)[0]
 
@@ -294,10 +316,12 @@ def _prefix_candidates(
     return pairs
 
 
-def _jaccard_survivors(a: Corpus, b: Corpus, jaccard_min: float) -> list[tuple[str, str, float]]:
-    """(left, right, Jaccard) of every cross-corpus pair sharing a canopy
-    whose titles reach `jaccard_min`, in pair order. The token sets die with
-    the call, before the alignments run."""
+def _jaccard_survivors(
+    a: Corpus, b: Corpus, jaccard_min: float
+) -> tuple[list[tuple[str, str]], list[float]]:
+    """Every cross-corpus (left, right) pair sharing a canopy whose titles
+    reach `jaccard_min`, in pair order, and their Jaccard values. The token
+    sets die with the call, before the alignments run."""
     tokens_a = {r.record_id: tokenize_title(r.title) for r in a.records}
     tokens_b = {r.record_id: tokenize_title(r.title) for r in b.records}
     canopies = canopy_partition(a, b)
@@ -306,13 +330,14 @@ def _jaccard_survivors(a: Corpus, b: Corpus, jaccard_min: float) -> list[tuple[s
     else:
         # zero-overlap pairs pass a gate of 0 (or NaN), so every pair is one
         pairs = {(left, right) for c in canopies for left in c.left_members for right in c.right_members}
-    survivors = []
-    for left, right in sorted(pairs):
-        j = jaccard_title_similarity(tokens_a[left], tokens_b[right])
+    survivors, jaccards = [], []
+    for pair in sorted(pairs):
+        j = jaccard_title_similarity(tokens_a[pair[0]], tokens_b[pair[1]])
         if j < jaccard_min:
             continue
-        survivors.append((left, right, j))
-    return survivors
+        survivors.append(pair)
+        jaccards.append(j)
+    return survivors, jaccards
 
 
 def link_corpora(
@@ -331,15 +356,15 @@ def link_corpora(
     Smith-Waterman, then reduced to one best partner per left record (highest
     alignment score, ties to the lexicographically smallest right id).
     """
-    survivors = _jaccard_survivors(a, b, jaccard_min)
+    survivors, jaccards = _jaccard_survivors(a, b, jaccard_min)
     titles_a = {r.record_id: _comparison_title(r.title) for r in a.records}
     titles_b = {r.record_id: _comparison_title(r.title) for r in b.records}
     scores = smith_waterman_similarities(
-        [(titles_a[left], titles_b[right]) for left, right, _ in survivors], sw_match, sw_mismatch, sw_gap
+        ((titles_a[left], titles_b[right]) for left, right in survivors), sw_match, sw_mismatch, sw_gap
     )
 
     best: dict[str, MatchPair] = {}
-    for (left, right, j), s in zip(survivors, scores):
+    for (left, right), j, s in zip(survivors, jaccards, scores):
         if s < sw_min:
             continue
         candidate = MatchPair(left=left, right=right, jaccard=j, sw_similarity=s)

@@ -296,21 +296,33 @@ class TestBatchKernel:
         assert smith_waterman_similarities(pairs) == [sw_score_matrix(s1, s2) for s1, s2 in pairs]
         assert [smith_waterman_similarity(s1, s2) for s1, s2 in pairs] == [sw_score_matrix(s1, s2) for s1, s2 in pairs]
 
-    def test_memory_follows_the_code_matrices(self):
-        # 3,000 pairs of about 60 characters take 3.1 MB: the int32 code
-        # matrices, the off-table mask and a few rows of band cells per pair.
-        # Padding every second-pass band to the widest (161 cells against a
-        # median of 13) took 8.3 MB.
-        rng = random.Random(47)
-        pairs = near_duplicate_pairs(rng, 3000, words_per_title=(8, 10))
-        assert 55 <= sum(len(s1) for s1, _ in pairs) / len(pairs) <= 65
+    @staticmethod
+    def traced_peak(pairs):
         tracemalloc.start()
         try:
             smith_waterman_similarities(pairs)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5e6
+
+    def test_memory_follows_the_code_matrices(self):
+        # 3,000 pairs of about 60 characters and one pair of 3,000 take
+        # 1.8 MB: the int32 code matrices, the off-table mask and a few rows
+        # of band cells per pair. Padding every second-pass band to the
+        # widest (161 cells against a median of 13) took 8.3 MB, and padding
+        # every title in a band's batch to the long one's length 90 MB.
+        rng = random.Random(47)
+        pairs = near_duplicate_pairs(rng, 3000, words_per_title=(8, 10))
+        assert 55 <= sum(len(s1) for s1, _ in pairs) / len(pairs) <= 65
+        long_title = random_text(rng, 3000)
+        pairs.append((long_title, long_title[:1500] + "#" + long_title[1501:]))
+        assert self.traced_peak(pairs) <= 5e6
+
+    def test_memory_follows_one_batch(self):
+        # three batches of pairs take 2.8 MB; scored as one batch, 13 MB
+        rng = random.Random(53)
+        pairs = near_duplicate_pairs(rng, 3 * linkage.SW_CHUNK, words_per_title=(8, 10))
+        assert self.traced_peak(iter(pairs)) <= 5e6
 
 
 class TestCanopies:
