@@ -147,6 +147,12 @@ def build(
     matrix_out: str | None,
 ) -> None:
     """Build the knowledge (undirected cosine) or citation (directed count) network."""
+    try:
+        rule = None if threshold_value is None else networks.ThresholdRule(
+            "cosine" if network == "knowledge" else "citation", threshold_value
+        )
+    except ValueError as exc:
+        _fail_input(str(exc))
     corpus = _load_corpus_or_fail(corpus_path)
     if matches_path:
         try:
@@ -163,10 +169,7 @@ def build(
     else:
         graph = networks.build_citation_network(corpus)
     summaries = {network: networks.summarize(graph)}
-    if threshold_value is not None:
-        rule = networks.ThresholdRule(
-            "cosine" if network == "knowledge" else "citation", threshold_value
-        )
+    if rule is not None:
         graph = networks.apply_threshold(graph, rule)
         summaries["reduced"] = networks.summarize(graph)
     write_graph(graph, out)
@@ -185,7 +188,7 @@ def threshold(graph_path: str, rule: str, value: float | None, out: str) -> None
         value = networks.COSINE_MIN_DEFAULT if rule == "cosine" else networks.CITATION_MIN_DEFAULT
     try:
         reduced = networks.apply_threshold(graph, networks.ThresholdRule(rule, value))
-    except networks.ThresholdRuleError as exc:
+    except (ValueError, networks.ThresholdRuleError) as exc:
         _fail_input(str(exc))
     write_graph(reduced, out)
     summaries = {"full": networks.summarize(graph), "reduced": networks.summarize(reduced)}

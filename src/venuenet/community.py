@@ -21,9 +21,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import networks
-from .graph import VenueGraph
-from .metrics import left_sum
+from .graph import VenueGraph, arc_tails
 from .networks import CouplingMatrix
 
 
@@ -50,34 +51,35 @@ def modularity(g: VenueGraph, assignment: dict[str, str], weighted: bool = True)
 
     Q = sum over clusters of (intra-cluster edge weight / m) minus
     (cluster degree sum / 2m) squared, with m the total edge weight.
-    Defined as 0 on edgeless graphs.
+    Defined as 0 on edgeless graphs. m and each cluster's sums add the edge
+    weights from the left, edge by edge in row order, both ends of an edge
+    in turn: the bits do not depend on the interpreter or the hash seed.
     """
     missing = [v for v in g.nodes if v not in assignment]
     if missing:
         raise IncompleteAssignmentError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
-
-    def wt(w: float) -> float:
-        return w if weighted else 1.0
-
-    m = left_sum(wt(w) for _, _, w in g.edges())
+    tails, heads, weights, m = _edge_weights(g, weighted)
     if m == 0:
         return 0.0
-    intra: dict[str, float] = {}
-    degree_sum: dict[str, float] = {}
-    for u, v, w in g.edges():
-        cu, cv = assignment[u], assignment[v]
-        if cu == cv:
-            intra[cu] = intra.get(cu, 0.0) + wt(w)
-        degree_sum[cu] = degree_sum.get(cu, 0.0) + wt(w)
-        degree_sum[cv] = degree_sum.get(cv, 0.0) + wt(w)
+    clusters = sorted(set(assignment.values()))
+    index = dict(zip(clusters, range(len(clusters))))
+    cluster = np.fromiter((index[assignment[v]] for v in g.nodes), dtype=np.int64, count=g.node_count())
+    cu, cv = cluster[tails], cluster[heads]
+    intra = np.zeros(len(clusters))
+    np.add.at(intra, cu[cu == cv], weights[cu == cv])
+    degree_sum = np.zeros(len(clusters))
+    np.add.at(degree_sum, np.stack((cu, cv), axis=1).ravel(), np.repeat(weights, 2))
+    a = degree_sum / (2 * m)
+    return math.fsum((intra / m - a * a).tolist())  # exact, so in any order
 
-    # sorted clusters and an exact sum: Q must not depend on the hash seed
-    terms = []
-    for cluster in sorted(set(assignment.values())):
-        e_cc = intra.get(cluster, 0.0) / m
-        a_c = degree_sum.get(cluster, 0.0) / (2 * m)
-        terms.append(e_cc - a_c * a_c)
-    return math.fsum(terms)
+
+def _edge_weights(g: VenueGraph, weighted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(tails, heads, weights) of each edge of `g` once, in row order, all
+    weights 1.0 unless `weighted`, and m, their sum from the left."""
+    tails, heads, weights = g.edge_arrays()
+    if not weighted:
+        weights = np.ones(weights.size)
+    return tails, heads, weights, float(np.add.accumulate(weights)[-1]) if weights.size else 0.0
 
 
 def greedy_modularity_partition(
@@ -97,21 +99,22 @@ def greedy_modularity_partition(
     nodes = sorted(g.nodes)
     if not nodes:
         return ClusterPartition(assignment={}, q=0.0)
-
-    def wt(w: float) -> float:
-        return w if weighted else 1.0
-
-    m = left_sum(wt(w) for _, _, w in g.edges())
+    tails, heads, weights, m = _edge_weights(g, weighted)
     if m == 0:
         return ClusterPartition(assignment={v: v for v in nodes}, q=0.0)
 
-    # cluster id = smallest member key; singletons to start
+    # cluster id = smallest member key; singletons to start. A node's degree
+    # sum adds its row from the left; `between` holds each edge both ways.
+    names = list(g.nodes)
     members: dict[str, list[str]] = {v: [v] for v in nodes}
-    degree_sum: dict[str, float] = {v: left_sum(wt(w) for w in g.neighbors(v).values()) for v in nodes}
+    indptr, _, row_weights = g.arrays()
+    degree = np.zeros(len(names))
+    np.add.at(degree, arc_tails(indptr), row_weights if weighted else 1.0)
+    degree_sum = dict(zip(names, degree.tolist()))
+    us, vs = [names[i] for i in tails.tolist()], [names[i] for i in heads.tolist()]  # us[k] < vs[k]
     between: dict[str, dict[str, float]] = {v: {} for v in nodes}
-    for u, v, w in g.edges():
-        between[u][v] = between[u].get(v, 0.0) + wt(w)
-        between[v][u] = between[v].get(u, 0.0) + wt(w)
+    for u, v, w in zip(us, vs, weights.tolist()):
+        between[u][v] = between[v][u] = w
 
     assignment = {v: v for v in nodes}
     q = modularity(g, assignment, weighted=weighted)
@@ -123,7 +126,7 @@ def greedy_modularity_partition(
         return between[ci][cj] / m - degree_sum[ci] * degree_sum[cj] / two_m_sq
 
     # popping (-dQ, ci, cj) yields the largest dQ, ties to the smallest pair
-    heap = [(-gain(ci, cj), ci, cj) for ci, row in between.items() for cj in row if ci < cj]
+    heap = list(zip((-(weights / m - degree[tails] * degree[heads] / two_m_sq)).tolist(), us, vs))
     heapq.heapify(heap)
 
     while heap:
@@ -197,7 +200,7 @@ def project_to_cluster_network(m: CouplingMatrix, p: ClusterPartition) -> Cluste
     best_cos = [0.0] * len(loose)
     best: list[int | None] = [None] * len(loose)  # each loose venue's cluster position
     vectors = [aggregates[cluster] for cluster in cluster_ids] + [m.vectors[venue] for venue in loose]
-    for i, j, cos in zip(*networks.pair_cosines(vectors)):
+    for i, j, cos in zip(*(a.tolist() for a in networks.pair_cosines(vectors))):
         # pairs come in ascending (i, j) order, so a tie keeps the smallest cluster id
         if i < k <= j and cos > best_cos[j - k]:
             best_cos[j - k], best[j - k] = cos, i

@@ -18,6 +18,7 @@ may legitimately point at preprints or venues outside the corpus).
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import re
@@ -258,24 +259,31 @@ def _venue_line(obj: dict, position: str) -> tuple[str, VenueInfo]:
     return key, VenueInfo(name=name, kind=kind)
 
 
+def _gc_paused(parse):
+    """`parse` with the cyclic garbage collector paused meanwhile: records
+    hold no reference cycles, and its passes over them would grow with the
+    corpus."""
+
+    @functools.wraps(parse)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return parse(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_gc_paused
 def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPUS) -> Corpus:
     """One JSON object per line: records, venue lines and a source header.
 
     Each line is decoded on its own; the first bad line raises with its
     number. The checks run in a fixed order, so a line with several faults
-    always reports the same one. The cyclic garbage collector is paused
-    meanwhile: records hold no reference cycles, and its passes over them
-    would grow with the corpus."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse_jsonl(stream, source)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str) -> Corpus:
+    always reports the same one."""
     records: list[PublicationRecord] = []
     venue_table: dict[str, VenueInfo] = {}
     seen_ids: set[str] = set()
@@ -348,6 +356,7 @@ def _parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str) -> Corpus:
 _DBLP_KINDS = {"article": JOURNAL, "inproceedings": CONFERENCE}
 
 
+@_gc_paused
 def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
     """Parse the supported DBLP export subset (article / inproceedings)."""
     records: list[PublicationRecord] = []

@@ -163,7 +163,7 @@ def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
                 data = f'      <data key="{key_ids[name]}"'
                 lines.append(f"{data}>{text}</data>" if text else data + " />")
             lines.append("    </node>")
-        for u, v, w in g.sorted_edges():
+        for u, v, w in g.edges(by_name=True):
             lines.append(
                 f'    <edge source="{ids[u]}" target="{ids[v]}">\n'
                 f'      <data key="{weight_key}">{w!r}</data>\n'
@@ -253,13 +253,11 @@ def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
         if bad or node.startswith("#"):
             what = repr(bad.group()) if bad else "a leading '#'"
             raise ExportError(f"node {node!r}: {what} cannot be written in edge TSV")
+    attrs = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), built once
     out = io.StringIO()
     out.write(f"# venuenet-graph directed={'true' if g.directed else 'false'}\n")
-    for node in sorted(nodes):
-        attrs = json.dumps(nodes[node], sort_keys=True)
-        out.write(f"#node\t{node}\t{attrs}\n")
-    for u, v, w in g.sorted_edges():
-        out.write(f"{u}\t{v}\t{w!r}\n")
+    out.writelines(f"#node\t{node}\t{attrs(nodes[node])}\n" for node in sorted(nodes))
+    out.writelines(f"{u}\t{v}\t{w!r}\n" for u, v, w in g.edges(by_name=True))
     return out.getvalue().encode("utf-8")
 
 
@@ -309,7 +307,7 @@ def _to_json(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
         "format": "venuenet-graph/1",
         "directed": g.directed,
         "nodes": [[node, nodes[node]] for node in sorted(nodes)],
-        "edges": [[u, v, w] for u, v, w in g.sorted_edges()],
+        "edges": [[u, v, w] for u, v, w in g.edges(by_name=True)],
     }
     return (json.dumps(obj, sort_keys=True, indent=0) + "\n").encode("utf-8")
 

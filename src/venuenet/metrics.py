@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import VenueGraph
+from .graph import VenueGraph, arc_tails
 
 DEFAULT_PAGERANK_D = 0.85
 DEFAULT_PAGERANK_TOL = 1e-8
@@ -84,8 +83,7 @@ def edge_density(n: int, edges: int, directed: bool) -> float:
 def local_clustering(g: VenueGraph) -> dict[str, float]:
     """Closed triads over centered triples per node, in node order; 0 where
     degree < 2. Directed graphs are symmetrized first."""
-    nodes = list(g.nodes)
-    return dict(zip(nodes, csr_local_clustering(_csr(g, nodes)).tolist()))
+    return dict(zip(g.nodes, csr_local_clustering(_csr(g)).tolist()))
 
 
 def average_clustering_coefficient(g: VenueGraph) -> float:
@@ -102,7 +100,7 @@ def csr_local_clustering(g: CSRGraph) -> np.ndarray:
     2008): with each edge oriented from its end of lower (degree, node) rank,
     a triangle is one closed pair of arcs out of its lowest node."""
     n = g.node_count()
-    tails = np.repeat(np.arange(n), np.diff(g.indptr))
+    tails = arc_tails(g.indptr)
     keys = _distinct((np.minimum(tails, g.heads) * n + np.maximum(tails, g.heads))[tails != g.heads])
     del tails  # keys holds each edge once, direction ignored: no arc-sized array is needed after it
     lo, hi = np.divmod(keys, max(n, 1))
@@ -130,11 +128,10 @@ def csr_local_clustering(g: CSRGraph) -> np.ndarray:
 
 def connected_components(g: VenueGraph) -> list[set[str]]:
     """Weakly connected components (direction ignored), largest first."""
-    nodes = list(g.nodes)
-    csr = _csr(g, nodes)
-    labels = _weak_component_labels(len(nodes), np.repeat(np.arange(len(nodes)), np.diff(csr.indptr)), csr.heads)
+    csr = _csr(g)
+    labels = _weak_component_labels(csr.node_count(), arc_tails(csr.indptr), csr.heads)
     components: dict[int, set[str]] = {}
-    for node, label in zip(nodes, labels.tolist()):
+    for node, label in zip(g.nodes, labels.tolist()):
         components.setdefault(label, set()).add(node)
     return sorted(components.values(), key=lambda c: (-len(c), min(c)))
 
@@ -165,13 +162,22 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
     return ranges, owner
 
 
-def _csr(g: VenueGraph, nodes: list[str]) -> CSRGraph:
-    """`g` on nodes 0..n-1, node i standing for nodes[i]."""
-    index = {v: i for i, v in enumerate(nodes)}
-    successors = [g.neighbors(u) for u in nodes]
-    indptr = np.r_[0, np.cumsum(np.fromiter(map(len, successors), dtype=np.int64, count=len(nodes)))]
-    heads = map(index.__getitem__, itertools.chain.from_iterable(successors))
-    return CSRGraph(indptr, np.fromiter(heads, dtype=np.int64, count=int(indptr[-1])), g.directed)
+def _csr(g: VenueGraph) -> CSRGraph:
+    indptr, heads, _ = g.arrays()
+    return CSRGraph(indptr, heads, g.directed)
+
+
+def _by_name(g: VenueGraph) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """`g`'s node names sorted, and its (indptr, heads, weights) with node i
+    standing for the i-th of them; each row keeps its order."""
+    indptr, heads, weights = g.arrays()
+    order = g.name_order()
+    degree = np.diff(indptr)[order]
+    arcs, _ = _concat_ranges(indptr[order], degree)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    names = list(g.nodes)
+    return [names[i] for i in order.tolist()], np.r_[0, np.cumsum(degree)], rank[heads[arcs]], weights[arcs]
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -215,7 +221,7 @@ def _brandes_unweighted(indptr: np.ndarray, heads: np.ndarray) -> list[float]:
     n = indptr.size - 1
     if n == 0:
         return []
-    label = _weak_component_labels(n, np.repeat(np.arange(n), np.diff(indptr)), heads)
+    label = _weak_component_labels(n, arc_tails(indptr), heads)
     max_in = max(int(np.bincount(heads, minlength=1).max()), 1)
 
     # Sources by component, ascending inside each; `position` is a node's
@@ -359,20 +365,18 @@ def betweenness_centrality(
     if isinstance(g, CSRGraph):
         nodes, cb = range(g.node_count()), _brandes_unweighted(g.indptr, g.heads)
     else:
-        nodes = sorted(g.nodes)
+        nodes, indptr, heads, weights = _by_name(g)
         if weighted:
-            index = {v: i for i, v in enumerate(nodes)}
-            adj_w: list[list[tuple[int, float]]] = [[] for _ in range(len(nodes))]
-            for u in nodes:
-                row = adj_w[index[u]]
-                for v, w in g.neighbors(u).items():
-                    if not w > 0:
-                        raise NonPositiveWeightError(f"edge {u!r}->{v!r} has non-positive weight {w!r}")
-                    row.append((index[v], 1.0 / w))
-            cb = _brandes_weighted(adj_w)
+            bad = np.flatnonzero(~(weights > 0))
+            if bad.size:
+                arc = int(bad[0])
+                u, v = nodes[np.searchsorted(indptr, arc, side="right") - 1], nodes[heads[arc]]
+                raise NonPositiveWeightError(f"edge {u!r}->{v!r} has non-positive weight {weights[arc].item()!r}")
+            arcs = list(zip(heads.tolist(), (1.0 / weights).tolist()))
+            bounds = indptr.tolist()
+            cb = _brandes_weighted([arcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
         else:
-            csr = _csr(g, nodes)
-            cb = _brandes_unweighted(csr.indptr, csr.heads)
+            cb = _brandes_unweighted(indptr, heads)
 
     if not g.directed:
         cb = [x / 2.0 for x in cb]
@@ -401,14 +405,13 @@ def pagerank(
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
-    nodes = sorted(g.nodes)
+    nodes, indptr, heads, _ = _by_name(g)
     n = len(nodes)
-    csr = _csr(g, nodes)
-    out_deg = np.diff(csr.indptr)
+    out_deg = np.diff(indptr)
     # arcs grouped by head, each node's predecessors ascending: np.add.at adds
     # them in that order, from 0.0, as the recursive sum is defined
-    by_head = np.argsort(csr.heads, kind="stable")
-    heads, tails = csr.heads[by_head], np.repeat(np.arange(n), out_deg)[by_head]
+    by_head = np.argsort(heads, kind="stable")
+    heads, tails = heads[by_head], arc_tails(indptr)[by_head]
 
     scores = np.ones(n)
     residual = 0.0

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics
 from .corpus import Corpus
-from .graph import VenueGraph
+from .graph import VenueGraph, arc_tails
 
 COSINE_MIN_DEFAULT = 0.1
 CITATION_MIN_DEFAULT = 50.0
@@ -135,24 +135,25 @@ def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
 def build_knowledge_network(m: CouplingMatrix) -> VenueGraph:
     """Undirected venue graph weighted by coupling-vector cosine similarity.
 
-    Every matrix venue becomes a node; venue pairs with orthogonal vectors
-    simply carry no edge, and disjoint venues are never compared. Each weight
-    is float(dot) / sqrt(float(n_i * n_j)) over exact integer dots and norms,
-    the correctly rounded operations of `dot / math.sqrt(n_i * n_j)`; edges
-    are added in sorted venue order.
+    Every matrix venue becomes a node, in matrix order; venue pairs with
+    orthogonal vectors simply carry no edge, and disjoint venues are never
+    compared. Each weight is float(dot) / sqrt(float(n_i * n_j)) over exact
+    integer dots and norms, the correctly rounded operations of
+    `dot / math.sqrt(n_i * n_j)`; each row lists its neighbours by name.
     """
     names = sorted(m.venues)  # a venue's index orders it by name
-    adj: dict[str, dict[str, float]] = {venue: {} for venue in m.venues}
-    for i, j, weight in zip(*pair_cosines([m.vectors[venue] for venue in names])):
-        adj[names[i]][names[j]] = weight
-        adj[names[j]][names[i]] = weight
-    g = VenueGraph.from_adjacency(adj, directed=False)
-    for venue in m.venues:
-        g.nodes[venue]["publication_count"] = m.publication_counts.get(venue, 0)
-    return g
+    i, j, weights = pair_cosines([m.vectors[venue] for venue in names])
+    place = {venue: p for p, venue in enumerate(m.venues)}
+    node = np.fromiter(map(place.__getitem__, names), dtype=np.int64, count=len(names))
+    tails, heads = np.r_[i, j], np.r_[j, i]
+    arcs = np.argsort(node[tails] * len(names) + heads)
+    attrs = [{"publication_count": m.publication_counts.get(venue, 0)} for venue in m.venues]
+    return VenueGraph.from_arcs(
+        m.venues, node[tails[arcs]], node[heads[arcs]], np.r_[weights, weights][arcs], False, attrs
+    )
 
 
-def pair_cosines(vectors: list[dict[str, int]]) -> tuple[list[int], list[int], list[float]]:
+def pair_cosines(vectors: list[dict[str, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each pair i < j of `vectors` with a positive dot, ascending, and its
     cosine float(dot) / sqrt(float(n_i * n_j)) over exact integers."""
     norms = [sum(map(mul, vec.values(), vec.values())) for vec in vectors]
@@ -164,7 +165,7 @@ def pair_cosines(vectors: list[dict[str, int]]) -> tuple[list[int], list[int], l
     vi, vj = np.divmod(pairs[positive], len(vectors))
     norm = np.array(norms, dtype=dtype)
     cosines = dots[positive].astype(np.float64) / np.sqrt((norm[vi] * norm[vj]).astype(np.float64))
-    return vi.tolist(), vj.tolist(), cosines.tolist()
+    return vi, vj, cosines
 
 
 def _pair_dots(vectors: list[dict[str, int]], dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -236,17 +237,12 @@ def build_citation_network(c: Corpus) -> VenueGraph:
     pairs, counts = np.unique(src[src != dst] * len(venues) + dst[src != dst], return_counts=True)
     publications = np.bincount(record_venue[record_venue >= 0], minlength=len(venues))
 
-    g = VenueGraph(directed=True)
     active = np.union1d(np.flatnonzero(self_citations), np.concatenate(np.divmod(pairs, len(venues))))
-    for v in active.tolist():
-        g.add_node(
-            venues[v],
-            publication_count=int(publications[v]),
-            self_citations=int(self_citations[v]),
-        )
-    for pair, count in zip(pairs.tolist(), counts.tolist()):
-        g.add_edge(venues[pair // len(venues)], venues[pair % len(venues)], float(count))
-    return g
+    attrs = [
+        {"publication_count": int(publications[v]), "self_citations": int(self_citations[v])} for v in active.tolist()
+    ]
+    tails, heads = np.searchsorted(active, np.divmod(pairs, len(venues)))
+    return VenueGraph.from_arcs([venues[v] for v in active.tolist()], tails, heads, counts, True, attrs)
 
 
 @dataclass(frozen=True)
@@ -260,8 +256,11 @@ class ThresholdRule:
     def __post_init__(self):
         if self.kind not in ("cosine", "citation"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
+        if self.value != self.value:
+            raise ValueError(f"threshold value must be a number, got {self.value!r}")
 
-    def keeps(self, weight: float) -> bool:
+    def keeps(self, weight):
+        """Whether `weight` (or each of an array of weights) passes."""
         if self.kind == "cosine":
             return weight >= self.value
         return weight > self.value
@@ -269,20 +268,29 @@ class ThresholdRule:
 
 def apply_threshold(g: VenueGraph, rule: ThresholdRule) -> VenueGraph:
     """Reduced copy keeping only edges passing the rule; nodes left isolated
-    by the filtering are dropped. Weights are never altered."""
+    by the filtering are dropped. Weights are never altered. Nodes and each
+    row's neighbours come in name order."""
     if rule.kind == "cosine" and g.directed:
         raise ThresholdRuleError("cosine threshold applies to undirected graphs")
     if rule.kind == "citation" and not g.directed:
         raise ThresholdRuleError("citation threshold applies to directed graphs")
 
-    kept = [(u, v, w) for u, v, w in g.edges() if rule.keeps(w)]
-    survivors = {u for u, _, _ in kept} | {v for _, v, _ in kept}
-    reduced = VenueGraph(directed=g.directed)
-    for key in sorted(survivors):
-        reduced.add_node(key, **g.nodes[key])
-    for u, v, w in sorted(kept):
-        reduced.add_edge(u, v, w)
-    return reduced
+    indptr, heads, weights = g.arrays()
+    kept = rule.keeps(weights)
+    tails, heads, weights = arc_tails(indptr)[kept], heads[kept], weights[kept]
+    alive = np.zeros(g.node_count(), dtype=bool)
+    alive[tails] = alive[heads] = True
+    order = g.name_order()
+    order = order[alive[order]]
+    place = np.zeros(alive.size, dtype=np.int64)
+    place[order] = np.arange(order.size)
+    tails, heads = place[tails], place[heads]
+    arcs = np.argsort(tails * order.size + heads, kind="stable")  # already sorted when g's rows are
+    tails, heads, weights = tails[arcs], heads[arcs], weights[arcs]
+    names, attrs = list(g.nodes), list(g.nodes.values())
+    return VenueGraph.from_arcs(
+        [names[i] for i in order.tolist()], tails, heads, weights, g.directed, [dict(attrs[i]) for i in order.tolist()]
+    )
 
 
 @dataclass

@@ -6,8 +6,10 @@ outputs.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import shutil
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -96,7 +98,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown corpus_format {self.corpus_format!r}")
         for name in ("jaccard_min", "sw_min", "cosine_min"):
             check_unit_interval(name, getattr(self, name))
-        if self.citation_min < 0:
+        if not self.citation_min >= 0:  # NaN fails
             raise ConfigError(f"citation_min must be >= 0, got {self.citation_min}")
         if not 0.0 < self.pagerank_d < 1.0:
             raise ConfigError(f"pagerank_d must be in (0, 1), got {self.pagerank_d}")
@@ -352,17 +354,20 @@ def _stage_threshold(run: _Run) -> None:
     run.citation_reduced = networks.apply_threshold(
         run.citation, networks.ThresholdRule("citation", cfg.citation_min)
     )
+    # K' is a subgraph of K, so equal node and edge counts mean K' = K, and
+    # its edge TSV is K's. Both list nodes and neighbours in name order (the
+    # coupling matrix sorts its venues), so even the clustering sum, which
+    # follows node order, agrees.
+    reduced, full = run.knowledge_reduced, run.knowledge
+    kept_all = (reduced.node_count(), reduced.edge_count()) == (full.node_count(), full.edge_count())
     k_path = run.out_dir / "knowledge.tsv"
     f_path = run.out_dir / "citation.tsv"
-    write_graph(run.knowledge_reduced, k_path)
+    if kept_all:
+        shutil.copyfile(run.out_dir / "knowledge_full.tsv", k_path)
+    else:
+        write_graph(reduced, k_path)
     write_graph(run.citation_reduced, f_path)
-
-    k_summary = networks.summarize(run.knowledge)
-    # K' is a subgraph of K, so equal node and edge counts mean K' = K. Both
-    # list nodes and neighbours in name order (the coupling matrix sorts its
-    # venues), so even the clustering sum, which follows node order, agrees.
-    reduced = run.knowledge_reduced
-    kept_all = (reduced.node_count(), reduced.edge_count()) == (k_summary.nodes, k_summary.edges)
+    k_summary = networks.summarize(full)
     summaries = {
         "F": networks.summarize(run.citation),
         "F'": networks.summarize(run.citation_reduced),
@@ -491,16 +496,21 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     stage_list = list(STAGES)
     if cfg.slice_years:
         stage_list.append("snapshots")
-    for stage in stage_list:
-        func = _STAGE_FUNCS[stage]
-        wall, cpu = perf_counter(), process_time()
-        try:
-            func(run)
-        except Exception as exc:
-            run.manifest.failed_stage = stage
-            save()
-            raise StageError(stage, exc, run.manifest) from exc
-        run.manifest.timings.append(StageTiming(stage, perf_counter() - wall, process_time() - cpu, _peak_rss_mb()))
+    try:
+        for stage in stage_list:
+            func = _STAGE_FUNCS[stage]
+            wall, cpu = perf_counter(), process_time()
+            try:
+                func(run)
+            except Exception as exc:
+                run.manifest.failed_stage = stage
+                save()
+                raise StageError(stage, exc, run.manifest) from exc
+            run.manifest.timings.append(StageTiming(stage, perf_counter() - wall, process_time() - cpu, _peak_rss_mb()))
+            if stage == "ingest":
+                gc.freeze()  # the corpora live to the end: later collections need not walk them
+    finally:
+        gc.unfreeze()
 
     save()
     return run.manifest

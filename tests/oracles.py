@@ -16,20 +16,25 @@ per-reference record id lookups instead of the corpus's reference index, a
 pairwise cosine loop instead of the sparse product for the cluster network
 and for adopting unclustered venues, a per-character scan instead of the
 title token regex, each venue's subgraph built and measured on its own as a
-dict-of-dicts graph instead of the per-family block, and neighbour-set
-intersections instead of triangle counts for local clustering.
+dict-of-dicts graph instead of the per-family block, neighbour-set
+intersections instead of triangle counts for local clustering, and the
+dict-of-dicts graph with its edge walks (threshold, modularity, CNM set-up,
+clustering and components) instead of the compressed rows.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import io
 import json
 import math
+import operator
 import random
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -37,9 +42,9 @@ from venuenet import metrics
 from venuenet.community import ClusterPartition, CommunityError, modularity
 from venuenet.corpus import AuthorName, Corpus, PublicationRecord, ReferenceIndex, VenueInfo, normalize_reference_key
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
-from venuenet.graph import VenueGraph
+from venuenet.graph import GraphError, VenueGraph
 from venuenet.metrics import MetricVector
-from venuenet.networks import CouplingMatrix
+from venuenet.networks import CouplingMatrix, ThresholdRule, ThresholdRuleError
 from venuenet.subgraphs import DEFAULT_CUTS, SubgraphProfile, classify_network_type
 
 INF = float("inf")
@@ -106,7 +111,7 @@ def _distance_matrices(g: VenueGraph, weighted: bool):
     idx = {v: i for i, v in enumerate(nodes)}
     edge_len = [[INF] * n for _ in range(n)]
     for u in nodes:
-        for v, w in g.neighbors(u).items():
+        for v, w in neighbors(g, u).items():
             edge_len[idx[u]][idx[v]] = (1.0 / w) if weighted else 1.0
     dist = [row[:] for row in edge_len]
     for i in range(n):
@@ -211,11 +216,11 @@ def pagerank_loop(g: VenueGraph, d: float = 0.85, tol: float = 1e-8, max_iter: i
     nodes = sorted(g.nodes)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    out_deg = [len(g.neighbors(v)) for v in nodes]
+    out_deg = [len(neighbors(g, v)) for v in nodes]
     preds: list[list[int]] = [[] for _ in range(n)]
     for u in nodes:
         ui = index[u]
-        for v in g.neighbors(u):
+        for v in neighbors(g, u):
             preds[index[v]].append(ui)
 
     scores = [1.0] * n
@@ -259,7 +264,7 @@ def density_oracle(g: VenueGraph) -> float:
     count = 0
     for u in nodes:
         for v in nodes:
-            if u != v and v in g.neighbors(u):
+            if u != v and v in neighbors(g, u):
                 count += 1
     return count / (n * (n - 1))  # undirected edges appear twice, matching 2|E|
 
@@ -269,7 +274,7 @@ def clustering_oracle(g: VenueGraph) -> dict[str, float]:
     nodes = sorted(und.nodes)
     out = {}
     for v in nodes:
-        nbrs = sorted(und.neighbors(v))
+        nbrs = sorted(neighbors(und, v))
         k = len(nbrs)
         if k < 2:
             out[v] = 0.0
@@ -277,7 +282,7 @@ def clustering_oracle(g: VenueGraph) -> dict[str, float]:
         closed = 0
         for a in range(k):
             for b in range(a + 1, k):
-                if nbrs[b] in und.neighbors(nbrs[a]):
+                if nbrs[b] in neighbors(und, nbrs[a]):
                     closed += 1
         out[v] = closed / (k * (k - 1) / 2)
     return out
@@ -285,10 +290,10 @@ def clustering_oracle(g: VenueGraph) -> dict[str, float]:
 
 def neighbor_sets(g: VenueGraph) -> dict[str, set[str]]:
     """Each node's neighbours with edge direction ignored, in node order."""
-    sets = {v: set(g.neighbors(v)) for v in g.nodes}
+    sets = {v: set(neighbors(g, v)) for v in g.nodes}
     if g.directed:
         for u in g.nodes:
-            for v in g.neighbors(u):
+            for v in neighbors(g, u):
                 sets[v].add(u)
     return sets
 
@@ -455,7 +460,7 @@ def greedy_modularity_scan(
 
     # cluster id = smallest member key; singletons to start
     members: dict[str, list[str]] = {v: [v] for v in nodes}
-    degree_sum: dict[str, float] = {v: sum(wt(w) for w in g.neighbors(v).values()) for v in nodes}
+    degree_sum: dict[str, float] = {v: sum(wt(w) for w in neighbors(g, v).values()) for v in nodes}
     intra: dict[str, float] = {v: 0.0 for v in nodes}
     between: dict[str, dict[str, float]] = {v: {} for v in nodes}
     for u, v, w in g.edges():
@@ -721,7 +726,7 @@ def undirected_view(g: VenueGraph) -> VenueGraph:
     for key, attrs in g.nodes.items():
         und.add_node(key, **attrs)
     for u, v, w in g.edges():
-        current = und.neighbors(u).get(v, 0.0) if g.directed else 0.0
+        current = neighbors(und, u).get(v, 0.0) if g.directed else 0.0
         und.add_edge(u, v, current + w)
     return und
 
@@ -938,7 +943,7 @@ def extract_coauthorship_subgraph(
                 weight = 1.0 if weight is None else weight + 1.0
                 nbrs[v] = weight
                 adj[v][u] = weight
-    return CoauthorshipSubgraph(venue_key=venue_key, graph=VenueGraph.from_adjacency(adj, directed=False))
+    return CoauthorshipSubgraph(venue_key=venue_key, graph=graph_from_adjacency(adj, directed=False))
 
 
 def extract_citation_subgraph(c: Corpus, venue_key: str, records: Sequence | None = None) -> CitationSubgraph:
@@ -964,7 +969,7 @@ def extract_citation_subgraph(c: Corpus, venue_key: str, records: Sequence | Non
         nbrs, target = adj[names[u]], names[v]
         weight = nbrs.get(target)
         nbrs[target] = 1.0 if weight is None else weight + 1.0
-    return CitationSubgraph(venue_key=venue_key, graph=VenueGraph.from_adjacency(adj, directed=True))
+    return CitationSubgraph(venue_key=venue_key, graph=graph_from_adjacency(adj, directed=True))
 
 
 def subgraph_profile(sg: CoauthorshipSubgraph | CitationSubgraph) -> SubgraphProfile:
@@ -1011,8 +1016,200 @@ def coauthorship_corpus(graphs: dict[str, VenueGraph]) -> Corpus:
     per node without edges (weights are not kept)."""
     recs = []
     for venue, g in graphs.items():
-        papers = [(u, v) for u, v, _ in g.edges()] + [(v,) for v in g.nodes if not g.neighbors(v)]
+        papers = [(u, v) for u, v, _ in g.edges()] + [(v,) for v in g.nodes if not neighbors(g, v)]
         for i, names in enumerate(papers):
             recs.append(PublicationRecord(f"{venue}/{i}", "metadata-corpus", "T", tuple(map(AuthorName, names)),
                                           venue, None, ()))
     return Corpus(records=recs, venue_table={v: VenueInfo(name=v) for v in graphs})
+
+
+# -- the dict-of-dicts graph ---------------------------------------------------
+
+
+def neighbors(g: VenueGraph, key: str) -> dict[str, float]:
+    """The successors (undirected: the neighbours) of `key` in `g` with their
+    weights, in row order."""
+    indptr, heads, weights = g.arrays()
+    names = list(g.nodes)
+    i = dict(zip(names, range(len(names))))[key]
+    lo, hi = int(indptr[i]), int(indptr[i + 1])
+    return dict(zip(map(names.__getitem__, heads[lo:hi].tolist()), weights[lo:hi].tolist()))
+
+
+def graph_from_adjacency(adj: dict[str, dict[str, float]], directed: bool) -> VenueGraph:
+    """The graph whose rows are `adj` (node -> neighbour -> weight, both
+    directions of each undirected edge, every endpoint a key), in its order."""
+    index = {v: i for i, v in enumerate(adj)}
+    tails = [i for i, row in enumerate(adj.values()) for _ in row]
+    heads = [index[v] for row in adj.values() for v in row]
+    weights = [w for row in adj.values() for w in row.values()]
+    return VenueGraph.from_arcs(list(adj), tails, heads, weights, directed)
+
+
+class DictVenueGraph:
+    """The graph as node -> neighbour -> weight dicts, both directions of an
+    undirected edge stored: the form the compressed rows replaced, with the
+    same builder semantics (set, not accumulate; insertion order kept)."""
+
+    def __init__(self, directed: bool = False):
+        self.directed = directed
+        self.nodes: dict[str, dict[str, Any]] = {}
+        self._adj: dict[str, dict[str, float]] = {}
+        self._edge_count = 0
+
+    def add_node(self, key: str, /, **attrs: Any) -> None:
+        if key not in self.nodes:
+            self.nodes[key] = {}
+            self._adj[key] = {}
+        self.nodes[key].update(attrs)
+
+    def add_edge(self, u: str, v: str, weight: float) -> None:
+        if u == v:
+            raise GraphError(f"self-loop on {u!r} not allowed")
+        if not weight > 0:
+            raise GraphError(f"edge weight must be > 0, got {weight!r}")
+        self.add_node(u)
+        self.add_node(v)
+        if v not in self._adj[u]:
+            self._edge_count += 1
+        self._adj[u][v] = weight
+        if not self.directed:
+            self._adj[v][u] = weight
+
+    def node_count(self) -> int:
+        return len(self.nodes)
+
+    def edge_count(self) -> int:
+        return self._edge_count
+
+    def neighbors(self, key: str) -> dict[str, float]:
+        return self._adj[key]
+
+    def edges(self, by_name: bool = False) -> Iterator[tuple[str, str, float]]:
+        edges = ((u, v, w) for u, nbrs in self._adj.items() for v, w in nbrs.items() if self.directed or u <= v)
+        return iter(sorted(edges)) if by_name else edges
+
+    def sorted_edges(self) -> list[tuple[str, str, float]]:
+        return list(self.edges(by_name=True))
+
+
+def left_sum_loop(values) -> float:
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def threshold_dict(g: DictVenueGraph, rule: ThresholdRule) -> DictVenueGraph:
+    """apply_threshold over the edge walk: the passing edges, added in
+    sorted order to a copy holding their endpoints in sorted order."""
+    if (rule.kind == "cosine") == g.directed:
+        raise ThresholdRuleError(f"{rule.kind} threshold does not apply")
+    kept = [(u, v, w) for u, v, w in g.edges() if rule.keeps(w)]
+    survivors = {u for u, _, _ in kept} | {v for _, v, _ in kept}
+    reduced = DictVenueGraph(directed=g.directed)
+    for key in sorted(survivors):
+        reduced.add_node(key, **g.nodes[key])
+    for u, v, w in sorted(kept):
+        reduced.add_edge(u, v, w)
+    return reduced
+
+
+def modularity_dict(g: DictVenueGraph, assignment: dict[str, str], weighted: bool = True) -> float:
+    """Q summed edge by edge into per-cluster dicts."""
+    def wt(w: float) -> float:
+        return w if weighted else 1.0
+
+    m = left_sum_loop(wt(w) for _, _, w in g.edges())
+    if m == 0:
+        return 0.0
+    intra: dict[str, float] = {}
+    degree_sum: dict[str, float] = {}
+    for u, v, w in g.edges():
+        cu, cv = assignment[u], assignment[v]
+        if cu == cv:
+            intra[cu] = intra.get(cu, 0.0) + wt(w)
+        degree_sum[cu] = degree_sum.get(cu, 0.0) + wt(w)
+        degree_sum[cv] = degree_sum.get(cv, 0.0) + wt(w)
+    terms = []
+    for cluster in sorted(set(assignment.values())):
+        a_c = degree_sum.get(cluster, 0.0) / (2 * m)
+        terms.append(intra.get(cluster, 0.0) / m - a_c * a_c)
+    return math.fsum(terms)
+
+
+def greedy_modularity_dict(g: DictVenueGraph, weighted: bool = True, trace: list | None = None) -> ClusterPartition:
+    """The heap-based greedy modularity loop set up by walking the dicts."""
+    nodes = sorted(g.nodes)
+    if not nodes:
+        return ClusterPartition(assignment={}, q=0.0)
+
+    def wt(w: float) -> float:
+        return w if weighted else 1.0
+
+    m = left_sum_loop(wt(w) for _, _, w in g.edges())
+    if m == 0:
+        return ClusterPartition(assignment={v: v for v in nodes}, q=0.0)
+    members: dict[str, list[str]] = {v: [v] for v in nodes}
+    degree_sum = {v: left_sum_loop(wt(w) for w in g.neighbors(v).values()) for v in nodes}
+    between: dict[str, dict[str, float]] = {v: {} for v in nodes}
+    for u, v, w in g.edges():
+        between[u][v] = between[u].get(v, 0.0) + wt(w)
+        between[v][u] = between[v].get(u, 0.0) + wt(w)
+    assignment = {v: v for v in nodes}
+    q = best_q = modularity_dict(g, assignment, weighted)
+    best_assignment = dict(assignment)
+    two_m_sq = 2 * m * m
+
+    def gain(ci: str, cj: str) -> float:
+        return between[ci][cj] / m - degree_sum[ci] * degree_sum[cj] / two_m_sq
+
+    heap = [(-gain(ci, cj), ci, cj) for ci, row in between.items() for cj in row if ci < cj]
+    heapq.heapify(heap)
+    while heap:
+        neg_gain, ci, cj = heapq.heappop(heap)
+        if ci not in between or cj not in between[ci] or gain(ci, cj) != -neg_gain:
+            continue
+        if -neg_gain <= 0.0:
+            break
+        members[ci].extend(members[cj])
+        degree_sum[ci] += degree_sum[cj]
+        del between[ci][cj]
+        for ck, w in between[cj].items():
+            if ck == ci:
+                continue
+            between[ci][ck] = between[ci].get(ck, 0.0) + w
+            link = between[ck]
+            link[ci] = link.get(ci, 0.0) + w
+            del link[cj]
+        del between[cj], members[cj], degree_sum[cj]
+        for venue in members[ci]:
+            assignment[venue] = ci
+        for ck in between[ci]:
+            a, b = (ci, ck) if ci < ck else (ck, ci)
+            heapq.heappush(heap, (-gain(a, b), a, b))
+        q += -neg_gain
+        if trace is not None:
+            trace.append((dict(assignment), q))
+        if q > best_q:
+            best_q = q
+            best_assignment = dict(assignment)
+    return ClusterPartition(assignment=best_assignment, q=modularity_dict(g, best_assignment, weighted))
+
+
+def dict_csr(g: DictVenueGraph) -> metrics.CSRGraph:
+    """`g` on nodes 0..n-1 in node order, rows in neighbour order."""
+    index = {v: i for i, v in enumerate(g.nodes)}
+    indptr = np.r_[0, np.cumsum([len(g.neighbors(u)) for u in g.nodes])].astype(np.int64)
+    heads = np.array([index[v] for u in g.nodes for v in g.neighbors(u)], dtype=np.int64)
+    return metrics.CSRGraph(indptr, heads, g.directed)
+
+
+def local_clustering_dict(g: DictVenueGraph) -> dict[str, float]:
+    return dict(zip(g.nodes, metrics.csr_local_clustering(dict_csr(g)).tolist()))
+
+
+def components_dict(g: DictVenueGraph) -> list[set[str]]:
+    csr = dict_csr(g)
+    tails = np.repeat(np.arange(g.node_count()), np.diff(csr.indptr))
+    components: dict[int, set[str]] = {}
+    for node, label in zip(g.nodes, metrics._weak_component_labels(g.node_count(), tails, csr.heads).tolist()):
+        components.setdefault(label, set()).add(node)
+    return sorted(components.values(), key=lambda c: (-len(c), min(c)))

@@ -9,6 +9,7 @@ from oracles import (
     cluster_sets,
     greedy_modularity_scan,
     modularity_pairsum_oracle,
+    neighbors,
     random_test_graph,
 )
 from venuenet.community import (
@@ -342,7 +343,7 @@ class TestProjection:
         m = self._matrix({"v1": {"a": 1, "b": 1}, "v2": {"b": 1, "c": 1}})
         p = ClusterPartition(assignment={"v1": "c1", "v2": "c2"}, q=0.0)
         projection = project_to_cluster_network(m, p)
-        assert projection.graph.neighbors("c1")["c2"] == 0.5
+        assert neighbors(projection.graph, "c1")["c2"] == 0.5
 
     def test_venue_count_attribute(self):
         m = self._matrix({"v1": {"a": 1}, "v2": {"a": 1}, "v3": {"a": 9}})

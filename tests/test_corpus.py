@@ -133,6 +133,28 @@ INVALID_JSON_LINES = [
 ]
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_dblp_parse_pauses_and_restores_the_gc(enabled):
+    import gc
+
+    class Stream(io.BytesIO):
+        def read(self, *args):
+            seen.append(gc.isenabled())  # while the records are built
+            return super().read(*args)
+
+    seen = []
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        xml = b'<dblp><article key="j/a/1"><title>T</title></article><article key="j/a/1"><title>U</title></article></dblp>'
+        with pytest.raises(DuplicateRecordIdError):
+            parse_dblp_xml(Stream(xml))
+        assert gc.isenabled() is enabled
+        assert seen and not any(seen)
+    finally:
+        gc.enable() if was else gc.disable()
+
+
 class TestParseJsonl:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_restores_the_callers_gc_state(self, enabled):

@@ -10,6 +10,7 @@ from oracles import (
     coupling_json_dumps,
     coupling_matrix_loop,
     knowledge_network_loop,
+    neighbors,
     random_reference_corpus,
     record_ids,
 )
@@ -93,7 +94,7 @@ class TestCosine:
         return CouplingMatrix(venues=sorted(vectors), vectors=vectors)
 
     def _cosine(self, m, i, j):
-        return build_knowledge_network(m).neighbors(i).get(j, 0.0)
+        return neighbors(build_knowledge_network(m), i).get(j, 0.0)
 
     def test_identical_vectors_exact_one(self):
         m = self._matrix({"v1": {"a": 3, "b": 7}, "v2": {"a": 3, "b": 7}})
@@ -188,7 +189,7 @@ class TestKnowledgeKernel:
         got = build_knowledge_network(m)
         assert list(got.nodes.items()) == list(want.nodes.items())
         for node in want.nodes:
-            assert list(got.neighbors(node).items()) == list(want.neighbors(node).items()), node
+            assert list(neighbors(got, node).items()) == list(neighbors(want, node).items()), node
         assert got.edge_count() == want.edge_count()
 
     def test_seeded_random_matrices(self):
@@ -214,8 +215,8 @@ class TestKnowledgeKernel:
         )
         self.assert_equals_loop(m)
         g = build_knowledge_network(m)
-        assert g.neighbors("a")["b"] == 1.0
-        assert len(g.neighbors("d")) == 0 and len(g.neighbors("e")) == 0
+        assert neighbors(g, "a")["b"] == 1.0
+        assert len(neighbors(g, "d")) == 0 and len(neighbors(g, "e")) == 0
         assert g.nodes["c"] == {"publication_count": 0}
 
     @pytest.mark.parametrize("empty_at", [(0.0,), (0.5,), (1.0,), (0.0, 0.5, 1.0), (0.0, 0.0, 0.0)])
@@ -275,7 +276,7 @@ class TestKnowledgeKernel:
             m = CouplingMatrix(venues=["a", "b"], vectors={"a": vec, "b": dict(vec)})
             assert sum(c * c for c in vec.values()) == norm
             self.assert_equals_loop(m)
-            assert build_knowledge_network(m).neighbors("a")["b"] == 1.0
+            assert neighbors(build_knowledge_network(m), "a")["b"] == 1.0
 
 
 class TestCouplingJson:
@@ -307,7 +308,7 @@ class TestCitationNetwork:
         )
         g = build_citation_network(corpus)
         assert g.directed
-        assert g.neighbors("A")["B"] == 1.0
+        assert neighbors(g, "A")["B"] == 1.0
 
     def test_counts_aggregate(self):
         corpus = corpus_from_lines(
@@ -316,7 +317,7 @@ class TestCitationNetwork:
             '{"id": "b1", "title": "B", "venue": "B", "refs": []}',
         )
         g = build_citation_network(corpus)
-        assert g.neighbors("A")["B"] == 2.0
+        assert neighbors(g, "A")["B"] == 2.0
 
     def test_mutual_citation_two_edges(self):
         corpus = corpus_from_lines(
@@ -324,8 +325,8 @@ class TestCitationNetwork:
             '{"id": "b1", "title": "B", "venue": "B", "refs": ["a1"]}',
         )
         g = build_citation_network(corpus)
-        assert g.neighbors("A")["B"] == 1.0
-        assert g.neighbors("B")["A"] == 1.0
+        assert neighbors(g, "A")["B"] == 1.0
+        assert neighbors(g, "B")["A"] == 1.0
 
     def test_self_citations_are_metadata(self):
         corpus = corpus_from_lines(
@@ -334,7 +335,7 @@ class TestCitationNetwork:
             '{"id": "b1", "title": "B", "venue": "B", "refs": []}',
         )
         g = build_citation_network(corpus)
-        assert "A" not in g.neighbors("A")
+        assert "A" not in neighbors(g, "A")
         assert g.nodes["A"]["self_citations"] == 1
         assert g.nodes["B"]["self_citations"] == 0
 
@@ -345,7 +346,7 @@ class TestCitationNetwork:
         )
         matches = [MatchPair(left="b1", right="cx9", jaccard=1.0, sw_similarity=1.0)]
         g = build_citation_network(rewrite_matched_references(corpus, matches))
-        assert g.neighbors("A")["B"] == 1.0
+        assert neighbors(g, "A")["B"] == 1.0
         assert build_citation_network(corpus).edge_count() == 0
 
     def test_total_weight_identity(self):
@@ -376,7 +377,7 @@ class TestCitationNetwork:
 
 
 def adjacency_in_order(g: VenueGraph):
-    return [(u, g.nodes[u], list(g.neighbors(u).items())) for u in g.nodes]
+    return [(u, g.nodes[u], list(neighbors(g, u).items())) for u in g.nodes]
 
 
 class TestBuildersOnTheReferenceIndex:
@@ -433,8 +434,8 @@ class TestThreshold:
         g.add_edge("a", "b", 50.0)
         g.add_edge("a", "c", 51.0)
         reduced = apply_threshold(g, ThresholdRule("citation", 50.0))
-        assert "b" not in reduced.neighbors("a")
-        assert reduced.neighbors("a")["c"] == 51.0
+        assert "b" not in neighbors(reduced, "a")
+        assert neighbors(reduced, "a")["c"] == 51.0
 
     def test_identity_when_all_pass(self):
         g = self._undirected(0.5, 0.9)
@@ -466,6 +467,11 @@ class TestThreshold:
         assert {(u, v) for u, v, _ in reduced.edges()} == {
             (u, v) for (u, v), w in original.items() if w >= 0.3
         }
+
+    def test_nan_value_refused(self):
+        for kind in ("cosine", "citation"):
+            with pytest.raises(ValueError, match="got nan"):
+                ThresholdRule(kind, float("nan"))
 
     def test_unknown_rule_kind(self):
         with pytest.raises(ValueError):

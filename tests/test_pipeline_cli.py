@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from venuenet import pipeline
 from venuenet.cli import main
 from venuenet.community import read_partition
 from venuenet.corpus import save_corpus
@@ -99,6 +100,7 @@ class TestConfig:
             ("sw_min", -0.1),
             ("cosine_min", 2.0),
             ("citation_min", -1.0),
+            ("citation_min", float("nan")),
             ("pagerank_d", 1.0),
             ("pagerank_tol", 0.0),
             ("pagerank_max_iter", 0),
@@ -645,6 +647,41 @@ class TestCli:
         assert "reduced" in result.output
         graph = load_graph(tmp_path / "kp.tsv")
         assert all(w >= 0.1 for _, _, w in graph.edges())
+
+    def test_nan_thresholds_exit_1_naming_the_value(self, tmp_path):
+        runner = CliRunner()
+        corpus_path = self._write_fixture(tmp_path)
+        graph_path, out = tmp_path / "k.tsv", tmp_path / "out.tsv"
+        runner.invoke(main, ["build", str(corpus_path), "--network", "knowledge", "--out", str(graph_path)])
+        for args in (
+            ["threshold", str(graph_path), "--rule", "cosine", "--min", "nan", "--out", str(out)],
+            ["threshold", str(graph_path), "--rule", "citation", "--min", "nan", "--out", str(out)],
+            ["build", str(corpus_path), "--network", "knowledge", "--threshold", "nan", "--out", str(out)],
+            ["build", str(corpus_path), "--network", "citation", "--threshold", "nan", "--out", str(out)],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr == "error: threshold value must be a number, got nan\n"
+            assert not out.exists()
+        cfg = PipelineConfig(metadata_corpus=str(corpus_path), out_dir=str(tmp_path / "run"), citation_min=float("nan"))
+        cfg.save(tmp_path / "cfg.txt")
+        result = runner.invoke(main, ["run", "--config", str(tmp_path / "cfg.txt")])
+        assert result.exit_code == 1
+        assert result.stderr == "error: citation_min must be >= 0, got nan\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_run_freezes_the_corpus_until_it_ends(self, tmp_path, monkeypatch):
+        import gc
+
+        frozen = []
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "link", lambda run: frozen.append(gc.get_freeze_count()))
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "build", lambda run: 1 / 0)
+        cfg = PipelineConfig(metadata_corpus=str(self._write_fixture(tmp_path)), out_dir=str(tmp_path / "out"))
+        with pytest.raises(StageError):
+            run_pipeline(cfg)
+        assert frozen[0] > 0  # the parsed corpus, frozen after ingest
+        assert gc.get_freeze_count() == 0
 
     def test_ingest_dblp_xml(self, tmp_path):
         xml = (

@@ -120,7 +120,6 @@ INTEGER_SUMS = {
     ("cli.py", "subgraphs_cmd"),  # profile count
     ("cli.py", "stats"),  # profile count
     ("corpus.py", "validate_corpus"),  # no_author_count
-    ("graph.py", "from_adjacency"),  # arc count
     ("networks.py", "pair_cosines"),  # coupling norms
 }
 

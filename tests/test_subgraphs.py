@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from archetypes import ARCHETYPE_GENERATORS
 from conftest import corpus_from_lines
 from oracles import (
     CitationSubgraph,
@@ -13,6 +14,7 @@ from oracles import (
     extract_citation_subgraph,
     extract_coauthorship_subgraph,
     local_clustering_by_sets,
+    neighbors,
     profile_rows_per_venue,
     publication_citation_graph_loop,
     random_reference_corpus,
@@ -35,7 +37,7 @@ from venuenet.subgraphs import (
     read_profiles,
     write_profiles,
 )
-from venuenet.synth import ARCHETYPE_GENERATORS, scale_corpus
+from venuenet.synth import scale_corpus
 
 
 def profile_of(m1, m2, m3, m4):
@@ -73,7 +75,7 @@ class TestCoauthorshipExtraction:
             '{"id": "p2", "title": "T", "authors": ["A One", "B Two"], "venue": "v1"}',
         )
         sg = extract_coauthorship_subgraph(corpus, "v1")
-        assert sg.graph.neighbors("A One")["B Two"] == 2.0
+        assert neighbors(sg.graph, "A One")["B Two"] == 2.0
 
     def test_single_author_isolated_node(self):
         corpus = corpus_from_lines(
@@ -89,7 +91,7 @@ class TestCoauthorshipExtraction:
             '{"id": "p2", "title": "T", "authors": ["A One", "B Two"], "venue": "v2"}',
         )
         sg = extract_coauthorship_subgraph(corpus, "v1")
-        assert sg.graph.neighbors("A One")["B Two"] == 1.0
+        assert neighbors(sg.graph, "A One")["B Two"] == 1.0
 
     def test_unknown_venue(self):
         corpus = corpus_from_lines('{"id": "p1", "title": "T", "venue": "v1"}')
@@ -112,7 +114,7 @@ class TestCitationExtraction:
         )
         sg = extract_citation_subgraph(corpus, "v1")
         assert sorted(sg.graph.nodes) == ["p", "q"]
-        assert "q" in sg.graph.neighbors("p")
+        assert "q" in neighbors(sg.graph, "p")
 
     def test_no_citations_between_cited(self):
         corpus = corpus_from_lines(
@@ -360,7 +362,7 @@ def coauthorship_by_increments(records) -> VenueGraph:
         for name in names:
             g.add_node(name)
         for x, y in itertools.combinations(names, 2):
-            g.add_edge(x, y, g.neighbors(x).get(y, 0.0) + 1.0)
+            g.add_edge(x, y, neighbors(g, x).get(y, 0.0) + 1.0)
     return g
 
 
@@ -373,12 +375,12 @@ def citation_by_increments(corpus, records, citation_index) -> VenueGraph:
     for node in cited:
         for target in citation_index[node]:
             if target in cited:
-                g.add_edge(node, target, g.neighbors(node).get(target, 0.0) + 1.0)
+                g.add_edge(node, target, neighbors(g, node).get(target, 0.0) + 1.0)
     return g
 
 
 def adjacency_in_order(g: VenueGraph):
-    return [(u, list(g.neighbors(u).items())) for u in g.nodes], g.edge_count()
+    return [(u, list(neighbors(g, u).items())) for u in g.nodes], g.edge_count()
 
 
 TINY_LINES = (
@@ -499,7 +501,7 @@ class TestBatchedProfiles:
                 names = sorted(sg.nodes)
                 local = {v: lo + k for k, v in enumerate(names)}
                 assert [g.heads[g.indptr[local[u]] : g.indptr[local[u] + 1]].tolist() for u in names] == [
-                    [local[v] for v in sg.neighbors(u)] for u in names
+                    [local[v] for v in neighbors(sg, u)] for u in names
                 ]
                 assert g.indptr[hi] - g.indptr[lo] == sg.edge_count() * (1 if g.directed else 2)
                 assert block.largest[i] == len(metrics.connected_components(sg)[0])
