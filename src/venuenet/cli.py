@@ -63,6 +63,25 @@ def _load_graph_or_fail(path: str, fmt: str = "edge-tsv") -> VenueGraph:
         _fail_input(str(exc))
 
 
+def _read_domains(path: str) -> dict[str, str]:
+    """The venue_key<TAB>domain rows of `path`; other lines are skipped."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        _fail_input(str(exc))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        _fail_input(f"{path}: line {line}: invalid UTF-8 at byte {exc.start}")
+    domains = {}
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        if line.strip() and "\t" in line:
+            venue, domain = line.split("\t")[:2]
+            domains[venue] = domain
+    return domains
+
+
 @click.group()
 def main() -> None:
     """Build, cluster, rank, and classify venue-level publication networks."""
@@ -203,6 +222,9 @@ def threshold(graph_path: str, rule: str, value: float | None, out: str) -> None
 @click.option("--composition-out", type=click.Path(dir_okay=False), help="Write per-cluster domain composition TSV.")
 def cluster(graph_path: str, out: str, unweighted: bool, domains_path: str | None, composition_out: str | None) -> None:
     """Greedy modularity clustering of an undirected graph."""
+    if domains_path and not composition_out:
+        _fail_input("--domains is only read with --composition-out")
+    domains = _read_domains(domains_path) if domains_path else {}
     graph = _load_graph_or_fail(graph_path)
     try:
         partition = community.greedy_modularity_partition(graph, weighted=not unweighted)
@@ -210,16 +232,6 @@ def cluster(graph_path: str, out: str, unweighted: bool, domains_path: str | Non
         _fail_input(str(exc))
     community.write_partition(partition, out)
     if composition_out:
-        domains: dict[str, str] = {}
-        if domains_path:
-            try:
-                with open(domains_path, encoding="utf-8") as fh:
-                    for line in fh:
-                        if line.strip() and "\t" in line:
-                            venue, domain = line.rstrip("\n").split("\t")[:2]
-                            domains[venue] = domain
-            except OSError as exc:
-                _fail_input(str(exc))
         composition = community.cluster_domain_composition(partition, domains)
         with open(composition_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("cluster_id\tdomain\tvenues\n")
@@ -293,7 +305,7 @@ def metrics_cmd(
         else:
             vector = metrics.pagerank(graph, d=damping, tol=tol, max_iter=max_iter)
             _warn(vector.convergence_warning())
-    except metrics.MetricError as exc:
+    except (metrics.MetricError, ValueError) as exc:
         _fail_input(str(exc))
     if out:
         metrics.write_metric_tsv(vector, out)

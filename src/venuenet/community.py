@@ -96,7 +96,7 @@ def greedy_modularity_partition(
     """
     if g.directed:
         raise CommunityError("greedy modularity clustering expects an undirected graph")
-    nodes = sorted(g.nodes)
+    nodes = list(g.nodes)
     if not nodes:
         return ClusterPartition(assignment={}, q=0.0)
     tails, heads, weights, m = _edge_weights(g, weighted)
@@ -105,13 +105,12 @@ def greedy_modularity_partition(
 
     # cluster id = smallest member key; singletons to start. A node's degree
     # sum adds its row from the left; `between` holds each edge both ways.
-    names = list(g.nodes)
     members: dict[str, list[str]] = {v: [v] for v in nodes}
     indptr, _, row_weights = g.arrays()
-    degree = np.zeros(len(names))
+    degree = np.zeros(len(nodes))
     np.add.at(degree, arc_tails(indptr), row_weights if weighted else 1.0)
-    degree_sum = dict(zip(names, degree.tolist()))
-    us, vs = [names[i] for i in tails.tolist()], [names[i] for i in heads.tolist()]  # us[k] < vs[k]
+    degree_sum = dict(zip(nodes, degree.tolist()))
+    us, vs = [nodes[i] for i in tails.tolist()], [nodes[i] for i in heads.tolist()]  # us[k] < vs[k]
     between: dict[str, dict[str, float]] = {v: {} for v in nodes}
     for u, v, w in zip(us, vs, weights.tolist()):
         between[u][v] = between[v][u] = w

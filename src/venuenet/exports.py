@@ -1,5 +1,7 @@
 """Graph serialization: GraphML, edge TSV, and JSON, each with a matching
-importer so export/import round-trips reproduce the graph exactly.
+importer so export/import round-trips reproduce the graph exactly. The
+writers produce a document line by line, nodes and edges in the graph's
+(name) order, so `write_graph` streams it to its file.
 
 The TSV dialect keeps the edge rows as plain (source, target, weight) so
 naive TSV consumers work unchanged; directedness and node attributes ride
@@ -8,11 +10,10 @@ along in `#`-prefixed comment lines.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import xml.etree.ElementTree as ET
-from typing import Any
+from typing import Any, Iterator
 
 from .graph import GraphError, VenueGraph
 
@@ -28,6 +29,18 @@ class ExportError(Exception):
 def export_graph(g: VenueGraph, format: str, node_attrs: dict[str, dict[str, Any]] | None = None) -> bytes:
     """`g` in `format`; `node_attrs` ({name: {node: value}}, every node
     given) adds attributes to the nodes as written, leaving `g` as it is."""
+    return "".join(_lines(g, format, node_attrs)).encode("utf-8")
+
+
+def write_graph(g: VenueGraph, path, format: str = "edge-tsv", node_attrs: dict | None = None) -> None:
+    """Write export_graph(g, format, node_attrs) to `path`, line by line."""
+    lines = _lines(g, format, node_attrs)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+
+
+def _lines(g: VenueGraph, format: str, node_attrs) -> Iterator[str]:
+    """The lines of `g` in `format`; an unknown format raises at once."""
     nodes = g.nodes
     if node_attrs:
         nodes = {
@@ -51,11 +64,6 @@ def import_graph(data: bytes, format: str) -> VenueGraph:
     if format == "json":
         return _from_json(data)
     raise ExportError(f"unknown export format {format!r}")
-
-
-def write_graph(g: VenueGraph, path, format: str = "edge-tsv") -> None:
-    with open(path, "wb") as fh:
-        fh.write(export_graph(g, format))
 
 
 def load_graph(path, format: str = "edge-tsv") -> VenueGraph:
@@ -125,9 +133,9 @@ def _check_xml(text: str, where: str) -> str:
     return text
 
 
-def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
-    """The bytes ElementTree writes for the GraphML tree of `g` whose node
-    attributes are `nodes`, indented by `ET.indent`, written directly, except
+def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
+    """The lines of the document ElementTree writes for the GraphML tree of
+    `g` whose node attributes are `nodes`, indented by `ET.indent`, except
     that a carriage return in data text is a character reference. A node or
     attribute holding what XML 1.0 cannot carry raises ExportError naming it."""
     attr_values: dict[str, list] = {}
@@ -136,42 +144,41 @@ def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
             attr_values.setdefault(name, []).append(value)
     attr_types = {name: _attr_type(values) for name, values in sorted(attr_values.items())}
 
-    lines = ["<?xml version='1.0' encoding='utf-8'?>", f'<graphml xmlns="{_GRAPHML_NS}">']
+    yield "<?xml version='1.0' encoding='utf-8'?>\n"
+    yield f'<graphml xmlns="{_GRAPHML_NS}">\n'
     key_ids: dict[str, str] = {}
     for i, (name, attr_type) in enumerate(attr_types.items()):
         key_ids[name] = f"d{i}"
         attr_name = _escape(_check_xml(name, f"attribute {name!r}"))
-        lines.append(f'  <key for="node" attr.name="{attr_name}" attr.type="{attr_type}" id="d{i}" />')
+        yield f'  <key for="node" attr.name="{attr_name}" attr.type="{attr_type}" id="d{i}" />\n'
     weight_key = f"d{len(key_ids)}"
-    lines.append(f'  <key for="edge" attr.name="weight" attr.type="double" id="{weight_key}" />')
+    yield f'  <key for="edge" attr.name="weight" attr.type="double" id="{weight_key}" />\n'
 
     graph = f'  <graph edgedefault="{"directed" if g.directed else "undirected"}"'
     if not nodes:
-        lines.append(graph + " />")
+        yield graph + " />\n"
     else:
-        lines.append(graph + ">")
+        yield graph + ">\n"
         ids = {node: _escape(_check_xml(node, f"node {node!r}")) for node in nodes}
-        for node in sorted(nodes):
-            attrs = nodes[node]
+        for node, attrs in nodes.items():
             if not attrs:
-                lines.append(f'    <node id="{ids[node]}" />')
+                yield f'    <node id="{ids[node]}" />\n'
                 continue
-            lines.append(f'    <node id="{ids[node]}">')
+            yield f'    <node id="{ids[node]}">\n'
             for name in sorted(attrs):
                 text = _format_attr(attrs[name], attr_types[name])
                 text = _escape(_check_xml(text, f"attribute {name!r} of node {node!r}"), _TEXT_ESCAPES)
                 data = f'      <data key="{key_ids[name]}"'
-                lines.append(f"{data}>{text}</data>" if text else data + " />")
-            lines.append("    </node>")
-        for u, v, w in g.edges(by_name=True):
-            lines.append(
+                yield f"{data}>{text}</data>\n" if text else data + " />\n"
+            yield "    </node>\n"
+        for u, v, w in g.edges():
+            yield (
                 f'    <edge source="{ids[u]}" target="{ids[v]}">\n'
                 f'      <data key="{weight_key}">{w!r}</data>\n'
-                "    </edge>"
+                "    </edge>\n"
             )
-        lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines).encode("utf-8")
+        yield "  </graph>\n"
+    yield "</graphml>"
 
 
 def _from_graphml(data: bytes) -> VenueGraph:
@@ -245,20 +252,19 @@ def _from_graphml(data: bytes) -> VenueGraph:
 _NOT_TSV = "[\t\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]"
 
 
-def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
-    """The edge TSV of `g` whose node attributes are `nodes`. A node name the
-    reader would split, or take for a comment, raises ExportError naming it."""
+def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
+    """The lines of the edge TSV of `g` whose node attributes are `nodes`. A
+    node name the reader would split, or take for a comment, raises
+    ExportError naming it before any line is given."""
     for node in nodes:
         bad = re.search(_NOT_TSV, node)
         if bad or node.startswith("#"):
             what = repr(bad.group()) if bad else "a leading '#'"
             raise ExportError(f"node {node!r}: {what} cannot be written in edge TSV")
     attrs = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), built once
-    out = io.StringIO()
-    out.write(f"# venuenet-graph directed={'true' if g.directed else 'false'}\n")
-    out.writelines(f"#node\t{node}\t{attrs(nodes[node])}\n" for node in sorted(nodes))
-    out.writelines(f"{u}\t{v}\t{w!r}\n" for u, v, w in g.edges(by_name=True))
-    return out.getvalue().encode("utf-8")
+    yield f"# venuenet-graph directed={'true' if g.directed else 'false'}\n"
+    yield from (f"#node\t{node}\t{attrs(node_attrs)}\n" for node, node_attrs in nodes.items())
+    yield from (f"{u}\t{v}\t{w!r}\n" for u, v, w in g.edges())
 
 
 def _from_tsv(data: bytes) -> VenueGraph:
@@ -302,14 +308,14 @@ def _attr_object(text: str) -> dict:
 # -- JSON -------------------------------------------------------------------
 
 
-def _to_json(g: VenueGraph, nodes: dict[str, dict]) -> bytes:
+def _to_json(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
     obj = {
         "format": "venuenet-graph/1",
         "directed": g.directed,
-        "nodes": [[node, nodes[node]] for node in sorted(nodes)],
-        "edges": [[u, v, w] for u, v, w in g.edges(by_name=True)],
+        "nodes": [list(item) for item in nodes.items()],
+        "edges": [list(edge) for edge in g.edges()],
     }
-    return (json.dumps(obj, sort_keys=True, indent=0) + "\n").encode("utf-8")
+    yield json.dumps(obj, sort_keys=True, indent=0) + "\n"
 
 
 def _from_json(data: bytes) -> VenueGraph:

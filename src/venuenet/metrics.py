@@ -81,7 +81,7 @@ def edge_density(n: int, edges: int, directed: bool) -> float:
 
 
 def local_clustering(g: VenueGraph) -> dict[str, float]:
-    """Closed triads over centered triples per node, in node order; 0 where
+    """Closed triads over centered triples per node, in name order; 0 where
     degree < 2. Directed graphs are symmetrized first."""
     return dict(zip(g.nodes, csr_local_clustering(_csr(g)).tolist()))
 
@@ -165,19 +165,6 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
 def _csr(g: VenueGraph) -> CSRGraph:
     indptr, heads, _ = g.arrays()
     return CSRGraph(indptr, heads, g.directed)
-
-
-def _by_name(g: VenueGraph) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """`g`'s node names sorted, and its (indptr, heads, weights) with node i
-    standing for the i-th of them; each row keeps its order."""
-    indptr, heads, weights = g.arrays()
-    order = g.name_order()
-    degree = np.diff(indptr)[order]
-    arcs, _ = _concat_ranges(indptr[order], degree)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    names = list(g.nodes)
-    return [names[i] for i in order.tolist()], np.r_[0, np.cumsum(degree)], rank[heads[arcs]], weights[arcs]
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -365,7 +352,8 @@ def betweenness_centrality(
     if isinstance(g, CSRGraph):
         nodes, cb = range(g.node_count()), _brandes_unweighted(g.indptr, g.heads)
     else:
-        nodes, indptr, heads, weights = _by_name(g)
+        nodes = list(g.nodes)
+        indptr, heads, weights = g.arrays()
         if weighted:
             bad = np.flatnonzero(~(weights > 0))
             if bad.size:
@@ -404,8 +392,11 @@ def pagerank(
         raise ValueError(f"damping factor must be in (0, 1), got {d}")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
-    nodes, indptr, heads, _ = _by_name(g)
+    nodes = list(g.nodes)
+    indptr, heads, _ = g.arrays()
     n = len(nodes)
     out_deg = np.diff(indptr)
     # arcs grouped by head, each node's predecessors ascending: np.add.at adds

@@ -135,22 +135,17 @@ def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
 def build_knowledge_network(m: CouplingMatrix) -> VenueGraph:
     """Undirected venue graph weighted by coupling-vector cosine similarity.
 
-    Every matrix venue becomes a node, in matrix order; venue pairs with
-    orthogonal vectors simply carry no edge, and disjoint venues are never
-    compared. Each weight is float(dot) / sqrt(float(n_i * n_j)) over exact
-    integer dots and norms, the correctly rounded operations of
-    `dot / math.sqrt(n_i * n_j)`; each row lists its neighbours by name.
+    Every matrix venue becomes a node; venue pairs with orthogonal vectors
+    simply carry no edge, and disjoint venues are never compared. Each weight
+    is float(dot) / sqrt(float(n_i * n_j)) over exact integer dots and norms,
+    the correctly rounded operations of `dot / math.sqrt(n_i * n_j)`.
     """
-    names = sorted(m.venues)  # a venue's index orders it by name
+    names = sorted(m.venues)
     i, j, weights = pair_cosines([m.vectors[venue] for venue in names])
-    place = {venue: p for p, venue in enumerate(m.venues)}
-    node = np.fromiter(map(place.__getitem__, names), dtype=np.int64, count=len(names))
     tails, heads = np.r_[i, j], np.r_[j, i]
-    arcs = np.argsort(node[tails] * len(names) + heads)
-    attrs = [{"publication_count": m.publication_counts.get(venue, 0)} for venue in m.venues]
-    return VenueGraph.from_arcs(
-        m.venues, node[tails[arcs]], node[heads[arcs]], np.r_[weights, weights][arcs], False, attrs
-    )
+    arcs = np.argsort(tails * len(names) + heads)
+    attrs = [{"publication_count": m.publication_counts.get(venue, 0)} for venue in names]
+    return VenueGraph.from_arcs(names, tails[arcs], heads[arcs], np.r_[weights, weights][arcs], False, attrs)
 
 
 def pair_cosines(vectors: list[dict[str, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,8 +263,7 @@ class ThresholdRule:
 
 def apply_threshold(g: VenueGraph, rule: ThresholdRule) -> VenueGraph:
     """Reduced copy keeping only edges passing the rule; nodes left isolated
-    by the filtering are dropped. Weights are never altered. Nodes and each
-    row's neighbours come in name order."""
+    by the filtering are dropped. Weights are never altered."""
     if rule.kind == "cosine" and g.directed:
         raise ThresholdRuleError("cosine threshold applies to undirected graphs")
     if rule.kind == "citation" and not g.directed:
@@ -280,17 +274,11 @@ def apply_threshold(g: VenueGraph, rule: ThresholdRule) -> VenueGraph:
     tails, heads, weights = arc_tails(indptr)[kept], heads[kept], weights[kept]
     alive = np.zeros(g.node_count(), dtype=bool)
     alive[tails] = alive[heads] = True
-    order = g.name_order()
-    order = order[alive[order]]
-    place = np.zeros(alive.size, dtype=np.int64)
-    place[order] = np.arange(order.size)
-    tails, heads = place[tails], place[heads]
-    arcs = np.argsort(tails * order.size + heads, kind="stable")  # already sorted when g's rows are
-    tails, heads, weights = tails[arcs], heads[arcs], weights[arcs]
+    place = np.cumsum(alive) - 1  # renumbers the survivors in order, so the rows stay sorted
+    survivors = np.flatnonzero(alive).tolist()
     names, attrs = list(g.nodes), list(g.nodes.values())
-    return VenueGraph.from_arcs(
-        [names[i] for i in order.tolist()], tails, heads, weights, g.directed, [dict(attrs[i]) for i in order.tolist()]
-    )
+    names, attrs = [names[i] for i in survivors], [dict(attrs[i]) for i in survivors]
+    return VenueGraph.from_arcs(names, place[tails], place[heads], weights, g.directed, attrs)
 
 
 @dataclass

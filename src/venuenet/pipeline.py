@@ -17,7 +17,7 @@ from time import perf_counter, process_time
 
 from . import community, linkage, metrics, networks, subgraphs
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, check_names, parse_corpus, save_corpus, validate_corpus
-from .exports import export_graph, write_graph
+from .exports import export_graph, write_graph  # noqa: F401 (bench/tracing.py wraps both here)
 from .graph import VenueGraph
 from .subgraphs import DEFAULT_CUTS, ClassificationCuts, ProfileRow
 
@@ -355,9 +355,8 @@ def _stage_threshold(run: _Run) -> None:
         run.citation, networks.ThresholdRule("citation", cfg.citation_min)
     )
     # K' is a subgraph of K, so equal node and edge counts mean K' = K, and
-    # its edge TSV is K's. Both list nodes and neighbours in name order (the
-    # coupling matrix sorts its venues), so even the clustering sum, which
-    # follows node order, agrees.
+    # its edge TSV and summary are K's: every graph holds its nodes and rows
+    # in name order.
     reduced, full = run.knowledge_reduced, run.knowledge
     kept_all = (reduced.node_count(), reduced.edge_count()) == (full.node_count(), full.edge_count())
     k_path = run.out_dir / "knowledge.tsv"
@@ -401,8 +400,7 @@ def _stage_project(run: _Run) -> None:
     assignment = run.partition.assignment
     clusters = {venue: assignment.get(venue, "") for venue in run.knowledge_reduced.nodes}
     graphml_path = run.out_dir / "knowledge_clustered.graphml"
-    with open(graphml_path, "wb") as fh:
-        fh.write(export_graph(run.knowledge_reduced, "graphml", {"cluster": clusters}))
+    write_graph(run.knowledge_reduced, graphml_path, "graphml", {"cluster": clusters})
     run.record("project", graph_path, assign_path, graphml_path)
 
 

@@ -602,7 +602,7 @@ def graphml_et(g: VenueGraph) -> bytes:
         for name in sorted(g.nodes[node]):
             data = ET.SubElement(node_el, "data", key=key_ids[name])
             data.text = _format_attr(g.nodes[node][name], attr_types[name])
-    for u, v, w in g.sorted_edges():
+    for u, v, w in sorted(g.edges()):
         edge_el = ET.SubElement(graph_el, "edge", source=u, target=v)
         data = ET.SubElement(edge_el, "data", key=weight_key)
         data.text = repr(w)
@@ -910,13 +910,13 @@ class EmptySubgraphError(Exception):
 @dataclass
 class CoauthorshipSubgraph:
     venue_key: str
-    graph: VenueGraph  # undirected; author full names as nodes
+    graph: DictVenueGraph  # undirected; author full names as nodes
 
 
 @dataclass
 class CitationSubgraph:
     venue_key: str
-    graph: VenueGraph  # directed; record ids of cited publications as nodes
+    graph: DictVenueGraph  # directed; record ids of cited publications as nodes
 
 
 def extract_coauthorship_subgraph(
@@ -943,7 +943,7 @@ def extract_coauthorship_subgraph(
                 weight = 1.0 if weight is None else weight + 1.0
                 nbrs[v] = weight
                 adj[v][u] = weight
-    return CoauthorshipSubgraph(venue_key=venue_key, graph=graph_from_adjacency(adj, directed=False))
+    return CoauthorshipSubgraph(venue_key=venue_key, graph=DictVenueGraph.from_adjacency(adj, directed=False))
 
 
 def extract_citation_subgraph(c: Corpus, venue_key: str, records: Sequence | None = None) -> CitationSubgraph:
@@ -969,20 +969,22 @@ def extract_citation_subgraph(c: Corpus, venue_key: str, records: Sequence | Non
         nbrs, target = adj[names[u]], names[v]
         weight = nbrs.get(target)
         nbrs[target] = 1.0 if weight is None else weight + 1.0
-    return CitationSubgraph(venue_key=venue_key, graph=graph_from_adjacency(adj, directed=True))
+    return CitationSubgraph(venue_key=venue_key, graph=DictVenueGraph.from_adjacency(adj, directed=True))
 
 
 def subgraph_profile(sg: CoauthorshipSubgraph | CitationSubgraph) -> SubgraphProfile:
-    """M1-M4 of one subgraph on its own, through the graph metrics."""
+    """M1-M4 of one subgraph on its own, through the graph metrics: the
+    clustering added in the order the graph met its nodes, the betweenness
+    run on its nodes in name order with each row in the order met."""
     g = sg.graph
     n = g.node_count()
     if n == 0:
         raise EmptySubgraphError(f"venue {sg.venue_key!r} has an empty subgraph")
     return SubgraphProfile(
         m1_density=metrics.density(g),
-        m2_avg_clustering=metrics.average_clustering_coefficient(g),
-        m3_max_betweenness=max(metrics.betweenness_centrality(g, weighted=False, normalized=True).values.values()),
-        m4_lcc_fraction=len(metrics.connected_components(g)[0]) / n,
+        m2_avg_clustering=metrics.left_sum(local_clustering_dict(g).values()) / n,
+        m3_max_betweenness=max(metrics.betweenness_centrality(dict_csr(g, sorted(g.nodes)), normalized=True)),
+        m4_lcc_fraction=len(components_dict(g)[0]) / n,
         node_count=n,
         edge_count=g.edge_count(),
     )
@@ -1026,9 +1028,11 @@ def coauthorship_corpus(graphs: dict[str, VenueGraph]) -> Corpus:
 # -- the dict-of-dicts graph ---------------------------------------------------
 
 
-def neighbors(g: VenueGraph, key: str) -> dict[str, float]:
+def neighbors(g: VenueGraph | DictVenueGraph, key: str) -> dict[str, float]:
     """The successors (undirected: the neighbours) of `key` in `g` with their
     weights, in row order."""
+    if isinstance(g, DictVenueGraph):
+        return g.neighbors(key)
     indptr, heads, weights = g.arrays()
     names = list(g.nodes)
     i = dict(zip(names, range(len(names))))[key]
@@ -1036,26 +1040,27 @@ def neighbors(g: VenueGraph, key: str) -> dict[str, float]:
     return dict(zip(map(names.__getitem__, heads[lo:hi].tolist()), weights[lo:hi].tolist()))
 
 
-def graph_from_adjacency(adj: dict[str, dict[str, float]], directed: bool) -> VenueGraph:
-    """The graph whose rows are `adj` (node -> neighbour -> weight, both
-    directions of each undirected edge, every endpoint a key), in its order."""
-    index = {v: i for i, v in enumerate(adj)}
-    tails = [i for i, row in enumerate(adj.values()) for _ in row]
-    heads = [index[v] for row in adj.values() for v in row]
-    weights = [w for row in adj.values() for w in row.values()]
-    return VenueGraph.from_arcs(list(adj), tails, heads, weights, directed)
-
-
 class DictVenueGraph:
     """The graph as node -> neighbour -> weight dicts, both directions of an
-    undirected edge stored: the form the compressed rows replaced, with the
-    same builder semantics (set, not accumulate; insertion order kept)."""
+    undirected edge stored: the form the compressed rows replaced. An edge is
+    set, not accumulated; nodes and rows keep the order they were met in,
+    and `name_ordered()` gives the order VenueGraph keeps."""
 
     def __init__(self, directed: bool = False):
         self.directed = directed
         self.nodes: dict[str, dict[str, Any]] = {}
         self._adj: dict[str, dict[str, float]] = {}
         self._edge_count = 0
+
+    @classmethod
+    def from_adjacency(cls, adj: dict[str, dict[str, float]], directed: bool) -> "DictVenueGraph":
+        """The graph whose rows are `adj` (node -> neighbour -> weight, both
+        directions of each undirected edge, every endpoint a key), in its order."""
+        g = cls(directed)
+        g.nodes = {v: {} for v in adj}
+        g._adj = {v: dict(row) for v, row in adj.items()}
+        g._edge_count = sum(map(len, adj.values())) // (1 if directed else 2)
+        return g
 
     def add_node(self, key: str, /, **attrs: Any) -> None:
         if key not in self.nodes:
@@ -1085,12 +1090,17 @@ class DictVenueGraph:
     def neighbors(self, key: str) -> dict[str, float]:
         return self._adj[key]
 
-    def edges(self, by_name: bool = False) -> Iterator[tuple[str, str, float]]:
-        edges = ((u, v, w) for u, nbrs in self._adj.items() for v, w in nbrs.items() if self.directed or u <= v)
-        return iter(sorted(edges)) if by_name else edges
+    def edges(self) -> Iterator[tuple[str, str, float]]:
+        """Each edge once, an undirected one from its smaller name, in row order."""
+        return ((u, v, w) for u, nbrs in self._adj.items() for v, w in nbrs.items() if self.directed or u <= v)
 
-    def sorted_edges(self) -> list[tuple[str, str, float]]:
-        return list(self.edges(by_name=True))
+    def name_ordered(self) -> "DictVenueGraph":
+        """A copy with the nodes, and each row's neighbours, sorted by name."""
+        g = DictVenueGraph(self.directed)
+        g.nodes = {v: self.nodes[v] for v in sorted(self.nodes)}
+        g._adj = {v: dict(sorted(self._adj[v].items())) for v in g.nodes}
+        g._edge_count = self._edge_count
+        return g
 
 
 def left_sum_loop(values) -> float:
@@ -1194,11 +1204,13 @@ def greedy_modularity_dict(g: DictVenueGraph, weighted: bool = True, trace: list
     return ClusterPartition(assignment=best_assignment, q=modularity_dict(g, best_assignment, weighted))
 
 
-def dict_csr(g: DictVenueGraph) -> metrics.CSRGraph:
-    """`g` on nodes 0..n-1 in node order, rows in neighbour order."""
-    index = {v: i for i, v in enumerate(g.nodes)}
-    indptr = np.r_[0, np.cumsum([len(g.neighbors(u)) for u in g.nodes])].astype(np.int64)
-    heads = np.array([index[v] for u in g.nodes for v in g.neighbors(u)], dtype=np.int64)
+def dict_csr(g: DictVenueGraph, nodes: list[str] | None = None) -> metrics.CSRGraph:
+    """`g` on nodes 0..n-1, the i-th of `nodes` (by default node order),
+    each row in neighbour order."""
+    nodes = list(g.nodes) if nodes is None else nodes
+    index = {v: i for i, v in enumerate(nodes)}
+    indptr = np.r_[0, np.cumsum([len(g.neighbors(u)) for u in nodes])].astype(np.int64)
+    heads = np.array([index[v] for u in nodes for v in g.neighbors(u)], dtype=np.int64)
     return metrics.CSRGraph(indptr, heads, g.directed)
 
 

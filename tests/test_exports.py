@@ -1,10 +1,11 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
 from oracles import graphml_et, neighbors
-from venuenet.exports import ExportError, FORMATS, export_graph, import_graph
+from venuenet.exports import ExportError, FORMATS, export_graph, import_graph, write_graph
 from venuenet.graph import VenueGraph
 
 
@@ -54,7 +55,7 @@ class TestRoundTrips:
         assert again == g
         assert again.directed == g.directed
         assert again.nodes == g.nodes
-        assert again.sorted_edges() == g.sorted_edges()
+        assert list(again.edges()) == list(g.edges())
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_weights_preserved_exactly(self, fmt):
@@ -131,7 +132,7 @@ class TestGraphMLWriter:
         g = odd_graph(directed)
         assert export_graph(g, "graphml") == graphml_et(g)
         again = import_graph(export_graph(g, "graphml"), "graphml")
-        assert again.sorted_edges() == g.sorted_edges()
+        assert list(again.edges()) == list(g.edges())
         assert again.nodes["a&b"] == {}
 
     def test_lone_surrogate_becomes_a_character_reference(self):
@@ -200,6 +201,38 @@ class TestNodeAttrs:
         relabelled = {node: "x" for node in g.nodes}
         again = import_graph(export_graph(g, "graphml", {"cluster": relabelled}), "graphml")
         assert {attrs["cluster"] for attrs in again.nodes.values()} == {"x"}
+
+
+class TestWriteGraph:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_writes_the_exported_bytes(self, fmt, tmp_path):
+        names = TSV_ODD_NAMES if fmt == "edge-tsv" else ODD_NAMES
+        for directed in (False, True):
+            g = odd_graph(directed, names=names)
+            clusters = {node: f"c{i % 3}" for i, node in enumerate(g.nodes)}
+            path = tmp_path / f"g.{fmt}"
+            write_graph(g, path, fmt, {"cluster": clusters})
+            assert path.read_bytes() == export_graph(g, fmt, {"cluster": clusters})
+            write_graph(g, path, fmt)
+            assert path.read_bytes() == export_graph(g, fmt)
+
+    def test_graphml_streams(self, tmp_path):
+        # the whole document is never held: the old writer peaked at four times its size
+        g = VenueGraph()
+        n = 2000
+        for i in range(n):
+            g.add_node(f"venue{i:05d}", publication_count=i)
+            for k in (1, 2, 3, 7):
+                g.add_edge(f"venue{i:05d}", f"venue{(i + k) % n:05d}", 1.0 / (k + i))
+        clusters = {node: "c" for node in g.nodes}
+        path = tmp_path / "g.graphml"
+        tracemalloc.start()
+        try:
+            write_graph(g, path, "graphml", {"cluster": clusters})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
 
 
 class TestTsvDialect:

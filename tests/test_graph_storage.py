@@ -1,6 +1,8 @@
 """The compressed-row VenueGraph against the dict-of-dicts graph it replaced:
-random edge lists built through both must agree on every order, every
-weight bit, the metrics that walk the edges and the exported bytes."""
+random edge lists built through both must agree, once the dicts are put in
+name order, on every order, every weight bit, the metrics that walk the
+edges and the exported bytes. And nothing read from a VenueGraph may depend
+on the order its nodes and edges were added in."""
 
 import math
 
@@ -21,7 +23,7 @@ from oracles import (
 from venuenet.community import greedy_modularity_partition, modularity
 from venuenet.exports import FORMATS, export_graph
 from venuenet.graph import GraphError, VenueGraph
-from venuenet.metrics import connected_components, local_clustering
+from venuenet.metrics import betweenness_centrality, connected_components, local_clustering, pagerank
 from venuenet.networks import ThresholdRule, apply_threshold
 
 NAMES = ["a", "B", "c", "d2", "d10", "é", "z", "Zeta", "m n"]
@@ -49,6 +51,8 @@ def edge_lists(draw):
 
 
 def build_both(directed, steps):
+    """The graph the steps build, and the dict-of-dicts graph they build put
+    in name order."""
     g, d = VenueGraph(directed=directed), DictVenueGraph(directed=directed)
     for step in steps:
         if step[0] == "node":
@@ -57,7 +61,7 @@ def build_both(directed, steps):
         elif step[0] != step[1]:
             g.add_edge(*step)
             d.add_edge(*step)
-    return g, d
+    return g, d.name_ordered()
 
 
 def rows(g):
@@ -75,7 +79,6 @@ def test_storage_orders_and_counts(case):
     g, d = build_both(*case)
     assert rows(g) == rows(d)
     assert list(g.edges()) == list(d.edges())
-    assert g.sorted_edges() == d.sorted_edges()
     assert g.edge_count() == d.edge_count()
     assert g.node_count() == d.node_count()
 
@@ -120,24 +123,90 @@ def test_threshold_boundaries():
     k = VenueGraph()
     k.add_edge("a", "b", 0.1)
     k.add_edge("b", "c", math.nextafter(0.1, 0))
-    assert apply_threshold(k, ThresholdRule("cosine", 0.1)).sorted_edges() == [("a", "b", 0.1)]
+    assert list(apply_threshold(k, ThresholdRule("cosine", 0.1)).edges()) == [("a", "b", 0.1)]
     f = VenueGraph(directed=True)
     f.add_edge("a", "b", 50.0)
     f.add_edge("c", "a", math.nextafter(50.0, 51))
-    assert apply_threshold(f, ThresholdRule("citation", 50.0)).sorted_edges() == [("c", "a", math.nextafter(50.0, 51))]
+    assert list(apply_threshold(f, ThresholdRule("citation", 50.0)).edges()) == [("c", "a", math.nextafter(50.0, 51))]
 
 
-def test_builder_sets_and_keeps_places():
+def test_builder_sets_in_name_order():
     g = VenueGraph()
+    g.add_edge("b", "x", 1.0)
     g.add_edge("b", "a", 1.0)
-    g.add_edge("b", "c", 2.0)
     g.add_edge("a", "b", 3.0)  # the same edge, reversed: set, not added
-    g.add_node("x")
-    assert list(g.nodes) == ["b", "a", "c", "x"]
-    assert list(neighbors(g, "b").items()) == [("a", 3.0), ("c", 2.0)]
+    g.add_node("c")
+    assert list(g.nodes) == ["a", "b", "c", "x"]
+    assert list(neighbors(g, "b").items()) == [("a", 3.0), ("x", 1.0)]
     assert g.edge_count() == 2
-    g.add_edge("x", "a", 0.5)  # after a read, the rows take new arcs at their ends
+    g.add_node("0")  # after a read, new nodes and arcs join in name order
+    g.add_edge("x", "a", 0.5)
+    assert list(g.nodes) == ["0", "a", "b", "c", "x"]
     assert list(neighbors(g, "a").items()) == [("b", 3.0), ("x", 0.5)]
+    assert list(g.edges()) == [("a", "b", 3.0), ("a", "x", 0.5), ("b", "x", 1.0)]
     for bad in (("a", "a", 1.0), ("a", "b", 0.0), ("a", "b", math.nan)):
         with pytest.raises(GraphError):
             g.add_edge(*bad)
+
+
+def test_from_arcs_refuses_names_or_arcs_out_of_order():
+    for names in (["b", "a"], ["a", "a"]):
+        with pytest.raises(GraphError):
+            VenueGraph.from_arcs(names, [], [], [], True)
+    for tails, heads in (([0, 0], [2, 1]), ([1, 0], [2, 1]), ([0, 0], [1, 1])):
+        with pytest.raises(GraphError):
+            VenueGraph.from_arcs(["a", "b", "c"], tails, heads, [1.0, 2.0], True)
+    g = VenueGraph.from_arcs(["a", "b", "c"], [0, 0, 1], [1, 2, 2], [1.0, 2.0, 3.0], True)
+    assert list(g.edges()) == [("a", "b", 1.0), ("a", "c", 2.0), ("b", "c", 3.0)]
+
+
+@st.composite
+def insertion_orders(draw):
+    """Distinct nodes and edges, each added once, in two orders: the second
+    shuffled, with each undirected edge given either way round."""
+    directed = draw(st.booleans())
+    names = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=len(NAMES)))
+    pairs = [(u, v) for u in names for v in names if u < v or (directed and u != v)]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), WEIGHTS), unique_by=lambda e: e[0])) if pairs else []
+    steps = [("node", v, i) for i, v in enumerate(names)] + [(u, v, w) for (u, v), w in edges]
+    shuffled = draw(st.permutations(steps))
+    flips = draw(st.lists(st.booleans(), min_size=len(shuffled), max_size=len(shuffled)))
+    shuffled = [(s[1], s[0], s[2]) if flip and s[0] != "node" and not directed else s for s, flip in zip(shuffled, flips)]
+    return directed, steps, shuffled
+
+
+def readings(g, assignment):
+    """Everything the tests compare, floats as hex."""
+    def hexes(values):
+        return [(node, value.hex()) for node, value in values.items()]
+
+    out = {
+        "arrays": [a.tobytes() for a in g.arrays()],
+        "edges": list(g.edges()),
+        "nodes": list(g.nodes.items()),
+        "clustering": hexes(local_clustering(g)),
+        "components": connected_components(g),
+        "modularity": [modularity(g, assignment, weighted).hex() for weighted in (True, False)],
+        "betweenness": [hexes(betweenness_centrality(g, weighted).values) for weighted in (True, False)],
+        "exports": [export_graph(g, fmt) for fmt in FORMATS],
+    }
+    if g.directed:
+        rank = pagerank(g, tol=1e-12)
+        out["pagerank"] = (hexes(rank.values), rank.iterations, rank.residual.hex())
+    else:
+        for weighted in (True, False):
+            trace = []
+            partition = greedy_modularity_partition(g, weighted, trace)
+            out[f"cnm{weighted}"] = (trace, partition.assignment, partition.q.hex())
+    return out
+
+
+@SETTINGS
+@given(insertion_orders(), st.data())
+def test_insertion_order_does_not_matter(case, data):
+    directed, steps, shuffled = case
+    a, _ = build_both(directed, steps)
+    b, _ = build_both(directed, shuffled)
+    clusters = data.draw(st.lists(st.sampled_from("pqr"), min_size=len(a.nodes), max_size=len(a.nodes)))
+    assignment = dict(zip(sorted(a.nodes), clusters))
+    assert readings(b, assignment) == readings(a, assignment)

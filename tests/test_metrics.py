@@ -450,7 +450,7 @@ class TestPagerank:
         # seeded digraphs with dangling and isolated nodes, inserted out of
         # name order, some stopped by max_iter before they converge
         rng = random.Random(31)
-        graphs = [(VenueGraph(directed=True), 200)]  # empty
+        graphs = [(VenueGraph(directed=True), 200, [])]  # empty
         for _ in range(60):
             names = [f"v{i:02d}" for i in range(rng.randint(1, 25))]
             rng.shuffle(names)
@@ -459,9 +459,9 @@ class TestPagerank:
                 g.add_node(v)
             for _ in range(rng.randint(0, 3 * len(names)) if len(names) > 1 else 0):
                 g.add_edge(*rng.sample(names, 2), 1.0)
-            graphs.append((g, rng.choice([1, 3, 200])))
+            graphs.append((g, rng.choice([1, 3, 200]), names))
         seen = set()
-        for g, max_iter in graphs:
+        for g, max_iter, inserted in graphs:
             want = pagerank_loop(g, d=0.85, tol=1e-10, max_iter=max_iter)
             got = pagerank(g, d=0.85, tol=1e-10, max_iter=max_iter)
             assert got == want
@@ -471,11 +471,11 @@ class TestPagerank:
                 "empty": not g.nodes,
                 "dangling": heads - tails,
                 "isolated": set(g.nodes) - tails - heads,
-                "unsorted": list(g.nodes) != sorted(g.nodes),
+                "inserted out of name order": inserted != sorted(inserted),
                 "stopped": not got.converged,
             }
             seen |= {case for case, present in cases.items() if present}
-        assert seen == {"empty", "dangling", "isolated", "unsorted", "stopped"}
+        assert seen == {"empty", "dangling", "isolated", "inserted out of name order", "stopped"}
 
     def test_undirected_rejected(self):
         with pytest.raises(MetricError):
@@ -488,6 +488,9 @@ class TestPagerank:
             pagerank(g, d=1.0)
         with pytest.raises(ValueError):
             pagerank(g, tol=0.0)
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError):
+                pagerank(g, max_iter=max_iter)
 
 
 class TestLeftSum:

@@ -731,6 +731,43 @@ class TestCli:
         assert text.startswith("cluster_id\tdomain\tvenues")
         assert "Databases" in text
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--d", "1.5", "damping factor"),
+            ("--d", "nan", "damping factor"),
+            ("--tol", "0", "tolerance"),
+            ("--tol", "nan", "tolerance"),
+            ("--max-iter", "0", "max_iter"),
+            ("--max-iter", "-3", "max_iter"),
+        ],
+    )
+    def test_pagerank_bad_parameters_exit_1(self, tmp_path, option, value, message):
+        graph = tmp_path / "f.tsv"
+        graph.write_text("# venuenet-graph directed=true\na\tb\t1.0\n")
+        out = tmp_path / "pagerank.tsv"
+        args = ["metrics", "--graph", str(graph), "--metric", "pagerank", option, value, "--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and message in result.stderr and len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_cluster_domains_errors_exit_1(self, tmp_path):
+        graph = tmp_path / "k.tsv"
+        graph.write_text("# venuenet-graph directed=false\na\tb\t1.0\n")
+        domains = tmp_path / "domains.tsv"
+        domains.write_bytes(b"a\tDatabases\nb\tArt\xff\n")
+        args = ["cluster", "--graph", str(graph), "--out", str(tmp_path / "p.tsv"), "--domains", str(domains)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.stderr == "error: --domains is only read with --composition-out\n"
+        result = CliRunner().invoke(main, args + ["--composition-out", str(tmp_path / "comp.tsv")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {domains}: line 2: invalid UTF-8 at byte 17\n"
+        assert not (tmp_path / "p.tsv").exists() and not (tmp_path / "comp.tsv").exists()
+
     def test_run_with_config_file(self, tmp_path):
         runner = CliRunner()
         corpus_path = self._write_fixture(tmp_path)

@@ -8,9 +8,11 @@ from conftest import corpus_from_lines
 from oracles import (
     CitationSubgraph,
     CoauthorshipSubgraph,
+    DictVenueGraph,
     EmptySubgraphError,
     UnknownVenueError,
     coauthorship_corpus,
+    components_dict,
     extract_citation_subgraph,
     extract_coauthorship_subgraph,
     local_clustering_by_sets,
@@ -67,7 +69,7 @@ class TestCoauthorshipExtraction:
         )
         sg = extract_coauthorship_subgraph(corpus, "v1")
         assert sg.graph.edge_count() == 2
-        assert len([c for c in _components(sg.graph)]) == 2
+        assert len(components_dict(sg.graph)) == 2
 
     def test_repeat_collaboration_accumulates(self):
         corpus = corpus_from_lines(
@@ -97,12 +99,6 @@ class TestCoauthorshipExtraction:
         corpus = corpus_from_lines('{"id": "p1", "title": "T", "venue": "v1"}')
         with pytest.raises(UnknownVenueError):
             extract_coauthorship_subgraph(corpus, "nope")
-
-
-def _components(g):
-    from venuenet.metrics import connected_components
-
-    return connected_components(g)
 
 
 class TestCitationExtraction:
@@ -137,7 +133,7 @@ class TestCitationExtraction:
         )
         sg = extract_citation_subgraph(corpus, "v1")
         assert sorted(sg.graph.nodes) == ["p", "q", "r"]
-        assert sg.graph.sorted_edges() == [("p", "q", 1.0), ("q", "r", 1.0)]
+        assert sorted(sg.graph.edges()) == [("p", "q", 1.0), ("q", "r", 1.0)]
 
     def test_unresolved_references_are_not_nodes(self):
         corpus = corpus_from_lines(
@@ -208,7 +204,7 @@ class TestProfiles:
         # the per-venue oracle refuses an empty subgraph; profile_venues
         # gives such a venue no row
         with pytest.raises(EmptySubgraphError):
-            subgraph_profile(CoauthorshipSubgraph(venue_key="v", graph=VenueGraph()))
+            subgraph_profile(CoauthorshipSubgraph(venue_key="v", graph=DictVenueGraph()))
         corpus = corpus_from_lines('{"id": "p1", "title": "T", "venue": "v1"}')
         assert profile_venues(corpus, {}) == {"coauthorship": [], "citation": []}
 
@@ -227,7 +223,7 @@ class TestProfiles:
         p = row.profile
         assert p.m1_density == pytest.approx(2 / 6, abs=1e-12)  # directed density
         assert p.m4_lcc_fraction == 1.0  # weak components
-        g = VenueGraph(directed=True)
+        g = DictVenueGraph(directed=True)
         g.add_edge("a", "b", 1.0)
         g.add_edge("b", "c", 1.0)
         assert p == subgraph_profile(CitationSubgraph(venue_key="v", graph=g))
@@ -353,10 +349,10 @@ class TestProfileIO:
         assert again["citation"][0].pagerank is None
 
 
-def coauthorship_by_increments(records) -> VenueGraph:
-    """The co-authorship graph built edge by edge through the graph's own
-    builders: the node and neighbour order extraction must keep."""
-    g = VenueGraph(directed=False)
+def coauthorship_by_increments(records) -> DictVenueGraph:
+    """The co-authorship graph built edge by edge, nodes and neighbours in the
+    order met: the order extraction must keep."""
+    g = DictVenueGraph(directed=False)
     for rec in records:
         names = sorted({a.full_name for a in rec.authors})
         for name in names:
@@ -366,10 +362,10 @@ def coauthorship_by_increments(records) -> VenueGraph:
     return g
 
 
-def citation_by_increments(corpus, records, citation_index) -> VenueGraph:
+def citation_by_increments(corpus, records, citation_index) -> DictVenueGraph:
     ids = record_ids(corpus)
     cited = sorted({t for rec in records for t in rec.references if t in ids})
-    g = VenueGraph(directed=True)
+    g = DictVenueGraph(directed=True)
     for node in cited:
         g.add_node(node)
     for node in cited:
@@ -379,7 +375,7 @@ def citation_by_increments(corpus, records, citation_index) -> VenueGraph:
     return g
 
 
-def adjacency_in_order(g: VenueGraph):
+def adjacency_in_order(g: DictVenueGraph):
     return [(u, list(neighbors(g, u).items())) for u in g.nodes], g.edge_count()
 
 
@@ -504,7 +500,7 @@ class TestBatchedProfiles:
                     [local[v] for v in neighbors(sg, u)] for u in names
                 ]
                 assert g.indptr[hi] - g.indptr[lo] == sg.edge_count() * (1 if g.directed else 2)
-                assert block.largest[i] == len(metrics.connected_components(sg)[0])
+                assert block.largest[i] == len(components_dict(sg)[0])
                 clustering = local_clustering_by_sets(sg)
                 assert block.clustering[lo:hi] == [clustering[v] for v in sg.nodes]
             assert g.indptr[-1] == len(g.heads) and g.node_count() == (block.bounds[-1] if block.venues else 0)
