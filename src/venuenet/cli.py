@@ -6,6 +6,7 @@ bad parameters), 2 on pipeline stage failures.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import click
@@ -260,7 +261,10 @@ def project(matrix_path: str, partition_path: str, out: str, assignment_out: str
     except (OSError, ValueError) as exc:
         _fail_input(str(exc))
     projection = community.project_to_cluster_network(matrix, partition)
-    write_graph(projection.graph, out)
+    try:
+        write_graph(projection.graph, out)
+    except ExportError as exc:
+        _fail_input(str(exc))
     if assignment_out:
         community.write_assignment(partition, projection, assignment_out)
     click.echo(
@@ -425,5 +429,14 @@ def run(
     click.echo(f"manifest: {cfg.out_dir}/manifest.json")
 
 
+def entry() -> None:
+    """`main` as a process: the objects alive when it ends are frozen, so
+    the interpreter exits without a collection that walks them."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    entry()

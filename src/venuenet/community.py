@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import networks
+from .corpus import _UNCARRIED
 from .graph import VenueGraph, arc_tails
 from .networks import CouplingMatrix
 
@@ -270,6 +272,10 @@ def write_assignment(p: ClusterPartition, projection: ClusterProjection, path) -
 
 
 def read_partition(path) -> ClusterPartition:
+    """The partition `path` holds. A row whose cluster id the cluster graph's
+    artifacts cannot carry raises ValueError naming the id and its line, as
+    a malformed row does: such an id holds a character a record id or venue
+    key cannot hold (corpus.check_names), or starts with `#`."""
     assignment: dict[str, str] = {}
     q = 0.0
     with open(path, encoding="utf-8") as fh:
@@ -284,7 +290,13 @@ def read_partition(path) -> ClusterPartition:
                     fields = line.split("\t")
                     if len(fields) != 2:
                         raise ValueError(f"expected 2 tab-separated fields, got {len(fields)}")
-                    assignment[fields[0]] = fields[1]
+                    venue, cluster = fields
+                    bad = re.search(_UNCARRIED, cluster)
+                    if bad:
+                        raise ValueError(f"cluster id {cluster!r} holds {bad.group()!r}, which the output artifacts cannot carry")
+                    if cluster.startswith("#"):
+                        raise ValueError(f"cluster id {cluster!r} starts with '#', which an edge TSV would read as a comment")
+                    assignment[venue] = cluster
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return ClusterPartition(assignment=assignment, q=q)

@@ -24,7 +24,7 @@ import json
 import re
 import unicodedata
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from typing import BinaryIO, Iterable, Iterator
@@ -129,12 +129,19 @@ class ReferenceIndex:
 
 @dataclass
 class Corpus:
+    """`rows` (record id -> row) and `reference_targets` (every record's
+    references, in record order) are the parser's, which builds both while
+    it reads; without them they are taken from `records`."""
+
     records: list[PublicationRecord]
     venue_table: dict[str, VenueInfo]
     source: str = METADATA_CORPUS
+    rows: InitVar[dict[str, int] | None] = None
+    reference_targets: InitVar[list[str] | None] = None
 
-    def __post_init__(self) -> None:
-        self._rows: dict[str, int] = {r.record_id: i for i, r in enumerate(self.records)}
+    def __post_init__(self, rows: dict[str, int] | None, reference_targets: list[str] | None) -> None:
+        self._rows: dict[str, int] = {r.record_id: i for i, r in enumerate(self.records)} if rows is None else rows
+        self._targets = reference_targets  # read once, by reference_index
         self._references: ReferenceIndex | None = None
 
     def record(self, record_id: str) -> PublicationRecord:
@@ -146,7 +153,10 @@ class Corpus:
         if self._references is None:
             venues = sorted({r.venue_key for r in self.records} - {None})
             venue_ids = {venue: i for i, venue in enumerate(venues)}
-            flat = [target for r in self.records for target in r.references]
+            flat = self._targets
+            if flat is None:
+                flat = [target for r in self.records for target in r.references]
+            self._targets = None
             codes = dict(self._rows)
             external: dict[str, int] = {}
             for target in dict.fromkeys(flat):  # each distinct target once, in first-seen order
@@ -286,8 +296,10 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
     always reports the same one."""
     records: list[PublicationRecord] = []
     venue_table: dict[str, VenueInfo] = {}
-    seen_ids: set[str] = set()
+    rows: dict[str, int] = {}
+    targets: list[str] = []
     interned: dict[str, AuthorName] = {}
+    relabel = False  # a source header follows records read under another source
 
     for lineno, raw in enumerate(stream, start=1):
         try:
@@ -310,11 +322,14 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
                 key, info = _venue_line(obj, f"line {lineno}")
                 venue_table[key] = info
             elif "source" in obj:
-                source = obj["source"]
-                if source not in CORPUS_SOURCES:
+                header = obj["source"]
+                if header not in CORPUS_SOURCES:
                     raise MalformedEntryError(
-                        f"line {lineno}", f"source must be one of {', '.join(CORPUS_SOURCES)}, got {source!r}"
+                        f"line {lineno}", f"source must be one of {', '.join(CORPUS_SOURCES)}, got {header!r}"
                     )
+                if records and header != source:
+                    relabel = True
+                source = header
             else:
                 raise MalformedEntryError(f"line {lineno}", "record missing 'id'")
             continue
@@ -322,9 +337,9 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
         record_id = obj["id"]
         if record_id.__class__ is not str or not record_id:
             raise MalformedEntryError(f"line {lineno}", f"record id must be a non-empty string, got {record_id!r}")
-        if record_id in seen_ids:
+        if record_id in rows:
             raise DuplicateRecordIdError(record_id, f"line {lineno}")
-        seen_ids.add(record_id)
+        rows[record_id] = len(records)
 
         title = obj.get("title", "")
         if title.__class__ is not str:
@@ -344,13 +359,14 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
             _check_year(year, f"line {lineno}")
 
         records.append(PublicationRecord(record_id, source, title, authors, venue_key, year, tuple(refs)))
+        targets += refs
         if venue_key is not None and venue_key not in venue_table:
             venue_table[venue_key] = VenueInfo(name=venue_key, kind=UNKNOWN_KIND)
 
-    corpus = Corpus(records=records, venue_table=venue_table, source=source)
-    for rec in corpus.records:
-        rec.source = source
-    return corpus
+    if relabel:
+        for rec in records:
+            rec.source = source
+    return Corpus(records, venue_table, source, rows=rows, reference_targets=targets)
 
 
 _DBLP_KINDS = {"article": JOURNAL, "inproceedings": CONFERENCE}
@@ -361,7 +377,8 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
     """Parse the supported DBLP export subset (article / inproceedings)."""
     records: list[PublicationRecord] = []
     venue_table: dict[str, VenueInfo] = {}
-    seen_ids: set[str] = set()
+    rows: dict[str, int] = {}
+    targets: list[str] = []
     interned: dict[str, AuthorName] = {}
     index = 0
 
@@ -376,9 +393,9 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
             if not key:
                 raise MalformedEntryError(position, "missing key attribute")
             position = f"element {index} (key={key})"
-            if key in seen_ids:
+            if key in rows:
                 raise DuplicateRecordIdError(key, position)
-            seen_ids.add(key)
+            rows[key] = len(records)
 
             title = "".join((elem.findtext("title") or "").split("\n")).strip()
             if not title:
@@ -419,13 +436,14 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
                     references=refs,
                 )
             )
+            targets += refs
             elem.clear()
     except ET.ParseError as exc:
         raise MalformedEntryError(f"line {exc.position[0]}", f"XML syntax error: {exc.msg if hasattr(exc, 'msg') else exc}") from exc
     except LookupError as exc:  # the XML declaration names an unknown encoding
         raise MalformedEntryError("line 1", str(exc)) from exc
 
-    return Corpus(records=records, venue_table=venue_table, source=source)
+    return Corpus(records, venue_table, source, rows=rows, reference_targets=targets)
 
 
 def parse_corpus(stream: BinaryIO, format: str, source: str = METADATA_CORPUS) -> Corpus:
@@ -473,8 +491,16 @@ def check_names(corpus: Corpus) -> None:
     """Raise MalformedEntryError, naming the record's id and 1-based
     position, for the first record whose id or venue key holds a character
     the network, partition and GraphML artifacts cannot carry, or whose
-    venue key starts with `#`, which the edge TSV reader takes for a comment."""
+    venue key starts with `#`, which the edge TSV reader takes for a comment.
+
+    One search over all ids and one over the venue table's keys (a space is
+    no fault) find whether there is one; only then are the records scanned
+    for it. Every record's venue key must be in the venue table, as the
+    parsers leave it."""
     search = re.compile(_UNCARRIED).search
+    keys = corpus.venue_table
+    if not (search(" ".join(corpus._rows)) or search(" ".join(keys)) or any(key.startswith("#") for key in keys)):
+        return
     for position, rec in enumerate(corpus.records, start=1):
         bad = search(rec.record_id) or search(rec.venue_key or "")
         if bad:

@@ -11,6 +11,7 @@ along in `#`-prefixed comment lines.
 from __future__ import annotations
 
 import json
+import os
 import re
 import xml.etree.ElementTree as ET
 from typing import Any, Iterator
@@ -33,10 +34,15 @@ def export_graph(g: VenueGraph, format: str, node_attrs: dict[str, dict[str, Any
 
 
 def write_graph(g: VenueGraph, path, format: str = "edge-tsv", node_attrs: dict | None = None) -> None:
-    """Write export_graph(g, format, node_attrs) to `path`, line by line."""
+    """Write export_graph(g, format, node_attrs) to `path`, line by line. A
+    graph the format cannot carry raises ExportError and leaves no file."""
     lines = _lines(g, format, node_attrs)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(lines)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+    except ExportError:
+        os.remove(path)
+        raise
 
 
 def _lines(g: VenueGraph, format: str, node_attrs) -> Iterator[str]:

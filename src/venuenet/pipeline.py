@@ -474,6 +474,21 @@ _STAGE_FUNCS = {
 }
 
 
+def _frozen_after(func, run: _Run) -> None:
+    """func(run) with the cyclic collector paused, and every object alive
+    after it frozen before the collector resumes. The corpora hold no cycles
+    and live to the end of the run; unfrozen, the first collection after the
+    resume would walk every record."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        func(run)
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """Execute all stages, writing artifacts, manifest.json and
     run_report.json under cfg.out_dir.
@@ -499,14 +514,15 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             func = _STAGE_FUNCS[stage]
             wall, cpu = perf_counter(), process_time()
             try:
-                func(run)
+                if stage == "ingest":
+                    _frozen_after(func, run)
+                else:
+                    func(run)
             except Exception as exc:
                 run.manifest.failed_stage = stage
                 save()
                 raise StageError(stage, exc, run.manifest) from exc
             run.manifest.timings.append(StageTiming(stage, perf_counter() - wall, process_time() - cpu, _peak_rss_mb()))
-            if stage == "ingest":
-                gc.freeze()  # the corpora live to the end: later collections need not walk them
     finally:
         gc.unfreeze()
 

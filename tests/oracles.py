@@ -19,7 +19,9 @@ title token regex, each venue's subgraph built and measured on its own as a
 dict-of-dicts graph instead of the per-family block, neighbour-set
 intersections instead of triangle counts for local clustering, and the
 dict-of-dicts graph with its edge walks (threshold, modularity, CNM set-up,
-clustering and components) instead of the compressed rows.
+clustering and components) instead of the compressed rows, and a search of
+each record's id and venue key instead of one search over all ids and one
+over the venue table's keys.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import json
 import math
 import operator
 import random
+import re
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass
@@ -40,7 +43,16 @@ import numpy as np
 
 from venuenet import metrics
 from venuenet.community import ClusterPartition, CommunityError, modularity
-from venuenet.corpus import AuthorName, Corpus, PublicationRecord, ReferenceIndex, VenueInfo, normalize_reference_key
+from venuenet.corpus import (
+    _UNCARRIED,
+    AuthorName,
+    Corpus,
+    MalformedEntryError,
+    PublicationRecord,
+    ReferenceIndex,
+    VenueInfo,
+    normalize_reference_key,
+)
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
 from venuenet.graph import GraphError, VenueGraph
 from venuenet.metrics import MetricVector
@@ -878,6 +890,26 @@ def random_jsonl_corpus(seed: int, records: int = 40) -> Corpus:
         for rid in ids
     ]
     return Corpus(records=recs, venue_table=venues, source=source)
+
+
+def check_names_per_record(corpus: Corpus) -> None:
+    """corpus.check_names, one record at a time: the first record whose id
+    or venue key holds an uncarried character, or whose venue key starts
+    with `#`, raises."""
+    search = re.compile(_UNCARRIED).search
+    for position, rec in enumerate(corpus.records, start=1):
+        bad = search(rec.record_id) or search(rec.venue_key or "")
+        if bad:
+            what = "record id" if bad.string == rec.record_id else "venue key"
+            raise MalformedEntryError(
+                f"record {position} (id {rec.record_id!r})",
+                f"{what} {bad.string!r} holds {bad.group()!r}, which the output artifacts cannot carry",
+            )
+        if (rec.venue_key or "").startswith("#"):
+            raise MalformedEntryError(
+                f"record {position} (id {rec.record_id!r})",
+                f"venue key {rec.venue_key!r} starts with '#', which an edge TSV would read as a comment",
+            )
 
 
 # -- per-venue subgraphs ------------------------------------------------------

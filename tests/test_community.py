@@ -458,7 +458,8 @@ class TestPartitionIO:
 
     def test_bad_rows_name_the_line(self, tmp_path):
         path = tmp_path / "partition.tsv"
-        for text, line in [("# q=0.5\nvenue_key\tcluster_id\nv1\n", 3), ("# q=abc\n", 1), ("v1\tc1\tx\n", 1)]:
+        for text, line in [("# q=0.5\nvenue_key\tcluster_id\nv1\n", 3), ("# q=abc\n", 1), ("v1\tc1\tx\n", 1),
+                           ("v1\tc1\nv2\t#c\n", 2), ("v1\tc\u2028\n", 1)]:
             path.write_text(text)
             with pytest.raises(ValueError, match=f"^{path}: line {line}: "):
                 read_partition(path)

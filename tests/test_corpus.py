@@ -1,12 +1,14 @@
 import io
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import corpus_from_lines
 from oracles import (
+    check_names_per_record,
     random_jsonl_corpus,
     random_reference_corpus,
     record_ids,
@@ -17,10 +19,12 @@ from oracles import (
 from venuenet.corpus import (
     AuthorName,
     Corpus,
+    CorpusError,
     DuplicateRecordIdError,
     MalformedEntryError,
     PublicationRecord,
     VenueInfo,
+    check_names,
     last_name_key,
     normalize_reference_key,
     parse_dblp_xml,
@@ -418,6 +422,55 @@ class TestParseDblpXml:
     def test_broken_xml_positions(self):
         with pytest.raises(MalformedEntryError):
             parse_dblp_xml(io.BytesIO(b"<dblp><article key='x/y/z'>"))
+
+
+def _check_message(check, corpus: Corpus) -> str | None:
+    try:
+        check(corpus)
+    except CorpusError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckNames:
+    # one of each kind of character _UNCARRIED names, and the leading '#'
+    BAD = ["\x00", "\t", "\n", "\x1f", "\x85", "\u2028", "\u2029", "\ud800", "\udfff", "\ufffe", "\uffff", "#"]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_names_the_fault_the_per_record_scan_names(self, seed):
+        rng = random.Random(seed)
+        venues = [f"v {i}" for i in range(6)]  # spaces join the names searched, and are no fault
+        records = [
+            PublicationRecord(f"p {i}#", "metadata-corpus", "T", (), rng.choice([*venues[:4], None]), None, ())
+            for i in range(rng.randint(1, 30))
+        ]
+        for _ in range(rng.randint(0, 3)):
+            bad = rng.choice(self.BAD)
+            if rng.random() < 0.4:  # into a record id; a leading '#' is none of an id's faults
+                row = rng.randrange(len(records))
+                rid = records[row].record_id
+                at = rng.randint(0, len(rid))
+                records[row] = replace(records[row], record_id=rid[:at] + bad + rid[at:])
+            else:  # into a venue key; venues[4:] are venue lines no record uses
+                old = rng.choice(venues)
+                at = 0 if bad == "#" else rng.randint(0, len(old))
+                new = old[:at] + bad + old[at:]
+                venues[venues.index(old)] = new
+                records = [replace(r, venue_key=new) if r.venue_key == old else r for r in records]
+        corpus = Corpus(records, {key: VenueInfo(key) for key in venues})
+        assert _check_message(check_names, corpus) == _check_message(check_names_per_record, corpus)
+
+    def test_a_venue_line_no_record_uses_is_no_fault(self):
+        corpus = corpus_from_lines(
+            '{"venue_key": "#v"}',
+            '{"venue_key": "w\\u0001"}',
+            '{"id": "p1", "venue": "v"}',
+            '{"id": "p2", "venue": "v#"}',
+        )
+        check_names(corpus)
+        corpus = corpus_from_lines('{"venue_key": "#v"}', '{"id": "p1", "venue": "v"}', '{"id": "p2", "venue": "#v"}')
+        with pytest.raises(MalformedEntryError, match=r"^malformed entry at record 2 \(id 'p2'\): venue key '#v' starts"):
+            check_names(corpus)
 
 
 class TestValidation:

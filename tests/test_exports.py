@@ -216,6 +216,16 @@ class TestWriteGraph:
             write_graph(g, path, fmt)
             assert path.read_bytes() == export_graph(g, fmt)
 
+    def test_a_graph_the_format_cannot_carry_leaves_no_file(self, tmp_path):
+        for fmt, node in (("edge-tsv", "#x"), ("graphml", "a\x01")):  # graphml raises after its first lines
+            g = VenueGraph()
+            g.add_edge("b", node, 1.0)
+            path = tmp_path / f"g.{fmt}"
+            path.write_text("old")
+            with pytest.raises(ExportError, match=re.escape(repr(node))):
+                write_graph(g, path, fmt)
+            assert not path.exists()
+
     def test_graphml_streams(self, tmp_path):
         # the whole document is never held: the old writer peaked at four times its size
         g = VenueGraph()

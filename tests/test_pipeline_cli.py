@@ -683,6 +683,80 @@ class TestCli:
         assert frozen[0] > 0  # the parsed corpus, frozen after ingest
         assert gc.get_freeze_count() == 0
 
+    def test_ingest_runs_no_collection(self, tmp_path, monkeypatch):
+        import gc
+
+        collections = []
+
+        def hook(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        ingest = pipeline._STAGE_FUNCS["ingest"]
+
+        def watched_ingest(run):
+            gc.callbacks.append(hook)
+            ingest(run)
+
+        def link(run):  # the window ends here: a collection set off by ingest comes before the next stage
+            gc.callbacks.remove(hook)
+            raise RuntimeError("stop")
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "ingest", watched_ingest)
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "link", link)
+        corpus = tmp_path / "c.jsonl"
+        save_corpus(scale_corpus(venues=20, papers_per_venue=20, seed=3), corpus)
+        cfg = PipelineConfig(metadata_corpus=str(corpus), out_dir=str(tmp_path / "out"))
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            with pytest.raises(StageError) as info:
+                run_pipeline(cfg)
+        finally:
+            if hook in gc.callbacks:
+                gc.callbacks.remove(hook)
+            if not was:
+                gc.disable()
+        assert info.value.stage == "link"
+        assert collections == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):
+        import gc
+
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text('{"id": "p1"}\n{nope\n')
+        good = PipelineConfig(metadata_corpus=str(self._write_fixture(tmp_path)), out_dir=str(tmp_path / "good"))
+        bad = PipelineConfig(metadata_corpus=str(broken), out_dir=str(tmp_path / "bad"))
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            run_pipeline(good)
+            assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+            with pytest.raises(StageError) as info:
+                run_pipeline(bad)
+            assert info.value.stage == "ingest"
+            assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_main_freezes_nothing_and_entry_freezes_at_exit(self, tmp_path, monkeypatch):
+        import gc
+
+        from venuenet.cli import entry
+
+        result = CliRunner().invoke(main, ["run", "--corpus", str(self._write_fixture(tmp_path)), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(sys, "argv", ["venuenet", "--help"])
+        try:
+            with pytest.raises(SystemExit) as info:
+                entry()
+            assert info.value.code == 0
+            assert gc.get_freeze_count() > 0  # the process exits without walking them
+        finally:
+            gc.unfreeze()
+
     def test_ingest_dblp_xml(self, tmp_path):
         xml = (
             '<?xml version="1.0"?><dblp>'
@@ -814,6 +888,11 @@ READER_CASES = [
     ("matrix-negative-publication-count", "project",
      {"m.json": MATRIX_OK[:-1] + ', "publication_counts": {"v1": -1}}', "p.tsv": PARTITION_OK}, "m.json", "venue 'v1'"),
     ("partition-short-row", "project", {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v2\n"}, "p.tsv", "line 3"),
+    # cluster ids the cluster graph cannot carry: an edge TSV comment, a control character
+    ("partition-cluster-id-hash", "project",
+     {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v2\t#x\n"}, "p.tsv", "line 3: cluster id '#x' starts with '#'"),
+    ("partition-cluster-id-control", "project",
+     {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v2\tc\x01\n"}, "p.tsv", "line 3: cluster id 'c\\x01' holds"),
     ("matches-missing-file", "build", {"c.jsonl": '{"id": "p1", "title": "T"}\n'}, "m.tsv", "No such file"),
     ("matches-two-field-row", "build",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\n"}, "m.tsv", "line 2"),
