@@ -13,7 +13,8 @@ Two input formats are supported:
 
 Reference targets are plain strings: either the record id of another
 publication (resolvable) or a raw citation string (kept as-is; references
-may legitimately point at preprints or venues outside the corpus).
+may legitimately point at preprints or venues outside the corpus). A parse
+keeps one object per distinct target, venue key, year and author name.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import re
 import unicodedata
 import xml.etree.ElementTree as ET
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from typing import BinaryIO, Iterable, Iterator
@@ -129,23 +130,35 @@ class ReferenceIndex:
 
 @dataclass
 class Corpus:
-    """`rows` (record id -> row) and `reference_targets` (every record's
-    references, in record order) are the parser's, which builds both while
-    it reads; without them they are taken from `records`."""
+    """`rows` (record id -> row), `reference_targets` (every record's
+    references, in record order) and `distinct_targets` (one entry per
+    distinct target, in first-seen order) are the parser's, which builds
+    them while it reads; without them they are taken from `records`."""
 
     records: list[PublicationRecord]
     venue_table: dict[str, VenueInfo]
     source: str = METADATA_CORPUS
     rows: InitVar[dict[str, int] | None] = None
     reference_targets: InitVar[list[str] | None] = None
+    distinct_targets: InitVar[dict[str, str] | None] = None
 
-    def __post_init__(self, rows: dict[str, int] | None, reference_targets: list[str] | None) -> None:
+    def __post_init__(
+        self, rows: dict[str, int] | None, reference_targets: list[str] | None, distinct_targets: dict[str, str] | None
+    ) -> None:
         self._rows: dict[str, int] = {r.record_id: i for i, r in enumerate(self.records)} if rows is None else rows
-        self._targets = reference_targets  # read once, by reference_index
+        self._targets = reference_targets  # both read once, by reference_index
+        self._distinct = distinct_targets
         self._references: ReferenceIndex | None = None
 
     def record(self, record_id: str) -> PublicationRecord:
         return self.records[self._rows[record_id]]
+
+    def reference_counts(self) -> tuple[int, int]:
+        """The number of references and of distinct reference targets."""
+        if self._distinct is not None:
+            return len(self._targets), len(self._distinct)
+        flat = [target for r in self.records for target in r.references]
+        return len(flat), len(set(flat))
 
     def reference_index(self) -> ReferenceIndex:
         """The index, built on first use; the records must not change after.
@@ -153,15 +166,20 @@ class Corpus:
         if self._references is None:
             venues = sorted({r.venue_key for r in self.records} - {None})
             venue_ids = {venue: i for i, venue in enumerate(venues)}
-            flat = self._targets
+            flat, codes = self._targets, self._distinct
             if flat is None:
                 flat = [target for r in self.records for target in r.references]
-            self._targets = None
-            codes = dict(self._rows)
-            external: dict[str, int] = {}
-            for target in dict.fromkeys(flat):  # each distinct target once, in first-seen order
-                if target not in codes:
-                    codes[target] = -1 - external.setdefault(normalize_reference_key(target), len(external))
+            if codes is None:
+                codes = dict.fromkeys(flat)
+            self._targets = self._distinct = None
+            # each distinct target resolved once, in first-seen order and in place:
+            # its row, or -1 - k for the k-th distinct normalized key naming no record
+            rows, external = self._rows, {}
+            for target in codes:
+                row = rows.get(target)
+                if row is None:
+                    row = -1 - external.setdefault(normalize_reference_key(target), len(external))
+                codes[target] = row
             self._references = ReferenceIndex(
                 venues=venues,
                 record_venue=np.array([venue_ids.get(r.venue_key, -1) for r in self.records], dtype=np.int64),
@@ -298,6 +316,8 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
     venue_table: dict[str, VenueInfo] = {}
     rows: dict[str, int] = {}
     targets: list[str] = []
+    distinct: dict[str, str] = {}  # one object per distinct reference target
+    shared: dict = {}  # one object per distinct venue key and year
     interned: dict[str, AuthorName] = {}
     relabel = False  # a source header follows records read under another source
 
@@ -345,20 +365,25 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
         if title.__class__ is not str:
             raise MalformedEntryError(f"line {lineno}", "title must be a string")
         venue_key = obj.get("venue")
-        if venue_key is not None and (venue_key.__class__ is not str or not venue_key):
-            raise MalformedEntryError(f"line {lineno}", f"venue must be a non-empty string or null, got {venue_key!r}")
+        if venue_key is not None:
+            if venue_key.__class__ is not str or not venue_key:
+                raise MalformedEntryError(f"line {lineno}", f"venue must be a non-empty string or null, got {venue_key!r}")
+            venue_key = shared.setdefault(venue_key, venue_key)
         refs = obj.get("refs", [])
         if refs.__class__ is not list or "" in refs or not _all_strings(refs):
             raise MalformedEntryError(f"line {lineno}", "refs must be a list of non-empty strings")
+        refs = tuple(map(distinct.setdefault, refs, refs))
         names = obj.get("authors", [])
         if names.__class__ is not list:
             raise MalformedEntryError(f"line {lineno}", f"authors must be a list of names, got {names!r}")
         authors = _make_authors(names, f"line {lineno}", interned)
         year = obj.get("year")
-        if year is not None and (year.__class__ is not int or not YEAR_MIN <= year <= YEAR_MAX):
-            _check_year(year, f"line {lineno}")
+        if year is not None:
+            if year.__class__ is not int or not YEAR_MIN <= year <= YEAR_MAX:
+                _check_year(year, f"line {lineno}")
+            year = shared.setdefault(year, year)
 
-        records.append(PublicationRecord(record_id, source, title, authors, venue_key, year, tuple(refs)))
+        records.append(PublicationRecord(record_id, source, title, authors, venue_key, year, refs))
         targets += refs
         if venue_key is not None and venue_key not in venue_table:
             venue_table[venue_key] = VenueInfo(name=venue_key, kind=UNKNOWN_KIND)
@@ -366,7 +391,7 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
     if relabel:
         for rec in records:
             rec.source = source
-    return Corpus(records, venue_table, source, rows=rows, reference_targets=targets)
+    return Corpus(records, venue_table, source, rows=rows, reference_targets=targets, distinct_targets=distinct)
 
 
 _DBLP_KINDS = {"article": JOURNAL, "inproceedings": CONFERENCE}
@@ -379,6 +404,8 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
     venue_table: dict[str, VenueInfo] = {}
     rows: dict[str, int] = {}
     targets: list[str] = []
+    distinct: dict[str, str] = {}  # one object per distinct reference target
+    shared: dict = {}  # one object per distinct venue key and year
     interned: dict[str, AuthorName] = {}
     index = 0
 
@@ -408,20 +435,19 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
                 except ValueError as exc:
                     raise MalformedEntryError(position, f"non-numeric year {year_text!r}") from exc
                 year = _check_year(year, position)
+                year = shared.setdefault(year, year)
 
             venue_name = elem.findtext("journal") or elem.findtext("booktitle")
             parts = key.split("/")
-            venue_key = "/".join(parts[:2]) if len(parts) >= 3 else None
-            if venue_key is not None and venue_key not in venue_table:
-                venue_table[venue_key] = VenueInfo(
-                    name=venue_name or venue_key, kind=_DBLP_KINDS[elem.tag]
-                )
+            venue_key = None
+            if len(parts) >= 3:
+                venue_key = "/".join(parts[:2])
+                venue_key = shared.setdefault(venue_key, venue_key)
+                if venue_key not in venue_table:
+                    venue_table[venue_key] = VenueInfo(name=venue_name or venue_key, kind=_DBLP_KINDS[elem.tag])
 
-            refs = tuple(
-                c.text.strip()
-                for c in elem.findall("cite")
-                if c.text and c.text.strip() and c.text.strip() != "..."
-            )
+            cites = (c.text.strip() for c in elem.findall("cite") if c.text)
+            refs = tuple(distinct.setdefault(text, text) for text in cites if text and text != "...")
             authors = _make_authors(
                 (a.text or "" for a in elem.findall("author")), position, interned
             )
@@ -443,7 +469,7 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
     except LookupError as exc:  # the XML declaration names an unknown encoding
         raise MalformedEntryError("line 1", str(exc)) from exc
 
-    return Corpus(records, venue_table, source, rows=rows, reference_targets=targets)
+    return Corpus(records, venue_table, source, rows=rows, reference_targets=targets, distinct_targets=distinct)
 
 
 def parse_corpus(stream: BinaryIO, format: str, source: str = METADATA_CORPUS) -> Corpus:
@@ -549,11 +575,12 @@ def slice_by_year(corpus: Corpus, cutoff: int) -> Corpus:
     """Sub-corpus of records published up to and including the cutoff year.
 
     Records without a year are excluded; the venue table is restricted to
-    venues still referenced by the surviving records.
+    venues still referenced by the surviving records. The kept records are
+    `corpus`'s own objects, not copies: no record changes after its parse.
     """
     if not YEAR_MIN <= cutoff <= YEAR_MAX:
         raise ValueError(f"cutoff {cutoff} outside [{YEAR_MIN}, {YEAR_MAX}]")
-    kept = [replace(r) for r in corpus.records if r.year is not None and r.year <= cutoff]
+    kept = [r for r in corpus.records if r.year is not None and r.year <= cutoff]
     used_venues = {r.venue_key for r in kept if r.venue_key is not None}
     venue_table = {k: v for k, v in corpus.venue_table.items() if k in used_venues}
     return Corpus(records=kept, venue_table=venue_table, source=corpus.source)

@@ -285,10 +285,10 @@ def _from_tsv(data: bytes) -> VenueGraph:
         try:
             if line.startswith("#node\t"):
                 _, node, attrs = _fields(line, 3, "#node line")
-                g.add_node(node, **_attr_object(attrs))
+                g.add_node(_tsv_name(node), **_attr_object(attrs))
             elif not line.startswith("#"):
                 u, v, w = _fields(line, 3, "edge row")
-                g.add_edge(u, v, float(w))
+                g.add_edge(u, _tsv_name(v), float(w))
         except (ValueError, GraphError) as exc:
             raise ExportError(f"line {lineno}: {exc}") from None
     return g
@@ -299,6 +299,15 @@ def _fields(line: str, count: int, what: str) -> list[str]:
     if len(fields) != count:
         raise ValueError(f"{what} needs {count} tab-separated fields, got {len(fields)}")
     return fields
+
+
+def _tsv_name(node: str) -> str:
+    """`node`, unless it starts with `#`, which the writer refuses: a row
+    starting with it would be read as a comment (as a row whose source
+    node starts with `#` is)."""
+    if node.startswith("#"):
+        raise ValueError(f"node {node!r}: a leading '#' cannot be read from edge TSV")
+    return node
 
 
 def _attr_object(text: str) -> dict:

@@ -212,14 +212,16 @@ def _peak_rss_mb() -> float | None:
 @dataclass
 class RunManifest:
     """The stages run and their hashed outputs. `warnings` (for the user;
-    the CLI prints them) and `timings` go to run_report.json, never to
-    manifest.json, which must not change between identical runs."""
+    the CLI prints them), `timings` and `ingest` (per ingested corpus, its
+    record, reference and distinct target counts) go to run_report.json,
+    never to manifest.json, which must not change between identical runs."""
 
     config: dict
     stages: list[StageRecord] = field(default_factory=list)
     failed_stage: str | None = None
     warnings: list[str] = field(default_factory=list)
     timings: list[StageTiming] = field(default_factory=list)
+    ingest: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def stage_names(self) -> list[str]:
         return [s.name for s in self.stages]
@@ -240,10 +242,12 @@ class RunManifest:
             fh.write("\n")
 
     def report_dict(self) -> dict:
-        """The run report: per completed stage its timing, then warnings."""
+        """The run report: per completed stage its timing, the ingest
+        counts, then warnings."""
         out = {
             "schema": REPORT_SCHEMA,
             "stages": [asdict(t) for t in self.timings],
+            "ingest": self.ingest,
             "warnings": list(self.warnings),
         }
         if self.failed_stage is not None:
@@ -296,10 +300,16 @@ class _Run:
         self.manifest.stages.append(rec)
 
 
+def _ingest_counts(corpus: Corpus) -> dict[str, int]:
+    references, distinct = corpus.reference_counts()
+    return {"records": len(corpus.records), "references": references, "distinct_targets": distinct}
+
+
 def _stage_ingest(run: _Run) -> None:
     cfg = run.cfg
     with open(cfg.metadata_corpus, "rb") as fh:
         run.meta = parse_corpus(fh, cfg.corpus_format, source="metadata-corpus")
+    run.manifest.ingest["metadata"] = _ingest_counts(run.meta)  # from the parse's tables, before the index takes them
     check_names(run.meta)
     out = run.out_dir / "corpus_metadata.jsonl"
     save_corpus(run.meta, out)
@@ -313,6 +323,7 @@ def _stage_ingest(run: _Run) -> None:
     if cfg.citation_corpus:
         with open(cfg.citation_corpus, "rb") as fh:
             run.cite = parse_corpus(fh, cfg.corpus_format, source="citation-corpus")
+        run.manifest.ingest["citation"] = _ingest_counts(run.cite)
         check_names(run.cite)
         cite_out = run.out_dir / "corpus_citation.jsonl"
         save_corpus(run.cite, cite_out)

@@ -582,6 +582,11 @@ class TestSliceByYear:
         assert [r.record_id for r in sliced.records] == ["p1", "p2"]
         assert set(sliced.venue_table) == {"v1", "v2"}
 
+    def test_slice_shares_the_records(self):
+        corpus = self._dated_corpus()
+        sliced = slice_by_year(corpus, 1995)
+        assert all(kept is original for kept, original in zip(sliced.records, corpus.records[:2], strict=True))
+
     def test_cutoff_after_everything(self):
         corpus = self._dated_corpus()
         sliced = slice_by_year(corpus, 2099)

@@ -1,9 +1,12 @@
-"""The parsers hand `Corpus` the id -> row dict and the flat reference
-targets they build while reading. A corpus so made must hold the same
-indexes as one rebuilt from its records alone."""
+"""The parsers hand `Corpus` the id -> row dict, the flat reference targets
+and the table of distinct targets they build while reading. A corpus so made
+must hold the same indexes as one rebuilt from its records alone, and one
+object per distinct target, venue key and year."""
 
+import gc
 import io
 import json
+import tracemalloc
 from xml.sax.saxutils import escape, quoteattr
 
 import pytest
@@ -11,13 +14,24 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from venuenet.corpus import CORPUS_SOURCES, Corpus, parse_dblp_xml, parse_jsonl
+from venuenet.corpus import (
+    CORPUS_SOURCES,
+    Corpus,
+    normalize_reference_key,
+    parse_dblp_xml,
+    parse_jsonl,
+    serialize_corpus,
+    slice_by_year,
+)
+from venuenet.linkage import MatchPair, attach_references
+from venuenet.synth import scale_corpus, split_for_linkage
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 # raw citations: several normalize to one key, and "P1" to a record id's spelling
 RAW_TARGETS = ["classic book", "Classic  Book", " other work", "P1", "x"]
 HEADERS = [{"source": source} for source in CORPUS_SOURCES]
+YEARS = [None, 1990, 1995, 2000]
 VENUE_LINES = [{"venue_key": "v2", "kind": "journal"}, {"venue_key": "v9", "name": "Nine"}]
 
 
@@ -34,6 +48,9 @@ def jsonl_corpora(draw):
         venue = draw(st.sampled_from([None, "v1", "v2", "v3"]))
         if venue is not None:
             rec["venue"] = venue
+        year = draw(st.sampled_from(YEARS))
+        if year is not None:
+            rec["year"] = year
         lines.append(rec)
     for extra in draw(st.lists(st.sampled_from(HEADERS + VENUE_LINES), max_size=4)):
         lines.insert(draw(st.integers(0, len(lines))), extra)
@@ -55,16 +72,72 @@ def dblp_corpora(draw):
     for key in draw(st.lists(st.sampled_from(KEYS), unique=True)):
         tag = draw(st.sampled_from(["article", "inproceedings", "phdthesis"]))
         cites = "".join(f"<cite>{escape(c)}</cite>" for c in draw(st.lists(st.sampled_from(CITES), max_size=5)))
-        parts.append(f"<{tag} key={quoteattr(key)}><author>A B</author><title>T</title>{cites}</{tag}>")
+        year = draw(st.sampled_from(YEARS))
+        year = "" if year is None else f"<year>{year}</year>"
+        parts.append(f"<{tag} key={quoteattr(key)}><author>A B</author><title>T</title>{year}{cites}</{tag}>")
     parts.append("</dblp>")
     return "".join(parts).encode("utf-8")
+
+
+def reference_index_loop(c: Corpus) -> dict[str, list]:
+    """The reference index by one dictionary lookup per reference: a
+    target's row when it names a record, else -1 - k for the k-th distinct
+    normalized target met in record order."""
+    rows = {r.record_id: i for i, r in enumerate(c.records)}
+    venues = sorted({r.venue_key for r in c.records if r.venue_key is not None})
+    external: dict[str, int] = {}
+    targets, offsets = [], [0]
+    for rec in c.records:
+        for target in rec.references:
+            if target in rows:
+                targets.append(rows[target])
+            else:
+                targets.append(-1 - external.setdefault(normalize_reference_key(target), len(external)))
+        offsets.append(len(targets))
+    return {
+        "venues": venues,
+        "record_venue": [venues.index(r.venue_key) if r.venue_key is not None else -1 for r in c.records],
+        "offsets": offsets,
+        "targets": targets,
+        "external_keys": list(external),
+    }
+
+
+def assert_index_is_the_loops(c: Corpus) -> None:
+    index, want = c.reference_index(), reference_index_loop(c)
+    for name, value in want.items():
+        got = getattr(index, name)
+        assert (got if isinstance(got, list) else got.tolist()) == value, name
+    refs = want["targets"]
+    assert c.reference_counts() == (len(refs), len({t for r in c.records for t in r.references}))
+
+
+def assert_one_object_per_value(parsed: Corpus) -> None:
+    """Every distinct reference target, venue key and year of the records is
+    one object."""
+    for values in (
+        [t for r in parsed.records for t in r.references],
+        [r.venue_key for r in parsed.records if r.venue_key is not None],
+        [r.year for r in parsed.records if r.year is not None],
+    ):
+        assert len({id(v) for v in values}) == len(set(values))
+
+
+def assert_table_free_paths(parsed: Corpus) -> None:
+    """A slice and a linked rewrite, built without the parser's tables,
+    index as the loop does."""
+    assert_index_is_the_loops(slice_by_year(parsed, 1995))
+    meta, cite = split_for_linkage(parsed)
+    cite = parse_jsonl(io.BytesIO(serialize_corpus(cite)), source=cite.source)
+    matches = [MatchPair(r.record_id, "cx-" + r.record_id, 1.0, 1.0) for r in meta.records[::2]]
+    assert_index_is_the_loops(attach_references(meta, cite, matches))
 
 
 def assert_same_indexes(parsed: Corpus) -> None:
     rebuilt = Corpus(parsed.records, parsed.venue_table, parsed.source)
     assert list(parsed._rows.items()) == list(rebuilt._rows.items())
     got, want = parsed.reference_index(), rebuilt.reference_index()
-    assert parsed._targets is None  # consumed by the index, then dropped
+    assert parsed._targets is None and parsed._distinct is None  # consumed by the index, then dropped
     assert got.venues == want.venues
     assert got.external_keys == want.external_keys
     for name in ("record_venue", "offsets", "targets"):
@@ -78,7 +151,12 @@ def test_jsonl_parse_indexes_equal_the_rebuilt(case):
     data, source = case
     parsed = parse_jsonl(io.BytesIO(data), source=source)
     assert {r.source for r in parsed.records} <= {parsed.source}  # the last header names every record's source
+    assert_one_object_per_value(parsed)
+    counts = parsed.reference_counts()
     assert_same_indexes(parsed)
+    assert parsed.reference_counts() == counts  # the same, from the parse's tables or from the records
+    assert_index_is_the_loops(parsed)
+    assert_table_free_paths(parsed)
 
 
 @SETTINGS
@@ -86,4 +164,27 @@ def test_jsonl_parse_indexes_equal_the_rebuilt(case):
 def test_dblp_parse_indexes_equal_the_rebuilt(data, source):
     parsed = parse_dblp_xml(io.BytesIO(data), source=source)
     assert {r.source for r in parsed.records} <= {source}
+    assert_one_object_per_value(parsed)
+    counts = parsed.reference_counts()
     assert_same_indexes(parsed)
+    assert parsed.reference_counts() == counts
+    assert_index_is_the_loops(parsed)
+    assert_table_free_paths(parsed)
+
+
+def test_parse_retains_one_object_per_distinct_value():
+    """What a parse of 15,000 records (105,000 references to about 4,500
+    distinct targets) keeps alive: one string per distinct target, venue
+    key and year, not one per occurrence (15.1 MB when each reference held
+    its own string)."""
+    data = serialize_corpus(scale_corpus(150, 100, seed=1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_jsonl(io.BytesIO(data))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(parsed.records) == 15_000
+    assert retained <= 11 * 2**20, f"the parsed corpus retains {retained / 2**20:.1f} MB"

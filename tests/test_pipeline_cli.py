@@ -264,6 +264,25 @@ class TestRunReport:
         # the report is not an artifact: the manifest neither hashes nor names it
         assert "run_report.json" not in (out_dir / "manifest.json").read_text()
 
+    def test_report_counts_each_ingested_corpus(self, tmp_path, planted):
+        corpus, _ = planted
+        meta, cite = split_for_linkage(corpus)
+        paths = {"metadata": tmp_path / "meta.jsonl", "citation": tmp_path / "cite.jsonl"}
+        save_corpus(meta, paths["metadata"])
+        save_corpus(cite, paths["citation"])
+        cfg = fixture_config(tmp_path, paths["metadata"], citation_corpus=str(paths["citation"]))
+        run_pipeline(cfg)
+        out_dir = Path(cfg.out_dir)
+        report = json.loads((out_dir / "run_report.json").read_text())
+        expected = {}
+        for role, c in (("metadata", meta), ("citation", cite)):
+            refs = [t for r in c.records for t in r.references]
+            expected[role] = {"records": len(c.records), "references": len(refs), "distinct_targets": len(set(refs))}
+        assert report["ingest"] == expected
+        assert expected["citation"]["references"] > expected["citation"]["distinct_targets"] > 0
+        for path in (out_dir / "manifest.json", out_dir / "validation_metadata.json"):
+            assert "distinct_targets" not in path.read_text()
+
     def test_verbose_prints_each_stage_and_leaves_manifest_alone(self, tmp_path, planted):
         corpus, _ = planted
         corpus_path = tmp_path / "fixture.jsonl"
@@ -871,6 +890,9 @@ READER_CASES = [
     ("tsv-negative-weight", "threshold", {"g.tsv": TSV_HEADER + "a\tb\t-1\n"}, "g.tsv", "line 2"),
     ("tsv-nan-weight", "threshold", {"g.tsv": TSV_HEADER + "a\tb\tnan\n"}, "g.tsv", "line 2"),
     ("tsv-short-row", "threshold", {"g.tsv": TSV_HEADER + "a\tb\n"}, "g.tsv", "line 2"),
+    # node names the edge-TSV writer refuses: a row starting with '#' is a comment
+    ("tsv-hash-target", "threshold", {"g.tsv": TSV_HEADER + "a\tb\t1.0\na\t#b\t1.0\n"}, "g.tsv", "line 3: node '#b'"),
+    ("tsv-hash-node-line", "threshold", {"g.tsv": TSV_HEADER + "#node\t#x\t{}\n"}, "g.tsv", "line 2: node '#x'"),
     ("json-graph-nodes-not-a-list", "export",
      {"g.json": '{"format": "venuenet-graph/1", "directed": false, "nodes": 5, "edges": []}'}, "g.json", "'nodes'"),
     ("matrix-deep", "project", {"m.json": "[" * 100_000, "p.tsv": PARTITION_OK}, "m.json", "nested too deeply"),
