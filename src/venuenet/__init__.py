@@ -16,9 +16,7 @@ from .community import ClusterPartition, greedy_modularity_partition, modularity
 from .exports import export_graph, import_graph
 from .graph import VenueGraph
 from .linkage import (
-    Canopy,
     MatchPair,
-    canopy_partition,
     jaccard_title_similarity,
     link_corpora,
     smith_waterman_similarity,
@@ -54,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuthorName",
-    "Canopy",
     "ClassificationCuts",
     "ClusterPartition",
     "Corpus",
@@ -76,7 +73,6 @@ __all__ = [
     "build_citation_network",
     "build_coupling_matrix",
     "build_knowledge_network",
-    "canopy_partition",
     "classify_network_type",
     "density",
     "export_graph",

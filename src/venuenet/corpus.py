@@ -69,6 +69,8 @@ def last_name_key(full_name: str) -> str:
     if not stripped:
         return ""
     token = stripped.split()[-1]
+    if token.isascii():  # NFKD keeps ASCII, and no ASCII character combines
+        return token
     folded = unicodedata.normalize("NFKD", token)
     ascii_token = "".join(c for c in folded if not unicodedata.combining(c) and ord(c) < 128)
     return ascii_token if ascii_token else token
@@ -159,6 +161,11 @@ class Corpus:
             return len(self._targets), len(self._distinct)
         flat = [target for r in self.records for target in r.references]
         return len(flat), len(set(flat))
+
+    def drop_parse_tables(self) -> None:
+        """Forget the parser's reference tables, for a corpus whose reference
+        index is never built; its counts and index then come from `records`."""
+        self._targets = self._distinct = None
 
     def reference_index(self) -> ReferenceIndex:
         """The index, built on first use; the records must not change after.

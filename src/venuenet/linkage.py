@@ -2,22 +2,23 @@
 
 Matching runs in three stages: canopy blocking on author last names, a cheap
 Jaccard similarity over title token sets to discard clear non-matches, and an
-expensive Smith-Waterman local alignment to confirm the survivors. Inside a
-canopy, prefix filtering skips the pairs that cannot pass the Jaccard gate. Each left
-(metadata) record keeps at most its single best right (citation) partner.
+expensive Smith-Waterman local alignment to confirm the survivors. Blocking
+and prefix filtering, which skips the pairs that cannot pass the Jaccard gate,
+are one sort-join over integer codes of last-name keys and title tokens. Each
+left (metadata) record keeps at most its single best right (citation) partner.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter, defaultdict
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Collection, Iterable
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
+from . import metrics
 from .corpus import Corpus, PublicationRecord
 
 DEFAULT_JACCARD_MIN = 0.5
@@ -33,13 +34,6 @@ class MatchPair:
     right: str
     jaccard: float
     sw_similarity: float
-
-
-@dataclass(slots=True)
-class Canopy:
-    key: str
-    left_members: list[str] = field(default_factory=list)
-    right_members: list[str] = field(default_factory=list)
 
 
 # A token is a run of alphanumeric characters (str.isalnum): word
@@ -231,27 +225,6 @@ def smith_waterman_similarity(
     return smith_waterman_similarities([(s1, s2)], match, mismatch, gap)[0]
 
 
-def canopy_partition(a: Corpus, b: Corpus) -> list[Canopy]:
-    """Overlapping blocks keyed by author last name.
-
-    A record joins one canopy per distinct author last-name key it carries.
-    Only canopies populated from both corpora are returned, sorted by key.
-    """
-    buckets: dict[str, Canopy] = {}
-    for corpus, side in ((a, "left"), (b, "right")):
-        for rec in corpus.records:
-            for key in sorted({author.last_name_key for author in rec.authors}):
-                canopy = buckets.get(key)
-                if canopy is None:
-                    canopy = buckets[key] = Canopy(key=key)
-                getattr(canopy, f"{side}_members").append(rec.record_id)
-    return [
-        buckets[key]
-        for key in sorted(buckets)
-        if buckets[key].left_members and buckets[key].right_members
-    ]
-
-
 def unmatchable_records(corpus: Corpus) -> list[str]:
     """Record ids that can never be blocked (no authors)."""
     return [r.record_id for r in corpus.records if not r.authors]
@@ -269,75 +242,133 @@ def _min_overlap(t: float, size: int) -> int:
     return math.ceil(t * size * (1.0 - 1e-9))
 
 
-def _prefix_candidates(
-    canopies: list[Canopy],
-    tokens_a: dict[str, frozenset[str]],
-    tokens_b: dict[str, frozenset[str]],
-    t: float,
-) -> set[tuple[str, str]]:
-    """Pairs sharing a canopy that may have Jaccard >= t > 0: a superset of
-    those that do, by prefix and length filtering.
+class _Ids(dict):
+    """Value -> id: a value looked up for the first time gets the next id."""
 
-    Tokens are ordered rare first (ties by the token). Two titles that share
-    at least o tokens share one among the first |x| - o + 1 of each, so each
-    title needs only its first |x| - _min_overlap(t, |x|) + 1 tokens indexed
-    and probed. A pair also needs t * |x| <= |y| <= |x| / t.
+    def __missing__(self, value: str) -> int:
+        self[value] = len(self)
+        return len(self) - 1
+
+
+def _value_ids(values_per_record: Iterable[Collection[str]], ids: _Ids) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of each record's values, concatenated in record order, and
+    how many each record has."""
+    flat: list[int] = []
+    counts: list[int] = []
+    for values in values_per_record:
+        counts.append(len(values))
+        flat += map(ids.__getitem__, values)
+    return np.array(flat, np.int64), np.array(counts, np.int64)
+
+
+@dataclass
+class _Side:
+    """One corpus as linkage sees it: per record (by row) its distinct title
+    token ids `tokens[starts[r]:starts[r] + sizes[r]]` and its distinct
+    last-name key ids, and the rows in record-id order."""
+
+    tokens: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    keys: np.ndarray
+    key_counts: np.ndarray
+    by_id: np.ndarray
+
+    @classmethod
+    def of(cls, c: Corpus, token_ids: _Ids, key_ids: _Ids) -> "_Side":
+        # one title's token set at a time: only the ids outlive it
+        tokens, sizes = _value_ids((tokenize_title(r.title) for r in c.records), token_ids)
+        keys, key_counts = _value_ids(({au.last_name_key for au in r.authors} for r in c.records), key_ids)
+        ids = [r.record_id for r in c.records]
+        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), np.int64)
+        return cls(tokens, sizes, np.cumsum(sizes) - sizes, keys, key_counts, by_id)
+
+    def key_rows(self) -> np.ndarray:
+        """The row of each entry of `keys`."""
+        return np.repeat(np.arange(self.key_counts.size), self.key_counts)
+
+    def block_codes(self, rank: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """key * (T + 1) + token rank for every (last-name key, prefix token)
+        of each record, T = len(rank), and the record's row. A record's prefix
+        is its keep[r] lowest-ranked tokens; an empty title has one
+        pseudo-token ranked T, which only empty titles share."""
+        width = rank.size + 1
+        empty = np.flatnonzero(self.sizes == 0)
+        owner = np.concatenate((np.repeat(np.arange(self.sizes.size), self.sizes), empty))
+        # each record's group stays in place, sorted by rank
+        code = np.sort(owner * width + np.concatenate((rank[self.tokens], np.full(empty.size, rank.size))))
+        counts = np.maximum(self.sizes, 1)
+        owner = code // width
+        prefix = code[np.arange(code.size) - (np.cumsum(counts) - counts)[owner] < keep[owner]] % width
+        prefix_counts = np.minimum(keep, counts)
+        key_rows = self.key_rows()
+        token, entry = metrics._concat_ranges((np.cumsum(prefix_counts) - prefix_counts)[key_rows], prefix_counts[key_rows])
+        return self.keys[entry] * width + prefix[token], key_rows[entry]
+
+
+def _candidates(
+    a: Corpus, b: Corpus, t: float, funnel: dict | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (left in a, right in b) of every pair sharing a last-name key
+    whose titles may reach Jaccard t, in (left id, right id) order, and
+    their Jaccard values (`jaccard_title_similarity`).
+
+    With t > 0, prefix and length filtering leave a superset of the pairs
+    that reach t. Tokens are ranked rare first (ties by the token). Two titles
+    that share at least o tokens share one among the first |x| - o + 1 of
+    each, so a record offers only its first |x| - _min_overlap(t, |x|) + 1
+    tokens, and a pair also needs t * |x| <= |y| <= |x| / t. The pairs are one
+    sort-join of the codes key * (T + 1) + token over the two sides. With
+    t <= 0 (or NaN), pairs sharing no token pass, so the code is the key.
     """
-    freq = Counter(tok for side in (tokens_a, tokens_b) for toks in side.values() for tok in toks)
-    rank = {tok: i for i, tok in enumerate(sorted(freq, key=lambda tok: (freq[tok], tok)))}
-
-    def prefixes(tokens: dict[str, frozenset[str]]) -> dict[str, tuple[int, int, list[str]]]:
-        out = {}
-        for rid, toks in tokens.items():
-            need = _min_overlap(t, len(toks))
-            if toks:
-                prefix = sorted(toks, key=rank.__getitem__)[: max(0, len(toks) - need + 1)]
-            else:
-                # two empty titles score 1.0; "" is no token, so only they meet
-                prefix = [""]
-            out[rid] = (len(toks), need, prefix)
-        return out
-
-    left_info, right_info = prefixes(tokens_a), prefixes(tokens_b)
-    pairs: set[tuple[str, str]] = set()
-    for canopy in canopies:
-        index: dict[str, list[str]] = defaultdict(list)
-        for right in canopy.right_members:
-            _, _, prefix = right_info[right]
-            for tok in prefix:
-                index[tok].append(right)
-        for left in canopy.left_members:
-            size, need, prefix = left_info[left]
-            for tok in prefix:
-                for right in index.get(tok, ()):
-                    right_size, right_need, _ = right_info[right]
-                    if need <= right_size and right_need <= size:
-                        pairs.add((left, right))
-    return pairs
-
-
-def _jaccard_survivors(
-    a: Corpus, b: Corpus, jaccard_min: float
-) -> tuple[list[tuple[str, str]], list[float]]:
-    """Every cross-corpus (left, right) pair sharing a canopy whose titles
-    reach `jaccard_min`, in pair order, and their Jaccard values. The token
-    sets die with the call, before the alignments run."""
-    tokens_a = {r.record_id: tokenize_title(r.title) for r in a.records}
-    tokens_b = {r.record_id: tokenize_title(r.title) for r in b.records}
-    canopies = canopy_partition(a, b)
-    if jaccard_min > 0:
-        pairs = _prefix_candidates(canopies, tokens_a, tokens_b, jaccard_min)
+    token_ids, key_ids = _Ids(), _Ids()
+    left, right = _Side.of(a, token_ids, key_ids), _Side.of(b, token_ids, key_ids)
+    if funnel is not None:
+        shared = np.bincount(left.keys, minlength=len(key_ids)) * np.bincount(right.keys, minlength=len(key_ids))
+        funnel["canopy_pairs"] = int(shared.sum())
+    tokens = len(token_ids)
+    if t > 0:
+        names = list(token_ids)
+        by_name = np.empty(tokens, np.int64)
+        by_name[sorted(range(tokens), key=names.__getitem__)] = np.arange(tokens)
+        order = np.lexsort((by_name, np.bincount(np.concatenate((left.tokens, right.tokens)), minlength=tokens)))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(tokens)
+        longest = max(left.sizes.max(initial=0), right.sizes.max(initial=0))
+        need_of = np.array([_min_overlap(t, size) for size in range(longest + 1)], np.int64)
+        need_left, need_right = need_of[left.sizes], need_of[right.sizes]
+        left_codes, left_rows = left.block_codes(rank, np.maximum(left.sizes - need_left + 1, 0))
+        right_codes, right_rows = right.block_codes(rank, np.maximum(right.sizes - need_right + 1, 0))
     else:
-        # zero-overlap pairs pass a gate of 0 (or NaN), so every pair is one
-        pairs = {(left, right) for c in canopies for left in c.left_members for right in c.right_members}
-    survivors, jaccards = [], []
-    for pair in sorted(pairs):
-        j = jaccard_title_similarity(tokens_a[pair[0]], tokens_b[pair[1]])
-        if j < jaccard_min:
-            continue
-        survivors.append(pair)
-        jaccards.append(j)
-    return survivors, jaccards
+        left_codes, left_rows = left.keys, left.key_rows()
+        right_codes, right_rows = right.keys, right.key_rows()
+    order = np.argsort(right_codes, kind="stable")
+    right_codes, right_rows = right_codes[order], right_rows[order]
+    lo = np.searchsorted(right_codes, left_codes, "left")
+    found, entry = metrics._concat_ranges(lo, np.searchsorted(right_codes, left_codes, "right") - lo)
+    pair_left, pair_right = left_rows[entry], right_rows[found]
+    if t > 0:
+        fits = (need_left[pair_left] <= right.sizes[pair_right]) & (need_right[pair_right] <= left.sizes[pair_left])
+        pair_left, pair_right = pair_left[fits], pair_right[fits]
+    # pair ids ascend as (left id, right id) do
+    left_pos, right_pos = np.empty_like(left.by_id), np.empty_like(right.by_id)
+    left_pos[left.by_id] = np.arange(left_pos.size)
+    right_pos[right.by_id] = np.arange(right_pos.size)
+    pairs = metrics._distinct(left_pos[pair_left] * right_pos.size + right_pos[pair_right])
+    pair_left, pair_right = left.by_id[pairs // right_pos.size], right.by_id[pairs % right_pos.size]
+    return pair_left, pair_right, _jaccards(left, right, pair_left, pair_right, tokens + 1)
+
+
+def _jaccards(left: _Side, right: _Side, pair_left: np.ndarray, pair_right: np.ndarray, width: int) -> np.ndarray:
+    """`jaccard_title_similarity` of each pair, token ids below `width`: the
+    union is the number of distinct (pair, token) codes, the intersection
+    |x| + |y| - union, and two empty titles give 1.0."""
+    left_token, left_pair = metrics._concat_ranges(left.starts[pair_left], left.sizes[pair_left])
+    right_token, right_pair = metrics._concat_ranges(right.starts[pair_right], right.sizes[pair_right])
+    codes = np.concatenate((left_pair * width + left.tokens[left_token], right_pair * width + right.tokens[right_token]))
+    union = np.bincount(metrics._distinct(codes) // width, minlength=pair_left.size)
+    inter = left.sizes[pair_left] + right.sizes[pair_right] - union
+    return np.divide(inter, union, out=np.ones(union.size), where=union > 0)
 
 
 def link_corpora(
@@ -348,27 +379,36 @@ def link_corpora(
     sw_match: int = DEFAULT_SW_MATCH,
     sw_mismatch: int = DEFAULT_SW_MISMATCH,
     sw_gap: int = DEFAULT_SW_GAP,
+    funnel: dict | None = None,
 ) -> list[MatchPair]:
     """Match records of corpus a (left) to corpus b (right).
 
-    Every cross-corpus pair sharing a canopy whose titles can reach
-    `jaccard_min` (see `_prefix_candidates`) is gated by Jaccard, confirmed by
+    Every cross-corpus pair sharing a last-name key whose titles can reach
+    `jaccard_min` (see `_candidates`) is gated by Jaccard, confirmed by
     Smith-Waterman, then reduced to one best partner per left record (highest
     alignment score, ties to the lexicographically smallest right id).
+
+    `funnel`, when given, receives the pair counts of each step in place:
+    `canopy_pairs` (left x right records per shared key, so a pair sharing
+    two keys counts twice), `candidates`, `jaccard_survivors`,
+    `sw_confirmed` and `matches`.
     """
-    survivors, jaccards = _jaccard_survivors(a, b, jaccard_min)
-    titles_a = {r.record_id: _comparison_title(r.title) for r in a.records}
-    titles_b = {r.record_id: _comparison_title(r.title) for r in b.records}
+    pair_left, pair_right, jaccards = _candidates(a, b, jaccard_min, funnel)
+    passed = ~(jaccards < jaccard_min)  # a NaN gate lets every pair through
+    survivors = list(zip(pair_left[passed].tolist(), pair_right[passed].tolist()))
     scores = smith_waterman_similarities(
-        ((titles_a[left], titles_b[right]) for left, right in survivors), sw_match, sw_mismatch, sw_gap
+        ((_comparison_title(a.records[left].title), _comparison_title(b.records[right].title)) for left, right in survivors),
+        sw_match, sw_mismatch, sw_gap,
     )
 
     best: dict[str, MatchPair] = {}
-    for (left, right), j, s in zip(survivors, jaccards, scores):
+    confirmed = 0
+    for (left, right), j, s in zip(survivors, jaccards[passed].tolist(), scores):
         if s < sw_min:
             continue
-        candidate = MatchPair(left=left, right=right, jaccard=j, sw_similarity=s)
-        incumbent = best.get(left)
+        confirmed += 1
+        candidate = MatchPair(left=a.records[left].record_id, right=b.records[right].record_id, jaccard=j, sw_similarity=s)
+        incumbent = best.get(candidate.left)
         if (
             incumbent is None
             or candidate.sw_similarity > incumbent.sw_similarity
@@ -377,7 +417,9 @@ def link_corpora(
                 and candidate.right < incumbent.right
             )
         ):
-            best[left] = candidate
+            best[candidate.left] = candidate
+    if funnel is not None:
+        funnel.update(candidates=pair_left.size, jaccard_survivors=len(survivors), sw_confirmed=confirmed, matches=len(best))
     return [best[left] for left in sorted(best)]
 
 

@@ -232,7 +232,7 @@ def build_citation_network(c: Corpus) -> VenueGraph:
     pairs, counts = np.unique(src[src != dst] * len(venues) + dst[src != dst], return_counts=True)
     publications = np.bincount(record_venue[record_venue >= 0], minlength=len(venues))
 
-    active = np.union1d(np.flatnonzero(self_citations), np.concatenate(np.divmod(pairs, len(venues))))
+    active = metrics._distinct(np.concatenate((np.flatnonzero(self_citations), *np.divmod(pairs, len(venues)))))
     attrs = [
         {"publication_count": int(publications[v]), "self_citations": int(self_citations[v])} for v in active.tolist()
     ]

@@ -212,9 +212,11 @@ def _peak_rss_mb() -> float | None:
 @dataclass
 class RunManifest:
     """The stages run and their hashed outputs. `warnings` (for the user;
-    the CLI prints them), `timings` and `ingest` (per ingested corpus, its
-    record, reference and distinct target counts) go to run_report.json,
-    never to manifest.json, which must not change between identical runs."""
+    the CLI prints them), `timings`, `ingest` (per ingested corpus, its
+    record, reference and distinct target counts) and `linkage` (the pair
+    counts along the linkage funnel, in two-corpus runs) go to
+    run_report.json, never to manifest.json, which must not change between
+    identical runs."""
 
     config: dict
     stages: list[StageRecord] = field(default_factory=list)
@@ -222,6 +224,7 @@ class RunManifest:
     warnings: list[str] = field(default_factory=list)
     timings: list[StageTiming] = field(default_factory=list)
     ingest: dict[str, dict[str, int]] = field(default_factory=dict)
+    linkage: dict[str, int] = field(default_factory=dict)
 
     def stage_names(self) -> list[str]:
         return [s.name for s in self.stages]
@@ -242,12 +245,13 @@ class RunManifest:
             fh.write("\n")
 
     def report_dict(self) -> dict:
-        """The run report: per completed stage its timing, the ingest
-        counts, then warnings."""
+        """The run report: per completed stage its timing, the ingest and
+        linkage counts, then warnings."""
         out = {
             "schema": REPORT_SCHEMA,
             "stages": [asdict(t) for t in self.timings],
             "ingest": self.ingest,
+            "linkage": self.linkage,
             "warnings": list(self.warnings),
         }
         if self.failed_stage is not None:
@@ -324,6 +328,7 @@ def _stage_ingest(run: _Run) -> None:
         with open(cfg.citation_corpus, "rb") as fh:
             run.cite = parse_corpus(fh, cfg.corpus_format, source="citation-corpus")
         run.manifest.ingest["citation"] = _ingest_counts(run.cite)
+        run.cite.drop_parse_tables()  # its reference index is never built
         check_names(run.cite)
         cite_out = run.out_dir / "corpus_citation.jsonl"
         save_corpus(run.cite, cite_out)
@@ -336,7 +341,9 @@ def _stage_link(run: _Run) -> None:
     matches = []
     run.linked = run.meta
     if run.cite is not None:
-        matches = linkage.link_corpora(run.meta, run.cite, jaccard_min=cfg.jaccard_min, sw_min=cfg.sw_min)
+        matches = linkage.link_corpora(
+            run.meta, run.cite, jaccard_min=cfg.jaccard_min, sw_min=cfg.sw_min, funnel=run.manifest.linkage
+        )
         run.linked = linkage.attach_references(run.meta, run.cite, matches)
     path = run.out_dir / "matches.tsv"
     linkage.write_matches(matches, path)
@@ -487,9 +494,9 @@ _STAGE_FUNCS = {
 
 def _frozen_after(func, run: _Run) -> None:
     """func(run) with the cyclic collector paused, and every object alive
-    after it frozen before the collector resumes. The corpora hold no cycles
-    and live to the end of the run; unfrozen, the first collection after the
-    resume would walk every record."""
+    after it frozen before the collector resumes. The corpora (parsed, and
+    linked) hold no cycles and live to the end of the run; unfrozen, the first
+    collection after the resume would walk every record."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -525,7 +532,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             func = _STAGE_FUNCS[stage]
             wall, cpu = perf_counter(), process_time()
             try:
-                if stage == "ingest":
+                if stage in ("ingest", "link"):
                     _frozen_after(func, run)
                 else:
                     func(run)

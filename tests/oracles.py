@@ -21,7 +21,8 @@ intersections instead of triangle counts for local clustering, and the
 dict-of-dicts graph with its edge walks (threshold, modularity, CNM set-up,
 clustering and components) instead of the compressed rows, and a search of
 each record's id and venue key instead of one search over all ids and one
-over the venue table's keys.
+over the venue table's keys, and per-canopy dicts of prefix tokens with
+frozenset intersections instead of the integer sort-join of linkage blocking.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ import math
 import operator
 import random
 import re
+import unicodedata
 import xml.etree.ElementTree as ET
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, defaultdict, deque
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -55,6 +57,7 @@ from venuenet.corpus import (
 )
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
 from venuenet.graph import GraphError, VenueGraph
+from venuenet.linkage import _min_overlap, jaccard_title_similarity, tokenize_title
 from venuenet.metrics import MetricVector
 from venuenet.networks import CouplingMatrix, ThresholdRule, ThresholdRuleError
 from venuenet.subgraphs import DEFAULT_CUTS, SubgraphProfile, classify_network_type
@@ -795,6 +798,97 @@ def tokenize_title_loop(title: str) -> frozenset[str]:
     """Title tokens by testing every character with `str.isalnum`."""
     cleaned = "".join(c if c.isalnum() else " " for c in title.lower())
     return frozenset(cleaned.split())
+
+
+def last_name_key_nfkd(full_name: str) -> str:
+    """`corpus.last_name_key` without its ASCII fast path: every last token
+    is NFKD-folded and stripped of combining and non-ASCII characters."""
+    stripped = full_name.strip().lower()
+    if not stripped:
+        return ""
+    token = stripped.split()[-1]
+    folded = unicodedata.normalize("NFKD", token)
+    ascii_token = "".join(c for c in folded if not unicodedata.combining(c) and ord(c) < 128)
+    return ascii_token if ascii_token else token
+
+
+@dataclass(slots=True)
+class Canopy:
+    key: str
+    left_members: list[str] = field(default_factory=list)
+    right_members: list[str] = field(default_factory=list)
+
+
+def canopy_partition(a: Corpus, b: Corpus) -> list[Canopy]:
+    """Overlapping blocks keyed by author last name.
+
+    A record joins one canopy per distinct author last-name key it carries.
+    Only canopies populated from both corpora are returned, sorted by key.
+    """
+    buckets: dict[str, Canopy] = {}
+    for corpus, side in ((a, "left"), (b, "right")):
+        for rec in corpus.records:
+            for key in sorted({author.last_name_key for author in rec.authors}):
+                canopy = buckets.get(key)
+                if canopy is None:
+                    canopy = buckets[key] = Canopy(key=key)
+                getattr(canopy, f"{side}_members").append(rec.record_id)
+    return [
+        buckets[key]
+        for key in sorted(buckets)
+        if buckets[key].left_members and buckets[key].right_members
+    ]
+
+
+def prefix_candidates_loop(
+    canopies: list[Canopy],
+    tokens_a: dict[str, frozenset[str]],
+    tokens_b: dict[str, frozenset[str]],
+    t: float,
+) -> set[tuple[str, str]]:
+    """Pairs sharing a canopy that may have Jaccard >= t > 0, by prefix and
+    length filtering: inside each canopy the right records are indexed by
+    their prefix tokens (rare first, ties by the token; an empty title's
+    prefix is the non-token ""), and each left record probes its own."""
+    freq = Counter(tok for side in (tokens_a, tokens_b) for toks in side.values() for tok in toks)
+    rank = {tok: i for i, tok in enumerate(sorted(freq, key=lambda tok: (freq[tok], tok)))}
+
+    def prefixes(tokens: dict[str, frozenset[str]]) -> dict[str, tuple[int, int, list[str]]]:
+        out = {}
+        for rid, toks in tokens.items():
+            need = _min_overlap(t, len(toks))
+            prefix = sorted(toks, key=rank.__getitem__)[: max(0, len(toks) - need + 1)] if toks else [""]
+            out[rid] = (len(toks), need, prefix)
+        return out
+
+    left_info, right_info = prefixes(tokens_a), prefixes(tokens_b)
+    pairs: set[tuple[str, str]] = set()
+    for canopy in canopies:
+        index: dict[str, list[str]] = defaultdict(list)
+        for right in canopy.right_members:
+            for tok in right_info[right][2]:
+                index[tok].append(right)
+        for left in canopy.left_members:
+            size, need, prefix = left_info[left]
+            for tok in prefix:
+                for right in index.get(tok, ()):
+                    right_size, right_need, _ = right_info[right]
+                    if need <= right_size and right_need <= size:
+                        pairs.add((left, right))
+    return pairs
+
+
+def linkage_candidates_loop(a: Corpus, b: Corpus, t: float) -> dict[tuple[str, str], float]:
+    """Jaccard of each (left id, right id) candidate pair, in pair order: the
+    prefix-filtered canopy pairs for t > 0, every canopy pair otherwise."""
+    tokens_a = {r.record_id: tokenize_title(r.title) for r in a.records}
+    tokens_b = {r.record_id: tokenize_title(r.title) for r in b.records}
+    canopies = canopy_partition(a, b)
+    if t > 0:
+        pairs = prefix_candidates_loop(canopies, tokens_a, tokens_b, t)
+    else:
+        pairs = {(left, right) for c in canopies for left in c.left_members for right in c.right_members}
+    return {pair: jaccard_title_similarity(tokens_a[pair[0]], tokens_b[pair[1]]) for pair in sorted(pairs)}
 
 
 def random_reference_corpus(seed: int, records: int = 60) -> Corpus:

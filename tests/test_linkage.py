@@ -18,7 +18,6 @@ from venuenet.linkage import (
     SW_BAND,
     MatchPair,
     attach_references,
-    canopy_partition,
     jaccard_title_similarity,
     link_corpora,
     smith_waterman_similarities,
@@ -325,36 +324,41 @@ class TestBatchKernel:
         assert self.traced_peak(iter(pairs)) <= 5e6
 
 
+def blocked_pairs(a, b, jaccard_min=0.0):
+    """The (left id, right id) candidate pairs of `linkage._candidates`, in
+    its order, and the funnel's canopy pair count."""
+    funnel = {}
+    left, right, _ = linkage._candidates(a, b, jaccard_min, funnel)
+    ids = [(a.records[i].record_id, b.records[j].record_id) for i, j in zip(left.tolist(), right.tolist())]
+    return ids, funnel["canopy_pairs"]
+
+
 class TestCanopies:
     def test_shared_last_name(self):
         a = make_corpus([("a1", "Paper one", ["Michael Ley"])], "metadata-corpus")
         b = make_corpus([("b1", "Paper two", ["M. Ley"])], "citation-corpus")
-        canopies = canopy_partition(a, b)
-        assert len(canopies) == 1
-        assert canopies[0].key == "ley"
-        assert canopies[0].left_members == ["a1"]
-        assert canopies[0].right_members == ["b1"]
+        assert blocked_pairs(a, b) == ([("a1", "b1")], 1)
 
     def test_record_in_multiple_canopies(self):
         a = make_corpus([("a1", "Joint work", ["Michael Ley", "Ralf Klamma"])], "metadata-corpus")
         b = make_corpus(
-            [("b1", "On Ley things", ["M. Ley"]), ("b2", "On Klamma things", ["R. Klamma"])],
+            [("b1", "On Ley things", ["M. Ley"]), ("b2", "On Klamma things", ["R. Klamma"]),
+             ("b3", "Joint work", ["R. Klamma", "M. Ley"])],
             "citation-corpus",
         )
-        canopies = {c.key: c for c in canopy_partition(a, b)}
-        assert set(canopies) == {"ley", "klamma"}
-        assert canopies["ley"].left_members == ["a1"]
-        assert canopies["klamma"].left_members == ["a1"]
+        # b3 shares both keys: one candidate, two canopy pairs
+        assert blocked_pairs(a, b) == ([("a1", "b1"), ("a1", "b2"), ("a1", "b3")], 4)
 
     def test_disjoint_names_no_canopies(self):
         a = make_corpus([("a1", "X", ["Alice Aa"])], "metadata-corpus")
         b = make_corpus([("b1", "X", ["Bob Bb"])], "citation-corpus")
-        assert canopy_partition(a, b) == []
+        assert blocked_pairs(a, b) == ([], 0)
+        assert blocked_pairs(a, b, 0.5) == ([], 0)
 
     def test_no_author_records_unmatchable(self):
         a = make_corpus([("a1", "X", [])], "metadata-corpus")
         b = make_corpus([("b1", "X", ["Bob Bb"])], "citation-corpus")
-        assert canopy_partition(a, b) == []
+        assert blocked_pairs(a, b) == ([], 0)
         assert unmatchable_records(a) == ["a1"]
         assert unmatchable_records(b) == []
 

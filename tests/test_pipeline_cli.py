@@ -261,6 +261,7 @@ class TestRunReport:
             assert stage["wall_s"] >= 0 and stage["cpu_s"] >= 0
             assert stage["peak_rss_mb"] is None or stage["peak_rss_mb"] > 0
         assert report["warnings"] == manifest.warnings and len(report["warnings"]) == 1  # PageRank stopped early
+        assert report["linkage"] == {}  # one corpus: nothing linked
         # the report is not an artifact: the manifest neither hashes nor names it
         assert "run_report.json" not in (out_dir / "manifest.json").read_text()
 
@@ -282,6 +283,31 @@ class TestRunReport:
         assert expected["citation"]["references"] > expected["citation"]["distinct_targets"] > 0
         for path in (out_dir / "manifest.json", out_dir / "validation_metadata.json"):
             assert "distinct_targets" not in path.read_text()
+
+    def test_report_counts_the_linkage_funnel(self, tmp_path, planted, monkeypatch):
+        corpus, _ = planted
+        meta, cite = split_for_linkage(corpus)
+        save_corpus(meta, tmp_path / "meta.jsonl")
+        save_corpus(cite, tmp_path / "cite.jsonl")
+        cfg = fixture_config(tmp_path, tmp_path / "meta.jsonl", citation_corpus=str(tmp_path / "cite.jsonl"))
+        link, tables = pipeline._STAGE_FUNCS["link"], []
+
+        def watched_link(run):
+            tables.append((run.cite._targets, run.cite._distinct))
+            link(run)
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "link", watched_link)
+        run_pipeline(cfg)
+        out_dir = Path(cfg.out_dir)
+        funnel = json.loads((out_dir / "run_report.json").read_text())["linkage"]
+        steps = ["canopy_pairs", "candidates", "jaccard_survivors", "sw_confirmed", "matches"]
+        assert list(funnel) == sorted(steps)
+        counts = [funnel[step] for step in steps]
+        assert counts == sorted(counts, reverse=True) and counts[-1] > 0
+        assert counts[-1] == len((out_dir / "matches.tsv").read_text().splitlines()) - 1
+        assert "canopy_pairs" not in (out_dir / "manifest.json").read_text()
+        # nothing indexes the citation corpus's references: its parse tables are gone after ingest
+        assert tables == [(None, None)]
 
     def test_verbose_prints_each_stage_and_leaves_manifest_alone(self, tmp_path, planted):
         corpus, _ = planted
@@ -702,7 +728,10 @@ class TestCli:
         assert frozen[0] > 0  # the parsed corpus, frozen after ingest
         assert gc.get_freeze_count() == 0
 
-    def test_ingest_runs_no_collection(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _collections_during(stage, cfg, monkeypatch):
+        """The generations of the collections that start from `stage` until
+        the next stage begins, where the run stops."""
         import gc
 
         collections = []
@@ -711,21 +740,18 @@ class TestCli:
             if phase == "start":
                 collections.append(info["generation"])
 
-        ingest = pipeline._STAGE_FUNCS["ingest"]
+        func, after = pipeline._STAGE_FUNCS[stage], STAGES[STAGES.index(stage) + 1]
 
-        def watched_ingest(run):
+        def watched(run):
             gc.callbacks.append(hook)
-            ingest(run)
+            func(run)
 
-        def link(run):  # the window ends here: a collection set off by ingest comes before the next stage
+        def stop(run):  # the window ends here: a collection set off by `stage` comes before the next stage
             gc.callbacks.remove(hook)
             raise RuntimeError("stop")
 
-        monkeypatch.setitem(pipeline._STAGE_FUNCS, "ingest", watched_ingest)
-        monkeypatch.setitem(pipeline._STAGE_FUNCS, "link", link)
-        corpus = tmp_path / "c.jsonl"
-        save_corpus(scale_corpus(venues=20, papers_per_venue=20, seed=3), corpus)
-        cfg = PipelineConfig(metadata_corpus=str(corpus), out_dir=str(tmp_path / "out"))
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, watched)
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, after, stop)
         was = gc.isenabled()
         gc.enable()
         try:
@@ -736,8 +762,22 @@ class TestCli:
                 gc.callbacks.remove(hook)
             if not was:
                 gc.disable()
-        assert info.value.stage == "link"
-        assert collections == []
+        assert info.value.stage == after
+        return collections
+
+    def test_ingest_runs_no_collection(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "c.jsonl"
+        save_corpus(scale_corpus(venues=20, papers_per_venue=20, seed=3), corpus)
+        cfg = PipelineConfig(metadata_corpus=str(corpus), out_dir=str(tmp_path / "out"))
+        assert self._collections_during("ingest", cfg, monkeypatch) == []
+
+    def test_link_runs_no_collection(self, tmp_path, monkeypatch):
+        meta, cite = split_for_linkage(scale_corpus(venues=20, papers_per_venue=20, seed=3))
+        save_corpus(meta, tmp_path / "meta.jsonl")
+        save_corpus(cite, tmp_path / "cite.jsonl")
+        cfg = PipelineConfig(metadata_corpus=str(tmp_path / "meta.jsonl"), citation_corpus=str(tmp_path / "cite.jsonl"),
+                             out_dir=str(tmp_path / "out"))
+        assert self._collections_during("link", cfg, monkeypatch) == []
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):

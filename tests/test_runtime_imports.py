@@ -2,10 +2,16 @@
 else (scipy, networkx, hypothesis, ...) may serve only tests and benchmarks."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import venuenet
+from venuenet.corpus import save_corpus
+from venuenet.pipeline import PipelineConfig
+from venuenet.synth import scale_corpus, split_for_linkage
 
 RUNTIME_PACKAGES = {"click", "numpy", "venuenet"}
 
@@ -25,6 +31,39 @@ def test_modules_import_only_stdlib_click_and_numpy():
                 continue
             found += [(path.name, name) for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def _write_dblp(corpus, path: Path) -> None:
+    key = {r.record_id: f"journals/{r.venue_key}/{r.record_id}" for r in corpus.records}
+    parts = ["<dblp>"]
+    for r in corpus.records:
+        authors = "".join(f"<author>{escape(a.full_name)}</author>" for a in r.authors)
+        cites = "".join(f"<cite>{escape(key.get(t, t))}</cite>" for t in r.references)
+        parts.append(f"<article key={quoteattr(key[r.record_id])}>{authors}<title>{escape(r.title)}</title>"
+                     f"<year>{r.year}</year>{cites}</article>")
+    path.write_text("".join(parts + ["</dblp>"]), encoding="utf-8")
+
+
+def test_run_does_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs about 10 ms to import; no stage needs it (np.union1d
+    and np.unique without return arguments import it under numpy 2.4)."""
+    corpus = scale_corpus(venues=12, papers_per_venue=10, seed=5)
+    save_corpus(corpus, tmp_path / "corpus.jsonl")
+    meta, cite = split_for_linkage(corpus)
+    _write_dblp(meta, tmp_path / "meta.xml")
+    _write_dblp(cite, tmp_path / "cite.xml")
+    dblp = PipelineConfig(metadata_corpus=str(tmp_path / "meta.xml"), citation_corpus=str(tmp_path / "cite.xml"),
+                          corpus_format="dblp-xml", slice_years=(1995,), out_dir=str(tmp_path / "out-dblp"))
+    dblp.save(tmp_path / "dblp.cfg")
+    script = "import sys\nfrom venuenet.cli import main\nmain(sys.argv[1:], standalone_mode=False)\nprint(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    src = str(Path(venuenet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+    for args in (["--corpus", str(tmp_path / "corpus.jsonl"), "--out-dir", str(tmp_path / "out-jsonl")],
+                 ["--config", str(tmp_path / "dblp.cfg")]):
+        done = subprocess.run([sys.executable, "-c", script, "run", *args], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "pipeline complete" in done.stdout
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 def _calls_and_imports(path: Path) -> tuple[set[str], set[str]]:
