@@ -509,11 +509,6 @@ def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
         )
 
 
-def serialize_corpus(corpus: Corpus) -> bytes:
-    """Canonical JSONL serialization; parse(serialize(c)) == c."""
-    return "".join(_jsonl_lines(corpus)).encode("utf-8")
-
-
 # What a record id or venue key cannot hold (compiled on first use): C0 controls
 # break TSV rows, U+0085, U+2028 and U+2029 end a line for `str.splitlines`, and
 # XML 1.0 has no lone surrogates, U+FFFE or U+FFFF.
@@ -555,7 +550,8 @@ def load_corpus(path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    """serialize_corpus(corpus), streamed to `path` a line at a time."""
+    """Canonical JSONL of `corpus`, streamed to `path` a line at a time;
+    parsing the file gives `corpus` back."""
     with open(path, "w", encoding="utf-8", newline="") as fh:  # the lines are ASCII
         fh.writelines(_jsonl_lines(corpus))
 

@@ -23,9 +23,10 @@ from .corpus import Corpus, PublicationRecord
 
 DEFAULT_JACCARD_MIN = 0.5
 DEFAULT_SW_MIN = 0.9
-DEFAULT_SW_MATCH = 2
-DEFAULT_SW_MISMATCH = -1
-DEFAULT_SW_GAP = -1
+# The one Smith-Waterman scoring: match +2, mismatch -1, gap -1.
+SW_MATCH = 2
+SW_MISMATCH = -1
+SW_GAP = -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,9 +61,6 @@ SW_BAND = 2
 # Pairs scored per batch: enough to spread numpy's per-row cost, few enough
 # that a batch of 60-character titles holds about 4 MB.
 SW_CHUNK = 4096
-# Minus infinity for the left-gap scan: cells off the table must not feed it
-# (with gap > 0 not even as 0).
-_OFF_TABLE = -(1 << 40)
 
 
 def _code_columns(strings: list[str], starts: list[int], height: int) -> np.ndarray:
@@ -74,9 +72,7 @@ def _code_columns(strings: list[str], starts: list[int], height: int) -> np.ndar
     return codes.reshape(len(strings), height).T.copy()
 
 
-def _banded_sw_best(
-    s1s: list[str], s2s: list[str], w: np.ndarray, match: int, mismatch: int, gap: int
-) -> np.ndarray:
+def _banded_sw_best(s1s: list[str], s2s: list[str], w: np.ndarray) -> np.ndarray:
     """Best local alignment score of each pair (s1s[p], s2s[p]) over the
     cells -w[p] <= i - j <= (n1 - n2) + w[p] of its (n1 + 1) x (n2 + 1)
     table, n1 = len(s1) >= n2 = len(s2) >= 1; cells outside the band read
@@ -91,15 +87,11 @@ def _banded_sw_best(
     cuts = np.flatnonzero(np.diff(band_exp[order]) | np.diff(rows_exp[order])) + 1
     best = np.empty(len(s1s), np.int64)
     for batch in np.split(order, cuts):
-        best[batch] = _banded_sw_batch(
-            [s1s[k] for k in batch], [s2s[k] for k in batch], n1[batch], n2[batch], w[batch], match, mismatch, gap
-        )
+        best[batch] = _banded_sw_batch([s1s[k] for k in batch], [s2s[k] for k in batch], n1[batch], n2[batch], w[batch])
     return best
 
 
-def _banded_sw_batch(
-    s1s: list[str], s2s: list[str], n1: np.ndarray, n2: np.ndarray, w: np.ndarray, match: int, mismatch: int, gap: int
-) -> np.ndarray:
+def _banded_sw_batch(s1s: list[str], s2s: list[str], n1: np.ndarray, n2: np.ndarray, w: np.ndarray) -> np.ndarray:
     """`_banded_sw_best` of one batch whose pairs come longest s1 first; n1
     and n2 are their lengths.
 
@@ -122,107 +114,89 @@ def _banded_sw_batch(
     off_table = (k < off) | (k >= off + n2)
     live = np.searchsorted(-n1, -np.arange(rows), side="left")
     off_band = np.arange(width)[:, None] >= band
-    ramp = np.arange(width)[:, None] * gap
+    ramp = np.arange(width)[:, None] * SW_GAP
     # the row above, overwritten in place by each new row; its row `width`
     # stays 0, the cell above a band's end
     above = np.zeros((width + 1, count), np.int64)
     up, step = np.empty((2, width, count), np.int64)
-    outside = np.empty((width, count), bool)
     best = np.zeros(count, np.int64)
     for r, p in enumerate(live.tolist()):
         score = above[:width, :p]
-        np.add(above[1:, :p], gap, out=up[:, :p])
+        np.add(above[1:, :p], SW_GAP, out=up[:, :p])
         np.equal(s2_codes[r : r + width, :p], s1_codes[r, :p], out=step[:, :p])
-        step[:, :p] *= match - mismatch
+        step[:, :p] *= SW_MATCH - SW_MISMATCH
         score += step[:, :p]
-        score += mismatch
+        score += SW_MISMATCH
         np.maximum(score, up[:, :p], out=score)
         np.maximum(score, 0, out=score)
         # the left neighbour: score[d] = max(score[d], score[d - 1] + gap)
-        # unrolls to d * gap + max(score[k] - k * gap for k <= d)
-        row_off_table = off_table[r : r + width, :p]
-        np.copyto(score, _OFF_TABLE, where=row_off_table)
+        # unrolls to d * gap + max(score[k] - k * gap for k <= d). Cells off
+        # the table count as 0: with gap < 0 they feed no cell of the table,
+        # and no cell of the table reads one past its end in the next row.
+        np.copyto(score, 0, where=off_table[r : r + width, :p])
         score -= ramp
         np.maximum.accumulate(score, axis=0, out=score)
         score += ramp
-        np.logical_or(row_off_table, off_band[:, :p], out=outside[:, :p])
-        np.copyto(score, 0, where=outside[:, :p])
+        np.copyto(score, 0, where=off_band[:, :p])
         np.maximum(best[:p], score.max(axis=0), out=best[:p])
     return best
 
 
-def smith_waterman_similarities(
-    pairs: Iterable[tuple[str, str]],
-    match: int = DEFAULT_SW_MATCH,
-    mismatch: int = DEFAULT_SW_MISMATCH,
-    gap: int = DEFAULT_SW_GAP,
-) -> list[float]:
+def smith_waterman_similarities(pairs: Iterable[tuple[str, str]]) -> list[float]:
     """`smith_waterman_similarity` of every pair, scored in batches of
     SW_CHUNK pairs, so the working set follows one batch, not the input."""
     pairs = iter(pairs)
     scores: list[float] = []
     while chunk := list(islice(pairs, SW_CHUNK)):
-        scores += _similarities(chunk, match, mismatch, gap)
+        scores += _similarities(chunk)
     return scores
 
 
-def _similarities(pairs: list[tuple[str, str]], match: int, mismatch: int, gap: int) -> list[float]:
+def _similarities(pairs: list[tuple[str, str]]) -> list[float]:
     """`smith_waterman_similarities` of one batch."""
     scores = [0.0] * len(pairs)
-    banded = match > 0 and gap <= 0 and mismatch <= match
     todo, longer, shorter = [], [], []
     for k, (s1, s2) in enumerate(pairs):
         if not s1 or not s2:
             continue
+        if s1 == s2:
+            scores[k] = 1.0
+            continue
         # the table's rows run along the longer string
         if len(s2) > len(s1):
             s1, s2 = s2, s1
-        if banded and s1 == s2:
-            scores[k] = 1.0
-            continue
         todo.append(k)
         longer.append(s1)
         shorter.append(s2)
     if not todo:
         return scores
     n2 = np.fromiter(map(len, shorter), np.int64, len(shorter))
-    if not banded:
-        best = _banded_sw_best(longer, shorter, n2, match, mismatch, gap)
-    else:
-        best = _banded_sw_best(longer, shorter, np.full_like(n2, SW_BAND), match, mismatch, gap)
-        redo = np.flatnonzero(best <= match * (n2 - SW_BAND - 1))
-        if redo.size:
-            best[redo] = _banded_sw_best(
-                [longer[k] for k in redo], [shorter[k] for k in redo],
-                n2[redo] - best[redo] // match, match, mismatch, gap,
-            )
+    best = _banded_sw_best(longer, shorter, np.full_like(n2, SW_BAND))
+    redo = np.flatnonzero(best <= SW_MATCH * (n2 - SW_BAND - 1))
+    if redo.size:
+        best[redo] = _banded_sw_best(
+            [longer[k] for k in redo], [shorter[k] for k in redo], n2[redo] - best[redo] // SW_MATCH
+        )
     for k, b, n in zip(todo, best.tolist(), n2.tolist()):
-        scores[k] = b / (match * n)
+        scores[k] = b / (SW_MATCH * n)
     return scores
 
 
-def smith_waterman_similarity(
-    s1: str,
-    s2: str,
-    match: int = DEFAULT_SW_MATCH,
-    mismatch: int = DEFAULT_SW_MISMATCH,
-    gap: int = DEFAULT_SW_GAP,
-) -> float:
+def smith_waterman_similarity(s1: str, s2: str) -> float:
     """Best local alignment score normalized by the maximum achievable score,
-    match * min(len(s1), len(s2)). Empty operands score 0.
+    SW_MATCH * min(len(s1), len(s2)). Empty operands score 0.
 
-    The score is exact. With match > 0, mismatch <= match and gap <= 0, an
-    alignment scores at most match per diagonal step, and one that leaves the
-    band of half-width w makes at most n2 - w - 1 of them. So a banded best B
-    above match * (n2 - w - 1) is the table's best; otherwise one more pass
-    with w = n2 - B // match certifies itself. Other scores fill the full table
-    (w = n2).
+    The score is exact. An alignment scores at most SW_MATCH per diagonal
+    step, and one that leaves the band of half-width w makes at most
+    n2 - w - 1 of them. So a banded best B above SW_MATCH * (n2 - w - 1) is
+    the table's best; otherwise one more pass with w = n2 - B // SW_MATCH
+    certifies itself.
 
     A call is a batch of one pair and pays the batch's fixed numpy cost for
     every table row (1 to 2 ms for a 60-character pair); score many
     pairs with one call of `smith_waterman_similarities`.
     """
-    return smith_waterman_similarities([(s1, s2)], match, mismatch, gap)[0]
+    return smith_waterman_similarities([(s1, s2)])[0]
 
 
 def unmatchable_records(corpus: Corpus) -> list[str]:
@@ -376,9 +350,6 @@ def link_corpora(
     b: Corpus,
     jaccard_min: float = DEFAULT_JACCARD_MIN,
     sw_min: float = DEFAULT_SW_MIN,
-    sw_match: int = DEFAULT_SW_MATCH,
-    sw_mismatch: int = DEFAULT_SW_MISMATCH,
-    sw_gap: int = DEFAULT_SW_GAP,
     funnel: dict | None = None,
 ) -> list[MatchPair]:
     """Match records of corpus a (left) to corpus b (right).
@@ -397,8 +368,7 @@ def link_corpora(
     passed = ~(jaccards < jaccard_min)  # a NaN gate lets every pair through
     survivors = list(zip(pair_left[passed].tolist(), pair_right[passed].tolist()))
     scores = smith_waterman_similarities(
-        ((_comparison_title(a.records[left].title), _comparison_title(b.records[right].title)) for left, right in survivors),
-        sw_match, sw_mismatch, sw_gap,
+        (_comparison_title(a.records[left].title), _comparison_title(b.records[right].title)) for left, right in survivors
     )
 
     best: dict[str, MatchPair] = {}

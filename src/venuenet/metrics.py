@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 import operator
 from dataclasses import dataclass
 
@@ -438,9 +439,18 @@ def write_metric_tsv(vector: MetricVector, path) -> None:
             fh.write(f"{node}\t{value!r}\n")
 
 
+def finite_float(text: str) -> float:
+    """float(text), refusing NaN and the infinities with ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def read_metric_tsv(path, metric: str) -> dict[str, float]:
     """Per-node values of a file written by write_metric_tsv for `metric`.
-    A wrong header or a malformed row raises ValueError naming its line."""
+    A wrong header or a malformed row (a non-finite value among them) raises
+    ValueError naming its line."""
     values: dict[str, float] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -451,7 +461,7 @@ def read_metric_tsv(path, metric: str) -> dict[str, float]:
             try:
                 if len(fields) != 2 or not fields[0]:
                     raise ValueError
-                values[fields[0]] = float(fields[1])
+                values[fields[0]] = finite_float(fields[1])
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected 'node<TAB>value', got {line!r}") from None
+                raise ValueError(f"{path}: line {lineno}: expected 'node<TAB>finite value', got {line!r}") from None
     return values

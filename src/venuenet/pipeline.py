@@ -141,6 +141,7 @@ class PipelineConfig:
     @classmethod
     def from_text(cls, text: str) -> "PipelineConfig":
         values: dict[str, str] = {}
+        line_of: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -148,7 +149,11 @@ class PipelineConfig:
             if "=" not in line:
                 raise ConfigError(f"config line {lineno} is not 'key = value': {raw!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in line_of:
+                raise ConfigError(f"config key {key!r} on line {lineno} repeats line {line_of[key]}")
+            line_of[key] = lineno
+            values[key] = value.strip()
         schema = values.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
             raise ConfigError(f"unsupported config schema {schema!r}")
@@ -279,6 +284,7 @@ class _Run:
         self.cfg = cfg
         self.out_dir = Path(cfg.out_dir)
         self.manifest = RunManifest(config=cfg.to_dict())
+        # the parsed corpora, released by the link stage
         self.meta: Corpus | None = None
         self.cite: Corpus | None = None
         self.linked: Corpus | None = None
@@ -345,6 +351,8 @@ def _stage_link(run: _Run) -> None:
             run.meta, run.cite, jaccard_min=cfg.jaccard_min, sw_min=cfg.sw_min, funnel=run.manifest.linkage
         )
         run.linked = linkage.attach_references(run.meta, run.cite, matches)
+    # no later stage reads the parsed corpora, only the linked one
+    run.meta = run.cite = None
     path = run.out_dir / "matches.tsv"
     linkage.write_matches(matches, path)
     run.record("link", path)
@@ -494,9 +502,9 @@ _STAGE_FUNCS = {
 
 def _frozen_after(func, run: _Run) -> None:
     """func(run) with the cyclic collector paused, and every object alive
-    after it frozen before the collector resumes. The corpora (parsed, and
-    linked) hold no cycles and live to the end of the run; unfrozen, the first
-    collection after the resume would walk every record."""
+    after it frozen before the collector resumes. The corpora hold no cycles,
+    and the one left after link lives to the end of the run; unfrozen, the
+    first collection after the resume would walk every record."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -322,11 +322,14 @@ def write_profiles(rows: dict[str, list[ProfileRow]], path) -> None:
 
 
 def read_profiles(path) -> dict[str, list[ProfileRow]]:
+    """The rows of a file written by write_profiles. A wrong header or a
+    malformed row (a non-finite metric or PageRank among them) raises
+    ValueError naming its line."""
     rows: dict[str, list[ProfileRow]] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip() != PROFILES_HEADER:
-            raise ValueError(f"unexpected profiles header: {header!r}")
+            raise ValueError(f"{path}: line 1: unexpected profiles header: {header!r}")
         width = PROFILES_HEADER.count("\t") + 1
         for lineno, line in enumerate(fh, start=2):
             fields = line.rstrip("\n").split("\t")
@@ -335,14 +338,14 @@ def read_profiles(path) -> dict[str, list[ProfileRow]]:
             venue, kind, family = fields[0], fields[1], fields[2]
             try:
                 profile = SubgraphProfile(
-                    m1_density=float(fields[3]),
-                    m2_avg_clustering=float(fields[4]),
-                    m3_max_betweenness=float(fields[5]),
-                    m4_lcc_fraction=float(fields[6]),
+                    m1_density=metrics.finite_float(fields[3]),
+                    m2_avg_clustering=metrics.finite_float(fields[4]),
+                    m3_max_betweenness=metrics.finite_float(fields[5]),
+                    m4_lcc_fraction=metrics.finite_float(fields[6]),
                     node_count=int(fields[7]),
                     edge_count=int(fields[8]),
                 )
-                rank = float(fields[10]) if fields[10] else None
+                rank = metrics.finite_float(fields[10]) if fields[10] else None
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             rows.setdefault(family, []).append(

@@ -2,18 +2,27 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from venuenet.corpus import parse_jsonl
+from venuenet.corpus import parse_jsonl, save_corpus
 
 
 def corpus_from_lines(*lines: str, source: str = "metadata-corpus"):
     data = "\n".join(lines).encode("utf-8")
     return parse_jsonl(io.BytesIO(data), source=source)
+
+
+def saved_bytes(corpus) -> bytes:
+    """The canonical JSONL that `save_corpus` writes for `corpus`."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "corpus.jsonl"
+        save_corpus(corpus, path)
+        return path.read_bytes()
 
 
 @pytest.fixture

@@ -82,7 +82,7 @@ def sw_score_matrix(s1: str, s2: str, match: int = 2, mismatch: int = -1, gap: i
     return best / (match * min(n, m))
 
 
-def banded_sw_best_loop(s1: str, s2: str, w: int, match: int, mismatch: int, gap: int) -> int:
+def banded_sw_best_loop(s1: str, s2: str, w: int, match: int = 2, mismatch: int = -1, gap: int = -1) -> int:
     """Best local alignment score over the cells -w <= i - j <= (n1 - n2) + w
     of the (n1 + 1) x (n2 + 1) table, n1 = len(s1) >= n2 = len(s2); cells
     outside the band read as 0. One row updated in place, one cell at a time,
@@ -956,9 +956,9 @@ AWKWARD_CHARS = '"\\/\x00\x01\x1f\x7f\t\n\r\x08\x0c \xe9\xdf\u2028\u4e2d\U0001f6
 
 
 def random_jsonl_corpus(seed: int, records: int = 40) -> Corpus:
-    """Seeded corpus for which `parse_jsonl(serialize_corpus(c)) == c`
-    should hold: every string field mixes AWKWARD_CHARS, some records have
-    no venue or no year, and every record's venue is in the venue table."""
+    """Seeded corpus that should read back equal from the file `save_corpus`
+    writes: every string field mixes AWKWARD_CHARS, some records have no
+    venue or no year, and every record's venue is in the venue table."""
     rng = random.Random(seed)
 
     def text(min_size: int = 0) -> str:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import corpus_from_lines
+from conftest import corpus_from_lines, saved_bytes
 from oracles import (
     check_names_per_record,
     random_jsonl_corpus,
@@ -29,8 +29,6 @@ from venuenet.corpus import (
     normalize_reference_key,
     parse_dblp_xml,
     parse_jsonl,
-    save_corpus,
-    serialize_corpus,
     slice_by_year,
     validate_corpus,
 )
@@ -312,10 +310,10 @@ class TestParseJsonl:
 
 class TestRoundTrip:
     def test_parse_serialize_parse_identical(self, small_corpus):
-        data = serialize_corpus(small_corpus)
+        data = saved_bytes(small_corpus)
         again = parse_jsonl(io.BytesIO(data))
         assert again == small_corpus
-        assert serialize_corpus(again) == data
+        assert saved_bytes(again) == data
 
     def test_round_trip_with_unicode_and_missing_fields(self):
         corpus = corpus_from_lines(
@@ -323,35 +321,33 @@ class TestRoundTrip:
             '{"id": "p1", "title": "Über Graphen", "authors": ["José Peña"], "refs": ["raw citation: Newman 2004"]}',
             '{"id": "p2", "title": "", "authors": [], "venue": "v9", "year": 2001, "refs": []}',
         )
-        again = parse_jsonl(io.BytesIO(serialize_corpus(corpus)))
+        again = parse_jsonl(io.BytesIO(saved_bytes(corpus)))
         assert again == corpus
 
 
 class TestCanonicalWriter:
     """The direct writer against `json.dumps(..., sort_keys=True)` per line."""
 
-    def _check(self, corpus: Corpus, tmp_path) -> None:
-        data = serialize_corpus(corpus)
+    def _check(self, corpus: Corpus) -> None:
+        data = saved_bytes(corpus)
         assert data == serialize_corpus_dumps(corpus)
-        save_corpus(corpus, tmp_path / "c.jsonl")
-        assert (tmp_path / "c.jsonl").read_bytes() == data
         assert parse_jsonl(io.BytesIO(data)) == corpus
 
-    def test_awkward_strings_and_absent_fields(self, tmp_path):
+    def test_awkward_strings_and_absent_fields(self):
         for seed in range(60):
-            self._check(random_jsonl_corpus(seed), tmp_path)
+            self._check(random_jsonl_corpus(seed))
 
-    def test_workload_corpora(self, tmp_path):
-        self._check(scale_corpus(150, 100, seed=1), tmp_path)
-        self._check(scale_corpus(800, 10, seed=1), tmp_path)
+    def test_workload_corpora(self):
+        self._check(scale_corpus(150, 100, seed=1))
+        self._check(scale_corpus(800, 10, seed=1))
         meta, cite = split_for_linkage(scale_corpus(60, 50, seed=1))
-        self._check(meta, tmp_path)
+        self._check(meta)
         # as read from a DBLP file, the citation side names its venues too
-        self._check(Corpus(cite.records, dict(meta.venue_table), cite.source), tmp_path)
+        self._check(Corpus(cite.records, dict(meta.venue_table), cite.source))
 
-    def test_empty_corpus(self, tmp_path):
-        self._check(Corpus(records=[], venue_table={}), tmp_path)
-        assert serialize_corpus(Corpus(records=[], venue_table={})) == b'{"source": "metadata-corpus"}\n'
+    def test_empty_corpus(self):
+        self._check(Corpus(records=[], venue_table={}))
+        assert saved_bytes(Corpus(records=[], venue_table={})) == b'{"source": "metadata-corpus"}\n'
 
 
 DBLP_SAMPLE = b"""<?xml version="1.0" encoding="UTF-8"?>
@@ -523,9 +519,9 @@ class TestValidation:
         assert report.no_author_count == 1
 
     def test_validation_does_not_mutate(self, small_corpus):
-        before = serialize_corpus(small_corpus)
+        before = saved_bytes(small_corpus)
         validate_corpus(small_corpus)
-        assert serialize_corpus(small_corpus) == before
+        assert saved_bytes(small_corpus) == before
 
 
 class TestReferenceIndex:

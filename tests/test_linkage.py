@@ -16,6 +16,7 @@ from venuenet.exports import load_graph
 from venuenet.linkage import (
     DEFAULT_SW_MIN,
     SW_BAND,
+    SW_MATCH,
     MatchPair,
     attach_references,
     jaccard_title_similarity,
@@ -218,19 +219,6 @@ class TestSmithWaterman:
         for s1, s2 in cases:
             assert smith_waterman_similarity(s1, s2) == sw_score_matrix(s1, s2), (s1, s2)
 
-    def test_custom_scoring(self):
-        rng = random.Random(14)
-        pairs = [("graph theory", "graph teory"), ("abab", "abab"), ("ab", "ba")]
-        for _ in range(60):
-            s1 = random_text(rng, rng.randint(1, 30), "abc ")
-            pairs += [(s1, with_typos(s1, rng.randint(0, 4), rng)), (s1, random_text(rng, rng.randint(1, 30), "abc "))]
-        for scores in [(3, -2, -2), (1, 0, 0), (2, 5, -1), (2, -1, 1)]:
-            for s1, s2 in pairs:
-                assert smith_waterman_similarity(s1, s2, *scores) == sw_score_matrix(s1, s2, *scores), (s1, s2, scores)
-
-
-SCORE_SETTINGS = [(2, -1, -1), (3, -2, -2), (1, 0, 0), (2, 1, 0), (2, 5, -1), (2, -1, 1)]
-
 
 class TestBatchKernel:
     """The batched diagonal-row kernel against the one-cell-at-a-time loop."""
@@ -239,39 +227,34 @@ class TestBatchKernel:
     def oriented(pairs):
         return [(s1, s2) if len(s1) >= len(s2) else (s2, s1) for s1, s2 in pairs if s1 and s2]
 
-    def assert_equals_loop(self, pairs, widths, scores):
+    def assert_equals_loop(self, pairs, widths):
         s1s, s2s = (list(side) for side in zip(*pairs))
-        got = linkage._banded_sw_best(s1s, s2s, np.array(widths), *scores)
-        assert got.tolist() == [banded_sw_best_loop(s1, s2, w, *scores) for (s1, s2), w in zip(pairs, widths)]
+        got = linkage._banded_sw_best(s1s, s2s, np.array(widths))
+        assert got.tolist() == [banded_sw_best_loop(s1, s2, w) for (s1, s2), w in zip(pairs, widths)]
         return got
 
-    @pytest.mark.parametrize("scores", SCORE_SETTINGS)
-    def test_equals_loop_at_the_first_the_certified_and_the_full_band(self, scores):
+    def test_equals_loop_at_the_first_the_certified_and_the_full_band(self):
         rng = random.Random(41)
         pairs = near_duplicate_pairs(rng, 150)
         for _ in range(60):
             alphabet = rng.choice(("ab", "abc ", string.ascii_lowercase + " "))
             pairs.append((random_text(rng, rng.randint(1, 70), alphabet), random_text(rng, rng.randint(1, 70), alphabet)))
         pairs = self.oriented(pairs)
-        match = scores[0]
         n2 = [len(s2) for _, s2 in pairs]
-        first = self.assert_equals_loop(pairs, [SW_BAND] * len(pairs), scores)
-        # the second pass's width; settings outside the banded regime can make it negative
-        self.assert_equals_loop(pairs, [max(0, n - b // match) for n, b in zip(n2, first.tolist())], scores)
-        self.assert_equals_loop(pairs, n2, scores)
+        first = self.assert_equals_loop(pairs, [SW_BAND] * len(pairs))
+        self.assert_equals_loop(pairs, [n - b // SW_MATCH for n, b in zip(n2, first.tolist())])
+        self.assert_equals_loop(pairs, n2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_batches_and_bands_equal_loop(self, seed):
         rng = random.Random(seed)
-        scores = rng.choice(SCORE_SETTINGS)
         pairs = self.oriented(
             (random_text(rng, rng.randint(1, 40), "abcd "), random_text(rng, rng.randint(1, 40), "abcd "))
             for _ in range(rng.randint(1, 80))
         )
-        self.assert_equals_loop(pairs, [rng.randint(0, len(s2) + 2) for _, s2 in pairs], scores)
+        self.assert_equals_loop(pairs, [rng.randint(0, len(s2) + 2) for _, s2 in pairs])
 
-    @pytest.mark.parametrize("scores", SCORE_SETTINGS)
-    def test_pair_scores_the_same_alone_and_in_a_shuffled_batch(self, scores):
+    def test_pair_scores_the_same_alone_and_in_a_shuffled_batch(self):
         rng = random.Random(43)
         pairs = near_duplicate_pairs(rng, 40) + [
             ("", ""), ("", "data"), ("data", ""), ("same title", "same title"), ("x", "y"), ("a", "a"),
@@ -280,10 +263,10 @@ class TestBatchKernel:
         for _ in range(40):
             pairs.append((random_text(rng, rng.randint(0, 100), "abc "), random_text(rng, rng.randint(0, 12), "abc ")))
         rng.shuffle(pairs)
-        alone = [smith_waterman_similarity(s1, s2, *scores) for s1, s2 in pairs]
-        assert smith_waterman_similarities(pairs, *scores) == alone
-        assert alone == [sw_score_matrix(s1, s2, *scores) for s1, s2 in pairs]
-        assert smith_waterman_similarities([], *scores) == []
+        alone = [smith_waterman_similarity(s1, s2) for s1, s2 in pairs]
+        assert smith_waterman_similarities(pairs) == alone
+        assert alone == [sw_score_matrix(s1, s2) for s1, s2 in pairs]
+        assert smith_waterman_similarities([]) == []
 
     def test_code_points_of_surrogates_astral_characters_and_combining_marks(self):
         pairs = [

@@ -14,13 +14,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import saved_bytes
 from venuenet.corpus import (
     CORPUS_SOURCES,
     Corpus,
     normalize_reference_key,
     parse_dblp_xml,
     parse_jsonl,
-    serialize_corpus,
     slice_by_year,
 )
 from venuenet.linkage import MatchPair, attach_references
@@ -128,7 +128,7 @@ def assert_table_free_paths(parsed: Corpus) -> None:
     index as the loop does."""
     assert_index_is_the_loops(slice_by_year(parsed, 1995))
     meta, cite = split_for_linkage(parsed)
-    cite = parse_jsonl(io.BytesIO(serialize_corpus(cite)), source=cite.source)
+    cite = parse_jsonl(io.BytesIO(saved_bytes(cite)), source=cite.source)
     matches = [MatchPair(r.record_id, "cx-" + r.record_id, 1.0, 1.0) for r in meta.records[::2]]
     assert_index_is_the_loops(attach_references(meta, cite, matches))
 
@@ -177,7 +177,7 @@ def test_parse_retains_one_object_per_distinct_value():
     distinct targets) keeps alive: one string per distinct target, venue
     key and year, not one per occurrence (15.1 MB when each reference held
     its own string)."""
-    data = serialize_corpus(scale_corpus(150, 100, seed=1))
+    data = saved_bytes(scale_corpus(150, 100, seed=1))
     gc.collect()
     tracemalloc.start()
     try:

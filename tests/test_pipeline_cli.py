@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,20 @@ class TestConfig:
             assert result.exit_code == 1
             assert isinstance(result.exception, SystemExit)  # not an escaped traceback
             assert result.stderr.splitlines() == [f"error: config key {key!r} has invalid value {value!r}"]
+
+    def test_repeated_key_exits_1_naming_both_lines(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "p1", "title": "T"}\n')
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"schema = venuenet-config/1\nmetadata_corpus = {corpus}\ncosine_min = 0.2\n# 0.5?\n cosine_min=0.5\n")
+        message = "config key 'cosine_min' on line 5 repeats line 3"
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig.load(path)
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_validation_errors(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -290,13 +305,20 @@ class TestRunReport:
         save_corpus(meta, tmp_path / "meta.jsonl")
         save_corpus(cite, tmp_path / "cite.jsonl")
         cfg = fixture_config(tmp_path, tmp_path / "meta.jsonl", citation_corpus=str(tmp_path / "cite.jsonl"))
-        link, tables = pipeline._STAGE_FUNCS["link"], []
+        link, build = pipeline._STAGE_FUNCS["link"], pipeline._STAGE_FUNCS["build"]
+        tables, parsed, held = [], [], []
 
         def watched_link(run):
             tables.append((run.cite._targets, run.cite._distinct))
+            parsed.extend([weakref.ref(run.meta), weakref.ref(run.cite)])
             link(run)
 
+        def watched_build(run):
+            held.append((run.meta, run.cite, [corpus() for corpus in parsed], len(run.linked.records)))
+            build(run)
+
         monkeypatch.setitem(pipeline._STAGE_FUNCS, "link", watched_link)
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "build", watched_build)
         run_pipeline(cfg)
         out_dir = Path(cfg.out_dir)
         funnel = json.loads((out_dir / "run_report.json").read_text())["linkage"]
@@ -308,6 +330,8 @@ class TestRunReport:
         assert "canopy_pairs" not in (out_dir / "manifest.json").read_text()
         # nothing indexes the citation corpus's references: its parse tables are gone after ingest
         assert tables == [(None, None)]
+        # after link only the linked corpus is alive; the parsed two are freed
+        assert held == [(None, None, [None, None], len(meta.records))]
 
     def test_verbose_prints_each_stage_and_leaves_manifest_alone(self, tmp_path, planted):
         corpus, _ = planted
@@ -921,6 +945,8 @@ GRAPHML_HEAD = '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph ed
 GRAPHML_TAIL = "</graph></graphml>"
 PARTITION_OK = "venue_key\tcluster_id\nv1\tv1\n"
 MATRIX_OK = '{"venues": ["v1"], "vectors": {"v1": {"k": 1}}}'
+PROFILE_OK = "v1\tjournal\tcitation\t0.1\t0.2\t0.3\t0.4\t3\t2\tType1\t0.5\n"
+CORPUS_OK = '{"id": "p1", "title": "T", "venue": "v1"}\n'
 
 # (case, command, {file name: content}, the file and position the error must name)
 READER_CASES = [
@@ -966,6 +992,16 @@ READER_CASES = [
     ("graphml-long-holds-text", "export-graphml",
      {"g.graphml": GRAPHML_HEAD.replace("<graph ", '<key id="d0" for="node" attr.name="n" attr.type="long"/><graph ')
       + '<node id="a"><data key="d0">x</data></node>' + GRAPHML_TAIL}, "g.graphml", "node 'a'"),
+    ("profiles-wrong-header", "stats", {"p.tsv": "venue\tkind\n" + PROFILE_OK}, "p.tsv", "line 1"),
+    # a NaN or infinite value would silently empty a histogram bin or make a PageRank bin
+    ("profiles-nan-metric", "stats",
+     {"p.tsv": PROFILES_HEADER + "\n" + PROFILE_OK.replace("0.2", "nan")}, "p.tsv", "line 2: not a finite number: 'nan'"),
+    ("profiles-inf-pagerank", "stats",
+     {"p.tsv": PROFILES_HEADER + "\n" + PROFILE_OK + PROFILE_OK.replace("0.5", "inf")}, "p.tsv", "line 3: not a finite"),
+    ("pagerank-wrong-header", "subgraphs", {"c.jsonl": CORPUS_OK, "r.tsv": "node\tbetweenness\nv1\t0.5\n"}, "r.tsv", "line 1"),
+    ("pagerank-nan", "subgraphs", {"c.jsonl": CORPUS_OK, "r.tsv": "node\tpagerank\nv1\tnan\n"}, "r.tsv", "line 2"),
+    ("pagerank-inf", "subgraphs",
+     {"c.jsonl": CORPUS_OK, "r.tsv": "node\tpagerank\nv1\t0.5\nv2\t-Infinity\n"}, "r.tsv", "line 3"),
 ]
 READER_ARGS = {
     "threshold": ["threshold", "{g.tsv}", "--rule", "cosine", "--out", "{out.tsv}"],
@@ -973,6 +1009,8 @@ READER_ARGS = {
     "project": ["project", "--matrix", "{m.json}", "--partition", "{p.tsv}", "--out", "{out.tsv}"],
     "build": ["build", "{c.jsonl}", "--network", "citation", "--matches", "{m.tsv}", "--out", "{out.tsv}"],
     "export-graphml": ["export", "{g.graphml}", "--in-format", "graphml", "--format", "json", "--out", "{out.tsv}"],
+    "stats": ["stats", "--profiles", "{p.tsv}", "--out", "{out.tsv}", "--medians-out", "{medians.tsv}"],
+    "subgraphs": ["subgraphs", "{c.jsonl}", "--pagerank", "{r.tsv}", "--out", "{out.tsv}"],
 }
 
 

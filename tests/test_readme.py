@@ -1,0 +1,53 @@
+"""The README's Python API note and its Quickstart, run as written."""
+
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import venuenet
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def run_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """`python args` in a fresh interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_all_lists_the_documented_modules():
+    note = next(line for line in README.splitlines() if line.startswith("Python API:"))
+    assert venuenet.__all__ == sorted(set(re.findall(r"`venuenet\.(\w+)", note)))
+
+
+def test_import_loads_no_submodule(tmp_path):
+    script = (
+        "import sys\n"
+        "import venuenet\n"
+        "print(sorted(m for m in sys.modules if m.startswith('venuenet.')))\n"
+        "from venuenet import *\n"
+        "print(corpus.save_corpus.__module__, synth.__name__)\n"
+    )
+    lines = run_python(["-c", script], tmp_path).stdout.splitlines()
+    assert lines == ["[]", "venuenet.corpus venuenet.synth"]
+
+
+def test_quickstart_runs_as_written(tmp_path):
+    section = README.split("\n## Quickstart\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    script = re.search(r'^python3 -c "\n(.*?)^"$', block, re.S | re.M).group(1)
+    run_python(["-c", script], tmp_path)
+    assert (tmp_path / "fixture.jsonl").is_file()
+    command = next(line for line in block.splitlines() if line.startswith("venuenet run "))
+    done = run_python(["-m", "venuenet.cli", *shlex.split(command)[1:]], tmp_path)
+    assert "pipeline complete" in done.stdout
+    # the files the block's `cat` lines show
+    shown = [shlex.split(line)[1] for line in block.splitlines() if line.startswith("cat ")]
+    assert shown and all((tmp_path / name).stat().st_size > 0 for name in shown)

@@ -535,3 +535,22 @@ class TestReadProfilesErrors:
         with pytest.raises(ValueError) as exc:
             read_profiles(path)
         assert str(exc.value).startswith(f"{path}: line 3: ") and "'abc'" in str(exc.value)
+
+    @pytest.mark.parametrize("column", [3, 4, 5, 6, 10])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, column, value):
+        row = "v1\tjournal\tcitation\t0.1\t0.2\t0.3\t0.4\t3\t2\tType1\t0.5".split("\t")
+        bad = list(row)
+        bad[column] = value
+        path = tmp_path / "profiles.tsv"
+        path.write_text(PROFILES_HEADER + "\n" + "\t".join(row) + "\n" + "\t".join(bad) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_profiles(path)
+        assert str(exc.value) == f"{path}: line 3: not a finite number: {value!r}"
+
+    def test_wrong_header_names_file_and_line_1(self, tmp_path):
+        path = tmp_path / "profiles.tsv"
+        path.write_text("venue\tkind\n")
+        with pytest.raises(ValueError, match="line 1: unexpected profiles header") as exc:
+            read_profiles(path)
+        assert str(exc.value).startswith(f"{path}: line 1: ")
