@@ -230,7 +230,7 @@ def cluster(graph_path: str, out: str, unweighted: bool, domains_path: str | Non
     try:
         partition = community.greedy_modularity_partition(graph, weighted=not unweighted)
     except community.CommunityError as exc:
-        _fail_input(str(exc))
+        _fail_input(f"{graph_path}: {exc}")
     community.write_partition(partition, out)
     if composition_out:
         composition = community.cluster_domain_composition(partition, domains)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import networks
+from . import metrics, networks
 from .corpus import _UNCARRIED
 from .graph import VenueGraph, arc_tails
 from .networks import CouplingMatrix
@@ -77,11 +77,16 @@ def modularity(g: VenueGraph, assignment: dict[str, str], weighted: bool = True)
 
 def _edge_weights(g: VenueGraph, weighted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(tails, heads, weights) of each edge of `g` once, in row order, all
-    weights 1.0 unless `weighted`, and m, their sum from the left."""
+    weights 1.0 unless `weighted`, and m, their sum from the left. An m
+    whose 2m^2 passes the float range raises CommunityError."""
     tails, heads, weights = g.edge_arrays()
     if not weighted:
         weights = np.ones(weights.size)
-    return tails, heads, weights, float(np.add.accumulate(weights)[-1]) if weights.size else 0.0
+    with np.errstate(over="ignore"):
+        m = float(np.add.accumulate(weights)[-1]) if weights.size else 0.0
+    if 2 * m * m == math.inf:  # the gains of CNM divide by it
+        raise CommunityError(f"the edge weights sum to {m!r}, past the float range of 2m^2")
+    return tails, heads, weights, m
 
 
 def greedy_modularity_partition(
@@ -189,36 +194,48 @@ def project_to_cluster_network(m: CouplingMatrix, p: ClusterPartition) -> Cluste
     unassigned. The cluster graph is computed over aggregates that include
     the adopted venues.
     """
-    aggregates: dict[str, dict[str, int]] = {}
-    for venue, cluster in p.assignment.items():
-        _add_counts(aggregates.setdefault(cluster, {}), m.vectors.get(venue, {}))
-
-    cluster_ids = sorted(aggregates)
-    # Positions 0..k-1 are the clusters in id order, k.. the unclustered
-    # venues: a cluster may be named after an unclustered venue.
-    loose = [venue for venue in m.venues if venue not in p.assignment]
+    cluster_ids = sorted(set(p.assignment.values()))
     k = len(cluster_ids)
-    best_cos = [0.0] * len(loose)
-    best: list[int | None] = [None] * len(loose)  # each loose venue's cluster position
-    vectors = [aggregates[cluster] for cluster in cluster_ids] + [m.vectors[venue] for venue in loose]
-    for i, j, cos in zip(*(a.tolist() for a in networks.pair_cosines(vectors))):
-        # pairs come in ascending (i, j) order, so a tie keeps the smallest cluster id
-        if i < k <= j and cos > best_cos[j - k]:
-            best_cos[j - k], best[j - k] = cos, i
-    new_assignments = {venue: cluster_ids[i] for venue, i in zip(loose, best) if i is not None}
-    unassigned = [venue for venue, i in zip(loose, best) if i is None]
+    position = dict(zip(cluster_ids, range(k)))
+    cluster = np.fromiter((position.get(p.assignment.get(venue), -1) for venue in m.venues), dtype=np.int64, count=len(m.venues))
+    loose = np.flatnonzero(cluster < 0)
+    # Rows 0..k-1 are the clusters in id order, k.. the unclustered venues
+    # in matrix order: a cluster may be named after an unclustered venue.
+    lengths = np.diff(m.indptr)
+    entries, _ = metrics._concat_ranges(m.indptr[loose], lengths[loose])
+    indptr, key_ids, counts = _aggregate(cluster, k, m.indptr, m.key_ids, m.counts)
+    indptr = np.r_[indptr, indptr[-1] + np.cumsum(lengths[loose])]
+    key_ids, counts = np.r_[key_ids, m.key_ids[entries]], np.concatenate((counts, m.counts[entries]))
+    best = np.full(loose.size, -1)  # each loose venue's cluster
+    if loose.size and k:
+        i, j, cos = networks.pair_cosines(indptr, key_ids, counts)
+        adopt = (i < k) & (j >= k) & (cos > 0)
+        i, j, cos = i[adopt], j[adopt], cos[adopt]
+        # each loose venue's largest cosine, a tie to the smallest cluster id
+        order = np.lexsort((i, -cos, j))
+        first = order[networks._run_starts(j[order])]
+        best[j[first] - k] = i[first]
+    new_assignments = {m.venues[v]: cluster_ids[c] for v, c in zip(loose.tolist(), best.tolist()) if c >= 0}
+    unassigned = [m.venues[v] for v, c in zip(loose.tolist(), best.tolist()) if c < 0]
 
-    for venue, cluster in new_assignments.items():
-        _add_counts(aggregates[cluster], m.vectors[venue])
-
-    members = {**p.assignment, **new_assignments}
-    pub_counts = dict.fromkeys(cluster_ids, 0)
-    for venue, cluster in members.items():
-        pub_counts[cluster] += m.publication_counts.get(venue, 0)
-    cluster_matrix = CouplingMatrix(cluster_ids, {c: aggregates[c] for c in cluster_ids}, pub_counts)
+    indptr, key_ids, counts = _aggregate(np.r_[np.arange(k), best], k, indptr, key_ids, counts)
+    cluster[loose] = best
+    publications = _summable(m.publication_counts[cluster >= 0])
+    pub_counts = np.zeros(k, dtype=publications.dtype)
+    np.add.at(pub_counts, cluster[cluster >= 0], publications)
+    cited = np.zeros(len(m.keys), dtype=bool)
+    cited[key_ids] = True
+    cluster_matrix = CouplingMatrix(
+        venues=cluster_ids,
+        keys=[m.keys[key] for key in np.flatnonzero(cited).tolist()],
+        indptr=indptr,
+        key_ids=(np.cumsum(cited) - 1)[key_ids],
+        counts=counts,
+        publication_counts=_narrowed(pub_counts),
+    )
     graph = networks.build_knowledge_network(cluster_matrix)
-    for cluster, count in Counter(members.values()).items():
-        graph.nodes[cluster]["venue_count"] = count
+    for cluster_id, count in Counter([*p.assignment.values(), *new_assignments.values()]).items():
+        graph.nodes[cluster_id]["venue_count"] = count
     return ClusterProjection(
         cluster_matrix=cluster_matrix,
         new_assignments=new_assignments,
@@ -227,9 +244,35 @@ def project_to_cluster_network(m: CouplingMatrix, p: ClusterPartition) -> Cluste
     )
 
 
-def _add_counts(into: dict[str, int], vector: dict[str, int]) -> None:
-    for key, count in vector.items():
-        into[key] = into.get(key, 0) + count
+def _aggregate(group: np.ndarray, k: int, indptr: np.ndarray, key_ids: np.ndarray, counts: np.ndarray):
+    """The rows (indptr, key_ids, counts) of the k groups: group g sums the
+    counts of the rows r with group[r] == g (-1: none) key by key, by one
+    sort of the (group, key) codes. Exact in any order: integer sums."""
+    row_group = np.repeat(group, np.diff(indptr))
+    kept = row_group >= 0
+    width = int(key_ids.max(initial=0)) + 1
+    codes = row_group[kept] * width + key_ids[kept]
+    order = np.argsort(codes)
+    codes = codes[order]
+    starts = networks._run_starts(codes)
+    sums = np.add.reduceat(_summable(counts)[kept][order], starts)
+    groups, keys = np.divmod(codes[starts], width)
+    return np.r_[0, np.cumsum(np.bincount(groups, minlength=k))], keys, _narrowed(sums)
+
+
+def _summable(a: np.ndarray) -> np.ndarray:
+    """Integer array `a`, as Python integers where a sum of its values could
+    pass int64."""
+    if a.dtype != object and int(a.max(initial=0)) * a.size > networks._INT64_MAX:
+        return a.astype(object)
+    return a
+
+
+def _narrowed(a: np.ndarray) -> np.ndarray:
+    """Integer array `a`, as int64 where every value fits."""
+    if a.dtype == object and max(a.tolist(), default=0) <= networks._INT64_MAX:
+        return a.astype(np.int64)
+    return a
 
 
 def cluster_domain_composition(

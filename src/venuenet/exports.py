@@ -346,13 +346,13 @@ def _from_json(data: bytes) -> VenueGraph:
     if not _rows_of(nodes, (str, dict)) or not _rows_of(edges, (str, str, (int, float))):
         raise ExportError("'nodes' must list [name, attributes] and 'edges' [source, target, weight]")
     g = VenueGraph(directed=obj.get("directed") is True)
-    try:
-        for node, attrs in nodes:
-            g.add_node(node, **attrs)
-        for u, v, w in edges:
+    for node, attrs in nodes:
+        g.add_node(node, **attrs)
+    for u, v, w in edges:
+        try:
             g.add_edge(u, v, float(w))
-    except (GraphError, OverflowError) as exc:
-        raise ExportError(str(exc)) from None
+        except (GraphError, OverflowError) as exc:
+            raise ExportError(f"edge {u!r} -> {v!r}: {exc}") from None
     return g
 
 

@@ -12,6 +12,7 @@ order in which its nodes and edges were added.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Any, Iterator
 
@@ -65,11 +66,12 @@ class VenueGraph:
         self._nodes.setdefault(key, {}).update(attrs)
 
     def add_edge(self, u: str, v: str, weight: float) -> None:
-        """Set (not accumulate) the weight of edge u->v; adds missing nodes."""
+        """Set (not accumulate) the weight of edge u->v, finite and positive;
+        adds missing nodes."""
         if u == v:
             raise GraphError(f"self-loop on {u!r} not allowed")
-        if not weight > 0:
-            raise GraphError(f"edge weight must be > 0, got {weight!r}")
+        if not 0 < weight < math.inf:
+            raise GraphError(f"edge weight must be finite and > 0, got {weight!r}")
         self.add_node(u)
         self.add_node(v)
         self._pending.append((u, v, weight))

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from operator import mul
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,28 +42,90 @@ class ThresholdRuleError(NetworkError):
 
 @dataclass
 class CouplingMatrix:
-    """Sparse venue x cited-publication coupling counts.
+    """Venue x cited-publication coupling counts as compressed sparse rows.
 
-    vectors[v][k] is the number of times venue v cites publication key k;
-    keys are record ids for in-corpus targets and normalized raw strings
-    otherwise. Venues with no citations at all are not represented.
+    Row i is venue venues[i], the venues in name order: the venue cites key
+    keys[key_ids[e]] counts[e] times for e in indptr[i] .. indptr[i + 1] - 1,
+    key ids ascending. `keys` are the distinct cited keys in name order:
+    record ids for in-corpus targets, normalized raw strings otherwise.
+    `indptr` and `key_ids` are int64; `counts` is int64, or object (Python
+    integers) when a count passes int64. publication_counts[i] is venue i's
+    number of publications, in the dtype rule of `counts`. A corpus venue
+    with no citations at all has no row; a row may be empty (a cluster whose
+    venues cite nothing). The arrays are read, never changed.
     """
 
     venues: list[str]
-    vectors: dict[str, dict[str, int]]
-    publication_counts: dict[str, int] = field(default_factory=dict)
+    keys: list[str]
+    indptr: np.ndarray
+    key_ids: np.ndarray
+    counts: np.ndarray
+    publication_counts: np.ndarray
+
+    @classmethod
+    def from_vectors(
+        cls, venues: list[str], vectors: Mapping[str, Mapping[str, int]], publication_counts: Mapping[str, int] | None = None
+    ) -> "CouplingMatrix":
+        """The matrix whose rows are `venues` (in any order), venue v citing
+        key k vectors[v][k] times; a venue missing from `publication_counts`
+        has 0 publications."""
+        venues = sorted(venues)
+        rows = [vectors[venue] for venue in venues]
+        keys = sorted(set().union(*rows))
+        rank = dict(zip(keys, range(len(keys))))
+        indptr = np.r_[0, np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))]
+        ids = np.fromiter(map(rank.__getitem__, itertools.chain.from_iterable(rows)), dtype=np.int64, count=indptr[-1])
+        counts = _exact_array(list(itertools.chain.from_iterable(row.values() for row in rows)))
+        order = np.argsort(arc_tails(indptr) * len(keys) + ids)  # each row's keys in name order
+        publications = publication_counts or {}
+        return cls(
+            venues=venues,
+            keys=keys,
+            indptr=indptr,
+            key_ids=ids[order],
+            counts=counts[order],
+            publication_counts=_exact_array([publications.get(venue, 0) for venue in venues]),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CouplingMatrix):
+            return NotImplemented
+        arrays = ("indptr", "key_ids", "counts", "publication_counts")
+        return (self.venues, self.keys) == (other.venues, other.keys) and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays
+        )
+
+    @cached_property
+    def vectors(self) -> Mapping[str, Mapping[str, int]]:
+        """venue -> {key: count}, a read-only view of the rows for readers of
+        the dict form; each row's dict is built when it is first read."""
+        bounds = self.indptr.tolist()
+        return MappingProxyType({venue: _Row(self, lo, hi) for venue, lo, hi in zip(self.venues, bounds, bounds[1:])})
 
     def to_json(self) -> bytes:
         """The bytes of `json.dumps(..., sort_keys=True, indent=0)` over the
-        venues, vectors and publication counts, written directly: `indent`
-        would force json's pure-Python encoder."""
-        venues = "[\n" + ",\n".join(map(encode_basestring_ascii, self.venues)) + "\n]" if self.venues else "[]"
-        top = {
-            "publication_counts": _json_dict(self.publication_counts),
-            "vectors": _json_dict({v: _json_dict(vec) for v, vec in self.vectors.items()}),
-            "venues": venues,
-        }
-        return _json_dict(top).encode("ascii")
+        venues, vectors and publication counts, written directly from the
+        rows (`indent` would force json's pure-Python encoder). Rows and
+        their entries are in name order already; each name is encoded once."""
+        venues = list(map(encode_basestring_ascii, self.venues))
+        keys = np.array([key + ": " for key in map(encode_basestring_ascii, self.keys)], dtype=object)
+        keys = keys[self.key_ids].tolist()
+        top = int(self.counts.max(initial=0))
+        if top <= self.counts.size:  # each count's text made once
+            counts = np.array(list(map(str, range(top + 1))), dtype=object)[self.counts].tolist()
+        else:
+            counts = list(map(str, self.counts.tolist()))
+        bounds = self.indptr.tolist()
+        rows = [
+            "{\n" + ",\n".join(map(operator.add, keys[lo:hi], counts[lo:hi])) + "\n}" if hi > lo else "{}"
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        parts = (
+            _json_object(venues, map(str, self.publication_counts.tolist())),
+            _json_object(venues, rows),
+            "[\n" + ",\n".join(venues) + "\n]" if venues else "[]",
+        )
+        return _json_object(['"publication_counts"', '"vectors"', '"venues"'], parts).encode("ascii")
 
     @classmethod
     def from_json(cls, data: bytes) -> "CouplingMatrix":
@@ -88,47 +153,96 @@ class CouplingMatrix:
         negative = [v for v, c in counts.items() if c < 0]
         if negative:
             raise ValueError(f"coupling matrix venue {negative[0]!r} has a negative publication count")
-        return cls(venues=venues, vectors=vectors, publication_counts=counts)
+        listed = set(venues)
+        for part, named in (("vector", vectors), ("publication count", counts)):
+            unlisted = [v for v in named if v not in listed]
+            if unlisted:
+                raise ValueError(f"coupling matrix {part} of {unlisted[0]!r} names no venue of 'venues'")
+        return cls.from_vectors(venues, vectors, counts)
+
+
+class _Row(Mapping):
+    """One row of a CouplingMatrix as a read-only key -> count mapping."""
+
+    def __init__(self, m: CouplingMatrix, lo: int, hi: int):
+        self._m, self._lo, self._hi = m, lo, hi
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    @cached_property
+    def _items(self) -> dict[str, int]:
+        m, lo, hi = self._m, self._lo, self._hi
+        return dict(zip(map(m.keys.__getitem__, m.key_ids[lo:hi].tolist()), m.counts[lo:hi].tolist()))
+
+    def __getitem__(self, key: str) -> int:
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
 
 
 def _is_count_map(obj) -> bool:
     return isinstance(obj, dict) and all(type(c) is int for c in obj.values())
 
 
-def _json_dict(d: dict) -> str:
-    """`json.dumps(d, sort_keys=True, indent=0)` for string keys and values
-    that are ints or JSON text already."""
-    keys = sorted(d)
+def _json_object(keys: list[str], values) -> str:
+    """`json.dumps(..., indent=0)` of an object whose keys, in order, are the
+    JSON strings `keys` and whose values are the JSON texts `values`."""
     if not keys:
         return "{}"
-    items = map("{}: {}".format, map(encode_basestring_ascii, keys), map(d.__getitem__, keys))
-    return "{\n" + ",\n".join(items) + "\n}"
+    return "{\n" + ",\n".join(map("{}: {}".format, keys, values)) + "\n}"
+
+
+def _exact_array(values) -> np.ndarray:
+    """The integers `values` as int64, or as Python integers (object) when
+    one passes int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _run_starts(codes: np.ndarray) -> np.ndarray:
+    """The index of the first value of each run of equal values of `codes`."""
+    return np.flatnonzero(np.diff(codes, prepend=codes[:1] - 1))
 
 
 def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
     """Aggregate reference counts per venue over the full reference lists.
 
     Records without a venue are skipped; venues whose papers carry no
-    references end up with empty vectors and are excluded from the matrix.
-    An external key equal to a record id counts as that record's key.
+    references get no row. An external key equal to a record id counts as
+    that record's key. One sort of the (venue, key rank) code of every
+    reference gives the rows, their entries and the counts.
     """
     index = c.reference_index()
-    names = [r.record_id for r in c.records] + index.external_keys
-    first: dict[str, int] = {}
-    key_of = np.fromiter(map(first.setdefault, names, range(len(names))), dtype=np.int64, count=len(names))
-    keys = key_of[np.where(index.targets >= 0, index.targets, len(c.records) - 1 - index.targets)]
+    records, slots = len(c.records), len(c.records) + len(index.external_keys)
     venue = np.repeat(index.record_venue, np.diff(index.offsets))
-    cells, counts = np.unique(venue[venue >= 0] * len(names) + keys[venue >= 0], return_counts=True)
-    cell_venue, cell_key = np.divmod(cells, len(names))
-    active, starts = np.unique(cell_venue, return_index=True)
-    bounds = [*starts.tolist(), cells.size]
-    cell_names, counts = [names[k] for k in cell_key.tolist()], counts.tolist()
+    # Each reference's target as a slot: its record row, or records + k for
+    # external key k. Only the cited slots are named and ranked.
+    slot = np.where(index.targets >= 0, index.targets, records - 1 - index.targets)[venue >= 0]
+    venue = venue[venue >= 0]
+    cited = np.zeros(slots, dtype=bool)
+    cited[slot] = True
+    cited = np.flatnonzero(cited).tolist()
+    names = [c.records[i].record_id if i < records else index.external_keys[i - records] for i in cited]
+    keys = sorted(set(names))  # by name: an external key equal to a record id is that record's key
+    rank = np.zeros(slots, dtype=np.int64)
+    rank[cited] = np.fromiter(map(dict(zip(keys, range(len(keys)))).__getitem__, names), dtype=np.int64, count=len(names))
+    codes = np.sort(venue * len(keys) + rank[slot])
+    starts = _run_starts(codes)
+    row_venue, key_ids = np.divmod(codes[starts], max(len(keys), 1))
+    entries = np.bincount(row_venue, minlength=len(index.venues))
+    active = np.flatnonzero(entries)  # venue ids follow venue names
     publications = np.bincount(index.record_venue[index.record_venue >= 0], minlength=len(index.venues))
-    venues = [index.venues[v] for v in active.tolist()]  # sorted, as venue ids are
     return CouplingMatrix(
-        venues=venues,
-        vectors={v: dict(zip(cell_names[lo:hi], counts[lo:hi])) for v, lo, hi in zip(venues, bounds, bounds[1:])},
-        publication_counts={index.venues[v]: int(publications[v]) for v in active.tolist()},
+        venues=[index.venues[v] for v in active.tolist()],
+        keys=keys,
+        indptr=np.r_[0, np.cumsum(entries[active])],
+        key_ids=key_ids,
+        counts=np.diff(np.r_[starts, codes.size]),
+        publication_counts=publications[active],
     )
 
 
@@ -140,76 +254,89 @@ def build_knowledge_network(m: CouplingMatrix) -> VenueGraph:
     is float(dot) / sqrt(float(n_i * n_j)) over exact integer dots and norms,
     the correctly rounded operations of `dot / math.sqrt(n_i * n_j)`.
     """
-    names = sorted(m.venues)
-    i, j, weights = pair_cosines([m.vectors[venue] for venue in names])
+    i, j, weights = pair_cosines(m.indptr, m.key_ids, m.counts)
     tails, heads = np.r_[i, j], np.r_[j, i]
-    arcs = np.argsort(tails * len(names) + heads)
-    attrs = [{"publication_count": m.publication_counts.get(venue, 0)} for venue in names]
-    return VenueGraph.from_arcs(names, tails[arcs], heads[arcs], np.r_[weights, weights][arcs], False, attrs)
+    arcs = np.argsort(tails * len(m.venues) + heads)
+    attrs = [{"publication_count": count} for count in m.publication_counts.tolist()]
+    return VenueGraph.from_arcs(m.venues, tails[arcs], heads[arcs], np.r_[weights, weights][arcs], False, attrs)
 
 
-def pair_cosines(vectors: list[dict[str, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each pair i < j of `vectors` with a positive dot, ascending, and its
+# A block of consecutive rows of the sparse product holds at most this many
+# accumulator cells, or one row's if that alone is more,
+PRODUCT_BLOCK_CELLS = 1 << 16
+# and expands at most this many products, or one row's if that alone is more.
+PRODUCT_BLOCK_TERMS = 1 << 15
+
+
+def pair_cosines(indptr: np.ndarray, key_ids: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pair i < j of the sparse rows (indptr, key_ids, counts; key ids
+    ascending in each row) that shares a key, in ascending order, and its
     cosine float(dot) / sqrt(float(n_i * n_j)) over exact integers."""
-    norms = [sum(map(mul, vec.values(), vec.values())) for vec in vectors]
+    top = int(counts.max(initial=0))
+    if counts.dtype != object and top * top * counts.size <= _INT64_MAX:  # every partial sum of squares fits
+        squares = counts * counts
+    else:
+        squares = counts.astype(object) ** 2
+    sums = np.r_[np.zeros(1, dtype=squares.dtype), np.cumsum(squares)]
+    norms = sums[indptr[1:]] - sums[indptr[:-1]]
     # By Cauchy-Schwarz every partial dot is at most the largest norm and
     # every norm product at most its square: int64 holds them all or none.
-    dtype = object if max(norms, default=0) ** 2 > _INT64_MAX else np.int64
-    pairs, dots = _pair_dots(vectors, dtype)
-    positive = dots > 0
-    vi, vj = np.divmod(pairs[positive], len(vectors))
-    norm = np.array(norms, dtype=dtype)
-    cosines = dots[positive].astype(np.float64) / np.sqrt((norm[vi] * norm[vj]).astype(np.float64))
+    dtype = object if max(norms.tolist(), default=0) ** 2 > _INT64_MAX else np.int64
+    pairs, dots = _pair_dots(indptr, key_ids, counts.astype(dtype))
+    vi, vj = np.divmod(pairs, indptr.size - 1)
+    norm = norms.astype(dtype)
+    cosines = dots.astype(np.float64) / np.sqrt((norm[vi] * norm[vj]).astype(np.float64))
     return vi, vj, cosines
 
 
-def _pair_dots(vectors: list[dict[str, int]], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The dot product of every pair of vectors that share a key, as pair
-    ids i * len(vectors) + j (i < j), ascending, and exact sums of `dtype`.
+def _pair_dots(indptr: np.ndarray, key_ids: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dot product of every pair of rows that share a key, as pair ids
+    i * n + j (i < j, n rows), ascending, and exact sums of counts' dtype.
 
-    Gustavson's row-wise sparse product over the key-sorted entries: vector
-    i's entries expand to the later vectors sharing their key, the products
-    add into one dense accumulator row, and the row's nonzero slots are read
-    off and reset. Beside the entry arrays, memory follows one vector's
-    expansion and the distinct pairs, not every expanded pair.
+    Gustavson's row-wise sparse product over blocks of consecutive rows:
+    each entry of a block expands to the later rows citing its key, the
+    products add into one dense accumulator, and its nonzero cells are read
+    off in order and reset. In a block of rows from `start`, row i's dot
+    with a later row j adds into cell (i - start) * (n - start) + j - start.
+    Beside the entry arrays, memory follows the two block bounds and the
+    distinct pairs.
     """
-    lengths = list(map(len, vectors))
-    bounds = [0, *itertools.accumulate(lengths)]  # vector i's entries are bounds[i] .. bounds[i + 1] - 1
-    # Entries sorted by key (a key's id is its first entry), vectors
-    # ascending inside each key: the entry at sorted position p pairs with
-    # the later vectors at p + 1 .. key_end[p] - 1.
-    key_id: dict[str, int] = {}
-    keys = itertools.chain.from_iterable(vectors)
-    ids = np.fromiter(map(key_id.setdefault, keys, itertools.count()), dtype=np.int64, count=bounds[-1])
-    count = np.fromiter(itertools.chain.from_iterable(map(dict.values, vectors)), dtype=dtype, count=bounds[-1])
-    order = np.argsort(ids, kind="stable")
-    owner = np.repeat(np.arange(len(vectors)), lengths)[order]
-    sorted_count = count[order]
-    starts = np.diff(ids[order], prepend=-1) != 0
-    key_end = np.r_[np.flatnonzero(starts)[1:], ids.size][np.cumsum(starts) - 1]
-    # Entry e, in vector order, sits at sorted position position[e] and has
-    # partners[e] partners. Its products are numbered ends[e] - partners[e]
-    # .. ends[e] - 1, in vector order, and product q pairs with the entry at
-    # sorted position q + shift[e].
+    n = indptr.size - 1
+    # Entries sorted stably by key, so rows ascend inside each key (a radix
+    # sort while key ids fit 16 bits): entry e pairs with the entries at the
+    # partners[e] sorted positions after its own. Its products are numbered
+    # ends[e] - partners[e] .. ends[e] - 1, and product q pairs with the
+    # entry at sorted position q + shift[e].
+    order = np.argsort(key_ids.astype(np.min_scalar_type(int(key_ids.max(initial=0)))), kind="stable")
+    owner = arc_tails(indptr)
     position = np.empty_like(order)
-    position[order] = np.arange(ids.size)
-    partners = key_end[position] - position - 1
+    position[order] = np.arange(order.size)
+    partners = np.cumsum(np.bincount(key_ids))[key_ids] - position - 1
     ends = np.cumsum(partners)
     shift = position + 1 - (ends - partners)
-    first = np.r_[0, ends][bounds].tolist()  # vector i's products are first[i] .. first[i + 1] - 1
-    del ids, order, starts, key_end, position, ends  # the row loop reads only what is left
+    first = np.r_[0, ends][indptr]  # row i's products are first[i] .. first[i + 1] - 1
+    sorted_owner, sorted_count = owner[order], counts[order]
+    del order, position, ends
 
-    row = np.zeros(len(vectors), dtype=dtype)
+    cells = np.zeros(min(n * n, max(n, PRODUCT_BLOCK_CELLS)), dtype=counts.dtype)
     pair_parts = [np.zeros(0, dtype=np.int64)]
-    dot_parts = [np.zeros(0, dtype=dtype)]
-    for i, (lo, hi, start, stop) in enumerate(zip(bounds, bounds[1:], first, first[1:])):
+    dot_parts = [np.zeros(0, dtype=counts.dtype)]
+    start = 0
+    while start < n:
+        width = n - start
+        fit = int(np.searchsorted(first, first[start] + PRODUCT_BLOCK_TERMS, side="right")) - 1
+        stop = min(n, start + max(1, PRODUCT_BLOCK_CELLS // width), max(start + 1, fit))
+        lo, hi = indptr[start], indptr[stop]
         span = partners[lo:hi]
-        partner = np.arange(start, stop) + np.repeat(shift[lo:hi], span)
-        np.add.at(row, owner[partner], np.repeat(count[lo:hi], span) * sorted_count[partner])
-        j = np.flatnonzero(row)
-        pair_parts.append(i * len(vectors) + j)
-        dot_parts.append(row[j])
-        row[j] = 0
+        partner = np.arange(first[start], first[stop]) + np.repeat(shift[lo:hi], span)
+        cell = np.repeat((owner[lo:hi] - start) * width - start, span) + sorted_owner[partner]
+        np.add.at(cells, cell, np.repeat(counts[lo:hi], span) * sorted_count[partner])
+        nonzero = np.flatnonzero(cells[: (stop - start) * width])
+        i, j = np.divmod(nonzero, width)
+        pair_parts.append((i + start) * n + j + start)
+        dot_parts.append(cells[nonzero])
+        cells[nonzero] = 0
+        start = stop
     return np.concatenate(pair_parts), np.concatenate(dot_parts)
 
 

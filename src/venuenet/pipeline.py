@@ -218,10 +218,12 @@ def _peak_rss_mb() -> float | None:
 class RunManifest:
     """The stages run and their hashed outputs. `warnings` (for the user;
     the CLI prints them), `timings`, `ingest` (per ingested corpus, its
-    record, reference and distinct target counts) and `linkage` (the pair
-    counts along the linkage funnel, in two-corpus runs) go to
-    run_report.json, never to manifest.json, which must not change between
-    identical runs."""
+    record, reference and distinct target counts), `linkage` (the pair
+    counts along the linkage funnel, in two-corpus runs), `coupling` (the
+    matrix's venues, keys and entries), `networks` (the nodes and edges of
+    each network before and after its threshold) and `projection` (the
+    clustered, adopted and unassigned venues) go to run_report.json, never
+    to manifest.json, which must not change between identical runs."""
 
     config: dict
     stages: list[StageRecord] = field(default_factory=list)
@@ -230,6 +232,9 @@ class RunManifest:
     timings: list[StageTiming] = field(default_factory=list)
     ingest: dict[str, dict[str, int]] = field(default_factory=dict)
     linkage: dict[str, int] = field(default_factory=dict)
+    coupling: dict[str, int] = field(default_factory=dict)
+    networks: dict[str, dict] = field(default_factory=dict)
+    projection: dict[str, int] = field(default_factory=dict)
 
     def stage_names(self) -> list[str]:
         return [s.name for s in self.stages]
@@ -250,13 +255,16 @@ class RunManifest:
             fh.write("\n")
 
     def report_dict(self) -> dict:
-        """The run report: per completed stage its timing, the ingest and
-        linkage counts, then warnings."""
+        """The run report: per completed stage its timing, the ingest,
+        linkage, coupling, network and projection counts, then warnings."""
         out = {
             "schema": REPORT_SCHEMA,
             "stages": [asdict(t) for t in self.timings],
             "ingest": self.ingest,
             "linkage": self.linkage,
+            "coupling": self.coupling,
+            "networks": self.networks,
+            "projection": self.projection,
             "warnings": list(self.warnings),
         }
         if self.failed_stage is not None:
@@ -358,13 +366,19 @@ def _stage_link(run: _Run) -> None:
     run.record("link", path)
 
 
+def _size(g: VenueGraph) -> dict[str, int]:
+    return {"nodes": g.node_count(), "edges": g.edge_count()}
+
+
 def _stage_build(run: _Run) -> None:
-    run.coupling = networks.build_coupling_matrix(run.linked)
+    run.coupling = m = networks.build_coupling_matrix(run.linked)
+    run.manifest.coupling = {"venues": len(m.venues), "keys": len(m.keys), "entries": int(m.indptr[-1])}
     coupling_path = run.out_dir / "coupling.json"
     with open(coupling_path, "wb") as fh:
-        fh.write(run.coupling.to_json())
-    run.knowledge = networks.build_knowledge_network(run.coupling)
+        fh.write(m.to_json())
+    run.knowledge = networks.build_knowledge_network(m)
     run.citation = networks.build_citation_network(run.linked)
+    run.manifest.networks.update(K=_size(run.knowledge), F=_size(run.citation))
     k_path = run.out_dir / "knowledge_full.tsv"
     f_path = run.out_dir / "citation_full.tsv"
     write_graph(run.knowledge, k_path)
@@ -384,6 +398,7 @@ def _stage_threshold(run: _Run) -> None:
     # its edge TSV and summary are K's: every graph holds its nodes and rows
     # in name order.
     reduced, full = run.knowledge_reduced, run.knowledge
+    run.manifest.networks.update({"K'": _size(reduced), "F'": _size(run.citation_reduced)})
     kept_all = (reduced.node_count(), reduced.edge_count()) == (full.node_count(), full.edge_count())
     k_path = run.out_dir / "knowledge.tsv"
     f_path = run.out_dir / "citation.tsv"
@@ -418,6 +433,11 @@ def _stage_cluster(run: _Run) -> None:
 
 def _stage_project(run: _Run) -> None:
     projection = community.project_to_cluster_network(run.coupling, run.partition)
+    run.manifest.projection = {
+        "clustered": len(run.partition.assignment),
+        "adopted": len(projection.new_assignments),
+        "unassigned": len(projection.unassigned),
+    }
     graph_path = run.out_dir / "cluster_graph.tsv"
     write_graph(projection.graph, graph_path)
     assign_path = run.out_dir / "cluster_assignment.tsv"
@@ -478,6 +498,7 @@ def _stage_snapshots(run: _Run) -> None:
         reduced = networks.apply_threshold(
             knowledge, networks.ThresholdRule("cosine", cfg.cosine_min)
         )
+        run.manifest.networks.setdefault("snapshots", {})[str(year)] = {"K": _size(knowledge), "K'": _size(reduced)}
         full_path = year_dir / "knowledge_full.tsv"
         reduced_path = year_dir / "knowledge.tsv"
         write_graph(knowledge, full_path)

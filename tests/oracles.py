@@ -544,8 +544,8 @@ def knowledge_network_loop(m: CouplingMatrix) -> VenueGraph:
     library's sparse product, which must give the same graph (nodes,
     attributes, neighbour order and every weight bit)."""
     g = VenueGraph(directed=False)
-    for venue in m.venues:
-        g.add_node(venue, publication_count=m.publication_counts.get(venue, 0))
+    for venue, count in zip(m.venues, m.publication_counts.tolist()):
+        g.add_node(venue, publication_count=count)
 
     by_key: dict[str, list[str]] = {}
     for venue in m.venues:
@@ -578,7 +578,7 @@ def coupling_json_dumps(m: CouplingMatrix) -> bytes:
     obj = {
         "venues": m.venues,
         "vectors": {v: dict(sorted(m.vectors[v].items())) for v in sorted(m.vectors)},
-        "publication_counts": dict(sorted(m.publication_counts.items())),
+        "publication_counts": dict(sorted(zip(m.venues, m.publication_counts.tolist()))),
     }
     return json.dumps(obj, sort_keys=True, indent=0).encode("utf-8")
 
@@ -663,7 +663,7 @@ def coupling_matrix_loop(c: Corpus) -> CouplingMatrix:
             key = target if target in ids else normalize_reference_key(target)
             vec[key] = vec.get(key, 0) + 1
     venues = sorted(vectors)
-    return CouplingMatrix(
+    return CouplingMatrix.from_vectors(
         venues=venues,
         vectors={v: vectors[v] for v in venues},
         publication_counts={v: publication_counts[v] for v in venues},
@@ -780,12 +780,8 @@ def cluster_network_loop(
     pair, in sorted pair order."""
     clusters = cluster_matrix.venues
     graph = VenueGraph(directed=False)
-    for cluster in clusters:
-        graph.add_node(
-            cluster,
-            venue_count=venue_counts.get(cluster, 0),
-            publication_count=cluster_matrix.publication_counts.get(cluster, 0),
-        )
+    for cluster, publications in zip(clusters, cluster_matrix.publication_counts.tolist()):
+        graph.add_node(cluster, venue_count=venue_counts.get(cluster, 0), publication_count=publications)
     for x in range(len(clusters)):
         for y in range(x + 1, len(clusters)):
             weight = cosine_of_vectors(cluster_matrix.vectors[clusters[x]], cluster_matrix.vectors[clusters[y]])
@@ -1197,8 +1193,8 @@ class DictVenueGraph:
     def add_edge(self, u: str, v: str, weight: float) -> None:
         if u == v:
             raise GraphError(f"self-loop on {u!r} not allowed")
-        if not weight > 0:
-            raise GraphError(f"edge weight must be > 0, got {weight!r}")
+        if not 0 < weight < math.inf:
+            raise GraphError(f"edge weight must be finite and > 0, got {weight!r}")
         self.add_node(u)
         self.add_node(v)
         if v not in self._adj[u]:

@@ -275,7 +275,7 @@ class TestHeapMatchesScan:
 
 class TestProjection:
     def _matrix(self, vectors, pubs=None):
-        return CouplingMatrix(
+        return CouplingMatrix.from_vectors(
             venues=sorted(vectors),
             vectors=vectors,
             publication_counts=pubs or {v: 1 for v in vectors},
@@ -375,7 +375,7 @@ class TestClusterNetworkKernel:
             f"v{i:02d}": {k: rng.randint(1, top) for k in rng.sample(keys, rng.randint(0, len(keys)))}
             for i in range(rng.randint(1, 30))
         }
-        m = CouplingMatrix(venues=sorted(vectors), vectors=vectors, publication_counts={v: rng.randint(0, 9) for v in vectors})
+        m = CouplingMatrix.from_vectors(venues=sorted(vectors), vectors=vectors, publication_counts={v: rng.randint(0, 9) for v in vectors})
         clusters = rng.randint(1, 8)
         assignment = {v: f"c{rng.randrange(clusters)}" for v in vectors if rng.random() < 0.8}
         self._assert_equals_loop(m, ClusterPartition(assignment=assignment, q=0.0))
@@ -421,11 +421,11 @@ class TestAdoptionKernel:
         # cluster ids of their own, or venue keys (of unclustered venues too)
         ids = [f"c{i}" for i in range(rng.randint(1, 6))] if seed % 2 else rng.sample(venues, min(len(venues), 4))
         assignment = {venue: rng.choice(ids) for venue in venues if rng.random() < 0.6}
-        m = CouplingMatrix(venues=venues, vectors=vectors, publication_counts={v: 1 for v in venues})
+        m = CouplingMatrix.from_vectors(venues=venues, vectors=vectors, publication_counts={v: 1 for v in venues})
         self._assert_equals_loop(m, ClusterPartition(assignment=assignment, q=0.0))
 
     def test_cluster_named_after_an_unclustered_venue(self):
-        m = CouplingMatrix(venues=["a", "b", "c"], vectors={"a": {"x": 1}, "b": {"x": 2}, "c": {"y": 1}})
+        m = CouplingMatrix.from_vectors(venues=["a", "b", "c"], vectors={"a": {"x": 1}, "b": {"x": 2}, "c": {"y": 1}})
         projection = self._assert_equals_loop(m, ClusterPartition(assignment={"a": "b"}, q=0.0))
         assert projection.new_assignments == {"b": "b"}
         assert projection.unassigned == ["c"]

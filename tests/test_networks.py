@@ -15,6 +15,7 @@ from oracles import (
     record_ids,
 )
 from venuenet import networks
+from venuenet.community import ClusterPartition, project_to_cluster_network
 from venuenet.exports import export_graph
 from venuenet.graph import VenueGraph
 from venuenet.linkage import MatchPair, rewrite_matched_references
@@ -59,7 +60,7 @@ class TestCouplingMatrix:
         )
         m = build_coupling_matrix(corpus)
         assert m.vectors["v1"] == {"r": 2}
-        assert m.publication_counts["v1"] == 2
+        assert m.publication_counts.tolist() == [2]
 
     def test_records_without_venue_skipped(self):
         corpus = corpus_from_lines(
@@ -83,7 +84,7 @@ class TestCouplingMatrix:
         again = CouplingMatrix.from_json(m.to_json())
         assert again.venues == m.venues
         assert again.vectors == m.vectors
-        assert again.publication_counts == m.publication_counts
+        assert again.publication_counts.tolist() == m.publication_counts.tolist()
 
 
 class TestCosine:
@@ -91,7 +92,7 @@ class TestCosine:
     there is none."""
 
     def _matrix(self, vectors):
-        return CouplingMatrix(venues=sorted(vectors), vectors=vectors)
+        return CouplingMatrix.from_vectors(venues=sorted(vectors), vectors=vectors)
 
     def _cosine(self, m, i, j):
         return neighbors(build_knowledge_network(m), i).get(j, 0.0)
@@ -177,7 +178,7 @@ def random_matrix(rng: random.Random, max_venues: int = 30, counts=(1, 1, 1, 2, 
         if rng.random() < 0.15:
             keys = [f"only-{v}"]  # disjoint from every other venue
         vectors[v] = {k: rng.choice(counts) for k in keys}
-    return CouplingMatrix(venues=venues, vectors=vectors, publication_counts={v: rng.randint(1, 9) for v in venues})
+    return CouplingMatrix.from_vectors(venues=venues, vectors=vectors, publication_counts={v: rng.randint(1, 9) for v in venues})
 
 
 class TestKnowledgeKernel:
@@ -202,7 +203,7 @@ class TestKnowledgeKernel:
             self.assert_equals_loop(build_coupling_matrix(scale_corpus(venues, papers, seed=3)))
 
     def test_ties_single_keys_and_disjoint_vectors(self):
-        m = CouplingMatrix(
+        m = CouplingMatrix.from_vectors(
             venues=["a", "b", "c", "d", "e"],
             vectors={
                 "a": {"x": 2, "y": 2},
@@ -229,12 +230,13 @@ class TestKnowledgeKernel:
             for at in empty_at:  # a fraction of the way along the vectors
                 vectors.insert(round(at * len(vectors)), {})
             names = [f"v{i:03d}" for i in range(len(vectors))]  # the kernel sees the vectors in this order
-            self.assert_equals_loop(CouplingMatrix(venues=names, vectors=dict(zip(names, vectors))))
+            self.assert_equals_loop(CouplingMatrix.from_vectors(venues=names, vectors=dict(zip(names, vectors))))
 
     def test_memory_follows_one_row(self):
-        # The row-wise product holds the entry arrays, one vector's expansion
-        # and a row of n slots (11 MB on this corpus); the chunked product,
-        # which kept every expanded venue pair, peaked at 33 MB.
+        # The block-wise product holds the entry arrays, one block's
+        # expansion and accumulator (10.2 MB on this corpus; one vector at a
+        # time, 10.5 MB); the chunked product, which kept every expanded
+        # venue pair, peaked at 33 MB.
         m = build_coupling_matrix(scale_corpus(2000, 10, seed=3))
         tracemalloc.start()
         try:
@@ -244,17 +246,37 @@ class TestKnowledgeKernel:
             tracemalloc.stop()
         assert peak <= 20e6
 
+    def test_memory_of_the_coupling_path(self):
+        # Build, coupling.json, K and the cluster projection peak at 14.2 MB
+        # together on this corpus (the per-venue dicts peaked at 15.9 MB).
+        corpus = scale_corpus(2000, 10, seed=3)
+        corpus.reference_index()
+        venues = build_coupling_matrix(corpus).venues
+        partition = ClusterPartition({v: f"c{i % 30}" for i, v in enumerate(venues) if i % 7}, q=0.0)  # every 7th loose
+        tracemalloc.start()
+        try:
+            m = build_coupling_matrix(corpus)
+            m.to_json()
+            build_knowledge_network(m)
+            project_to_cluster_network(m, partition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18e6
+
     def test_no_venues_and_no_shared_keys(self):
-        self.assert_equals_loop(CouplingMatrix(venues=[], vectors={}))
-        self.assert_equals_loop(CouplingMatrix(venues=["a", "b"], vectors={"a": {"x": 1}, "b": {"y": 1}}))
+        self.assert_equals_loop(CouplingMatrix.from_vectors(venues=[], vectors={}))
+        self.assert_equals_loop(CouplingMatrix.from_vectors(venues=["a", "b"], vectors={"a": {"x": 1}, "b": {"y": 1}}))
 
     def test_unsorted_venue_list(self):
-        # nodes keep the matrix's order; edges are still added in name order
+        # the rows come out in name order, whatever the order of the venues given
         rng = random.Random(8)
         for _ in range(20):
             m = random_matrix(rng)
-            rng.shuffle(m.venues)
-            self.assert_equals_loop(m)
+            venues = list(m.venues)
+            rng.shuffle(venues)
+            pubs = dict(zip(m.venues, m.publication_counts.tolist()))
+            self.assert_equals_loop(CouplingMatrix.from_vectors(venues=venues, vectors=m.vectors, publication_counts=pubs))
 
     @pytest.mark.parametrize("scale", [2**17, 2**33, 2**70])
     def test_python_integer_path(self, scale):
@@ -273,7 +295,7 @@ class TestKnowledgeKernel:
             while rest:  # greedy sum of squares
                 vec[f"k{len(vec)}"] = math.isqrt(rest)
                 rest -= vec[f"k{len(vec) - 1}"] ** 2
-            m = CouplingMatrix(venues=["a", "b"], vectors={"a": vec, "b": dict(vec)})
+            m = CouplingMatrix.from_vectors(venues=["a", "b"], vectors={"a": vec, "b": dict(vec)})
             assert sum(c * c for c in vec.values()) == norm
             self.assert_equals_loop(m)
             assert neighbors(build_knowledge_network(m), "a")["b"] == 1.0
@@ -286,17 +308,17 @@ class TestCouplingJson:
             m = random_matrix(rng)
             assert m.to_json() == coupling_json_dumps(m)
             again = CouplingMatrix.from_json(m.to_json())
-            assert (again.venues, again.vectors, again.publication_counts) == (m.venues, m.vectors, m.publication_counts)
+            assert (again.venues, again.vectors, again.publication_counts.tolist()) == (m.venues, m.vectors, m.publication_counts.tolist())
 
     def test_escaped_and_empty_parts(self):
         odd = ['q"uote', "back\\slash", "tab\tnew\nline\r", "caf\u00e9 \u2603", "ctl\x01", "\ud800", ""]
-        m = CouplingMatrix(
+        m = CouplingMatrix.from_vectors(
             venues=odd + ["empty"],
             vectors={**{v: {k: i + 1 for i, k in enumerate(odd)} for v in odd}, "empty": {}},
             publication_counts={v: 7 for v in odd},
         )
         assert m.to_json() == coupling_json_dumps(m)
-        for empty in (CouplingMatrix(venues=[], vectors={}), CouplingMatrix(venues=["a"], vectors={"a": {}})):
+        for empty in (CouplingMatrix.from_vectors(venues=[], vectors={}), CouplingMatrix.from_vectors(venues=["a"], vectors={"a": {}})):
             assert empty.to_json() == coupling_json_dumps(empty)
 
 

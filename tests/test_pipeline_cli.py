@@ -280,6 +280,52 @@ class TestRunReport:
         # the report is not an artifact: the manifest neither hashes nor names it
         assert "run_report.json" not in (out_dir / "manifest.json").read_text()
 
+    def test_report_counts_the_network_funnels(self, tmp_path, planted):
+        corpus, _ = planted
+        corpus_path = tmp_path / "fixture.jsonl"
+        save_corpus(corpus, corpus_path)
+        # a venue below the cosine threshold that projection adopts, and one it leaves unassigned
+        extra = [
+            {"id": "weak1", "title": "W", "venue": "zz-weak", "year": 2000, "refs": [corpus.records[0].references[0], "w1", "w2", "w3", "w4"]},
+            {"id": "alone1", "title": "A", "venue": "zz-alone", "year": 2000, "refs": ["only here"]},
+        ]
+        with open(corpus_path, "a", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in extra)
+        cfg = fixture_config(tmp_path, corpus_path, slice_years=(1995, 2005))
+        run_pipeline(cfg)
+        out_dir = Path(cfg.out_dir)
+        report = json.loads((out_dir / "run_report.json").read_text())
+
+        def size(path):  # the node lines and the edge rows of an edge TSV
+            rows = path.read_text().splitlines()[1:]
+            nodes = sum(row.startswith("#node\t") for row in rows)
+            return {"nodes": nodes, "edges": len(rows) - nodes}
+
+        files = {"K": "knowledge_full.tsv", "K'": "knowledge.tsv", "F": "citation_full.tsv", "F'": "citation.tsv"}
+        expected = {name: size(out_dir / file) for name, file in files.items()}
+        expected["snapshots"] = {
+            str(year): {"K": size(out_dir / "snapshots" / str(year) / "knowledge_full.tsv"),
+                        "K'": size(out_dir / "snapshots" / str(year) / "knowledge.tsv")}
+            for year in (1995, 2005)
+        }
+        assert report["networks"] == expected
+        assert expected["K'"]["edges"] < expected["K"]["edges"] and expected["F'"]["edges"] < expected["F"]["edges"]
+
+        matrix = json.loads((out_dir / "coupling.json").read_text())
+        vectors = matrix["vectors"].values()
+        assert report["coupling"] == {
+            "venues": len(matrix["venues"]), "keys": len(set().union(*vectors)), "entries": sum(map(len, vectors)),
+        }
+        rules = [row.split("\t")[2] for row in (out_dir / "cluster_assignment.tsv").read_text().splitlines()[1:]]
+        assert report["projection"] == {
+            "clustered": rules.count("clustered"), "adopted": rules.count("best-cosine"), "unassigned": rules.count("unassigned"),
+        }
+        assert report["projection"] == {"clustered": expected["K'"]["nodes"], "adopted": 1, "unassigned": 1}
+        # counts, not artifacts: the manifest neither hashes nor holds them
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert set(manifest) == {"schema", "config", "stages"}
+        assert not {"entries", "edges", "adopted"} & set((out_dir / "manifest.json").read_text().replace('"', " ").split())
+
     def test_report_counts_each_ingested_corpus(self, tmp_path, planted):
         corpus, _ = planted
         meta, cite = split_for_linkage(corpus)
@@ -956,6 +1002,19 @@ READER_CASES = [
     ("tsv-negative-weight", "threshold", {"g.tsv": TSV_HEADER + "a\tb\t-1\n"}, "g.tsv", "line 2"),
     ("tsv-nan-weight", "threshold", {"g.tsv": TSV_HEADER + "a\tb\tnan\n"}, "g.tsv", "line 2"),
     ("tsv-short-row", "threshold", {"g.tsv": TSV_HEADER + "a\tb\n"}, "g.tsv", "line 2"),
+    # an infinite weight would make Q NaN: each reader refuses it, naming the line or edge
+    ("tsv-inf-weight", "threshold", {"g.tsv": TSV_HEADER + "a\tb\tinf\nb\tc\t1.0\n"}, "g.tsv", "line 2: edge weight must be finite"),
+    ("tsv-inf-weight-cluster", "cluster", {"g.tsv": TSV_HEADER + "b\tc\t1.0\na\tb\tinf\n"}, "g.tsv", "line 3: edge weight must be finite"),
+    ("json-graph-inf-weight", "export",
+     {"g.json": '{"format": "venuenet-graph/1", "directed": false, "nodes": [], "edges": [["a", "b", Infinity]]}'},
+     "g.json", "edge 'a' -> 'b': edge weight must be finite"),
+    ("graphml-inf-weight", "export-graphml",
+     {"g.graphml": GRAPHML_HEAD.replace("<graph ", '<key id="d0" for="edge" attr.name="weight" attr.type="double"/><graph ')
+      + '<edge source="a" target="b"><data key="d0">-inf</data></edge>' + GRAPHML_TAIL}, "g.graphml", "edge 'a' -> 'b': edge weight must be finite"),
+    # finite weights whose sum is not (Q would be NaN), or whose 2m^2 is not (every gain would be NaN)
+    ("tsv-weights-past-float-range", "cluster", {"g.tsv": TSV_HEADER + "a\tb\t1e308\nb\tc\t1e308\n"}, "g.tsv", "past the float range"),
+    ("tsv-weights-squared-past-float-range", "cluster", {"g.tsv": TSV_HEADER + "a\tb\t1e200\nb\tc\t1e200\n"}, "g.tsv",
+     "sum to 2e+200, past the float range of 2m^2"),
     # node names the edge-TSV writer refuses: a row starting with '#' is a comment
     ("tsv-hash-target", "threshold", {"g.tsv": TSV_HEADER + "a\tb\t1.0\na\t#b\t1.0\n"}, "g.tsv", "line 3: node '#b'"),
     ("tsv-hash-node-line", "threshold", {"g.tsv": TSV_HEADER + "#node\t#x\t{}\n"}, "g.tsv", "line 2: node '#x'"),
@@ -973,6 +1032,9 @@ READER_CASES = [
     ("matrix-zero-count", "project",
      {"m.json": '{"venues": ["v1", "v2"], "vectors": {"v1": {"k": 1}, "v2": {"k": 0}}}', "p.tsv": PARTITION_OK},
      "m.json", "venue 'v2'"),
+    ("matrix-vector-of-no-venue", "project",
+     {"m.json": '{"venues": ["v1"], "vectors": {"v1": {"k": 1}, "v2": {"k": 1}}}', "p.tsv": PARTITION_OK},
+     "m.json", "vector of 'v2' names no venue"),
     ("matrix-negative-publication-count", "project",
      {"m.json": MATRIX_OK[:-1] + ', "publication_counts": {"v1": -1}}', "p.tsv": PARTITION_OK}, "m.json", "venue 'v1'"),
     ("partition-short-row", "project", {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v2\n"}, "p.tsv", "line 3"),
@@ -1005,6 +1067,7 @@ READER_CASES = [
 ]
 READER_ARGS = {
     "threshold": ["threshold", "{g.tsv}", "--rule", "cosine", "--out", "{out.tsv}"],
+    "cluster": ["cluster", "--graph", "{g.tsv}", "--out", "{out.tsv}"],
     "export": ["export", "{g.json}", "--in-format", "json", "--format", "edge-tsv", "--out", "{out.tsv}"],
     "project": ["project", "--matrix", "{m.json}", "--partition", "{p.tsv}", "--out", "{out.tsv}"],
     "build": ["build", "{c.jsonl}", "--network", "citation", "--matches", "{m.tsv}", "--out", "{out.tsv}"],

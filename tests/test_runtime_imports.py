@@ -159,7 +159,6 @@ INTEGER_SUMS = {
     ("cli.py", "subgraphs_cmd"),  # profile count
     ("cli.py", "stats"),  # profile count
     ("corpus.py", "validate_corpus"),  # no_author_count
-    ("networks.py", "pair_cosines"),  # coupling norms
 }
 
 
