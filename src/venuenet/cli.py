@@ -24,8 +24,7 @@ from .corpus import (
     slice_by_year,
     validate_corpus,
 )
-from .exports import ExportError, FORMATS, export_graph, load_graph, write_graph
-from .graph import VenueGraph
+from .exports import ExportError, FORMATS, export_graph, load_graph, read_text, write_graph, write_table
 from .pipeline import ConfigError, PipelineConfig, RunManifest, StageError, check_unit_interval, run_pipeline
 
 
@@ -48,35 +47,25 @@ def _report(manifest: RunManifest, verbose: bool) -> None:
         _warn(warning)
 
 
+def _or_fail(fn, *args):
+    """fn(*args); an input error (an unreadable or malformed file, a bad
+    parameter) exits 1 with its message."""
+    try:
+        return fn(*args)
+    except (OSError, CorpusError, ExportError, ValueError) as exc:
+        _fail_input(str(exc))
+
+
 def _load_corpus_or_fail(path: str) -> Corpus:
-    try:
-        corpus = load_corpus(path)
-        check_names(corpus)
-    except (OSError, CorpusError) as exc:
-        _fail_input(str(exc))
+    corpus = _or_fail(load_corpus, path)
+    _or_fail(check_names, corpus)
     return corpus
-
-
-def _load_graph_or_fail(path: str, fmt: str = "edge-tsv") -> VenueGraph:
-    try:
-        return load_graph(path, fmt)
-    except (OSError, ExportError, ValueError) as exc:
-        _fail_input(str(exc))
 
 
 def _read_domains(path: str) -> dict[str, str]:
     """The venue_key<TAB>domain rows of `path`; other lines are skipped."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        text = data.decode("utf-8")
-    except OSError as exc:
-        _fail_input(str(exc))
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        _fail_input(f"{path}: line {line}: invalid UTF-8 at byte {exc.start}")
     domains = {}
-    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+    for line in _or_fail(read_text, path).replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         if line.strip() and "\t" in line:
             venue, domain = line.split("\t")[:2]
             domains[venue] = domain
@@ -122,10 +111,7 @@ def ingest(input_path: str, fmt: str, source: str, out: str) -> None:
 def slice_cmd(corpus_path: str, year: int, out: str) -> None:
     """Keep only records published up to and including YEAR."""
     corpus = _load_corpus_or_fail(corpus_path)
-    try:
-        sliced = slice_by_year(corpus, year)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    sliced = _or_fail(slice_by_year, corpus, year)
     save_corpus(sliced, out)
     click.echo(f"kept {len(sliced.records)} of {len(corpus.records)} records")
 
@@ -167,18 +153,11 @@ def build(
     matrix_out: str | None,
 ) -> None:
     """Build the knowledge (undirected cosine) or citation (directed count) network."""
-    try:
-        rule = None if threshold_value is None else networks.ThresholdRule(
-            "cosine" if network == "knowledge" else "citation", threshold_value
-        )
-    except ValueError as exc:
-        _fail_input(str(exc))
+    kind = "cosine" if network == "knowledge" else "citation"
+    rule = None if threshold_value is None else _or_fail(networks.ThresholdRule, kind, threshold_value)
     corpus = _load_corpus_or_fail(corpus_path)
     if matches_path:
-        try:
-            matches = linkage.read_matches(matches_path)
-        except (OSError, ValueError) as exc:
-            _fail_input(str(exc))
+        matches = _or_fail(linkage.read_matches, matches_path)
         corpus = linkage.rewrite_matched_references(corpus, matches)
     if network == "knowledge":
         matrix = networks.build_coupling_matrix(corpus)
@@ -203,7 +182,7 @@ def build(
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def threshold(graph_path: str, rule: str, value: float | None, out: str) -> None:
     """Filter edges by threshold and drop nodes left isolated."""
-    graph = _load_graph_or_fail(graph_path)
+    graph = _or_fail(load_graph, graph_path)
     if value is None:
         value = networks.COSINE_MIN_DEFAULT if rule == "cosine" else networks.CITATION_MIN_DEFAULT
     try:
@@ -226,7 +205,7 @@ def cluster(graph_path: str, out: str, unweighted: bool, domains_path: str | Non
     if domains_path and not composition_out:
         _fail_input("--domains is only read with --composition-out")
     domains = _read_domains(domains_path) if domains_path else {}
-    graph = _load_graph_or_fail(graph_path)
+    graph = _or_fail(load_graph, graph_path)
     try:
         partition = community.greedy_modularity_partition(graph, weighted=not unweighted)
     except community.CommunityError as exc:
@@ -234,11 +213,8 @@ def cluster(graph_path: str, out: str, unweighted: bool, domains_path: str | Non
     community.write_partition(partition, out)
     if composition_out:
         composition = community.cluster_domain_composition(partition, domains)
-        with open(composition_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("cluster_id\tdomain\tvenues\n")
-            for cluster in sorted(composition):
-                for domain in sorted(composition[cluster]):
-                    fh.write(f"{cluster}\t{domain}\t{composition[cluster][domain]}\n")
+        rows = ((cluster, *item) for cluster in sorted(composition) for item in sorted(composition[cluster].items()))
+        write_table(composition_out, community.COMPOSITION_HEADER, rows)
     click.echo(f"{partition.cluster_count} clusters, Q={partition.q:.4f}")
 
 
@@ -256,15 +232,9 @@ def project(matrix_path: str, partition_path: str, out: str, assignment_out: str
         _fail_input(str(exc))
     except ValueError as exc:
         _fail_input(f"{matrix_path}: {exc}")
-    try:
-        partition = community.read_partition(partition_path)
-    except (OSError, ValueError) as exc:
-        _fail_input(str(exc))
+    partition = _or_fail(community.read_partition, partition_path)
     projection = community.project_to_cluster_network(matrix, partition)
-    try:
-        write_graph(projection.graph, out)
-    except ExportError as exc:
-        _fail_input(str(exc))
+    _or_fail(write_graph, projection.graph, out)
     if assignment_out:
         community.write_assignment(partition, projection, assignment_out)
     click.echo(
@@ -293,7 +263,7 @@ def metrics_cmd(
     out: str | None,
 ) -> None:
     """Compute a graph metric; per-node metrics print sorted descending."""
-    graph = _load_graph_or_fail(graph_path)
+    graph = _or_fail(load_graph, graph_path)
     try:
         if metric == "density":
             click.echo(repr(metrics.density(graph)))
@@ -327,10 +297,7 @@ def metrics_cmd(
 def subgraphs_cmd(corpus_path: str, venue_kind: str, family: str, pagerank_path: str | None, out: str) -> None:
     """Profile and classify per-venue co-authorship and citation subgraphs."""
     corpus = _load_corpus_or_fail(corpus_path)
-    try:
-        ranks = metrics.read_metric_tsv(pagerank_path, "pagerank") if pagerank_path else {}
-    except (OSError, ValueError) as exc:
-        _fail_input(str(exc))
+    ranks = _or_fail(metrics.read_metric_tsv, pagerank_path, "pagerank") if pagerank_path else {}
     profiled = subgraphs.profile_venues(corpus, ranks)
     families = ["coauthorship", "citation"] if family == "both" else [family]
     rows = {f: [r for r in profiled[f] if venue_kind in ("all", r.kind)] for f in families}
@@ -347,10 +314,7 @@ def stats(profiles_path: str, bins: int, out: str, medians_out: str) -> None:
     """Normalized metric histograms and per-PageRank medians from profiles."""
     if bins < 1:
         _fail_input(f"histogram_bins must be >= 1, got {bins}")
-    try:
-        rows = subgraphs.read_profiles(profiles_path)
-    except (OSError, ValueError) as exc:
-        _fail_input(str(exc))
+    rows = _or_fail(subgraphs.read_profiles, profiles_path)
     subgraphs.write_statistics(rows, bins, out, medians_out)
     click.echo(f"wrote statistics for {sum(len(v) for v in rows.values())} profiles")
 
@@ -362,11 +326,8 @@ def stats(profiles_path: str, bins: int, out: str, medians_out: str) -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def export(graph_path: str, in_format: str, fmt: str, out: str) -> None:
     """Re-serialize a graph into GraphML, edge TSV, or JSON."""
-    graph = _load_graph_or_fail(graph_path, in_format)
-    try:
-        data = export_graph(graph, fmt)
-    except ExportError as exc:
-        _fail_input(str(exc))
+    graph = _or_fail(load_graph, graph_path, in_format)
+    data = _or_fail(export_graph, graph, fmt)
     try:
         with open(out, "wb") as fh:
             fh.write(data)

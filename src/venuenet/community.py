@@ -26,6 +26,7 @@ import numpy as np
 
 from . import metrics, networks
 from .corpus import _UNCARRIED
+from .exports import read_table, write_table
 from .graph import VenueGraph, arc_tails
 from .networks import CouplingMatrix
 
@@ -291,55 +292,41 @@ def cluster_domain_composition(
 
 
 PARTITION_HEADER = "venue_key\tcluster_id"
+ASSIGNMENT_HEADER = "venue_key\tcluster_id\trule"
+COMPOSITION_HEADER = "cluster_id\tdomain\tvenues"
 
 
 def write_partition(p: ClusterPartition, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# q={p.q!r} clusters={p.cluster_count}\n")
-        fh.write(PARTITION_HEADER + "\n")
-        for venue in sorted(p.assignment):
-            fh.write(f"{venue}\t{p.assignment[venue]}\n")
+    rows = ((venue, p.assignment[venue]) for venue in sorted(p.assignment))
+    write_table(path, PARTITION_HEADER, rows, comment=f"q={p.q!r} clusters={p.cluster_count}")
 
 
 def write_assignment(p: ClusterPartition, projection: ClusterProjection, path) -> None:
     """Each venue with its cluster and the rule that placed it: `clustered` (in the partition), `best-cosine` (adopted by
     projection) or `unassigned` (blank cluster)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("venue_key\tcluster_id\trule\n")
-        for venue in sorted(p.assignment):
-            fh.write(f"{venue}\t{p.assignment[venue]}\tclustered\n")
-        for venue in sorted(projection.new_assignments):
-            fh.write(f"{venue}\t{projection.new_assignments[venue]}\tbest-cosine\n")
-        for venue in projection.unassigned:
-            fh.write(f"{venue}\t\tunassigned\n")
+    adopted = projection.new_assignments
+    rows = [(venue, p.assignment[venue], "clustered") for venue in sorted(p.assignment)]
+    rows += [(venue, adopted[venue], "best-cosine") for venue in sorted(adopted)]
+    rows += [(venue, "", "unassigned") for venue in projection.unassigned]
+    write_table(path, ASSIGNMENT_HEADER, rows)
 
 
 def read_partition(path) -> ClusterPartition:
-    """The partition `path` holds. A row whose cluster id the cluster graph's
-    artifacts cannot carry raises ValueError naming the id and its line, as
-    a malformed row does: such an id holds a character a record id or venue
-    key cannot hold (corpus.check_names), or starts with `#`."""
-    assignment: dict[str, str] = {}
-    q = 0.0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            try:
-                if line.startswith("#"):
-                    for token in line[1:].split():
-                        if token.startswith("q="):
-                            q = float(token[2:])
-                elif line and line != PARTITION_HEADER:
-                    fields = line.split("\t")
-                    if len(fields) != 2:
-                        raise ValueError(f"expected 2 tab-separated fields, got {len(fields)}")
-                    venue, cluster = fields
-                    bad = re.search(_UNCARRIED, cluster)
-                    if bad:
-                        raise ValueError(f"cluster id {cluster!r} holds {bad.group()!r}, which the output artifacts cannot carry")
-                    if cluster.startswith("#"):
-                        raise ValueError(f"cluster id {cluster!r} starts with '#', which an edge TSV would read as a comment")
-                    assignment[venue] = cluster
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return ClusterPartition(assignment=assignment, q=q)
+    """The partition at `path`, its header optional and its Q read from a
+    `# q=` comment: each venue once, with a cluster id `_cluster_id` passes."""
+    settings, rows = read_table(path, PARTITION_HEADER, "partition", key=("venue_key",),
+                                parse={"cluster_id": _cluster_id, "q": float}, headerless=True)
+    return ClusterPartition(assignment=dict(rows), q=settings.get("q", 0.0))
+
+
+def _cluster_id(cluster: str) -> str:
+    """`cluster`, unless it is empty, holds a character a record id or venue
+    key cannot hold (corpus.check_names) or starts with `#`."""
+    if not cluster:
+        raise ValueError("empty cluster_id")
+    bad = re.search(_UNCARRIED, cluster)
+    if bad:
+        raise ValueError(f"cluster id {cluster!r} holds {bad.group()!r}, which the output artifacts cannot carry")
+    if cluster.startswith("#"):
+        raise ValueError(f"cluster id {cluster!r} starts with '#', which an edge TSV would read as a comment")
+    return cluster

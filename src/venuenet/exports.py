@@ -5,16 +5,18 @@ writers produce a document line by line, nodes and edges in the graph's
 
 The TSV dialect keeps the edge rows as plain (source, target, weight) so
 naive TSV consumers work unchanged; directedness and node attributes ride
-along in `#`-prefixed comment lines.
+along in `#`-prefixed comment lines. Every result table has one TSV format,
+written by `write_table` and read by `read_table`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import xml.etree.ElementTree as ET
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .graph import GraphError, VenueGraph
 
@@ -361,3 +363,79 @@ def _rows_of(items, types: tuple) -> bool:
     return isinstance(items, list) and all(
         isinstance(item, list) and len(item) == len(types) and all(map(isinstance, item, types)) for item in items
     )
+
+
+# -- TSV tables -------------------------------------------------------------
+
+
+def write_table(path, header: str, rows: Iterable[Sequence], comment: str | None = None) -> None:
+    """`# comment` (when given), `header`, then each row's cells joined by
+    tabs: a float as its repr, None as an empty cell, anything else by str."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# {comment}\n{header}\n" if comment is not None else header + "\n")
+        fh.writelines("\t".join(["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row]) + "\n"
+                      for row in rows)
+
+
+def finite_float(text: str) -> float:
+    """float(text), refusing NaN and the infinities with ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file `path`; other bytes raise ValueError naming the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: invalid UTF-8 at byte {exc.start}") from None
+
+
+def read_table(path, header: str, name: str, key: Sequence[str], parse: dict[str, Callable], headerless=False):
+    """(settings, rows) of the `name` table `path`: UTF-8 with LF line ends,
+    `#` comment lines only before the `header` line (which `headerless`
+    makes optional), then rows of as many tab-separated fields as the
+    header, whose `key` columns are non-empty and together unique. `parse`
+    reads the cells of a column and a comment's `name=value` settings."""
+    lines = read_text(path).split("\n")
+    if not lines[-1]:
+        lines.pop()  # what follows the last line end
+    columns = header.split("\t")
+    parsers = [(columns.index(column), fn) for column, fn in parse.items() if column in columns]
+    keys = [columns.index(column) for column in key]
+    settings, rows, seen, lineno = {}, [], {}, 1
+    try:
+        while lineno <= len(lines) and lines[lineno - 1].startswith("#"):
+            for setting, value in re.findall(r"(\S+?)=(\S*)", lines[lineno - 1][1:]):
+                settings[setting] = parse.get(setting, str)(value)
+            lineno += 1
+        if lines[lineno - 1 : lineno] == [header]:
+            lineno += 1
+        elif not headerless:
+            raise ValueError(f"unexpected {name} header: {(lines[lineno - 1 :] or [''])[0]!r}")
+        for lineno, line in enumerate(lines[lineno - 1 :], start=lineno):
+            fields = line.split("\t")
+            if len(fields) != len(columns):
+                raise ValueError(f"expected {len(columns)} tab-separated fields, got {len(fields)}")
+            for i, fn in parsers:
+                fields[i] = fn(fields[i])
+            row_key = tuple(fields[i] for i in keys)
+            if not all(row_key):
+                raise ValueError(f"empty {columns[keys[row_key.index('')]]}")
+            if seen.setdefault(row_key, lineno) != lineno:
+                named = ", ".join(f"{columns[i]} {fields[i]!r}" for i in keys)
+                raise ValueError(f"{named} repeats line {seen[row_key]}")
+            rows.append(fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return settings, rows

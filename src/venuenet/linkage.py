@@ -20,6 +20,7 @@ import numpy as np
 
 from . import metrics
 from .corpus import Corpus, PublicationRecord
+from .exports import finite_float, read_table, write_table
 
 DEFAULT_JACCARD_MIN = 0.5
 DEFAULT_SW_MIN = 0.9
@@ -431,25 +432,13 @@ MATCHES_HEADER = "left_id\tright_id\tjaccard\tsw_similarity"
 
 
 def write_matches(matches: list[MatchPair], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(MATCHES_HEADER + "\n")
-        for pair in sorted(matches, key=lambda p: p.left):
-            fh.write(f"{pair.left}\t{pair.right}\t{pair.jaccard!r}\t{pair.sw_similarity!r}\n")
+    rows = ((p.left, p.right, p.jaccard, p.sw_similarity) for p in sorted(matches, key=lambda p: p.left))
+    write_table(path, MATCHES_HEADER, rows)
 
 
 def read_matches(path) -> list[MatchPair]:
-    matches = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != MATCHES_HEADER:
-            raise ValueError(f"{path}: line 1: unexpected matches header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
-            left, right, j, s = fields
-            try:
-                matches.append(MatchPair(left=left, right=right, jaccard=float(j), sw_similarity=float(s)))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return matches
+    """The pairs of a file written by write_matches: each left id at most
+    once, both scores finite."""
+    parse = {"jaccard": finite_float, "sw_similarity": finite_float}
+    _, rows = read_table(path, MATCHES_HEADER, "matches", key=("left_id",), parse=parse)
+    return [MatchPair(*row) for row in rows]

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .exports import finite_float, read_table, write_table
 from .graph import VenueGraph, arc_tails
 
 DEFAULT_PAGERANK_D = 0.85
@@ -431,37 +431,16 @@ def pagerank(
 # -- per-node TSV ----------------------------------------------------------
 
 
+METRIC_HEADER = "node\t{}"  # formatted with the metric's name
+
+
 def write_metric_tsv(vector: MetricVector, path) -> None:
     """`node<TAB><metric>` header, then one row per node, highest value first."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"node\t{vector.metric}\n")
-        for node, value in vector.top():
-            fh.write(f"{node}\t{value!r}\n")
-
-
-def finite_float(text: str) -> float:
-    """float(text), refusing NaN and the infinities with ValueError."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return value
+    write_table(path, METRIC_HEADER.format(vector.metric), vector.top())
 
 
 def read_metric_tsv(path, metric: str) -> dict[str, float]:
-    """Per-node values of a file written by write_metric_tsv for `metric`.
-    A wrong header or a malformed row (a non-finite value among them) raises
-    ValueError naming its line."""
-    values: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.rstrip("\n") != f"node\t{metric}":
-            raise ValueError(f"{path}: line 1: expected header 'node<TAB>{metric}', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            try:
-                if len(fields) != 2 or not fields[0]:
-                    raise ValueError
-                values[fields[0]] = finite_float(fields[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected 'node<TAB>finite value', got {line!r}") from None
-    return values
+    """Per-node values of a file written by write_metric_tsv for `metric`:
+    each node once, each value finite."""
+    _, rows = read_table(path, METRIC_HEADER.format(metric), metric, key=("node",), parse={metric: finite_float})
+    return dict(rows)

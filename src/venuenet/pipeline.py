@@ -17,7 +17,7 @@ from time import perf_counter, process_time
 
 from . import community, linkage, metrics, networks, subgraphs
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, check_names, parse_corpus, save_corpus, validate_corpus
-from .exports import export_graph, write_graph  # noqa: F401 (bench/tracing.py wraps both here)
+from .exports import export_graph, write_graph, write_text  # noqa: F401 (bench/tracing.py wraps the first two here)
 from .graph import VenueGraph
 from .subgraphs import DEFAULT_CUTS, ClassificationCuts, ProfileRow
 
@@ -135,8 +135,7 @@ class PipelineConfig:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_text())
+        write_text(path, self.to_text())
 
     @classmethod
     def from_text(cls, text: str) -> "PipelineConfig":
@@ -250,9 +249,7 @@ class RunManifest:
         return out
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_text(path, json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     def report_dict(self) -> dict:
         """The run report: per completed stage its timing, the ingest,
@@ -272,9 +269,7 @@ class RunManifest:
         return out
 
     def save_report(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.report_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_text(path, json.dumps(self.report_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -333,9 +328,7 @@ def _stage_ingest(run: _Run) -> None:
     save_corpus(run.meta, out)
     report = validate_corpus(run.meta)
     report_path = run.out_dir / "validation_metadata.json"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_text(report_path, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     outputs = [out, report_path]
 
     if cfg.citation_corpus:
@@ -388,40 +381,32 @@ def _stage_build(run: _Run) -> None:
 
 def _stage_threshold(run: _Run) -> None:
     cfg = run.cfg
-    run.knowledge_reduced = networks.apply_threshold(
-        run.knowledge, networks.ThresholdRule("cosine", cfg.cosine_min)
-    )
-    run.citation_reduced = networks.apply_threshold(
-        run.citation, networks.ThresholdRule("citation", cfg.citation_min)
-    )
-    # K' is a subgraph of K, so equal node and edge counts mean K' = K, and
-    # its edge TSV and summary are K's: every graph holds its nodes and rows
-    # in name order.
-    reduced, full = run.knowledge_reduced, run.knowledge
-    run.manifest.networks.update({"K'": _size(reduced), "F'": _size(run.citation_reduced)})
-    kept_all = (reduced.node_count(), reduced.edge_count()) == (full.node_count(), full.edge_count())
-    k_path = run.out_dir / "knowledge.tsv"
-    f_path = run.out_dir / "citation.tsv"
-    if kept_all:
-        shutil.copyfile(run.out_dir / "knowledge_full.tsv", k_path)
-    else:
-        write_graph(reduced, k_path)
-    write_graph(run.citation_reduced, f_path)
-    k_summary = networks.summarize(full)
-    summaries = {
-        "F": networks.summarize(run.citation),
-        "F'": networks.summarize(run.citation_reduced),
-        "K": k_summary,
-        "K'": k_summary if kept_all else networks.summarize(reduced),
-    }
+    summaries, reduced_graphs = {}, []
+    for name, full, rule, stem in (
+        ("K", run.knowledge, networks.ThresholdRule("cosine", cfg.cosine_min), "knowledge"),
+        ("F", run.citation, networks.ThresholdRule("citation", cfg.citation_min), "citation"),
+    ):
+        reduced = networks.apply_threshold(full, rule)
+        run.manifest.networks[name + "'"] = _size(reduced)
+        path = run.out_dir / f"{stem}.tsv"
+        summaries[name] = networks.summarize(full)
+        # The reduced network is a subgraph of the full one, so equal node and
+        # edge counts mean they are one graph, with one edge TSV and summary:
+        # every graph holds its nodes and rows in name order.
+        if _size(reduced) == _size(full):
+            shutil.copyfile(run.out_dir / f"{stem}_full.tsv", path)
+            summaries[name + "'"] = summaries[name]
+        else:
+            write_graph(reduced, path)
+            summaries[name + "'"] = networks.summarize(reduced)
+        reduced_graphs.append(reduced)
+    run.knowledge_reduced, run.citation_reduced = reduced_graphs
+    summaries = dict(sorted(summaries.items()))  # the table's columns: F, F', K, K'
     table_path = run.out_dir / "network_summary.txt"
-    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(networks.format_summary_table(summaries))
+    write_text(table_path, networks.format_summary_table(summaries))
     json_path = run.out_dir / "network_summary.json"
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({k: v.to_dict() for k, v in summaries.items()}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    run.record("threshold", k_path, f_path, table_path, json_path)
+    write_text(json_path, json.dumps({k: v.to_dict() for k, v in summaries.items()}, sort_keys=True, indent=2) + "\n")
+    run.record("threshold", run.out_dir / "knowledge.tsv", run.out_dir / "citation.tsv", table_path, json_path)
 
 
 def _stage_cluster(run: _Run) -> None:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import metrics
 from .corpus import Corpus
+from .exports import finite_float, read_table, write_table
 
 TYPE_1 = "Type1"
 TYPE_2 = "Type2"
@@ -304,59 +305,30 @@ def profile_statistics(rows: Iterable[ProfileRow], bins: int = DEFAULT_HISTOGRAM
 
 
 PROFILES_HEADER = "venue\tkind\tsubgraph\tm1_density\tm2_avg_clustering\tm3_max_betweenness\tm4_lcc_fraction\tnodes\tedges\ttype\tpagerank"
+HISTOGRAMS_HEADER = "subgraph\tmetric\tvenue_kind\tbin_lo\tbin_hi\tmass"
+MEDIANS_HEADER = "subgraph\tmetric\tpagerank_bin\tmedian"
 
 
 def write_profiles(rows: dict[str, list[ProfileRow]], path) -> None:
     """rows maps subgraph family ('coauthorship' | 'citation') to profiles."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PROFILES_HEADER + "\n")
-        for family in sorted(rows):
-            for r in sorted(rows[family], key=lambda r: r.venue_key):
-                p = r.profile
-                rank = "" if r.pagerank is None else repr(r.pagerank)
-                fh.write(
-                    f"{r.venue_key}\t{r.kind}\t{family}\t{p.m1_density!r}\t{p.m2_avg_clustering!r}"
-                    f"\t{p.m3_max_betweenness!r}\t{p.m4_lcc_fraction!r}\t{p.node_count}"
-                    f"\t{p.edge_count}\t{r.network_type}\t{rank}\n"
-                )
+    write_table(path, PROFILES_HEADER, (
+        (r.venue_key, r.kind, family, *r.profile.as_tuple(), r.profile.node_count, r.profile.edge_count,
+         r.network_type, r.pagerank)
+        for family in sorted(rows)
+        for r in sorted(rows[family], key=lambda r: r.venue_key)
+    ))
 
 
 def read_profiles(path) -> dict[str, list[ProfileRow]]:
-    """The rows of a file written by write_profiles. A wrong header or a
-    malformed row (a non-finite metric or PageRank among them) raises
-    ValueError naming its line."""
+    """The rows of a file written by write_profiles: each (subgraph, venue)
+    pair once, each metric and PageRank finite."""
+    parse = dict.fromkeys(METRIC_NAMES, finite_float)
+    parse.update(nodes=int, edges=int, pagerank=lambda text: finite_float(text) if text else None)
+    _, table = read_table(path, PROFILES_HEADER, "profiles", key=("subgraph", "venue"), parse=parse)
     rows: dict[str, list[ProfileRow]] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != PROFILES_HEADER:
-            raise ValueError(f"{path}: line 1: unexpected profiles header: {header!r}")
-        width = PROFILES_HEADER.count("\t") + 1
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != width:
-                raise ValueError(f"{path}: line {lineno}: expected {width} tab-separated fields, got {len(fields)}")
-            venue, kind, family = fields[0], fields[1], fields[2]
-            try:
-                profile = SubgraphProfile(
-                    m1_density=metrics.finite_float(fields[3]),
-                    m2_avg_clustering=metrics.finite_float(fields[4]),
-                    m3_max_betweenness=metrics.finite_float(fields[5]),
-                    m4_lcc_fraction=metrics.finite_float(fields[6]),
-                    node_count=int(fields[7]),
-                    edge_count=int(fields[8]),
-                )
-                rank = metrics.finite_float(fields[10]) if fields[10] else None
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            rows.setdefault(family, []).append(
-                ProfileRow(
-                    venue_key=venue,
-                    kind=kind,
-                    profile=profile,
-                    pagerank=rank,
-                    network_type=fields[9],
-                )
-            )
+    for venue, kind, family, m1, m2, m3, m4, nodes, edges, network_type, rank in table:
+        profile = SubgraphProfile(m1, m2, m3, m4, node_count=nodes, edge_count=edges)
+        rows.setdefault(family, []).append(ProfileRow(venue, kind, profile, pagerank=rank, network_type=network_type))
     return rows
 
 
@@ -364,19 +336,13 @@ def write_statistics(rows_by_family: dict[str, list[ProfileRow]], bins: int, his
     """Write the histograms and PageRank medians of every family with
     profiles, in family order. Both files get their header even when there
     are no profiles at all."""
-    with open(histogram_path, "w", encoding="utf-8", newline="\n") as hist, open(
-        medians_path, "w", encoding="utf-8", newline="\n"
-    ) as med:
-        hist.write("subgraph\tmetric\tvenue_kind\tbin_lo\tbin_hi\tmass\n")
-        med.write("subgraph\tmetric\tpagerank_bin\tmedian\n")
-        for family in sorted(rows_by_family):
-            if not rows_by_family[family]:
-                continue
-            report = profile_statistics(rows_by_family[family], bins=bins)
-            for metric in METRIC_NAMES:
-                for kind in sorted(report.histograms[metric]):
-                    for b in report.histograms[metric][kind]:
-                        hist.write(f"{family}\t{metric}\t{kind}\t{b.lo!r}\t{b.hi!r}\t{b.mass!r}\n")
-            for metric in METRIC_NAMES:
-                for rank, median in report.pagerank_medians[metric]:
-                    med.write(f"{family}\t{metric}\t{rank!r}\t{median!r}\n")
+    reports = {family: profile_statistics(rows, bins=bins) for family, rows in sorted(rows_by_family.items()) if rows}
+    write_table(histogram_path, HISTOGRAMS_HEADER, (
+        (family, metric, kind, b.lo, b.hi, b.mass)
+        for family, report in reports.items() for metric in METRIC_NAMES
+        for kind in sorted(report.histograms[metric]) for b in report.histograms[metric][kind]
+    ))
+    write_table(medians_path, MEDIANS_HEADER, (
+        (family, metric, rank, median)
+        for family, report in reports.items() for metric in METRIC_NAMES for rank, median in report.pagerank_medians[metric]
+    ))

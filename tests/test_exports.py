@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from oracles import graphml_et, neighbors
-from venuenet.exports import ExportError, FORMATS, export_graph, import_graph, write_graph
+from venuenet.exports import ExportError, FORMATS, export_graph, finite_float, import_graph, read_table, write_graph, write_table
 from venuenet.graph import VenueGraph
 
 
@@ -288,3 +288,41 @@ class TestErrors:
     def test_json_format_tag_checked(self):
         with pytest.raises(ExportError):
             import_graph(b'{"format": "other", "directed": false, "nodes": [], "edges": []}', "json")
+
+
+class TestTables:
+    HEADER = "id\tvalue"
+
+    def read(self, path, data: bytes, headerless=False):
+        path.write_bytes(data)
+        return read_table(path, self.HEADER, "test", key=("id",), parse={"value": finite_float}, headerless=headerless)
+
+    def test_write_formats_cells_and_comment(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        write_table(path, "a\tb\tc", [("x", 0.1, None), ("y", 3, "z")], comment="q=0.5")
+        assert path.read_bytes() == b"# q=0.5\na\tb\tc\nx\t0.1\t\ny\t3\tz\n"
+
+    def test_comments_before_the_header_give_settings(self, tmp_path):
+        settings, rows = self.read(tmp_path / "t.tsv", b"# q=1.5 note\n#\nid\tvalue\n#a\t2\n")
+        assert settings == {"q": "1.5"} and rows == [["#a", 2.0]]  # a row is never a comment
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "line 1: unexpected test header: ''"),
+        (b"id\tvalue\r\na\t1\r\n", "line 1: unexpected test header: 'id\\tvalue\\r'"),
+        (b"id\tvalue\na\t1\nb\n", "line 3: expected 2 tab-separated fields, got 1"),
+        (b"id\tvalue\na\t1\n\n", "line 3: expected 2 tab-separated fields, got 1"),
+        (b"id\tvalue\na\t1\t\n", "line 2: expected 2 tab-separated fields, got 3"),
+        (b"id\tvalue\na\tnan\n", "line 2: not a finite number: 'nan'"),
+        (b"id\tvalue\n\t1\n", "line 2: empty id"),
+        (b"id\tvalue\na\t1\nb\t2\na\t3\n", "line 4: id 'a' repeats line 2"),
+        (b"# c\nid\tvalue\na\t\xff\n", "line 3: invalid UTF-8 at byte 15"),
+    ])
+    def test_faults_name_file_and_line(self, tmp_path, data, message):
+        path = tmp_path / "t.tsv"
+        with pytest.raises(ValueError) as exc:
+            self.read(path, data)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_headerless_table_starts_with_its_rows(self, tmp_path):
+        assert self.read(tmp_path / "t.tsv", b"a\t1\n", headerless=True) == ({}, [["a", 1.0]])
+        assert self.read(tmp_path / "t.tsv", b"", headerless=True) == ({}, [])

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from venuenet.community import read_partition
 from venuenet.corpus import CorpusError, parse_dblp_xml, parse_jsonl
-from venuenet.exports import _GRAPHML_NS, ExportError, export_graph, import_graph
+from venuenet.exports import _GRAPHML_NS, ExportError, export_graph, finite_float, import_graph, read_table, write_table
 from venuenet.graph import VenueGraph
 from venuenet.linkage import MATCHES_HEADER, read_matches
 from venuenet.networks import CouplingMatrix
@@ -223,3 +223,25 @@ def test_edge_tsv_round_trip(g, extra):
         return
     assert all(map(tsv_carries, g.nodes))
     assert import_graph(data, "edge-tsv") == g
+
+
+# a table cell: any text without a tab, a line feed or a lone surrogate (UTF-8 has none)
+cells = st.text(st.characters(blacklist_characters="\t\n", blacklist_categories=("Cs",)), max_size=8)
+
+
+@FUZZ
+@given(st.dictionaries(cells.filter(bool), st.tuples(cells, st.floats(allow_nan=False, allow_infinity=False)), max_size=20),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_table_round_trip(table, q):
+    """write_table then read_table gives back every row and setting: keys
+    are any non-empty cell, floats any finite float, bit for bit."""
+    rows = [[key, label, value] for key, (label, value) in table.items()]
+    fd, path = tempfile.mkstemp()
+    os.close(fd)
+    try:
+        write_table(path, "id\tlabel\tvalue", rows, comment=f"q={q!r}")
+        settings, again = read_table(path, "id\tlabel\tvalue", "test", key=("id",), parse={"value": finite_float, "q": float})
+    finally:
+        os.unlink(path)
+    assert again == rows and settings == {"q": q}
+    assert [repr(r[2]) for r in again] == [repr(r[2]) for r in rows]  # -0.0 stays -0.0

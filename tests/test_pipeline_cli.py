@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from venuenet import pipeline
+from venuenet import community, linkage, metrics, pipeline, subgraphs
 from venuenet.cli import main
 from venuenet.community import read_partition
 from venuenet.corpus import save_corpus
@@ -1043,9 +1043,23 @@ READER_CASES = [
      {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v2\t#x\n"}, "p.tsv", "line 3: cluster id '#x' starts with '#'"),
     ("partition-cluster-id-control", "project",
      {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v2\tc\x01\n"}, "p.tsv", "line 3: cluster id 'c\\x01' holds"),
+    # each venue once, with a non-empty key and cluster id: the last row no longer silently wins
+    ("partition-repeated-venue", "project",
+     {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v1\tv2\n"}, "p.tsv", "line 3: venue_key 'v1' repeats line 2"),
+    ("partition-empty-cluster-id", "project", {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v2\t\n"}, "p.tsv", "line 3: empty cluster_id"),
+    ("partition-empty-venue-key", "project", {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "\tv1\n"}, "p.tsv", "line 3: empty venue_key"),
     ("matches-missing-file", "build", {"c.jsonl": '{"id": "p1", "title": "T"}\n'}, "m.tsv", "No such file"),
     ("matches-two-field-row", "build",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\n"}, "m.tsv", "line 2"),
+    ("matches-nan-jaccard", "build",
+     {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\tnan\t1.0\n"}, "m.tsv",
+     "line 2: not a finite number: 'nan'"),
+    ("matches-inf-sw-similarity", "build",
+     {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\t1.0\t1.0\nc\td\t1.0\tinf\n"}, "m.tsv",
+     "line 3: not a finite number: 'inf'"),
+    ("matches-repeated-left-id", "build",
+     {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\t1.0\t1.0\na\tc\t1.0\t1.0\n"}, "m.tsv",
+     "line 3: left_id 'a' repeats line 2"),
     ("graphml-truncated", "export-graphml", {"g.graphml": "<graphml"}, "g.graphml", "line 1, column 0"),
     ("graphml-undeclared-data-key", "export-graphml",
      {"g.graphml": GRAPHML_HEAD + '<node id="a"><data key="d9">x</data></node>' + GRAPHML_TAIL}, "g.graphml", "node 'a'"),
@@ -1060,10 +1074,14 @@ READER_CASES = [
      {"p.tsv": PROFILES_HEADER + "\n" + PROFILE_OK.replace("0.2", "nan")}, "p.tsv", "line 2: not a finite number: 'nan'"),
     ("profiles-inf-pagerank", "stats",
      {"p.tsv": PROFILES_HEADER + "\n" + PROFILE_OK + PROFILE_OK.replace("0.5", "inf")}, "p.tsv", "line 3: not a finite"),
+    ("profiles-repeated-pair", "stats", {"p.tsv": PROFILES_HEADER + "\n" + PROFILE_OK + PROFILE_OK}, "p.tsv",
+     "line 3: subgraph 'citation', venue 'v1' repeats line 2"),
     ("pagerank-wrong-header", "subgraphs", {"c.jsonl": CORPUS_OK, "r.tsv": "node\tbetweenness\nv1\t0.5\n"}, "r.tsv", "line 1"),
     ("pagerank-nan", "subgraphs", {"c.jsonl": CORPUS_OK, "r.tsv": "node\tpagerank\nv1\tnan\n"}, "r.tsv", "line 2"),
     ("pagerank-inf", "subgraphs",
      {"c.jsonl": CORPUS_OK, "r.tsv": "node\tpagerank\nv1\t0.5\nv2\t-Infinity\n"}, "r.tsv", "line 3"),
+    ("pagerank-repeated-node", "subgraphs",
+     {"c.jsonl": CORPUS_OK, "r.tsv": "node\tpagerank\nv1\t0.5\nv1\t0.7\n"}, "r.tsv", "line 3: node 'v1' repeats line 2"),
 ]
 READER_ARGS = {
     "threshold": ["threshold", "{g.tsv}", "--rule", "cosine", "--out", "{out.tsv}"],
@@ -1158,6 +1176,35 @@ class TestStageByStageCli:
 
         differing = [name for name in self.ARTIFACTS if (d / name).read_bytes() != (run_dir / name).read_bytes()]
         assert differing == []
+
+
+class TestTableRoundTrip:
+    def test_tables_read_back_write_the_same_bytes(self, tmp_path, planted):
+        """Every table the stage commands read back, from a linked run with
+        year slices, reads through its reader and writes the same bytes."""
+        corpus, _ = planted
+        meta, cite = split_for_linkage(corpus)
+        save_corpus(meta, tmp_path / "meta.jsonl")
+        save_corpus(cite, tmp_path / "cite.jsonl")
+        years = sorted({r.year for r in corpus.records})
+        cfg = fixture_config(tmp_path, tmp_path / "meta.jsonl", citation_corpus=str(tmp_path / "cite.jsonl"),
+                             slice_years=(years[len(years) // 2], years[-1]))
+        cfg.save(tmp_path / "run.cfg")
+        result = CliRunner().invoke(main, ["run", "--config", str(tmp_path / "run.cfg")])
+        assert result.exit_code == 0, result.output
+        out = Path(cfg.out_dir)
+        tables = {
+            "matches.tsv": (linkage.read_matches, linkage.write_matches),
+            "partition.tsv": (read_partition, community.write_partition),
+            "profiles.tsv": (subgraphs.read_profiles, write_profiles),
+        }
+        for metric in ("betweenness", "pagerank"):
+            read = lambda path, metric=metric: metrics.MetricVector(metric, metrics.read_metric_tsv(path, metric))
+            tables[f"{metric}.tsv"] = (read, metrics.write_metric_tsv)
+        for name, (read, write) in tables.items():
+            assert (out / name).read_text().count("\n") > 1, name  # a header and rows
+            write(read(out / name), tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 
 class TestRunAcrossHashSeeds:

@@ -1,4 +1,4 @@
-"""The README's Python API note and its Quickstart, run as written."""
+"""The README's Python API note, its Quickstart run as written, and its table headers."""
 
 import os
 import re
@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import venuenet
+from venuenet import community, linkage, metrics, subgraphs
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -51,3 +52,23 @@ def test_quickstart_runs_as_written(tmp_path):
     # the files the block's `cat` lines show
     shown = [shlex.split(line)[1] for line in block.splitlines() if line.startswith("cat ")]
     assert shown and all((tmp_path / name).stat().st_size > 0 for name in shown)
+
+
+def test_documented_table_headers_are_the_code_headers():
+    """Each table the README's "TSV tables" list documents, named by its
+    first code span, has the columns of its writer's header constant."""
+    section = README.split("**TSV tables.**", 1)[1].split("\n\n**", 1)[0]
+    items = [" ".join(item.split()) for item in section.split("\n- ")[1:]]
+    documented = {m.group(1): m.group(2).split() for m in (re.match(r"`([^`]+)`[^:]*: `([^`]+)`", i) for i in items)}
+    headers = {
+        "matches.tsv": linkage.MATCHES_HEADER,
+        "partition.tsv": community.PARTITION_HEADER,
+        "cluster_assignment.tsv": community.ASSIGNMENT_HEADER,
+        "betweenness.tsv": metrics.METRIC_HEADER.format("betweenness"),
+        "pagerank.tsv": metrics.METRIC_HEADER.format("pagerank"),
+        "profiles.tsv": subgraphs.PROFILES_HEADER,
+        "histograms.tsv": subgraphs.HISTOGRAMS_HEADER,
+        "medians.tsv": subgraphs.MEDIANS_HEADER,
+        "cluster --composition-out": community.COMPOSITION_HEADER,
+    }
+    assert documented == {name: header.split("\t") for name, header in headers.items()}
