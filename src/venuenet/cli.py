@@ -225,11 +225,9 @@ def cluster(graph_path: str, out: str, unweighted: bool, domains_path: str | Non
 @click.option("--assignment-out", type=click.Path(dir_okay=False))
 def project(matrix_path: str, partition_path: str, out: str, assignment_out: str | None) -> None:
     """Aggregate coupling to cluster level and build the cluster network."""
+    text = _or_fail(read_text, matrix_path)
     try:
-        with open(matrix_path, "rb") as fh:
-            matrix = networks.CouplingMatrix.from_json(fh.read())
-    except OSError as exc:
-        _fail_input(str(exc))
+        matrix = networks.CouplingMatrix.from_json(text)
     except ValueError as exc:
         _fail_input(f"{matrix_path}: {exc}")
     partition = _or_fail(community.read_partition, partition_path)

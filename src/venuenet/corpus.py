@@ -214,17 +214,6 @@ class ValidationReport:
     def is_clean(self) -> bool:
         return not self.dangling_venue_keys and not self.empty_title_ids
 
-    def to_dict(self) -> dict:
-        return {
-            "record_count": self.record_count,
-            "dangling_venue_keys": self.dangling_venue_keys,
-            "empty_title_ids": self.empty_title_ids,
-            "unresolved_reference_count": self.unresolved_reference_count,
-            "resolved_reference_count": self.resolved_reference_count,
-            "no_venue_count": self.no_venue_count,
-            "no_author_count": self.no_author_count,
-        }
-
 
 # -- parsing ------------------------------------------------------------
 

@@ -65,13 +65,16 @@ def _lines(g: VenueGraph, format: str, node_attrs) -> Iterator[str]:
 
 
 def import_graph(data: bytes, format: str) -> VenueGraph:
-    if format == "graphml":
-        return _from_graphml(data)
-    if format == "edge-tsv":
-        return _from_tsv(data)
-    if format == "json":
-        return _from_json(data)
-    raise ExportError(f"unknown export format {format!r}")
+    """The graph of the document `data` in `format`; a malformed one raises
+    ExportError naming where it is."""
+    parse = {"graphml": _from_graphml, "edge-tsv": _from_tsv, "json": _from_json}.get(format)
+    if parse is None:
+        raise ExportError(f"unknown export format {format!r}")
+    try:
+        text = decode_text(data)
+    except ValueError as exc:
+        raise ExportError(str(exc)) from None
+    return parse(text)
 
 
 def load_graph(path, format: str = "edge-tsv") -> VenueGraph:
@@ -189,15 +192,10 @@ def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
     yield "</graphml>"
 
 
-def _from_graphml(data: bytes) -> VenueGraph:
+def _from_graphml(text: str) -> VenueGraph:
     """The graph of a GraphML document. A malformed one raises ExportError
-    naming the problem and where it is: a line and column, a byte, or the
-    node or edge."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ExportError(f"line {line}: invalid UTF-8 at byte {exc.start}") from None
+    naming the problem and where it is: a line and column, or the node or
+    edge."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:  # its message ends with the line and column
@@ -275,8 +273,8 @@ def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
     yield from (f"{u}\t{v}\t{w!r}\n" for u, v, w in g.edges())
 
 
-def _from_tsv(data: bytes) -> VenueGraph:
-    lines = data.decode("utf-8").splitlines()
+def _from_tsv(text: str) -> VenueGraph:
+    lines = text.splitlines()
     if not lines or not lines[0].startswith("# venuenet-graph"):
         raise ExportError("line 1: missing edge-tsv header line")
     directed = "directed=true" in lines[0]
@@ -335,9 +333,9 @@ def _to_json(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
     yield json.dumps(obj, sort_keys=True, indent=0) + "\n"
 
 
-def _from_json(data: bytes) -> VenueGraph:
+def _from_json(text: str) -> VenueGraph:
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = json.loads(text)
     except RecursionError:
         raise ExportError("JSON nested too deeply") from None
     except ValueError as exc:
@@ -390,15 +388,21 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def read_text(path) -> str:
-    """The text of the UTF-8 file `path`; other bytes raise ValueError naming the line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def decode_text(data: bytes, path=None) -> str:
+    """`data` as UTF-8 text, the one decode of every input but a corpus;
+    other bytes raise ValueError naming the line (after `path`, if given)."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {line}: invalid UTF-8 at byte {exc.start}") from None
+        where = "" if path is None else f"{path}: "
+        raise ValueError(f"{where}line {line}: invalid UTF-8 at byte {exc.start}") from None
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file `path`; other bytes raise ValueError naming the file and line."""
+    with open(path, "rb") as fh:
+        return decode_text(fh.read(), path)
 
 
 def read_table(path, header: str, name: str, key: Sequence[str], parse: dict[str, Callable], headerless=False):

@@ -128,10 +128,10 @@ class CouplingMatrix:
         return _json_object(['"publication_counts"', '"vectors"', '"venues"'], parts).encode("ascii")
 
     @classmethod
-    def from_json(cls, data: bytes) -> "CouplingMatrix":
-        """The matrix `to_json` wrote; ValueError names what is malformed."""
+    def from_json(cls, text: str) -> "CouplingMatrix":
+        """The matrix `to_json` wrote, as text; ValueError names what is malformed."""
         try:
-            obj = json.loads(data.decode("utf-8"))
+            obj = json.loads(text)
         except RecursionError:
             raise ValueError("coupling matrix JSON nested too deeply") from None
         if not isinstance(obj, dict):
@@ -427,15 +427,6 @@ class NetworkSummary:
             ("Density", "100%" if percent == "1e+02" else f"{percent}%"),  # 99.5% and up round to 1e+02
             ("Clustering coef.", f"{self.clustering_coefficient:.3f}"),
         ]
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "edges": self.edges,
-            "components": self.components,
-            "density": self.density,
-            "clustering_coefficient": self.clustering_coefficient,
-        }
 
 
 def summarize(g: VenueGraph) -> NetworkSummary:

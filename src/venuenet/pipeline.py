@@ -17,7 +17,7 @@ from time import perf_counter, process_time
 
 from . import community, linkage, metrics, networks, subgraphs
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, check_names, parse_corpus, save_corpus, validate_corpus
-from .exports import export_graph, write_graph, write_text  # noqa: F401 (bench/tracing.py wraps the first two here)
+from .exports import export_graph, read_text, write_graph, write_text  # noqa: F401 (bench/tracing.py wraps export_graph and write_graph here)
 from .graph import VenueGraph
 from .subgraphs import DEFAULT_CUTS, ClassificationCuts, ProfileRow
 
@@ -178,8 +178,11 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            text = read_text(path)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return cls.from_text(text)
 
 
 @dataclass
@@ -328,7 +331,7 @@ def _stage_ingest(run: _Run) -> None:
     save_corpus(run.meta, out)
     report = validate_corpus(run.meta)
     report_path = run.out_dir / "validation_metadata.json"
-    write_text(report_path, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    write_text(report_path, json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
     outputs = [out, report_path]
 
     if cfg.citation_corpus:
@@ -379,6 +382,19 @@ def _stage_build(run: _Run) -> None:
     run.record("build", coupling_path, k_path, f_path)
 
 
+def _write_reduced(reduced: VenueGraph, full: VenueGraph, full_path: Path, path: Path) -> bool:
+    """Write `reduced`, a subgraph of `full` (written to `full_path`), to
+    `path`, and whether it is `full`. Equal node and edge counts mean they
+    are one graph, with one edge TSV and summary (every graph holds its nodes
+    and rows in name order), so the file is then a copy."""
+    same = _size(reduced) == _size(full)
+    if same:
+        shutil.copyfile(full_path, path)
+    else:
+        write_graph(reduced, path)
+    return same
+
+
 def _stage_threshold(run: _Run) -> None:
     cfg = run.cfg
     summaries, reduced_graphs = {}, []
@@ -388,24 +404,16 @@ def _stage_threshold(run: _Run) -> None:
     ):
         reduced = networks.apply_threshold(full, rule)
         run.manifest.networks[name + "'"] = _size(reduced)
-        path = run.out_dir / f"{stem}.tsv"
         summaries[name] = networks.summarize(full)
-        # The reduced network is a subgraph of the full one, so equal node and
-        # edge counts mean they are one graph, with one edge TSV and summary:
-        # every graph holds its nodes and rows in name order.
-        if _size(reduced) == _size(full):
-            shutil.copyfile(run.out_dir / f"{stem}_full.tsv", path)
-            summaries[name + "'"] = summaries[name]
-        else:
-            write_graph(reduced, path)
-            summaries[name + "'"] = networks.summarize(reduced)
+        same = _write_reduced(reduced, full, run.out_dir / f"{stem}_full.tsv", run.out_dir / f"{stem}.tsv")
+        summaries[name + "'"] = summaries[name] if same else networks.summarize(reduced)
         reduced_graphs.append(reduced)
     run.knowledge_reduced, run.citation_reduced = reduced_graphs
     summaries = dict(sorted(summaries.items()))  # the table's columns: F, F', K, K'
     table_path = run.out_dir / "network_summary.txt"
     write_text(table_path, networks.format_summary_table(summaries))
     json_path = run.out_dir / "network_summary.json"
-    write_text(json_path, json.dumps({k: v.to_dict() for k, v in summaries.items()}, sort_keys=True, indent=2) + "\n")
+    write_text(json_path, json.dumps({k: asdict(v) for k, v in summaries.items()}, sort_keys=True, indent=2) + "\n")
     run.record("threshold", run.out_dir / "knowledge.tsv", run.out_dir / "citation.tsv", table_path, json_path)
 
 
@@ -487,7 +495,7 @@ def _stage_snapshots(run: _Run) -> None:
         full_path = year_dir / "knowledge_full.tsv"
         reduced_path = year_dir / "knowledge.tsv"
         write_graph(knowledge, full_path)
-        write_graph(reduced, reduced_path)
+        _write_reduced(reduced, knowledge, full_path, reduced_path)
         outputs.extend([full_path, reduced_path])
     run.record("snapshots", *outputs)
 

@@ -53,7 +53,7 @@ def assert_csr_equals_dicts(m: CouplingMatrix, assignment: dict[str, str]) -> No
 
     data = m.to_json()
     assert data == coupling_json_dumps(m)
-    assert CouplingMatrix.from_json(data) == m
+    assert CouplingMatrix.from_json(data.decode("utf-8")) == m
 
 
 def seeded_matrix(rng: random.Random, scale: int) -> tuple[CouplingMatrix, dict[str, str]]:

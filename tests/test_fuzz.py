@@ -113,8 +113,8 @@ def test_json_graph_reader(nodes, edges, directed):
 @given(json_values, json_values, json_values, texts)
 def test_coupling_matrix_reader(venues, vectors, counts, raw):
     doc = {"venues": venues, "vectors": vectors, "publication_counts": counts}
-    _only_input_errors(CouplingMatrix.from_json, json.dumps(doc).encode())
-    _only_input_errors(CouplingMatrix.from_json, _encode(raw))
+    _only_input_errors(CouplingMatrix.from_json, json.dumps(doc))
+    _only_input_errors(CouplingMatrix.from_json, raw)
 
 
 @FUZZ

@@ -573,4 +573,4 @@ class TestOneResolutionRule:
              "--out", str(tmp_path / "k.tsv"), "--matrix-out", str(matrix)],
         )
         assert result.exit_code == 0, result.output
-        assert CouplingMatrix.from_json(matrix.read_bytes()).vectors == {"A": {"m2": 2}, "B": {"m2": 1}}
+        assert CouplingMatrix.from_json(matrix.read_text(encoding="utf-8")).vectors == {"A": {"m2": 2}, "B": {"m2": 1}}

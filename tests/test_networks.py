@@ -81,7 +81,7 @@ class TestCouplingMatrix:
             '{"id": "p1", "title": "A", "venue": "v1", "refs": ["r", "r", "s"]}',
         )
         m = build_coupling_matrix(corpus)
-        again = CouplingMatrix.from_json(m.to_json())
+        again = CouplingMatrix.from_json(m.to_json().decode("utf-8"))
         assert again.venues == m.venues
         assert again.vectors == m.vectors
         assert again.publication_counts.tolist() == m.publication_counts.tolist()
@@ -307,7 +307,7 @@ class TestCouplingJson:
         for _ in range(60):
             m = random_matrix(rng)
             assert m.to_json() == coupling_json_dumps(m)
-            again = CouplingMatrix.from_json(m.to_json())
+            again = CouplingMatrix.from_json(m.to_json().decode("utf-8"))
             assert (again.venues, again.vectors, again.publication_counts.tolist()) == (m.venues, m.vectors, m.publication_counts.tolist())
 
     def test_escaped_and_empty_parts(self):

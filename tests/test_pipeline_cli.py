@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,19 @@ class TestConfig:
             assert result.exit_code == 1
             assert isinstance(result.exception, SystemExit)  # not an escaped traceback
             assert result.stderr.splitlines() == [f"error: config key {key!r} has invalid value {value!r}"]
+
+    def test_non_utf8_config_exits_1_naming_file_and_line(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"schema = venuenet-config/1\nmetadata_corpus = \xff.jsonl\n")
+        message = f"{path}: line 2: invalid UTF-8 at byte 45"
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig.load(path)
+        assert str(info.value) == message
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an escaped traceback
+        assert result.stderr.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_key_exits_1_naming_both_lines(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -237,7 +251,7 @@ class TestRunPipeline:
         out_dir = Path(cfg.out_dir)
         reduced = load_graph(out_dir / "knowledge.tsv")
         summaries = json.loads((out_dir / "network_summary.json").read_text())
-        assert summaries["K'"] == summarize(reduced).to_dict()
+        assert summaries["K'"] == asdict(summarize(reduced))
         if cosine_min == 0.0:
             assert summaries["K'"] == summaries["K"]
         tagged = load_graph(out_dir / "knowledge.tsv")
@@ -1068,6 +1082,18 @@ READER_CASES = [
     ("graphml-long-holds-text", "export-graphml",
      {"g.graphml": GRAPHML_HEAD.replace("<graph ", '<key id="d0" for="node" attr.name="n" attr.type="long"/><graph ')
       + '<node id="a"><data key="d0">x</data></node>' + GRAPHML_TAIL}, "g.graphml", "node 'a'"),
+    # byte 0xff on line 3 of each graph and matrix format: the one decoder names the file, line and byte
+    ("tsv-non-utf8", "threshold",
+     {"g.tsv": (TSV_HEADER + "a\tb\t1.0\nb\t").encode() + b"\xff\t1.0\n"}, "g.tsv", "line 3: invalid UTF-8 at byte 42"),
+    ("graphml-non-utf8-line-3", "export-graphml",
+     {"g.graphml": (GRAPHML_HEAD + "\n<node id='a'/>\n<node id='").encode() + b"\xff'/>" + GRAPHML_TAIL.encode()},
+     "g.graphml", "line 3: invalid UTF-8 at byte 113"),
+    ("json-graph-non-utf8", "export",
+     {"g.json": b'{"format": "venuenet-graph/1",\n"directed": false,\n"nodes": [["\xff", {}]], "edges": []}'},
+     "g.json", "line 3: invalid UTF-8 at byte 62"),
+    ("matrix-non-utf8", "project",
+     {"m.json": b'{"venues": ["v1"],\n"vectors": {"v1": {"k": 1}},\n"publication_counts": {"\xff": 0}}',
+      "p.tsv": PARTITION_OK}, "m.json", "line 3: invalid UTF-8 at byte 72"),
     ("profiles-wrong-header", "stats", {"p.tsv": "venue\tkind\n" + PROFILE_OK}, "p.tsv", "line 1"),
     # a NaN or infinite value would silently empty a histogram bin or make a PageRank bin
     ("profiles-nan-metric", "stats",

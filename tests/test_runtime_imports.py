@@ -186,3 +186,26 @@ def test_builtin_sum_only_at_integer_sites():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         sites += visitor.sites
     assert sorted(sites) == sorted(INTEGER_SUMS)
+
+
+# The one UTF-8 decode of an input: exports.decode_text for every file but a
+# corpus, and parse_jsonl's per-line decode of a streamed JSONL corpus.
+DECODE_SITES = {("exports.py", "decode_text"), ("corpus.py", "parse_jsonl")}
+
+
+class _DecodeCalls(_SumCalls):
+    """(file, innermost enclosing function) of each `.decode(...)` call."""
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "decode":
+            self.sites.append((self.filename, self.scope))
+        self.generic_visit(node)
+
+
+def test_utf8_decoded_in_one_place():
+    sites = []
+    for path in sorted(Path(venuenet.__file__).parent.rglob("*.py")):
+        visitor = _DecodeCalls(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        sites += visitor.sites
+    assert sorted(sites) == sorted(DECODE_SITES)
