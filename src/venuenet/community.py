@@ -125,8 +125,7 @@ def greedy_modularity_partition(
 
     assignment = {v: v for v in nodes}
     q = modularity(g, assignment, weighted=weighted)
-    best_q = q
-    best_assignment = dict(assignment)
+    held = None  # a copy of the best state, while the merges after it leave q as it was
     two_m_sq = 2 * m * m
 
     def gain(ci: str, cj: str) -> float:
@@ -143,8 +142,14 @@ def greedy_modularity_partition(
         best_gain = -neg_gain
         if best_gain <= 0.0:
             break
+        if q + best_gain != q:
+            held = None
+        elif held is None:
+            held = dict(assignment)
 
         # ci < cj, so the merged cluster keeps id ci
+        for venue in members[cj]:
+            assignment[venue] = ci
         members[ci].extend(members[cj])
         degree_sum[ci] += degree_sum[cj]
         del between[ci][cj]
@@ -158,8 +163,6 @@ def greedy_modularity_partition(
         del between[cj]
         del members[cj]
         del degree_sum[cj]
-        for venue in members[ci]:
-            assignment[venue] = ci
         # only pairs that include ci changed their dQ
         for ck in between[ci]:
             a, b = (ci, ck) if ci < ck else (ck, ci)
@@ -168,11 +171,9 @@ def greedy_modularity_partition(
         q += best_gain
         if trace is not None:
             trace.append((dict(assignment), q))
-        if q > best_q:
-            best_q = q
-            best_assignment = dict(assignment)
 
-    return ClusterPartition(assignment=best_assignment, q=modularity(g, best_assignment, weighted=weighted))
+    best = assignment if held is None else held
+    return ClusterPartition(assignment=best, q=modularity(g, best, weighted=weighted))
 
 
 @dataclass

@@ -6,7 +6,8 @@ Two input formats are supported:
   ``{"id": "p1", "title": "...", "authors": ["A B"], "venue": "v1",
   "year": 1995, "refs": ["p2", "raw citation string"]}``. Optional venue
   metadata lines ``{"venue_key": "v1", "name": "...", "kind": "journal"}``
-  and a single ``{"source": "metadata-corpus"}`` header line may appear.
+  and ``{"source": "metadata-corpus"}`` header lines may appear; the last
+  header names the corpus's source.
 * a DBLP-style XML subset covering ``article`` and ``inproceedings``
   elements with key attribute, title, author, year, and journal/booktitle
   children. ``cite`` children become references.
@@ -24,7 +25,6 @@ import gc
 import json
 import re
 import unicodedata
-import xml.etree.ElementTree as ET
 from dataclasses import InitVar, dataclass, field
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
@@ -97,7 +97,6 @@ class AuthorName:
 @dataclass(slots=True)
 class PublicationRecord:
     record_id: str
-    source: str
     title: str
     authors: tuple[AuthorName, ...]
     venue_key: str | None
@@ -283,17 +282,18 @@ def _venue_line(obj: dict, position: str) -> tuple[str, VenueInfo]:
     return key, VenueInfo(name=name, kind=kind)
 
 
-def _gc_paused(parse):
-    """`parse` with the cyclic garbage collector paused meanwhile: records
-    hold no reference cycles, and its passes over them would grow with the
-    corpus."""
+def _gc_paused(func):
+    """`func` with the cyclic garbage collector paused meanwhile, and the
+    caller's collector state restored when it returns or raises: records
+    hold no reference cycles, and the collector's passes over them would
+    grow with the corpus."""
 
-    @functools.wraps(parse)
+    @functools.wraps(func)
     def paused(*args, **kwargs):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return parse(*args, **kwargs)
+            return func(*args, **kwargs)
         finally:
             if enabled:
                 gc.enable()
@@ -303,7 +303,8 @@ def _gc_paused(parse):
 
 @_gc_paused
 def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPUS) -> Corpus:
-    """One JSON object per line: records, venue lines and a source header.
+    """One JSON object per line: records, venue lines and source headers.
+    The last source header, if any, names the corpus.
 
     Each line is decoded on its own; the first bad line raises with its
     number. The checks run in a fixed order, so a line with several faults
@@ -315,7 +316,6 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
     distinct: dict[str, str] = {}  # one object per distinct reference target
     shared: dict = {}  # one object per distinct venue key and year
     interned: dict[str, AuthorName] = {}
-    relabel = False  # a source header follows records read under another source
 
     for lineno, raw in enumerate(stream, start=1):
         try:
@@ -343,8 +343,6 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
                     raise MalformedEntryError(
                         f"line {lineno}", f"source must be one of {', '.join(CORPUS_SOURCES)}, got {header!r}"
                     )
-                if records and header != source:
-                    relabel = True
                 source = header
             else:
                 raise MalformedEntryError(f"line {lineno}", "record missing 'id'")
@@ -379,14 +377,11 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
                 _check_year(year, f"line {lineno}")
             year = shared.setdefault(year, year)
 
-        records.append(PublicationRecord(record_id, source, title, authors, venue_key, year, refs))
+        records.append(PublicationRecord(record_id, title, authors, venue_key, year, refs))
         targets += refs
         if venue_key is not None and venue_key not in venue_table:
             venue_table[venue_key] = VenueInfo(name=venue_key, kind=UNKNOWN_KIND)
 
-    if relabel:
-        for rec in records:
-            rec.source = source
     return Corpus(records, venue_table, source, rows=rows, reference_targets=targets, distinct_targets=distinct)
 
 
@@ -396,6 +391,8 @@ _DBLP_KINDS = {"article": JOURNAL, "inproceedings": CONFERENCE}
 @_gc_paused
 def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
     """Parse the supported DBLP export subset (article / inproceedings)."""
+    import xml.etree.ElementTree as ET  # here, so that a JSONL run never imports it
+
     records: list[PublicationRecord] = []
     venue_table: dict[str, VenueInfo] = {}
     rows: dict[str, int] = {}
@@ -447,17 +444,7 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
             authors = _make_authors(
                 (a.text or "" for a in elem.findall("author")), position, interned
             )
-            records.append(
-                PublicationRecord(
-                    record_id=key,
-                    source=source,
-                    title=title,
-                    authors=authors,
-                    venue_key=venue_key,
-                    year=year,
-                    references=refs,
-                )
-            )
+            records.append(PublicationRecord(key, title, authors, venue_key, year, refs))
             targets += refs
             elem.clear()
     except ET.ParseError as exc:

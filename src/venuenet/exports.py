@@ -15,7 +15,6 @@ import json
 import math
 import os
 import re
-import xml.etree.ElementTree as ET
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .graph import GraphError, VenueGraph
@@ -196,6 +195,8 @@ def _from_graphml(text: str) -> VenueGraph:
     """The graph of a GraphML document. A malformed one raises ExportError
     naming the problem and where it is: a line and column, or the node or
     edge."""
+    import xml.etree.ElementTree as ET  # here, so that only a GraphML read imports it
+
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:  # its message ends with the line and column

@@ -420,7 +420,7 @@ def rewrite_matched_references(c: Corpus, matches: list[MatchPair], carried: dic
     carried = carried or {}
     records = [
         PublicationRecord(
-            rec.record_id, rec.source, rec.title, rec.authors, rec.venue_key, rec.year,
+            rec.record_id, rec.title, rec.authors, rec.venue_key, rec.year,
             tuple(right_to_left.get(t, t) for t in carried.get(rec.record_id, rec.references)),
         )
         for rec in c.records

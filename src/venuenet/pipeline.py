@@ -6,7 +6,6 @@ outputs.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import shutil
@@ -16,7 +15,7 @@ from pathlib import Path
 from time import perf_counter, process_time
 
 from . import community, linkage, metrics, networks, subgraphs
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, check_names, parse_corpus, save_corpus, validate_corpus
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, _gc_paused, check_names, parse_corpus, save_corpus, validate_corpus
 from .exports import export_graph, read_text, write_graph, write_text  # noqa: F401 (bench/tracing.py wraps export_graph and write_graph here)
 from .graph import VenueGraph
 from .subgraphs import DEFAULT_CUTS, ClassificationCuts, ProfileRow
@@ -514,28 +513,16 @@ _STAGE_FUNCS = {
 }
 
 
-def _frozen_after(func, run: _Run) -> None:
-    """func(run) with the cyclic collector paused, and every object alive
-    after it frozen before the collector resumes. The corpora hold no cycles,
-    and the one left after link lives to the end of the run; unfrozen, the
-    first collection after the resume would walk every record."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        func(run)
-        gc.freeze()
-    finally:
-        if enabled:
-            gc.enable()
-
-
+@_gc_paused
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """Execute all stages, writing artifacts, manifest.json and
     run_report.json under cfg.out_dir.
 
     Any stage failure aborts the run; the raised StageError names the stage
     and carries the manifest of stages completed so far, which is also written
-    to disk with its report.
+    to disk with its report. The cyclic collector stays paused for the whole
+    run: the stages build few reference cycles, and a full collection would
+    walk every record of the corpora.
     """
     cfg.validate()
     run = _Run(cfg)
@@ -549,22 +536,15 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     stage_list = list(STAGES)
     if cfg.slice_years:
         stage_list.append("snapshots")
-    try:
-        for stage in stage_list:
-            func = _STAGE_FUNCS[stage]
-            wall, cpu = perf_counter(), process_time()
-            try:
-                if stage in ("ingest", "link"):
-                    _frozen_after(func, run)
-                else:
-                    func(run)
-            except Exception as exc:
-                run.manifest.failed_stage = stage
-                save()
-                raise StageError(stage, exc, run.manifest) from exc
-            run.manifest.timings.append(StageTiming(stage, perf_counter() - wall, process_time() - cpu, _peak_rss_mb()))
-    finally:
-        gc.unfreeze()
+    for stage in stage_list:
+        wall, cpu = perf_counter(), process_time()
+        try:
+            _STAGE_FUNCS[stage](run)
+        except Exception as exc:
+            run.manifest.failed_stage = stage
+            save()
+            raise StageError(stage, exc, run.manifest) from exc
+        run.manifest.timings.append(StageTiming(stage, perf_counter() - wall, process_time() - cpu, _peak_rss_mb()))
 
     save()
     return run.manifest

@@ -13,7 +13,6 @@ on one block, the disjoint union of every venue's subgraph of that family.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -272,6 +271,14 @@ def _normalized_histogram(values: Sequence[float], bins: int) -> list[HistogramB
     ]
 
 
+def _median(values: list) -> float:
+    """The median of `values` as `statistics.median` computes it: the middle
+    value once sorted, or half the sum of the two middle values."""
+    values = sorted(values)
+    mid = len(values) // 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
+
+
 def profile_statistics(rows: Iterable[ProfileRow], bins: int = DEFAULT_HISTOGRAM_BINS) -> StatReport:
     """Normalized metric histograms (overall and split by venue kind) and
     per-PageRank-bin metric medians. PageRank values are binned by rounding
@@ -298,7 +305,7 @@ def profile_statistics(rows: Iterable[ProfileRow], bins: int = DEFAULT_HISTOGRAM
                 continue
             by_rank.setdefault(round(r.pagerank, 2), []).append(r.profile.as_tuple()[metric_index])
         medians[metric] = [
-            (rank, float(statistics.median(values))) for rank, values in sorted(by_rank.items())
+            (rank, float(_median(values))) for rank, values in sorted(by_rank.items())
         ]
 
     return StatReport(bins=bins, histograms=histograms, pagerank_medians=medians)

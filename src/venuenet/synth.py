@@ -105,7 +105,6 @@ def planted_group_corpus(
                 records.append(
                     PublicationRecord(
                         record_id=record_id,
-                        source=METADATA_CORPUS,
                         title=title,
                         authors=tuple(AuthorName(n) for n in names),
                         venue_key=venue,
@@ -120,13 +119,13 @@ def planted_group_corpus(
 def split_for_linkage(corpus: Corpus, prefix: str = "cx-") -> tuple[Corpus, Corpus]:
     """Split a self-contained corpus into a metadata side (no references) and
     a citation side (prefixed ids, full references) for exercising linkage."""
-    meta_records = [replace(r, references=(), source=METADATA_CORPUS) for r in corpus.records]
+    meta_records = [replace(r, references=()) for r in corpus.records]
     cite_records = []
     ids = {r.record_id for r in corpus.records}
     for r in corpus.records:
         refs = tuple(prefix + t if t in ids else t for t in r.references)
         cite_records.append(
-            replace(r, record_id=prefix + r.record_id, references=refs, source=CITATION_CORPUS)
+            replace(r, record_id=prefix + r.record_id, references=refs)
         )
     meta = Corpus(records=meta_records, venue_table=dict(corpus.venue_table), source=METADATA_CORPUS)
     cite = Corpus(records=cite_records, venue_table={}, source=CITATION_CORPUS)
@@ -179,7 +178,6 @@ def linkage_benchmark_corpora(
         meta_records.append(
             PublicationRecord(
                 record_id=left_id,
-                source=METADATA_CORPUS,
                 title=title,
                 authors=authors,
                 venue_key=None,
@@ -195,7 +193,6 @@ def linkage_benchmark_corpora(
         cite_records.append(
             PublicationRecord(
                 record_id=right_id,
-                source=CITATION_CORPUS,
                 title=" ".join(tokens),
                 authors=authors,
                 venue_key=None,
@@ -266,7 +263,6 @@ def scale_corpus(
             records.append(
                 PublicationRecord(
                     record_id=record_id,
-                    source=METADATA_CORPUS,
                     title=" ".join(rng.choice(vocab) for _ in range(7)),
                     authors=tuple(AuthorName(n) for n in names),
                     venue_key=key,

@@ -910,7 +910,6 @@ def random_reference_corpus(seed: int, records: int = 60) -> Corpus:
         recs.append(
             PublicationRecord(
                 record_id=rid,
-                source="metadata-corpus",
                 title="T",
                 authors=(),
                 venue_key=rng.choice(venues + [None]),
@@ -970,7 +969,6 @@ def random_jsonl_corpus(seed: int, records: int = 40) -> Corpus:
     recs = [
         PublicationRecord(
             record_id=rid,
-            source=source,
             title=text(),
             authors=tuple(rng.choice(authors) for _ in range(rng.randint(0, 4))),
             venue_key=rng.choice([*venues, None]),
@@ -1142,8 +1140,7 @@ def coauthorship_corpus(graphs: dict[str, VenueGraph]) -> Corpus:
     for venue, g in graphs.items():
         papers = [(u, v) for u, v, _ in g.edges()] + [(v,) for v in g.nodes if not neighbors(g, v)]
         for i, names in enumerate(papers):
-            recs.append(PublicationRecord(f"{venue}/{i}", "metadata-corpus", "T", tuple(map(AuthorName, names)),
-                                          venue, None, ()))
+            recs.append(PublicationRecord(f"{venue}/{i}", "T", tuple(map(AuthorName, names)), venue, None, ()))
     return Corpus(records=recs, venue_table={v: VenueInfo(name=v) for v in graphs})
 
 

@@ -33,7 +33,7 @@ def corpus_pairs(draw):
         ids = draw(st.lists(st.text(alphabet="ab9é", min_size=1, max_size=4), unique=True, max_size=14))
         records = [
             PublicationRecord(
-                rid, source,
+                rid,
                 draw(st.lists(st.sampled_from(WORDS), max_size=6).map(" - ".join)),
                 tuple(AuthorName(name) for name in draw(st.lists(st.sampled_from(NAMES), max_size=3))),
                 None, None, (),

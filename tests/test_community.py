@@ -208,6 +208,24 @@ class TestGreedyPartition:
         p = greedy_modularity_partition(g)
         assert p.q == modularity(g, p.assignment)
 
+    def test_a_gain_q_absorbs_leaves_the_best_state(self):
+        """Two 6-cliques and a pair joined by weight 1e-30: the pair's merge
+        comes last, and its gain vanishes in q = 0.5. The partition is the
+        state before it, the trace's last snapshot the state after it."""
+        g = VenueGraph()
+        for clique in ("a", "b"):
+            for i in range(6):
+                for j in range(i + 1, 6):
+                    g.add_edge(f"{clique}{i}", f"{clique}{j}", 1.0)
+        g.add_edge("y1", "y2", 1e-30)
+        trace = []
+        p = greedy_modularity_partition(g, trace=trace)
+        assert p.assignment["y1"] != p.assignment["y2"]
+        assert trace[-1][0]["y1"] == trace[-1][0]["y2"]
+        assert trace[-1][1] == trace[-2][1] == 0.5
+        assert p.q == modularity(g, p.assignment)
+        assert p.assignment == greedy_modularity_scan(g).assignment
+
 
 def random_weighted_graph(rng: random.Random, n: int, p: float, weight) -> VenueGraph:
     g = VenueGraph()

@@ -305,7 +305,6 @@ class TestParseJsonl:
             '{"id": "p1", "title": "A"}',
         )
         assert corpus.source == "citation-corpus"
-        assert corpus.records[0].source == "citation-corpus"
 
 
 class TestRoundTrip:
@@ -437,7 +436,7 @@ class TestCheckNames:
         rng = random.Random(seed)
         venues = [f"v {i}" for i in range(6)]  # spaces join the names searched, and are no fault
         records = [
-            PublicationRecord(f"p {i}#", "metadata-corpus", "T", (), rng.choice([*venues[:4], None]), None, ())
+            PublicationRecord(f"p {i}#", "T", (), rng.choice([*venues[:4], None]), None, ())
             for i in range(rng.randint(1, 30))
         ]
         for _ in range(rng.randint(0, 3)):
@@ -487,7 +486,6 @@ class TestValidation:
     def test_dangling_venue_named(self):
         rec = PublicationRecord(
             record_id="p1",
-            source="metadata-corpus",
             title="A",
             authors=(),
             venue_key="vX",

@@ -800,22 +800,11 @@ class TestCli:
         assert result.stderr == "error: citation_min must be >= 0, got nan\n"
         assert not (tmp_path / "run").exists()
 
-    def test_run_freezes_the_corpus_until_it_ends(self, tmp_path, monkeypatch):
-        import gc
-
-        frozen = []
-        monkeypatch.setitem(pipeline._STAGE_FUNCS, "link", lambda run: frozen.append(gc.get_freeze_count()))
-        monkeypatch.setitem(pipeline._STAGE_FUNCS, "build", lambda run: 1 / 0)
-        cfg = PipelineConfig(metadata_corpus=str(self._write_fixture(tmp_path)), out_dir=str(tmp_path / "out"))
-        with pytest.raises(StageError):
-            run_pipeline(cfg)
-        assert frozen[0] > 0  # the parsed corpus, frozen after ingest
-        assert gc.get_freeze_count() == 0
-
     @staticmethod
     def _collections_during(stage, cfg, monkeypatch):
         """The generations of the collections that start from `stage` until
-        the next stage begins, where the run stops."""
+        the next stage begins, where the run stops, or until the run returns
+        after its last stage."""
         import gc
 
         collections = []
@@ -824,7 +813,9 @@ class TestCli:
             if phase == "start":
                 collections.append(info["generation"])
 
-        func, after = pipeline._STAGE_FUNCS[stage], STAGES[STAGES.index(stage) + 1]
+        order = [*STAGES, "snapshots"] if cfg.slice_years else list(STAGES)
+        func = pipeline._STAGE_FUNCS[stage]
+        after = None if stage == order[-1] else order[order.index(stage) + 1]
 
         def watched(run):
             gc.callbacks.append(hook)
@@ -835,18 +826,22 @@ class TestCli:
             raise RuntimeError("stop")
 
         monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, watched)
-        monkeypatch.setitem(pipeline._STAGE_FUNCS, after, stop)
+        if after is not None:
+            monkeypatch.setitem(pipeline._STAGE_FUNCS, after, stop)
         was = gc.isenabled()
         gc.enable()
         try:
-            with pytest.raises(StageError) as info:
+            if after is None:
                 run_pipeline(cfg)
+            else:
+                with pytest.raises(StageError) as info:
+                    run_pipeline(cfg)
+                assert info.value.stage == after
         finally:
             if hook in gc.callbacks:
                 gc.callbacks.remove(hook)
             if not was:
                 gc.disable()
-        assert info.value.stage == after
         return collections
 
     def test_ingest_runs_no_collection(self, tmp_path, monkeypatch):
@@ -863,8 +858,29 @@ class TestCli:
                              out_dir=str(tmp_path / "out"))
         assert self._collections_during("link", cfg, monkeypatch) == []
 
+    @pytest.mark.parametrize("stage", [*STAGES[2:], "snapshots"])
+    def test_later_stages_run_no_collection(self, tmp_path, monkeypatch, stage):
+        corpus = tmp_path / "c.jsonl"
+        save_corpus(scale_corpus(venues=20, papers_per_venue=20, seed=3), corpus)
+        cfg = PipelineConfig(metadata_corpus=str(corpus), slice_years=(1995,), out_dir=str(tmp_path / "out"))
+        assert self._collections_during(stage, cfg, monkeypatch) == []
+
+    def test_run_leaves_the_freeze_count_as_it_found_it(self, tmp_path):
+        import gc
+
+        cfg = PipelineConfig(metadata_corpus=str(self._write_fixture(tmp_path)), out_dir=str(tmp_path / "out"))
+        gc.freeze()
+        try:
+            run_pipeline(cfg)  # first, so that any frozen object the run releases is gone before the count
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            run_pipeline(cfg)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_run_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):
+    def test_run_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch, enabled):
         import gc
 
         broken = tmp_path / "broken.jsonl"
@@ -879,6 +895,11 @@ class TestCli:
             with pytest.raises(StageError) as info:
                 run_pipeline(bad)
             assert info.value.stage == "ingest"
+            assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+            monkeypatch.setitem(pipeline._STAGE_FUNCS, "metrics", lambda run: 1 / 0)
+            with pytest.raises(StageError) as info:
+                run_pipeline(good)
+            assert info.value.stage == "metrics"
             assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
         finally:
             gc.enable() if was else gc.disable()

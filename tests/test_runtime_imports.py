@@ -44,6 +44,20 @@ def _write_dblp(corpus, path: Path) -> None:
     path.write_text("".join(parts + ["</dblp>"]), encoding="utf-8")
 
 
+def _run_cli(args: list[str], modules: str) -> list[str]:
+    """The loaded modules whose names satisfy the Python expression
+    `modules` over `m`, after `venuenet.cli` runs `args` in a fresh process
+    (only imports it, for no arguments)."""
+    script = ("import sys\nfrom venuenet.cli import main\nif sys.argv[1:]: main(sys.argv[1:], standalone_mode=False)\n"
+              f"print(sorted(m for m in sys.modules if {modules}))")
+    src = str(Path(venuenet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert not args or "pipeline complete" in done.stdout
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
 def test_run_does_not_import_numpy_ma(tmp_path):
     """numpy.ma costs about 10 ms to import; no stage needs it (np.union1d
     and np.unique without return arguments import it under numpy 2.4)."""
@@ -55,15 +69,20 @@ def test_run_does_not_import_numpy_ma(tmp_path):
     dblp = PipelineConfig(metadata_corpus=str(tmp_path / "meta.xml"), citation_corpus=str(tmp_path / "cite.xml"),
                           corpus_format="dblp-xml", slice_years=(1995,), out_dir=str(tmp_path / "out-dblp"))
     dblp.save(tmp_path / "dblp.cfg")
-    script = "import sys\nfrom venuenet.cli import main\nmain(sys.argv[1:], standalone_mode=False)\nprint(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
-    src = str(Path(venuenet.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")])))
     for args in (["--corpus", str(tmp_path / "corpus.jsonl"), "--out-dir", str(tmp_path / "out-jsonl")],
                  ["--config", str(tmp_path / "dblp.cfg")]):
-        done = subprocess.run([sys.executable, "-c", script, "run", *args], env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert "pipeline complete" in done.stdout
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert _run_cli(["run", *args], "m.split('.')[:2] == ['numpy', 'ma']") == []
+
+
+def test_cli_and_jsonl_run_do_not_import_statistics_or_xml(tmp_path):
+    """statistics (with the fractions and decimal modules it loads) and
+    xml.etree cost a few milliseconds a start: the medians are computed
+    directly, and only the DBLP XML and GraphML readers import ElementTree."""
+    save_corpus(scale_corpus(venues=12, papers_per_venue=10, seed=5), tmp_path / "corpus.jsonl")
+    modules = "m in ('statistics', 'fractions', 'decimal') or m.startswith('xml.etree')"
+    assert _run_cli([], modules) == []
+    run = ["run", "--corpus", str(tmp_path / "corpus.jsonl"), "--out-dir", str(tmp_path / "out")]
+    assert _run_cli(run, modules) == []
 
 
 def _calls_and_imports(path: Path) -> tuple[set[str], set[str]]:
@@ -209,3 +228,39 @@ def test_utf8_decoded_in_one_place():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         sites += visitor.sites
     assert sorted(sites) == sorted(DECODE_SITES)
+
+
+# The only functions that set the cyclic collector's policy: the pause that
+# each parse and each run_pipeline call takes, and the freeze at process exit.
+COLLECTOR_SITES = {("corpus.py", "_gc_paused"), ("cli.py", "entry")}
+
+
+class _CollectorCalls(ast.NodeVisitor):
+    """(file, outermost enclosing function) of each gc.disable, gc.enable,
+    gc.freeze and gc.unfreeze call."""
+
+    def __init__(self, filename: str):
+        self.filename, self.scope, self.sites = filename, "<module>", []
+
+    def visit_FunctionDef(self, node):
+        outer = self.scope
+        if outer == "<module>":
+            self.scope = node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("disable", "enable", "freeze", "unfreeze")
+                and isinstance(func.value, ast.Name) and func.value.id == "gc"):
+            self.sites.append((self.filename, self.scope))
+        self.generic_visit(node)
+
+
+def test_collector_policy_set_in_one_place():
+    sites = []
+    for path in sorted(Path(venuenet.__file__).parent.rglob("*.py")):
+        visitor = _CollectorCalls(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        sites += visitor.sites
+    assert set(sites) == COLLECTOR_SITES

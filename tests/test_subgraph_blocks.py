@@ -27,7 +27,6 @@ def corpora(draw):
     records = [
         PublicationRecord(
             record_id=rid,
-            source="metadata-corpus",
             title="T",
             authors=tuple(map(AuthorName, draw(st.lists(st.sampled_from(AUTHORS), max_size=5)))),
             venue_key=draw(st.sampled_from([*VENUES, None])),

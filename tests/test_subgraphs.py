@@ -1,5 +1,6 @@
 import itertools
 import random
+import statistics
 
 import pytest
 
@@ -304,6 +305,14 @@ class TestStatistics:
         assert [rank for rank, _ in medians] == [1.0, 3.0]
         assert medians[0][1] == pytest.approx(0.3, abs=1e-12)
         assert medians[1][1] == 0.9
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 10, 57, 58])
+    def test_medians_are_statistics_median_bit_for_bit(self, count):
+        rng = random.Random(count)
+        values = [rng.choice([rng.random(), 1 / 3, 0.1]) for _ in range(count)]
+        report = profile_statistics(self._rows(values, ranks=[0.5] * count), bins=10)
+        assert report.pagerank_medians["m1_density"] == [(0.5, statistics.median(values))]
+        assert report.pagerank_medians["m1_density"][0][1].hex() == statistics.median(values).hex()
 
     def test_rows_without_pagerank_excluded_from_medians(self):
         rows = self._rows([0.2, 0.4], ranks=[1.0, None])
