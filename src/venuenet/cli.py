@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 on input errors (unreadable or malformed files,
-bad parameters), 2 on pipeline stage failures.
+Exit codes: 0 on success, 1 on input errors (unreadable, unwritable or
+malformed files, bad parameters: any OSError or ValueError a command raises),
+2 on pipeline stage failures.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .corpus import (
     CORPUS_SOURCES,
     METADATA_CORPUS,
     Corpus,
-    CorpusError,
     check_names,
     load_corpus,
     parse_corpus,
@@ -24,8 +24,8 @@ from .corpus import (
     slice_by_year,
     validate_corpus,
 )
-from .exports import ExportError, FORMATS, export_graph, load_graph, read_text, write_graph, write_table
-from .pipeline import ConfigError, PipelineConfig, RunManifest, StageError, check_unit_interval, run_pipeline
+from .exports import FORMATS, load_graph, read_text, write_graph, write_table
+from .pipeline import PipelineConfig, RunManifest, StageError, check_unit_interval, run_pipeline
 
 
 def _fail_input(message: str) -> None:
@@ -47,32 +47,34 @@ def _report(manifest: RunManifest, verbose: bool) -> None:
         _warn(warning)
 
 
-def _or_fail(fn, *args):
-    """fn(*args); an input error (an unreadable or malformed file, a bad
-    parameter) exits 1 with its message."""
-    try:
-        return fn(*args)
-    except (OSError, CorpusError, ExportError, ValueError) as exc:
-        _fail_input(str(exc))
-
-
-def _load_corpus_or_fail(path: str) -> Corpus:
-    corpus = _or_fail(load_corpus, path)
-    _or_fail(check_names, corpus)
+def _load_corpus(path: str) -> Corpus:
+    corpus = load_corpus(path)
+    check_names(corpus)
     return corpus
 
 
 def _read_domains(path: str) -> dict[str, str]:
     """The venue_key<TAB>domain rows of `path`; other lines are skipped."""
     domains = {}
-    for line in _or_fail(read_text, path).replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+    for line in read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         if line.strip() and "\t" in line:
             venue, domain = line.split("\t")[:2]
             domains[venue] = domain
     return domains
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: an input error, any OSError or ValueError a
+    command raises, exits 1 with its message and no traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (OSError, ValueError) as exc:
+            _fail_input(str(exc))
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Build, cluster, rank, and classify venue-level publication networks."""
 
@@ -84,12 +86,9 @@ def main() -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def ingest(input_path: str, fmt: str, source: str, out: str) -> None:
     """Parse a corpus file and write it in canonical JSONL form."""
-    try:
-        with open(input_path, "rb") as fh:
-            corpus = parse_corpus(fh, fmt, source=source)
-        check_names(corpus)
-    except (OSError, CorpusError) as exc:
-        _fail_input(str(exc))
+    with open(input_path, "rb") as fh:
+        corpus = parse_corpus(fh, fmt, source=source)
+    check_names(corpus)
     save_corpus(corpus, out)
     report = validate_corpus(corpus)
     click.echo(
@@ -110,8 +109,8 @@ def ingest(input_path: str, fmt: str, source: str, out: str) -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def slice_cmd(corpus_path: str, year: int, out: str) -> None:
     """Keep only records published up to and including YEAR."""
-    corpus = _load_corpus_or_fail(corpus_path)
-    sliced = _or_fail(slice_by_year, corpus, year)
+    corpus = _load_corpus(corpus_path)
+    sliced = slice_by_year(corpus, year)
     save_corpus(sliced, out)
     click.echo(f"kept {len(sliced.records)} of {len(corpus.records)} records")
 
@@ -124,13 +123,10 @@ def slice_cmd(corpus_path: str, year: int, out: str) -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def link(left: str, right: str, jaccard_min: float, sw_min: float, out: str) -> None:
     """Match records of the left (metadata) corpus to the right (citation) one."""
-    try:
-        check_unit_interval("jaccard_min", jaccard_min)
-        check_unit_interval("sw_min", sw_min)
-    except ConfigError as exc:
-        _fail_input(str(exc))
-    a = _load_corpus_or_fail(left)
-    b = _load_corpus_or_fail(right)
+    check_unit_interval("jaccard_min", jaccard_min)
+    check_unit_interval("sw_min", sw_min)
+    a = _load_corpus(left)
+    b = _load_corpus(right)
     matches = linkage.link_corpora(a, b, jaccard_min=jaccard_min, sw_min=sw_min)
     linkage.write_matches(matches, out)
     unmatchable = len(linkage.unmatchable_records(a)) + len(linkage.unmatchable_records(b))
@@ -154,11 +150,10 @@ def build(
 ) -> None:
     """Build the knowledge (undirected cosine) or citation (directed count) network."""
     kind = "cosine" if network == "knowledge" else "citation"
-    rule = None if threshold_value is None else _or_fail(networks.ThresholdRule, kind, threshold_value)
-    corpus = _load_corpus_or_fail(corpus_path)
+    rule = None if threshold_value is None else networks.ThresholdRule(kind, threshold_value)
+    corpus = _load_corpus(corpus_path)
     if matches_path:
-        matches = _or_fail(linkage.read_matches, matches_path)
-        corpus = linkage.rewrite_matched_references(corpus, matches)
+        corpus = linkage.rewrite_matched_references(corpus, linkage.read_matches(matches_path))
     if network == "knowledge":
         matrix = networks.build_coupling_matrix(corpus)
         graph = networks.build_knowledge_network(matrix)
@@ -182,13 +177,10 @@ def build(
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def threshold(graph_path: str, rule: str, value: float | None, out: str) -> None:
     """Filter edges by threshold and drop nodes left isolated."""
-    graph = _or_fail(load_graph, graph_path)
+    graph = load_graph(graph_path)
     if value is None:
         value = networks.COSINE_MIN_DEFAULT if rule == "cosine" else networks.CITATION_MIN_DEFAULT
-    try:
-        reduced = networks.apply_threshold(graph, networks.ThresholdRule(rule, value))
-    except (ValueError, networks.ThresholdRuleError) as exc:
-        _fail_input(str(exc))
+    reduced = networks.apply_threshold(graph, networks.ThresholdRule(rule, value))
     write_graph(reduced, out)
     summaries = {"full": networks.summarize(graph), "reduced": networks.summarize(reduced)}
     click.echo(networks.format_summary_table(summaries), nl=False)
@@ -203,13 +195,13 @@ def threshold(graph_path: str, rule: str, value: float | None, out: str) -> None
 def cluster(graph_path: str, out: str, unweighted: bool, domains_path: str | None, composition_out: str | None) -> None:
     """Greedy modularity clustering of an undirected graph."""
     if domains_path and not composition_out:
-        _fail_input("--domains is only read with --composition-out")
+        raise ValueError("--domains is only read with --composition-out")
     domains = _read_domains(domains_path) if domains_path else {}
-    graph = _or_fail(load_graph, graph_path)
+    graph = load_graph(graph_path)
     try:
         partition = community.greedy_modularity_partition(graph, weighted=not unweighted)
-    except community.CommunityError as exc:
-        _fail_input(f"{graph_path}: {exc}")
+    except ValueError as exc:  # the graph's fault: name it
+        raise ValueError(f"{graph_path}: {exc}") from None
     community.write_partition(partition, out)
     if composition_out:
         composition = community.cluster_domain_composition(partition, domains)
@@ -225,14 +217,10 @@ def cluster(graph_path: str, out: str, unweighted: bool, domains_path: str | Non
 @click.option("--assignment-out", type=click.Path(dir_okay=False))
 def project(matrix_path: str, partition_path: str, out: str, assignment_out: str | None) -> None:
     """Aggregate coupling to cluster level and build the cluster network."""
-    text = _or_fail(read_text, matrix_path)
-    try:
-        matrix = networks.CouplingMatrix.from_json(text)
-    except ValueError as exc:
-        _fail_input(f"{matrix_path}: {exc}")
-    partition = _or_fail(community.read_partition, partition_path)
+    matrix = networks.CouplingMatrix.load(matrix_path)
+    partition = community.read_partition(partition_path)
     projection = community.project_to_cluster_network(matrix, partition)
-    _or_fail(write_graph, projection.graph, out)
+    write_graph(projection.graph, out)
     if assignment_out:
         community.write_assignment(partition, projection, assignment_out)
     click.echo(
@@ -261,24 +249,23 @@ def metrics_cmd(
     out: str | None,
 ) -> None:
     """Compute a graph metric; per-node metrics print sorted descending."""
-    graph = _or_fail(load_graph, graph_path)
-    try:
-        if metric == "density":
-            click.echo(repr(metrics.density(graph)))
-            return
-        if metric == "clustering":
-            click.echo(repr(metrics.average_clustering_coefficient(graph)))
-            return
-        if metric == "lcc":
-            click.echo(repr(metrics.largest_component_fraction(graph)))
-            return
-        if metric == "betweenness":
-            vector = metrics.betweenness_centrality(graph, weighted=weighted, normalized=normalized)
-        else:
-            vector = metrics.pagerank(graph, d=damping, tol=tol, max_iter=max_iter)
-            _warn(vector.convergence_warning())
-    except (metrics.MetricError, ValueError) as exc:
-        _fail_input(str(exc))
+    if out and metric not in ("betweenness", "pagerank"):
+        raise ValueError("--out is only written for betweenness and pagerank")
+    graph = load_graph(graph_path)
+    if metric == "density":
+        click.echo(repr(metrics.density(graph)))
+        return
+    if metric == "clustering":
+        click.echo(repr(metrics.average_clustering_coefficient(graph)))
+        return
+    if metric == "lcc":
+        click.echo(repr(metrics.largest_component_fraction(graph)))
+        return
+    if metric == "betweenness":
+        vector = metrics.betweenness_centrality(graph, weighted=weighted, normalized=normalized)
+    else:
+        vector = metrics.pagerank(graph, d=damping, tol=tol, max_iter=max_iter)
+        _warn(vector.convergence_warning())
     if out:
         metrics.write_metric_tsv(vector, out)
         click.echo(f"wrote {len(vector.values)} rows")
@@ -294,8 +281,8 @@ def metrics_cmd(
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def subgraphs_cmd(corpus_path: str, venue_kind: str, family: str, pagerank_path: str | None, out: str) -> None:
     """Profile and classify per-venue co-authorship and citation subgraphs."""
-    corpus = _load_corpus_or_fail(corpus_path)
-    ranks = _or_fail(metrics.read_metric_tsv, pagerank_path, "pagerank") if pagerank_path else {}
+    corpus = _load_corpus(corpus_path)
+    ranks = metrics.read_metric_tsv(pagerank_path, "pagerank") if pagerank_path else {}
     profiled = subgraphs.profile_venues(corpus, ranks)
     families = ["coauthorship", "citation"] if family == "both" else [family]
     rows = {f: [r for r in profiled[f] if venue_kind in ("all", r.kind)] for f in families}
@@ -311,8 +298,8 @@ def subgraphs_cmd(corpus_path: str, venue_kind: str, family: str, pagerank_path:
 def stats(profiles_path: str, bins: int, out: str, medians_out: str) -> None:
     """Normalized metric histograms and per-PageRank medians from profiles."""
     if bins < 1:
-        _fail_input(f"histogram_bins must be >= 1, got {bins}")
-    rows = _or_fail(subgraphs.read_profiles, profiles_path)
+        raise ValueError(f"histogram_bins must be >= 1, got {bins}")
+    rows = subgraphs.read_profiles(profiles_path)
     subgraphs.write_statistics(rows, bins, out, medians_out)
     click.echo(f"wrote statistics for {sum(len(v) for v in rows.values())} profiles")
 
@@ -324,13 +311,8 @@ def stats(profiles_path: str, bins: int, out: str, medians_out: str) -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def export(graph_path: str, in_format: str, fmt: str, out: str) -> None:
     """Re-serialize a graph into GraphML, edge TSV, or JSON."""
-    graph = _or_fail(load_graph, graph_path, in_format)
-    data = _or_fail(export_graph, graph, fmt)
-    try:
-        with open(out, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        _fail_input(f"cannot write {out!r}: {exc}")
+    graph = load_graph(graph_path, in_format)
+    write_graph(graph, out, fmt)
     click.echo(f"wrote {fmt} with {graph.node_count()} nodes, {graph.edge_count()} edges")
 
 
@@ -355,31 +337,26 @@ def run(
 ) -> None:
     """Run the full pipeline and write a manifest of hashed artifacts and a
     run report (run_report.json) of what each stage cost."""
-    try:
-        cfg = PipelineConfig.load(config_path) if config_path else PipelineConfig()
-        if corpus_path:
-            cfg.metadata_corpus = corpus_path
-            cfg.citation_corpus = ""
-        if left:
-            cfg.metadata_corpus = left
-        if right:
-            cfg.citation_corpus = right
-        if out_dir:
-            cfg.out_dir = out_dir
-        if cosine_min is not None:
-            cfg.cosine_min = cosine_min
-        if citation_min is not None:
-            cfg.citation_min = citation_min
-        cfg.validate()
-    except (OSError, ConfigError) as exc:
-        _fail_input(str(exc))
-
+    cfg = PipelineConfig.load(config_path) if config_path else PipelineConfig()
+    if corpus_path:
+        cfg.metadata_corpus = corpus_path
+        cfg.citation_corpus = ""
+    if left:
+        cfg.metadata_corpus = left
+    if right:
+        cfg.citation_corpus = right
+    if out_dir:
+        cfg.out_dir = out_dir
+    if cosine_min is not None:
+        cfg.cosine_min = cosine_min
+    if citation_min is not None:
+        cfg.citation_min = citation_min
     try:
         manifest = run_pipeline(cfg)
     except StageError as exc:
         _report(exc.manifest, verbose)
         click.echo(f"error: {exc}", err=True)
-        if exc.stage == "ingest" and isinstance(exc.cause, (OSError, CorpusError)):
+        if exc.stage == "ingest" and isinstance(exc.cause, (OSError, ValueError)):
             sys.exit(1)
         sys.exit(2)
     _report(manifest, verbose)

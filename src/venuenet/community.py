@@ -31,14 +31,6 @@ from .graph import VenueGraph, arc_tails
 from .networks import CouplingMatrix
 
 
-class CommunityError(Exception):
-    pass
-
-
-class IncompleteAssignmentError(CommunityError):
-    pass
-
-
 @dataclass
 class ClusterPartition:
     assignment: dict[str, str]  # venue key -> cluster id
@@ -60,7 +52,7 @@ def modularity(g: VenueGraph, assignment: dict[str, str], weighted: bool = True)
     """
     missing = [v for v in g.nodes if v not in assignment]
     if missing:
-        raise IncompleteAssignmentError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
+        raise ValueError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
     tails, heads, weights, m = _edge_weights(g, weighted)
     if m == 0:
         return 0.0
@@ -79,14 +71,14 @@ def modularity(g: VenueGraph, assignment: dict[str, str], weighted: bool = True)
 def _edge_weights(g: VenueGraph, weighted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(tails, heads, weights) of each edge of `g` once, in row order, all
     weights 1.0 unless `weighted`, and m, their sum from the left. An m
-    whose 2m^2 passes the float range raises CommunityError."""
+    whose 2m^2 passes the float range raises ValueError."""
     tails, heads, weights = g.edge_arrays()
     if not weighted:
         weights = np.ones(weights.size)
     with np.errstate(over="ignore"):
         m = float(np.add.accumulate(weights)[-1]) if weights.size else 0.0
     if 2 * m * m == math.inf:  # the gains of CNM divide by it
-        raise CommunityError(f"the edge weights sum to {m!r}, past the float range of 2m^2")
+        raise ValueError(f"the edge weights sum to {m!r}, past the float range of 2m^2")
     return tails, heads, weights, m
 
 
@@ -103,7 +95,7 @@ def greedy_modularity_partition(
     incrementally tracked Q) is appended after every merge.
     """
     if g.directed:
-        raise CommunityError("greedy modularity clustering expects an undirected graph")
+        raise ValueError("greedy modularity clustering expects an undirected graph")
     nodes = list(g.nodes)
     if not nodes:
         return ClusterPartition(assignment={}, q=0.0)

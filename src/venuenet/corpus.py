@@ -45,7 +45,7 @@ CITATION_CORPUS = "citation-corpus"
 CORPUS_SOURCES = (METADATA_CORPUS, CITATION_CORPUS)
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """Base class for corpus parsing and validation failures."""
 
 

@@ -17,15 +17,11 @@ import os
 import re
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .graph import GraphError, VenueGraph
+from .graph import VenueGraph
 
 FORMATS = ("graphml", "edge-tsv", "json")
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
-
-
-class ExportError(Exception):
-    pass
 
 
 def export_graph(g: VenueGraph, format: str, node_attrs: dict[str, dict[str, Any]] | None = None) -> bytes:
@@ -36,12 +32,12 @@ def export_graph(g: VenueGraph, format: str, node_attrs: dict[str, dict[str, Any
 
 def write_graph(g: VenueGraph, path, format: str = "edge-tsv", node_attrs: dict | None = None) -> None:
     """Write export_graph(g, format, node_attrs) to `path`, line by line. A
-    graph the format cannot carry raises ExportError and leaves no file."""
+    graph the format cannot carry raises ValueError and leaves no file."""
     lines = _lines(g, format, node_attrs)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
-    except ExportError:
+    except ValueError:
         os.remove(path)
         raise
 
@@ -60,20 +56,16 @@ def _lines(g: VenueGraph, format: str, node_attrs) -> Iterator[str]:
         return _to_tsv(g, nodes)
     if format == "json":
         return _to_json(g, nodes)
-    raise ExportError(f"unknown export format {format!r}")
+    raise ValueError(f"unknown export format {format!r}")
 
 
 def import_graph(data: bytes, format: str) -> VenueGraph:
     """The graph of the document `data` in `format`; a malformed one raises
-    ExportError naming where it is."""
+    ValueError naming where it is."""
     parse = {"graphml": _from_graphml, "edge-tsv": _from_tsv, "json": _from_json}.get(format)
     if parse is None:
-        raise ExportError(f"unknown export format {format!r}")
-    try:
-        text = decode_text(data)
-    except ValueError as exc:
-        raise ExportError(str(exc)) from None
-    return parse(text)
+        raise ValueError(f"unknown export format {format!r}")
+    return parse(decode_text(data))
 
 
 def load_graph(path, format: str = "edge-tsv") -> VenueGraph:
@@ -81,8 +73,8 @@ def load_graph(path, format: str = "edge-tsv") -> VenueGraph:
         data = fh.read()
     try:
         return import_graph(data, format)
-    except ExportError as exc:
-        raise ExportError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- GraphML ---------------------------------------------------------------
@@ -139,7 +131,7 @@ def _escape(text: str, escapes=_ATTRIB_ESCAPES) -> str:
 def _check_xml(text: str, where: str) -> str:
     bad = re.search(_NOT_XML, text)
     if bad:
-        raise ExportError(f"{where}: {bad.group()!r} cannot be written in XML 1.0")
+        raise ValueError(f"{where}: {bad.group()!r} cannot be written in XML 1.0")
     return text
 
 
@@ -147,7 +139,7 @@ def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
     """The lines of the document ElementTree writes for the GraphML tree of
     `g` whose node attributes are `nodes`, indented by `ET.indent`, except
     that a carriage return in data text is a character reference. A node or
-    attribute holding what XML 1.0 cannot carry raises ExportError naming it."""
+    attribute holding what XML 1.0 cannot carry raises ValueError naming it."""
     attr_values: dict[str, list] = {}
     for attrs in nodes.values():
         for name, value in attrs.items():
@@ -192,7 +184,7 @@ def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
 
 
 def _from_graphml(text: str) -> VenueGraph:
-    """The graph of a GraphML document. A malformed one raises ExportError
+    """The graph of a GraphML document. A malformed one raises ValueError
     naming the problem and where it is: a line and column, or the node or
     edge."""
     import xml.etree.ElementTree as ET  # here, so that only a GraphML read imports it
@@ -200,54 +192,54 @@ def _from_graphml(text: str) -> VenueGraph:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:  # its message ends with the line and column
-        raise ExportError(f"XML syntax error: {exc}") from None
+        raise ValueError(f"XML syntax error: {exc}") from None
     ns = {"g": _GRAPHML_NS}
     keys: dict[str, tuple[str, str]] = {}  # key id -> (attr name, attr type)
     for key_el in root.findall("g:key", ns):
         key_id, name = key_el.get("id"), key_el.get("attr.name")
         if key_id is None or name is None:
-            raise ExportError(f"<key id={key_id!r} attr.name={name!r}>: needs both an id and an attr.name")
+            raise ValueError(f"<key id={key_id!r} attr.name={name!r}>: needs both an id and an attr.name")
         keys[key_id] = (name, key_el.get("attr.type", "string"))
     graph_el = root.find("g:graph", ns)
     if graph_el is None:
-        raise ExportError("GraphML document has no graph element")
+        raise ValueError("GraphML document has no graph element")
 
     def data_of(el, where: str):
         """(attr name, attr type, text) of each data child of `el`."""
         for data_el in el.findall("g:data", ns):
             key_id = data_el.get("key")
             if key_id not in keys:
-                raise ExportError(f"{where}: data key {key_id!r} is not declared by any <key>")
+                raise ValueError(f"{where}: data key {key_id!r} is not declared by any <key>")
             yield (*keys[key_id], data_el.text or "")
 
     g = VenueGraph(directed=graph_el.get("edgedefault") == "directed")
     for node_el in graph_el.findall("g:node", ns):
         node = node_el.get("id")
         if node is None:
-            raise ExportError("<node> without an id")
+            raise ValueError("<node> without an id")
         attrs = {}
         for name, attr_type, text in data_of(node_el, f"node {node!r}"):
             try:
                 attrs[name] = _parse_attr(text, attr_type)
             except ValueError:
-                raise ExportError(f"node {node!r}: {name!r} is not a valid {attr_type}: {text!r}") from None
+                raise ValueError(f"node {node!r}: {name!r} is not a valid {attr_type}: {text!r}") from None
         g.add_node(node, **attrs)
     for edge_el in graph_el.findall("g:edge", ns):
         u, v = edge_el.get("source"), edge_el.get("target")
         where = f"edge {u!r} -> {v!r}"
         if u is None or v is None:
-            raise ExportError(f"{where}: needs a source and a target")
+            raise ValueError(f"{where}: needs a source and a target")
         weight = 1.0
         for name, _, text in data_of(edge_el, where):
             if name == "weight":
                 try:
                     weight = float(text)
                 except ValueError:
-                    raise ExportError(f"{where}: weight is not a number: {text!r}") from None
+                    raise ValueError(f"{where}: weight is not a number: {text!r}") from None
         try:
             g.add_edge(u, v, weight)
-        except GraphError as exc:
-            raise ExportError(f"{where}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return g
 
 
@@ -262,12 +254,12 @@ _NOT_TSV = "[\t\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]"
 def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
     """The lines of the edge TSV of `g` whose node attributes are `nodes`. A
     node name the reader would split, or take for a comment, raises
-    ExportError naming it before any line is given."""
+    ValueError naming it before any line is given."""
     for node in nodes:
         bad = re.search(_NOT_TSV, node)
         if bad or node.startswith("#"):
             what = repr(bad.group()) if bad else "a leading '#'"
-            raise ExportError(f"node {node!r}: {what} cannot be written in edge TSV")
+            raise ValueError(f"node {node!r}: {what} cannot be written in edge TSV")
     attrs = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), built once
     yield f"# venuenet-graph directed={'true' if g.directed else 'false'}\n"
     yield from (f"#node\t{node}\t{attrs(node_attrs)}\n" for node, node_attrs in nodes.items())
@@ -277,7 +269,7 @@ def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
 def _from_tsv(text: str) -> VenueGraph:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# venuenet-graph"):
-        raise ExportError("line 1: missing edge-tsv header line")
+        raise ValueError("line 1: missing edge-tsv header line")
     directed = "directed=true" in lines[0]
     g = VenueGraph(directed=directed)
     for lineno, line in enumerate(lines[1:], start=2):
@@ -290,8 +282,8 @@ def _from_tsv(text: str) -> VenueGraph:
             elif not line.startswith("#"):
                 u, v, w = _fields(line, 3, "edge row")
                 g.add_edge(u, _tsv_name(v), float(w))
-        except (ValueError, GraphError) as exc:
-            raise ExportError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return g
 
 
@@ -338,22 +330,22 @@ def _from_json(text: str) -> VenueGraph:
     try:
         obj = json.loads(text)
     except RecursionError:
-        raise ExportError("JSON nested too deeply") from None
+        raise ValueError("JSON nested too deeply") from None
     except ValueError as exc:
-        raise ExportError(f"invalid JSON ({exc})") from None
+        raise ValueError(f"invalid JSON ({exc})") from None
     if not isinstance(obj, dict) or obj.get("format") != "venuenet-graph/1":
-        raise ExportError("not a venuenet-graph/1 JSON object")
+        raise ValueError("not a venuenet-graph/1 JSON object")
     nodes, edges = obj.get("nodes"), obj.get("edges")
     if not _rows_of(nodes, (str, dict)) or not _rows_of(edges, (str, str, (int, float))):
-        raise ExportError("'nodes' must list [name, attributes] and 'edges' [source, target, weight]")
+        raise ValueError("'nodes' must list [name, attributes] and 'edges' [source, target, weight]")
     g = VenueGraph(directed=obj.get("directed") is True)
     for node, attrs in nodes:
         g.add_node(node, **attrs)
     for u, v, w in edges:
         try:
             g.add_edge(u, v, float(w))
-        except (GraphError, OverflowError) as exc:
-            raise ExportError(f"edge {u!r} -> {v!r}: {exc}") from None
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"edge {u!r} -> {v!r}: {exc}") from None
     return g
 
 

@@ -19,10 +19,6 @@ from typing import Any, Iterator
 import numpy as np
 
 
-class GraphError(Exception):
-    """Invalid graph construction or use."""
-
-
 def arc_tails(indptr: np.ndarray) -> np.ndarray:
     """The tail of each arc of the rows `indptr` delimits."""
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
@@ -47,14 +43,14 @@ class VenueGraph:
         heads[k]) of weights[k], node indices into `names`, strictly ascending
         as (tail, head) pairs (an undirected edge given both ways). `attrs`
         lists each node's attribute dict. Names or arcs out of that order
-        raise GraphError; nothing else is checked."""
+        raise ValueError; nothing else is checked."""
         if not all(map(operator.lt, names, names[1:])):
-            raise GraphError("node names must be strictly ascending")
+            raise ValueError("node names must be strictly ascending")
         tails = np.asarray(tails, dtype=np.int64)
         heads = np.asarray(heads, dtype=np.int64)
         key = tails * len(names) + heads
         if np.any(key[1:] <= key[:-1]):
-            raise GraphError("arcs must be strictly ascending by (tail, head)")
+            raise ValueError("arcs must be strictly ascending by (tail, head)")
         g = cls(directed=directed)
         g._nodes = dict(zip(names, attrs if attrs is not None else [{} for _ in names]))
         g._indptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=len(names)))]
@@ -69,9 +65,9 @@ class VenueGraph:
         """Set (not accumulate) the weight of edge u->v, finite and positive;
         adds missing nodes."""
         if u == v:
-            raise GraphError(f"self-loop on {u!r} not allowed")
+            raise ValueError(f"self-loop on {u!r} not allowed")
         if not 0 < weight < math.inf:
-            raise GraphError(f"edge weight must be finite and > 0, got {weight!r}")
+            raise ValueError(f"edge weight must be finite and > 0, got {weight!r}")
         self.add_node(u)
         self.add_node(v)
         self._pending.append((u, v, weight))

@@ -24,18 +24,6 @@ DEFAULT_PAGERANK_TOL = 1e-8
 DEFAULT_PAGERANK_MAX_ITER = 200
 
 
-class MetricError(Exception):
-    pass
-
-
-class EmptyGraphError(MetricError):
-    pass
-
-
-class NonPositiveWeightError(MetricError):
-    pass
-
-
 @dataclass
 class MetricVector:
     metric: str
@@ -139,7 +127,7 @@ def connected_components(g: VenueGraph) -> list[set[str]]:
 
 def largest_component_fraction(g: VenueGraph) -> float:
     if g.node_count() == 0:
-        raise EmptyGraphError("largest_component_fraction is undefined on an empty graph")
+        raise ValueError("largest_component_fraction is undefined on an empty graph")
     return len(connected_components(g)[0]) / g.node_count()
 
 
@@ -360,7 +348,7 @@ def betweenness_centrality(
             if bad.size:
                 arc = int(bad[0])
                 u, v = nodes[np.searchsorted(indptr, arc, side="right") - 1], nodes[heads[arc]]
-                raise NonPositiveWeightError(f"edge {u!r}->{v!r} has non-positive weight {weights[arc].item()!r}")
+                raise ValueError(f"edge {u!r}->{v!r} has non-positive weight {weights[arc].item()!r}")
             arcs = list(zip(heads.tolist(), (1.0 / weights).tolist()))
             bounds = indptr.tolist()
             cb = _brandes_weighted([arcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
@@ -388,7 +376,7 @@ def pagerank(
     max_iter: int = DEFAULT_PAGERANK_MAX_ITER,
 ) -> MetricVector:
     if not g.directed:
-        raise MetricError("pagerank requires a directed graph")
+        raise ValueError("pagerank requires a directed graph")
     if not 0 < d < 1:
         raise ValueError(f"damping factor must be in (0, 1), got {d}")
     if not tol > 0:

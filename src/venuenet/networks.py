@@ -24,20 +24,13 @@ import numpy as np
 
 from . import metrics
 from .corpus import Corpus
+from .exports import read_text
 from .graph import VenueGraph, arc_tails
 
 COSINE_MIN_DEFAULT = 0.1
 CITATION_MIN_DEFAULT = 50.0
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-class NetworkError(Exception):
-    pass
-
-
-class ThresholdRuleError(NetworkError):
-    """Threshold rule applied to a graph of the wrong directedness."""
 
 
 @dataclass
@@ -126,6 +119,15 @@ class CouplingMatrix:
             "[\n" + ",\n".join(venues) + "\n]" if venues else "[]",
         )
         return _json_object(['"publication_counts"', '"vectors"', '"venues"'], parts).encode("ascii")
+
+    @classmethod
+    def load(cls, path) -> "CouplingMatrix":
+        """The matrix `to_json` wrote to the file `path`; ValueError names the file."""
+        text = read_text(path)
+        try:
+            return cls.from_json(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "CouplingMatrix":
@@ -392,9 +394,9 @@ def apply_threshold(g: VenueGraph, rule: ThresholdRule) -> VenueGraph:
     """Reduced copy keeping only edges passing the rule; nodes left isolated
     by the filtering are dropped. Weights are never altered."""
     if rule.kind == "cosine" and g.directed:
-        raise ThresholdRuleError("cosine threshold applies to undirected graphs")
+        raise ValueError("cosine threshold applies to undirected graphs")
     if rule.kind == "citation" and not g.directed:
-        raise ThresholdRuleError("citation threshold applies to directed graphs")
+        raise ValueError("citation threshold applies to directed graphs")
 
     indptr, heads, weights = g.arrays()
     kept = rule.keeps(weights)

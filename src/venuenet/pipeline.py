@@ -41,7 +41,7 @@ class PipelineError(Exception):
     pass
 
 
-class ConfigError(PipelineError):
+class ConfigError(PipelineError, ValueError):
     pass
 
 

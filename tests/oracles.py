@@ -44,7 +44,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from venuenet import metrics
-from venuenet.community import ClusterPartition, CommunityError, modularity
+from venuenet.community import ClusterPartition, modularity
 from venuenet.corpus import (
     _UNCARRIED,
     AuthorName,
@@ -56,10 +56,10 @@ from venuenet.corpus import (
     normalize_reference_key,
 )
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
-from venuenet.graph import GraphError, VenueGraph
+from venuenet.graph import VenueGraph
 from venuenet.linkage import _min_overlap, jaccard_title_similarity, tokenize_title
 from venuenet.metrics import MetricVector
-from venuenet.networks import CouplingMatrix, ThresholdRule, ThresholdRuleError
+from venuenet.networks import CouplingMatrix, ThresholdRule
 from venuenet.subgraphs import DEFAULT_CUTS, SubgraphProfile, classify_network_type
 
 INF = float("inf")
@@ -461,7 +461,7 @@ def greedy_modularity_scan(
     incrementally tracked Q) is appended after every merge.
     """
     if g.directed:
-        raise CommunityError("greedy modularity clustering expects an undirected graph")
+        raise ValueError("greedy modularity clustering expects an undirected graph")
     nodes = sorted(g.nodes)
     if not nodes:
         return ClusterPartition(assignment={}, q=0.0)
@@ -1189,9 +1189,9 @@ class DictVenueGraph:
 
     def add_edge(self, u: str, v: str, weight: float) -> None:
         if u == v:
-            raise GraphError(f"self-loop on {u!r} not allowed")
+            raise ValueError(f"self-loop on {u!r} not allowed")
         if not 0 < weight < math.inf:
-            raise GraphError(f"edge weight must be finite and > 0, got {weight!r}")
+            raise ValueError(f"edge weight must be finite and > 0, got {weight!r}")
         self.add_node(u)
         self.add_node(v)
         if v not in self._adj[u]:
@@ -1230,7 +1230,7 @@ def threshold_dict(g: DictVenueGraph, rule: ThresholdRule) -> DictVenueGraph:
     """apply_threshold over the edge walk: the passing edges, added in
     sorted order to a copy holding their endpoints in sorted order."""
     if (rule.kind == "cosine") == g.directed:
-        raise ThresholdRuleError(f"{rule.kind} threshold does not apply")
+        raise ValueError(f"{rule.kind} threshold does not apply")
     kept = [(u, v, w) for u, v, w in g.edges() if rule.keeps(w)]
     survivors = {u for u, _, _ in kept} | {v for _, v, _ in kept}
     reduced = DictVenueGraph(directed=g.directed)

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from oracles import graphml_et, neighbors
-from venuenet.exports import ExportError, FORMATS, export_graph, finite_float, import_graph, read_table, write_graph, write_table
+from venuenet.exports import FORMATS, export_graph, finite_float, import_graph, read_table, write_graph, write_table
 from venuenet.graph import VenueGraph
 
 
@@ -139,20 +139,20 @@ class TestGraphMLWriter:
         # XML 1.0 has no lone surrogates, not even as a character reference
         g = VenueGraph()
         g.add_edge("\ud800", "b", 1.0)
-        with pytest.raises(ExportError):
+        with pytest.raises(ValueError, match="^node '\\\\ud800': '\\\\ud800' cannot be written in XML 1.0$"):
             export_graph(g, "graphml")
 
     @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"])
     def test_refuses_what_xml_cannot_carry(self, char):
         g = VenueGraph()
         g.add_edge(f"a{char}", "b", 1.0)
-        with pytest.raises(ExportError, match="^" + re.escape(f"node {f'a{char}'!r}: ")):
+        with pytest.raises(ValueError, match="^" + re.escape(f"node {f'a{char}'!r}: ")):
             export_graph(g, "graphml")
         g = VenueGraph()
         g.add_node("a", label=f"x{char}")
-        with pytest.raises(ExportError, match="^attribute 'label' of node 'a': "):
+        with pytest.raises(ValueError, match="^attribute 'label' of node 'a': "):
             export_graph(g, "graphml")
-        with pytest.raises(ExportError, match="^" + re.escape(f"attribute {f'n{char}'!r}: ")):
+        with pytest.raises(ValueError, match="^" + re.escape(f"attribute {f'n{char}'!r}: ")):
             export_graph(graph_with_isolate(), "graphml", {f"n{char}": dict.fromkeys(["a", "b", "loner"], 1)})
 
     def test_carriage_return_in_data_text_reads_back(self):
@@ -222,7 +222,7 @@ class TestWriteGraph:
             g.add_edge("b", node, 1.0)
             path = tmp_path / f"g.{fmt}"
             path.write_text("old")
-            with pytest.raises(ExportError, match=re.escape(repr(node))):
+            with pytest.raises(ValueError, match=re.escape(repr(node))):
                 write_graph(g, path, fmt)
             assert not path.exists()
 
@@ -258,7 +258,7 @@ class TestTsvDialect:
         assert rows == ["v1\tv2\t0.5", "v1\tv3\t0.125", "v2\tv3\t0.25"]
 
     def test_missing_header_rejected(self):
-        with pytest.raises(ExportError):
+        with pytest.raises(ValueError, match="^line 1: missing edge-tsv header line$"):
             import_graph(b"a\tb\t1.0\n", "edge-tsv")
 
     @pytest.mark.parametrize("name", ["#x", "#node", "a\tb", "a\nb", "a\rb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x1eb",
@@ -269,7 +269,7 @@ class TestTsvDialect:
         for make in (lambda g: g.add_edge(name, "b", 1.0), lambda g: g.add_node(name)):
             g = VenueGraph()
             make(g)
-            with pytest.raises(ExportError, match="^" + re.escape(f"node {name!r}: ")):
+            with pytest.raises(ValueError, match="^" + re.escape(f"node {name!r}: ")):
                 export_graph(g, "edge-tsv")
 
     def test_odd_names_it_can_carry_round_trip(self):
@@ -280,13 +280,13 @@ class TestTsvDialect:
 
 class TestErrors:
     def test_unknown_format(self):
-        with pytest.raises(ExportError):
+        with pytest.raises(ValueError, match="^unknown export format 'dot'$"):
             export_graph(VenueGraph(), "dot")
-        with pytest.raises(ExportError):
+        with pytest.raises(ValueError, match="^unknown export format 'dot'$"):
             import_graph(b"", "dot")
 
     def test_json_format_tag_checked(self):
-        with pytest.raises(ExportError):
+        with pytest.raises(ValueError, match="^not a venuenet-graph/1 JSON object$"):
             import_graph(b'{"format": "other", "directed": false, "nodes": [], "edges": []}', "json")
 
 

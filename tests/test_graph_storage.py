@@ -22,7 +22,7 @@ from oracles import (
 )
 from venuenet.community import greedy_modularity_partition, modularity
 from venuenet.exports import FORMATS, export_graph
-from venuenet.graph import GraphError, VenueGraph
+from venuenet.graph import VenueGraph
 from venuenet.metrics import betweenness_centrality, connected_components, local_clustering, pagerank
 from venuenet.networks import ThresholdRule, apply_threshold
 
@@ -144,17 +144,19 @@ def test_builder_sets_in_name_order():
     assert list(g.nodes) == ["0", "a", "b", "c", "x"]
     assert list(neighbors(g, "a").items()) == [("b", 3.0), ("x", 0.5)]
     assert list(g.edges()) == [("a", "b", 3.0), ("a", "x", 0.5), ("b", "x", 1.0)]
-    for bad in (("a", "a", 1.0), ("a", "b", 0.0), ("a", "b", math.nan)):
-        with pytest.raises(GraphError):
+    for bad, message in ((("a", "a", 1.0), "self-loop on 'a' not allowed"),
+                         (("a", "b", 0.0), "edge weight must be finite and > 0, got 0.0"),
+                         (("a", "b", math.nan), "edge weight must be finite and > 0, got nan")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             g.add_edge(*bad)
 
 
 def test_from_arcs_refuses_names_or_arcs_out_of_order():
     for names in (["b", "a"], ["a", "a"]):
-        with pytest.raises(GraphError):
+        with pytest.raises(ValueError, match="^node names must be strictly ascending$"):
             VenueGraph.from_arcs(names, [], [], [], True)
     for tails, heads in (([0, 0], [2, 1]), ([1, 0], [2, 1]), ([0, 0], [1, 1])):
-        with pytest.raises(GraphError):
+        with pytest.raises(ValueError, match=r"^arcs must be strictly ascending by \(tail, head\)$"):
             VenueGraph.from_arcs(["a", "b", "c"], tails, heads, [1.0, 2.0], True)
     g = VenueGraph.from_arcs(["a", "b", "c"], [0, 0, 1], [1, 2, 2], [1.0, 2.0, 3.0], True)
     assert list(g.edges()) == [("a", "b", 1.0), ("a", "c", 2.0), ("b", "c", 3.0)]

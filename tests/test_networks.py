@@ -22,7 +22,6 @@ from venuenet.linkage import MatchPair, rewrite_matched_references
 from venuenet.networks import (
     CouplingMatrix,
     ThresholdRule,
-    ThresholdRuleError,
     apply_threshold,
     build_citation_network,
     build_coupling_matrix,
@@ -471,9 +470,9 @@ class TestThreshold:
         assert sorted(reduced.nodes) == ["hub", "n1"]
 
     def test_rule_graph_mismatch(self):
-        with pytest.raises(ThresholdRuleError):
+        with pytest.raises(ValueError, match="^cosine threshold applies to undirected graphs$"):
             apply_threshold(VenueGraph(directed=True), ThresholdRule("cosine", 0.1))
-        with pytest.raises(ThresholdRuleError):
+        with pytest.raises(ValueError, match="^citation threshold applies to directed graphs$"):
             apply_threshold(VenueGraph(directed=False), ThresholdRule("citation", 50))
 
     def test_pure_filter_never_alters_weights(self):

@@ -1156,6 +1156,66 @@ def test_stage_readers_exit_1_naming_file_and_position(tmp_path, case, command, 
     assert not (tmp_path / "out.tsv").exists()
 
 
+# Each command with an output option, its inputs well formed and its output
+# {out}, a path below an existing file, which no command can write. `metrics
+# --out` of a scalar metric is refused before that, as it would write nothing.
+WRITER_FILES = {
+    "c.jsonl": '{"id": "p1", "title": "T", "authors": ["Ann Lee"], "venue": "v1", "year": 1999}\n',
+    "g.tsv": TSV_HEADER + "a\tb\t1.0\n",
+    "f.tsv": "# venuenet-graph directed=true\na\tb\t1.0\n",
+    "m.json": MATRIX_OK,
+    "p.tsv": PARTITION_OK,
+    "profiles.tsv": PROFILES_HEADER + "\n" + PROFILE_OK,
+    "file": "",
+}
+WRITER_ARGS = {
+    "ingest": ["ingest", "{c.jsonl}", "--out", "{out}"],
+    "slice": ["slice", "{c.jsonl}", "--year", "2000", "--out", "{out}"],
+    "link": ["link", "--left", "{c.jsonl}", "--right", "{c.jsonl}", "--out", "{out}"],
+    "build": ["build", "{c.jsonl}", "--network", "knowledge", "--out", "{out}"],
+    "threshold": ["threshold", "{g.tsv}", "--rule", "cosine", "--out", "{out}"],
+    "cluster": ["cluster", "--graph", "{g.tsv}", "--out", "{out}"],
+    "project": ["project", "--matrix", "{m.json}", "--partition", "{p.tsv}", "--out", "{out}"],
+    "metrics": ["metrics", "--graph", "{f.tsv}", "--metric", "pagerank", "--out", "{out}"],
+    "metrics-density": ["metrics", "--graph", "{g.tsv}", "--metric", "density", "--out", "{out}"],
+    "subgraphs": ["subgraphs", "{c.jsonl}", "--out", "{out}"],
+    "stats": ["stats", "--profiles", "{profiles.tsv}", "--out", "{out}", "--medians-out", "{medians.tsv}"],
+    "export": ["export", "{g.tsv}", "--format", "json", "--out", "{out}"],
+    "run": ["run", "--corpus", "{c.jsonl}", "--out-dir", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", WRITER_ARGS)
+def test_unwritable_outputs_exit_1_naming_the_path(tmp_path, command):
+    for name, content in WRITER_FILES.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    out = tmp_path / "file" / "x"
+    args = [str(out) if a == "{out}" else str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in WRITER_ARGS[command]]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception  # not an escaped traceback
+    lines = result.stderr.splitlines()
+    named = "--out is only written for betweenness and pagerank" if command == "metrics-density" else str(out)
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], result.stderr
+
+
+def test_run_exits_2_on_a_stage_failure_and_1_on_an_ingest_input_error(tmp_path):
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "out"
+    corpus.write_text(CORPUS_OK)
+    (out / "matches.tsv").mkdir(parents=True)  # the link stage cannot write its table
+    result = CliRunner().invoke(main, ["run", "--corpus", str(corpus), "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: stage 'link' failed: "), result.stderr
+    corpus.write_text("{nope\n")
+    result = CliRunner().invoke(main, ["run", "--corpus", str(corpus), "--out-dir", str(tmp_path / "out2")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: stage 'ingest' failed: malformed entry at line 1: "), result.stderr
+
+
 class TestStageByStageCli:
     ARTIFACTS = (
         "corpus_metadata.jsonl",

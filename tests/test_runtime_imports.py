@@ -264,3 +264,34 @@ def test_collector_policy_set_in_one_place():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         sites += visitor.sites
     assert set(sites) == COLLECTOR_SITES
+
+
+# The program's exception classes: the corpus errors, which name the entry,
+# and the pipeline's, which tell a config error from a stage failure. Every
+# other input error is a plain ValueError (or an OSError).
+EXCEPTION_CLASSES = {"CorpusError", "MalformedEntryError", "DuplicateRecordIdError",
+                     "PipelineError", "ConfigError", "StageError"}
+
+
+def _names(node) -> list[str]:
+    """The class names an except clause or a class's bases list."""
+    if isinstance(node, ast.Tuple):
+        return [name for item in node.elts for name in _names(item)]
+    return [node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "<bare>")]
+
+
+def test_input_errors_have_one_rule():
+    """Only EXCEPTION_CLASSES derive from an exception, and cli.py's except
+    clauses name only OSError, ValueError and StageError: the command group
+    turns any OSError or ValueError into exit 1 in one place."""
+    classes, caught = set(), set()
+    for path in sorted(Path(venuenet.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                name.endswith(("Error", "Exception")) for base in node.bases for name in _names(base)
+            ):
+                classes.add(node.name)
+            elif isinstance(node, ast.ExceptHandler) and path.name == "cli.py":
+                caught.update(_names(node.type))
+    assert classes == EXCEPTION_CLASSES
+    assert caught <= {"OSError", "ValueError", "StageError"}
