@@ -158,8 +158,7 @@ def build(
         matrix = networks.build_coupling_matrix(corpus)
         graph = networks.build_knowledge_network(matrix)
         if matrix_out:
-            with open(matrix_out, "wb") as fh:
-                fh.write(matrix.to_json())
+            matrix.save(matrix_out)
     else:
         graph = networks.build_citation_network(corpus)
     summaries = {network: networks.summarize(graph)}

@@ -10,8 +10,10 @@ so the heap order is the selection rule itself: largest dQ first, ties to the
 smallest pair. Stale entries are invalidated lazily: a popped entry is skipped
 when a cluster is gone, the pair is no longer adjacent, or its dQ recomputed
 now differs from the stored one. A merge changes only the dQ of pairs that
-include the surviving cluster, so only those are pushed again. The merge
-sequence is the one a full rescan of all pairs per merge would give.
+include the surviving cluster, so only those are pushed again. When stale
+entries outnumber the live pairs, the heap is rebuilt from the live pairs
+alone, so it stays live-sized. The merge sequence is the one a full rescan of
+all pairs per merge would give.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def _edge_weights(g: VenueGraph, weighted: bool) -> tuple[np.ndarray, np.ndarray
 
 
 def greedy_modularity_partition(
-    g: VenueGraph, weighted: bool = True, trace: list | None = None
+    g: VenueGraph, weighted: bool = True, trace: list | None = None, funnel: dict | None = None
 ) -> ClusterPartition:
     """Agglomerate singleton clusters by best modularity gain.
 
@@ -92,7 +94,9 @@ def greedy_modularity_partition(
     pair of cluster ids. Candidates come from a lazily invalidated max-heap
     (see the module docstring). Stops when no merge has dQ > 0 and returns the
     best-Q state seen. When `trace` is given, a snapshot (assignment copy,
-    incrementally tracked Q) is appended after every merge.
+    incrementally tracked Q) is appended after every merge. `funnel`, when
+    given, receives the merges, the heap's pops, its pushes after the first
+    heap and its rebuilds.
     """
     if g.directed:
         raise ValueError("greedy modularity clustering expects an undirected graph")
@@ -104,32 +108,47 @@ def greedy_modularity_partition(
         return ClusterPartition(assignment={v: v for v in nodes}, q=0.0)
 
     # cluster id = smallest member key; singletons to start. A node's degree
-    # sum adds its row from the left; `between` holds each edge both ways.
+    # sum adds its row from the left.
     members: dict[str, list[str]] = {v: [v] for v in nodes}
     indptr, _, row_weights = g.arrays()
     degree = np.zeros(len(nodes))
     np.add.at(degree, arc_tails(indptr), row_weights if weighted else 1.0)
     degree_sum = dict(zip(nodes, degree.tolist()))
-    us, vs = [nodes[i] for i in tails.tolist()], [nodes[i] for i in heads.tolist()]  # us[k] < vs[k]
-    between: dict[str, dict[str, float]] = {v: {} for v in nodes}
-    for u, v, w in zip(us, vs, weights.tolist()):
-        between[u][v] = between[v][u] = w
-
     assignment = {v: v for v in nodes}
     q = modularity(g, assignment, weighted=weighted)
     held = None  # a copy of the best state, while the merges after it leave q as it was
     two_m_sq = 2 * m * m
 
+    # popping (-dQ, ci, cj) yields the largest dQ, ties to the smallest pair;
+    # the heap starts as the edges in row order, ci < cj
+    names = np.array(nodes, dtype=object)
+    neg_gains = -(weights / m - degree[tails] * degree[heads] / two_m_sq)
+    heap = list(zip(neg_gains.tolist(), names[tails].tolist(), names[heads].tolist()))
+    del names, neg_gains, tails, heads, degree
+    # `between` holds each edge both ways
+    between: dict[str, dict[str, float]] = {v: {} for v in nodes}
+    for (_, u, v), w in zip(heap, weights.tolist()):
+        between[u][v] = between[v][u] = w
+    del weights
+
     def gain(ci: str, cj: str) -> float:
         return between[ci][cj] / m - degree_sum[ci] * degree_sum[cj] / two_m_sq
 
-    # popping (-dQ, ci, cj) yields the largest dQ, ties to the smallest pair
-    heap = list(zip((-(weights / m - degree[tails] * degree[heads] / two_m_sq)).tolist(), us, vs))
+    def stale(neg_gain: float, ci: str, cj: str) -> bool:
+        return ci not in between or cj not in between[ci] or gain(ci, cj) != -neg_gain
+
     heapq.heapify(heap)
+    live = len(heap)  # adjacent cluster pairs, each with an entry of its current dQ in the heap
+    merges = pops = pushes = rebuilds = 0
 
     while heap:
+        if len(heap) > 2 * live + 1024:  # mostly stale: keep the live pairs' entries alone
+            heap = [entry for entry in heap if not stale(*entry)]
+            heapq.heapify(heap)
+            rebuilds += 1
         neg_gain, ci, cj = heapq.heappop(heap)
-        if ci not in between or cj not in between[ci] or gain(ci, cj) != -neg_gain:
+        pops += 1
+        if stale(neg_gain, ci, cj):
             continue
         best_gain = -neg_gain
         if best_gain <= 0.0:
@@ -140,6 +159,8 @@ def greedy_modularity_partition(
             held = dict(assignment)
 
         # ci < cj, so the merged cluster keeps id ci
+        merges += 1
+        live -= len(between[ci]) + len(between[cj]) - 1  # the pairs of either, the two's own once
         for venue in members[cj]:
             assignment[venue] = ci
         members[ci].extend(members[cj])
@@ -156,6 +177,8 @@ def greedy_modularity_partition(
         del members[cj]
         del degree_sum[cj]
         # only pairs that include ci changed their dQ
+        live += len(between[ci])
+        pushes += len(between[ci])
         for ck in between[ci]:
             a, b = (ci, ck) if ci < ck else (ck, ci)
             heapq.heappush(heap, (-gain(a, b), a, b))
@@ -164,6 +187,8 @@ def greedy_modularity_partition(
         if trace is not None:
             trace.append((dict(assignment), q))
 
+    if funnel is not None:
+        funnel.update(merges=merges, heap_pops=pops, heap_pushes=pushes, heap_rebuilds=rebuilds)
     best = assignment if held is None else held
     return ClusterPartition(assignment=best, q=modularity(g, best, weighted=weighted))
 
@@ -245,11 +270,17 @@ def _aggregate(group: np.ndarray, k: int, indptr: np.ndarray, key_ids: np.ndarra
     row_group = np.repeat(group, np.diff(indptr))
     kept = row_group >= 0
     width = int(key_ids.max(initial=0)) + 1
-    codes = row_group[kept] * width + key_ids[kept]
+    codes = row_group[kept]
+    del row_group
+    codes *= width
+    codes += key_ids[kept]
     order = np.argsort(codes)
-    codes = codes[order]
+    codes.sort()
     starts = networks._run_starts(codes)
-    sums = np.add.reduceat(_summable(counts)[kept][order], starts)
+    values = _summable(counts)[kept]
+    del kept
+    sums = np.add.reduceat(values[order], starts)
+    del values, order
     groups, keys = np.divmod(codes[starts], width)
     return np.r_[0, np.cumsum(np.bincount(groups, minlength=k))], keys, _narrowed(sums)
 

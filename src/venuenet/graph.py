@@ -43,13 +43,18 @@ class VenueGraph:
         heads[k]) of weights[k], node indices into `names`, strictly ascending
         as (tail, head) pairs (an undirected edge given both ways). `attrs`
         lists each node's attribute dict. Names or arcs out of that order
-        raise ValueError; nothing else is checked."""
+        raise ValueError; nothing else is checked. `tails` is read only to
+        count each row's arcs, so it may be any integer array."""
         if not all(map(operator.lt, names, names[1:])):
             raise ValueError("node names must be strictly ascending")
-        tails = np.asarray(tails, dtype=np.int64)
+        tails = np.asarray(tails)
+        if tails.dtype.kind != "i":  # a list, empty or of Python integers
+            tails = tails.astype(np.int64)
         heads = np.asarray(heads, dtype=np.int64)
-        key = tails * len(names) + heads
-        if np.any(key[1:] <= key[:-1]):
+        step = tails[1:] > tails[:-1]
+        step |= heads[1:] > heads[:-1]
+        step &= tails[1:] >= tails[:-1]
+        if not step.all():
             raise ValueError("arcs must be strictly ascending by (tail, head)")
         g = cls(directed=directed)
         g._nodes = dict(zip(names, attrs if attrs is not None else [{} for _ in names]))

@@ -90,15 +90,24 @@ def csr_local_clustering(g: CSRGraph) -> np.ndarray:
     a triangle is one closed pair of arcs out of its lowest node."""
     n = g.node_count()
     tails = arc_tails(g.indptr)
-    keys = _distinct((np.minimum(tails, g.heads) * n + np.maximum(tails, g.heads))[tails != g.heads])
-    del tails  # keys holds each edge once, direction ignored: no arc-sized array is needed after it
+    kept = tails != g.heads
+    keys = np.minimum(tails, g.heads)
+    keys *= n
+    keys += np.maximum(tails, g.heads, out=tails)
+    del tails
+    keys = _distinct(keys[kept])
+    del kept  # keys holds each edge once, direction ignored: no arc-sized array is needed after it
     lo, hi = np.divmod(keys, max(n, 1))
     degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     rank = np.argsort(np.argsort(degree, kind="stable"))
     up = rank[lo] < rank[hi]
+    del rank
     low, high = np.where(up, lo, hi), np.where(up, hi, lo)
+    del lo, hi, up
     order = np.argsort(low)
-    low, high = low[order], high[order]
+    low = low[order]
+    high = high[order]
+    del order
     after = np.searchsorted(low, low, side="right") - np.arange(low.size) - 1  # later arcs out of the node
     ends = np.cumsum(after)
     triangles = np.zeros(n, dtype=np.int64)
@@ -156,9 +165,16 @@ def _csr(g: VenueGraph) -> CSRGraph:
     return CSRGraph(indptr, heads, g.directed)
 
 
+def _ids(bound: int):
+    """The narrower of int32 and int64 that holds 0..bound."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values), by one sort: numpy 2.4's np.unique hashes and was many times slower on these keys."""
-    values = np.sort(values)
+    """np.unique(values), by one sort of `values` in place (every caller
+    passes a temporary): numpy 2.4's np.unique hashes and was many times
+    slower on these keys."""
+    values.sort()
     first = np.ones(values.size, dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]
@@ -177,7 +193,7 @@ def _weak_component_labels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.n
         label = new
 
 
-def _brandes_unweighted(indptr: np.ndarray, heads: np.ndarray) -> list[float]:
+def _brandes_unweighted(indptr: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Brandes' accumulation over unit-length edges from every source of the
     graph whose node i has the successors heads[indptr[i]:indptr[i + 1]],
     in adjacency order.
@@ -196,7 +212,7 @@ def _brandes_unweighted(indptr: np.ndarray, heads: np.ndarray) -> list[float]:
     """
     n = indptr.size - 1
     if n == 0:
-        return []
+        return np.zeros(0)
     label = _weak_component_labels(n, arc_tails(indptr), heads)
     max_in = max(int(np.bincount(heads, minlength=1).max()), 1)
 
@@ -219,7 +235,7 @@ def _brandes_unweighted(indptr: np.ndarray, heads: np.ndarray) -> list[float]:
         rows = slice(start, stop)
         _accumulate_block(order[rows], row_first[rows], row_len[rows], order, position, indptr, heads, max_in, cb)
         start = stop
-    return cb.tolist()
+    return cb
 
 
 def _accumulate_block(sources, row_first, row_len, order, position, indptr, heads, max_in, cb) -> None:
@@ -329,14 +345,14 @@ def betweenness_scale(n: int, directed: bool) -> float:
 
 def betweenness_centrality(
     g: VenueGraph | CSRGraph, weighted: bool = False, normalized: bool = True
-) -> MetricVector | list[float]:
+) -> MetricVector | np.ndarray:
     """Shortest-path betweenness with endpoints excluded.
 
     Weighted mode turns edge weights into distances as 1/weight, so strong
     connections act as short paths. Normalization divides by the number of
     node pairs excluding the node itself: (n-1)(n-2) for directed graphs,
     (n-1)(n-2)/2 for undirected ones. A CSRGraph has neither weights nor
-    names: its values come back as a list in node order.
+    names: its values come back as a float64 array in node order.
     """
     if isinstance(g, CSRGraph):
         nodes, cb = range(g.node_count()), _brandes_unweighted(g.indptr, g.heads)
@@ -351,19 +367,18 @@ def betweenness_centrality(
                 raise ValueError(f"edge {u!r}->{v!r} has non-positive weight {weights[arc].item()!r}")
             arcs = list(zip(heads.tolist(), (1.0 / weights).tolist()))
             bounds = indptr.tolist()
-            cb = _brandes_weighted([arcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+            cb = np.array(_brandes_weighted([arcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]), dtype=np.float64)
         else:
             cb = _brandes_unweighted(indptr, heads)
 
     if not g.directed:
-        cb = [x / 2.0 for x in cb]
+        cb /= 2.0
     if normalized:
-        scale = betweenness_scale(len(nodes), g.directed)
-        cb = [x * scale for x in cb]
+        cb *= betweenness_scale(len(nodes), g.directed)
 
     if isinstance(g, CSRGraph):
         return cb
-    return MetricVector(metric="betweenness", values=dict(zip(nodes, cb)))
+    return MetricVector(metric="betweenness", values=dict(zip(nodes, cb.tolist())))
 
 
 # -- PageRank ------------------------------------------------------------

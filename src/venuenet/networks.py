@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -95,34 +95,37 @@ class CouplingMatrix:
         bounds = self.indptr.tolist()
         return MappingProxyType({venue: _Row(self, lo, hi) for venue, lo, hi in zip(self.venues, bounds, bounds[1:])})
 
-    def to_json(self) -> bytes:
-        """The bytes of `json.dumps(..., sort_keys=True, indent=0)` over the
-        venues, vectors and publication counts, written directly from the
-        rows (`indent` would force json's pure-Python encoder). Rows and
-        their entries are in name order already; each name is encoded once."""
+    def save(self, path) -> None:
+        """Write the bytes of `json.dumps(..., sort_keys=True, indent=0)` over
+        the venues, vectors and publication counts to `path`, row by row
+        (`indent` would force json's pure-Python encoder, and hold the whole
+        text). Rows and their entries are in name order already; each name
+        is encoded once."""
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.writelines(self._json_parts())
+
+    def _json_parts(self) -> Iterator[str]:
         venues = list(map(encode_basestring_ascii, self.venues))
-        keys = np.array([key + ": " for key in map(encode_basestring_ascii, self.keys)], dtype=object)
-        keys = keys[self.key_ids].tolist()
+        yield '{\n"publication_counts": ' + _json_object(venues, map(str, self.publication_counts.tolist()))
+        if not venues:
+            yield ',\n"vectors": {},\n"venues": []\n}'
+            return
+        keys = [key + ": " for key in map(encode_basestring_ascii, self.keys)]
         top = int(self.counts.max(initial=0))
-        if top <= self.counts.size:  # each count's text made once
-            counts = np.array(list(map(str, range(top + 1))), dtype=object)[self.counts].tolist()
-        else:
-            counts = list(map(str, self.counts.tolist()))
+        # each count's text made once, while there are fewer counts than entries
+        numeral = list(map(str, range(top + 1))).__getitem__ if top <= self.counts.size else str
         bounds = self.indptr.tolist()
-        rows = [
-            "{\n" + ",\n".join(map(operator.add, keys[lo:hi], counts[lo:hi])) + "\n}" if hi > lo else "{}"
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        parts = (
-            _json_object(venues, map(str, self.publication_counts.tolist())),
-            _json_object(venues, rows),
-            "[\n" + ",\n".join(venues) + "\n]" if venues else "[]",
-        )
-        return _json_object(['"publication_counts"', '"vectors"', '"venues"'], parts).encode("ascii")
+        separator = ',\n"vectors": {\n'
+        for venue, lo, hi in zip(venues, bounds, bounds[1:]):
+            entries = map(operator.add, map(keys.__getitem__, self.key_ids[lo:hi].tolist()),
+                          map(numeral, self.counts[lo:hi].tolist()))
+            yield separator + venue + (": {\n" + ",\n".join(entries) + "\n}" if hi > lo else ": {}")
+            separator = ",\n"
+        yield '\n},\n"venues": [\n' + ",\n".join(venues) + "\n]\n}"
 
     @classmethod
     def load(cls, path) -> "CouplingMatrix":
-        """The matrix `to_json` wrote to the file `path`; ValueError names the file."""
+        """The matrix `save` wrote to the file `path`; ValueError names the file."""
         text = read_text(path)
         try:
             return cls.from_json(text)
@@ -131,7 +134,7 @@ class CouplingMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "CouplingMatrix":
-        """The matrix `to_json` wrote, as text; ValueError names what is malformed."""
+        """The matrix `save` wrote, as text; ValueError names what is malformed."""
         try:
             obj = json.loads(text)
         except RecursionError:
@@ -207,7 +210,9 @@ def _exact_array(values) -> np.ndarray:
 
 def _run_starts(codes: np.ndarray) -> np.ndarray:
     """The index of the first value of each run of equal values of `codes`."""
-    return np.flatnonzero(np.diff(codes, prepend=codes[:1] - 1))
+    first = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
@@ -216,15 +221,20 @@ def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
     Records without a venue are skipped; venues whose papers carry no
     references get no row. An external key equal to a record id counts as
     that record's key. One sort of the (venue, key rank) code of every
-    reference gives the rows, their entries and the counts.
+    reference gives the rows, their entries and the counts. The
+    reference-sized arrays are worked in place, each dropped after its last
+    read.
     """
     index = c.reference_index()
     records, slots = len(c.records), len(c.records) + len(index.external_keys)
     venue = np.repeat(index.record_venue, np.diff(index.offsets))
+    kept = venue >= 0
     # Each reference's target as a slot: its record row, or records + k for
     # external key k. Only the cited slots are named and ranked.
-    slot = np.where(index.targets >= 0, index.targets, records - 1 - index.targets)[venue >= 0]
-    venue = venue[venue >= 0]
+    slot = index.targets[kept]
+    venue = venue[kept]
+    del kept
+    np.subtract(records - 1, slot, out=slot, where=slot < 0)
     cited = np.zeros(slots, dtype=bool)
     cited[slot] = True
     cited = np.flatnonzero(cited).tolist()
@@ -232,10 +242,19 @@ def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
     keys = sorted(set(names))  # by name: an external key equal to a record id is that record's key
     rank = np.zeros(slots, dtype=np.int64)
     rank[cited] = np.fromiter(map(dict(zip(keys, range(len(keys)))).__getitem__, names), dtype=np.int64, count=len(names))
-    codes = np.sort(venue * len(keys) + rank[slot])
+    del cited, names
+    codes = rank[slot]
+    del rank, slot
+    venue *= len(keys)
+    codes += venue
+    del venue
+    codes.sort()
     starts = _run_starts(codes)
     row_venue, key_ids = np.divmod(codes[starts], max(len(keys), 1))
+    counts = np.diff(starts, append=codes.size)
+    del codes, starts
     entries = np.bincount(row_venue, minlength=len(index.venues))
+    del row_venue
     active = np.flatnonzero(entries)  # venue ids follow venue names
     publications = np.bincount(index.record_venue[index.record_venue >= 0], minlength=len(index.venues))
     return CouplingMatrix(
@@ -243,7 +262,7 @@ def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
         keys=keys,
         indptr=np.r_[0, np.cumsum(entries[active])],
         key_ids=key_ids,
-        counts=np.diff(np.r_[starts, codes.size]),
+        counts=counts,
         publication_counts=publications[active],
     )
 
@@ -255,12 +274,32 @@ def build_knowledge_network(m: CouplingMatrix) -> VenueGraph:
     simply carry no edge, and disjoint venues are never compared. Each weight
     is float(dot) / sqrt(float(n_i * n_j)) over exact integer dots and norms,
     the correctly rounded operations of `dot / math.sqrt(n_i * n_j)`.
+
+    The pairs i < j come in (i, j) order, so they are the upper arcs in
+    order, and a stable sort by j gives the lower arcs (j, i) in order. Row
+    r holds its lower arcs, then its upper arcs, each placed by row counts.
     """
+    n = len(m.venues)
     i, j, weights = pair_cosines(m.indptr, m.key_ids, m.counts)
-    tails, heads = np.r_[i, j], np.r_[j, i]
-    arcs = np.argsort(tails * len(m.venues) + heads)
+    lower_count, upper_count = np.bincount(j, minlength=n), np.bincount(i, minlength=n)
+    # upper arc k follows the arcs of the rows before i[k] and row i[k]'s lower arcs
+    upper = np.cumsum(lower_count)[i]
+    upper += np.arange(i.size)
+    # the k-th lower arc, of tail j, follows the upper arcs of the rows before j
+    by_tail = np.argsort(j, kind="stable")
+    lower = (np.cumsum(upper_count) - upper_count)[j[by_tail]]
+    lower += np.arange(i.size)
+    heads = np.empty(2 * i.size, dtype=np.int64)
+    heads[upper] = j
+    heads[lower] = i[by_tail]
+    del i, j
+    arc_weights = np.empty(heads.size)
+    arc_weights[upper] = weights
+    arc_weights[lower] = weights[by_tail]
+    del weights, by_tail, upper, lower
+    tails = np.repeat(np.arange(n, dtype=metrics._ids(n)), lower_count + upper_count)
     attrs = [{"publication_count": count} for count in m.publication_counts.tolist()]
-    return VenueGraph.from_arcs(m.venues, tails[arcs], heads[arcs], np.r_[weights, weights][arcs], False, attrs)
+    return VenueGraph.from_arcs(m.venues, tails, heads, arc_weights, False, attrs)
 
 
 # A block of consecutive rows of the sparse product holds at most this many
@@ -273,21 +312,33 @@ PRODUCT_BLOCK_TERMS = 1 << 15
 def pair_cosines(indptr: np.ndarray, key_ids: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each pair i < j of the sparse rows (indptr, key_ids, counts; key ids
     ascending in each row) that shares a key, in ascending order, and its
-    cosine float(dot) / sqrt(float(n_i * n_j)) over exact integers."""
+    cosine float(dot) / sqrt(float(n_i * n_j)) over exact integers. i and j
+    are int32 while the row ids fit."""
     top = int(counts.max(initial=0))
     if counts.dtype != object and top * top * counts.size <= _INT64_MAX:  # every partial sum of squares fits
-        squares = counts * counts
+        sums = np.zeros(counts.size + 1, dtype=np.int64)
+        np.multiply(counts, counts, out=sums[1:])
     else:
-        squares = counts.astype(object) ** 2
-    sums = np.r_[np.zeros(1, dtype=squares.dtype), np.cumsum(squares)]
-    norms = sums[indptr[1:]] - sums[indptr[:-1]]
+        sums = np.r_[0, counts.astype(object) ** 2]
+    np.cumsum(sums, out=sums)
+    norms = np.diff(sums[indptr])
+    del sums
     # By Cauchy-Schwarz every partial dot is at most the largest norm and
     # every norm product at most its square: int64 holds them all or none.
     dtype = object if max(norms.tolist(), default=0) ** 2 > _INT64_MAX else np.int64
-    pairs, dots = _pair_dots(indptr, key_ids, counts.astype(dtype))
-    vi, vj = np.divmod(pairs, indptr.size - 1)
+    pairs, dots = _pair_dots(indptr, key_ids, counts.astype(dtype, copy=False))
+    n = indptr.size - 1
+    vi, vj = np.divmod(pairs, n)
+    del pairs
+    vi, vj = vi.astype(metrics._ids(n), copy=False), vj.astype(metrics._ids(n), copy=False)
     norm = norms.astype(dtype)
-    cosines = dots.astype(np.float64) / np.sqrt((norm[vi] * norm[vj]).astype(np.float64))
+    products = norm[vi]
+    products *= norm[vj]
+    cosines = dots.astype(np.float64)
+    del dots
+    roots = products.astype(np.float64)
+    del products
+    cosines /= np.sqrt(roots, out=roots)
     return vi, vj, cosines
 
 
@@ -300,25 +351,31 @@ def _pair_dots(indptr: np.ndarray, key_ids: np.ndarray, counts: np.ndarray) -> t
     products add into one dense accumulator, and its nonzero cells are read
     off in order and reset. In a block of rows from `start`, row i's dot
     with a later row j adds into cell (i - start) * (n - start) + j - start.
-    Beside the entry arrays, memory follows the two block bounds and the
-    distinct pairs.
+    Beside the entry arrays (int32 while rows and entries fit), memory
+    follows the two block bounds and the distinct pairs.
     """
     n = indptr.size - 1
+    index = metrics._ids(max(n, key_ids.size))
     # Entries sorted stably by key, so rows ascend inside each key (a radix
     # sort while key ids fit 16 bits): entry e pairs with the entries at the
     # partners[e] sorted positions after its own. Its products are numbered
     # ends[e] - partners[e] .. ends[e] - 1, and product q pairs with the
     # entry at sorted position q + shift[e].
-    order = np.argsort(key_ids.astype(np.min_scalar_type(int(key_ids.max(initial=0)))), kind="stable")
-    owner = arc_tails(indptr)
+    order = np.argsort(key_ids.astype(np.min_scalar_type(int(key_ids.max(initial=0)))), kind="stable").astype(index)
     position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    partners = np.cumsum(np.bincount(key_ids))[key_ids] - position - 1
-    ends = np.cumsum(partners)
-    shift = position + 1 - (ends - partners)
+    position[order] = np.arange(order.size, dtype=index)
+    partners = np.cumsum(np.bincount(key_ids)).astype(index)[key_ids]
+    partners -= position
+    partners -= 1
+    ends = np.cumsum(partners, dtype=np.int64)
+    shift = ends - partners
+    np.subtract(position + 1, shift, out=shift)
+    del position
     first = np.r_[0, ends][indptr]  # row i's products are first[i] .. first[i + 1] - 1
+    del ends
+    owner = arc_tails(indptr).astype(index)
     sorted_owner, sorted_count = owner[order], counts[order]
-    del order, position, ends
+    del order
 
     cells = np.zeros(min(n * n, max(n, PRODUCT_BLOCK_CELLS)), dtype=counts.dtype)
     pair_parts = [np.zeros(0, dtype=np.int64)]
@@ -330,9 +387,15 @@ def _pair_dots(indptr: np.ndarray, key_ids: np.ndarray, counts: np.ndarray) -> t
         stop = min(n, start + max(1, PRODUCT_BLOCK_CELLS // width), max(start + 1, fit))
         lo, hi = indptr[start], indptr[stop]
         span = partners[lo:hi]
-        partner = np.arange(first[start], first[stop]) + np.repeat(shift[lo:hi], span)
-        cell = np.repeat((owner[lo:hi] - start) * width - start, span) + sorted_owner[partner]
-        np.add.at(cells, cell, np.repeat(counts[lo:hi], span) * sorted_count[partner])
+        partner = np.repeat(shift[lo:hi], span)
+        partner += np.arange(first[start], first[stop])
+        cell = np.repeat((owner[lo:hi].astype(np.int64) - start) * width - start, span)
+        cell += sorted_owner[partner]
+        products = np.repeat(counts[lo:hi], span)
+        products *= sorted_count[partner]
+        del partner
+        np.add.at(cells, cell, products)
+        del cell, products
         nonzero = np.flatnonzero(cells[: (stop - start) * width])
         i, j = np.divmod(nonzero, width)
         pair_parts.append((i + start) * n + j + start)

@@ -193,8 +193,8 @@ class StageRecord:
 @dataclass
 class StageTiming:
     """What one completed stage cost: wall time (`perf_counter`), the
-    process's CPU time (`process_time`), and the process's peak RSS so far
-    (`getrusage`; None where the platform has no `resource` module)."""
+    process's CPU time (`process_time`), and the process's own peak RSS so
+    far (`_peak_rss_mb`)."""
 
     name: str
     wall_s: float
@@ -207,6 +207,16 @@ class StageTiming:
 
 
 def _peak_rss_mb() -> float | None:
+    """The process's own peak RSS: VmHWM where /proc/self/status has it (on
+    Linux, ru_maxrss carries the launching process's peak across exec), else
+    ru_maxrss, else None."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / (1 << 10)  # kB
+    except OSError:
+        pass
     try:
         import resource  # on first use, so that importing venuenet stays as fast
     except ImportError:  # Windows
@@ -222,9 +232,11 @@ class RunManifest:
     record, reference and distinct target counts), `linkage` (the pair
     counts along the linkage funnel, in two-corpus runs), `coupling` (the
     matrix's venues, keys and entries), `networks` (the nodes and edges of
-    each network before and after its threshold) and `projection` (the
-    clustered, adopted and unassigned venues) go to run_report.json, never
-    to manifest.json, which must not change between identical runs."""
+    each network before and after its threshold), `cluster` (the merges and
+    the heap's pops, pushes and rebuilds of the clustering; none for an
+    edgeless K') and `projection` (the clustered, adopted and unassigned
+    venues) go to run_report.json, never to manifest.json, which must not
+    change between identical runs."""
 
     config: dict
     stages: list[StageRecord] = field(default_factory=list)
@@ -235,6 +247,7 @@ class RunManifest:
     linkage: dict[str, int] = field(default_factory=dict)
     coupling: dict[str, int] = field(default_factory=dict)
     networks: dict[str, dict] = field(default_factory=dict)
+    cluster: dict[str, int] = field(default_factory=dict)
     projection: dict[str, int] = field(default_factory=dict)
 
     def stage_names(self) -> list[str]:
@@ -255,7 +268,8 @@ class RunManifest:
 
     def report_dict(self) -> dict:
         """The run report: per completed stage its timing, the ingest,
-        linkage, coupling, network and projection counts, then warnings."""
+        linkage, coupling, network, cluster and projection counts, then
+        warnings."""
         out = {
             "schema": REPORT_SCHEMA,
             "stages": [asdict(t) for t in self.timings],
@@ -263,6 +277,7 @@ class RunManifest:
             "linkage": self.linkage,
             "coupling": self.coupling,
             "networks": self.networks,
+            "cluster": self.cluster,
             "projection": self.projection,
             "warnings": list(self.warnings),
         }
@@ -289,7 +304,7 @@ class _Run:
         self.cfg = cfg
         self.out_dir = Path(cfg.out_dir)
         self.manifest = RunManifest(config=cfg.to_dict())
-        # the parsed corpora, released by the link stage
+        # the stage products, each dropped after its last reader (_RELEASED_AFTER) but `linked`
         self.meta: Corpus | None = None
         self.cite: Corpus | None = None
         self.linked: Corpus | None = None
@@ -300,7 +315,7 @@ class _Run:
         self.citation_reduced: VenueGraph | None = None
         self.partition: community.ClusterPartition | None = None
         self.pagerank: metrics.MetricVector | None = None
-        self.profiles: dict[str, list[ProfileRow]] = {}
+        self.profiles: dict[str, list[ProfileRow]] | None = None
 
     def record(self, stage: str, *paths: Path) -> None:
         rec = StageRecord(name=stage)
@@ -348,17 +363,15 @@ def _stage_ingest(run: _Run) -> None:
 def _stage_link(run: _Run) -> None:
     cfg = run.cfg
     matches = []
-    run.linked = run.meta
     if run.cite is not None:
         matches = linkage.link_corpora(
             run.meta, run.cite, jaccard_min=cfg.jaccard_min, sw_min=cfg.sw_min, funnel=run.manifest.linkage
         )
-        run.linked = linkage.attach_references(run.meta, run.cite, matches)
-    # no later stage reads the parsed corpora, only the linked one
-    run.meta = run.cite = None
     path = run.out_dir / "matches.tsv"
     linkage.write_matches(matches, path)
     run.record("link", path)
+    # last, so that the parsed corpora and the linked one are alive together only here
+    run.linked = run.meta if run.cite is None else linkage.attach_references(run.meta, run.cite, matches)
 
 
 def _size(g: VenueGraph) -> dict[str, int]:
@@ -369,8 +382,7 @@ def _stage_build(run: _Run) -> None:
     run.coupling = m = networks.build_coupling_matrix(run.linked)
     run.manifest.coupling = {"venues": len(m.venues), "keys": len(m.keys), "entries": int(m.indptr[-1])}
     coupling_path = run.out_dir / "coupling.json"
-    with open(coupling_path, "wb") as fh:
-        fh.write(m.to_json())
+    m.save(coupling_path)
     run.knowledge = networks.build_knowledge_network(m)
     run.citation = networks.build_citation_network(run.linked)
     run.manifest.networks.update(K=_size(run.knowledge), F=_size(run.citation))
@@ -417,7 +429,7 @@ def _stage_threshold(run: _Run) -> None:
 
 
 def _stage_cluster(run: _Run) -> None:
-    run.partition = community.greedy_modularity_partition(run.knowledge_reduced)
+    run.partition = community.greedy_modularity_partition(run.knowledge_reduced, funnel=run.manifest.cluster)
     path = run.out_dir / "partition.tsv"
     community.write_partition(run.partition, path)
     run.record("cluster", path)
@@ -513,6 +525,19 @@ _STAGE_FUNCS = {
 }
 
 
+# The _Run fields each stage reads for the last time: the stage loop drops
+# them when the stage ends, so a stage product lives until its last reader.
+# `linked` stays, for the optional snapshots stage.
+_RELEASED_AFTER = {
+    "link": ("meta", "cite"),
+    "threshold": ("knowledge", "citation"),
+    "project": ("coupling", "knowledge_reduced", "partition"),
+    "metrics": ("citation_reduced",),
+    "subgraphs": ("pagerank",),
+    "stats": ("profiles",),
+}
+
+
 @_gc_paused
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """Execute all stages, writing artifacts, manifest.json and
@@ -544,6 +569,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             run.manifest.failed_stage = stage
             save()
             raise StageError(stage, exc, run.manifest) from exc
+        for name in _RELEASED_AFTER.get(stage, ()):
+            setattr(run, name, None)
         run.manifest.timings.append(StageTiming(stage, perf_counter() - wall, process_time() - cpu, _peak_rss_mb()))
 
     save()

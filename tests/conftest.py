@@ -25,6 +25,14 @@ def saved_bytes(corpus) -> bytes:
         return path.read_bytes()
 
 
+def saved_matrix_bytes(m) -> bytes:
+    """The coupling.json that `CouplingMatrix.save` writes for `m`."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "coupling.json"
+        m.save(path)
+        return path.read_bytes()
+
+
 @pytest.fixture
 def small_corpus():
     """Three venues, five papers, mixed internal and external references."""

@@ -573,8 +573,8 @@ def knowledge_network_loop(m: CouplingMatrix) -> VenueGraph:
 
 
 def coupling_json_dumps(m: CouplingMatrix) -> bytes:
-    """`CouplingMatrix.to_json` through json's own (pure-Python, since
-    indented) encoder."""
+    """The bytes `CouplingMatrix.save` writes, through json's own
+    (pure-Python, since indented) encoder."""
     obj = {
         "venues": m.venues,
         "vectors": {v: dict(sorted(m.vectors[v].items())) for v in sorted(m.vectors)},

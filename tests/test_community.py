@@ -22,6 +22,7 @@ from venuenet.community import (
 )
 from venuenet.exports import export_graph
 from venuenet.graph import VenueGraph
+from venuenet.metrics import connected_components
 from venuenet.networks import (
     COSINE_MIN_DEFAULT,
     CouplingMatrix,
@@ -85,6 +86,7 @@ class TestModularity:
 import random
 from venuenet.community import modularity
 from venuenet.graph import VenueGraph
+from venuenet.metrics import connected_components
 rng = random.Random(1103)
 nodes = [f"q{i:03d}" for i in range(300)]
 g = VenueGraph()
@@ -251,13 +253,15 @@ class TestHeapMatchesScan:
     """The heap-based merge loop picks exactly the merges of a full rescan:
     same trace (assignment and tracked Q after every merge), same partition."""
 
-    def assert_same(self, g: VenueGraph, weighted: bool = True) -> None:
-        got_trace, want_trace = [], []
-        got = greedy_modularity_partition(g, weighted=weighted, trace=got_trace)
+    def assert_same(self, g: VenueGraph, weighted: bool = True) -> dict:
+        got_trace, want_trace, funnel = [], [], {}
+        got = greedy_modularity_partition(g, weighted=weighted, trace=got_trace, funnel=funnel)
         want = greedy_modularity_scan(g, weighted=weighted, trace=want_trace)
         assert got_trace == want_trace
         assert got.assignment == want.assignment
         assert got.q == want.q
+        assert funnel.get("merges", 0) == len(got_trace)
+        return funnel
 
     def test_random_graphs(self):
         rng = random.Random(2004)
@@ -280,6 +284,17 @@ class TestHeapMatchesScan:
         rng = random.Random(2006)
         for _ in range(10):
             self.assert_same(planted_groups_graph(rng, rng.randint(2, 8), rng.randint(3, 10)))
+
+    def test_heap_rebuilds_keep_the_merges(self):
+        # A connected graph of 240 nodes and about 4,000 edges: its merges
+        # leave stale entries past twice the live pairs plus 1,024, so the
+        # heap is rebuilt from the live pairs, and the merges stay the scan's.
+        g = planted_groups_graph(random.Random(2007), 6, 40)
+        assert len(connected_components(g)) == 1
+        for weighted in (True, False):
+            funnel = self.assert_same(g, weighted=weighted)
+            assert funnel["heap_rebuilds"] >= 1, funnel
+            assert funnel["heap_pops"] <= g.edge_count() + funnel["heap_pushes"]
 
     def test_knowledge_network_of_scale_corpus(self):
         knowledge = build_knowledge_network(build_coupling_matrix(scale_corpus(300, 10)))

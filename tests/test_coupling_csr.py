@@ -3,7 +3,8 @@ for bit: the cosine kernel and K (`knowledge_network_loop`), `coupling.json`
 (`coupling_json_dumps`) and the cluster projection (`adopt_by_cosine_loop`,
 `cluster_network_loop`). Matrices are seeded and drawn by hypothesis, with
 empty rows first, in the middle and last, count ties, disjoint keys and
-counts at 2^17, 2^33 and 2^70 (Python integers). Each check runs with the
+counts at 2^17, 2^33 and 2^70 (Python integers), a single venue and venues
+that share no key with any other. Each check runs with the
 product's block bounds as shipped and shrunk, so that every block boundary
 is crossed."""
 
@@ -11,6 +12,7 @@ import random
 
 import pytest
 
+from conftest import saved_matrix_bytes
 from oracles import adopt_by_cosine_loop, cluster_network_loop, coupling_json_dumps, knowledge_network_loop, neighbors
 from venuenet import networks
 from venuenet.community import ClusterPartition, project_to_cluster_network
@@ -51,7 +53,7 @@ def assert_csr_equals_dicts(m: CouplingMatrix, assignment: dict[str, str]) -> No
                     sums[cluster][key] = sums[cluster].get(key, 0) + count
             assert projection.cluster_matrix.vectors == sums
 
-    data = m.to_json()
+    data = saved_matrix_bytes(m)
     assert data == coupling_json_dumps(m)
     assert CouplingMatrix.from_json(data.decode("utf-8")) == m
 
@@ -89,6 +91,18 @@ def test_empty_rows_first_middle_and_last(empty_at):
     m = CouplingMatrix.from_vectors(venues, {v: vectors.get(name, {}) for v, name in zip(venues, names)})
     assert [len(row) for row in m.vectors.values()].count(0) == len(empty_at)
     assert_csr_equals_dicts(m, {venues[i]: "c" for i in range(0, len(venues), 2)})
+
+
+@pytest.mark.parametrize("vectors", [
+    {"v": {"x": 3, "y": 1}},  # a single venue
+    {"v": {}},  # a single venue citing nothing
+    {"a": {"x": 1, "y": 2}, "b": {"y": 1}, "c": {"z": 4, "w": 1}},  # c shares no key with any other
+    {"a": {"p": 2}, "b": {"q": 1}, "c": {"r": 5}},  # no venue shares a key
+])
+def test_single_venues_and_venues_sharing_no_key(vectors):
+    m = CouplingMatrix.from_vectors(list(vectors), vectors, {venue: 2 for venue in vectors})
+    for assignment in ({}, {venue: "c0" for venue in list(vectors)[:1]}, {venue: venue for venue in vectors}):
+        assert_csr_equals_dicts(m, assignment)
 
 
 def test_scale_corpus_matrix():

@@ -285,7 +285,7 @@ class TestBatchedBrandes:
         want = brandes_unweighted_loop(adj)
         for budget in self.BUDGETS:
             monkeypatch.setattr(metrics, "BRANDES_BLOCK_CELLS", budget)
-            assert metrics._brandes_unweighted(indptr, heads) == want, budget
+            assert metrics._brandes_unweighted(indptr, heads).tolist() == want, budget
 
     def test_random_graphs(self, monkeypatch):
         rng = random.Random(5)

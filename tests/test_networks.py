@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import corpus_from_lines
+from conftest import corpus_from_lines, saved_matrix_bytes
 from oracles import (
     citation_network_loop,
     coupling_json_dumps,
@@ -80,7 +80,7 @@ class TestCouplingMatrix:
             '{"id": "p1", "title": "A", "venue": "v1", "refs": ["r", "r", "s"]}',
         )
         m = build_coupling_matrix(corpus)
-        again = CouplingMatrix.from_json(m.to_json().decode("utf-8"))
+        again = CouplingMatrix.from_json(saved_matrix_bytes(m).decode("utf-8"))
         assert again.venues == m.venues
         assert again.vectors == m.vectors
         assert again.publication_counts.tolist() == m.publication_counts.tolist()
@@ -232,10 +232,11 @@ class TestKnowledgeKernel:
             self.assert_equals_loop(CouplingMatrix.from_vectors(venues=names, vectors=dict(zip(names, vectors))))
 
     def test_memory_follows_one_row(self):
-        # The block-wise product holds the entry arrays, one block's
-        # expansion and accumulator (10.2 MB on this corpus; one vector at a
-        # time, 10.5 MB); the chunked product, which kept every expanded
-        # venue pair, peaked at 33 MB.
+        # The block-wise product holds the entry arrays (int32), one block's
+        # expansion and accumulator, and K's arcs are placed by row counts
+        # (5.9 MB on this corpus; with int64 entry arrays and an argsort of
+        # 2E arc keys, 10.2 MB); the chunked product, which kept every
+        # expanded venue pair, peaked at 33 MB.
         m = build_coupling_matrix(scale_corpus(2000, 10, seed=3))
         tracemalloc.start()
         try:
@@ -243,11 +244,13 @@ class TestKnowledgeKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20e6
+        assert peak <= 8e6
 
-    def test_memory_of_the_coupling_path(self):
-        # Build, coupling.json, K and the cluster projection peak at 14.2 MB
-        # together on this corpus (the per-venue dicts peaked at 15.9 MB).
+    def test_memory_of_the_coupling_path(self, tmp_path):
+        # Build, coupling.json, K and the cluster projection peak at 7.8 MB
+        # together on this corpus, coupling.json streamed row by row (with
+        # the whole text held at once and int64 temporaries, 12.8 MB; with
+        # per-venue dicts, 15.9 MB).
         corpus = scale_corpus(2000, 10, seed=3)
         corpus.reference_index()
         venues = build_coupling_matrix(corpus).venues
@@ -255,13 +258,13 @@ class TestKnowledgeKernel:
         tracemalloc.start()
         try:
             m = build_coupling_matrix(corpus)
-            m.to_json()
+            m.save(tmp_path / "coupling.json")
             build_knowledge_network(m)
             project_to_cluster_network(m, partition)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 18e6
+        assert peak <= 10e6
 
     def test_no_venues_and_no_shared_keys(self):
         self.assert_equals_loop(CouplingMatrix.from_vectors(venues=[], vectors={}))
@@ -305,8 +308,8 @@ class TestCouplingJson:
         rng = random.Random(2)
         for _ in range(60):
             m = random_matrix(rng)
-            assert m.to_json() == coupling_json_dumps(m)
-            again = CouplingMatrix.from_json(m.to_json().decode("utf-8"))
+            assert saved_matrix_bytes(m) == coupling_json_dumps(m)
+            again = CouplingMatrix.from_json(saved_matrix_bytes(m).decode("utf-8"))
             assert (again.venues, again.vectors, again.publication_counts.tolist()) == (m.venues, m.vectors, m.publication_counts.tolist())
 
     def test_escaped_and_empty_parts(self):
@@ -316,9 +319,9 @@ class TestCouplingJson:
             vectors={**{v: {k: i + 1 for i, k in enumerate(odd)} for v in odd}, "empty": {}},
             publication_counts={v: 7 for v in odd},
         )
-        assert m.to_json() == coupling_json_dumps(m)
+        assert saved_matrix_bytes(m) == coupling_json_dumps(m)
         for empty in (CouplingMatrix.from_vectors(venues=[], vectors={}), CouplingMatrix.from_vectors(venues=["a"], vectors={"a": {}})):
-            assert empty.to_json() == coupling_json_dumps(empty)
+            assert saved_matrix_bytes(empty) == coupling_json_dumps(empty)
 
 
 class TestCitationNetwork:
@@ -415,7 +418,7 @@ class TestBuildersOnTheReferenceIndex:
         corpus = make()
         m, expected = build_coupling_matrix(corpus), coupling_matrix_loop(corpus)
         assert m == expected
-        assert m.to_json() == expected.to_json()
+        assert saved_matrix_bytes(m) == saved_matrix_bytes(expected)
 
     @pytest.mark.parametrize("make", CORPORA)
     def test_citation_network_equals_loop(self, make):

@@ -393,6 +393,81 @@ class TestRunReport:
         # after link only the linked corpus is alive; the parsed two are freed
         assert held == [(None, None, [None, None], len(meta.records))]
 
+    def test_report_counts_the_clustering(self, tmp_path, planted):
+        corpus, _ = planted
+        save_corpus(corpus, tmp_path / "fixture.jsonl")
+        cfg = fixture_config(tmp_path, tmp_path / "fixture.jsonl")
+        run_pipeline(cfg)
+        out_dir = Path(cfg.out_dir)
+        funnel = json.loads((out_dir / "run_report.json").read_text())["cluster"]
+        assert list(funnel) == ["heap_pops", "heap_pushes", "heap_rebuilds", "merges"]
+        partition = read_partition(out_dir / "partition.tsv")
+        # CNM merges only while Q rises: each merge joins two clusters of the last state
+        assert funnel["merges"] == len(partition.assignment) - partition.cluster_count > 0
+        edges = load_graph(out_dir / "knowledge.tsv").edge_count()
+        assert funnel["merges"] <= funnel["heap_pops"] <= edges + funnel["heap_pushes"]
+        assert "heap_pops" not in (out_dir / "manifest.json").read_text()
+
+    def test_stage_products_are_released_after_their_last_reader(self, tmp_path, planted, monkeypatch):
+        """Each field of pipeline._RELEASED_AFTER is None when every later
+        stage starts; the coupling matrix, the partition and PageRank are
+        freed then, not only unreferenced."""
+        corpus, _ = planted
+        meta, cite = split_for_linkage(corpus)
+        save_corpus(meta, tmp_path / "meta.jsonl")
+        save_corpus(cite, tmp_path / "cite.jsonl")
+        cfg = fixture_config(tmp_path, tmp_path / "meta.jsonl", citation_corpus=str(tmp_path / "cite.jsonl"),
+                             slice_years=(1995,))
+        released = pipeline._RELEASED_AFTER
+        fields = {name for names in released.values() for name in names}
+        alive, products = {}, {}
+
+        def watch(stage, func):
+            def watched(run):
+                alive[stage] = {name for name in fields if getattr(run, name) is not None}
+                alive[stage] |= {name for name, ref in products.items() if ref() is not None}
+                func(run)
+                for name in ("coupling", "partition", "pagerank"):
+                    if name not in products and getattr(run, name) is not None:
+                        products[name] = weakref.ref(getattr(run, name))
+            return watched
+
+        for stage, func in list(pipeline._STAGE_FUNCS.items()):
+            monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, watch(stage, func))
+        run_pipeline(cfg)
+        order = [*STAGES, "snapshots"]
+        assert list(alive) == order
+        for i, stage in enumerate(order):
+            gone = {name for earlier in order[:i] for name in released.get(earlier, ())}
+            assert not alive[stage] & gone, stage
+        assert set(products) == {"coupling", "partition", "pagerank"}
+        assert {"coupling", "partition"} <= alive["project"] and "pagerank" in alive["subgraphs"]
+        assert all(ref() is None for ref in products.values())
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status to read VmHWM from")
+    def test_report_peak_rss_is_the_runs_own(self, tmp_path):
+        # On Linux a child's ru_maxrss starts at the peak of the process that
+        # launched it: started from one holding 120 MB, the run must still
+        # report its own peak.
+        save_corpus(scale_corpus(venues=12, papers_per_venue=10, seed=5), tmp_path / "corpus.jsonl")
+        launcher = (
+            "import resource, subprocess, sys\n"
+            "ballast = b'x' * (120 << 20)  # written, so resident\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10)\n"
+            "sys.exit(subprocess.run([sys.executable, '-m', 'venuenet.cli', *sys.argv[1:]]).returncode)\n"
+        )
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+        out_dir = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-c", launcher, "run", "--corpus", str(tmp_path / "corpus.jsonl"), "--out-dir", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.splitlines()[0]) >= 100  # MB held by the launcher
+        peaks = [stage["peak_rss_mb"] for stage in json.loads((out_dir / "run_report.json").read_text())["stages"]]
+        assert len(peaks) == len(STAGES) and all(0 < peak < 100 for peak in peaks), peaks
+
     def test_verbose_prints_each_stage_and_leaves_manifest_alone(self, tmp_path, planted):
         corpus, _ = planted
         corpus_path = tmp_path / "fixture.jsonl"

@@ -295,3 +295,27 @@ def test_input_errors_have_one_rule():
                 caught.update(_names(node.type))
     assert classes == EXCEPTION_CLASSES
     assert caught <= {"OSError", "ValueError", "StageError"}
+
+
+# The _Run fields no stage releases: the run's settings and record, and the
+# linked corpus, which the optional snapshots stage reads last.
+KEPT_RUN_FIELDS = {"cfg", "out_dir", "manifest", "linked"}
+
+
+def test_every_stage_product_has_a_lifetime():
+    """Every field `pipeline._Run.__init__` sets is either released after a
+    stage in `_RELEASED_AFTER` or one of KEPT_RUN_FIELDS, and the table
+    names only such fields: a field added later needs an explicit lifetime."""
+    tree = ast.parse((Path(venuenet.__file__).parent / "pipeline.py").read_text(encoding="utf-8"))
+    run_class = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Run")
+    init = next(node for node in run_class.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    fields = set()
+    for node in ast.walk(init):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        fields.update(t.attr for t in targets if isinstance(t, ast.Attribute) and getattr(t.value, "id", "") == "self")
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", "") == "_RELEASED_AFTER" for t in node.targets))
+    released = [name for names in ast.literal_eval(table).values() for name in names]
+    assert len(released) == len(set(released))  # each field released once
+    assert fields == set(released) | KEPT_RUN_FIELDS
+    assert not set(released) & KEPT_RUN_FIELDS
