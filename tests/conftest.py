@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
@@ -15,6 +16,19 @@ from venuenet.corpus import parse_jsonl, save_corpus
 def corpus_from_lines(*lines: str, source: str = "metadata-corpus"):
     data = "\n".join(lines).encode("utf-8")
     return parse_jsonl(io.BytesIO(data), source=source)
+
+
+def write_dblp(corpus, path: Path) -> None:
+    """`corpus` as DBLP XML: each record an `article` keyed
+    `journals/<venue>/<id>`, its references to records rewritten to keys."""
+    key = {r.record_id: f"journals/{r.venue_key}/{r.record_id}" for r in corpus.records}
+    parts = ["<dblp>"]
+    for r in corpus.records:
+        authors = "".join(f"<author>{escape(a.full_name)}</author>" for a in r.authors)
+        cites = "".join(f"<cite>{escape(key.get(t, t))}</cite>" for t in r.references)
+        parts.append(f"<article key={quoteattr(key[r.record_id])}>{authors}<title>{escape(r.title)}</title>"
+                     f"<year>{r.year}</year>{cites}</article>")
+    path.write_text("".join(parts + ["</dblp>"]), encoding="utf-8")
 
 
 def saved_bytes(corpus) -> bytes:

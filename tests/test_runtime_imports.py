@@ -6,9 +6,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 import venuenet
+from conftest import write_dblp
 from venuenet.corpus import save_corpus
 from venuenet.pipeline import PipelineConfig
 from venuenet.synth import scale_corpus, split_for_linkage
@@ -33,17 +33,6 @@ def test_modules_import_only_stdlib_click_and_numpy():
     assert found == []
 
 
-def _write_dblp(corpus, path: Path) -> None:
-    key = {r.record_id: f"journals/{r.venue_key}/{r.record_id}" for r in corpus.records}
-    parts = ["<dblp>"]
-    for r in corpus.records:
-        authors = "".join(f"<author>{escape(a.full_name)}</author>" for a in r.authors)
-        cites = "".join(f"<cite>{escape(key.get(t, t))}</cite>" for t in r.references)
-        parts.append(f"<article key={quoteattr(key[r.record_id])}>{authors}<title>{escape(r.title)}</title>"
-                     f"<year>{r.year}</year>{cites}</article>")
-    path.write_text("".join(parts + ["</dblp>"]), encoding="utf-8")
-
-
 def _run_cli(args: list[str], modules: str) -> list[str]:
     """The loaded modules whose names satisfy the Python expression
     `modules` over `m`, after `venuenet.cli` runs `args` in a fresh process
@@ -64,8 +53,8 @@ def test_run_does_not_import_numpy_ma(tmp_path):
     corpus = scale_corpus(venues=12, papers_per_venue=10, seed=5)
     save_corpus(corpus, tmp_path / "corpus.jsonl")
     meta, cite = split_for_linkage(corpus)
-    _write_dblp(meta, tmp_path / "meta.xml")
-    _write_dblp(cite, tmp_path / "cite.xml")
+    write_dblp(meta, tmp_path / "meta.xml")
+    write_dblp(cite, tmp_path / "cite.xml")
     dblp = PipelineConfig(metadata_corpus=str(tmp_path / "meta.xml"), citation_corpus=str(tmp_path / "cite.xml"),
                           corpus_format="dblp-xml", slice_years=(1995,), out_dir=str(tmp_path / "out-dblp"))
     dblp.save(tmp_path / "dblp.cfg")
