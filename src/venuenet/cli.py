@@ -16,15 +16,13 @@ from . import community, linkage, metrics, networks, subgraphs
 from .corpus import (
     CORPUS_SOURCES,
     METADATA_CORPUS,
-    Corpus,
-    check_names,
     load_corpus,
     parse_corpus,
     save_corpus,
     slice_by_year,
     validate_corpus,
 )
-from .exports import FORMATS, load_graph, read_text, write_graph, write_table
+from .exports import FORMATS, load_graph, write_graph, write_table
 from .pipeline import PipelineConfig, RunManifest, StageError, check_unit_interval, run_pipeline
 
 
@@ -45,22 +43,6 @@ def _report(manifest: RunManifest, verbose: bool) -> None:
             click.echo(timing.describe(), err=True)
     for warning in manifest.warnings:
         _warn(warning)
-
-
-def _load_corpus(path: str) -> Corpus:
-    corpus = load_corpus(path)
-    check_names(corpus)
-    return corpus
-
-
-def _read_domains(path: str) -> dict[str, str]:
-    """The venue_key<TAB>domain rows of `path`; other lines are skipped."""
-    domains = {}
-    for line in read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n"):
-        if line.strip() and "\t" in line:
-            venue, domain = line.split("\t")[:2]
-            domains[venue] = domain
-    return domains
 
 
 class _Commands(click.Group):
@@ -88,7 +70,6 @@ def ingest(input_path: str, fmt: str, source: str, out: str) -> None:
     """Parse a corpus file and write it in canonical JSONL form."""
     with open(input_path, "rb") as fh:
         corpus = parse_corpus(fh, fmt, source=source)
-    check_names(corpus)
     save_corpus(corpus, out)
     report = validate_corpus(corpus)
     click.echo(
@@ -109,7 +90,7 @@ def ingest(input_path: str, fmt: str, source: str, out: str) -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def slice_cmd(corpus_path: str, year: int, out: str) -> None:
     """Keep only records published up to and including YEAR."""
-    corpus = _load_corpus(corpus_path)
+    corpus = load_corpus(corpus_path)
     sliced = slice_by_year(corpus, year)
     save_corpus(sliced, out)
     click.echo(f"kept {len(sliced.records)} of {len(corpus.records)} records")
@@ -125,8 +106,8 @@ def link(left: str, right: str, jaccard_min: float, sw_min: float, out: str) -> 
     """Match records of the left (metadata) corpus to the right (citation) one."""
     check_unit_interval("jaccard_min", jaccard_min)
     check_unit_interval("sw_min", sw_min)
-    a = _load_corpus(left)
-    b = _load_corpus(right)
+    a = load_corpus(left)
+    b = load_corpus(right)
     matches = linkage.link_corpora(a, b, jaccard_min=jaccard_min, sw_min=sw_min)
     linkage.write_matches(matches, out)
     unmatchable = len(linkage.unmatchable_records(a)) + len(linkage.unmatchable_records(b))
@@ -151,7 +132,7 @@ def build(
     """Build the knowledge (undirected cosine) or citation (directed count) network."""
     kind = "cosine" if network == "knowledge" else "citation"
     rule = None if threshold_value is None else networks.ThresholdRule(kind, threshold_value)
-    corpus = _load_corpus(corpus_path)
+    corpus = load_corpus(corpus_path)
     if matches_path:
         corpus = linkage.rewrite_matched_references(corpus, linkage.read_matches(matches_path))
     if network == "knowledge":
@@ -195,7 +176,7 @@ def cluster(graph_path: str, out: str, unweighted: bool, domains_path: str | Non
     """Greedy modularity clustering of an undirected graph."""
     if domains_path and not composition_out:
         raise ValueError("--domains is only read with --composition-out")
-    domains = _read_domains(domains_path) if domains_path else {}
+    domains = community.read_domains(domains_path) if domains_path else {}
     graph = load_graph(graph_path)
     try:
         partition = community.greedy_modularity_partition(graph, weighted=not unweighted)
@@ -280,7 +261,7 @@ def metrics_cmd(
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def subgraphs_cmd(corpus_path: str, venue_kind: str, family: str, pagerank_path: str | None, out: str) -> None:
     """Profile and classify per-venue co-authorship and citation subgraphs."""
-    corpus = _load_corpus(corpus_path)
+    corpus = load_corpus(corpus_path)
     ranks = metrics.read_metric_tsv(pagerank_path, "pagerank") if pagerank_path else {}
     profiled = subgraphs.profile_venues(corpus, ranks)
     families = ["coauthorship", "citation"] if family == "both" else [family]

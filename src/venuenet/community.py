@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import metrics, networks
-from .corpus import _UNCARRIED
+from .corpus import check_name
 from .exports import read_table, write_table
 from .graph import VenueGraph, arc_tails
 from .networks import CouplingMatrix
@@ -318,6 +318,7 @@ def cluster_domain_composition(
 PARTITION_HEADER = "venue_key\tcluster_id"
 ASSIGNMENT_HEADER = "venue_key\tcluster_id\trule"
 COMPOSITION_HEADER = "cluster_id\tdomain\tvenues"
+DOMAINS_HEADER = "venue_key\tdomain"
 
 
 def write_partition(p: ClusterPartition, path) -> None:
@@ -335,22 +336,26 @@ def write_assignment(p: ClusterPartition, projection: ClusterProjection, path) -
     write_table(path, ASSIGNMENT_HEADER, rows)
 
 
+_venue_key = partial(check_name, what="venue key")
+
+
 def read_partition(path) -> ClusterPartition:
     """The partition at `path`, its header optional and its Q read from a
-    `# q=` comment: each venue once, with a cluster id `_cluster_id` passes."""
+    `# q=` comment: each venue once, with names `check_name` passes."""
     settings, rows = read_table(path, PARTITION_HEADER, "partition", key=("venue_key",),
-                                parse={"cluster_id": _cluster_id, "q": float}, headerless=True)
+                                parse={"venue_key": _venue_key, "cluster_id": _cluster_id, "q": float}, headerless=True)
     return ClusterPartition(assignment=dict(rows), q=settings.get("q", 0.0))
 
 
 def _cluster_id(cluster: str) -> str:
-    """`cluster`, unless it is empty, holds a character a record id or venue
-    key cannot hold (corpus.check_names) or starts with `#`."""
     if not cluster:
         raise ValueError("empty cluster_id")
-    bad = re.search(_UNCARRIED, cluster)
-    if bad:
-        raise ValueError(f"cluster id {cluster!r} holds {bad.group()!r}, which the output artifacts cannot carry")
-    if cluster.startswith("#"):
-        raise ValueError(f"cluster id {cluster!r} starts with '#', which an edge TSV would read as a comment")
-    return cluster
+    return check_name(cluster, "cluster id")
+
+
+def read_domains(path) -> dict[str, str]:
+    """venue -> domain from the table at `path`, its header optional: each
+    venue once, with names `check_name` passes."""
+    _, rows = read_table(path, DOMAINS_HEADER, "domains", key=("venue_key",),
+                         parse={"venue_key": _venue_key, "domain": partial(check_name, what="domain")}, headerless=True)
+    return dict(rows)

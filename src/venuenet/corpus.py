@@ -456,11 +456,15 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
 
 
 def parse_corpus(stream: BinaryIO, format: str, source: str = METADATA_CORPUS) -> Corpus:
+    """The corpus `stream` holds in `format`, its names checked (check_names)."""
     if format == "jsonl":
-        return parse_jsonl(stream, source=source)
-    if format == "dblp-xml":
-        return parse_dblp_xml(stream, source=source)
-    raise ValueError(f"unknown corpus format {format!r}")
+        corpus = parse_jsonl(stream, source=source)
+    elif format == "dblp-xml":
+        corpus = parse_dblp_xml(stream, source=source)
+    else:
+        raise ValueError(f"unknown corpus format {format!r}")
+    check_names(corpus)
+    return corpus
 
 
 def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
@@ -485,17 +489,29 @@ def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
         )
 
 
-# What a record id or venue key cannot hold (compiled on first use): C0 controls
-# break TSV rows, U+0085, U+2028 and U+2029 end a line for `str.splitlines`, and
-# XML 1.0 has no lone surrogates, U+FFFE or U+FFFF.
+# What a name cannot hold (compiled on first use): C0 controls break TSV rows,
+# U+0085, U+2028 and U+2029 end a line for `str.splitlines`, and XML 1.0 has no
+# lone surrogates, U+FFFE or U+FFFF.
 _UNCARRIED = "[\x00-\x1f\x85\u2028\u2029\ud800-\udfff\ufffe\uffff]"
+
+
+def check_name(name: str, what: str, record_id: bool = False) -> str:
+    """`name`, if the artifacts can carry it: ValueError, naming it as `what`,
+    when it holds an `_UNCARRIED` character or, unless it is a `record_id`,
+    starts with `#`, which the edge TSV reader takes for a comment. The one
+    name rule, for corpora, partitions, coupling matrices and domain tables."""
+    bad = re.search(_UNCARRIED, name)
+    if bad:
+        raise ValueError(f"{what} {name!r} holds {bad.group()!r}, which the output artifacts cannot carry")
+    if name.startswith("#") and not record_id:
+        raise ValueError(f"{what} {name!r} starts with '#', which an edge TSV would read as a comment")
+    return name
 
 
 def check_names(corpus: Corpus) -> None:
     """Raise MalformedEntryError, naming the record's id and 1-based
-    position, for the first record whose id or venue key holds a character
-    the network, partition and GraphML artifacts cannot carry, or whose
-    venue key starts with `#`, which the edge TSV reader takes for a comment.
+    position, for the first record whose id or venue key `check_name`
+    refuses.
 
     One search over all ids and one over the venue table's keys (a space is
     no fault) find whether there is one; only then are the records scanned
@@ -506,23 +522,18 @@ def check_names(corpus: Corpus) -> None:
     if not (search(" ".join(corpus._rows)) or search(" ".join(keys)) or any(key.startswith("#") for key in keys)):
         return
     for position, rec in enumerate(corpus.records, start=1):
-        bad = search(rec.record_id) or search(rec.venue_key or "")
-        if bad:
-            what = "record id" if bad.string == rec.record_id else "venue key"
-            raise MalformedEntryError(
-                f"record {position} (id {rec.record_id!r})",
-                f"{what} {bad.string!r} holds {bad.group()!r}, which the output artifacts cannot carry",
-            )
-        if (rec.venue_key or "").startswith("#"):
-            raise MalformedEntryError(
-                f"record {position} (id {rec.record_id!r})",
-                f"venue key {rec.venue_key!r} starts with '#', which an edge TSV would read as a comment",
-            )
+        try:
+            check_name(rec.record_id, "record id", record_id=True)
+            if rec.venue_key is not None:
+                check_name(rec.venue_key, "venue key")
+        except ValueError as exc:
+            raise MalformedEntryError(f"record {position} (id {rec.record_id!r})", str(exc)) from None
 
 
 def load_corpus(path) -> Corpus:
+    """The canonical JSONL corpus at `path`, its names checked."""
     with open(path, "rb") as fh:
-        return parse_jsonl(fh)
+        return parse_corpus(fh, "jsonl")
 
 
 def save_corpus(corpus: Corpus, path) -> None:

@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import metrics
-from .corpus import Corpus
+from .corpus import Corpus, check_name
 from .exports import read_text
 from .graph import VenueGraph, arc_tails
 
@@ -145,6 +145,8 @@ class CouplingMatrix:
         counts = obj.get("publication_counts", {})
         if not isinstance(venues, list) or not all(isinstance(v, str) for v in venues) or len(set(venues)) != len(venues):
             raise ValueError("coupling matrix 'venues' must be a list of distinct strings")
+        for venue in venues:
+            check_name(venue, "coupling matrix venue")
         if not isinstance(vectors, dict) or not all(map(_is_count_map, vectors.values())):
             raise ValueError("coupling matrix 'vectors' must map venues to objects of integer counts")
         if not _is_count_map(counts):

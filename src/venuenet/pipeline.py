@@ -15,7 +15,7 @@ from pathlib import Path
 from time import perf_counter, process_time
 
 from . import community, linkage, metrics, networks, subgraphs
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, _gc_paused, check_names, parse_corpus, save_corpus, validate_corpus
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, _gc_paused, parse_corpus, save_corpus, validate_corpus
 from .exports import export_graph, read_text, write_graph, write_text  # noqa: F401 (bench/tracing.py wraps export_graph and write_graph here)
 from .graph import VenueGraph
 from .subgraphs import DEFAULT_CUTS, ClassificationCuts, ProfileRow
@@ -340,7 +340,6 @@ def _stage_ingest(run: _Run) -> None:
     with open(cfg.metadata_corpus, "rb") as fh:
         run.meta = parse_corpus(fh, cfg.corpus_format, source="metadata-corpus")
     run.manifest.ingest["metadata"] = _ingest_counts(run.meta)  # from the parse's tables, before the index takes them
-    check_names(run.meta)
     out = run.out_dir / "corpus_metadata.jsonl"
     save_corpus(run.meta, out)
     report = validate_corpus(run.meta)
@@ -353,7 +352,6 @@ def _stage_ingest(run: _Run) -> None:
             run.cite = parse_corpus(fh, cfg.corpus_format, source="citation-corpus")
         run.manifest.ingest["citation"] = _ingest_counts(run.cite)
         run.cite.drop_parse_tables()  # its reference index is never built
-        check_names(run.cite)
         cite_out = run.out_dir / "corpus_citation.jsonl"
         save_corpus(run.cite, cite_out)
         outputs.append(cite_out)

@@ -17,6 +17,7 @@ from venuenet.community import (
     greedy_modularity_partition,
     modularity,
     project_to_cluster_network,
+    read_domains,
     read_partition,
     write_partition,
 )
@@ -475,6 +476,21 @@ class TestDomainComposition:
             "c1": {"Databases": 2, "AI": 1},
             "c2": {"uncategorized": 1},
         }
+
+
+class TestDomainsTable:
+    def test_header_and_comments_are_optional(self, tmp_path):
+        path = tmp_path / "domains.tsv"
+        for text in ["v1\tDatabases\nv2\tAI\n", "# labels\nvenue_key\tdomain\nv1\tDatabases\nv2\tAI"]:
+            path.write_text(text)
+            assert read_domains(path) == {"v1": "Databases", "v2": "AI"}
+
+    def test_bad_rows_name_the_line(self, tmp_path):
+        path = tmp_path / "domains.tsv"
+        for text, line in [("v1\tDatabases\n\n", 2), ("\tAI\n", 1), ("v1\t#AI\n", 1), ("v1\tA\nv\u0085\tB\n", 2)]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"^{path}: line {line}: "):
+                read_domains(path)
 
 
 class TestPartitionIO:

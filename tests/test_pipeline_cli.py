@@ -1158,6 +1158,23 @@ READER_CASES = [
      {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v1\tv2\n"}, "p.tsv", "line 3: venue_key 'v1' repeats line 2"),
     ("partition-empty-cluster-id", "project", {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v2\t\n"}, "p.tsv", "line 3: empty cluster_id"),
     ("partition-empty-venue-key", "project", {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "\tv1\n"}, "p.tsv", "line 3: empty venue_key"),
+    # venue names the artifacts cannot carry: the reader refuses them by the corpora's name rule
+    ("matrix-venue-tab", "project", {"m.json": '{"venues": ["a\\tb"], "vectors": {"a\\tb": {"k": 1}}}', "p.tsv": PARTITION_OK},
+     "m.json", "coupling matrix venue 'a\\tb' holds '\\t'"),
+    ("matrix-venue-line-separator", "project",
+     {"m.json": '{"venues": ["a\\u2028"], "vectors": {"a\\u2028": {"k": 1}}}', "p.tsv": PARTITION_OK},
+     "m.json", "coupling matrix venue 'a\\u2028' holds '\\u2028'"),
+    ("partition-venue-key-line-separator", "project",
+     {"m.json": MATRIX_OK, "p.tsv": PARTITION_OK + "v\u2028\tv1\n"}, "p.tsv", "line 3: venue key 'v\\u2028' holds"),
+    # the domains table: two fields a line, each venue once, LF line ends
+    ("domains-no-tab", "cluster-domains", {"g.tsv": TSV_HEADER + "a\tb\t1.0\n", "d.tsv": "a\tDatabases\nb Art\n"},
+     "d.tsv", "line 2: expected 2 tab-separated fields, got 1"),
+    ("domains-three-fields", "cluster-domains", {"g.tsv": TSV_HEADER + "a\tb\t1.0\n", "d.tsv": "a\tDatabases\nb\tArt\tx\n"},
+     "d.tsv", "line 2: expected 2 tab-separated fields, got 3"),
+    ("domains-repeated-venue", "cluster-domains", {"g.tsv": TSV_HEADER + "a\tb\t1.0\n", "d.tsv": "a\tDatabases\na\tArt\n"},
+     "d.tsv", "line 2: venue_key 'a' repeats line 1"),
+    ("domains-crlf", "cluster-domains",
+     {"g.tsv": TSV_HEADER + "a\tb\t1.0\n", "d.tsv": "a\tDatabases\r\nb\tArt\r\n"}, "d.tsv", "line 1: domain 'Databases\\r' holds '\\r'"),
     ("matches-missing-file", "build", {"c.jsonl": '{"id": "p1", "title": "T"}\n'}, "m.tsv", "No such file"),
     ("matches-two-field-row", "build",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\n"}, "m.tsv", "line 2"),
@@ -1208,6 +1225,8 @@ READER_CASES = [
 READER_ARGS = {
     "threshold": ["threshold", "{g.tsv}", "--rule", "cosine", "--out", "{out.tsv}"],
     "cluster": ["cluster", "--graph", "{g.tsv}", "--out", "{out.tsv}"],
+    "cluster-domains": ["cluster", "--graph", "{g.tsv}", "--out", "{out.tsv}", "--domains", "{d.tsv}",
+                        "--composition-out", "{comp.tsv}"],
     "export": ["export", "{g.json}", "--in-format", "json", "--format", "edge-tsv", "--out", "{out.tsv}"],
     "project": ["project", "--matrix", "{m.json}", "--partition", "{p.tsv}", "--out", "{out.tsv}"],
     "build": ["build", "{c.jsonl}", "--network", "citation", "--matches", "{m.tsv}", "--out", "{out.tsv}"],

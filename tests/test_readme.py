@@ -70,5 +70,6 @@ def test_documented_table_headers_are_the_code_headers():
         "histograms.tsv": subgraphs.HISTOGRAMS_HEADER,
         "medians.tsv": subgraphs.MEDIANS_HEADER,
         "cluster --composition-out": community.COMPOSITION_HEADER,
+        "cluster --domains": community.DOMAINS_HEADER,
     }
     assert documented == {name: header.split("\t") for name, header in headers.items()}

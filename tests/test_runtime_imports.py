@@ -108,6 +108,22 @@ def test_references_resolve_in_one_place():
     assert found == []
 
 
+def test_one_name_rule():
+    """Only corpus.py names the characters no name may hold, and only its
+    parsers run the corpus check: every other reader of names calls
+    corpus.check_name."""
+    found = []
+    for path in sorted(Path(venuenet.__file__).parent.rglob("*.py")):
+        if path.name == "corpus.py":
+            continue
+        calls, _ = _calls_and_imports(path)
+        if "_UNCARRIED" in path.read_text(encoding="utf-8"):
+            found.append((path.name, "_UNCARRIED"))
+        if "check_names" in calls:
+            found.append((path.name, "check_names"))
+    assert found == []
+
+
 GUARDED_MODULES = ("graph", "networks", "community", "metrics", "subgraphs", "corpus", "linkage", "exports", "pipeline")
 
 
