@@ -26,10 +26,11 @@ from functools import partial
 
 import numpy as np
 
-from . import metrics, networks
+from . import networks
+from .arrays import arc_tails, concat_ranges, exact, row_offsets, run_starts
 from .corpus import check_name
 from .exports import read_table, write_table
-from .graph import VenueGraph, arc_tails
+from .graph import VenueGraph
 from .networks import CouplingMatrix
 
 
@@ -221,7 +222,7 @@ def project_to_cluster_network(m: CouplingMatrix, p: ClusterPartition) -> Cluste
     # Rows 0..k-1 are the clusters in id order, k.. the unclustered venues
     # in matrix order: a cluster may be named after an unclustered venue.
     lengths = np.diff(m.indptr)
-    entries, _ = metrics._concat_ranges(m.indptr[loose], lengths[loose])
+    entries, _ = concat_ranges(m.indptr[loose], lengths[loose])
     indptr, key_ids, counts = _aggregate(cluster, k, m.indptr, m.key_ids, m.counts)
     indptr = np.r_[indptr, indptr[-1] + np.cumsum(lengths[loose])]
     key_ids, counts = np.r_[key_ids, m.key_ids[entries]], np.concatenate((counts, m.counts[entries]))
@@ -232,14 +233,14 @@ def project_to_cluster_network(m: CouplingMatrix, p: ClusterPartition) -> Cluste
         i, j, cos = i[adopt], j[adopt], cos[adopt]
         # each loose venue's largest cosine, a tie to the smallest cluster id
         order = np.lexsort((i, -cos, j))
-        first = order[networks._run_starts(j[order])]
+        first = order[run_starts(j[order])]
         best[j[first] - k] = i[first]
     new_assignments = {m.venues[v]: cluster_ids[c] for v, c in zip(loose.tolist(), best.tolist()) if c >= 0}
     unassigned = [m.venues[v] for v, c in zip(loose.tolist(), best.tolist()) if c < 0]
 
     indptr, key_ids, counts = _aggregate(np.r_[np.arange(k), best], k, indptr, key_ids, counts)
     cluster[loose] = best
-    publications = _summable(m.publication_counts[cluster >= 0])
+    publications = exact(m.publication_counts[cluster >= 0], len(m.venues))
     pub_counts = np.zeros(k, dtype=publications.dtype)
     np.add.at(pub_counts, cluster[cluster >= 0], publications)
     cited = np.zeros(len(m.keys), dtype=bool)
@@ -250,7 +251,7 @@ def project_to_cluster_network(m: CouplingMatrix, p: ClusterPartition) -> Cluste
         indptr=indptr,
         key_ids=(np.cumsum(cited) - 1)[key_ids],
         counts=counts,
-        publication_counts=_narrowed(pub_counts),
+        publication_counts=exact(pub_counts),
     )
     graph = networks.build_knowledge_network(cluster_matrix)
     for cluster_id, count in Counter([*p.assignment.values(), *new_assignments.values()]).items():
@@ -276,28 +277,13 @@ def _aggregate(group: np.ndarray, k: int, indptr: np.ndarray, key_ids: np.ndarra
     codes += key_ids[kept]
     order = np.argsort(codes)
     codes.sort()
-    starts = networks._run_starts(codes)
-    values = _summable(counts)[kept]
+    starts = run_starts(codes)
+    values = exact(counts, counts.size)[kept]
     del kept
     sums = np.add.reduceat(values[order], starts)
     del values, order
     groups, keys = np.divmod(codes[starts], width)
-    return np.r_[0, np.cumsum(np.bincount(groups, minlength=k))], keys, _narrowed(sums)
-
-
-def _summable(a: np.ndarray) -> np.ndarray:
-    """Integer array `a`, as Python integers where a sum of its values could
-    pass int64."""
-    if a.dtype != object and int(a.max(initial=0)) * a.size > networks._INT64_MAX:
-        return a.astype(object)
-    return a
-
-
-def _narrowed(a: np.ndarray) -> np.ndarray:
-    """Integer array `a`, as int64 where every value fits."""
-    if a.dtype == object and max(a.tolist(), default=0) <= networks._INT64_MAX:
-        return a.astype(np.int64)
-    return a
+    return row_offsets(groups, k), keys, exact(sums)
 
 
 def cluster_domain_composition(

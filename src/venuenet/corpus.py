@@ -217,9 +217,7 @@ class ValidationReport:
 # -- parsing ------------------------------------------------------------
 
 
-def _check_year(year, position: str) -> int | None:
-    if year is None:
-        return None
+def _check_year(year, position: str) -> int:
     if not isinstance(year, int) or isinstance(year, bool):
         raise MalformedEntryError(position, f"year must be an integer, got {year!r}")
     if not YEAR_MIN <= year <= YEAR_MAX:
@@ -227,9 +225,7 @@ def _check_year(year, position: str) -> int | None:
     return year
 
 
-def _make_authors(
-    names: Iterable[str], position: str, interned: dict[str, AuthorName]
-) -> tuple[AuthorName, ...]:
+def _make_authors(names: Iterable[str], position: str, interned: dict[str, AuthorName]) -> tuple[AuthorName, ...]:
     """`interned` holds one AuthorName per distinct full name seen so far in
     the parse, so each name is checked and stored once."""
     authors = []
@@ -282,7 +278,7 @@ def _venue_line(obj: dict, position: str) -> tuple[str, VenueInfo]:
     return key, VenueInfo(name=name, kind=kind)
 
 
-def _gc_paused(func):
+def gc_paused(func):
     """`func` with the cyclic garbage collector paused meanwhile, and the
     caller's collector state restored when it returns or raises: records
     hold no reference cycles, and the collector's passes over them would
@@ -301,7 +297,7 @@ def _gc_paused(func):
     return paused
 
 
-@_gc_paused
+@gc_paused
 def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPUS) -> Corpus:
     """One JSON object per line: records, venue lines and source headers.
     The last source header, if any, names the corpus.
@@ -388,9 +384,12 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
 _DBLP_KINDS = {"article": JOURNAL, "inproceedings": CONFERENCE}
 
 
-@_gc_paused
+@gc_paused
 def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
-    """Parse the supported DBLP export subset (article / inproceedings)."""
+    """Parse the supported DBLP export subset (article / inproceedings).
+    Every other element is skipped. No element stays on the root once one
+    ends (the parser holds the open ones; a root that is a record keeps its
+    children), so memory follows one record, not the file."""
     import xml.etree.ElementTree as ET  # here, so that a JSONL run never imports it
 
     records: list[PublicationRecord] = []
@@ -403,9 +402,12 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
     index = 0
 
     try:
-        events = ET.iterparse(stream, events=("end",))
-        for _, elem in events:
-            if elem.tag not in _DBLP_KINDS:
+        events = ET.iterparse(stream, events=("start", "end"))
+        _, root = next(events)
+        for event, elem in events:
+            if event == "end" and root.tag not in _DBLP_KINDS:
+                root.clear()
+            if event == "start" or elem.tag not in _DBLP_KINDS:
                 continue
             index += 1
             key = elem.get("key")
@@ -417,7 +419,8 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
                 raise DuplicateRecordIdError(key, position)
             rows[key] = len(records)
 
-            title = "".join((elem.findtext("title") or "").split("\n")).strip()
+            title = elem.find("title")  # its whole text, inline markup (<i>, <sub>, ...) included
+            title = "".join("".join(title.itertext() if title is not None else ()).split("\n")).strip()
             if not title:
                 raise MalformedEntryError(position, "missing title")
             year_text = elem.findtext("year")
@@ -441,12 +444,9 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
 
             cites = (c.text.strip() for c in elem.findall("cite") if c.text)
             refs = tuple(distinct.setdefault(text, text) for text in cites if text and text != "...")
-            authors = _make_authors(
-                (a.text or "" for a in elem.findall("author")), position, interned
-            )
+            authors = _make_authors((a.text or "" for a in elem.findall("author")), position, interned)
             records.append(PublicationRecord(key, title, authors, venue_key, year, refs))
             targets += refs
-            elem.clear()
     except ET.ParseError as exc:
         raise MalformedEntryError(f"line {exc.position[0]}", f"XML syntax error: {exc.msg if hasattr(exc, 'msg') else exc}") from exc
     except LookupError as exc:  # the XML declaration names an unknown encoding

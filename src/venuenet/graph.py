@@ -18,10 +18,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-
-def arc_tails(indptr: np.ndarray) -> np.ndarray:
-    """The tail of each arc of the rows `indptr` delimits."""
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+from .arrays import arc_tails, row_offsets
 
 
 class VenueGraph:
@@ -58,7 +55,7 @@ class VenueGraph:
             raise ValueError("arcs must be strictly ascending by (tail, head)")
         g = cls(directed=directed)
         g._nodes = dict(zip(names, attrs if attrs is not None else [{} for _ in names]))
-        g._indptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=len(names)))]
+        g._indptr = row_offsets(tails, len(names))
         g._heads = heads
         g._weights = np.asarray(weights, dtype=np.float64)
         return g
@@ -101,7 +98,7 @@ class VenueGraph:
         last[:-1] = key[order[1:]] != key[order[:-1]]
         arcs = order[last]
         self._nodes = {name: self._nodes[name] for name in names}
-        self._indptr = np.r_[0, np.cumsum(np.bincount(tails[arcs], minlength=n))]
+        self._indptr = row_offsets(tails[arcs], n)
         self._heads, self._weights = heads[arcs], weights[arcs]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

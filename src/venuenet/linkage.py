@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import metrics
+from .arrays import concat_ranges, distinct
 from .corpus import Corpus, PublicationRecord
 from .exports import finite_float, read_table, write_table
 
@@ -277,7 +277,7 @@ class _Side:
         prefix = code[np.arange(code.size) - (np.cumsum(counts) - counts)[owner] < keep[owner]] % width
         prefix_counts = np.minimum(keep, counts)
         key_rows = self.key_rows()
-        token, entry = metrics._concat_ranges((np.cumsum(prefix_counts) - prefix_counts)[key_rows], prefix_counts[key_rows])
+        token, entry = concat_ranges((np.cumsum(prefix_counts) - prefix_counts)[key_rows], prefix_counts[key_rows])
         return self.keys[entry] * width + prefix[token], key_rows[entry]
 
 
@@ -320,7 +320,7 @@ def _candidates(
     order = np.argsort(right_codes, kind="stable")
     right_codes, right_rows = right_codes[order], right_rows[order]
     lo = np.searchsorted(right_codes, left_codes, "left")
-    found, entry = metrics._concat_ranges(lo, np.searchsorted(right_codes, left_codes, "right") - lo)
+    found, entry = concat_ranges(lo, np.searchsorted(right_codes, left_codes, "right") - lo)
     pair_left, pair_right = left_rows[entry], right_rows[found]
     if t > 0:
         fits = (need_left[pair_left] <= right.sizes[pair_right]) & (need_right[pair_right] <= left.sizes[pair_left])
@@ -329,7 +329,7 @@ def _candidates(
     left_pos, right_pos = np.empty_like(left.by_id), np.empty_like(right.by_id)
     left_pos[left.by_id] = np.arange(left_pos.size)
     right_pos[right.by_id] = np.arange(right_pos.size)
-    pairs = metrics._distinct(left_pos[pair_left] * right_pos.size + right_pos[pair_right])
+    pairs = distinct(left_pos[pair_left] * right_pos.size + right_pos[pair_right])
     pair_left, pair_right = left.by_id[pairs // right_pos.size], right.by_id[pairs % right_pos.size]
     return pair_left, pair_right, _jaccards(left, right, pair_left, pair_right, tokens + 1)
 
@@ -338,10 +338,10 @@ def _jaccards(left: _Side, right: _Side, pair_left: np.ndarray, pair_right: np.n
     """`jaccard_title_similarity` of each pair, token ids below `width`: the
     union is the number of distinct (pair, token) codes, the intersection
     |x| + |y| - union, and two empty titles give 1.0."""
-    left_token, left_pair = metrics._concat_ranges(left.starts[pair_left], left.sizes[pair_left])
-    right_token, right_pair = metrics._concat_ranges(right.starts[pair_right], right.sizes[pair_right])
+    left_token, left_pair = concat_ranges(left.starts[pair_left], left.sizes[pair_left])
+    right_token, right_pair = concat_ranges(right.starts[pair_right], right.sizes[pair_right])
     codes = np.concatenate((left_pair * width + left.tokens[left_token], right_pair * width + right.tokens[right_token]))
-    union = np.bincount(metrics._distinct(codes) // width, minlength=pair_left.size)
+    union = np.bincount(distinct(codes) // width, minlength=pair_left.size)
     inter = left.sizes[pair_left] + right.sizes[pair_right] - union
     return np.divide(inter, union, out=np.ones(union.size), where=union > 0)
 

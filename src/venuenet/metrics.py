@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import INT64_MAX, arc_tails, component_labels, concat_ranges, distinct, run_starts
 from .exports import finite_float, read_table, write_table
-from .graph import VenueGraph, arc_tails
+from .graph import VenueGraph
 
 DEFAULT_PAGERANK_D = 0.85
 DEFAULT_PAGERANK_TOL = 1e-8
@@ -95,7 +96,7 @@ def csr_local_clustering(g: CSRGraph) -> np.ndarray:
     keys *= n
     keys += np.maximum(tails, g.heads, out=tails)
     del tails
-    keys = _distinct(keys[kept])
+    keys = distinct(keys[kept])
     del kept  # keys holds each edge once, direction ignored: no arc-sized array is needed after it
     lo, hi = np.divmod(keys, max(n, 1))
     degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
@@ -114,7 +115,7 @@ def csr_local_clustering(g: CSRGraph) -> np.ndarray:
     start = 0
     while start < low.size:  # the pairs of arcs out of one node, at most WEDGE_BLOCK at a time
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] - after[start] + WEDGE_BLOCK, side="right")))
-        j, i = _concat_ranges(np.arange(start + 1, stop + 1), after[start:stop])
+        j, i = concat_ranges(np.arange(start + 1, stop + 1), after[start:stop])
         a, b = high[start + i], high[j]
         wedge = np.minimum(a, b) * n + np.maximum(a, b)
         closed = keys[np.minimum(np.searchsorted(keys, wedge), keys.size - 1)] == wedge
@@ -127,7 +128,7 @@ def csr_local_clustering(g: CSRGraph) -> np.ndarray:
 def connected_components(g: VenueGraph) -> list[set[str]]:
     """Weakly connected components (direction ignored), largest first."""
     csr = _csr(g)
-    labels = _weak_component_labels(csr.node_count(), arc_tails(csr.indptr), csr.heads)
+    labels = component_labels(csr.node_count(), arc_tails(csr.indptr), csr.heads)
     components: dict[int, set[str]] = {}
     for node, label in zip(g.nodes, labels.tolist()):
         components.setdefault(label, set()).add(node)
@@ -148,49 +149,10 @@ def largest_component_fraction(g: VenueGraph) -> float:
 # expand, so the bound caps the kernel's memory on any graph.
 BRANDES_BLOCK_CELLS = 8192
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """range(starts[i], starts[i] + counts[i]) for every i, concatenated,
-    and the i each element came from."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    ranges = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    ranges += np.arange(owner.size)
-    return ranges, owner
-
 
 def _csr(g: VenueGraph) -> CSRGraph:
     indptr, heads, _ = g.arrays()
     return CSRGraph(indptr, heads, g.directed)
-
-
-def _ids(bound: int):
-    """The narrower of int32 and int64 that holds 0..bound."""
-    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values), by one sort of `values` in place (every caller
-    passes a temporary): numpy 2.4's np.unique hashes and was many times
-    slower on these keys."""
-    values.sort()
-    first = np.ones(values.size, dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first]
-
-
-def _weak_component_labels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """The smallest node of each node's weakly connected component."""
-    label = np.arange(n)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, tails, label[heads])
-        np.minimum.at(new, heads, label[tails])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
 
 
 def _brandes_unweighted(indptr: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -213,13 +175,13 @@ def _brandes_unweighted(indptr: np.ndarray, heads: np.ndarray) -> np.ndarray:
     n = indptr.size - 1
     if n == 0:
         return np.zeros(0)
-    label = _weak_component_labels(n, arc_tails(indptr), heads)
+    label = component_labels(n, arc_tails(indptr), heads)
     max_in = max(int(np.bincount(heads, minlength=1).max()), 1)
 
     # Sources by component, ascending inside each; `position` is a node's
     # offset inside its component's cells of a row.
     order = np.argsort(label, kind="stable")
-    first = np.flatnonzero(np.r_[True, label[order][1:] != label[order][:-1]])
+    first = run_starts(label[order])
     size = np.diff(np.r_[first, n])
     row_first = np.repeat(first, size)  # row i is the source order[i]
     row_len = np.repeat(size, size)
@@ -241,24 +203,24 @@ def _brandes_unweighted(indptr: np.ndarray, heads: np.ndarray) -> np.ndarray:
 def _accumulate_block(sources, row_first, row_len, order, position, indptr, heads, max_in, cb) -> None:
     """Add to cb the dependencies of one block's sources, row by row."""
     row_start = np.cumsum(row_len) - row_len
-    cell_index, cell_row = _concat_ranges(row_first, row_len)
+    cell_index, cell_row = concat_ranges(row_first, row_len)
     cell_node = order[cell_index]
     cell_base = row_start[cell_row]  # the first cell of the cell's row
     cells = cell_node.size
     dist = np.full(cells, -1, dtype=np.int64)
     sigma = np.zeros(cells, dtype=np.int64)
     rank = np.zeros(cells, dtype=np.int64)  # BFS position inside a level
-    first_slot = np.full(cells, _INT64_MAX, dtype=np.int64)  # first candidate naming the cell
+    first_slot = np.full(cells, INT64_MAX, dtype=np.int64)  # first candidate naming the cell
     frontier = row_start + position[sources]
     dist[frontier] = 0
     sigma[frontier] = 1
     levels = []  # DAG edges (parent, child) into each level, latest child first
     level = 0
     while frontier.size:
-        if sigma.dtype != object and int(sigma[frontier].max()) > _INT64_MAX // max_in:
+        if sigma.dtype != object and int(sigma[frontier].max()) > INT64_MAX // max_in:
             sigma = sigma.astype(object)
         tails = cell_node[frontier]
-        edge, owner = _concat_ranges(indptr[tails], indptr[tails + 1] - indptr[tails])
+        edge, owner = concat_ranges(indptr[tails], indptr[tails + 1] - indptr[tails])
         parent = frontier[owner]
         del owner  # the expansion arrays are the block's largest: drop each early
         child = position[heads[edge]]
@@ -343,9 +305,7 @@ def betweenness_scale(n: int, directed: bool) -> float:
     return 1.0 / pairs if pairs > 0 else 0.0
 
 
-def betweenness_centrality(
-    g: VenueGraph | CSRGraph, weighted: bool = False, normalized: bool = True
-) -> MetricVector | np.ndarray:
+def betweenness_centrality(g: VenueGraph | CSRGraph, weighted: bool = False, normalized: bool = True) -> MetricVector | np.ndarray:
     """Shortest-path betweenness with endpoints excluded.
 
     Weighted mode turns edge weights into distances as 1/weight, so strong

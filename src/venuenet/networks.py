@@ -23,14 +23,13 @@ from types import MappingProxyType
 import numpy as np
 
 from . import metrics
+from .arrays import INT64_MAX, arc_tails, distinct, exact, ids, run_starts
 from .corpus import Corpus, check_name
 from .exports import read_text
-from .graph import VenueGraph, arc_tails
+from .graph import VenueGraph
 
 COSINE_MIN_DEFAULT = 0.1
 CITATION_MIN_DEFAULT = 50.0
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -67,17 +66,17 @@ class CouplingMatrix:
         keys = sorted(set().union(*rows))
         rank = dict(zip(keys, range(len(keys))))
         indptr = np.r_[0, np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))]
-        ids = np.fromiter(map(rank.__getitem__, itertools.chain.from_iterable(rows)), dtype=np.int64, count=indptr[-1])
-        counts = _exact_array(list(itertools.chain.from_iterable(row.values() for row in rows)))
-        order = np.argsort(arc_tails(indptr) * len(keys) + ids)  # each row's keys in name order
+        key_ids = np.fromiter(map(rank.__getitem__, itertools.chain.from_iterable(rows)), dtype=np.int64, count=indptr[-1])
+        counts = exact(list(itertools.chain.from_iterable(row.values() for row in rows)))
+        order = np.argsort(arc_tails(indptr) * len(keys) + key_ids)  # each row's keys in name order
         publications = publication_counts or {}
         return cls(
             venues=venues,
             keys=keys,
             indptr=indptr,
-            key_ids=ids[order],
+            key_ids=key_ids[order],
             counts=counts[order],
-            publication_counts=_exact_array([publications.get(venue, 0) for venue in venues]),
+            publication_counts=exact([publications.get(venue, 0) for venue in venues]),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -201,22 +200,6 @@ def _json_object(keys: list[str], values) -> str:
     return "{\n" + ",\n".join(map("{}: {}".format, keys, values)) + "\n}"
 
 
-def _exact_array(values) -> np.ndarray:
-    """The integers `values` as int64, or as Python integers (object) when
-    one passes int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _run_starts(codes: np.ndarray) -> np.ndarray:
-    """The index of the first value of each run of equal values of `codes`."""
-    first = np.ones(codes.size, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    return np.flatnonzero(first)
-
-
 def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
     """Aggregate reference counts per venue over the full reference lists.
 
@@ -251,7 +234,7 @@ def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
     codes += venue
     del venue
     codes.sort()
-    starts = _run_starts(codes)
+    starts = run_starts(codes)
     row_venue, key_ids = np.divmod(codes[starts], max(len(keys), 1))
     counts = np.diff(starts, append=codes.size)
     del codes, starts
@@ -299,7 +282,7 @@ def build_knowledge_network(m: CouplingMatrix) -> VenueGraph:
     arc_weights[upper] = weights
     arc_weights[lower] = weights[by_tail]
     del weights, by_tail, upper, lower
-    tails = np.repeat(np.arange(n, dtype=metrics._ids(n)), lower_count + upper_count)
+    tails = np.repeat(np.arange(n, dtype=ids(n)), lower_count + upper_count)
     attrs = [{"publication_count": count} for count in m.publication_counts.tolist()]
     return VenueGraph.from_arcs(m.venues, tails, heads, arc_weights, False, attrs)
 
@@ -317,7 +300,7 @@ def pair_cosines(indptr: np.ndarray, key_ids: np.ndarray, counts: np.ndarray) ->
     cosine float(dot) / sqrt(float(n_i * n_j)) over exact integers. i and j
     are int32 while the row ids fit."""
     top = int(counts.max(initial=0))
-    if counts.dtype != object and top * top * counts.size <= _INT64_MAX:  # every partial sum of squares fits
+    if counts.dtype != object and top * top * counts.size <= INT64_MAX:  # every partial sum of squares fits
         sums = np.zeros(counts.size + 1, dtype=np.int64)
         np.multiply(counts, counts, out=sums[1:])
     else:
@@ -327,12 +310,12 @@ def pair_cosines(indptr: np.ndarray, key_ids: np.ndarray, counts: np.ndarray) ->
     del sums
     # By Cauchy-Schwarz every partial dot is at most the largest norm and
     # every norm product at most its square: int64 holds them all or none.
-    dtype = object if max(norms.tolist(), default=0) ** 2 > _INT64_MAX else np.int64
+    dtype = object if max(norms.tolist(), default=0) ** 2 > INT64_MAX else np.int64
     pairs, dots = _pair_dots(indptr, key_ids, counts.astype(dtype, copy=False))
     n = indptr.size - 1
     vi, vj = np.divmod(pairs, n)
     del pairs
-    vi, vj = vi.astype(metrics._ids(n), copy=False), vj.astype(metrics._ids(n), copy=False)
+    vi, vj = vi.astype(ids(n), copy=False), vj.astype(ids(n), copy=False)
     norm = norms.astype(dtype)
     products = norm[vi]
     products *= norm[vj]
@@ -357,7 +340,7 @@ def _pair_dots(indptr: np.ndarray, key_ids: np.ndarray, counts: np.ndarray) -> t
     follows the two block bounds and the distinct pairs.
     """
     n = indptr.size - 1
-    index = metrics._ids(max(n, key_ids.size))
+    index = ids(max(n, key_ids.size))
     # Entries sorted stably by key, so rows ascend inside each key (a radix
     # sort while key ids fit 16 bits): entry e pairs with the entries at the
     # partners[e] sorted positions after its own. Its products are numbered
@@ -426,7 +409,7 @@ def build_citation_network(c: Corpus) -> VenueGraph:
     pairs, counts = np.unique(src[src != dst] * len(venues) + dst[src != dst], return_counts=True)
     publications = np.bincount(record_venue[record_venue >= 0], minlength=len(venues))
 
-    active = metrics._distinct(np.concatenate((np.flatnonzero(self_citations), *np.divmod(pairs, len(venues)))))
+    active = distinct(np.concatenate((np.flatnonzero(self_citations), *np.divmod(pairs, len(venues)))))
     attrs = [
         {"publication_count": int(publications[v]), "self_citations": int(self_citations[v])} for v in active.tolist()
     ]

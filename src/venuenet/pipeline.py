@@ -15,7 +15,7 @@ from pathlib import Path
 from time import perf_counter, process_time
 
 from . import community, linkage, metrics, networks, subgraphs
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, _gc_paused, parse_corpus, save_corpus, validate_corpus
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, gc_paused, parse_corpus, save_corpus, validate_corpus
 from .exports import export_graph, read_text, write_graph, write_text  # noqa: F401 (bench/tracing.py wraps export_graph and write_graph here)
 from .graph import VenueGraph
 from .subgraphs import DEFAULT_CUTS, ClassificationCuts, ProfileRow
@@ -110,9 +110,11 @@ class PipelineConfig:
             raise ConfigError(f"classification cuts must be strictly increasing in (0, 1), got {cuts}")
         if self.histogram_bins < 1:
             raise ConfigError(f"histogram_bins must be >= 1, got {self.histogram_bins}")
-        for year in self.slice_years:
+        for i, year in enumerate(self.slice_years):
             if not YEAR_MIN <= year <= YEAR_MAX:
                 raise ConfigError(f"slice year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+            if year in self.slice_years[:i]:
+                raise ConfigError(f"slice year {year} is listed twice")
         if not self.out_dir:
             raise ConfigError("out_dir is required")
 
@@ -536,7 +538,7 @@ _RELEASED_AFTER = {
 }
 
 
-@_gc_paused
+@gc_paused
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """Execute all stages, writing artifacts, manifest.json and
     run_report.json under cfg.out_dir.

@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import metrics, networks
+from . import metrics
+from .arrays import component_labels, concat_ranges, distinct, ids, row_offsets, run_starts, unique
 from .corpus import Corpus
 from .exports import finite_float, read_table, write_table
 
@@ -37,12 +38,12 @@ DEFAULT_HISTOGRAM_BINS = 20
 def publication_citation_graph(c: Corpus) -> dict[str, list[str]]:
     """Publication-level citation adjacency over in-corpus references."""
     index = c.reference_index()
-    ids = [r.record_id for r in c.records]
+    names = [r.record_id for r in c.records]
     bounds = index.offsets.tolist()
     targets = index.targets.tolist()
     return {
-        ids[r]: [ids[t] for t in targets[bounds[r] : bounds[r + 1]] if t >= 0 and t != r]
-        for r in range(len(ids))
+        names[r]: [names[t] for t in targets[bounds[r] : bounds[r + 1]] if t >= 0 and t != r]
+        for r in range(len(names))
     }
 
 
@@ -66,16 +67,16 @@ def _block(venues: list[str], node_venue, tails, heads, first_seen, directed: bo
     heads[k] in the order met (an undirected one once) and `first_seen`, the
     nodes in the order met."""
     n = node_venue.size
-    sizes = np.bincount(metrics._weak_component_labels(n, tails, heads), minlength=n)
+    sizes = np.bincount(component_labels(n, tails, heads), minlength=n)
     if not directed:  # each edge both ways round, in the order met
         tails, heads = np.stack((tails, heads), axis=1).ravel(), np.stack((heads, tails), axis=1).ravel()
-    indptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=n))]
+    indptr = row_offsets(tails, n)
     # int64 heads: the Brandes kernel indexes with them, and ran slower on int32 ones
     graph = metrics.CSRGraph(indptr, heads[np.argsort(tails, kind="stable")].astype(np.int64), directed)
     del tails, heads
-    present, starts = np.unique(node_venue, return_index=True)
+    starts = run_starts(node_venue)  # the nodes come grouped by venue
     return SubgraphBlock(
-        venues=[venues[v] for v in present.tolist()],
+        venues=[venues[v] for v in node_venue[starts].tolist()],
         bounds=[*starts.tolist(), n],
         graph=graph,
         largest=np.maximum.reduceat(sizes, starts).tolist() if n else [],
@@ -102,11 +103,11 @@ def _coauthorship_arcs(c: Corpus):
     index = c.reference_index()
     per_record = np.fromiter(map(len, map(attrgetter("authors"), c.records)), dtype=np.int64, count=len(c.records))
     names = np.fromiter(_author_names(c), dtype=object, count=int(per_record.sum()))
-    distinct = sorted(set(names))
-    rank = dict(zip(distinct, range(len(distinct))))  # author ids in name order
-    width = max(len(distinct), 1)
-    del distinct
-    author = np.fromiter(map(rank.__getitem__, names), dtype=metrics._ids(width), count=names.size)
+    authors = sorted(set(names))
+    rank = dict(zip(authors, range(len(authors))))  # author ids in name order
+    width = max(len(authors), 1)
+    del authors
+    author = np.fromiter(map(rank.__getitem__, names), dtype=ids(width), count=names.size)
     del names, rank
     record = np.repeat(np.arange(len(c.records), dtype=np.int64), per_record)
     del per_record
@@ -115,20 +116,20 @@ def _coauthorship_arcs(c: Corpus):
     record *= width
     record += author
     del author
-    record = metrics._distinct(record[kept])
+    record = distinct(record[kept])
     del kept
     record, author = np.divmod(record, width)
     keys = index.record_venue[record] * width
     keys += author
     del author
-    node_keys, first, node = _unique(keys)
+    node_keys, first, node = unique(keys)
     del keys
     node_venue = node_keys // width
     del node_keys
     # each pair (x, y), x before y in one paper, in the order met
     after = np.searchsorted(record, record, side="right") - np.arange(record.size) - 1
     del record
-    y, x = metrics._concat_ranges(np.arange(1, after.size + 1), after)
+    y, x = concat_ranges(np.arange(1, after.size + 1), after)
     del after
     x = node[x]
     y = node[y]
@@ -148,13 +149,13 @@ def _citation_arcs(c: Corpus):
     record or per reference."""
     index = c.reference_index()
     n = len(c.records)
-    ids = metrics._ids(n)
+    narrow = ids(n)
     # timsort (stable), which is quick on ids that come near name order already
-    by_name = np.argsort(np.fromiter(map(attrgetter("record_id"), c.records), dtype=object, count=n), kind="stable").astype(ids)
+    by_name = np.argsort(np.fromiter(map(attrgetter("record_id"), c.records), dtype=object, count=n), kind="stable").astype(narrow)
     rank = np.empty_like(by_name)
-    rank[by_name] = np.arange(n, dtype=ids)  # record ids in name order
+    rank[by_name] = np.arange(n, dtype=narrow)  # record ids in name order
     per_record = np.diff(index.offsets)
-    owners = np.repeat(np.arange(n, dtype=ids), per_record)
+    owners = np.repeat(np.arange(n, dtype=narrow), per_record)
     targets = index.targets
     resolved = targets >= 0
     cited = resolved & np.repeat(index.record_venue >= 0, per_record)
@@ -162,17 +163,17 @@ def _citation_arcs(c: Corpus):
     node_keys = index.record_venue[owners[cited]] * n
     node_keys += rank[targets[cited]]
     del cited
-    node_keys = metrics._distinct(node_keys)
+    node_keys = distinct(node_keys)
     node_venue, node_row = np.divmod(node_keys, max(n, 1))
     node_row = by_name[node_row]
     del by_name
     # each node's citations of another record, then those of a node of its venue
     resolved &= targets != owners
-    cites = np.r_[0, np.cumsum(np.bincount(owners[resolved], minlength=n))]
+    cites = row_offsets(owners[resolved], n)
     del owners
     cited_rank = rank[targets[resolved]]
     del rank, resolved
-    arc, tails = metrics._concat_ranges(cites[node_row], cites[node_row + 1] - cites[node_row])
+    arc, tails = concat_ranges(cites[node_row], cites[node_row + 1] - cites[node_row])
     del cites, node_row
     keys = node_venue[tails] * n
     keys += cited_rank[arc]
@@ -181,29 +182,16 @@ def _citation_arcs(c: Corpus):
     np.minimum(heads, node_keys.size - 1, out=heads)
     hit = node_keys[heads] == keys
     del keys
-    nodes = metrics._ids(node_keys.size)
+    nodes = ids(node_keys.size)
     tails, heads = _first_met(tails[hit].astype(nodes), heads[hit].astype(nodes), node_keys.size)
     return index.venues, node_venue, tails, heads, np.arange(node_keys.size)
-
-
-def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.unique(keys, return_index=True, return_inverse=True) with the
-    inverse in the narrowest ids, by one stable sort (np.unique's int64
-    inverse and temporaries peaked 3.5 MB higher at 100k publications)."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = networks._run_starts(keys)
-    inverse = np.zeros(keys.size, dtype=metrics._ids(starts.size))
-    inverse[starts[1:]] = 1
-    inverse[order] = np.cumsum(inverse, dtype=inverse.dtype)
-    return keys[starts], order[starts], inverse
 
 
 def _first_met(tails, heads, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs tails[i] -> heads[i] in the order given, each once."""
     keys = tails * np.int64(n)
     keys += heads
-    first = np.sort(np.unique(keys, return_index=True)[1])
+    first = np.sort(unique(keys)[1])
     return tails[first], heads[first]
 
 
@@ -297,9 +285,7 @@ class ProfileRow:
     network_type: str = ""
 
 
-def profile_venues(
-    c: Corpus, ranks: dict[str, float], cuts: ClassificationCuts = DEFAULT_CUTS
-) -> dict[str, list[ProfileRow]]:
+def profile_venues(c: Corpus, ranks: dict[str, float], cuts: ClassificationCuts = DEFAULT_CUTS) -> dict[str, list[ProfileRow]]:
     """Profile and classify the co-authorship and citation subgraphs of every
     venue with publications, keyed by family. A venue gets no row in a family
     whose subgraph is empty; `ranks` supplies each row's PageRank, if any.

@@ -43,7 +43,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from venuenet import metrics
+from venuenet import arrays, metrics
 from venuenet.community import ClusterPartition, modularity
 from venuenet.corpus import (
     _UNCARRIED,
@@ -1341,6 +1341,6 @@ def components_dict(g: DictVenueGraph) -> list[set[str]]:
     csr = dict_csr(g)
     tails = np.repeat(np.arange(g.node_count()), np.diff(csr.indptr))
     components: dict[int, set[str]] = {}
-    for node, label in zip(g.nodes, metrics._weak_component_labels(g.node_count(), tails, csr.heads).tolist()):
+    for node, label in zip(g.nodes, arrays.component_labels(g.node_count(), tails, csr.heads).tolist()):
         components.setdefault(label, set()).add(node)
     return sorted(components.values(), key=lambda c: (-len(c), min(c)))

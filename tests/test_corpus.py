@@ -418,6 +418,42 @@ class TestParseDblpXml:
         with pytest.raises(MalformedEntryError):
             parse_dblp_xml(io.BytesIO(b"<dblp><article key='x/y/z'>"))
 
+    def test_title_keeps_the_text_of_inline_markup(self):
+        xml = (
+            b"<dblp>"
+            b"<article key=\"journals/x/Y1\"><title>On <i>k</i>-means and H<sub>2</sub>\nflows.</title></article>"
+            b"<article key=\"journals/x/Y2\"><title><i>X</i></title></article>"
+            b"</dblp>"
+        )
+        corpus = parse_dblp_xml(io.BytesIO(xml))
+        assert [r.title for r in corpus.records] == ["On k-means and H2flows.", "X"]
+
+    def test_memory_follows_one_record_not_the_file(self):
+        """Every element but the records is skipped, and no finished element
+        stays on the root: 80,000 `www` records beside 2,000 articles leave
+        the parse's traced peak within 1 MB of the articles' alone."""
+        import tracemalloc
+
+        articles = "".join(
+            f'<article key="journals/j/a{i}"><author>Ann Author{i % 50}</author><title>Title {i}</title>'
+            f"<year>2000</year><cite>journals/j/a{i // 2}</cite></article>"
+            for i in range(2000)
+        )
+        homes = "".join(
+            f'<www key="homepages/x/{i}"><author>Bob {i}</author><title>Home Page</title><url>u{i}</url></www>'
+            for i in range(80000)
+        )
+        peaks = []
+        for xml in (f"<dblp>{articles}</dblp>", f"<dblp>{articles}{homes}</dblp>"):
+            stream = io.BytesIO(xml.encode())
+            tracemalloc.start()
+            try:
+                assert len(parse_dblp_xml(stream).records) == 2000
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
+
 
 def _check_message(check, corpus: Corpus) -> str | None:
     try:

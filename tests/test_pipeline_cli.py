@@ -142,6 +142,18 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 cfg.validate()
 
+    def test_repeated_slice_year(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "p1", "title": "T"}\n')
+        cfg = PipelineConfig(metadata_corpus=str(corpus), out_dir=str(tmp_path / "o"), slice_years=(2000, 1990, 2000))
+        with pytest.raises(ConfigError, match="slice year 2000 is listed twice"):
+            cfg.validate()
+        cfg.save(tmp_path / "run.cfg")
+        result = CliRunner().invoke(main, ["run", "--config", str(tmp_path / "run.cfg")])
+        assert result.exit_code == 1
+        assert "slice year 2000" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_missing_corpus_file(self):
         cfg = PipelineConfig(metadata_corpus="does-not-exist.jsonl", out_dir="o")
         with pytest.raises(ConfigError):

@@ -124,7 +124,35 @@ def test_one_name_rule():
     assert found == []
 
 
-GUARDED_MODULES = ("graph", "networks", "community", "metrics", "subgraphs", "corpus", "linkage", "exports", "pipeline")
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    """No module of the package imports a `_`-prefixed name from another
+    one, or reads `module._name` through a package module it imported: a
+    primitive two modules share lives in a module of its own (arrays.py)."""
+    found = []
+    for path in sorted(Path(venuenet.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = set()  # local names bound to package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "venuenet"):
+                if node.module in (None, "venuenet"):  # from . import x
+                    modules.update(alias.asname or alias.name for alias in node.names)
+                found += [(path.name, node.lineno, alias.name) for alias in node.names if _private(alias.name)]
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname for alias in node.names if alias.asname and alias.name.startswith("venuenet."))
+        found += [
+            (path.name, node.lineno, f"{node.value.id}.{node.attr}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        ]
+    assert found == []
+
+
+GUARDED_MODULES = ("arrays","graph", "networks", "community", "metrics", "subgraphs", "corpus", "linkage", "exports", "pipeline")
 
 
 def _definitions(tree: ast.Module):
@@ -237,7 +265,7 @@ def test_utf8_decoded_in_one_place():
 
 # The only functions that set the cyclic collector's policy: the pause that
 # each parse and each run_pipeline call takes, and the freeze at process exit.
-COLLECTOR_SITES = {("corpus.py", "_gc_paused"), ("cli.py", "entry")}
+COLLECTOR_SITES = {("corpus.py", "gc_paused"), ("cli.py", "entry")}
 
 
 class _CollectorCalls(ast.NodeVisitor):
