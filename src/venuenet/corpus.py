@@ -25,12 +25,16 @@ import gc
 import json
 import re
 import unicodedata
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
+from operator import attrgetter
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
+
+from .arrays import ids
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
@@ -78,20 +82,14 @@ def last_name_key(full_name: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class AuthorName:
-    """An author by full name. Its blocking key (`last_name_key`) is
-    computed on first read and kept: only linkage reads it, and a parse
-    shares one AuthorName among all occurrences of a name."""
+    """An author by full name; a parse shares one AuthorName among all
+    occurrences of a name."""
 
     full_name: str
-    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def last_name_key(self) -> str:
-        key = self._key
-        if key is None:
-            key = last_name_key(self.full_name)
-            object.__setattr__(self, "_key", key)
-        return key
+        return last_name_key(self.full_name)
 
 
 @dataclass(slots=True)
@@ -194,6 +192,30 @@ class Corpus:
                 external_keys=list(external),
             )
         return self._references
+
+    def author_index(self) -> tuple[np.ndarray, np.ndarray, list[AuthorName]]:
+        """Every record's authors as ids into the corpus's distinct authors in
+        full-name order: record r (its row) has the authors
+        distinct[authors[offsets[r]:offsets[r + 1]]], in its own order, as
+        `(offsets, authors, distinct)`. Built on each call and not kept."""
+        per_record = list(map(attrgetter("authors"), self.records))
+        occurrences = list(chain.from_iterable(per_record))
+        full = list(map(attrgetter("full_name"), occurrences))
+        by_name = dict(zip(full, occurrences))  # one AuthorName per distinct full name
+        del occurrences
+        names = sorted(by_name)
+        distinct = list(map(by_name.__getitem__, names))
+        by_name.update(zip(names, range(len(names))))
+        authors = np.fromiter(map(by_name.__getitem__, full), ids(len(names)), len(full))
+        offsets = np.r_[0, np.cumsum(np.fromiter(map(len, per_record), np.int64, len(per_record)))]
+        return offsets, authors, distinct
+
+    def id_order(self) -> np.ndarray:
+        """The rows in record-id order."""
+        n = len(self.records)
+        # timsort (stable), which is quick on ids that come near name order already
+        record_ids = np.fromiter(map(attrgetter("record_id"), self.records), object, n)
+        return np.argsort(record_ids, kind="stable").astype(ids(n))
 
     def venue_kind(self, venue_key: str) -> str:
         info = self.venue_table.get(venue_key)

@@ -18,8 +18,8 @@ from itertools import islice
 
 import numpy as np
 
-from .arrays import concat_ranges, distinct
-from .corpus import Corpus, PublicationRecord
+from .arrays import arc_tails, concat_ranges, distinct
+from .corpus import Corpus, PublicationRecord, normalize_reference_key
 from .exports import finite_float, read_table, write_table
 
 DEFAULT_JACCARD_MIN = 0.5
@@ -205,10 +205,6 @@ def unmatchable_records(corpus: Corpus) -> list[str]:
     return [r.record_id for r in corpus.records if not r.authors]
 
 
-def _comparison_title(title: str) -> str:
-    return " ".join(title.lower().split())
-
-
 def _min_overlap(t: float, size: int) -> int:
     """Fewest tokens a title of `size` tokens shares with any partner whose
     Jaccard with it reaches t, as |x & y| >= t * |x | y| >= t * |x|. The product
@@ -253,10 +249,13 @@ class _Side:
     def of(cls, c: Corpus, token_ids: _Ids, key_ids: _Ids) -> "_Side":
         # one title's token set at a time: only the ids outlive it
         tokens, sizes = _value_ids((tokenize_title(r.title) for r in c.records), token_ids)
-        keys, key_counts = _value_ids(({au.last_name_key for au in r.authors} for r in c.records), key_ids)
-        ids = [r.record_id for r in c.records]
-        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), np.int64)
-        return cls(tokens, sizes, np.cumsum(sizes) - sizes, keys, key_counts, by_id)
+        # each distinct name's key once, then each record's distinct keys by one sort
+        offsets, authors, distinct_authors = c.author_index()
+        name_key = np.fromiter((key_ids[a.last_name_key] for a in distinct_authors), np.int64, len(distinct_authors))
+        width = max(len(key_ids), 1)
+        codes = distinct(arc_tails(offsets) * width + name_key[authors])
+        keys, key_counts = codes % width, np.bincount(codes // width, minlength=offsets.size - 1)
+        return cls(tokens, sizes, np.cumsum(sizes) - sizes, keys, key_counts, c.id_order().astype(np.int64))
 
     def key_rows(self) -> np.ndarray:
         """The row of each entry of `keys`."""
@@ -369,7 +368,7 @@ def link_corpora(
     passed = ~(jaccards < jaccard_min)  # a NaN gate lets every pair through
     survivors = list(zip(pair_left[passed].tolist(), pair_right[passed].tolist()))
     scores = smith_waterman_similarities(
-        (_comparison_title(a.records[left].title), _comparison_title(b.records[right].title)) for left, right in survivors
+        (normalize_reference_key(a.records[left].title), normalize_reference_key(b.records[right].title)) for left, right in survivors
     )
 
     best: dict[str, MatchPair] = {}

@@ -70,15 +70,9 @@ def edge_density(n: int, edges: int, directed: bool) -> float:
     return 0.0 if n <= 1 else (edges if directed else 2 * edges) / (n * (n - 1))
 
 
-def local_clustering(g: VenueGraph) -> dict[str, float]:
-    """Closed triads over centered triples per node, in name order; 0 where
-    degree < 2. Directed graphs are symmetrized first."""
-    return dict(zip(g.nodes, csr_local_clustering(_csr(g)).tolist()))
-
-
 def average_clustering_coefficient(g: VenueGraph) -> float:
     n = g.node_count()
-    return left_sum(local_clustering(g).values()) / n if n else 0.0
+    return left_sum(csr_local_clustering(_csr(g)).tolist()) / n if n else 0.0
 
 
 # Upper bound on the pairs of arcs one pass of csr_local_clustering checks.
@@ -86,7 +80,8 @@ WEDGE_BLOCK = 1 << 12
 
 
 def csr_local_clustering(g: CSRGraph) -> np.ndarray:
-    """local_clustering of each node of `g`, from exact triangle counts (Latapy
+    """Closed triads over centered triples of each node of `g` (0 where
+    degree < 2; arcs taken undirected), from exact triangle counts (Latapy
     2008): with each edge oriented from its end of lower (degree, node) rank,
     a triangle is one closed pair of arcs out of its lowest node."""
     n = g.node_count()

@@ -13,15 +13,13 @@ on one block, the disjoint union of every venue's subgraph of that family.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import metrics
-from .arrays import component_labels, concat_ranges, distinct, ids, row_offsets, run_starts, unique
+from .arrays import arc_tails, component_labels, concat_ranges, distinct, ids, row_offsets, run_starts, unique
 from .corpus import Corpus
 from .exports import finite_float, read_table, write_table
 
@@ -92,25 +90,15 @@ def extract_coauthorship_subgraph(c: Corpus) -> SubgraphBlock:
     return _block(*_coauthorship_arcs(c), directed=False)
 
 
-def _author_names(c: Corpus) -> Iterable[str]:
-    """The full name of each author of each record, in corpus order."""
-    return map(attrgetter("full_name"), itertools.chain.from_iterable(map(attrgetter("authors"), c.records)))
-
-
 def _coauthorship_arcs(c: Corpus):
     """_block's arguments for co-authorship (a frame of its own, freed before
     the block is built). Only arrays hold an entry per author occurrence."""
     index = c.reference_index()
-    per_record = np.fromiter(map(len, map(attrgetter("authors"), c.records)), dtype=np.int64, count=len(c.records))
-    names = np.fromiter(_author_names(c), dtype=object, count=int(per_record.sum()))
-    authors = sorted(set(names))
-    rank = dict(zip(authors, range(len(authors))))  # author ids in name order
-    width = max(len(authors), 1)
-    del authors
-    author = np.fromiter(map(rank.__getitem__, names), dtype=ids(width), count=names.size)
-    del names, rank
-    record = np.repeat(np.arange(len(c.records), dtype=np.int64), per_record)
-    del per_record
+    offsets, author, distinct_authors = c.author_index()
+    width = max(len(distinct_authors), 1)
+    del distinct_authors
+    record = arc_tails(offsets)
+    del offsets
     # each paper's distinct authors in name order, papers with a venue only
     kept = index.record_venue[record] >= 0
     record *= width
@@ -150,8 +138,7 @@ def _citation_arcs(c: Corpus):
     index = c.reference_index()
     n = len(c.records)
     narrow = ids(n)
-    # timsort (stable), which is quick on ids that come near name order already
-    by_name = np.argsort(np.fromiter(map(attrgetter("record_id"), c.records), dtype=object, count=n), kind="stable").astype(narrow)
+    by_name = c.id_order()
     rank = np.empty_like(by_name)
     rank[by_name] = np.arange(n, dtype=narrow)  # record ids in name order
     per_record = np.diff(index.offsets)
@@ -342,26 +329,22 @@ def profile_statistics(rows: Iterable[ProfileRow], bins: int = DEFAULT_HISTOGRAM
     if not rows:
         raise ValueError("profile_statistics needs at least one profile")
 
+    values = [r.profile.as_tuple() for r in rows]
+    kinds = sorted({r.kind for r in rows})
     histograms: dict[str, dict[str, list[HistogramBin]]] = {}
     medians: dict[str, list[tuple[float, float]]] = {}
     for metric_index, metric in enumerate(METRIC_NAMES):
-        all_values = [r.profile.as_tuple()[metric_index] for r in rows]
-        per_kind: dict[str, list[HistogramBin]] = {"all": _normalized_histogram(all_values, bins)}
-        for kind in sorted({r.kind for r in rows}):
-            kind_values = [
-                r.profile.as_tuple()[metric_index] for r in rows if r.kind == kind
-            ]
-            per_kind[kind] = _normalized_histogram(kind_values, bins)
+        column = [v[metric_index] for v in values]
+        per_kind: dict[str, list[HistogramBin]] = {"all": _normalized_histogram(column, bins)}
+        for kind in kinds:
+            per_kind[kind] = _normalized_histogram([x for r, x in zip(rows, column) if r.kind == kind], bins)
         histograms[metric] = per_kind
 
         by_rank: dict[float, list[float]] = {}
-        for r in rows:
-            if r.pagerank is None:
-                continue
-            by_rank.setdefault(round(r.pagerank, 2), []).append(r.profile.as_tuple()[metric_index])
-        medians[metric] = [
-            (rank, float(_median(values))) for rank, values in sorted(by_rank.items())
-        ]
+        for r, x in zip(rows, column):
+            if r.pagerank is not None:
+                by_rank.setdefault(round(r.pagerank, 2), []).append(x)
+        medians[metric] = [(rank, float(_median(ranked))) for rank, ranked in sorted(by_rank.items())]
 
     return StatReport(bins=bins, histograms=histograms, pagerank_medians=medians)
 

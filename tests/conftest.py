@@ -11,11 +11,18 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from venuenet.corpus import parse_jsonl, save_corpus
+from venuenet.metrics import CSRGraph, csr_local_clustering
 
 
 def corpus_from_lines(*lines: str, source: str = "metadata-corpus"):
     data = "\n".join(lines).encode("utf-8")
     return parse_jsonl(io.BytesIO(data), source=source)
+
+
+def local_clustering(g) -> dict[str, float]:
+    """`csr_local_clustering` of the VenueGraph `g`, by node name in node order."""
+    indptr, heads, _ = g.arrays()
+    return dict(zip(g.nodes, csr_local_clustering(CSRGraph(indptr, heads, g.directed)).tolist()))
 
 
 def write_dblp(corpus, path: Path) -> None:

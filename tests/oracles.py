@@ -21,8 +21,10 @@ intersections instead of triangle counts for local clustering, and the
 dict-of-dicts graph with its edge walks (threshold, modularity, CNM set-up,
 clustering and components) instead of the compressed rows, and a search of
 each record's id and venue key instead of one search over all ids and one
-over the venue table's keys, and per-canopy dicts of prefix tokens with
-frozenset intersections instead of the integer sort-join of linkage blocking.
+over the venue table's keys, per-canopy dicts of prefix tokens with
+frozenset intersections instead of the integer sort-join of linkage blocking,
+and a walk of each record's authors and a key sort of the rows instead of the
+corpus's author index and id order.
 """
 
 from __future__ import annotations
@@ -631,6 +633,19 @@ def graphml_et(g: VenueGraph) -> bytes:
 def record_rows(c: Corpus) -> dict[str, int]:
     """Each record id's position in `c.records`."""
     return {r.record_id: i for i, r in enumerate(c.records)}
+
+
+def author_index_walk(c: Corpus) -> tuple[list[list[int]], list[str]]:
+    """Each record's authors, one at a time, as positions in the sorted list
+    of the corpus's distinct full names, and that list."""
+    names = sorted({author.full_name for rec in c.records for author in rec.authors})
+    position = {name: i for i, name in enumerate(names)}
+    return [[position[author.full_name] for author in rec.authors] for rec in c.records], names
+
+
+def id_order_walk(c: Corpus) -> list[int]:
+    """The rows of `c.records`, sorted by record id."""
+    return sorted(range(len(c.records)), key=lambda row: c.records[row].record_id)
 
 
 def cluster_sets(p: ClusterPartition) -> set[frozenset[str]]:

@@ -646,20 +646,6 @@ class TestSliceByYear:
 
 
 class TestAuthorName:
-    def test_key_computed_on_first_read_once_per_name(self, monkeypatch):
-        import venuenet.corpus
-
-        calls = []
-        monkeypatch.setattr(venuenet.corpus, "last_name_key", lambda name: calls.append(name) or last_name_key(name))
-        corpus = corpus_from_lines(
-            '{"id": "p1", "title": "A", "authors": ["José Peña", "Alan Turing"]}',
-            '{"id": "p2", "title": "B", "authors": ["Alan Turing", "José Peña"]}',
-        )
-        assert calls == []  # the parse leaves the key alone
-        keys = [a.last_name_key for r in corpus.records for a in r.authors]
-        assert keys == ["pena", "turing", "turing", "pena"]
-        assert sorted(calls) == ["Alan Turing", "José Peña"]
-
     def test_derived_key_is_deterministic(self):
         a = AuthorName("Michael Ley")
         b = AuthorName("Michael Ley")

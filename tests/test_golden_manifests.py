@@ -1,6 +1,9 @@
 """Every artifact byte of four seeded runs, pinned: `venuenet run` on each
 golden corpus must write the sha256 that tests/golden_manifests.json records
-for every output of its manifest.json.
+for every output of its manifest.json. Each run pins PYTHONHASHSEED to 0,
+and the linked corpus runs under seed 1 as well: both runs must give its
+golden hashes, so an output that follows the order of a set or a dict of
+strings fails every time, not by chance.
 
 A change that alters an artifact on purpose rewrites the file with
 
@@ -52,22 +55,26 @@ CORPORA = {
     "scale-800x10-seed1-citation0": _jsonl(800, 10, 1, citation_min=0.0),
     "linked-60x50-seed1-dblp": _linked,
 }
+# the corpora run under a second hash seed beside the pinned 0
+SECOND_SEED = {"linked-60x50-seed1-dblp": "1"}
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Each corpus's out directory and `venuenet run` process: built one
-    after another, run side by side."""
+    """The out directory and `venuenet run` process of each corpus and hash
+    seed: the corpora built one after another, run side by side."""
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")])))
     started = {}
     for name, build in CORPORA.items():
         work = tmp_path_factory.mktemp(name)
         cfg = build(work)
-        cfg.out_dir = str(work / "out")
-        cfg.save(work / "config.txt")
-        command = [sys.executable, "-m", "venuenet.cli", "run", "--config", str(work / "config.txt")]
-        started[name] = (work / "out", subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        for seed in ["0", SECOND_SEED[name]] if name in SECOND_SEED else ["0"]:
+            cfg.out_dir = str(work / f"out-{seed}")
+            cfg.save(work / f"config-{seed}.txt")
+            command = [sys.executable, "-m", "venuenet.cli", "run", "--config", str(work / f"config-{seed}.txt")]
+            process = subprocess.Popen(command, env=dict(env, PYTHONHASHSEED=seed), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            started[name, seed] = (work / f"out-{seed}", process)
     yield started
     for _, process in started.values():
         process.kill()
@@ -83,21 +90,35 @@ def _made_with() -> dict[str, str]:
     return {"numpy": np.__version__, "python": platform.python_version()}
 
 
-@pytest.mark.parametrize("name", CORPORA)
-def test_run_artifacts_match_the_golden_hashes(runs, name):
-    out, process = runs[name]
+def _finished(runs, name: str, seed: str) -> dict[str, str]:
+    out, process = runs[name, seed]
     _, stderr = process.communicate(timeout=300)
     assert process.returncode == 0, stderr.decode()
-    hashes = _hashes(out)
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {"corpora": {}}
-    if UPDATE:
-        golden["made_with"] = _made_with()
-        golden["corpora"][name] = hashes
-        GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return
+    return _hashes(out)
+
+
+def _assert_golden(name: str, hashes: dict[str, str]) -> None:
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     expected = golden["corpora"][name]
     differ = sorted(path for path in expected.keys() | hashes.keys() if expected.get(path) != hashes.get(path))
     assert not differ, (
         f"{name}: artifacts differ from {GOLDEN.name}: {', '.join(differ)} "
         f"(file made with {golden['made_with']}, running {_made_with()})"
     )
+
+
+@pytest.mark.parametrize("name", CORPORA)
+def test_run_artifacts_match_the_golden_hashes(runs, name):
+    hashes = _finished(runs, name, "0")
+    if UPDATE:
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {"corpora": {}}
+        golden["made_with"] = _made_with()
+        golden["corpora"][name] = hashes
+        GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        return
+    _assert_golden(name, hashes)
+
+
+@pytest.mark.parametrize("name", SECOND_SEED)
+def test_run_under_a_second_hash_seed_matches_the_golden_hashes(runs, name):
+    _assert_golden(name, _finished(runs, name, SECOND_SEED[name]))

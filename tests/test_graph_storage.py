@@ -11,6 +11,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import local_clustering
 from oracles import (
     DictVenueGraph,
     components_dict,
@@ -23,7 +24,7 @@ from oracles import (
 from venuenet.community import greedy_modularity_partition, modularity
 from venuenet.exports import FORMATS, export_graph
 from venuenet.graph import VenueGraph
-from venuenet.metrics import betweenness_centrality, connected_components, local_clustering, pagerank
+from venuenet.metrics import betweenness_centrality, connected_components, pagerank
 from venuenet.networks import ThresholdRule, apply_threshold
 
 NAMES = ["a", "B", "c", "d2", "d10", "é", "z", "Zeta", "m n"]

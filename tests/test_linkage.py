@@ -10,8 +10,10 @@ from click.testing import CliRunner
 
 from conftest import corpus_from_lines
 from oracles import banded_sw_best_loop, extract_citation_subgraph, sw_score_matrix, tokenize_title_loop
+import venuenet.corpus
 from venuenet import linkage
 from venuenet.cli import main
+from venuenet.corpus import last_name_key
 from venuenet.exports import load_graph
 from venuenet.linkage import (
     DEFAULT_SW_MIN,
@@ -337,6 +339,16 @@ class TestCanopies:
         b = make_corpus([("b1", "X", ["Bob Bb"])], "citation-corpus")
         assert blocked_pairs(a, b) == ([], 0)
         assert blocked_pairs(a, b, 0.5) == ([], 0)
+
+    def test_key_computed_once_per_distinct_name_of_each_side(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(venuenet.corpus, "last_name_key", lambda name: calls.append(name) or last_name_key(name))
+        a = make_corpus([("a1", "Joint work", ["José Peña", "Alan Turing"]), ("a2", "More work", ["Alan Turing"]),
+                         ("a3", "Solo work", ["José Peña", "José Peña"])], "metadata-corpus")
+        b = make_corpus([("b1", "Joint work", ["Alan Turing", "Ada Lovelace"]), ("b2", "Other", ["Ada Lovelace"])],
+                        "citation-corpus")
+        assert blocked_pairs(a, b) == ([("a1", "b1"), ("a2", "b1")], 2)
+        assert calls == ["Alan Turing", "José Peña", "Ada Lovelace", "Alan Turing"]
 
     def test_no_author_records_unmatchable(self):
         a = make_corpus([("a1", "X", [])], "metadata-corpus")

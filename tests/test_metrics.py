@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import local_clustering
 from oracles import (
     average_clustering_oracle,
     betweenness_oracle,
@@ -26,7 +27,6 @@ from venuenet.metrics import (
     density,
     largest_component_fraction,
     left_sum,
-    local_clustering,
     pagerank,
 )
 from venuenet.networks import ThresholdRule, apply_threshold

@@ -1,7 +1,8 @@
 """The parsers hand `Corpus` the id -> row dict, the flat reference targets
 and the table of distinct targets they build while reading. A corpus so made
 must hold the same indexes as one rebuilt from its records alone, and one
-object per distinct target, venue key and year."""
+object per distinct target, venue key and year. Its author index and id order
+must equal a walk of its records."""
 
 import gc
 import io
@@ -9,12 +10,15 @@ import json
 import tracemalloc
 from xml.sax.saxutils import escape, quoteattr
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import saved_bytes
+from oracles import author_index_walk, id_order_walk
+from venuenet.arrays import ids
 from venuenet.corpus import (
     CORPUS_SOURCES,
     Corpus,
@@ -171,6 +175,48 @@ def test_dblp_parse_indexes_equal_the_rebuilt(data, source):
     assert parsed.reference_counts() == counts
     assert_index_is_the_loops(parsed)
     assert_table_free_paths(parsed)
+
+
+# names repeated in other case or spacing, non-ASCII ones and their ASCII folds
+NAMES = ["Alan Turing", "alan turing", "Alan  Turing", " Alan Turing", "ALAN TURING", "José Peña", "Jose Pena",
+         "Łukasz Gruß", "李 小龍", "Ada"]
+# ids and generated names: no character that a record id or an XML text cannot carry
+TEXT = "aAbé/#李 😀"
+
+
+@st.composite
+def authored_records(draw):
+    """(id, author names) per record: records without authors, names
+    repeated within one record and across records."""
+    record_ids = draw(st.lists(st.text(TEXT, min_size=1, max_size=4).filter(str.strip), unique=True, max_size=12))
+    names = st.sampled_from(NAMES) | st.text(TEXT, min_size=1, max_size=4).filter(str.strip)
+    return [(rid, draw(st.lists(names, max_size=5))) for rid in record_ids]
+
+
+def assert_author_index_is_the_walk(c: Corpus) -> None:
+    offsets, authors, distinct = c.author_index()
+    rows, names = author_index_walk(c)
+    assert [a.full_name for a in distinct] == names
+    assert authors.dtype == ids(len(names)) and offsets.dtype == np.int64
+    assert offsets.tolist() == np.cumsum([0] + list(map(len, rows))).tolist()
+    assert [authors[offsets[r] : offsets[r + 1]].tolist() for r in range(len(rows))] == rows
+    assert c.id_order().tolist() == id_order_walk(c)
+
+
+@SETTINGS
+@given(authored_records())
+@example([("p2", ["Alan Turing", "alan turing", "Alan Turing"]), ("p10", []), ("p1", ["José Peña", "Alan  Turing"]),
+          ("Ž", ["李 小龍", "Alan Turing"])])
+def test_author_index_and_id_order_equal_the_walk(records):
+    lines = [json.dumps({"id": rid, "title": "T", "authors": names}) + "\n" for rid, names in records]
+    assert_author_index_is_the_walk(parse_jsonl(io.BytesIO("".join(lines).encode("utf-8"))))
+    parts = ["<dblp>"]
+    for rid, names in records:
+        authors = "".join(f"<author>{escape(name)}</author>" for name in names)
+        parts.append(f"<article key={quoteattr(rid)}>{authors}<title>T</title></article>")
+    dblp = parse_dblp_xml(io.BytesIO("".join(parts + ["</dblp>"]).encode("utf-8")))
+    assert [[a.full_name for a in r.authors] for r in dblp.records] == [names for _, names in records]
+    assert_author_index_is_the_walk(dblp)
 
 
 def test_parse_retains_one_object_per_distinct_value():
