@@ -255,17 +255,13 @@ def metrics_cmd(
 
 @main.command(name="subgraphs")
 @click.argument("corpus_path", type=click.Path(dir_okay=False))
-@click.option("--venue-kind", type=click.Choice(["all", "journal", "conference"]), default="all", show_default=True)
-@click.option("--subgraph", "family", type=click.Choice(["both", "coauthorship", "citation"]), default="both", show_default=True)
 @click.option("--pagerank", "pagerank_path", type=click.Path(dir_okay=False), help="Per-venue PageRank TSV to join in.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def subgraphs_cmd(corpus_path: str, venue_kind: str, family: str, pagerank_path: str | None, out: str) -> None:
+def subgraphs_cmd(corpus_path: str, pagerank_path: str | None, out: str) -> None:
     """Profile and classify per-venue co-authorship and citation subgraphs."""
     corpus = load_corpus(corpus_path)
     ranks = metrics.read_metric_tsv(pagerank_path, "pagerank") if pagerank_path else {}
-    profiled = subgraphs.profile_venues(corpus, ranks)
-    families = ["coauthorship", "citation"] if family == "both" else [family]
-    rows = {f: [r for r in profiled[f] if venue_kind in ("all", r.kind)] for f in families}
+    rows = subgraphs.profile_venues(corpus, ranks)
     subgraphs.write_profiles(rows, out)
     click.echo(f"profiled {sum(len(v) for v in rows.values())} subgraphs")
 

@@ -129,24 +129,16 @@ class ReferenceIndex:
 
 @dataclass
 class Corpus:
-    """`rows` (record id -> row), `reference_targets` (every record's
-    references, in record order) and `distinct_targets` (one entry per
-    distinct target, in first-seen order) are the parser's, which builds
-    them while it reads; without them they are taken from `records`."""
+    """`rows` (record id -> row) is the parser's, which builds it while it
+    reads; without it, it is taken from `records`."""
 
     records: list[PublicationRecord]
     venue_table: dict[str, VenueInfo]
     source: str = METADATA_CORPUS
     rows: InitVar[dict[str, int] | None] = None
-    reference_targets: InitVar[list[str] | None] = None
-    distinct_targets: InitVar[dict[str, str] | None] = None
 
-    def __post_init__(
-        self, rows: dict[str, int] | None, reference_targets: list[str] | None, distinct_targets: dict[str, str] | None
-    ) -> None:
+    def __post_init__(self, rows: dict[str, int] | None) -> None:
         self._rows: dict[str, int] = {r.record_id: i for i, r in enumerate(self.records)} if rows is None else rows
-        self._targets = reference_targets  # both read once, by reference_index
-        self._distinct = distinct_targets
         self._references: ReferenceIndex | None = None
 
     def record(self, record_id: str) -> PublicationRecord:
@@ -154,15 +146,9 @@ class Corpus:
 
     def reference_counts(self) -> tuple[int, int]:
         """The number of references and of distinct reference targets."""
-        if self._distinct is not None:
-            return len(self._targets), len(self._distinct)
-        flat = [target for r in self.records for target in r.references]
-        return len(flat), len(set(flat))
-
-    def drop_parse_tables(self) -> None:
-        """Forget the parser's reference tables, for a corpus whose reference
-        index is never built; its counts and index then come from `records`."""
-        self._targets = self._distinct = None
+        per_record = list(map(attrgetter("references"), self.records))
+        lengths = np.fromiter(map(len, per_record), np.int64, len(per_record))
+        return int(lengths.sum()), len(set(chain.from_iterable(per_record)))
 
     def reference_index(self) -> ReferenceIndex:
         """The index, built on first use; the records must not change after.
@@ -170,25 +156,23 @@ class Corpus:
         if self._references is None:
             venues = sorted({r.venue_key for r in self.records} - {None})
             venue_ids = {venue: i for i, venue in enumerate(venues)}
-            flat, codes = self._targets, self._distinct
-            if flat is None:
-                flat = [target for r in self.records for target in r.references]
-            if codes is None:
-                codes = dict.fromkeys(flat)
-            self._targets = self._distinct = None
+            per_record = list(map(attrgetter("references"), self.records))
+            offsets = np.cumsum([0, *map(len, per_record)], dtype=np.int64)
             # each distinct target resolved once, in first-seen order and in place:
             # its row, or -1 - k for the k-th distinct normalized key naming no record
+            codes = dict.fromkeys(chain.from_iterable(per_record))
             rows, external = self._rows, {}
             for target in codes:
                 row = rows.get(target)
                 if row is None:
                     row = -1 - external.setdefault(normalize_reference_key(target), len(external))
                 codes[target] = row
+            targets = map(codes.__getitem__, chain.from_iterable(per_record))
             self._references = ReferenceIndex(
                 venues=venues,
                 record_venue=np.array([venue_ids.get(r.venue_key, -1) for r in self.records], dtype=np.int64),
-                offsets=np.cumsum([0] + [len(r.references) for r in self.records], dtype=np.int64),
-                targets=np.fromiter(map(codes.__getitem__, flat), dtype=np.int64, count=len(flat)),
+                offsets=offsets,
+                targets=np.fromiter(targets, dtype=np.int64, count=int(offsets[-1])),
                 external_keys=list(external),
             )
         return self._references
@@ -330,7 +314,6 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
     records: list[PublicationRecord] = []
     venue_table: dict[str, VenueInfo] = {}
     rows: dict[str, int] = {}
-    targets: list[str] = []
     distinct: dict[str, str] = {}  # one object per distinct reference target
     shared: dict = {}  # one object per distinct venue key and year
     interned: dict[str, AuthorName] = {}
@@ -396,11 +379,10 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
             year = shared.setdefault(year, year)
 
         records.append(PublicationRecord(record_id, title, authors, venue_key, year, refs))
-        targets += refs
         if venue_key is not None and venue_key not in venue_table:
             venue_table[venue_key] = VenueInfo(name=venue_key, kind=UNKNOWN_KIND)
 
-    return Corpus(records, venue_table, source, rows=rows, reference_targets=targets, distinct_targets=distinct)
+    return Corpus(records, venue_table, source, rows=rows)
 
 
 _DBLP_KINDS = {"article": JOURNAL, "inproceedings": CONFERENCE}
@@ -417,7 +399,6 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
     records: list[PublicationRecord] = []
     venue_table: dict[str, VenueInfo] = {}
     rows: dict[str, int] = {}
-    targets: list[str] = []
     distinct: dict[str, str] = {}  # one object per distinct reference target
     shared: dict = {}  # one object per distinct venue key and year
     interned: dict[str, AuthorName] = {}
@@ -468,13 +449,12 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
             refs = tuple(distinct.setdefault(text, text) for text in cites if text and text != "...")
             authors = _make_authors((a.text or "" for a in elem.findall("author")), position, interned)
             records.append(PublicationRecord(key, title, authors, venue_key, year, refs))
-            targets += refs
     except ET.ParseError as exc:
         raise MalformedEntryError(f"line {exc.position[0]}", f"XML syntax error: {exc.msg if hasattr(exc, 'msg') else exc}") from exc
     except LookupError as exc:  # the XML declaration names an unknown encoding
         raise MalformedEntryError("line 1", str(exc)) from exc
 
-    return Corpus(records, venue_table, source, rows=rows, reference_targets=targets, distinct_targets=distinct)
+    return Corpus(records, venue_table, source, rows=rows)
 
 
 def parse_corpus(stream: BinaryIO, format: str, source: str = METADATA_CORPUS) -> Corpus:

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import re
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import VenueGraph
 
@@ -24,16 +24,15 @@ FORMATS = ("graphml", "edge-tsv", "json")
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
 
-def export_graph(g: VenueGraph, format: str, node_attrs: dict[str, dict[str, Any]] | None = None) -> bytes:
-    """`g` in `format`; `node_attrs` ({name: {node: value}}, every node
-    given) adds attributes to the nodes as written, leaving `g` as it is."""
-    return "".join(_lines(g, format, node_attrs)).encode("utf-8")
+def export_graph(g: VenueGraph, format: str) -> bytes:
+    """`g`, its node attributes included, in `format`."""
+    return "".join(_lines(g, format)).encode("utf-8")
 
 
-def write_graph(g: VenueGraph, path, format: str = "edge-tsv", node_attrs: dict | None = None) -> None:
-    """Write export_graph(g, format, node_attrs) to `path`, line by line. A
-    graph the format cannot carry raises ValueError and leaves no file."""
-    lines = _lines(g, format, node_attrs)
+def write_graph(g: VenueGraph, path, format: str = "edge-tsv") -> None:
+    """Write export_graph(g, format) to `path`, line by line. A graph the
+    format cannot carry raises ValueError and leaves no file."""
+    lines = _lines(g, format)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
@@ -42,20 +41,14 @@ def write_graph(g: VenueGraph, path, format: str = "edge-tsv", node_attrs: dict 
         raise
 
 
-def _lines(g: VenueGraph, format: str, node_attrs) -> Iterator[str]:
+def _lines(g: VenueGraph, format: str) -> Iterator[str]:
     """The lines of `g` in `format`; an unknown format raises at once."""
-    nodes = g.nodes
-    if node_attrs:
-        nodes = {
-            node: {**attrs, **{name: values[node] for name, values in node_attrs.items()}}
-            for node, attrs in nodes.items()
-        }
     if format == "graphml":
-        return _to_graphml(g, nodes)
+        return _to_graphml(g)
     if format == "edge-tsv":
-        return _to_tsv(g, nodes)
+        return _to_tsv(g)
     if format == "json":
-        return _to_json(g, nodes)
+        return _to_json(g)
     raise ValueError(f"unknown export format {format!r}")
 
 
@@ -135,11 +128,12 @@ def _check_xml(text: str, where: str) -> str:
     return text
 
 
-def _to_graphml(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
+def _to_graphml(g: VenueGraph) -> Iterator[str]:
     """The lines of the document ElementTree writes for the GraphML tree of
-    `g` whose node attributes are `nodes`, indented by `ET.indent`, except
-    that a carriage return in data text is a character reference. A node or
-    attribute holding what XML 1.0 cannot carry raises ValueError naming it."""
+    `g`, indented by `ET.indent`, except that a carriage return in data text
+    is a character reference. A node or attribute holding what XML 1.0
+    cannot carry raises ValueError naming it."""
+    nodes = g.nodes
     attr_values: dict[str, list] = {}
     for attrs in nodes.values():
         for name, value in attrs.items():
@@ -251,10 +245,11 @@ def _from_graphml(text: str) -> VenueGraph:
 _NOT_TSV = "[\t\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]"
 
 
-def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
-    """The lines of the edge TSV of `g` whose node attributes are `nodes`. A
-    node name the reader would split, or take for a comment, raises
-    ValueError naming it before any line is given."""
+def _to_tsv(g: VenueGraph) -> Iterator[str]:
+    """The lines of the edge TSV of `g`. A node name the reader would split,
+    or take for a comment, raises ValueError naming it before any line is
+    given."""
+    nodes = g.nodes
     for node in nodes:
         bad = re.search(_NOT_TSV, node)
         if bad or node.startswith("#"):
@@ -262,7 +257,7 @@ def _to_tsv(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
             raise ValueError(f"node {node!r}: {what} cannot be written in edge TSV")
     attrs = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), built once
     yield f"# venuenet-graph directed={'true' if g.directed else 'false'}\n"
-    yield from (f"#node\t{node}\t{attrs(node_attrs)}\n" for node, node_attrs in nodes.items())
+    yield from (f"#node\t{node}\t{attrs(values)}\n" for node, values in nodes.items())
     yield from (f"{u}\t{v}\t{w!r}\n" for u, v, w in g.edges())
 
 
@@ -316,11 +311,11 @@ def _attr_object(text: str) -> dict:
 # -- JSON -------------------------------------------------------------------
 
 
-def _to_json(g: VenueGraph, nodes: dict[str, dict]) -> Iterator[str]:
+def _to_json(g: VenueGraph) -> Iterator[str]:
     obj = {
         "format": "venuenet-graph/1",
         "directed": g.directed,
-        "nodes": [list(item) for item in nodes.items()],
+        "nodes": [list(item) for item in g.nodes.items()],
         "edges": [list(edge) for edge in g.edges()],
     }
     yield json.dumps(obj, sort_keys=True, indent=0) + "\n"

@@ -341,7 +341,7 @@ def _stage_ingest(run: _Run) -> None:
     cfg = run.cfg
     with open(cfg.metadata_corpus, "rb") as fh:
         run.meta = parse_corpus(fh, cfg.corpus_format, source="metadata-corpus")
-    run.manifest.ingest["metadata"] = _ingest_counts(run.meta)  # from the parse's tables, before the index takes them
+    run.manifest.ingest["metadata"] = _ingest_counts(run.meta)
     out = run.out_dir / "corpus_metadata.jsonl"
     save_corpus(run.meta, out)
     report = validate_corpus(run.meta)
@@ -353,7 +353,6 @@ def _stage_ingest(run: _Run) -> None:
         with open(cfg.citation_corpus, "rb") as fh:
             run.cite = parse_corpus(fh, cfg.corpus_format, source="citation-corpus")
         run.manifest.ingest["citation"] = _ingest_counts(run.cite)
-        run.cite.drop_parse_tables()  # its reference index is never built
         cite_out = run.out_dir / "corpus_citation.jsonl"
         save_corpus(run.cite, cite_out)
         outputs.append(cite_out)
@@ -448,9 +447,11 @@ def _stage_project(run: _Run) -> None:
     community.write_assignment(run.partition, projection, assign_path)
 
     assignment = run.partition.assignment
-    clusters = {venue: assignment.get(venue, "") for venue in run.knowledge_reduced.nodes}
+    # K' is released after this stage, so no later reader sees the tags
+    for venue, attrs in run.knowledge_reduced.nodes.items():
+        attrs["cluster"] = assignment.get(venue, "")
     graphml_path = run.out_dir / "knowledge_clustered.graphml"
-    write_graph(run.knowledge_reduced, graphml_path, "graphml", {"cluster": clusters})
+    write_graph(run.knowledge_reduced, graphml_path, "graphml")
     run.record("project", graph_path, assign_path, graphml_path)
 
 

@@ -152,8 +152,11 @@ class TestGraphMLWriter:
         g.add_node("a", label=f"x{char}")
         with pytest.raises(ValueError, match="^attribute 'label' of node 'a': "):
             export_graph(g, "graphml")
+        g = graph_with_isolate()
+        for attrs in g.nodes.values():
+            attrs[f"n{char}"] = 1
         with pytest.raises(ValueError, match="^" + re.escape(f"attribute {f'n{char}'!r}: ")):
-            export_graph(graph_with_isolate(), "graphml", {f"n{char}": dict.fromkeys(["a", "b", "loner"], 1)})
+            export_graph(g, "graphml")
 
     def test_carriage_return_in_data_text_reads_back(self):
         g = VenueGraph()
@@ -184,35 +187,17 @@ class TestGraphMLWriter:
             assert export_graph(g, "graphml") == graphml_et(g)
 
 
-class TestNodeAttrs:
-    @pytest.mark.parametrize("fmt", FORMATS)
-    def test_same_bytes_as_a_tagged_copy(self, fmt):
-        names = TSV_ODD_NAMES if fmt == "edge-tsv" else ODD_NAMES  # an edge TSV refuses the others
-        g = odd_graph(directed=False, names=names)
-        clusters = {node: f"c{i % 3}" for i, node in enumerate(g.nodes)}
-        tagged = odd_graph(directed=False, names=names)
-        for node in tagged.nodes:
-            tagged.nodes[node]["cluster"] = clusters[node]
-        assert export_graph(g, fmt, {"cluster": clusters}) == export_graph(tagged, fmt)
-        assert g == odd_graph(directed=False, names=names)  # g itself is not tagged
-
-    def test_overrides_an_existing_attribute(self):
-        g = clustered_graph()
-        relabelled = {node: "x" for node in g.nodes}
-        again = import_graph(export_graph(g, "graphml", {"cluster": relabelled}), "graphml")
-        assert {attrs["cluster"] for attrs in again.nodes.values()} == {"x"}
-
-
 class TestWriteGraph:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_writes_the_exported_bytes(self, fmt, tmp_path):
         names = TSV_ODD_NAMES if fmt == "edge-tsv" else ODD_NAMES
         for directed in (False, True):
             g = odd_graph(directed, names=names)
-            clusters = {node: f"c{i % 3}" for i, node in enumerate(g.nodes)}
             path = tmp_path / f"g.{fmt}"
-            write_graph(g, path, fmt, {"cluster": clusters})
-            assert path.read_bytes() == export_graph(g, fmt, {"cluster": clusters})
+            write_graph(g, path, fmt)
+            assert path.read_bytes() == export_graph(g, fmt)
+            for i, attrs in enumerate(g.nodes.values()):
+                attrs["cluster"] = f"c{i % 3}"
             write_graph(g, path, fmt)
             assert path.read_bytes() == export_graph(g, fmt)
 
@@ -231,14 +216,13 @@ class TestWriteGraph:
         g = VenueGraph()
         n = 2000
         for i in range(n):
-            g.add_node(f"venue{i:05d}", publication_count=i)
+            g.add_node(f"venue{i:05d}", publication_count=i, cluster="c")
             for k in (1, 2, 3, 7):
                 g.add_edge(f"venue{i:05d}", f"venue{(i + k) % n:05d}", 1.0 / (k + i))
-        clusters = {node: "c" for node in g.nodes}
         path = tmp_path / "g.graphml"
         tracemalloc.start()
         try:
-            write_graph(g, path, "graphml", {"cluster": clusters})
+            write_graph(g, path, "graphml")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,7 +1,6 @@
-"""The parsers hand `Corpus` the id -> row dict, the flat reference targets
-and the table of distinct targets they build while reading. A corpus so made
-must hold the same indexes as one rebuilt from its records alone, and one
-object per distinct target, venue key and year. Its author index and id order
+"""The parsers hand `Corpus` the id -> row dict they build while reading.
+A corpus so made must hold the same indexes as one rebuilt from its records
+alone, and one object per distinct target, venue key and year. Its author index and id order
 must equal a walk of its records."""
 
 import gc
@@ -127,9 +126,9 @@ def assert_one_object_per_value(parsed: Corpus) -> None:
         assert len({id(v) for v in values}) == len(set(values))
 
 
-def assert_table_free_paths(parsed: Corpus) -> None:
-    """A slice and a linked rewrite, built without the parser's tables,
-    index as the loop does."""
+def assert_derived_corpora(parsed: Corpus) -> None:
+    """A slice and a linked rewrite, built from records alone, index as the
+    loop does."""
     assert_index_is_the_loops(slice_by_year(parsed, 1995))
     meta, cite = split_for_linkage(parsed)
     cite = parse_jsonl(io.BytesIO(saved_bytes(cite)), source=cite.source)
@@ -141,7 +140,6 @@ def assert_same_indexes(parsed: Corpus) -> None:
     rebuilt = Corpus(parsed.records, parsed.venue_table, parsed.source)
     assert list(parsed._rows.items()) == list(rebuilt._rows.items())
     got, want = parsed.reference_index(), rebuilt.reference_index()
-    assert parsed._targets is None and parsed._distinct is None  # consumed by the index, then dropped
     assert got.venues == want.venues
     assert got.external_keys == want.external_keys
     for name in ("record_venue", "offsets", "targets"):
@@ -159,9 +157,9 @@ def test_jsonl_parse_indexes_equal_the_rebuilt(case):
     assert_one_object_per_value(parsed)
     counts = parsed.reference_counts()
     assert_same_indexes(parsed)
-    assert parsed.reference_counts() == counts  # the same, from the parse's tables or from the records
+    assert parsed.reference_counts() == counts  # the same before and after the index is built
     assert_index_is_the_loops(parsed)
-    assert_table_free_paths(parsed)
+    assert_derived_corpora(parsed)
 
 
 @SETTINGS
@@ -174,7 +172,7 @@ def test_dblp_parse_indexes_equal_the_rebuilt(data, source):
     assert_same_indexes(parsed)
     assert parsed.reference_counts() == counts
     assert_index_is_the_loops(parsed)
-    assert_table_free_paths(parsed)
+    assert_derived_corpora(parsed)
 
 
 # names repeated in other case or spacing, non-ASCII ones and their ASCII folds

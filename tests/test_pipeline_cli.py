@@ -13,9 +13,11 @@ from venuenet import community, linkage, metrics, pipeline, subgraphs
 from venuenet.cli import main
 from venuenet.community import read_partition
 from venuenet.corpus import save_corpus
-from venuenet.exports import load_graph
+from venuenet.exports import load_graph, write_graph
 from venuenet.linkage import MATCHES_HEADER
-from venuenet.networks import summarize
+from venuenet.graph import VenueGraph
+from venuenet.networks import ThresholdRule, apply_threshold, summarize
+from conftest import write_dblp
 from oracles import cluster_sets, graphml_et, record_ids
 from venuenet.subgraphs import PROFILES_HEADER, write_profiles
 from venuenet.pipeline import (
@@ -378,10 +380,10 @@ class TestRunReport:
         save_corpus(cite, tmp_path / "cite.jsonl")
         cfg = fixture_config(tmp_path, tmp_path / "meta.jsonl", citation_corpus=str(tmp_path / "cite.jsonl"))
         link, build = pipeline._STAGE_FUNCS["link"], pipeline._STAGE_FUNCS["build"]
-        tables, parsed, held = [], [], []
+        indexed, parsed, held = [], [], []
 
         def watched_link(run):
-            tables.append((run.cite._targets, run.cite._distinct))
+            indexed.append(run.cite._references)
             parsed.extend([weakref.ref(run.meta), weakref.ref(run.cite)])
             link(run)
 
@@ -400,8 +402,8 @@ class TestRunReport:
         assert counts == sorted(counts, reverse=True) and counts[-1] > 0
         assert counts[-1] == len((out_dir / "matches.tsv").read_text().splitlines()) - 1
         assert "canopy_pairs" not in (out_dir / "manifest.json").read_text()
-        # nothing indexes the citation corpus's references: its parse tables are gone after ingest
-        assert tables == [(None, None)]
+        # nothing indexes the citation corpus's references: ingest only counts them
+        assert indexed == [None]
         # after link only the linked corpus is alive; the parsed two are freed
         assert held == [(None, None, [None, None], len(meta.records))]
 
@@ -605,6 +607,48 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "hist.tsv").read_text().startswith("subgraph\tmetric")
+
+    def test_ingest_source_names_the_corpus(self, tmp_path):
+        corpus, _ = planted_group_corpus(groups=2, venues_per_group=2, papers_per_venue=3, seed=13)
+        write_dblp(corpus, tmp_path / "c.xml")
+        heads = {}
+        for source in ("metadata-corpus", "citation-corpus"):
+            out = tmp_path / f"{source}.jsonl"
+            args = ["ingest", str(tmp_path / "c.xml"), "--format", "dblp-xml", "--source", source, "--out", str(out)]
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
+            heads[source] = out.read_text().splitlines()[0]
+        assert heads == {source: json.dumps({"source": source}) for source in heads}
+
+    def test_metrics_no_normalized_writes_raw_betweenness(self, tmp_path):
+        graph = VenueGraph(directed=True)
+        for u, v in [("a", "b"), ("b", "c"), ("c", "d")]:
+            graph.add_edge(u, v, 1.0)
+        write_graph(graph, tmp_path / "path.tsv")
+        values = {}
+        for flag in ("--normalized", "--no-normalized"):
+            out = tmp_path / f"{flag}.tsv"
+            args = ["metrics", "--graph", str(tmp_path / "path.tsv"), "--metric", "betweenness", flag, "--out", str(out)]
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
+            values[flag] = metrics.read_metric_tsv(out, "betweenness")
+        # b lies on a->c and a->d, c on a->d and b->d; 4 nodes give (n-1)(n-2) = 6 ordered pairs
+        assert values["--no-normalized"] == {"a": 0.0, "b": 2.0, "c": 2.0, "d": 0.0}
+        assert values["--normalized"] == {"a": 0.0, "b": 2.0 / 6, "c": 2.0 / 6, "d": 0.0}
+
+    def test_run_cosine_min_overrides_the_threshold(self, tmp_path, planted):
+        corpus, _ = planted
+        save_corpus(corpus, tmp_path / "fixture.jsonl")
+        reduced = {}
+        for name, extra in (("default", []), ("raised", ["--cosine-min", "0.7"])):
+            out = tmp_path / name
+            args = ["run", "--corpus", str(tmp_path / "fixture.jsonl"), "--out-dir", str(out), "--citation-min", "2"]
+            result = CliRunner().invoke(main, args + extra)
+            assert result.exit_code == 0, result.output
+            reduced[name] = load_graph(out / "knowledge.tsv")
+        full = load_graph(tmp_path / "raised" / "knowledge_full.tsv")
+        assert reduced["raised"] == apply_threshold(full, ThresholdRule("cosine", 0.7))
+        assert reduced["default"] == apply_threshold(full, ThresholdRule("cosine", 0.1)) != reduced["raised"]
 
     def test_stats_on_zero_profiles_writes_headers(self, tmp_path):
         profiles = tmp_path / "profiles.tsv"
