@@ -11,6 +11,7 @@ import gc
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import community, linkage, metrics, networks, subgraphs
 from .corpus import (
@@ -209,9 +210,19 @@ def project(matrix_path: str, partition_path: str, out: str, assignment_out: str
     )
 
 
+# The options each metric reads; any other given on the command line is refused.
+_METRIC_OPTIONS = {
+    "density": (),
+    "clustering": (),
+    "betweenness": ("normalized", "weighted", "out"),
+    "pagerank": ("damping", "tol", "max_iter", "out"),
+    "lcc": (),
+}
+
+
 @main.command(name="metrics")
 @click.option("--graph", "graph_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--metric", type=click.Choice(["density", "clustering", "betweenness", "pagerank", "lcc"]), required=True)
+@click.option("--metric", type=click.Choice(list(_METRIC_OPTIONS)), required=True)
 @click.option("--d", "damping", default=metrics.DEFAULT_PAGERANK_D, show_default=True)
 @click.option("--tol", default=metrics.DEFAULT_PAGERANK_TOL, show_default=True)
 @click.option("--max-iter", default=metrics.DEFAULT_PAGERANK_MAX_ITER, show_default=True)
@@ -229,8 +240,11 @@ def metrics_cmd(
     out: str | None,
 ) -> None:
     """Compute a graph metric; per-node metrics print sorted descending."""
-    if out and metric not in ("betweenness", "pagerank"):
-        raise ValueError("--out is only written for betweenness and pagerank")
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        given = ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE
+        if given and not param.required and param.name not in _METRIC_OPTIONS[metric]:
+            raise ValueError(f"{'/'.join(param.opts + param.secondary_opts)} does not apply to --metric {metric}")
     graph = load_graph(graph_path)
     if metric == "density":
         click.echo(repr(metrics.density(graph)))

@@ -17,6 +17,8 @@ import os
 import re
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .graph import VenueGraph
 
 FORMATS = ("graphml", "edge-tsv", "json")
@@ -68,6 +70,46 @@ def load_graph(path, format: str = "edge-tsv") -> VenueGraph:
         return import_graph(data, format)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _graph(directed: bool, nodes: list, edges: list, places=("node {0!r}", "edge {0!r} -> {1!r}")) -> VenueGraph:
+    """The graph of `nodes`, each (name, attrs, ...), and `edges`, each (u,
+    v, weight or its text, ...), given in any order; a node named only by an
+    edge has no attributes. `places` formats the place of a node and of an
+    edge in the document from its fields, by default by its names. A weight
+    that is not a finite number > 0, a self-loop, and a node or an edge
+    given twice (an undirected one either way round) raise ValueError
+    naming the place of the later one."""
+    node_place, edge_place = places
+    declared, seen, weights = {}, {}, []
+    for node in nodes:
+        first = declared.setdefault(node[0], node)
+        if first is not node:
+            raise ValueError(f"{node_place.format(*node)}: repeats {node_place.format(*first)}")
+    for edge in edges:
+        u, v, w = edge[:3]
+        try:
+            w = float(w)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{edge_place.format(*edge)}: {exc}") from None
+        if u == v:
+            raise ValueError(f"{edge_place.format(*edge)}: self-loop on {u!r} not allowed")
+        if not 0 < w < math.inf:
+            raise ValueError(f"{edge_place.format(*edge)}: edge weight must be finite and > 0, got {w!r}")
+        first = seen.setdefault((u, v) if directed or u < v else (v, u), edge)
+        if first is not edge:
+            raise ValueError(f"{edge_place.format(*edge)}: repeats {edge_place.format(*first)}")
+        weights.append(w)
+    names = sorted(declared.keys() | {name for pair in seen for name in pair})
+    index = dict(zip(names, range(len(names))))
+    tails = np.fromiter((index[u] for u, _ in seen), np.int64, len(seen))
+    heads = np.fromiter((index[v] for _, v in seen), np.int64, len(seen))
+    weights = np.array(weights, dtype=np.float64)
+    if not directed:
+        tails, heads, weights = np.r_[tails, heads], np.r_[heads, tails], np.r_[weights, weights]
+    order = np.lexsort((heads, tails))
+    attrs = [declared[name][1] if name in declared else {} for name in names]
+    return VenueGraph.from_arcs(names, tails[order], heads[order], weights[order], directed, attrs)
 
 
 # -- GraphML ---------------------------------------------------------------
@@ -199,14 +241,22 @@ def _from_graphml(text: str) -> VenueGraph:
         raise ValueError("GraphML document has no graph element")
 
     def data_of(el, where: str):
-        """(attr name, attr type, text) of each data child of `el`."""
+        """(attr name, attr type, text) of each data child of `el`, each attribute once."""
+        names = set()
         for data_el in el.findall("g:data", ns):
             key_id = data_el.get("key")
             if key_id not in keys:
                 raise ValueError(f"{where}: data key {key_id!r} is not declared by any <key>")
-            yield (*keys[key_id], data_el.text or "")
+            name, attr_type = keys[key_id]
+            if name in names:
+                raise ValueError(f"{where}: attribute {name!r} is given twice")
+            names.add(name)
+            yield name, attr_type, data_el.text or ""
 
-    g = VenueGraph(directed=graph_el.get("edgedefault") == "directed")
+    edgedefault = graph_el.get("edgedefault")
+    if edgedefault not in ("directed", "undirected"):
+        raise ValueError(f"<graph edgedefault={edgedefault!r}>: must be 'directed' or 'undirected'")
+    nodes = []
     for node_el in graph_el.findall("g:node", ns):
         node = node_el.get("id")
         if node is None:
@@ -217,7 +267,8 @@ def _from_graphml(text: str) -> VenueGraph:
                 attrs[name] = _parse_attr(text, attr_type)
             except ValueError:
                 raise ValueError(f"node {node!r}: {name!r} is not a valid {attr_type}: {text!r}") from None
-        g.add_node(node, **attrs)
+        nodes.append((node, attrs))
+    edges = []
     for edge_el in graph_el.findall("g:edge", ns):
         u, v = edge_el.get("source"), edge_el.get("target")
         where = f"edge {u!r} -> {v!r}"
@@ -226,15 +277,9 @@ def _from_graphml(text: str) -> VenueGraph:
         weight = 1.0
         for name, _, text in data_of(edge_el, where):
             if name == "weight":
-                try:
-                    weight = float(text)
-                except ValueError:
-                    raise ValueError(f"{where}: weight is not a number: {text!r}") from None
-        try:
-            g.add_edge(u, v, weight)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    return g
+                weight = text
+        edges.append((u, v, weight))
+    return _graph(edgedefault == "directed", nodes, edges)
 
 
 # -- edge TSV ---------------------------------------------------------------
@@ -261,25 +306,28 @@ def _to_tsv(g: VenueGraph) -> Iterator[str]:
     yield from (f"{u}\t{v}\t{w!r}\n" for u, v, w in g.edges())
 
 
+_TSV_HEADERS = {"# venuenet-graph directed=false": False, "# venuenet-graph directed=true": True}
+
+
 def _from_tsv(text: str) -> VenueGraph:
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("# venuenet-graph"):
-        raise ValueError("line 1: missing edge-tsv header line")
-    directed = "directed=true" in lines[0]
-    g = VenueGraph(directed=directed)
+    directed = _TSV_HEADERS.get(lines[0] if lines else "")
+    if directed is None:
+        raise ValueError(f"line 1: the header must be {' or '.join(map(repr, _TSV_HEADERS))}")
+    nodes, edges = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         try:
             if line.startswith("#node\t"):
                 _, node, attrs = _fields(line, 3, "#node line")
-                g.add_node(_tsv_name(node), **_attr_object(attrs))
+                nodes.append((_tsv_name(node), _attr_object(attrs), lineno))
             elif not line.startswith("#"):
                 u, v, w = _fields(line, 3, "edge row")
-                g.add_edge(u, _tsv_name(v), float(w))
+                edges.append((u, _tsv_name(v), w, lineno))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return g
+    return _graph(directed, nodes, edges, ("line {2}", "line {3}"))
 
 
 def _fields(line: str, count: int, what: str) -> list[str]:
@@ -333,15 +381,10 @@ def _from_json(text: str) -> VenueGraph:
     nodes, edges = obj.get("nodes"), obj.get("edges")
     if not _rows_of(nodes, (str, dict)) or not _rows_of(edges, (str, str, (int, float))):
         raise ValueError("'nodes' must list [name, attributes] and 'edges' [source, target, weight]")
-    g = VenueGraph(directed=obj.get("directed") is True)
-    for node, attrs in nodes:
-        g.add_node(node, **attrs)
-    for u, v, w in edges:
-        try:
-            g.add_edge(u, v, float(w))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"edge {u!r} -> {v!r}: {exc}") from None
-    return g
+    directed = obj.get("directed")
+    if not isinstance(directed, bool):
+        raise ValueError(f"'directed' must be true or false, got {directed!r}")
+    return _graph(directed, nodes, edges)
 
 
 def _rows_of(items, types: tuple) -> bool:

@@ -6,13 +6,12 @@ attribute dict; edges carry a positive weight. Nodes are kept sorted by name
 and the edges are stored once, as compressed sparse rows: node i (the i-th of
 `nodes`) has the arcs heads[indptr[i]:indptr[i + 1]], ascending, with their
 float64 weights. Undirected edges are stored as two arcs but reported once,
-from their smaller endpoint. So nothing read from a graph depends on the
-order in which its nodes and edges were added.
+from their smaller endpoint. A graph is built once, by `from_arcs` from
+names and arcs in that order, and is not changed after.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Any, Iterator
 
@@ -22,15 +21,15 @@ from .arrays import arc_tails, row_offsets
 
 
 class VenueGraph:
-    __slots__ = ("directed", "_nodes", "_indptr", "_heads", "_weights", "_pending")
+    __slots__ = ("directed", "_nodes", "_indptr", "_heads", "_weights")
 
     def __init__(self, directed: bool = False):
+        """The empty graph; `from_arcs` builds any other."""
         self.directed = directed
         self._nodes: dict[str, dict[str, Any]] = {}
         self._indptr = np.zeros(1, dtype=np.int64)
         self._heads = np.zeros(0, dtype=np.int64)
         self._weights = np.zeros(0)
-        self._pending: list[tuple[str, str, float]] = []  # arcs set by add_edge since the rows were built
 
     # -- construction -------------------------------------------------
 
@@ -60,57 +59,14 @@ class VenueGraph:
         g._weights = np.asarray(weights, dtype=np.float64)
         return g
 
-    def add_node(self, key: str, /, **attrs: Any) -> None:
-        self._nodes.setdefault(key, {}).update(attrs)
-
-    def add_edge(self, u: str, v: str, weight: float) -> None:
-        """Set (not accumulate) the weight of edge u->v, finite and positive;
-        adds missing nodes."""
-        if u == v:
-            raise ValueError(f"self-loop on {u!r} not allowed")
-        if not 0 < weight < math.inf:
-            raise ValueError(f"edge weight must be finite and > 0, got {weight!r}")
-        self.add_node(u)
-        self.add_node(v)
-        self._pending.append((u, v, weight))
-        if not self.directed:
-            self._pending.append((v, u, weight))
-
-    def _settle(self) -> None:
-        """Put the nodes and arcs added since the rows were built into name
-        order; an arc set more than once keeps its last weight."""
-        n = len(self._nodes)
-        if not self._pending and self._indptr.size == n + 1:
-            return
-        names = sorted(self._nodes)
-        index = dict(zip(names, range(n)))
-        rank = np.fromiter(map(index.__getitem__, self._nodes), dtype=np.int64, count=n)
-        tails, heads, weights = rank[arc_tails(self._indptr)], rank[self._heads], self._weights
-        if self._pending:
-            t, h, w = zip(*self._pending)
-            self._pending = []
-            tails = np.r_[tails, np.fromiter(map(index.__getitem__, t), dtype=np.int64, count=len(t))]
-            heads = np.r_[heads, np.fromiter(map(index.__getitem__, h), dtype=np.int64, count=len(h))]
-            weights = np.r_[weights, np.array(w, dtype=np.float64)]
-        key = tails * n + heads
-        order = np.argsort(key, kind="stable")
-        last = np.ones(order.size, dtype=bool)
-        last[:-1] = key[order[1:]] != key[order[:-1]]
-        arcs = order[last]
-        self._nodes = {name: self._nodes[name] for name in names}
-        self._indptr = row_offsets(tails[arcs], n)
-        self._heads, self._weights = heads[arcs], weights[arcs]
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, heads, weights) of the rows, in node order."""
-        self._settle()
         return self._indptr, self._heads, self._weights
 
     # -- queries ------------------------------------------------------
 
     @property
     def nodes(self) -> dict[str, dict[str, Any]]:
-        self._settle()
         return self._nodes
 
     def node_count(self) -> int:

@@ -4,6 +4,7 @@ must label with their type."""
 
 import random
 
+from oracles import DictVenueGraph
 from venuenet.graph import VenueGraph
 
 
@@ -11,7 +12,7 @@ def _node(i: int) -> str:
     return f"n{i:03d}"
 
 
-def _add_clique(g: VenueGraph, members: list[str]) -> None:
+def _add_clique(g: DictVenueGraph, members: list[str]) -> None:
     for x in range(len(members)):
         for y in range(x + 1, len(members)):
             g.add_edge(members[x], members[y], 1.0)
@@ -20,7 +21,7 @@ def _add_clique(g: VenueGraph, members: list[str]) -> None:
 def sparse_random_graph(n: int, seed: int, mean_degree: float = 0.8) -> VenueGraph:
     """Subcritical Erdos-Renyi graph: almost everything very low."""
     rng = random.Random(seed)
-    g = VenueGraph(directed=False)
+    g = DictVenueGraph(directed=False)
     for i in range(n):
         g.add_node(_node(i))
     p = mean_degree / max(n - 1, 1)
@@ -28,13 +29,13 @@ def sparse_random_graph(n: int, seed: int, mean_degree: float = 0.8) -> VenueGra
         for j in range(i + 1, n):
             if rng.random() < p:
                 g.add_edge(_node(i), _node(j), 1.0)
-    return g
+    return g.venue_graph()
 
 
 def disconnected_cliques_graph(n: int, seed: int, size_range: tuple[int, int] = (5, 8)) -> VenueGraph:
     """Small fully-connected working groups with nothing between them."""
     rng = random.Random(seed)
-    g = VenueGraph(directed=False)
+    g = DictVenueGraph(directed=False)
     i = 0
     while i < n:
         size = min(rng.randint(*size_range), n - i)
@@ -43,7 +44,7 @@ def disconnected_cliques_graph(n: int, seed: int, size_range: tuple[int, int] = 
             g.add_node(m)
         _add_clique(g, members)
         i += size
-    return g
+    return g.venue_graph()
 
 
 def bridged_components_graph(
@@ -55,7 +56,7 @@ def bridged_components_graph(
     distinct port nodes, so no single node dominates the shortest paths.
     """
     rng = random.Random(seed)
-    g = VenueGraph(directed=False)
+    g = DictVenueGraph(directed=False)
     target = int(round(n * connected_fraction))
     cliques: list[list[str]] = []
     i = 0
@@ -82,7 +83,7 @@ def bridged_components_graph(
             g.add_node(m)
         _add_clique(g, members)
         i += size
-    return g
+    return g.venue_graph()
 
 
 def core_satellite_graph(
@@ -98,7 +99,7 @@ def core_satellite_graph(
     drives the maximum betweenness toward 1.
     """
     rng = random.Random(seed)
-    g = VenueGraph(directed=False)
+    g = DictVenueGraph(directed=False)
     hub = _node(0)
     g.add_node(hub)
     core_size = max(3, int(round(n * core_fraction)))
@@ -119,7 +120,7 @@ def core_satellite_graph(
         _add_clique(g, members)
         g.add_edge(members[0], hub, 1.0)
         i += size
-    return g
+    return g.venue_graph()
 
 
 ARCHETYPE_GENERATORS = {

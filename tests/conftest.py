@@ -72,8 +72,10 @@ def small_corpus():
 @pytest.fixture
 def under_hash_seeds():
     """Run a Python snippet in fresh interpreters with PYTHONHASHSEED 0 and 1
-    and return their stdout, so a test can require identical output."""
-    path = [str(Path(__file__).parent.parent / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    and return their stdout, so a test can require identical output. The
+    snippet can import the tests' modules too."""
+    here = Path(__file__).parent
+    path = [str(here.parent / "src"), str(here)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
 
     def run(script: str) -> list[str]:
         outputs = []

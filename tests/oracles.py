@@ -434,7 +434,7 @@ def random_test_graph(
         directed = rng.random() < 0.5
     if weighted is None:
         weighted = rng.random() < 0.5
-    g = VenueGraph(directed=directed)
+    g = DictVenueGraph(directed=directed)
     nodes = [f"v{i:02d}" for i in range(n)]
     for v in nodes:
         g.add_node(v)
@@ -446,7 +446,7 @@ def random_test_graph(
             if rng.random() < p:
                 w = rng.choice(DYADIC_WEIGHTS) if weighted else 1.0
                 g.add_edge(nodes[i], nodes[j], w)
-    return g, weighted
+    return g.venue_graph(), weighted
 
 
 def greedy_modularity_scan(
@@ -545,7 +545,7 @@ def knowledge_network_loop(m: CouplingMatrix) -> VenueGraph:
     dictionary of pair dots, one key at a time: the reference for the
     library's sparse product, which must give the same graph (nodes,
     attributes, neighbour order and every weight bit)."""
-    g = VenueGraph(directed=False)
+    g = DictVenueGraph(directed=False)
     for venue, count in zip(m.venues, m.publication_counts.tolist()):
         g.add_node(venue, publication_count=count)
 
@@ -571,7 +571,7 @@ def knowledge_network_loop(m: CouplingMatrix) -> VenueGraph:
         weight = dot / math.sqrt(norms[vi] * norms[vj])
         if weight > 0:
             g.add_edge(vi, vj, weight)
-    return g
+    return g.venue_graph()
 
 
 def coupling_json_dumps(m: CouplingMatrix) -> bytes:
@@ -709,7 +709,7 @@ def citation_network_loop(c: Corpus) -> VenueGraph:
                 pair = (src_venue, dst_venue)
                 edge_counts[pair] = edge_counts.get(pair, 0) + 1
 
-    g = VenueGraph(directed=True)
+    g = DictVenueGraph(directed=True)
     for venue in sorted({v for pair in edge_counts for v in pair} | set(self_citations)):
         g.add_node(
             venue,
@@ -718,7 +718,7 @@ def citation_network_loop(c: Corpus) -> VenueGraph:
         )
     for (src, dst), count in sorted(edge_counts.items()):
         g.add_edge(src, dst, float(count))
-    return g
+    return g.venue_graph()
 
 
 def publication_citation_graph_loop(c: Corpus) -> dict[str, list[str]]:
@@ -752,13 +752,13 @@ def cosine_of_vectors(a: dict[str, int], b: dict[str, int]) -> float:
 def undirected_view(g: VenueGraph) -> VenueGraph:
     """Symmetrized copy of `g`: antiparallel weights are summed; an
     undirected graph is copied as it is."""
-    und = VenueGraph(directed=False)
+    und = DictVenueGraph(directed=False)
     for key, attrs in g.nodes.items():
         und.add_node(key, **attrs)
     for u, v, w in g.edges():
         current = neighbors(und, u).get(v, 0.0) if g.directed else 0.0
         und.add_edge(u, v, current + w)
-    return und
+    return und.venue_graph()
 
 
 def adopt_by_cosine_loop(m: CouplingMatrix, p: ClusterPartition) -> tuple[dict[str, str], list[str]]:
@@ -794,7 +794,7 @@ def cluster_network_loop(
     """The cluster network by one `cosine_of_vectors` call per cluster
     pair, in sorted pair order."""
     clusters = cluster_matrix.venues
-    graph = VenueGraph(directed=False)
+    graph = DictVenueGraph(directed=False)
     for cluster, publications in zip(clusters, cluster_matrix.publication_counts.tolist()):
         graph.add_node(cluster, venue_count=venue_counts.get(cluster, 0), publication_count=publications)
     for x in range(len(clusters)):
@@ -802,7 +802,7 @@ def cluster_network_loop(
             weight = cosine_of_vectors(cluster_matrix.vectors[clusters[x]], cluster_matrix.vectors[clusters[y]])
             if weight > 0:
                 graph.add_edge(clusters[x], clusters[y], weight)
-    return graph
+    return graph.venue_graph()
 
 
 def tokenize_title_loop(title: str) -> frozenset[str]:
@@ -1178,7 +1178,9 @@ class DictVenueGraph:
     """The graph as node -> neighbour -> weight dicts, both directions of an
     undirected edge stored: the form the compressed rows replaced. An edge is
     set, not accumulated; nodes and rows keep the order they were met in,
-    and `name_ordered()` gives the order VenueGraph keeps."""
+    and `name_ordered()` gives the order VenueGraph keeps. `venue_graph()`
+    builds its VenueGraph: the tests' one way to make a graph node by node
+    and edge by edge."""
 
     def __init__(self, directed: bool = False):
         self.directed = directed
@@ -1227,6 +1229,15 @@ class DictVenueGraph:
     def edges(self) -> Iterator[tuple[str, str, float]]:
         """Each edge once, an undirected one from its smaller name, in row order."""
         return ((u, v, w) for u, nbrs in self._adj.items() for v, w in nbrs.items() if self.directed or u <= v)
+
+    def venue_graph(self) -> VenueGraph:
+        """The VenueGraph of these nodes, attributes and edges, built once
+        through `VenueGraph.from_arcs`."""
+        names = sorted(self.nodes)
+        index = dict(zip(names, range(len(names))))
+        arcs = sorted((index[u], index[v], w) for u, row in self._adj.items() for v, w in row.items())
+        tails, heads, weights = zip(*arcs) if arcs else ((), (), ())
+        return VenueGraph.from_arcs(names, tails, heads, weights, self.directed, [dict(self.nodes[v]) for v in names])
 
     def name_ordered(self) -> "DictVenueGraph":
         """A copy with the nodes, and each row's neighbours, sorted by name."""

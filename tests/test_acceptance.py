@@ -12,6 +12,7 @@ from pathlib import Path
 
 from archetypes import ARCHETYPE_GENERATORS
 from oracles import (
+    DictVenueGraph,
     average_clustering_oracle,
     best_modularity_exhaustive,
     betweenness_oracle,
@@ -25,7 +26,6 @@ from oracles import (
 )
 from venuenet.community import greedy_modularity_partition, read_partition
 from venuenet.corpus import save_corpus
-from venuenet.graph import VenueGraph
 from venuenet.linkage import link_corpora, smith_waterman_similarities
 from venuenet.metrics import (
     average_clustering_coefficient,
@@ -88,12 +88,12 @@ def test_pagerank_fixed_point():
         for k in {1, 2, 3, min(7, n - 1)}:
             if k < 1 or k > n - 1:
                 continue
-            g = VenueGraph(directed=True)
+            g = DictVenueGraph(directed=True)
             names = [f"v{i:02d}" for i in range(n)]
             for i in range(n):
                 for step in range(1, k + 1):
                     g.add_edge(names[i], names[(i + step) % n], 1.0)
-            vector = pagerank(g, d=0.85, tol=1e-8)
+            vector = pagerank(g.venue_graph(), d=0.85, tol=1e-8)
             count += 1
             worst = max(worst, max(abs(v - 1.0) for v in vector.values.values()))
             worst_residual = max(worst_residual, vector.residual)
@@ -145,10 +145,10 @@ def test_modularity_criteria():
     """Two disjoint triangles give Q = 0.5 exactly; 100 planted two-clique
     graphs are split perfectly; greedy Q is within 0.05 of the exhaustive
     optimum for n <= 8."""
-    g = VenueGraph()
+    g = DictVenueGraph()
     for a, b in [("a1", "a2"), ("a2", "a3"), ("a1", "a3"), ("b1", "b2"), ("b2", "b3"), ("b1", "b3")]:
         g.add_edge(a, b, 1.0)
-    p = greedy_modularity_partition(g)
+    p = greedy_modularity_partition(g.venue_graph())
     exact_ok = p.q == 0.5 and cluster_sets(p) == {
         frozenset({"a1", "a2", "a3"}),
         frozenset({"b1", "b2", "b3"}),
@@ -158,7 +158,7 @@ def test_modularity_criteria():
     recovered = 0
     for _ in range(100):
         size_a, size_b = rng.randint(8, 12), rng.randint(8, 12)
-        planted = VenueGraph()
+        planted = DictVenueGraph()
         a = [f"a{i:02d}" for i in range(size_a)]
         b = [f"b{i:02d}" for i in range(size_b)]
         for grp in (a, b):
@@ -166,7 +166,7 @@ def test_modularity_criteria():
                 for j in range(i + 1, len(grp)):
                     planted.add_edge(grp[i], grp[j], 1.0)
         planted.add_edge(rng.choice(a), rng.choice(b), 1.0)
-        partition = greedy_modularity_partition(planted)
+        partition = greedy_modularity_partition(planted.venue_graph())
         if cluster_sets(partition) == {frozenset(a), frozenset(b)}:
             recovered += 1
 
@@ -251,16 +251,16 @@ def test_archetype_classification():
 def test_threshold_boundary_semantics():
     """Cosine edges at exactly 0.1 survive and 0.0999 do not; citation edges
     at 50 are dropped and 51 kept, bit-exactly."""
-    knowledge = VenueGraph()
+    knowledge = DictVenueGraph()
     knowledge.add_edge("a", "b", 0.1)
     knowledge.add_edge("a", "c", 0.0999)
-    reduced_k = apply_threshold(knowledge, ThresholdRule("cosine", 0.1))
+    reduced_k = apply_threshold(knowledge.venue_graph(), ThresholdRule("cosine", 0.1))
     cosine_ok = "b" in neighbors(reduced_k, "a") and "c" not in neighbors(reduced_k, "a")
 
-    citation = VenueGraph(directed=True)
+    citation = DictVenueGraph(directed=True)
     citation.add_edge("a", "b", 50.0)
     citation.add_edge("a", "c", 51.0)
-    reduced_f = apply_threshold(citation, ThresholdRule("citation", 50.0))
+    reduced_f = apply_threshold(citation.venue_graph(), ThresholdRule("citation", 50.0))
     citation_ok = "b" not in neighbors(reduced_f, "a") and "c" in neighbors(reduced_f, "a")
 
     report("threshold-semantics", cosine_ok and citation_ok, "boundaries 0.1/0.0999 and 50/51")

@@ -6,6 +6,7 @@ from oracles import (
     adopt_by_cosine_loop,
     best_modularity_exhaustive,
     cluster_network_loop,
+    DictVenueGraph,
     cluster_sets,
     greedy_modularity_scan,
     modularity_pairsum_oracle,
@@ -36,17 +37,17 @@ from venuenet.synth import scale_corpus
 
 
 def two_triangles():
-    g = VenueGraph()
+    g = DictVenueGraph()
     for a, b in [("a1", "a2"), ("a2", "a3"), ("a1", "a3"), ("b1", "b2"), ("b2", "b3"), ("b1", "b3")]:
         g.add_edge(a, b, 1.0)
-    return g
+    return g.venue_graph()
 
 
 def path3():
-    g = VenueGraph()
+    g = DictVenueGraph()
     g.add_edge("a", "b", 1.0)
     g.add_edge("b", "c", 1.0)
-    return g
+    return g.venue_graph()
 
 
 class TestModularity:
@@ -85,40 +86,41 @@ class TestModularity:
     def test_q_independent_of_hash_seed(self, under_hash_seeds):
         script = """
 import random
+from oracles import DictVenueGraph
 from venuenet.community import modularity
-from venuenet.graph import VenueGraph
 from venuenet.metrics import connected_components
 rng = random.Random(1103)
 nodes = [f"q{i:03d}" for i in range(300)]
-g = VenueGraph()
+g = DictVenueGraph()
 for start in range(0, 300, 10):
     for x in range(start, start + 10):
         for y in range(x + 1, start + 10):
             g.add_edge(nodes[x], nodes[y], rng.uniform(0.1, 1.0))
-print(repr(modularity(g, {v: nodes[i // 10 * 10] for i, v in enumerate(nodes)})))
+print(repr(modularity(g.venue_graph(), {v: nodes[i // 10 * 10] for i, v in enumerate(nodes)})))
 """
         q0, q1 = under_hash_seeds(script)
         assert q0 == q1
 
     def test_unweighted_mode(self):
-        g = VenueGraph()
+        g = DictVenueGraph()
         g.add_edge("a", "b", 5.0)
         g.add_edge("c", "d", 1.0)
         assignment = {"a": "x", "b": "x", "c": "y", "d": "y"}
-        assert modularity(g, assignment, weighted=False) == 0.5
+        assert modularity(g.venue_graph(), assignment, weighted=False) == 0.5
 
     @pytest.mark.parametrize("n", [200, 800, 2000])
     @pytest.mark.parametrize("weighted", [True, False])
     def test_matches_networkx(self, n, weighted):
         nx = pytest.importorskip("networkx")
         rng = random.Random(n + weighted)
-        g = VenueGraph()
+        g = DictVenueGraph()
         nodes = [f"n{i:04d}" for i in range(n)]
         for v in nodes:
             g.add_node(v)
         for _ in range(2 * n):
             u, v = rng.sample(nodes, 2)
             g.add_edge(u, v, rng.uniform(0.1, 10.0))
+        g = g.venue_graph()
         other = nx.Graph()
         other.add_nodes_from(nodes)
         other.add_weighted_edges_from(g.edges())
@@ -143,10 +145,10 @@ class TestGreedyPartition:
         assert clusters == {frozenset({"a1", "a2", "a3"}), frozenset({"b1", "b2", "b3"})}
 
     def test_edgeless_graph_singletons(self):
-        g = VenueGraph()
+        g = DictVenueGraph()
         for v in ["a", "b", "c"]:
             g.add_node(v)
-        p = greedy_modularity_partition(g)
+        p = greedy_modularity_partition(g.venue_graph())
         assert p.q == 0.0
         assert p.cluster_count == 3
 
@@ -159,7 +161,7 @@ class TestGreedyPartition:
         rng = random.Random(42)
         for _ in range(10):
             size_a, size_b = rng.randint(8, 12), rng.randint(8, 12)
-            g = VenueGraph()
+            g = DictVenueGraph()
             a = [f"a{i:02d}" for i in range(size_a)]
             b = [f"b{i:02d}" for i in range(size_b)]
             for grp in (a, b):
@@ -167,7 +169,7 @@ class TestGreedyPartition:
                     for j in range(i + 1, len(grp)):
                         g.add_edge(grp[i], grp[j], 1.0)
             g.add_edge(a[0], b[0], 1.0)
-            p = greedy_modularity_partition(g)
+            p = greedy_modularity_partition(g.venue_graph())
             assert cluster_sets(p) == {frozenset(a), frozenset(b)}
 
     def test_directed_rejected(self):
@@ -212,12 +214,13 @@ class TestGreedyPartition:
         """Two 6-cliques and a pair joined by weight 1e-30: the pair's merge
         comes last, and its gain vanishes in q = 0.5. The partition is the
         state before it, the trace's last snapshot the state after it."""
-        g = VenueGraph()
+        g = DictVenueGraph()
         for clique in ("a", "b"):
             for i in range(6):
                 for j in range(i + 1, 6):
                     g.add_edge(f"{clique}{i}", f"{clique}{j}", 1.0)
         g.add_edge("y1", "y2", 1e-30)
+        g = g.venue_graph()
         trace = []
         p = greedy_modularity_partition(g, trace=trace)
         assert p.assignment["y1"] != p.assignment["y2"]
@@ -228,7 +231,7 @@ class TestGreedyPartition:
 
 
 def random_weighted_graph(rng: random.Random, n: int, p: float, weight) -> VenueGraph:
-    g = VenueGraph()
+    g = DictVenueGraph()
     nodes = [f"n{i:03d}" for i in range(n)]
     for v in nodes:
         g.add_node(v)
@@ -236,18 +239,18 @@ def random_weighted_graph(rng: random.Random, n: int, p: float, weight) -> Venue
         for j in range(i + 1, n):
             if rng.random() < p:
                 g.add_edge(nodes[i], nodes[j], weight())
-    return g
+    return g.venue_graph()
 
 
 def planted_groups_graph(rng: random.Random, groups: int, size: int) -> VenueGraph:
-    g = VenueGraph()
+    g = DictVenueGraph()
     nodes = [f"g{i:03d}" for i in range(groups * size)]
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             same = i // size == j // size
             if rng.random() < (0.7 if same else 0.03):
                 g.add_edge(nodes[i], nodes[j], rng.choice((1.0, 2.0)) if same else 1.0)
-    return g
+    return g.venue_graph()
 
 
 class TestHeapMatchesScan:

@@ -1,46 +1,48 @@
+import json
+import math
 import random
 import re
 import tracemalloc
 
 import pytest
 
-from oracles import graphml_et, neighbors
-from venuenet.exports import FORMATS, export_graph, finite_float, import_graph, read_table, write_graph, write_table
+from oracles import DictVenueGraph, graphml_et, neighbors
+from venuenet.exports import _GRAPHML_NS, FORMATS, export_graph, finite_float, import_graph, read_table, write_graph, write_table
 from venuenet.graph import VenueGraph
 
 
 def weighted_triangle():
-    g = VenueGraph()
+    g = DictVenueGraph()
     g.add_node("v1", publication_count=10)
     g.add_node("v2", publication_count=20)
     g.add_node("v3", publication_count=5)
     g.add_edge("v1", "v2", 0.5)
     g.add_edge("v2", "v3", 0.25)
     g.add_edge("v1", "v3", 0.125)
-    return g
+    return g.venue_graph()
 
 
 def directed_two_cycle():
-    g = VenueGraph(directed=True)
+    g = DictVenueGraph(directed=True)
     g.add_edge("a", "b", 2.0)
     g.add_edge("b", "a", 3.0)
-    return g
+    return g.venue_graph()
 
 
 def clustered_graph():
-    g = VenueGraph()
+    g = DictVenueGraph()
     g.add_node("v1", publication_count=3, cluster="c1", kind="journal")
     g.add_node("v2", publication_count=4, cluster="c1", kind="conference")
     g.add_node("v3", publication_count=1, cluster="c2", kind="journal")
     g.add_edge("v1", "v2", 0.7071067811865476)
-    return g
+    return g.venue_graph()
 
 
 def graph_with_isolate():
-    g = VenueGraph()
+    g = DictVenueGraph()
     g.add_edge("a", "b", 1.0)
     g.add_node("loner", publication_count=0)
-    return g
+    return g.venue_graph()
 
 
 ALL_GRAPHS = [weighted_triangle, directed_two_cycle, clustered_graph, graph_with_isolate]
@@ -59,10 +61,10 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_weights_preserved_exactly(self, fmt):
-        g = VenueGraph()
+        g = DictVenueGraph()
         g.add_edge("a", "b", 0.1)  # not dyadic; repr round-trip must still be exact
         g.add_edge("a", "c", 1e-9)
-        again = import_graph(export_graph(g, fmt), fmt)
+        again = import_graph(export_graph(g.venue_graph(), fmt), fmt)
         assert neighbors(again, "a")["b"] == 0.1
         assert neighbors(again, "a")["c"] == 1e-9
 
@@ -98,7 +100,7 @@ TSV_ODD_NAMES = [name for name in ODD_NAMES if not re.search("[\t\n\r]", name)]
 def odd_graph(directed: bool, names: list[str] = ODD_NAMES) -> VenueGraph:
     """Names and values that ElementTree escapes, every attribute type, and
     nodes with and without attributes."""
-    g = VenueGraph(directed=directed)
+    g = DictVenueGraph(directed=directed)
     for i, name in enumerate(names):
         g.add_node(name)
         if i % 3:
@@ -117,7 +119,7 @@ def odd_graph(directed: bool, names: list[str] = ODD_NAMES) -> VenueGraph:
             g.add_edge(u, v, 1.0 / (i + 3))
             if directed:
                 g.add_edge(v, u, 2.0 + i)
-    return g
+    return g.venue_graph()
 
 
 class TestGraphMLWriter:
@@ -137,21 +139,21 @@ class TestGraphMLWriter:
 
     def test_lone_surrogate_becomes_a_character_reference(self):
         # XML 1.0 has no lone surrogates, not even as a character reference
-        g = VenueGraph()
+        g = DictVenueGraph()
         g.add_edge("\ud800", "b", 1.0)
         with pytest.raises(ValueError, match="^node '\\\\ud800': '\\\\ud800' cannot be written in XML 1.0$"):
-            export_graph(g, "graphml")
+            export_graph(g.venue_graph(), "graphml")
 
     @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"])
     def test_refuses_what_xml_cannot_carry(self, char):
-        g = VenueGraph()
+        g = DictVenueGraph()
         g.add_edge(f"a{char}", "b", 1.0)
         with pytest.raises(ValueError, match="^" + re.escape(f"node {f'a{char}'!r}: ")):
-            export_graph(g, "graphml")
-        g = VenueGraph()
+            export_graph(g.venue_graph(), "graphml")
+        g = DictVenueGraph()
         g.add_node("a", label=f"x{char}")
         with pytest.raises(ValueError, match="^attribute 'label' of node 'a': "):
-            export_graph(g, "graphml")
+            export_graph(g.venue_graph(), "graphml")
         g = graph_with_isolate()
         for attrs in g.nodes.values():
             attrs[f"n{char}"] = 1
@@ -159,8 +161,9 @@ class TestGraphMLWriter:
             export_graph(g, "graphml")
 
     def test_carriage_return_in_data_text_reads_back(self):
-        g = VenueGraph()
+        g = DictVenueGraph()
         g.add_node("a\rb", label="x\ry\r\nz", note="\t\n")
+        g = g.venue_graph()
         data = export_graph(g, "graphml")
         assert b"x&#13;y&#13;\nz" in data
         assert import_graph(data, "graphml") == g
@@ -169,14 +172,16 @@ class TestGraphMLWriter:
         for directed in (False, True):
             g = VenueGraph(directed=directed)
             assert export_graph(g, "graphml") == graphml_et(g)
-            g.add_node("a")
-            g.add_node("b", publication_count=3)
+            d = DictVenueGraph(directed=directed)
+            d.add_node("a")
+            d.add_node("b", publication_count=3)
+            g = d.venue_graph()
             assert export_graph(g, "graphml") == graphml_et(g)
 
     def test_seeded_random_graphs(self):
         rng = random.Random(4)
         for _ in range(40):
-            g = VenueGraph(directed=rng.random() < 0.5)
+            g = DictVenueGraph(directed=rng.random() < 0.5)
             names = rng.sample(ODD_NAMES + [f"v{i}" for i in range(20)], rng.randint(0, 25))
             for name in names:
                 g.add_node(name, **({"publication_count": rng.randint(0, 9)} if rng.random() < 0.7 else {}))
@@ -184,6 +189,7 @@ class TestGraphMLWriter:
                 if len(names) > 1:
                     u, v = rng.sample(names, 2)
                     g.add_edge(u, v, rng.random() + 0.01)
+            g = g.venue_graph()
             assert export_graph(g, "graphml") == graphml_et(g)
 
 
@@ -203,22 +209,23 @@ class TestWriteGraph:
 
     def test_a_graph_the_format_cannot_carry_leaves_no_file(self, tmp_path):
         for fmt, node in (("edge-tsv", "#x"), ("graphml", "a\x01")):  # graphml raises after its first lines
-            g = VenueGraph()
+            g = DictVenueGraph()
             g.add_edge("b", node, 1.0)
             path = tmp_path / f"g.{fmt}"
             path.write_text("old")
             with pytest.raises(ValueError, match=re.escape(repr(node))):
-                write_graph(g, path, fmt)
+                write_graph(g.venue_graph(), path, fmt)
             assert not path.exists()
 
     def test_graphml_streams(self, tmp_path):
         # the whole document is never held: the old writer peaked at four times its size
-        g = VenueGraph()
+        g = DictVenueGraph()
         n = 2000
         for i in range(n):
             g.add_node(f"venue{i:05d}", publication_count=i, cluster="c")
             for k in (1, 2, 3, 7):
                 g.add_edge(f"venue{i:05d}", f"venue{(i + k) % n:05d}", 1.0 / (k + i))
+        g = g.venue_graph()
         path = tmp_path / "g.graphml"
         tracemalloc.start()
         try:
@@ -242,8 +249,10 @@ class TestTsvDialect:
         assert rows == ["v1\tv2\t0.5", "v1\tv3\t0.125", "v2\tv3\t0.25"]
 
     def test_missing_header_rejected(self):
-        with pytest.raises(ValueError, match="^line 1: missing edge-tsv header line$"):
-            import_graph(b"a\tb\t1.0\n", "edge-tsv")
+        message = "line 1: the header must be '# venuenet-graph directed=false' or '# venuenet-graph directed=true'"
+        for first in ("a\tb\t1.0", "# venuenet-graph", "# venuenet-graph directed=true "):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                import_graph(f"{first}\na\tb\t1.0\n".encode(), "edge-tsv")
 
     @pytest.mark.parametrize("name", ["#x", "#node", "a\tb", "a\nb", "a\rb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x1eb",
                                       "a\x85b", "a\u2028b", "a\u2029b", "\ud800", "a\udfff"])
@@ -251,10 +260,10 @@ class TestTsvDialect:
         # A leading '#' reads as a comment, a tab splits the row, a line
         # break ends it, and UTF-8 has no lone surrogates.
         for make in (lambda g: g.add_edge(name, "b", 1.0), lambda g: g.add_node(name)):
-            g = VenueGraph()
+            g = DictVenueGraph()
             make(g)
             with pytest.raises(ValueError, match="^" + re.escape(f"node {name!r}: ")):
-                export_graph(g, "edge-tsv")
+                export_graph(g.venue_graph(), "edge-tsv")
 
     def test_odd_names_it_can_carry_round_trip(self):
         for directed in (False, True):
@@ -268,6 +277,24 @@ class TestErrors:
             export_graph(VenueGraph(), "dot")
         with pytest.raises(ValueError, match="^unknown export format 'dot'$"):
             import_graph(b"", "dot")
+
+    @pytest.mark.parametrize("fmt, place", [("edge-tsv", "line 2"), ("json", None), ("graphml", None)])
+    @pytest.mark.parametrize("u, v, w, problem", [
+        ("a", "a", 1.0, "self-loop on 'a' not allowed"),
+        ("a", "b", 0.0, "edge weight must be finite and > 0, got 0.0"),
+        ("a", "b", math.nan, "edge weight must be finite and > 0, got nan"),
+    ])
+    def test_readers_refuse_self_loops_and_weights(self, fmt, place, u, v, w, problem):
+        documents = {
+            "edge-tsv": f"# venuenet-graph directed=true\n{u}\t{v}\t{w!r}\n",
+            "json": json.dumps({"format": "venuenet-graph/1", "directed": True, "nodes": [], "edges": [[u, v, w]]}),
+            "graphml": f'<graphml xmlns="{_GRAPHML_NS}"><key id="w" for="edge" attr.name="weight" attr.type="double"/>'
+                       f'<graph edgedefault="directed"><edge source="{u}" target="{v}"><data key="w">{w!r}</data></edge>'
+                       "</graph></graphml>",
+        }
+        message = f"{place or f'edge {u!r} -> {v!r}'}: {problem}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            import_graph(documents[fmt].encode(), fmt)
 
     def test_json_format_tag_checked(self):
         with pytest.raises(ValueError, match="^not a venuenet-graph/1 JSON object$"):

@@ -1,10 +1,9 @@
 """Every artifact byte of four seeded runs, pinned: `venuenet run` on each
 golden corpus must write the sha256 that tests/golden_manifests.json records
-for every output of its manifest.json. Each run pins PYTHONHASHSEED to 0,
-and the linked corpus and the many-venue corpus (whose run the clustering's
-name-keyed heap and dicts dominate) run under seed 1 as well: both runs must
-give their golden hashes, so an output that follows the order of a set or a
-dict of strings fails every time, not by chance.
+for every output of its manifest.json. Each corpus runs twice, with
+PYTHONHASHSEED pinned to 0 and to 1: both runs must give its golden hashes,
+so an output that follows the order of a set or a dict of strings fails
+every time, not by chance.
 
 A change that alters an artifact on purpose rewrites the file with
 
@@ -56,8 +55,8 @@ CORPORA = {
     "scale-800x10-seed1-citation0": _jsonl(800, 10, 1, citation_min=0.0),
     "linked-60x50-seed1-dblp": _linked,
 }
-# the corpora run under a second hash seed beside the pinned 0
-SECOND_SEED = {"linked-60x50-seed1-dblp": "1", "scale-800x10-seed1-citation0": "1"}
+# the hash seeds every corpus runs under
+SEEDS = ("0", "1")
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +69,7 @@ def runs(tmp_path_factory):
     for name, build in CORPORA.items():
         work = tmp_path_factory.mktemp(name)
         cfg = build(work)
-        for seed in ["0", SECOND_SEED[name]] if name in SECOND_SEED else ["0"]:
+        for seed in SEEDS:
             cfg.out_dir = str(work / f"out-{seed}")
             cfg.save(work / f"config-{seed}.txt")
             command = [sys.executable, "-m", "venuenet.cli", "run", "--config", str(work / f"config-{seed}.txt")]
@@ -110,7 +109,7 @@ def _assert_golden(name: str, hashes: dict[str, str]) -> None:
 
 @pytest.mark.parametrize("name", CORPORA)
 def test_run_artifacts_match_the_golden_hashes(runs, name):
-    hashes = _finished(runs, name, "0")
+    hashes = _finished(runs, name, SEEDS[0])
     if UPDATE:
         golden = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {"corpora": {}}
         golden["made_with"] = _made_with()
@@ -120,6 +119,6 @@ def test_run_artifacts_match_the_golden_hashes(runs, name):
     _assert_golden(name, hashes)
 
 
-@pytest.mark.parametrize("name", SECOND_SEED)
+@pytest.mark.parametrize("name", CORPORA)
 def test_run_under_a_second_hash_seed_matches_the_golden_hashes(runs, name):
-    _assert_golden(name, _finished(runs, name, SECOND_SEED[name]))
+    _assert_golden(name, _finished(runs, name, SEEDS[1]))

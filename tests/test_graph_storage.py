@@ -1,10 +1,15 @@
 """The compressed-row VenueGraph against the dict-of-dicts graph it replaced:
-random edge lists built through both must agree, once the dicts are put in
-name order, on every order, every weight bit, the metrics that walk the
-edges and the exported bytes. And nothing read from a VenueGraph may depend
-on the order its nodes and edges were added in."""
+random edge lists, built into a VenueGraph through the dict-of-dicts
+builder's `venue_graph()`, must agree with the dicts put in name order on
+every order, every weight bit, the metrics that walk the edges and the
+exported bytes. And nothing read from a VenueGraph may depend on the order
+its nodes and edges were given in."""
 
+import copy
+import json
 import math
+import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -22,7 +27,7 @@ from oracles import (
     threshold_dict,
 )
 from venuenet.community import greedy_modularity_partition, modularity
-from venuenet.exports import FORMATS, export_graph
+from venuenet.exports import _GRAPHML_NS, FORMATS, export_graph, import_graph
 from venuenet.graph import VenueGraph
 from venuenet.metrics import betweenness_centrality, connected_components, pagerank
 from venuenet.networks import ThresholdRule, apply_threshold
@@ -52,17 +57,15 @@ def edge_lists(draw):
 
 
 def build_both(directed, steps):
-    """The graph the steps build, and the dict-of-dicts graph they build put
-    in name order."""
-    g, d = VenueGraph(directed=directed), DictVenueGraph(directed=directed)
+    """The VenueGraph the steps build, and the dict-of-dicts graph they
+    build put in name order."""
+    d = DictVenueGraph(directed=directed)
     for step in steps:
         if step[0] == "node":
-            g.add_node(step[1], size=step[2])
             d.add_node(step[1], size=step[2])
         elif step[0] != step[1]:
-            g.add_edge(*step)
             d.add_edge(*step)
-    return g, d.name_ordered()
+    return d.venue_graph(), d.name_ordered()
 
 
 def rows(g):
@@ -121,35 +124,27 @@ def test_threshold_and_exports(case, value):
 
 def test_threshold_boundaries():
     """An edge equal to cosine_min is kept; one equal to citation_min is not."""
-    k = VenueGraph()
+    k = DictVenueGraph()
     k.add_edge("a", "b", 0.1)
     k.add_edge("b", "c", math.nextafter(0.1, 0))
-    assert list(apply_threshold(k, ThresholdRule("cosine", 0.1)).edges()) == [("a", "b", 0.1)]
-    f = VenueGraph(directed=True)
+    assert list(apply_threshold(k.venue_graph(), ThresholdRule("cosine", 0.1)).edges()) == [("a", "b", 0.1)]
+    f = DictVenueGraph(directed=True)
     f.add_edge("a", "b", 50.0)
     f.add_edge("c", "a", math.nextafter(50.0, 51))
-    assert list(apply_threshold(f, ThresholdRule("citation", 50.0)).edges()) == [("c", "a", math.nextafter(50.0, 51))]
+    assert list(apply_threshold(f.venue_graph(), ThresholdRule("citation", 50.0)).edges()) == [("c", "a", math.nextafter(50.0, 51))]
 
 
 def test_builder_sets_in_name_order():
-    g = VenueGraph()
-    g.add_edge("b", "x", 1.0)
-    g.add_edge("b", "a", 1.0)
-    g.add_edge("a", "b", 3.0)  # the same edge, reversed: set, not added
-    g.add_node("c")
+    d = DictVenueGraph()
+    d.add_edge("b", "x", 1.0)
+    d.add_edge("b", "a", 1.0)
+    d.add_edge("a", "b", 3.0)  # the same edge, reversed: set, not added
+    d.add_node("c")
+    g = d.venue_graph()
     assert list(g.nodes) == ["a", "b", "c", "x"]
     assert list(neighbors(g, "b").items()) == [("a", 3.0), ("x", 1.0)]
+    assert list(g.edges()) == [("a", "b", 3.0), ("b", "x", 1.0)]
     assert g.edge_count() == 2
-    g.add_node("0")  # after a read, new nodes and arcs join in name order
-    g.add_edge("x", "a", 0.5)
-    assert list(g.nodes) == ["0", "a", "b", "c", "x"]
-    assert list(neighbors(g, "a").items()) == [("b", 3.0), ("x", 0.5)]
-    assert list(g.edges()) == [("a", "b", 3.0), ("a", "x", 0.5), ("b", "x", 1.0)]
-    for bad, message in ((("a", "a", 1.0), "self-loop on 'a' not allowed"),
-                         (("a", "b", 0.0), "edge weight must be finite and > 0, got 0.0"),
-                         (("a", "b", math.nan), "edge weight must be finite and > 0, got nan")):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            g.add_edge(*bad)
 
 
 def test_from_arcs_refuses_names_or_arcs_out_of_order():
@@ -213,3 +208,73 @@ def test_insertion_order_does_not_matter(case, data):
     clusters = data.draw(st.lists(st.sampled_from("pqr"), min_size=len(a.nodes), max_size=len(a.nodes)))
     assignment = dict(zip(sorted(a.nodes), clusters))
     assert readings(b, assignment) == readings(a, assignment)
+
+
+def document_units(g, fmt):
+    """Each node and edge of the export of `g` in `fmt` as a unit (kind,
+    names, text or element), and the function that makes a document of
+    units given in any order."""
+    data = export_graph(g, fmt).decode("utf-8")
+    if fmt == "edge-tsv":
+        header, *lines = data.splitlines(keepends=True)
+        units = [("node", (line.split("\t")[1],), line) if line.startswith("#node\t")
+                 else ("edge", tuple(line.split("\t")[:2]), line) for line in lines]
+        return units, lambda units: (header + "".join(unit for _, _, unit in units)).encode()
+    if fmt == "json":
+        obj = json.loads(data)
+        units = [("node", (node[0],), node) for node in obj["nodes"]] + [("edge", tuple(e[:2]), e) for e in obj["edges"]]
+        return units, lambda units: json.dumps(
+            {**obj, **{f"{kind}s": [unit for k, _, unit in units if k == kind] for kind in ("node", "edge")}}
+        ).encode()
+    root = ET.fromstring(data)
+    graph = root.find(f"{{{_GRAPHML_NS}}}graph")
+    units = [("node", (el.get("id"),), el) if el.tag.endswith("node") else ("edge", (el.get("source"), el.get("target")), el)
+             for el in graph]
+
+    def join(units):
+        graph[:] = [unit for _, _, unit in units]
+        return ET.tostring(root)
+
+    return units, join
+
+
+def reversed_unit(unit, fmt):
+    """The edge `unit` with its source and target swapped."""
+    _, (u, v), body = unit
+    if fmt == "edge-tsv":
+        body = "\t".join([v, u, body.split("\t")[2]])
+    elif fmt == "json":
+        body = [v, u, body[2]]
+    else:
+        body = copy.deepcopy(body)
+        body.set("source", v)
+        body.set("target", u)
+    return "edge", (v, u), body
+
+
+@SETTINGS
+@given(insertion_orders(), st.sampled_from(FORMATS), st.data())
+def test_readers_take_any_order_and_refuse_repeats(case, fmt, data):
+    """An export with its nodes and edges shuffled reads back as the graph;
+    with one of them given again later (an undirected edge the other way
+    round), it is refused, naming the later one."""
+    directed, steps, _ = case
+    g, _ = build_both(directed, steps)
+    units, join = document_units(g, fmt)
+    units = data.draw(st.permutations(units))
+    assert import_graph(join(units), fmt) == g
+    if not units:
+        return
+    first = data.draw(st.integers(0, len(units) - 1))
+    kind, names, _ = units[first]
+    again = units[first] if kind == "node" or directed else reversed_unit(units[first], fmt)
+    later = data.draw(st.integers(first + 1, len(units)))
+    units.insert(later, again)
+    if fmt == "edge-tsv":
+        message = f"line {later + 2}: repeats line {first + 2}"
+    elif kind == "node":
+        message = f"node {names[0]!r}: repeats node {names[0]!r}"
+    else:
+        message = f"edge {again[1][0]!r} -> {again[1][1]!r}: repeats edge {names[0]!r} -> {names[1]!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        import_graph(join(units), fmt)

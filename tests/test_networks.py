@@ -6,6 +6,7 @@ import pytest
 
 from conftest import corpus_from_lines, saved_matrix_bytes
 from oracles import (
+    DictVenueGraph,
     citation_network_loop,
     coupling_json_dumps,
     coupling_matrix_loop,
@@ -442,34 +443,34 @@ class TestBuildersOnTheReferenceIndex:
 
 class TestThreshold:
     def _undirected(self, *weights):
-        g = VenueGraph()
+        g = DictVenueGraph()
         for i, w in enumerate(weights):
             g.add_edge("hub", f"n{i}", w)
         return g
 
     def test_cosine_boundary_inclusive(self):
-        g = self._undirected(0.1, 0.0999, 0.5)
+        g = self._undirected(0.1, 0.0999, 0.5).venue_graph()
         reduced = apply_threshold(g, ThresholdRule("cosine", 0.1))
         weights = sorted(w for _, _, w in reduced.edges())
         assert weights == [0.1, 0.5]
 
     def test_citation_boundary_exclusive(self):
-        g = VenueGraph(directed=True)
+        g = DictVenueGraph(directed=True)
         g.add_edge("a", "b", 50.0)
         g.add_edge("a", "c", 51.0)
-        reduced = apply_threshold(g, ThresholdRule("citation", 50.0))
+        reduced = apply_threshold(g.venue_graph(), ThresholdRule("citation", 50.0))
         assert "b" not in neighbors(reduced, "a")
         assert neighbors(reduced, "a")["c"] == 51.0
 
     def test_identity_when_all_pass(self):
-        g = self._undirected(0.5, 0.9)
+        g = self._undirected(0.5, 0.9).venue_graph()
         reduced = apply_threshold(g, ThresholdRule("cosine", 0.1))
         assert reduced == g
 
     def test_isolated_nodes_removed(self):
         g = self._undirected(0.05, 0.5)
         g.add_node("loner")
-        reduced = apply_threshold(g, ThresholdRule("cosine", 0.1))
+        reduced = apply_threshold(g.venue_graph(), ThresholdRule("cosine", 0.1))
         assert sorted(reduced.nodes) == ["hub", "n1"]
 
     def test_rule_graph_mismatch(self):
@@ -480,9 +481,10 @@ class TestThreshold:
 
     def test_pure_filter_never_alters_weights(self):
         rng = random.Random(41)
-        g = VenueGraph()
+        g = DictVenueGraph()
         for i in range(30):
             g.add_edge(f"a{rng.randint(0, 9)}x", f"b{i}", rng.random())
+        g = g.venue_graph()
         reduced = apply_threshold(g, ThresholdRule("cosine", 0.3))
         original = {(u, v): w for u, v, w in g.edges()}
         for u, v, w in reduced.edges():
@@ -504,20 +506,20 @@ class TestThreshold:
 
 class TestSummarize:
     def test_triangle(self):
-        g = VenueGraph()
+        g = DictVenueGraph()
         g.add_edge("a", "b", 1.0)
         g.add_edge("b", "c", 1.0)
         g.add_edge("a", "c", 1.0)
-        s = summarize(g)
+        s = summarize(g.venue_graph())
         assert (s.nodes, s.edges, s.components) == (3, 3, 1)
         assert s.density == 1.0
         assert s.clustering_coefficient == 1.0
 
     def test_two_disjoint_edges(self):
-        g = VenueGraph()
+        g = DictVenueGraph()
         g.add_edge("a", "b", 1.0)
         g.add_edge("c", "d", 1.0)
-        s = summarize(g)
+        s = summarize(g.venue_graph())
         assert s.components == 2
         assert s.density == pytest.approx(1 / 3, abs=1e-12)
 
@@ -532,8 +534,9 @@ class TestSummarize:
         )
 
     def test_table_formatting(self):
-        g = VenueGraph()
+        g = DictVenueGraph()
         g.add_edge("a", "b", 1.0)
+        g = g.venue_graph()
         table = format_summary_table({"K": summarize(g), "K'": summarize(g)})
         lines = table.strip().split("\n")
         assert lines[0].split() == ["Property", "K", "K'"]
@@ -551,7 +554,8 @@ class TestSummarize:
         assert dict(summary.rows())["Density"] == shown
 
     def test_complete_graph_table_reads_100_percent(self):
-        g = VenueGraph()
+        g = DictVenueGraph()
         g.add_edge("a", "b", 1.0)
+        g = g.venue_graph()
         assert "1e+02" not in format_summary_table({"K": summarize(g)})
         assert format_summary_table({"K": summarize(g)}).splitlines()[4].split() == ["Density", "100%"]

@@ -13,9 +13,8 @@ from venuenet import community, linkage, metrics, pipeline, subgraphs
 from venuenet.cli import main
 from venuenet.community import read_partition
 from venuenet.corpus import save_corpus
-from venuenet.exports import load_graph, write_graph
+from venuenet.exports import load_graph
 from venuenet.linkage import MATCHES_HEADER
-from venuenet.graph import VenueGraph
 from venuenet.networks import ThresholdRule, apply_threshold, summarize
 from conftest import write_dblp
 from oracles import cluster_sets, graphml_et, record_ids
@@ -621,10 +620,7 @@ class TestCli:
         assert heads == {source: json.dumps({"source": source}) for source in heads}
 
     def test_metrics_no_normalized_writes_raw_betweenness(self, tmp_path):
-        graph = VenueGraph(directed=True)
-        for u, v in [("a", "b"), ("b", "c"), ("c", "d")]:
-            graph.add_edge(u, v, 1.0)
-        write_graph(graph, tmp_path / "path.tsv")
+        (tmp_path / "path.tsv").write_text("# venuenet-graph directed=true\na\tb\t1.0\nb\tc\t1.0\nc\td\t1.0\n")
         values = {}
         for flag in ("--normalized", "--no-normalized"):
             out = tmp_path / f"{flag}.tsv"
@@ -1122,6 +1118,24 @@ class TestCli:
         assert result.stderr.startswith("error: ") and message in result.stderr and len(result.stderr.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "options, refused",
+        [
+            (["--metric", "pagerank", "--no-normalized", "--weighted"], "--normalized/--no-normalized"),
+            (["--metric", "density", "--no-normalized", "--d", "0.5"], "--d"),
+            (["--metric", "betweenness", "--max-iter", "5"], "--max-iter"),
+            (["--metric", "lcc", "--unweighted"], "--weighted/--unweighted"),
+            (["--metric", "clustering", "--out", "x.tsv"], "--out"),
+        ],
+    )
+    def test_metrics_refuses_options_its_metric_does_not_read(self, tmp_path, options, refused):
+        graph = tmp_path / "f.tsv"
+        graph.write_text("# venuenet-graph directed=true\na\tb\t1.0\n")
+        result = CliRunner().invoke(main, ["metrics", "--graph", str(graph), *options])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {refused} does not apply to --metric {options[1]}\n"
+
     def test_cluster_domains_errors_exit_1(self, tmp_path):
         graph = tmp_path / "k.tsv"
         graph.write_text("# venuenet-graph directed=false\na\tb\t1.0\n")
@@ -1153,6 +1167,7 @@ class TestCli:
 
 
 TSV_HEADER = "# venuenet-graph directed=false\n"
+TSV_DIRECTED = "# venuenet-graph directed=true\n"
 GRAPHML_HEAD = '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph edgedefault="undirected">'
 GRAPHML_TAIL = "</graph></graphml>"
 PARTITION_OK = "venue_key\tcluster_id\nv1\tv1\n"
@@ -1184,6 +1199,50 @@ READER_CASES = [
     # node names the edge-TSV writer refuses: a row starting with '#' is a comment
     ("tsv-hash-target", "threshold", {"g.tsv": TSV_HEADER + "a\tb\t1.0\na\t#b\t1.0\n"}, "g.tsv", "line 3: node '#b'"),
     ("tsv-hash-node-line", "threshold", {"g.tsv": TSV_HEADER + "#node\t#x\t{}\n"}, "g.tsv", "line 2: node '#x'"),
+    # each node and edge once, both directions of an undirected edge one edge: a repeat is a damaged file
+    ("tsv-undirected-edge-both-ways", "threshold", {"g.tsv": TSV_HEADER + "a\tb\t1.0\nb\ta\t2.0\n"}, "g.tsv",
+     "line 3: repeats line 2"),
+    ("tsv-directed-edge-twice", "threshold-citation", {"g.tsv": TSV_DIRECTED + "a\tb\t1.0\na\tb\t5.0\n"}, "g.tsv",
+     "line 3: repeats line 2"),
+    ("tsv-node-line-twice", "threshold",
+     {"g.tsv": TSV_HEADER + '#node\ta\t{"x": 1}\na\tb\t1.0\n#node\ta\t{"x": 2}\n'}, "g.tsv", "line 4: repeats line 2"),
+    ("json-graph-node-twice", "export",
+     {"g.json": '{"format": "venuenet-graph/1", "directed": false, "nodes": [["a", {"x": 1}], ["a", {"y": 2}]], "edges": []}'},
+     "g.json", "node 'a': repeats node 'a'"),
+    ("json-graph-edge-both-ways", "export",
+     {"g.json": '{"format": "venuenet-graph/1", "directed": false, "nodes": [], "edges": [["a", "b", 1.0], ["b", "a", 3.0]]}'},
+     "g.json", "edge 'b' -> 'a': repeats edge 'a' -> 'b'"),
+    ("graphml-node-twice", "export-graphml", {"g.graphml": GRAPHML_HEAD + '<node id="a"/><node id="a"/>' + GRAPHML_TAIL},
+     "g.graphml", "node 'a': repeats node 'a'"),
+    ("graphml-edge-twice", "export-graphml",
+     {"g.graphml": GRAPHML_HEAD.replace("<graph ", '<key id="d0" for="edge" attr.name="weight" attr.type="double"/><graph ')
+      + '<edge source="a" target="b"><data key="d0">1.0</data></edge>'
+      + '<edge source="b" target="a"><data key="d0">2.0</data></edge>' + GRAPHML_TAIL},
+     "g.graphml", "edge 'b' -> 'a': repeats edge 'a' -> 'b'"),
+    ("graphml-node-data-twice", "export-graphml",
+     {"g.graphml": GRAPHML_HEAD.replace("<graph ", '<key id="d0" for="node" attr.name="n" attr.type="long"/><graph ')
+      + '<node id="a"><data key="d0">1</data><data key="d0">2</data></node>' + GRAPHML_TAIL},
+     "g.graphml", "node 'a': attribute 'n' is given twice"),
+    ("graphml-edge-weight-twice", "export-graphml",
+     {"g.graphml": GRAPHML_HEAD.replace("<graph ", '<key id="d0" for="edge" attr.name="weight" attr.type="double"/><graph ')
+      + '<edge source="a" target="b"><data key="d0">1.0</data><data key="d0">5.0</data></edge>' + GRAPHML_TAIL},
+     "g.graphml", "edge 'a' -> 'b': attribute 'weight' is given twice"),
+    # the direction is read from exactly one field, and only its two values are taken
+    ("tsv-header-directed-yes", "threshold", {"g.tsv": "# venuenet-graph directed=yes\na\tb\t1.0\n"}, "g.tsv",
+     "line 1: the header must be"),
+    ("tsv-header-directed-twice", "threshold-citation",
+     {"g.tsv": "# venuenet-graph directed=true directed=false\na\tb\t1.0\n"}, "g.tsv", "line 1: the header must be"),
+    ("json-graph-directed-missing", "export", {"g.json": '{"format": "venuenet-graph/1", "nodes": [], "edges": []}'},
+     "g.json", "'directed' must be true or false, got None"),
+    ("json-graph-directed-string", "export",
+     {"g.json": '{"format": "venuenet-graph/1", "directed": "true", "nodes": [], "edges": []}'},
+     "g.json", "'directed' must be true or false, got 'true'"),
+    ("graphml-edgedefault-capitalized", "export-graphml",
+     {"g.graphml": GRAPHML_HEAD.replace("undirected", "Directed") + GRAPHML_TAIL},
+     "g.graphml", "<graph edgedefault='Directed'>: must be 'directed' or 'undirected'"),
+    ("graphml-edgedefault-missing", "export-graphml",
+     {"g.graphml": GRAPHML_HEAD.replace(' edgedefault="undirected"', "") + GRAPHML_TAIL},
+     "g.graphml", "<graph edgedefault=None>: must be 'directed' or 'undirected'"),
     ("json-graph-nodes-not-a-list", "export",
      {"g.json": '{"format": "venuenet-graph/1", "directed": false, "nodes": 5, "edges": []}'}, "g.json", "'nodes'"),
     ("matrix-deep", "project", {"m.json": "[" * 100_000, "p.tsv": PARTITION_OK}, "m.json", "nested too deeply"),
@@ -1280,6 +1339,7 @@ READER_CASES = [
 ]
 READER_ARGS = {
     "threshold": ["threshold", "{g.tsv}", "--rule", "cosine", "--out", "{out.tsv}"],
+    "threshold-citation": ["threshold", "{g.tsv}", "--rule", "citation", "--min", "3", "--out", "{out.tsv}"],
     "cluster": ["cluster", "--graph", "{g.tsv}", "--out", "{out.tsv}"],
     "cluster-domains": ["cluster", "--graph", "{g.tsv}", "--out", "{out.tsv}", "--domains", "{d.tsv}",
                         "--composition-out", "{comp.tsv}"],
@@ -1345,7 +1405,7 @@ def test_unwritable_outputs_exit_1_naming_the_path(tmp_path, command):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), result.exception  # not an escaped traceback
     lines = result.stderr.splitlines()
-    named = "--out is only written for betweenness and pagerank" if command == "metrics-density" else str(out)
+    named = "--out does not apply to --metric density" if command == "metrics-density" else str(out)
     assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], result.stderr
 
 

@@ -181,26 +181,26 @@ def profile_of_graph(g: VenueGraph) -> SubgraphProfile:
 
 class TestProfiles:
     def test_triangle(self):
-        g = VenueGraph()
+        g = DictVenueGraph()
         for a, b in [("x", "y"), ("y", "z"), ("x", "z")]:
             g.add_edge(a, b, 1.0)
-        assert profile_of_graph(g).as_tuple() == (1.0, 1.0, 0.0, 1.0)
+        assert profile_of_graph(g.venue_graph()).as_tuple() == (1.0, 1.0, 0.0, 1.0)
 
     def test_star_five(self):
-        g = VenueGraph()
+        g = DictVenueGraph()
         for i in range(4):
             g.add_edge("hub", f"leaf{i}", 1.0)
-        p = profile_of_graph(g)
+        p = profile_of_graph(g.venue_graph())
         assert p.m1_density == pytest.approx(0.4, abs=1e-12)
         assert p.m2_avg_clustering == 0.0
         assert p.m3_max_betweenness == 1.0
         assert p.m4_lcc_fraction == 1.0
 
     def test_two_isolated_nodes(self):
-        g = VenueGraph()
+        g = DictVenueGraph()
         g.add_node("x")
         g.add_node("y")
-        assert profile_of_graph(g).as_tuple() == (0.0, 0.0, 0.0, 0.5)
+        assert profile_of_graph(g.venue_graph()).as_tuple() == (0.0, 0.0, 0.0, 0.5)
 
     def test_empty_subgraph_error(self):
         # the per-venue oracle refuses an empty subgraph; profile_venues
@@ -421,7 +421,7 @@ EDGE_CASE_LINES = (
 def layered_diamond_graph(layers: int) -> VenueGraph:
     """A start node, `layers` layers of 3 nodes each linked to all of the
     next layer, and an end node: 3**layers shortest paths end to end."""
-    g = VenueGraph()
+    g = DictVenueGraph()
     previous = ["start"]
     for layer in range(layers + 1):
         current = [f"l{layer:02d}.{k}" for k in range(3)] if layer < layers else ["end"]
@@ -429,7 +429,7 @@ def layered_diamond_graph(layers: int) -> VenueGraph:
             for v in current:
                 g.add_edge(u, v, 1.0)
         previous = current
-    return g
+    return g.venue_graph()
 
 
 class TestBatchedProfiles:
