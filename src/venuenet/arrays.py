@@ -24,6 +24,14 @@ def exact(values, terms: int = 1) -> np.ndarray:
     return a.astype(object) if int(a.max(initial=0)) * terms > INT64_MAX else a
 
 
+class FirstSeenIds(dict):
+    """Value -> id: a value looked up for the first time gets the next id."""
+
+    def __missing__(self, value) -> int:
+        self[value] = len(self)
+        return len(self) - 1
+
+
 def row_offsets(rows: np.ndarray, n: int) -> np.ndarray:
     """The indptr of n rows from the row of each entry, entries grouped by row."""
     return np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]

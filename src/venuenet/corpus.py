@@ -20,21 +20,23 @@ keeps one object per distinct target, venue key, year and author name.
 
 from __future__ import annotations
 
+import copy
 import functools
 import gc
 import json
 import re
 import unicodedata
-from dataclasses import InitVar, dataclass
-from itertools import chain
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
-from operator import attrgetter
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .arrays import ids
+from .arrays import FirstSeenIds, concat_ranges, ids
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
@@ -127,54 +129,85 @@ class ReferenceIndex:
     external_keys: list[str]
 
 
-@dataclass
 class Corpus:
-    """`rows` (record id -> row) is the parser's, which builds it while it
-    reads; without it, it is taken from `records`."""
+    """A corpus as columns, row r holding its r-th record: `ids` and
+    `titles`; row r's venue key venue_keys[venue[r]] (-1: none) and year
+    years[r] (0: none); its references targets[c] for each code c of
+    ref_codes[ref_offsets[r]:ref_offsets[r + 1]], and its authors
+    authors[c] for each code c of author_codes[author_offsets[r]:
+    author_offsets[r + 1]]. The three tables hold each distinct value once,
+    and a slice shares its parent's, so they may hold values no row uses.
+    `records` shows the rows as PublicationRecords. A corpus does not change
+    once made."""
 
-    records: list[PublicationRecord]
-    venue_table: dict[str, VenueInfo]
-    source: str = METADATA_CORPUS
-    rows: InitVar[dict[str, int] | None] = None
+    def __init__(self, records: Iterable[PublicationRecord], venue_table: dict[str, VenueInfo], source: str = METADATA_CORPUS):
+        build = _Builder(venue_table, fill_venues=False)
+        for position, rec in enumerate(records, start=1):
+            where = f"record {position}"
+            build.row(rec.record_id, where)
+            build.add(where, rec.title, [a.full_name for a in rec.authors], rec.venue_key, rec.year, rec.references)
+        build.fill(self, source)
 
-    def __post_init__(self, rows: dict[str, int] | None) -> None:
-        self._rows: dict[str, int] = {r.record_id: i for i, r in enumerate(self.records)} if rows is None else rows
-        self._references: ReferenceIndex | None = None
+    @property
+    def records(self) -> Sequence[PublicationRecord]:
+        return _Records(self)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Corpus) and (self.source, self.venue_table, self.records) == (
+            other.source, other.venue_table, other.records)
+
+    def _derive(self, **columns) -> Corpus:
+        """A corpus with this one's columns but `columns`, its indexes built
+        anew."""
+        derived = copy.copy(self)
+        vars(derived).update(columns, _references=None)
+        derived._rows = dict(zip(derived.ids, range(len(derived.ids))))
+        return derived
 
     def record(self, record_id: str) -> PublicationRecord:
         return self.records[self._rows[record_id]]
 
+    def references(self, record_id: str) -> list[str]:
+        """The record's reference targets, in order."""
+        row = self._rows[record_id]
+        return list(map(self.targets.__getitem__, self.ref_codes[self.ref_offsets[row] : self.ref_offsets[row + 1]].tolist()))
+
+    def reference_lists(self) -> Iterator[list[str]]:
+        """Each row's reference targets, in row order."""
+        return _row_lists(self.targets, self.ref_codes, self.ref_offsets)
+
+    def with_references(self, references: Iterable[Iterable[str]]) -> Corpus:
+        """This corpus with row r's references the r-th of `references`."""
+        build = _Builder({})
+        for refs in references:
+            build.add_references(refs)
+        return self._derive(**build.reference_columns(), venue_table=dict(self.venue_table))
+
     def reference_counts(self) -> tuple[int, int]:
         """The number of references and of distinct reference targets."""
-        per_record = list(map(attrgetter("references"), self.records))
-        lengths = np.fromiter(map(len, per_record), np.int64, len(per_record))
-        return int(lengths.sum()), len(set(chain.from_iterable(per_record)))
+        return self.ref_codes.size, _used(self.ref_codes, len(self.targets)).size
 
     def reference_index(self) -> ReferenceIndex:
-        """The index, built on first use; the records must not change after.
-        Every reader of the references reads it."""
+        """The index, built on first use. Every reader of the references
+        reads it."""
         if self._references is None:
-            venues = sorted({r.venue_key for r in self.records} - {None})
-            venue_ids = {venue: i for i, venue in enumerate(venues)}
-            per_record = list(map(attrgetter("references"), self.records))
-            offsets = np.cumsum([0, *map(len, per_record)], dtype=np.int64)
-            # each distinct target resolved once, in first-seen order and in place:
-            # its row, or -1 - k for the k-th distinct normalized key naming no record
-            codes = dict.fromkeys(chain.from_iterable(per_record))
-            rows, external = self._rows, {}
-            for target in codes:
+            venue_codes = sorted(_used(self.venue[self.venue >= 0], len(self.venue_keys)).tolist(), key=self.venue_keys.__getitem__)
+            rank = np.full(len(self.venue_keys) + 1, -1, np.int64)  # its last entry ranks venue -1: none
+            rank[venue_codes] = np.arange(len(venue_codes))
+            # each distinct target resolved once, in the order the references first
+            # name it: its row, or -1 - k for the k-th distinct normalized key naming no record
+            codes, n = self.ref_codes, self.ref_codes.size
+            first = np.full(len(self.targets), n, np.int64)
+            np.minimum.at(first, codes, np.arange(n))
+            seen = np.argsort(first, kind="stable")[: np.count_nonzero(first < n)]
+            rows, external, resolved = self._rows, {}, []
+            for target in map(self.targets.__getitem__, seen.tolist()):
                 row = rows.get(target)
-                if row is None:
-                    row = -1 - external.setdefault(normalize_reference_key(target), len(external))
-                codes[target] = row
-            targets = map(codes.__getitem__, chain.from_iterable(per_record))
-            self._references = ReferenceIndex(
-                venues=venues,
-                record_venue=np.array([venue_ids.get(r.venue_key, -1) for r in self.records], dtype=np.int64),
-                offsets=offsets,
-                targets=np.fromiter(targets, dtype=np.int64, count=int(offsets[-1])),
-                external_keys=list(external),
-            )
+                resolved.append(-1 - external.setdefault(normalize_reference_key(target), len(external)) if row is None else row)
+            row_of = np.zeros(len(self.targets), np.int64)
+            row_of[seen] = resolved
+            venues = list(map(self.venue_keys.__getitem__, venue_codes))
+            self._references = ReferenceIndex(venues, rank[self.venue], self.ref_offsets, row_of[codes], list(external))
         return self._references
 
     def author_index(self) -> tuple[np.ndarray, np.ndarray, list[AuthorName]]:
@@ -182,28 +215,132 @@ class Corpus:
         full-name order: record r (its row) has the authors
         distinct[authors[offsets[r]:offsets[r + 1]]], in its own order, as
         `(offsets, authors, distinct)`. Built on each call and not kept."""
-        per_record = list(map(attrgetter("authors"), self.records))
-        occurrences = list(chain.from_iterable(per_record))
-        full = list(map(attrgetter("full_name"), occurrences))
-        by_name = dict(zip(full, occurrences))  # one AuthorName per distinct full name
-        del occurrences
-        names = sorted(by_name)
-        distinct = list(map(by_name.__getitem__, names))
-        by_name.update(zip(names, range(len(names))))
-        authors = np.fromiter(map(by_name.__getitem__, full), ids(len(names)), len(full))
-        offsets = np.r_[0, np.cumsum(np.fromiter(map(len, per_record), np.int64, len(per_record)))]
-        return offsets, authors, distinct
+        used = _used(self.author_codes, len(self.authors)).tolist()
+        names = [self.authors[a].full_name for a in used]
+        by_name = [used[i] for i in sorted(range(len(used)), key=names.__getitem__)]
+        rank = np.zeros(len(self.authors), ids(len(by_name)))
+        rank[by_name] = np.arange(len(by_name))
+        return self.author_offsets, rank[self.author_codes], list(map(self.authors.__getitem__, by_name))
 
     def id_order(self) -> np.ndarray:
         """The rows in record-id order."""
-        n = len(self.records)
+        n = len(self.ids)
         # timsort (stable), which is quick on ids that come near name order already
-        record_ids = np.fromiter(map(attrgetter("record_id"), self.records), object, n)
-        return np.argsort(record_ids, kind="stable").astype(ids(n))
+        return np.argsort(np.fromiter(self.ids, object, n), kind="stable").astype(ids(n))
 
     def venue_kind(self, venue_key: str) -> str:
         info = self.venue_table.get(venue_key)
         return info.kind if info else UNKNOWN_KIND
+
+
+def _row_lists(table: list, codes: np.ndarray, offsets: np.ndarray) -> Iterator[list]:
+    """table[c] for the codes c of each row in turn, read through a
+    memoryview, whose ints live one at a time."""
+    values = map(table.__getitem__, memoryview(codes))
+    return (list(islice(values, count)) for count in memoryview(np.diff(offsets)))
+
+
+def _used(codes: np.ndarray, size: int) -> np.ndarray:
+    """The codes below `size` that `codes` holds, ascending."""
+    return np.flatnonzero(np.bincount(codes, minlength=size))
+
+
+class _Records(Sequence):
+    """A corpus's rows as PublicationRecords, each built when it is read."""
+
+    def __init__(self, corpus: Corpus):
+        self._corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self._corpus.ids)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        return list(map(self._record, rows)) if isinstance(index, slice) else self._record(rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __add__(self, other) -> list[PublicationRecord]:
+        return [*self, *other]
+
+    def _record(self, row: int) -> PublicationRecord:
+        c = self._corpus
+        authors = c.author_codes[c.author_offsets[row] : c.author_offsets[row + 1]].tolist()
+        refs = c.ref_codes[c.ref_offsets[row] : c.ref_offsets[row + 1]].tolist()
+        venue, year = int(c.venue[row]), int(c.years[row])
+        return PublicationRecord(c.ids[row], c.titles[row], tuple(map(c.authors.__getitem__, authors)),
+                                 c.venue_keys[venue] if venue >= 0 else None, year or None, tuple(map(c.targets.__getitem__, refs)))
+
+
+class _Builder:
+    """A corpus's columns, filled a record at a time, and what every way of
+    making a corpus does alike: no record id twice, each distinct target,
+    venue key and author name held once, names and years checked, and, with
+    `fill_venues` (a parse), a `venue_table` entry for each venue key no
+    venue line names.
+
+    A record is `row`, then `add`; a parse checks its other fields in
+    between, so its faults come in the order its format fixes."""
+
+    def __init__(self, venue_table: dict[str, VenueInfo], fill_venues: bool = True):
+        self.venue_table, self.fill_venues = venue_table, fill_venues
+        self.rows, self.titles, self.venue_codes, self.venue, self.years = {}, [], {}, array("i"), array("h")
+        # the codes go in lists, which take a record's codes quicker than arrays do
+        self.names, self.author_codes, self.author_ends = {}, [], array("q", [0])
+        self.targets, self.ref_codes, self.ref_ends = FirstSeenIds(), [], array("q", [0])
+
+    def row(self, record_id: str, position: str) -> None:
+        if record_id in self.rows:
+            raise DuplicateRecordIdError(record_id, position)
+        self.rows[record_id] = len(self.rows)
+
+    def add(self, position: str, title: str, names: Iterable, venue_key: str | None, year: int | None,
+            refs: Iterable[str], venue_info: VenueInfo | None = None) -> None:
+        """The rest of the record: its names checked (each once) before its
+        year. `venue_info` is the venue-table entry a parse makes for a venue
+        key no venue line names (default: the key, of unknown kind)."""
+        known, append = self.names, self.author_codes.append
+        for name in names:
+            if not isinstance(name, str):  # before the lookup: a list is no dict key
+                raise MalformedEntryError(position, f"empty or non-string author name {name!r}")
+            code = known.get(name)
+            if code is None:
+                if not name.strip():
+                    raise MalformedEntryError(position, f"empty or non-string author name {name!r}")
+                code = known[name] = len(known)
+            append(code)
+        if year is not None and (year.__class__ is not int or not YEAR_MIN <= year <= YEAR_MAX):
+            _check_year(year, position)
+        self.author_ends.append(len(self.author_codes))
+        self.titles.append(title)
+        venue = self.venue_codes.get(venue_key, -1)  # -1: none
+        if venue < 0 and venue_key is not None:
+            venue = self.venue_codes[venue_key] = len(self.venue_codes)
+            if self.fill_venues and venue_key not in self.venue_table:
+                self.venue_table[venue_key] = venue_info or VenueInfo(name=venue_key)
+        self.venue.append(venue)
+        self.years.append(year or 0)
+        self.add_references(refs)
+
+    def add_references(self, refs: Iterable[str]) -> None:
+        self.ref_codes += map(self.targets.__getitem__, refs)
+        self.ref_ends.append(len(self.ref_codes))
+
+    def reference_columns(self) -> dict:
+        return dict(ref_offsets=np.frombuffer(self.ref_ends, np.int64), targets=list(self.targets),
+                    ref_codes=np.fromiter(self.ref_codes, np.int32, len(self.ref_codes)))
+
+    def fill(self, corpus: Corpus, source: str) -> Corpus:
+        """`corpus` given the columns built, and returned."""
+        vars(corpus).update(
+            self.reference_columns(), ids=list(self.rows), titles=self.titles, venue_keys=list(self.venue_codes),
+            venue=np.frombuffer(self.venue, np.int32), years=np.frombuffer(self.years, np.int16),
+            author_offsets=np.frombuffer(self.author_ends, np.int64), authors=list(map(AuthorName, self.names)),
+            author_codes=np.fromiter(self.author_codes, np.int32, len(self.author_codes)),
+            venue_table=self.venue_table, source=source, _rows=self.rows, _references=None,
+        )
+        return corpus
 
 
 @dataclass
@@ -229,22 +366,6 @@ def _check_year(year, position: str) -> int:
     if not YEAR_MIN <= year <= YEAR_MAX:
         raise MalformedEntryError(position, f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
     return year
-
-
-def _make_authors(names: Iterable[str], position: str, interned: dict[str, AuthorName]) -> tuple[AuthorName, ...]:
-    """`interned` holds one AuthorName per distinct full name seen so far in
-    the parse, so each name is checked and stored once."""
-    authors = []
-    for name in names:
-        if not isinstance(name, str):  # before the lookup: a list is no dict key
-            raise MalformedEntryError(position, f"empty or non-string author name {name!r}")
-        author = interned.get(name)
-        if author is None:
-            if not name.strip():
-                raise MalformedEntryError(position, f"empty or non-string author name {name!r}")
-            author = interned[name] = AuthorName(name)
-        authors.append(author)
-    return tuple(authors)
 
 
 # json's C scanner, called on a line directly: json.loads would add a type
@@ -311,12 +432,8 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
     Each line is decoded on its own; the first bad line raises with its
     number. The checks run in a fixed order, so a line with several faults
     always reports the same one."""
-    records: list[PublicationRecord] = []
-    venue_table: dict[str, VenueInfo] = {}
-    rows: dict[str, int] = {}
-    distinct: dict[str, str] = {}  # one object per distinct reference target
-    shared: dict = {}  # one object per distinct venue key and year
-    interned: dict[str, AuthorName] = {}
+    build = _Builder({})
+    venue_table = build.venue_table
 
     for lineno, raw in enumerate(stream, start=1):
         try:
@@ -349,40 +466,27 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
                 raise MalformedEntryError(f"line {lineno}", "record missing 'id'")
             continue
 
+        position = f"line {lineno}"
         record_id = obj["id"]
         if record_id.__class__ is not str or not record_id:
-            raise MalformedEntryError(f"line {lineno}", f"record id must be a non-empty string, got {record_id!r}")
-        if record_id in rows:
-            raise DuplicateRecordIdError(record_id, f"line {lineno}")
-        rows[record_id] = len(records)
+            raise MalformedEntryError(position, f"record id must be a non-empty string, got {record_id!r}")
+        build.row(record_id, position)
 
         title = obj.get("title", "")
         if title.__class__ is not str:
-            raise MalformedEntryError(f"line {lineno}", "title must be a string")
+            raise MalformedEntryError(position, "title must be a string")
         venue_key = obj.get("venue")
-        if venue_key is not None:
-            if venue_key.__class__ is not str or not venue_key:
-                raise MalformedEntryError(f"line {lineno}", f"venue must be a non-empty string or null, got {venue_key!r}")
-            venue_key = shared.setdefault(venue_key, venue_key)
+        if venue_key is not None and (venue_key.__class__ is not str or not venue_key):
+            raise MalformedEntryError(position, f"venue must be a non-empty string or null, got {venue_key!r}")
         refs = obj.get("refs", [])
         if refs.__class__ is not list or "" in refs or not _all_strings(refs):
-            raise MalformedEntryError(f"line {lineno}", "refs must be a list of non-empty strings")
-        refs = tuple(map(distinct.setdefault, refs, refs))
+            raise MalformedEntryError(position, "refs must be a list of non-empty strings")
         names = obj.get("authors", [])
         if names.__class__ is not list:
-            raise MalformedEntryError(f"line {lineno}", f"authors must be a list of names, got {names!r}")
-        authors = _make_authors(names, f"line {lineno}", interned)
-        year = obj.get("year")
-        if year is not None:
-            if year.__class__ is not int or not YEAR_MIN <= year <= YEAR_MAX:
-                _check_year(year, f"line {lineno}")
-            year = shared.setdefault(year, year)
+            raise MalformedEntryError(position, f"authors must be a list of names, got {names!r}")
+        build.add(position, title, names, venue_key, obj.get("year"), refs)
 
-        records.append(PublicationRecord(record_id, title, authors, venue_key, year, refs))
-        if venue_key is not None and venue_key not in venue_table:
-            venue_table[venue_key] = VenueInfo(name=venue_key, kind=UNKNOWN_KIND)
-
-    return Corpus(records, venue_table, source, rows=rows)
+    return build.fill(Corpus.__new__(Corpus), source)
 
 
 _DBLP_KINDS = {"article": JOURNAL, "inproceedings": CONFERENCE}
@@ -396,12 +500,7 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
     children), so memory follows one record, not the file."""
     import xml.etree.ElementTree as ET  # here, so that a JSONL run never imports it
 
-    records: list[PublicationRecord] = []
-    venue_table: dict[str, VenueInfo] = {}
-    rows: dict[str, int] = {}
-    distinct: dict[str, str] = {}  # one object per distinct reference target
-    shared: dict = {}  # one object per distinct venue key and year
-    interned: dict[str, AuthorName] = {}
+    build = _Builder({})
     index = 0
 
     try:
@@ -418,9 +517,7 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
             if not key:
                 raise MalformedEntryError(position, "missing key attribute")
             position = f"element {index} (key={key})"
-            if key in rows:
-                raise DuplicateRecordIdError(key, position)
-            rows[key] = len(records)
+            build.row(key, position)
 
             title = elem.find("title")  # its whole text, inline markup (<i>, <sub>, ...) included
             title = "".join("".join(title.itertext() if title is not None else ()).split("\n")).strip()
@@ -434,27 +531,23 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
                 except ValueError as exc:
                     raise MalformedEntryError(position, f"non-numeric year {year_text!r}") from exc
                 year = _check_year(year, position)
-                year = shared.setdefault(year, year)
 
-            venue_name = elem.findtext("journal") or elem.findtext("booktitle")
             parts = key.split("/")
-            venue_key = None
+            venue_key = venue_info = None
             if len(parts) >= 3:
                 venue_key = "/".join(parts[:2])
-                venue_key = shared.setdefault(venue_key, venue_key)
-                if venue_key not in venue_table:
-                    venue_table[venue_key] = VenueInfo(name=venue_name or venue_key, kind=_DBLP_KINDS[elem.tag])
+                venue_name = elem.findtext("journal") or elem.findtext("booktitle")
+                venue_info = VenueInfo(name=venue_name or venue_key, kind=_DBLP_KINDS[elem.tag])
 
             cites = (c.text.strip() for c in elem.findall("cite") if c.text)
-            refs = tuple(distinct.setdefault(text, text) for text in cites if text and text != "...")
-            authors = _make_authors((a.text or "" for a in elem.findall("author")), position, interned)
-            records.append(PublicationRecord(key, title, authors, venue_key, year, refs))
+            refs = [text for text in cites if text and text != "..."]
+            build.add(position, title, (a.text or "" for a in elem.findall("author")), venue_key, year, refs, venue_info)
     except ET.ParseError as exc:
         raise MalformedEntryError(f"line {exc.position[0]}", f"XML syntax error: {exc.msg if hasattr(exc, 'msg') else exc}") from exc
     except LookupError as exc:  # the XML declaration names an unknown encoding
         raise MalformedEntryError("line 1", str(exc)) from exc
 
-    return Corpus(records, venue_table, source, rows=rows)
+    return build.fill(Corpus.__new__(Corpus), source)
 
 
 def parse_corpus(stream: BinaryIO, format: str, source: str = METADATA_CORPUS) -> Corpus:
@@ -472,22 +565,24 @@ def parse_corpus(stream: BinaryIO, format: str, source: str = METADATA_CORPUS) -
 def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
     """The canonical JSONL lines of `corpus`: the bytes `json.dumps(obj,
     sort_keys=True)` gives for each line's object, written directly. Keys
-    come in sorted order, strings are ASCII-escaped by the C encoder, and
-    a record's `venue` and `year` are left out when absent."""
+    come in sorted order, strings are ASCII-escaped by the C encoder (each
+    distinct name and target once), and a record's `venue` and `year` are
+    left out when absent."""
     enc = encode_basestring_ascii
     yield f'{{"source": {enc(corpus.source)}}}\n'
     venue_table = corpus.venue_table
     for key in sorted(venue_table):
         info = venue_table[key]
         yield f'{{"kind": {enc(info.kind)}, "name": {enc(info.name)}, "venue_key": {enc(key)}}}\n'
-    for rec in corpus.records:
-        authors = ", ".join([enc(a.full_name) for a in rec.authors])
-        refs = ", ".join(map(enc, rec.references))
-        venue = "" if rec.venue_key is None else f', "venue": {enc(rec.venue_key)}'
-        year = "" if rec.year is None else f', "year": {int.__repr__(rec.year)}'
+    authors = _row_lists([enc(a.full_name) for a in corpus.authors], corpus.author_codes, corpus.author_offsets)
+    refs = _row_lists(list(map(enc, corpus.targets)), corpus.ref_codes, corpus.ref_offsets)
+    venues = [f', "venue": {enc(key)}' for key in corpus.venue_keys] + [""]  # venue -1 reads the last: none
+    rows = zip(corpus.ids, corpus.titles, memoryview(corpus.venue), memoryview(corpus.years), authors, refs)
+    for record_id, title, venue, year, record_authors, record_refs in rows:
+        year = f', "year": {year}' if year else ""
         yield (
-            f'{{"authors": [{authors}], "id": {enc(rec.record_id)}, "refs": [{refs}], '
-            f'"title": {enc(rec.title)}{venue}{year}}}\n'
+            f'{{"authors": [{", ".join(record_authors)}], "id": {enc(record_id)}, '
+            f'"refs": [{", ".join(record_refs)}], "title": {enc(title)}{venues[venue]}{year}}}\n'
         )
 
 
@@ -521,15 +616,15 @@ def check_names(corpus: Corpus) -> None:
     parsers leave it."""
     search = re.compile(_UNCARRIED).search
     keys = corpus.venue_table
-    if not (search(" ".join(corpus._rows)) or search(" ".join(keys)) or any(key.startswith("#") for key in keys)):
+    if not (search(" ".join(corpus.ids)) or search(" ".join(keys)) or any(key.startswith("#") for key in keys)):
         return
-    for position, rec in enumerate(corpus.records, start=1):
+    for position, (record_id, venue) in enumerate(zip(corpus.ids, corpus.venue.tolist()), start=1):
         try:
-            check_name(rec.record_id, "record id", record_id=True)
-            if rec.venue_key is not None:
-                check_name(rec.venue_key, "venue key")
+            check_name(record_id, "record id", record_id=True)
+            if venue >= 0:
+                check_name(corpus.venue_keys[venue], "venue key")
         except ValueError as exc:
-            raise MalformedEntryError(f"record {position} (id {rec.record_id!r})", str(exc)) from None
+            raise MalformedEntryError(f"record {position} (id {record_id!r})", str(exc)) from None
 
 
 def load_corpus(path) -> Corpus:
@@ -553,13 +648,13 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     index = corpus.reference_index()
     resolved = int(np.count_nonzero(index.targets >= 0))
     return ValidationReport(
-        record_count=len(corpus.records),
+        record_count=len(corpus.ids),
         dangling_venue_keys=[venue for venue in index.venues if venue not in corpus.venue_table],
-        empty_title_ids=[r.record_id for r in corpus.records if not r.title.strip()],
+        empty_title_ids=[record_id for record_id, title in zip(corpus.ids, corpus.titles) if not title.strip()],
         unresolved_reference_count=index.targets.size - resolved,
         resolved_reference_count=resolved,
         no_venue_count=int(np.count_nonzero(index.record_venue < 0)),
-        no_author_count=sum(not r.authors for r in corpus.records),
+        no_author_count=int(np.count_nonzero(np.diff(corpus.author_offsets) == 0)),
     )
 
 
@@ -567,12 +662,26 @@ def slice_by_year(corpus: Corpus, cutoff: int) -> Corpus:
     """Sub-corpus of records published up to and including the cutoff year.
 
     Records without a year are excluded; the venue table is restricted to
-    venues still referenced by the surviving records. The kept records are
-    `corpus`'s own objects, not copies: no record changes after its parse.
+    venues still referenced by the surviving records. The slice shares
+    `corpus`'s tables of venue keys, targets and authors.
     """
     if not YEAR_MIN <= cutoff <= YEAR_MAX:
         raise ValueError(f"cutoff {cutoff} outside [{YEAR_MIN}, {YEAR_MAX}]")
-    kept = [r for r in corpus.records if r.year is not None and r.year <= cutoff]
-    used_venues = {r.venue_key for r in kept if r.venue_key is not None}
-    venue_table = {k: v for k, v in corpus.venue_table.items() if k in used_venues}
-    return Corpus(records=kept, venue_table=venue_table, source=corpus.source)
+    kept = np.flatnonzero((corpus.years > 0) & (corpus.years <= cutoff))
+    rows, venue = kept.tolist(), corpus.venue[kept]
+    used_venues = set(map(corpus.venue_keys.__getitem__, _used(venue[venue >= 0], len(corpus.venue_keys)).tolist()))
+    ref_offsets, ref_codes = _rows_of(corpus.ref_offsets, corpus.ref_codes, kept)
+    author_offsets, author_codes = _rows_of(corpus.author_offsets, corpus.author_codes, kept)
+    return corpus._derive(
+        ids=list(map(corpus.ids.__getitem__, rows)), titles=list(map(corpus.titles.__getitem__, rows)),
+        venue=venue, years=corpus.years[kept], ref_offsets=ref_offsets, ref_codes=ref_codes,
+        author_offsets=author_offsets, author_codes=author_codes,
+        venue_table={k: v for k, v in corpus.venue_table.items() if k in used_venues},
+    )
+
+
+def _rows_of(offsets: np.ndarray, codes: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The compressed rows `rows` of the compressed rows (offsets, codes)."""
+    counts = offsets[rows + 1] - offsets[rows]
+    entries, _ = concat_ranges(offsets[rows], counts)
+    return np.r_[0, np.cumsum(counts)], codes[entries]

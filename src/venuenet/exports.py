@@ -235,6 +235,8 @@ def _from_graphml(text: str) -> VenueGraph:
         key_id, name = key_el.get("id"), key_el.get("attr.name")
         if key_id is None or name is None:
             raise ValueError(f"<key id={key_id!r} attr.name={name!r}>: needs both an id and an attr.name")
+        if key_id in keys:
+            raise ValueError(f"<key id={key_id!r}>: the id is declared twice")
         keys[key_id] = (name, key_el.get("attr.type", "string"))
     graph_el = root.find("g:graph", ns)
     if graph_el is None:
@@ -369,9 +371,19 @@ def _to_json(g: VenueGraph) -> Iterator[str]:
     yield json.dumps(obj, sort_keys=True, indent=0) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of `pairs`, refusing a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def _from_json(text: str) -> VenueGraph:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
     except ValueError as exc:
@@ -381,6 +393,9 @@ def _from_json(text: str) -> VenueGraph:
     nodes, edges = obj.get("nodes"), obj.get("edges")
     if not _rows_of(nodes, (str, dict)) or not _rows_of(edges, (str, str, (int, float))):
         raise ValueError("'nodes' must list [name, attributes] and 'edges' [source, target, weight]")
+    for u, v, w in edges:
+        if isinstance(w, bool):
+            raise ValueError(f"edge {u!r} -> {v!r}: weight must be a number, got {json.dumps(w)}")
     directed = obj.get("directed")
     if not isinstance(directed, bool):
         raise ValueError(f"'directed' must be true or false, got {directed!r}")

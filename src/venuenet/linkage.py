@@ -18,8 +18,8 @@ from itertools import islice
 
 import numpy as np
 
-from .arrays import arc_tails, concat_ranges, distinct
-from .corpus import Corpus, PublicationRecord, normalize_reference_key
+from .arrays import FirstSeenIds, arc_tails, concat_ranges, distinct
+from .corpus import Corpus, normalize_reference_key
 from .exports import finite_float, read_table, write_table
 
 DEFAULT_JACCARD_MIN = 0.5
@@ -202,7 +202,7 @@ def smith_waterman_similarity(s1: str, s2: str) -> float:
 
 def unmatchable_records(corpus: Corpus) -> list[str]:
     """Record ids that can never be blocked (no authors)."""
-    return [r.record_id for r in corpus.records if not r.authors]
+    return [corpus.ids[row] for row in np.flatnonzero(np.diff(corpus.author_offsets) == 0).tolist()]
 
 
 def _min_overlap(t: float, size: int) -> int:
@@ -213,15 +213,7 @@ def _min_overlap(t: float, size: int) -> int:
     return math.ceil(t * size * (1.0 - 1e-9))
 
 
-class _Ids(dict):
-    """Value -> id: a value looked up for the first time gets the next id."""
-
-    def __missing__(self, value: str) -> int:
-        self[value] = len(self)
-        return len(self) - 1
-
-
-def _value_ids(values_per_record: Iterable[Collection[str]], ids: _Ids) -> tuple[np.ndarray, np.ndarray]:
+def _value_ids(values_per_record: Iterable[Collection[str]], ids: FirstSeenIds) -> tuple[np.ndarray, np.ndarray]:
     """The ids of each record's values, concatenated in record order, and
     how many each record has."""
     flat: list[int] = []
@@ -246,9 +238,9 @@ class _Side:
     by_id: np.ndarray
 
     @classmethod
-    def of(cls, c: Corpus, token_ids: _Ids, key_ids: _Ids) -> "_Side":
+    def of(cls, c: Corpus, token_ids: FirstSeenIds, key_ids: FirstSeenIds) -> "_Side":
         # one title's token set at a time: only the ids outlive it
-        tokens, sizes = _value_ids((tokenize_title(r.title) for r in c.records), token_ids)
+        tokens, sizes = _value_ids(map(tokenize_title, c.titles), token_ids)
         # each distinct name's key once, then each record's distinct keys by one sort
         offsets, authors, distinct_authors = c.author_index()
         name_key = np.fromiter((key_ids[a.last_name_key] for a in distinct_authors), np.int64, len(distinct_authors))
@@ -295,7 +287,7 @@ def _candidates(
     sort-join of the codes key * (T + 1) + token over the two sides. With
     t <= 0 (or NaN), pairs sharing no token pass, so the code is the key.
     """
-    token_ids, key_ids = _Ids(), _Ids()
+    token_ids, key_ids = FirstSeenIds(), FirstSeenIds()
     left, right = _Side.of(a, token_ids, key_ids), _Side.of(b, token_ids, key_ids)
     if funnel is not None:
         shared = np.bincount(left.keys, minlength=len(key_ids)) * np.bincount(right.keys, minlength=len(key_ids))
@@ -368,7 +360,7 @@ def link_corpora(
     passed = ~(jaccards < jaccard_min)  # a NaN gate lets every pair through
     survivors = list(zip(pair_left[passed].tolist(), pair_right[passed].tolist()))
     scores = smith_waterman_similarities(
-        (normalize_reference_key(a.records[left].title), normalize_reference_key(b.records[right].title)) for left, right in survivors
+        (normalize_reference_key(a.titles[left]), normalize_reference_key(b.titles[right])) for left, right in survivors
     )
 
     best: dict[str, MatchPair] = {}
@@ -377,7 +369,7 @@ def link_corpora(
         if s < sw_min:
             continue
         confirmed += 1
-        candidate = MatchPair(left=a.records[left].record_id, right=b.records[right].record_id, jaccard=j, sw_similarity=s)
+        candidate = MatchPair(left=a.ids[left], right=b.ids[right], jaccard=j, sw_similarity=s)
         incumbent = best.get(candidate.left)
         if (
             incumbent is None
@@ -407,7 +399,7 @@ def attach_references(meta: Corpus, cite: Corpus, matches: list[MatchPair]) -> C
     """Carry reference lists from matched citation records onto the metadata
     corpus, rewriting every target, carried or a record's own, as
     `rewrite_matched_references` does."""
-    carried = {pair.left: cite.record(pair.right).references for pair in matches}
+    carried = {pair.left: cite.references(pair.right) for pair in matches}
     return rewrite_matched_references(meta, matches, carried)
 
 
@@ -417,14 +409,10 @@ def rewrite_matched_references(c: Corpus, matches: list[MatchPair], carried: dic
     after `carried` replaced the references of the records it names."""
     right_to_left = right_to_left_ids(matches)
     carried = carried or {}
-    records = [
-        PublicationRecord(
-            rec.record_id, rec.title, rec.authors, rec.venue_key, rec.year,
-            tuple(right_to_left.get(t, t) for t in carried.get(rec.record_id, rec.references)),
-        )
-        for rec in c.records
-    ]
-    return Corpus(records=records, venue_table=dict(c.venue_table), source=c.source)
+    return c.with_references(
+        [right_to_left.get(t, t) for t in (carried[record_id] if record_id in carried else refs)]
+        for record_id, refs in zip(c.ids, c.reference_lists())
+    )
 
 
 MATCHES_HEADER = "left_id\tright_id\tjaccard\tsw_similarity"

@@ -211,7 +211,7 @@ def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
     read.
     """
     index = c.reference_index()
-    records, slots = len(c.records), len(c.records) + len(index.external_keys)
+    records, slots = len(c.ids), len(c.ids) + len(index.external_keys)
     venue = np.repeat(index.record_venue, np.diff(index.offsets))
     kept = venue >= 0
     # Each reference's target as a slot: its record row, or records + k for
@@ -223,7 +223,7 @@ def build_coupling_matrix(c: Corpus) -> CouplingMatrix:
     cited = np.zeros(slots, dtype=bool)
     cited[slot] = True
     cited = np.flatnonzero(cited).tolist()
-    names = [c.records[i].record_id if i < records else index.external_keys[i - records] for i in cited]
+    names = [c.ids[i] if i < records else index.external_keys[i - records] for i in cited]
     keys = sorted(set(names))  # by name: an external key equal to a record id is that record's key
     rank = np.zeros(slots, dtype=np.int64)
     rank[cited] = np.fromiter(map(dict(zip(keys, range(len(keys)))).__getitem__, names), dtype=np.int64, count=len(names))

@@ -334,7 +334,7 @@ class _Run:
 
 def _ingest_counts(corpus: Corpus) -> dict[str, int]:
     references, distinct = corpus.reference_counts()
-    return {"records": len(corpus.records), "references": references, "distinct_targets": distinct}
+    return {"records": len(corpus.ids), "references": references, "distinct_targets": distinct}
 
 
 def _stage_ingest(run: _Run) -> None:

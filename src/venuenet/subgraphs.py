@@ -36,7 +36,7 @@ DEFAULT_HISTOGRAM_BINS = 20
 def publication_citation_graph(c: Corpus) -> dict[str, list[str]]:
     """Publication-level citation adjacency over in-corpus references."""
     index = c.reference_index()
-    names = [r.record_id for r in c.records]
+    names = c.ids
     bounds = index.offsets.tolist()
     targets = index.targets.tolist()
     return {
@@ -136,7 +136,7 @@ def _citation_arcs(c: Corpus):
     """As _coauthorship_arcs, for citation: only arrays hold an entry per
     record or per reference."""
     index = c.reference_index()
-    n = len(c.records)
+    n = len(c.ids)
     narrow = ids(n)
     by_name = c.id_order()
     rank = np.empty_like(by_name)

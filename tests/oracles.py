@@ -12,7 +12,9 @@ one node and one predecessor at a time instead of one array pass per
 iteration, the
 standard library's encoders instead of the direct JSON, corpus JSONL and
 GraphML writers,
-per-reference record id lookups instead of the corpus's reference index, a
+per-reference record id lookups instead of the corpus's reference index,
+walks of the records instead of the corpus's columns (reference index and
+counts, author index, id order and canonical JSONL), a
 pairwise cosine loop instead of the sparse product for the cluster network
 and for adopting unclustered venues, a per-character scan instead of the
 title token regex, each venue's subgraph built and measured on its own as a
@@ -21,10 +23,8 @@ intersections instead of triangle counts for local clustering, and the
 dict-of-dicts graph with its edge walks (threshold, modularity, CNM set-up,
 clustering and components) instead of the compressed rows, and a search of
 each record's id and venue key instead of one search over all ids and one
-over the venue table's keys, per-canopy dicts of prefix tokens with
-frozenset intersections instead of the integer sort-join of linkage blocking,
-and a walk of each record's authors and a key sort of the rows instead of the
-corpus's author index and id order.
+over the venue table's keys, and per-canopy dicts of prefix tokens with
+frozenset intersections instead of the integer sort-join of linkage blocking.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import unicodedata
 import xml.etree.ElementTree as ET
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -635,6 +636,35 @@ def record_rows(c: Corpus) -> dict[str, int]:
     return {r.record_id: i for i, r in enumerate(c.records)}
 
 
+def reference_index_walk(c: Corpus) -> dict[str, list]:
+    """The reference index by one dictionary lookup per reference: a
+    target's row when it names a record, else -1 - k for the k-th distinct
+    normalized target met in record order."""
+    rows = record_rows(c)
+    venues = sorted({r.venue_key for r in c.records if r.venue_key is not None})
+    external: dict[str, int] = {}
+    targets, offsets = [], [0]
+    for rec in c.records:
+        for target in rec.references:
+            if target in rows:
+                targets.append(rows[target])
+            else:
+                targets.append(-1 - external.setdefault(normalize_reference_key(target), len(external)))
+        offsets.append(len(targets))
+    return {
+        "venues": venues,
+        "record_venue": [venues.index(r.venue_key) if r.venue_key is not None else -1 for r in c.records],
+        "offsets": offsets,
+        "targets": targets,
+        "external_keys": list(external),
+    }
+
+
+def reference_counts_walk(c: Corpus) -> tuple[int, int]:
+    """The number of references and of distinct targets, a record at a time."""
+    return sum(len(r.references) for r in c.records), len({t for r in c.records for t in r.references})
+
+
 def author_index_walk(c: Corpus) -> tuple[list[list[int]], list[str]]:
     """Each record's authors, one at a time, as positions in the sorted list
     of the corpus's distinct full names, and that list."""
@@ -646,6 +676,24 @@ def author_index_walk(c: Corpus) -> tuple[list[list[int]], list[str]]:
 def id_order_walk(c: Corpus) -> list[int]:
     """The rows of `c.records`, sorted by record id."""
     return sorted(range(len(c.records)), key=lambda row: c.records[row].record_id)
+
+
+def jsonl_lines_walk(c: Corpus) -> Iterator[str]:
+    """The canonical JSONL lines, formatted a record at a time."""
+    enc = encode_basestring_ascii
+    yield f'{{"source": {enc(c.source)}}}\n'
+    for key in sorted(c.venue_table):
+        info = c.venue_table[key]
+        yield f'{{"kind": {enc(info.kind)}, "name": {enc(info.name)}, "venue_key": {enc(key)}}}\n'
+    for rec in c.records:
+        authors = ", ".join([enc(a.full_name) for a in rec.authors])
+        refs = ", ".join(map(enc, rec.references))
+        venue = "" if rec.venue_key is None else f', "venue": {enc(rec.venue_key)}'
+        year = "" if rec.year is None else f', "year": {rec.year}'
+        yield (
+            f'{{"authors": [{authors}], "id": {enc(rec.record_id)}, "refs": [{refs}], '
+            f'"title": {enc(rec.title)}{venue}{year}}}\n'
+        )
 
 
 def cluster_sets(p: ClusterPartition) -> set[frozenset[str]]:

@@ -612,10 +612,12 @@ class TestSliceByYear:
         assert [r.record_id for r in sliced.records] == ["p1", "p2"]
         assert set(sliced.venue_table) == {"v1", "v2"}
 
-    def test_slice_shares_the_records(self):
+    def test_slice_shares_the_tables(self):
         corpus = self._dated_corpus()
         sliced = slice_by_year(corpus, 1995)
-        assert all(kept is original for kept, original in zip(sliced.records, corpus.records[:2], strict=True))
+        assert sliced.records == corpus.records[:2]
+        assert sliced.venue_keys is corpus.venue_keys and sliced.targets is corpus.targets
+        assert sliced.authors is corpus.authors
 
     def test_cutoff_after_everything(self):
         corpus = self._dated_corpus()

@@ -296,6 +296,27 @@ class TestErrors:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             import_graph(documents[fmt].encode(), fmt)
 
+    def test_graphml_key_id_declared_twice(self):
+        doc = (f'<graphml xmlns="{_GRAPHML_NS}"><key id="d0" for="node" attr.name="x" attr.type="long"/>'
+               '<key id="d0" for="node" attr.name="y" attr.type="string"/><graph edgedefault="undirected">'
+               '<node id="a"><data key="d0">1</data></node></graph></graphml>')
+        with pytest.raises(ValueError, match="^" + re.escape("<key id='d0'>: the id is declared twice") + "$"):
+            import_graph(doc.encode(), "graphml")
+
+    @pytest.mark.parametrize("doc, key", [
+        ('{"format": "venuenet-graph/1", "directed": true, "directed": false, "nodes": [], "edges": [["a", "b", 1.0]]}',
+         "directed"),
+        ('{"format": "venuenet-graph/1", "directed": false, "nodes": [["a", {"x": null, "x": null}]], "edges": []}', "x"),
+    ])
+    def test_json_key_given_twice(self, doc, key):
+        with pytest.raises(ValueError, match="^" + re.escape(f"invalid JSON (key {key!r} is given twice)") + "$"):
+            import_graph(doc.encode(), "json")
+
+    def test_json_boolean_weight(self):
+        doc = '{"format": "venuenet-graph/1", "directed": false, "nodes": [], "edges": [["a", "b", true]]}'
+        with pytest.raises(ValueError, match="^" + re.escape("edge 'a' -> 'b': weight must be a number, got true") + "$"):
+            import_graph(doc.encode(), "json")
+
     def test_json_format_tag_checked(self):
         with pytest.raises(ValueError, match="^not a venuenet-graph/1 JSON object$"):
             import_graph(b'{"format": "other", "directed": false, "nodes": [], "edges": []}', "json")

@@ -1,7 +1,8 @@
-"""The parsers hand `Corpus` the id -> row dict they build while reading.
-A corpus so made must hold the same indexes as one rebuilt from its records
-alone, and one object per distinct target, venue key and year. Its author index and id order
-must equal a walk of its records."""
+"""A corpus is its columns. Every index read from them (the reference
+index and counts, the author index, the id order and the canonical JSONL)
+must equal a walk of the records, for a corpus parsed from JSONL or DBLP
+XML, one made from records, a year slice, which shares its parent's tables,
+and a linked rewrite. A run builds no PublicationRecord."""
 
 import gc
 import io
@@ -16,17 +17,28 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import saved_bytes
-from oracles import author_index_walk, id_order_walk
+from oracles import (
+    author_index_walk,
+    id_order_walk,
+    jsonl_lines_walk,
+    reference_counts_walk,
+    reference_index_walk,
+)
+from test_golden_manifests import _jsonl, _linked
 from venuenet.arrays import ids
 from venuenet.corpus import (
     CORPUS_SOURCES,
+    AuthorName,
     Corpus,
-    normalize_reference_key,
+    PublicationRecord,
+    VenueInfo,
+    _jsonl_lines,
     parse_dblp_xml,
     parse_jsonl,
     slice_by_year,
 )
 from venuenet.linkage import MatchPair, attach_references
+from venuenet.pipeline import run_pipeline
 from venuenet.synth import scale_corpus, split_for_linkage
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -82,69 +94,39 @@ def dblp_corpora(draw):
     return "".join(parts).encode("utf-8")
 
 
-def reference_index_loop(c: Corpus) -> dict[str, list]:
-    """The reference index by one dictionary lookup per reference: a
-    target's row when it names a record, else -1 - k for the k-th distinct
-    normalized target met in record order."""
-    rows = {r.record_id: i for i, r in enumerate(c.records)}
-    venues = sorted({r.venue_key for r in c.records if r.venue_key is not None})
-    external: dict[str, int] = {}
-    targets, offsets = [], [0]
-    for rec in c.records:
-        for target in rec.references:
-            if target in rows:
-                targets.append(rows[target])
-            else:
-                targets.append(-1 - external.setdefault(normalize_reference_key(target), len(external)))
-        offsets.append(len(targets))
-    return {
-        "venues": venues,
-        "record_venue": [venues.index(r.venue_key) if r.venue_key is not None else -1 for r in c.records],
-        "offsets": offsets,
-        "targets": targets,
-        "external_keys": list(external),
-    }
-
-
-def assert_index_is_the_loops(c: Corpus) -> None:
-    index, want = c.reference_index(), reference_index_loop(c)
+def assert_columns_are_the_walks(c: Corpus) -> None:
+    index, want = c.reference_index(), reference_index_walk(c)
     for name, value in want.items():
         got = getattr(index, name)
         assert (got if isinstance(got, list) else got.tolist()) == value, name
-    refs = want["targets"]
-    assert c.reference_counts() == (len(refs), len({t for r in c.records for t in r.references}))
+    assert c.reference_counts() == reference_counts_walk(c)
+    assert_author_index_is_the_walk(c)
+    assert "".join(_jsonl_lines(c)) == "".join(jsonl_lines_walk(c))
 
 
 def assert_one_object_per_value(parsed: Corpus) -> None:
-    """Every distinct reference target, venue key and year of the records is
-    one object."""
+    """Every distinct reference target, venue key and author name of the
+    records is one object."""
     for values in (
         [t for r in parsed.records for t in r.references],
         [r.venue_key for r in parsed.records if r.venue_key is not None],
-        [r.year for r in parsed.records if r.year is not None],
+        [a for r in parsed.records for a in r.authors],
     ):
         assert len({id(v) for v in values}) == len(set(values))
 
 
 def assert_derived_corpora(parsed: Corpus) -> None:
-    """A slice and a linked rewrite, built from records alone, index as the
-    loop does."""
-    assert_index_is_the_loops(slice_by_year(parsed, 1995))
+    """The corpus made from its records, each year slice and a linked
+    rewrite index as the walks do."""
+    assert_columns_are_the_walks(Corpus(parsed.records, parsed.venue_table, parsed.source))
+    for cutoff in YEARS[1:] + [2100]:
+        sliced = slice_by_year(parsed, cutoff)
+        assert sliced.targets is parsed.targets and sliced.authors is parsed.authors
+        assert_columns_are_the_walks(sliced)
     meta, cite = split_for_linkage(parsed)
     cite = parse_jsonl(io.BytesIO(saved_bytes(cite)), source=cite.source)
     matches = [MatchPair(r.record_id, "cx-" + r.record_id, 1.0, 1.0) for r in meta.records[::2]]
-    assert_index_is_the_loops(attach_references(meta, cite, matches))
-
-
-def assert_same_indexes(parsed: Corpus) -> None:
-    rebuilt = Corpus(parsed.records, parsed.venue_table, parsed.source)
-    assert list(parsed._rows.items()) == list(rebuilt._rows.items())
-    got, want = parsed.reference_index(), rebuilt.reference_index()
-    assert got.venues == want.venues
-    assert got.external_keys == want.external_keys
-    for name in ("record_venue", "offsets", "targets"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert_columns_are_the_walks(attach_references(meta, cite, matches))
 
 
 @SETTINGS
@@ -155,10 +137,7 @@ def test_jsonl_parse_indexes_equal_the_rebuilt(case):
     headers = [obj["source"] for obj in map(json.loads, data.splitlines()) if "source" in obj]
     assert parsed.source == (headers[-1] if headers else source)  # the last header names the corpus
     assert_one_object_per_value(parsed)
-    counts = parsed.reference_counts()
-    assert_same_indexes(parsed)
-    assert parsed.reference_counts() == counts  # the same before and after the index is built
-    assert_index_is_the_loops(parsed)
+    assert_columns_are_the_walks(parsed)
     assert_derived_corpora(parsed)
 
 
@@ -168,10 +147,7 @@ def test_dblp_parse_indexes_equal_the_rebuilt(data, source):
     parsed = parse_dblp_xml(io.BytesIO(data), source=source)
     assert parsed.source == source
     assert_one_object_per_value(parsed)
-    counts = parsed.reference_counts()
-    assert_same_indexes(parsed)
-    assert parsed.reference_counts() == counts
-    assert_index_is_the_loops(parsed)
+    assert_columns_are_the_walks(parsed)
     assert_derived_corpora(parsed)
 
 
@@ -219,9 +195,9 @@ def test_author_index_and_id_order_equal_the_walk(records):
 
 def test_parse_retains_one_object_per_distinct_value():
     """What a parse of 15,000 records (105,000 references to about 4,500
-    distinct targets) keeps alive: one string per distinct target, venue
-    key and year, not one per occurrence (15.1 MB when each reference held
-    its own string)."""
+    distinct targets) keeps alive: one string per distinct target and venue
+    key, not one per occurrence (15.1 MB when each reference held its own
+    string)."""
     data = saved_bytes(scale_corpus(150, 100, seed=1))
     gc.collect()
     tracemalloc.start()
@@ -233,3 +209,50 @@ def test_parse_retains_one_object_per_distinct_value():
         tracemalloc.stop()
     assert len(parsed.records) == 15_000
     assert retained <= 11 * 2**20, f"the parsed corpus retains {retained / 2**20:.1f} MB"
+
+
+@st.composite
+def record_corpora(draw):
+    """A corpus made from records: targets that are record ids, repeated and
+    raw ones, records without authors, venue or year, non-ASCII names, and
+    a venue no venue-table entry names."""
+    record_ids = draw(st.lists(st.sampled_from(["p1", "p2", "P1"]) | st.text(TEXT, min_size=1, max_size=3), unique=True,
+                               max_size=12))
+    targets = st.sampled_from(record_ids + RAW_TARGETS)
+    records = [
+        PublicationRecord(
+            rid,
+            draw(st.text(TEXT, max_size=3)),
+            tuple(map(AuthorName, draw(st.lists(st.sampled_from(NAMES), max_size=4)))),
+            draw(st.sampled_from([None, "v1", "v2", "vé"])),
+            draw(st.sampled_from(YEARS)),
+            tuple(draw(st.lists(targets, max_size=6))),
+        )
+        for rid in record_ids
+    ]
+    return Corpus(records, {"v1": VenueInfo("One", "journal"), "v2": VenueInfo("v2")}, draw(st.sampled_from(CORPUS_SOURCES)))
+
+
+@SETTINGS
+@given(record_corpora())
+@example(Corpus([PublicationRecord("p2", "", (), None, 1995, ("p1", "x", "p1")),
+                 PublicationRecord("p1", "Ü", (AuthorName("José Peña"),), "vé", None, ("X", "p2", "x"))], {}))
+def test_columns_equal_the_walks(corpus):
+    assert_columns_are_the_walks(corpus)
+    assert_derived_corpora(corpus)
+    parsed = parse_jsonl(io.BytesIO(saved_bytes(corpus)))
+    assert parsed.records == corpus.records
+    assert_columns_are_the_walks(parsed)
+
+
+@pytest.mark.parametrize("make", [_jsonl(30, 20, 1), _linked], ids=["jsonl", "linked-dblp"])
+def test_a_run_builds_no_publication_record(make, tmp_path, monkeypatch):
+    """Every stage reads the columns: a stage that walks the records again
+    builds them, and fails this."""
+    cfg = make(tmp_path)
+    cfg.out_dir = str(tmp_path / "out")
+    built = []
+    init = PublicationRecord.__init__
+    monkeypatch.setattr(PublicationRecord, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    run_pipeline(cfg)
+    assert built == []

@@ -1227,6 +1227,17 @@ READER_CASES = [
      {"g.graphml": GRAPHML_HEAD.replace("<graph ", '<key id="d0" for="edge" attr.name="weight" attr.type="double"/><graph ')
       + '<edge source="a" target="b"><data key="d0">1.0</data><data key="d0">5.0</data></edge>' + GRAPHML_TAIL},
      "g.graphml", "edge 'a' -> 'b': attribute 'weight' is given twice"),
+    # a key id declared twice, an object key given twice, a boolean weight: each read one way before
+    ("graphml-key-id-twice", "export-graphml",
+     {"g.graphml": GRAPHML_HEAD.replace("<graph ", '<key id="d0" for="node" attr.name="x" attr.type="long"/>'
+                                        '<key id="d0" for="node" attr.name="y" attr.type="string"/><graph ')
+      + '<node id="a"><data key="d0">1</data></node>' + GRAPHML_TAIL}, "g.graphml", "<key id='d0'>: the id is declared twice"),
+    ("json-graph-directed-twice", "export",
+     {"g.json": '{"format": "venuenet-graph/1", "directed": true, "directed": false, "nodes": [], "edges": []}'},
+     "g.json", "key 'directed' is given twice"),
+    ("json-graph-bool-weight", "export",
+     {"g.json": '{"format": "venuenet-graph/1", "directed": false, "nodes": [], "edges": [["a", "b", true]]}'},
+     "g.json", "edge 'a' -> 'b': weight must be a number, got true"),
     # the direction is read from exactly one field, and only its two values are taken
     ("tsv-header-directed-yes", "threshold", {"g.tsv": "# venuenet-graph directed=yes\na\tb\t1.0\n"}, "g.tsv",
      "line 1: the header must be"),
