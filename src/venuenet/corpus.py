@@ -135,8 +135,9 @@ class Corpus:
     years[r] (0: none); its references targets[c] for each code c of
     ref_codes[ref_offsets[r]:ref_offsets[r + 1]], and its authors
     authors[c] for each code c of author_codes[author_offsets[r]:
-    author_offsets[r + 1]]. The three tables hold each distinct value once,
-    and a slice shares its parent's, so they may hold values no row uses.
+    author_offsets[r + 1]]. The three tables hold each distinct value once;
+    a slice shares its parent's, and a linked corpus's targets are the
+    renamed targets of two corpora, so they may hold values no row uses.
     `records` shows the rows as PublicationRecords. A corpus does not change
     once made."""
 
@@ -157,31 +158,32 @@ class Corpus:
             other.source, other.venue_table, other.records)
 
     def _derive(self, **columns) -> Corpus:
-        """A corpus with this one's columns but `columns`, its indexes built
-        anew."""
+        """A corpus with this one's columns but `columns`, its reference
+        index built anew, and its id -> row dict too if `columns` has ids."""
         derived = copy.copy(self)
         vars(derived).update(columns, _references=None)
-        derived._rows = dict(zip(derived.ids, range(len(derived.ids))))
+        if "ids" in columns:
+            derived._rows = dict(zip(derived.ids, range(len(derived.ids))))
         return derived
 
     def record(self, record_id: str) -> PublicationRecord:
         return self.records[self._rows[record_id]]
 
-    def references(self, record_id: str) -> list[str]:
-        """The record's reference targets, in order."""
-        row = self._rows[record_id]
-        return list(map(self.targets.__getitem__, self.ref_codes[self.ref_offsets[row] : self.ref_offsets[row + 1]].tolist()))
-
-    def reference_lists(self) -> Iterator[list[str]]:
-        """Each row's reference targets, in row order."""
-        return _row_lists(self.targets, self.ref_codes, self.ref_offsets)
-
-    def with_references(self, references: Iterable[Iterable[str]]) -> Corpus:
-        """This corpus with row r's references the r-th of `references`."""
-        build = _Builder({})
-        for refs in references:
-            build.add_references(refs)
-        return self._derive(**build.reference_columns(), venue_table=dict(self.venue_table))
+    def linked(self, cite: Corpus, partners: dict[str, str], rename: dict[str, str]) -> Corpus:
+        """This corpus with the references of `cite`'s record partners[i] on
+        each row whose id i `partners` names, and every target t, carried or
+        a row's own, renamed to rename.get(t, t). Each target of the two
+        tables is renamed once, and the new table holds each name once."""
+        table = FirstSeenIds()
+        names = [rename.get(t, t) for t in self.targets + cite.targets]
+        code = np.fromiter(map(table.__getitem__, names), np.int32, len(names))
+        rows = np.arange(len(self.ids))  # row r of cite is row len(self.ids) + r of the two
+        for left, right in partners.items():
+            if left in self._rows:
+                rows[self._rows[left]] = len(self.ids) + cite._rows[right]
+        offsets = np.r_[self.ref_offsets, cite.ref_offsets[1:] + self.ref_offsets[-1]]
+        ref_offsets, ref_codes = _rows_of(offsets, np.r_[self.ref_codes, cite.ref_codes + len(self.targets)], rows)
+        return self._derive(ref_offsets=ref_offsets, ref_codes=code[ref_codes], targets=list(table))
 
     def reference_counts(self) -> tuple[int, int]:
         """The number of references and of distinct reference targets."""
@@ -321,21 +323,16 @@ class _Builder:
                 self.venue_table[venue_key] = venue_info or VenueInfo(name=venue_key)
         self.venue.append(venue)
         self.years.append(year or 0)
-        self.add_references(refs)
-
-    def add_references(self, refs: Iterable[str]) -> None:
         self.ref_codes += map(self.targets.__getitem__, refs)
         self.ref_ends.append(len(self.ref_codes))
-
-    def reference_columns(self) -> dict:
-        return dict(ref_offsets=np.frombuffer(self.ref_ends, np.int64), targets=list(self.targets),
-                    ref_codes=np.fromiter(self.ref_codes, np.int32, len(self.ref_codes)))
 
     def fill(self, corpus: Corpus, source: str) -> Corpus:
         """`corpus` given the columns built, and returned."""
         vars(corpus).update(
-            self.reference_columns(), ids=list(self.rows), titles=self.titles, venue_keys=list(self.venue_codes),
+            ids=list(self.rows), titles=self.titles, venue_keys=list(self.venue_codes),
             venue=np.frombuffer(self.venue, np.int32), years=np.frombuffer(self.years, np.int16),
+            ref_offsets=np.frombuffer(self.ref_ends, np.int64), targets=list(self.targets),
+            ref_codes=np.fromiter(self.ref_codes, np.int32, len(self.ref_codes)),
             author_offsets=np.frombuffer(self.author_ends, np.int64), authors=list(map(AuthorName, self.names)),
             author_codes=np.fromiter(self.author_codes, np.int32, len(self.author_codes)),
             venue_table=self.venue_table, source=source, _rows=self.rows, _references=None,

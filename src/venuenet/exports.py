@@ -429,6 +429,15 @@ def finite_float(text: str) -> float:
     return value
 
 
+def unit_float(text: str, what: str) -> float:
+    """finite_float(text), refusing a value outside [0, 1] with ValueError
+    that names it as `what`."""
+    value = finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} {text!r} is outside [0, 1]")
+    return value
+
+
 def write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -14,13 +14,14 @@ import math
 import re
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
 
 from .arrays import FirstSeenIds, arc_tails, concat_ranges, distinct
 from .corpus import Corpus, normalize_reference_key
-from .exports import finite_float, read_table, write_table
+from .exports import read_table, unit_float, write_table
 
 DEFAULT_JACCARD_MIN = 0.5
 DEFAULT_SW_MIN = 0.9
@@ -399,20 +400,13 @@ def attach_references(meta: Corpus, cite: Corpus, matches: list[MatchPair]) -> C
     """Carry reference lists from matched citation records onto the metadata
     corpus, rewriting every target, carried or a record's own, as
     `rewrite_matched_references` does."""
-    carried = {pair.left: cite.references(pair.right) for pair in matches}
-    return rewrite_matched_references(meta, matches, carried)
+    return meta.linked(cite, {pair.left: pair.right for pair in matches}, right_to_left_ids(matches))
 
 
-def rewrite_matched_references(c: Corpus, matches: list[MatchPair], carried: dict | None = None) -> Corpus:
+def rewrite_matched_references(c: Corpus, matches: list[MatchPair]) -> Corpus:
     """`c` with every target that is a matched citation id rewritten to its
-    metadata id (the only place matches change where a reference points),
-    after `carried` replaced the references of the records it names."""
-    right_to_left = right_to_left_ids(matches)
-    carried = carried or {}
-    return c.with_references(
-        [right_to_left.get(t, t) for t in (carried[record_id] if record_id in carried else refs)]
-        for record_id, refs in zip(c.ids, c.reference_lists())
-    )
+    metadata id (the only place matches change where a reference points)."""
+    return c.linked(Corpus([], {}), {}, right_to_left_ids(matches))
 
 
 MATCHES_HEADER = "left_id\tright_id\tjaccard\tsw_similarity"
@@ -425,7 +419,14 @@ def write_matches(matches: list[MatchPair], path) -> None:
 
 def read_matches(path) -> list[MatchPair]:
     """The pairs of a file written by write_matches: each left id at most
-    once, both scores finite."""
-    parse = {"jaccard": finite_float, "sw_similarity": finite_float}
+    once, a right id in every row, both scores in [0, 1]."""
+    parse = {"right_id": _right_id, "jaccard": partial(unit_float, what="jaccard"),
+             "sw_similarity": partial(unit_float, what="sw_similarity")}
     _, rows = read_table(path, MATCHES_HEADER, "matches", key=("left_id",), parse=parse)
     return [MatchPair(*row) for row in rows]
+
+
+def _right_id(text: str) -> str:
+    if not text:
+        raise ValueError("empty right_id")
+    return text

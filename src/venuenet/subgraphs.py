@@ -14,14 +14,15 @@ on one block, the disjoint union of every venue's subgraph of that family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import metrics
 from .arrays import arc_tails, component_labels, concat_ranges, distinct, ids, row_offsets, run_starts, unique
-from .corpus import Corpus
-from .exports import finite_float, read_table, write_table
+from .corpus import VENUE_KINDS, Corpus
+from .exports import finite_float, read_table, unit_float, write_table
 
 TYPE_1 = "Type1"
 TYPE_2 = "Type2"
@@ -366,15 +367,35 @@ def write_profiles(rows: dict[str, list[ProfileRow]], path) -> None:
 
 def read_profiles(path) -> dict[str, list[ProfileRow]]:
     """The rows of a file written by write_profiles: each (subgraph, venue)
-    pair once, each metric and PageRank finite."""
-    parse = dict.fromkeys(METRIC_NAMES, finite_float)
-    parse.update(nodes=int, edges=int, pagerank=lambda text: finite_float(text) if text else None)
+    pair once, a venue kind, a family and a network type as written, counts
+    of at least 0, each metric in [0, 1] and each PageRank finite."""
+    parse = {metric: partial(unit_float, what=metric) for metric in METRIC_NAMES}
+    parse.update(kind=_one_of("kind", VENUE_KINDS), subgraph=_one_of("subgraph", ("coauthorship", "citation")),
+                 type=_one_of("type", (TYPE_1, TYPE_2, TYPE_3, TYPE_4)),
+                 nodes=partial(_count, what="nodes"), edges=partial(_count, what="edges"),
+                 pagerank=lambda text: finite_float(text) if text else None)
     _, table = read_table(path, PROFILES_HEADER, "profiles", key=("subgraph", "venue"), parse=parse)
     rows: dict[str, list[ProfileRow]] = {}
     for venue, kind, family, m1, m2, m3, m4, nodes, edges, network_type, rank in table:
         profile = SubgraphProfile(m1, m2, m3, m4, node_count=nodes, edge_count=edges)
         rows.setdefault(family, []).append(ProfileRow(venue, kind, profile, pagerank=rank, network_type=network_type))
     return rows
+
+
+def _one_of(what: str, values: tuple[str, ...]) -> Callable[[str], str]:
+    """The reader of a `what` cell, which holds one of `values`."""
+    def parse(text: str) -> str:
+        if text not in values:
+            raise ValueError(f"{what} must be one of {', '.join(values)}, got {text!r}")
+        return text
+    return parse
+
+
+def _count(text: str, what: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise ValueError(f"{what} {text!r} is below 0")
+    return count
 
 
 def write_statistics(rows_by_family: dict[str, list[ProfileRow]], bins: int, histogram_path, medians_path) -> None:

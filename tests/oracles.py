@@ -14,7 +14,9 @@ standard library's encoders instead of the direct JSON, corpus JSONL and
 GraphML writers,
 per-reference record id lookups instead of the corpus's reference index,
 walks of the records instead of the corpus's columns (reference index and
-counts, author index, id order and canonical JSONL), a
+counts, author index, id order and canonical JSONL), the linked corpus
+rebuilt a record and a reference string at a time instead of remapping the
+reference codes, a
 pairwise cosine loop instead of the sparse product for the cluster network
 and for adopting unclustered venues, a per-character scan instead of the
 title token regex, each venue's subgraph built and measured on its own as a
@@ -60,7 +62,7 @@ from venuenet.corpus import (
 )
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
 from venuenet.graph import VenueGraph
-from venuenet.linkage import _min_overlap, jaccard_title_similarity, tokenize_title
+from venuenet.linkage import MatchPair, _min_overlap, jaccard_title_similarity, tokenize_title
 from venuenet.metrics import MetricVector
 from venuenet.networks import CouplingMatrix, ThresholdRule
 from venuenet.subgraphs import DEFAULT_CUTS, SubgraphProfile, classify_network_type
@@ -694,6 +696,26 @@ def jsonl_lines_walk(c: Corpus) -> Iterator[str]:
             f'{{"authors": [{authors}], "id": {enc(rec.record_id)}, "refs": [{refs}], '
             f'"title": {enc(rec.title)}{venue}{year}}}\n'
         )
+
+
+def linked_walk(meta: Corpus, matches: list[MatchPair], cite: Corpus | None = None) -> Corpus:
+    """The linked corpus a record and a reference at a time: each matched
+    metadata record takes its citation partner's references (given `cite`),
+    and every target, carried or a record's own, that is a matched citation
+    id becomes its metadata id, the smallest when several match it."""
+    right_to_left = {}
+    for pair in sorted(matches, key=lambda pair: pair.left, reverse=True):
+        right_to_left[pair.right] = pair.left  # the smallest left id is set last
+    carried = {}
+    if cite is not None:
+        cite_references = {rec.record_id: rec.references for rec in cite.records}
+        carried = {pair.left: cite_references[pair.right] for pair in matches}
+    records = [
+        PublicationRecord(rec.record_id, rec.title, rec.authors, rec.venue_key, rec.year,
+                          tuple(right_to_left.get(t, t) for t in carried.get(rec.record_id, rec.references)))
+        for rec in meta.records
+    ]
+    return Corpus(records, meta.venue_table, meta.source)
 
 
 def cluster_sets(p: ClusterPartition) -> set[frozenset[str]]:

@@ -21,12 +21,14 @@ from oracles import (
     author_index_walk,
     id_order_walk,
     jsonl_lines_walk,
+    linked_walk,
     reference_counts_walk,
     reference_index_walk,
 )
 from test_golden_manifests import _jsonl, _linked
 from venuenet.arrays import ids
 from venuenet.corpus import (
+    CITATION_CORPUS,
     CORPUS_SOURCES,
     AuthorName,
     Corpus,
@@ -37,7 +39,7 @@ from venuenet.corpus import (
     parse_jsonl,
     slice_by_year,
 )
-from venuenet.linkage import MatchPair, attach_references
+from venuenet.linkage import MatchPair, attach_references, rewrite_matched_references
 from venuenet.pipeline import run_pipeline
 from venuenet.synth import scale_corpus, split_for_linkage
 
@@ -243,6 +245,52 @@ def test_columns_equal_the_walks(corpus):
     parsed = parse_jsonl(io.BytesIO(saved_bytes(corpus)))
     assert parsed.records == corpus.records
     assert_columns_are_the_walks(parsed)
+
+
+META_IDS, CITE_IDS = ["m1", "m2", "m3", "m4"], ["c1", "c2", "c3"]
+
+
+def linked_case(meta_refs: dict, cite_refs: dict, pairs: list[tuple[str, str]]):
+    """A metadata corpus, a citation corpus and matches, from each record's
+    references and the (left, right) pairs."""
+    meta = Corpus([PublicationRecord(rid, "T", (), None, None, tuple(refs)) for rid, refs in meta_refs.items()], {})
+    cite = Corpus([PublicationRecord(rid, "T", (), None, None, tuple(refs)) for rid, refs in cite_refs.items()], {},
+                  CITATION_CORPUS)
+    return meta, cite, [MatchPair(left, right, 1.0, 1.0) for left, right in pairs]
+
+
+@st.composite
+def linked_cases(draw):
+    """References to metadata ids, citation ids and raw strings on both
+    sides, and matches of any metadata ids, one not in the corpus among
+    them, to citation ids: a citation id matched twice, a carried list
+    naming a matched citation id or empty, no matches."""
+    targets = st.lists(st.sampled_from(META_IDS + CITE_IDS + ["raw", "Raw "]), max_size=5)
+    meta_refs = {rid: draw(targets) for rid in draw(st.lists(st.sampled_from(META_IDS), unique=True))}
+    cite_refs = {rid: draw(targets) for rid in draw(st.lists(st.sampled_from(CITE_IDS), unique=True))}
+    lefts = draw(st.lists(st.sampled_from(META_IDS + ["m9"]), unique=True)) if cite_refs else []
+    return linked_case(meta_refs, cite_refs, [(left, draw(st.sampled_from(sorted(cite_refs)))) for left in lefts])
+
+
+@SETTINGS
+@given(linked_cases())
+# c1 matched by m2 and m1: m1 wins, for m3's own reference and m4's carried one
+@example(linked_case({"m1": [], "m2": ["x"], "m3": ["c1"], "m4": []}, {"c1": [], "c2": ["c1", "y"]},
+                     [("m2", "c1"), ("m1", "c1"), ("m4", "c2")]))
+# c2 renamed onto m2, which m3's references and the table already hold; m1's carried list is empty
+@example(linked_case({"m1": ["c2"], "m2": [], "m3": ["m2", "c2", "m2"]}, {"c1": [], "c2": ["c2"]},
+                     [("m1", "c1"), ("m2", "c2")]))
+@example(linked_case({"m1": ["c1", "raw"]}, {"c1": ["m1"]}, []))  # no matches
+def test_linked_columns_equal_the_walk(case):
+    """The linked corpus, and the rename alone, hold the columns a rebuild
+    from the walk's records holds, each renamed target once."""
+    meta, cite, matches = case
+    for linked, walk in ((attach_references(meta, cite, matches), linked_walk(meta, matches, cite)),
+                         (rewrite_matched_references(meta, matches), linked_walk(meta, matches))):
+        assert linked == walk
+        assert len(set(linked.targets)) == len(linked.targets)
+        assert linked.reference_counts() == reference_counts_walk(walk)
+        assert_columns_are_the_walks(linked)
 
 
 @pytest.mark.parametrize("make", [_jsonl(30, 20, 1), _linked], ids=["jsonl", "linked-dblp"])

@@ -1175,6 +1175,14 @@ MATRIX_OK = '{"venues": ["v1"], "vectors": {"v1": {"k": 1}}}'
 PROFILE_OK = "v1\tjournal\tcitation\t0.1\t0.2\t0.3\t0.4\t3\t2\tType1\t0.5\n"
 CORPUS_OK = '{"id": "p1", "title": "T", "venue": "v1"}\n'
 
+
+def profile_with(column: str, value: str) -> str:
+    """A profiles table whose second row, on line 3, holds `value` in `column`."""
+    fields = PROFILE_OK.replace("v1", "v2").rstrip("\n").split("\t")
+    fields[PROFILES_HEADER.split("\t").index(column)] = value
+    return PROFILES_HEADER + "\n" + PROFILE_OK + "\t".join(fields) + "\n"
+
+
 # (case, command, {file name: content}, the file and position the error must name)
 READER_CASES = [
     ("tsv-deep-node-attrs", "threshold", {"g.tsv": TSV_HEADER + "#node\tv1\t" + "[" * 100_000 + "\n"}, "g.tsv", "line 2"),
@@ -1313,6 +1321,16 @@ READER_CASES = [
     ("matches-repeated-left-id", "build",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\t1.0\t1.0\na\tc\t1.0\t1.0\n"}, "m.tsv",
      "line 3: left_id 'a' repeats line 2"),
+    # link writes a right id in every row and both scores in [0, 1]
+    ("matches-empty-right-id", "build",
+     {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\np2\t\t1.0\t1.0\n"}, "m.tsv",
+     "line 2: empty right_id"),
+    ("matches-jaccard-above-1", "build",
+     {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\t1.0\t1.0\nc\td\t2.5\t1.0\n"}, "m.tsv",
+     "line 3: jaccard '2.5' is outside [0, 1]"),
+    ("matches-sw-similarity-below-0", "build",
+     {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\t1.0\t-7.0\n"}, "m.tsv",
+     "line 2: sw_similarity '-7.0' is outside [0, 1]"),
     ("graphml-truncated", "export-graphml", {"g.graphml": "<graphml"}, "g.graphml", "line 1, column 0"),
     ("graphml-undeclared-data-key", "export-graphml",
      {"g.graphml": GRAPHML_HEAD + '<node id="a"><data key="d9">x</data></node>' + GRAPHML_TAIL}, "g.graphml", "node 'a'"),
@@ -1341,6 +1359,19 @@ READER_CASES = [
      {"p.tsv": PROFILES_HEADER + "\n" + PROFILE_OK + PROFILE_OK.replace("0.5", "inf")}, "p.tsv", "line 3: not a finite"),
     ("profiles-repeated-pair", "stats", {"p.tsv": PROFILES_HEADER + "\n" + PROFILE_OK + PROFILE_OK}, "p.tsv",
      "line 3: subgraph 'citation', venue 'v1' repeats line 2"),
+    # values write_profiles never writes: each would be counted into a histogram or a median
+    *[(f"profiles-{column}-{value}", "stats", {"p.tsv": profile_with(column, value)}, "p.tsv", f"line 3: {message}")
+      for column, value, message in [
+          ("kind", "banana", "kind must be one of journal, conference, unknown, got 'banana'"),
+          ("subgraph", "foo", "subgraph must be one of coauthorship, citation, got 'foo'"),
+          ("type", "Type5", "type must be one of Type1, Type2, Type3, Type4, got 'Type5'"),
+          ("nodes", "-1", "nodes '-1' is below 0"),
+          ("edges", "-2", "edges '-2' is below 0"),
+          ("m1_density", "1.5", "m1_density '1.5' is outside [0, 1]"),
+          ("m2_avg_clustering", "7.0", "m2_avg_clustering '7.0' is outside [0, 1]"),
+          ("m3_max_betweenness", "-0.1", "m3_max_betweenness '-0.1' is outside [0, 1]"),
+          ("m4_lcc_fraction", "1.0000001", "m4_lcc_fraction '1.0000001' is outside [0, 1]"),
+      ]],
     ("pagerank-wrong-header", "subgraphs", {"c.jsonl": CORPUS_OK, "r.tsv": "node\tbetweenness\nv1\t0.5\n"}, "r.tsv", "line 1"),
     ("pagerank-nan", "subgraphs", {"c.jsonl": CORPUS_OK, "r.tsv": "node\tpagerank\nv1\tnan\n"}, "r.tsv", "line 2"),
     ("pagerank-inf", "subgraphs",

@@ -108,6 +108,21 @@ def test_references_resolve_in_one_place():
     assert found == []
 
 
+# A corpus's private state: its id -> row dict, its derived copies and its
+# reference index. Only corpus.py reads them; linkage calls Corpus.linked.
+CORPUS_PRIVATE = {"_rows", "_derive", "_references"}
+
+
+def test_only_corpus_reads_a_corpus_private_state():
+    found = []
+    for path in sorted(Path(venuenet.__file__).parent.rglob("*.py")):
+        if path.name != "corpus.py":
+            found += [(path.name, node.lineno, node.attr)
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+                      if isinstance(node, ast.Attribute) and node.attr in CORPUS_PRIVATE]
+    assert found == []
+
+
 def test_one_name_rule():
     """Only corpus.py names the characters no name may hold, and only its
     parsers run the corpus check: every other reader of names calls
