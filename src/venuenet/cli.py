@@ -94,7 +94,7 @@ def slice_cmd(corpus_path: str, year: int, out: str) -> None:
     corpus = load_corpus(corpus_path)
     sliced = slice_by_year(corpus, year)
     save_corpus(sliced, out)
-    click.echo(f"kept {len(sliced.records)} of {len(corpus.records)} records")
+    click.echo(f"kept {len(sliced.ids)} of {len(corpus.ids)} records")
 
 
 @main.command()
@@ -116,26 +116,33 @@ def link(left: str, right: str, jaccard_min: float, sw_min: float, out: str) -> 
 
 
 @main.command()
+@click.option("--left", required=True, type=click.Path(dir_okay=False))
+@click.option("--right", required=True, type=click.Path(dir_okay=False))
+@click.option("--matches", "matches_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--out", required=True, type=click.Path(dir_okay=False))
+def attach(left: str, right: str, matches_path: str, out: str) -> None:
+    """Carry the matched citation records' references onto the metadata corpus."""
+    meta, cite = load_corpus(left), load_corpus(right)
+    matches = linkage.read_matches(matches_path)
+    for column, named, corpus, path in (("left_id", {p.left for p in matches}, meta, left),
+                                        ("right_id", {p.right for p in matches}, cite, right)):
+        unknown = sorted(named.difference(corpus.ids))
+        if unknown:
+            raise ValueError(f"{matches_path}: {column} {unknown[0]!r} names no record of {path}")
+    save_corpus(linkage.attach_references(meta, cite, matches), out)
+    click.echo(f"{len(matches)} metadata records took their citation partner's references")
+
+
+@main.command()
 @click.argument("corpus_path", type=click.Path(dir_okay=False))
 @click.option("--network", type=click.Choice(["knowledge", "citation"]), required=True)
-@click.option("--matches", "matches_path", type=click.Path(dir_okay=False), help="Rewrite matched citation ids to their metadata ids first.")
-@click.option("--threshold", "threshold_value", type=float, default=None, help="Apply the matching edge threshold before writing.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--matrix-out", type=click.Path(dir_okay=False), help="Also write the coupling matrix (knowledge only).")
-def build(
-    corpus_path: str,
-    network: str,
-    matches_path: str | None,
-    threshold_value: float | None,
-    out: str,
-    matrix_out: str | None,
-) -> None:
+def build(corpus_path: str, network: str, out: str, matrix_out: str | None) -> None:
     """Build the knowledge (undirected cosine) or citation (directed count) network."""
-    kind = "cosine" if network == "knowledge" else "citation"
-    rule = None if threshold_value is None else networks.ThresholdRule(kind, threshold_value)
+    if matrix_out and network == "citation":
+        raise ValueError("--matrix-out does not apply to --network citation")
     corpus = load_corpus(corpus_path)
-    if matches_path:
-        corpus = linkage.rewrite_matched_references(corpus, linkage.read_matches(matches_path))
     if network == "knowledge":
         matrix = networks.build_coupling_matrix(corpus)
         graph = networks.build_knowledge_network(matrix)
@@ -143,12 +150,8 @@ def build(
             matrix.save(matrix_out)
     else:
         graph = networks.build_citation_network(corpus)
-    summaries = {network: networks.summarize(graph)}
-    if rule is not None:
-        graph = networks.apply_threshold(graph, rule)
-        summaries["reduced"] = networks.summarize(graph)
     write_graph(graph, out)
-    click.echo(networks.format_summary_table(summaries), nl=False)
+    click.echo(networks.format_summary_table({network: networks.summarize(graph)}), nl=False)
 
 
 @main.command()

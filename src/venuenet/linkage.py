@@ -398,15 +398,10 @@ def right_to_left_ids(matches: list[MatchPair]) -> dict[str, str]:
 
 def attach_references(meta: Corpus, cite: Corpus, matches: list[MatchPair]) -> Corpus:
     """Carry reference lists from matched citation records onto the metadata
-    corpus, rewriting every target, carried or a record's own, as
-    `rewrite_matched_references` does."""
+    corpus, and rewrite every target, carried or a record's own, that is a
+    matched citation id to its metadata id (the only place matches change
+    where a reference points)."""
     return meta.linked(cite, {pair.left: pair.right for pair in matches}, right_to_left_ids(matches))
-
-
-def rewrite_matched_references(c: Corpus, matches: list[MatchPair]) -> Corpus:
-    """`c` with every target that is a matched citation id rewritten to its
-    metadata id (the only place matches change where a reference points)."""
-    return c.linked(Corpus([], {}), {}, right_to_left_ids(matches))
 
 
 MATCHES_HEADER = "left_id\tright_id\tjaccard\tsw_similarity"

@@ -38,6 +38,55 @@ def write_dblp(corpus, path: Path) -> None:
     path.write_text("".join(parts + ["</dblp>"]), encoding="utf-8")
 
 
+def run_stage_chain(cfg, d: Path) -> None:
+    """Write under `d`, one stage command at a time, the artifacts `venuenet
+    run` writes for `cfg` that have a stage command, with the default cuts of
+    `subgraphs`: a two-corpus config links and attaches, and builds from the
+    linked corpus, and each slice year is sliced, built and thresholded."""
+    from click.testing import CliRunner
+
+    from venuenet.cli import main
+
+    d.mkdir()
+    meta = corpus = d / "corpus_metadata.jsonl"
+    steps = [["ingest", cfg.metadata_corpus, "--format", cfg.corpus_format, "--out", meta]]
+    if cfg.citation_corpus:
+        cite, matches, corpus = d / "corpus_citation.jsonl", d / "matches.tsv", d / "linked.jsonl"
+        steps += [
+            ["ingest", cfg.citation_corpus, "--format", cfg.corpus_format, "--source", "citation-corpus", "--out", cite],
+            ["link", "--left", meta, "--right", cite, "--jaccard-min", cfg.jaccard_min, "--sw-min", cfg.sw_min, "--out", matches],
+            ["attach", "--left", meta, "--right", cite, "--matches", matches, "--out", corpus],
+        ]
+    steps += [
+        ["build", corpus, "--network", "knowledge", "--matrix-out", d / "coupling.json", "--out", d / "knowledge_full.tsv"],
+        ["build", corpus, "--network", "citation", "--out", d / "citation_full.tsv"],
+        ["threshold", d / "knowledge_full.tsv", "--rule", "cosine", "--min", cfg.cosine_min, "--out", d / "knowledge.tsv"],
+        ["threshold", d / "citation_full.tsv", "--rule", "citation", "--min", cfg.citation_min, "--out", d / "citation.tsv"],
+        ["cluster", "--graph", d / "knowledge.tsv", "--out", d / "partition.tsv"],
+        ["project", "--matrix", d / "coupling.json", "--partition", d / "partition.tsv", "--out", d / "cluster_graph.tsv",
+         "--assignment-out", d / "cluster_assignment.tsv"],
+        ["metrics", "--graph", d / "citation.tsv", "--metric", "betweenness", "--weighted", "--out", d / "betweenness.tsv"],
+        ["metrics", "--graph", d / "citation.tsv", "--metric", "pagerank", "--d", cfg.pagerank_d, "--tol", cfg.pagerank_tol,
+         "--max-iter", cfg.pagerank_max_iter, "--out", d / "pagerank.tsv"],
+        ["subgraphs", corpus, "--pagerank", d / "pagerank.tsv", "--out", d / "profiles.tsv"],
+        ["stats", "--profiles", d / "profiles.tsv", "--bins", cfg.histogram_bins, "--out", d / "histograms.tsv",
+         "--medians-out", d / "medians.tsv"],
+    ]
+    for year in cfg.slice_years:
+        sliced, snapshot = d / f"linked_{year}.jsonl", d / "snapshots" / str(year)
+        snapshot.mkdir(parents=True)
+        steps += [
+            ["slice", corpus, "--year", year, "--out", sliced],
+            ["build", sliced, "--network", "knowledge", "--out", snapshot / "knowledge_full.tsv"],
+            ["threshold", snapshot / "knowledge_full.tsv", "--rule", "cosine", "--min", cfg.cosine_min,
+             "--out", snapshot / "knowledge.tsv"],
+        ]
+    runner = CliRunner()
+    for step in steps:
+        result = runner.invoke(main, list(map(str, step)))
+        assert result.exit_code == 0, (step, result.output)
+
+
 def saved_bytes(corpus) -> bytes:
     """The canonical JSONL that `save_corpus` writes for `corpus`."""
     with tempfile.TemporaryDirectory() as directory:

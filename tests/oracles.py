@@ -698,18 +698,16 @@ def jsonl_lines_walk(c: Corpus) -> Iterator[str]:
         )
 
 
-def linked_walk(meta: Corpus, matches: list[MatchPair], cite: Corpus | None = None) -> Corpus:
+def linked_walk(meta: Corpus, matches: list[MatchPair], cite: Corpus) -> Corpus:
     """The linked corpus a record and a reference at a time: each matched
-    metadata record takes its citation partner's references (given `cite`),
-    and every target, carried or a record's own, that is a matched citation
-    id becomes its metadata id, the smallest when several match it."""
+    metadata record takes its citation partner's references, and every
+    target, carried or a record's own, that is a matched citation id becomes
+    its metadata id, the smallest when several match it."""
     right_to_left = {}
     for pair in sorted(matches, key=lambda pair: pair.left, reverse=True):
         right_to_left[pair.right] = pair.left  # the smallest left id is set last
-    carried = {}
-    if cite is not None:
-        cite_references = {rec.record_id: rec.references for rec in cite.records}
-        carried = {pair.left: cite_references[pair.right] for pair in matches}
+    cite_references = {rec.record_id: rec.references for rec in cite.records}
+    carried = {pair.left: cite_references[pair.right] for pair in matches}
     records = [
         PublicationRecord(rec.record_id, rec.title, rec.authors, rec.venue_key, rec.year,
                           tuple(right_to_left.get(t, t) for t in carried.get(rec.record_id, rec.references)))

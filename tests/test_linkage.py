@@ -13,7 +13,7 @@ from oracles import banded_sw_best_loop, extract_citation_subgraph, sw_score_mat
 import venuenet.corpus
 from venuenet import linkage
 from venuenet.cli import main
-from venuenet.corpus import last_name_key
+from venuenet.corpus import last_name_key, load_corpus
 from venuenet.exports import load_graph
 from venuenet.linkage import (
     DEFAULT_SW_MIN,
@@ -564,25 +564,29 @@ class TestOneResolutionRule:
         )
         self._assert_points_at_m2(self._linked(*meta_lines))
 
-    def test_build_with_matches_applies_the_same_rewrite(self, tmp_path):
-        corpus = _write_lines(
+    def test_attach_writes_the_linked_corpus_build_reads(self, tmp_path):
+        meta = _write_lines(
             tmp_path / "meta.jsonl",
             '{"id": "m1", "title": "One", "venue": "A", "refs": ["c2", "c2"]}',
-            '{"id": "m2", "title": "Two", "venue": "B", "refs": ["c2"]}',
+            '{"id": "m2", "title": "Two", "venue": "B", "refs": ["own ref"]}',
             '{"id": "c2", "title": "Three", "venue": "C"}',
         )
-        matches = tmp_path / "matches.tsv"
-        write_matches([MatchPair(left="m2", right="c2", jaccard=1.0, sw_similarity=1.0)], matches)
+        cite = _write_lines(tmp_path / "cite.jsonl", *self.CITE[:1], '{"id": "c2", "title": "Two", "refs": ["c2"]}')
+        pairs = [MatchPair(left="m2", right="c2", jaccard=1.0, sw_similarity=1.0)]
+        matches, linked = tmp_path / "matches.tsv", tmp_path / "linked.jsonl"
+        write_matches(pairs, matches)
         runner = CliRunner()
+        args = ["attach", "--left", str(meta), "--right", str(cite), "--matches", str(matches), "--out", str(linked)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert load_corpus(linked) == attach_references(load_corpus(meta), load_corpus(cite), pairs)
         out, matrix = tmp_path / "f.tsv", tmp_path / "coupling.json"
-        result = runner.invoke(main, ["build", str(corpus), "--network", "citation", "--matches", str(matches), "--out", str(out)])
+        result = runner.invoke(main, ["build", str(linked), "--network", "citation", "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert list(load_graph(out).edges()) == [("A", "B", 2.0)]
         assert load_graph(out).nodes["B"]["self_citations"] == 1
         result = runner.invoke(
-            main,
-            ["build", str(corpus), "--network", "knowledge", "--matches", str(matches),
-             "--out", str(tmp_path / "k.tsv"), "--matrix-out", str(matrix)],
+            main, ["build", str(linked), "--network", "knowledge", "--out", str(tmp_path / "k.tsv"), "--matrix-out", str(matrix)]
         )
         assert result.exit_code == 0, result.output
         assert CouplingMatrix.from_json(matrix.read_text(encoding="utf-8")).vectors == {"A": {"m2": 2}, "B": {"m2": 1}}

@@ -19,7 +19,7 @@ from venuenet import networks
 from venuenet.community import ClusterPartition, project_to_cluster_network
 from venuenet.exports import export_graph
 from venuenet.graph import VenueGraph
-from venuenet.linkage import MatchPair, rewrite_matched_references
+from venuenet.linkage import MatchPair, attach_references
 from venuenet.networks import (
     CouplingMatrix,
     ThresholdRule,
@@ -369,8 +369,9 @@ class TestCitationNetwork:
             '{"id": "a1", "title": "A", "venue": "A", "refs": ["cx9"]}',
             '{"id": "b1", "title": "B", "venue": "B", "refs": []}',
         )
+        cite = corpus_from_lines('{"source": "citation-corpus"}', '{"id": "cx9", "title": "B", "refs": []}')
         matches = [MatchPair(left="b1", right="cx9", jaccard=1.0, sw_similarity=1.0)]
-        g = build_citation_network(rewrite_matched_references(corpus, matches))
+        g = build_citation_network(attach_references(corpus, cite, matches))
         assert neighbors(g, "A")["B"] == 1.0
         assert build_citation_network(corpus).edge_count() == 0
 

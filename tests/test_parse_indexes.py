@@ -16,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import saved_bytes
+from conftest import run_stage_chain, saved_bytes
 from oracles import (
     author_index_walk,
     id_order_walk,
@@ -39,7 +39,7 @@ from venuenet.corpus import (
     parse_jsonl,
     slice_by_year,
 )
-from venuenet.linkage import MatchPair, attach_references, rewrite_matched_references
+from venuenet.linkage import MatchPair, attach_references
 from venuenet.pipeline import run_pipeline
 from venuenet.synth import scale_corpus, split_for_linkage
 
@@ -282,25 +282,25 @@ def linked_cases(draw):
                      [("m1", "c1"), ("m2", "c2")]))
 @example(linked_case({"m1": ["c1", "raw"]}, {"c1": ["m1"]}, []))  # no matches
 def test_linked_columns_equal_the_walk(case):
-    """The linked corpus, and the rename alone, hold the columns a rebuild
-    from the walk's records holds, each renamed target once."""
+    """The linked corpus holds the columns a rebuild from the walk's records
+    holds, each renamed target once."""
     meta, cite, matches = case
-    for linked, walk in ((attach_references(meta, cite, matches), linked_walk(meta, matches, cite)),
-                         (rewrite_matched_references(meta, matches), linked_walk(meta, matches))):
-        assert linked == walk
-        assert len(set(linked.targets)) == len(linked.targets)
-        assert linked.reference_counts() == reference_counts_walk(walk)
-        assert_columns_are_the_walks(linked)
+    linked, walk = attach_references(meta, cite, matches), linked_walk(meta, matches, cite)
+    assert linked == walk
+    assert len(set(linked.targets)) == len(linked.targets)
+    assert linked.reference_counts() == reference_counts_walk(walk)
+    assert_columns_are_the_walks(linked)
 
 
 @pytest.mark.parametrize("make", [_jsonl(30, 20, 1), _linked], ids=["jsonl", "linked-dblp"])
 def test_a_run_builds_no_publication_record(make, tmp_path, monkeypatch):
-    """Every stage reads the columns: a stage that walks the records again
-    builds them, and fails this."""
+    """Every stage, of the run and of the stage commands, reads the columns:
+    a stage that walks the records again builds them, and fails this."""
     cfg = make(tmp_path)
     cfg.out_dir = str(tmp_path / "out")
     built = []
     init = PublicationRecord.__init__
     monkeypatch.setattr(PublicationRecord, "__init__", lambda self, *args: built.append(args) or init(self, *args))
     run_pipeline(cfg)
+    run_stage_chain(cfg, tmp_path / "cli")
     assert built == []

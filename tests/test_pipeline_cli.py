@@ -16,7 +16,8 @@ from venuenet.corpus import save_corpus
 from venuenet.exports import load_graph
 from venuenet.linkage import MATCHES_HEADER
 from venuenet.networks import ThresholdRule, apply_threshold, summarize
-from conftest import write_dblp
+from conftest import run_stage_chain, write_dblp
+from test_golden_manifests import _linked
 from oracles import cluster_sets, graphml_et, record_ids
 from venuenet.subgraphs import PROFILES_HEADER, write_profiles
 from venuenet.pipeline import (
@@ -882,28 +883,6 @@ class TestCli:
         result = runner.invoke(main, ["metrics", "--graph", str(tmp_path / "k.tsv"), "--metric", "pagerank"])
         assert result.exit_code == 1
 
-    def test_build_with_inline_threshold(self, tmp_path):
-        runner = CliRunner()
-        corpus_path = self._write_fixture(tmp_path)
-        runner.invoke(main, ["ingest", str(corpus_path), "--out", str(tmp_path / "c.jsonl")])
-        result = runner.invoke(
-            main,
-            [
-                "build",
-                str(tmp_path / "c.jsonl"),
-                "--network",
-                "knowledge",
-                "--threshold",
-                "0.1",
-                "--out",
-                str(tmp_path / "kp.tsv"),
-            ],
-        )
-        assert result.exit_code == 0, result.output
-        assert "reduced" in result.output
-        graph = load_graph(tmp_path / "kp.tsv")
-        assert all(w >= 0.1 for _, _, w in graph.edges())
-
     def test_nan_thresholds_exit_1_naming_the_value(self, tmp_path):
         runner = CliRunner()
         corpus_path = self._write_fixture(tmp_path)
@@ -912,8 +891,6 @@ class TestCli:
         for args in (
             ["threshold", str(graph_path), "--rule", "cosine", "--min", "nan", "--out", str(out)],
             ["threshold", str(graph_path), "--rule", "citation", "--min", "nan", "--out", str(out)],
-            ["build", str(corpus_path), "--network", "knowledge", "--threshold", "nan", "--out", str(out)],
-            ["build", str(corpus_path), "--network", "citation", "--threshold", "nan", "--out", str(out)],
         ):
             result = runner.invoke(main, args)
             assert result.exit_code == 1, result.output
@@ -1136,6 +1113,16 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == f"error: {refused} does not apply to --metric {options[1]}\n"
 
+    def test_build_refuses_matrix_out_for_citation(self, tmp_path):
+        corpus, matrix = tmp_path / "c.jsonl", tmp_path / "m.json"
+        corpus.write_text(CORPUS_OK)
+        args = ["build", str(corpus), "--network", "citation", "--matrix-out", str(matrix), "--out", str(tmp_path / "f.tsv")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: --matrix-out does not apply to --network citation\n"
+        assert not matrix.exists() and not (tmp_path / "f.tsv").exists()
+
     def test_cluster_domains_errors_exit_1(self, tmp_path):
         graph = tmp_path / "k.tsv"
         graph.write_text("# venuenet-graph directed=false\na\tb\t1.0\n")
@@ -1309,28 +1296,35 @@ READER_CASES = [
      "d.tsv", "line 2: venue_key 'a' repeats line 1"),
     ("domains-crlf", "cluster-domains",
      {"g.tsv": TSV_HEADER + "a\tb\t1.0\n", "d.tsv": "a\tDatabases\r\nb\tArt\r\n"}, "d.tsv", "line 1: domain 'Databases\\r' holds '\\r'"),
-    ("matches-missing-file", "build", {"c.jsonl": '{"id": "p1", "title": "T"}\n'}, "m.tsv", "No such file"),
-    ("matches-two-field-row", "build",
+    ("matches-missing-file", "attach", {"c.jsonl": '{"id": "p1", "title": "T"}\n'}, "m.tsv", "No such file"),
+    ("matches-two-field-row", "attach",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\n"}, "m.tsv", "line 2"),
-    ("matches-nan-jaccard", "build",
+    ("matches-nan-jaccard", "attach",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\tnan\t1.0\n"}, "m.tsv",
      "line 2: not a finite number: 'nan'"),
-    ("matches-inf-sw-similarity", "build",
+    ("matches-inf-sw-similarity", "attach",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\t1.0\t1.0\nc\td\t1.0\tinf\n"}, "m.tsv",
      "line 3: not a finite number: 'inf'"),
-    ("matches-repeated-left-id", "build",
+    ("matches-repeated-left-id", "attach",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\t1.0\t1.0\na\tc\t1.0\t1.0\n"}, "m.tsv",
      "line 3: left_id 'a' repeats line 2"),
     # link writes a right id in every row and both scores in [0, 1]
-    ("matches-empty-right-id", "build",
+    ("matches-empty-right-id", "attach",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\np2\t\t1.0\t1.0\n"}, "m.tsv",
      "line 2: empty right_id"),
-    ("matches-jaccard-above-1", "build",
+    ("matches-jaccard-above-1", "attach",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\t1.0\t1.0\nc\td\t2.5\t1.0\n"}, "m.tsv",
      "line 3: jaccard '2.5' is outside [0, 1]"),
-    ("matches-sw-similarity-below-0", "build",
+    ("matches-sw-similarity-below-0", "attach",
      {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\na\tb\t1.0\t-7.0\n"}, "m.tsv",
      "line 2: sw_similarity '-7.0' is outside [0, 1]"),
+    # link writes only ids of the two corpora it read: attach refuses an id that names no record of its corpus
+    ("matches-unknown-left-id", "attach",
+     {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\np1\tp1\t1.0\t1.0\np9\tp1\t1.0\t1.0\n"}, "m.tsv",
+     "left_id 'p9' names no record of"),
+    ("matches-unknown-right-id", "attach",
+     {"c.jsonl": '{"id": "p1", "title": "T"}\n', "m.tsv": MATCHES_HEADER + "\np1\tp9\t1.0\t1.0\n"}, "m.tsv",
+     "right_id 'p9' names no record of"),
     ("graphml-truncated", "export-graphml", {"g.graphml": "<graphml"}, "g.graphml", "line 1, column 0"),
     ("graphml-undeclared-data-key", "export-graphml",
      {"g.graphml": GRAPHML_HEAD + '<node id="a"><data key="d9">x</data></node>' + GRAPHML_TAIL}, "g.graphml", "node 'a'"),
@@ -1387,7 +1381,7 @@ READER_ARGS = {
                         "--composition-out", "{comp.tsv}"],
     "export": ["export", "{g.json}", "--in-format", "json", "--format", "edge-tsv", "--out", "{out.tsv}"],
     "project": ["project", "--matrix", "{m.json}", "--partition", "{p.tsv}", "--out", "{out.tsv}"],
-    "build": ["build", "{c.jsonl}", "--network", "citation", "--matches", "{m.tsv}", "--out", "{out.tsv}"],
+    "attach": ["attach", "--left", "{c.jsonl}", "--right", "{c.jsonl}", "--matches", "{m.tsv}", "--out", "{out.tsv}"],
     "export-graphml": ["export", "{g.graphml}", "--in-format", "graphml", "--format", "json", "--out", "{out.tsv}"],
     "stats": ["stats", "--profiles", "{p.tsv}", "--out", "{out.tsv}", "--medians-out", "{medians.tsv}"],
     "subgraphs": ["subgraphs", "{c.jsonl}", "--pagerank", "{r.tsv}", "--out", "{out.tsv}"],
@@ -1418,12 +1412,14 @@ WRITER_FILES = {
     "m.json": MATRIX_OK,
     "p.tsv": PARTITION_OK,
     "profiles.tsv": PROFILES_HEADER + "\n" + PROFILE_OK,
+    "matches.tsv": MATCHES_HEADER + "\n",
     "file": "",
 }
 WRITER_ARGS = {
     "ingest": ["ingest", "{c.jsonl}", "--out", "{out}"],
     "slice": ["slice", "{c.jsonl}", "--year", "2000", "--out", "{out}"],
     "link": ["link", "--left", "{c.jsonl}", "--right", "{c.jsonl}", "--out", "{out}"],
+    "attach": ["attach", "--left", "{c.jsonl}", "--right", "{c.jsonl}", "--matches", "{matches.tsv}", "--out", "{out}"],
     "build": ["build", "{c.jsonl}", "--network", "knowledge", "--out", "{out}"],
     "threshold": ["threshold", "{g.tsv}", "--rule", "cosine", "--out", "{out}"],
     "cluster": ["cluster", "--graph", "{g.tsv}", "--out", "{out}"],
@@ -1534,6 +1530,24 @@ class TestStageByStageCli:
             assert result.exit_code == 0, (step[0], result.output)
 
         differing = [name for name in self.ARTIFACTS if (d / name).read_bytes() != (run_dir / name).read_bytes()]
+        assert differing == []
+
+    def test_cli_chain_reproduces_linked_run_artifacts(self, tmp_path):
+        """The golden DBLP XML pair, with two slice years and a citation
+        threshold of 5: the chain through `attach` writes every artifact
+        of the run that a stage command writes."""
+        cfg = _linked(tmp_path)
+        cfg.out_dir = str(tmp_path / "run")
+        cfg.save(tmp_path / "run.cfg")
+        result = CliRunner().invoke(main, ["run", "--config", str(tmp_path / "run.cfg")])
+        assert result.exit_code == 0, result.output
+        run_dir, d = Path(cfg.out_dir), tmp_path / "cli"
+        assert (run_dir / "matches.tsv").read_text().count("\n") > 1
+        run_stage_chain(cfg, d)
+
+        snapshots = [f"snapshots/{year}/{name}" for year in cfg.slice_years for name in ("knowledge_full.tsv", "knowledge.tsv")]
+        names = ("corpus_citation.jsonl", "matches.tsv", *self.ARTIFACTS, *snapshots)
+        differing = [name for name in names if (d / name).read_bytes() != (run_dir / name).read_bytes()]
         assert differing == []
 
 

@@ -73,3 +73,23 @@ def test_documented_table_headers_are_the_code_headers():
         "cluster --domains": community.DOMAINS_HEADER,
     }
     assert documented == {name: header.split("\t") for name, header in headers.items()}
+
+
+def test_bash_blocks_name_the_defined_commands_and_options():
+    """Every `venuenet <command> ... --<option>` line of the README's bash
+    blocks names a command of `cli.main` and only options it defines."""
+    from venuenet.cli import main
+
+    blocks = re.findall(r"^```bash\n(.*?)^```", README, re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("venuenet ")]
+    assert len(lines) > 10
+    undefined = []
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        command = main.commands.get(words[1])
+        if command is None:
+            undefined.append((words[1], None))
+            continue
+        defined = {opt for param in command.params for opt in param.opts + param.secondary_opts}
+        undefined += [(words[1], word) for word in words[2:] if word.startswith("--") and word.split("=")[0] not in defined]
+    assert undefined == []
