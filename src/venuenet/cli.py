@@ -124,12 +124,11 @@ def attach(left: str, right: str, matches_path: str, out: str) -> None:
     """Carry the matched citation records' references onto the metadata corpus."""
     meta, cite = load_corpus(left), load_corpus(right)
     matches = linkage.read_matches(matches_path)
-    for column, named, corpus, path in (("left_id", {p.left for p in matches}, meta, left),
-                                        ("right_id", {p.right for p in matches}, cite, right)):
-        unknown = sorted(named.difference(corpus.ids))
-        if unknown:
-            raise ValueError(f"{matches_path}: {column} {unknown[0]!r} names no record of {path}")
-    save_corpus(linkage.attach_references(meta, cite, matches), out)
+    try:
+        linked = linkage.attach_references(meta, cite, matches)
+    except ValueError as exc:  # an id that names no record
+        raise ValueError(f"{matches_path}: {exc}") from None
+    save_corpus(linked, out)
     click.echo(f"{len(matches)} metadata records took their citation partner's references")
 
 

@@ -173,14 +173,19 @@ class Corpus:
         """This corpus with the references of `cite`'s record partners[i] on
         each row whose id i `partners` names, and every target t, carried or
         a row's own, renamed to rename.get(t, t). Each target of the two
-        tables is renamed once, and the new table holds each name once."""
+        tables is renamed once, and the new table holds each name once. A
+        left id that is no row of this corpus, or a right id that is none of
+        `cite`, is a ValueError naming it."""
         table = FirstSeenIds()
         names = [rename.get(t, t) for t in self.targets + cite.targets]
         code = np.fromiter(map(table.__getitem__, names), np.int32, len(names))
         rows = np.arange(len(self.ids))  # row r of cite is row len(self.ids) + r of the two
         for left, right in partners.items():
-            if left in self._rows:
-                rows[self._rows[left]] = len(self.ids) + cite._rows[right]
+            row, partner = self._rows.get(left), cite._rows.get(right)
+            if row is None or partner is None:
+                side, name = ("left", left) if row is None else ("right", right)
+                raise ValueError(f"{side}_id {name!r} names no record of the {side} corpus")
+            rows[row] = len(self.ids) + partner
         offsets = np.r_[self.ref_offsets, cite.ref_offsets[1:] + self.ref_offsets[-1]]
         ref_offsets, ref_codes = _rows_of(offsets, np.r_[self.ref_codes, cite.ref_codes + len(self.targets)], rows)
         return self._derive(ref_offsets=ref_offsets, ref_codes=code[ref_codes], targets=list(table))

@@ -300,24 +300,13 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Mutable state threaded through the pipeline stages."""
+    """What every stage may use: the run's settings, its output directory and
+    its manifest. The stage products pass between the stages as arguments."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.out_dir = Path(cfg.out_dir)
         self.manifest = RunManifest(config=cfg.to_dict())
-        # the stage products, each dropped after its last reader (_RELEASED_AFTER) but `linked`
-        self.meta: Corpus | None = None
-        self.cite: Corpus | None = None
-        self.linked: Corpus | None = None
-        self.coupling: networks.CouplingMatrix | None = None
-        self.knowledge: VenueGraph | None = None
-        self.citation: VenueGraph | None = None
-        self.knowledge_reduced: VenueGraph | None = None
-        self.citation_reduced: VenueGraph | None = None
-        self.partition: community.ClusterPartition | None = None
-        self.pagerank: metrics.MetricVector | None = None
-        self.profiles: dict[str, list[ProfileRow]] | None = None
 
     def record(self, stage: str, *paths: Path) -> None:
         rec = StageRecord(name=stage)
@@ -337,59 +326,62 @@ def _ingest_counts(corpus: Corpus) -> dict[str, int]:
     return {"records": len(corpus.ids), "references": references, "distinct_targets": distinct}
 
 
-def _stage_ingest(run: _Run) -> None:
+def _stage_ingest(run: _Run) -> dict:
     cfg = run.cfg
     with open(cfg.metadata_corpus, "rb") as fh:
-        run.meta = parse_corpus(fh, cfg.corpus_format, source="metadata-corpus")
-    run.manifest.ingest["metadata"] = _ingest_counts(run.meta)
+        meta = parse_corpus(fh, cfg.corpus_format, source="metadata-corpus")
+    run.manifest.ingest["metadata"] = _ingest_counts(meta)
     out = run.out_dir / "corpus_metadata.jsonl"
-    save_corpus(run.meta, out)
-    report = validate_corpus(run.meta)
+    save_corpus(meta, out)
+    report = validate_corpus(meta)
     report_path = run.out_dir / "validation_metadata.json"
     write_text(report_path, json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
     outputs = [out, report_path]
 
+    cite = None
     if cfg.citation_corpus:
         with open(cfg.citation_corpus, "rb") as fh:
-            run.cite = parse_corpus(fh, cfg.corpus_format, source="citation-corpus")
-        run.manifest.ingest["citation"] = _ingest_counts(run.cite)
+            cite = parse_corpus(fh, cfg.corpus_format, source="citation-corpus")
+        run.manifest.ingest["citation"] = _ingest_counts(cite)
         cite_out = run.out_dir / "corpus_citation.jsonl"
-        save_corpus(run.cite, cite_out)
+        save_corpus(cite, cite_out)
         outputs.append(cite_out)
     run.record("ingest", *outputs)
+    return {"meta": meta, "cite": cite}
 
 
-def _stage_link(run: _Run) -> None:
+def _stage_link(run: _Run, meta: Corpus, cite: Corpus | None) -> dict:
     cfg = run.cfg
     matches = []
-    if run.cite is not None:
+    if cite is not None:
         matches = linkage.link_corpora(
-            run.meta, run.cite, jaccard_min=cfg.jaccard_min, sw_min=cfg.sw_min, funnel=run.manifest.linkage
+            meta, cite, jaccard_min=cfg.jaccard_min, sw_min=cfg.sw_min, funnel=run.manifest.linkage
         )
     path = run.out_dir / "matches.tsv"
     linkage.write_matches(matches, path)
     run.record("link", path)
     # last, so that the parsed corpora and the linked one are alive together only here
-    run.linked = run.meta if run.cite is None else linkage.attach_references(run.meta, run.cite, matches)
+    return {"linked": meta if cite is None else linkage.attach_references(meta, cite, matches)}
 
 
 def _size(g: VenueGraph) -> dict[str, int]:
     return {"nodes": g.node_count(), "edges": g.edge_count()}
 
 
-def _stage_build(run: _Run) -> None:
-    run.coupling = m = networks.build_coupling_matrix(run.linked)
+def _stage_build(run: _Run, linked: Corpus) -> dict:
+    m = networks.build_coupling_matrix(linked)
     run.manifest.coupling = {"venues": len(m.venues), "keys": len(m.keys), "entries": int(m.indptr[-1])}
     coupling_path = run.out_dir / "coupling.json"
     m.save(coupling_path)
-    run.knowledge = networks.build_knowledge_network(m)
-    run.citation = networks.build_citation_network(run.linked)
-    run.manifest.networks.update(K=_size(run.knowledge), F=_size(run.citation))
+    knowledge = networks.build_knowledge_network(m)
+    citation = networks.build_citation_network(linked)
+    run.manifest.networks.update(K=_size(knowledge), F=_size(citation))
     k_path = run.out_dir / "knowledge_full.tsv"
     f_path = run.out_dir / "citation_full.tsv"
-    write_graph(run.knowledge, k_path)
-    write_graph(run.citation, f_path)
+    write_graph(knowledge, k_path)
+    write_graph(citation, f_path)
     run.record("build", coupling_path, k_path, f_path)
+    return {"coupling": m, "knowledge": knowledge, "citation": citation}
 
 
 def _write_reduced(reduced: VenueGraph, full: VenueGraph, full_path: Path, path: Path) -> bool:
@@ -405,12 +397,12 @@ def _write_reduced(reduced: VenueGraph, full: VenueGraph, full_path: Path, path:
     return same
 
 
-def _stage_threshold(run: _Run) -> None:
+def _stage_threshold(run: _Run, knowledge: VenueGraph, citation: VenueGraph) -> dict:
     cfg = run.cfg
     summaries, reduced_graphs = {}, []
     for name, full, rule, stem in (
-        ("K", run.knowledge, networks.ThresholdRule("cosine", cfg.cosine_min), "knowledge"),
-        ("F", run.citation, networks.ThresholdRule("citation", cfg.citation_min), "citation"),
+        ("K", knowledge, networks.ThresholdRule("cosine", cfg.cosine_min), "knowledge"),
+        ("F", citation, networks.ThresholdRule("citation", cfg.citation_min), "citation"),
     ):
         reduced = networks.apply_threshold(full, rule)
         run.manifest.networks[name + "'"] = _size(reduced)
@@ -418,78 +410,85 @@ def _stage_threshold(run: _Run) -> None:
         same = _write_reduced(reduced, full, run.out_dir / f"{stem}_full.tsv", run.out_dir / f"{stem}.tsv")
         summaries[name + "'"] = summaries[name] if same else networks.summarize(reduced)
         reduced_graphs.append(reduced)
-    run.knowledge_reduced, run.citation_reduced = reduced_graphs
     summaries = dict(sorted(summaries.items()))  # the table's columns: F, F', K, K'
     table_path = run.out_dir / "network_summary.txt"
     write_text(table_path, networks.format_summary_table(summaries))
     json_path = run.out_dir / "network_summary.json"
     write_text(json_path, json.dumps({k: asdict(v) for k, v in summaries.items()}, sort_keys=True, indent=2) + "\n")
     run.record("threshold", run.out_dir / "knowledge.tsv", run.out_dir / "citation.tsv", table_path, json_path)
+    return {"knowledge_reduced": reduced_graphs[0], "citation_reduced": reduced_graphs[1]}
 
 
-def _stage_cluster(run: _Run) -> None:
-    run.partition = community.greedy_modularity_partition(run.knowledge_reduced, funnel=run.manifest.cluster)
+def _stage_cluster(run: _Run, knowledge_reduced: VenueGraph) -> dict:
+    partition = community.greedy_modularity_partition(knowledge_reduced, funnel=run.manifest.cluster)
     path = run.out_dir / "partition.tsv"
-    community.write_partition(run.partition, path)
+    community.write_partition(partition, path)
     run.record("cluster", path)
+    return {"partition": partition}
 
 
-def _stage_project(run: _Run) -> None:
-    projection = community.project_to_cluster_network(run.coupling, run.partition)
+def _stage_project(
+    run: _Run, coupling: networks.CouplingMatrix, partition: community.ClusterPartition, knowledge_reduced: VenueGraph
+) -> dict:
+    projection = community.project_to_cluster_network(coupling, partition)
     run.manifest.projection = {
-        "clustered": len(run.partition.assignment),
+        "clustered": len(partition.assignment),
         "adopted": len(projection.new_assignments),
         "unassigned": len(projection.unassigned),
     }
     graph_path = run.out_dir / "cluster_graph.tsv"
     write_graph(projection.graph, graph_path)
     assign_path = run.out_dir / "cluster_assignment.tsv"
-    community.write_assignment(run.partition, projection, assign_path)
+    community.write_assignment(partition, projection, assign_path)
 
-    assignment = run.partition.assignment
-    # K' is released after this stage, so no later reader sees the tags
-    for venue, attrs in run.knowledge_reduced.nodes.items():
+    assignment = partition.assignment
+    # K' has no reader after this stage, so none sees the tags
+    for venue, attrs in knowledge_reduced.nodes.items():
         attrs["cluster"] = assignment.get(venue, "")
     graphml_path = run.out_dir / "knowledge_clustered.graphml"
-    write_graph(run.knowledge_reduced, graphml_path, "graphml")
+    write_graph(knowledge_reduced, graphml_path, "graphml")
     run.record("project", graph_path, assign_path, graphml_path)
+    return {}
 
 
-def _stage_metrics(run: _Run) -> None:
+def _stage_metrics(run: _Run, citation_reduced: VenueGraph) -> dict:
     cfg = run.cfg
     betweenness = metrics.betweenness_centrality(
-        run.citation_reduced, weighted=True, normalized=True
+        citation_reduced, weighted=True, normalized=True
     )
-    run.pagerank = metrics.pagerank(
-        run.citation_reduced, d=cfg.pagerank_d, tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter
+    pagerank = metrics.pagerank(
+        citation_reduced, d=cfg.pagerank_d, tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter
     )
     b_path = run.out_dir / "betweenness.tsv"
     p_path = run.out_dir / "pagerank.tsv"
     metrics.write_metric_tsv(betweenness, b_path)
-    metrics.write_metric_tsv(run.pagerank, p_path)
-    warning = run.pagerank.convergence_warning()
+    metrics.write_metric_tsv(pagerank, p_path)
+    warning = pagerank.convergence_warning()
     if warning:
         run.manifest.warnings.append(warning)
     run.record("metrics", b_path, p_path)
+    return {"pagerank": pagerank}
 
 
-def _stage_subgraphs(run: _Run) -> None:
-    run.profiles = subgraphs.profile_venues(
-        run.linked, run.pagerank.values, run.cfg.classification_cuts()
+def _stage_subgraphs(run: _Run, linked: Corpus, pagerank: metrics.MetricVector) -> dict:
+    profiles = subgraphs.profile_venues(
+        linked, pagerank.values, run.cfg.classification_cuts()
     )
     path = run.out_dir / "profiles.tsv"
-    subgraphs.write_profiles(run.profiles, path)
+    subgraphs.write_profiles(profiles, path)
     run.record("subgraphs", path)
+    return {"profiles": profiles}
 
 
-def _stage_stats(run: _Run) -> None:
+def _stage_stats(run: _Run, profiles: dict[str, list[ProfileRow]]) -> dict:
     hist_path = run.out_dir / "histograms.tsv"
     med_path = run.out_dir / "medians.tsv"
-    subgraphs.write_statistics(run.profiles, run.cfg.histogram_bins, hist_path, med_path)
+    subgraphs.write_statistics(profiles, run.cfg.histogram_bins, hist_path, med_path)
     run.record("stats", hist_path, med_path)
+    return {}
 
 
-def _stage_snapshots(run: _Run) -> None:
+def _stage_snapshots(run: _Run, linked: Corpus) -> dict:
     from .corpus import slice_by_year
 
     cfg = run.cfg
@@ -497,7 +496,7 @@ def _stage_snapshots(run: _Run) -> None:
     for year in cfg.slice_years:
         year_dir = run.out_dir / "snapshots" / str(year)
         year_dir.mkdir(parents=True, exist_ok=True)
-        sliced = slice_by_year(run.linked, year)
+        sliced = slice_by_year(linked, year)
         coupling = networks.build_coupling_matrix(sliced)
         knowledge = networks.build_knowledge_network(coupling)
         reduced = networks.apply_threshold(
@@ -510,32 +509,23 @@ def _stage_snapshots(run: _Run) -> None:
         _write_reduced(reduced, knowledge, full_path, reduced_path)
         outputs.extend([full_path, reduced_path])
     run.record("snapshots", *outputs)
+    return {}
 
 
+# Each stage's function and the products it reads, in run order: the
+# function takes the run and those products, in that order, and returns a
+# dict of the products it makes.
 _STAGE_FUNCS = {
-    "ingest": _stage_ingest,
-    "link": _stage_link,
-    "build": _stage_build,
-    "threshold": _stage_threshold,
-    "cluster": _stage_cluster,
-    "project": _stage_project,
-    "metrics": _stage_metrics,
-    "subgraphs": _stage_subgraphs,
-    "stats": _stage_stats,
-    "snapshots": _stage_snapshots,
-}
-
-
-# The _Run fields each stage reads for the last time: the stage loop drops
-# them when the stage ends, so a stage product lives until its last reader.
-# `linked` stays, for the optional snapshots stage.
-_RELEASED_AFTER = {
-    "link": ("meta", "cite"),
-    "threshold": ("knowledge", "citation"),
-    "project": ("coupling", "knowledge_reduced", "partition"),
-    "metrics": ("citation_reduced",),
-    "subgraphs": ("pagerank",),
-    "stats": ("profiles",),
+    "ingest": (_stage_ingest, ()),
+    "link": (_stage_link, ("meta", "cite")),
+    "build": (_stage_build, ("linked",)),
+    "threshold": (_stage_threshold, ("knowledge", "citation")),
+    "cluster": (_stage_cluster, ("knowledge_reduced",)),
+    "project": (_stage_project, ("coupling", "partition", "knowledge_reduced")),
+    "metrics": (_stage_metrics, ("citation_reduced",)),
+    "subgraphs": (_stage_subgraphs, ("linked", "pagerank")),
+    "stats": (_stage_stats, ("profiles",)),
+    "snapshots": (_stage_snapshots, ("linked",)),
 }
 
 
@@ -546,9 +536,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
 
     Any stage failure aborts the run; the raised StageError names the stage
     and carries the manifest of stages completed so far, which is also written
-    to disk with its report. The cyclic collector stays paused for the whole
-    run: the stages build few reference cycles, and a full collection would
-    walk every record of the corpora.
+    to disk with its report. A stage product lives until the last stage of
+    this run that reads it returns. The cyclic collector stays paused for the
+    whole run: the stages build few reference cycles, and a full collection
+    would walk every record of the corpora.
     """
     cfg.validate()
     run = _Run(cfg)
@@ -562,16 +553,18 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     stage_list = list(STAGES)
     if cfg.slice_years:
         stage_list.append("snapshots")
+    last_reader = {name: stage for stage in stage_list for name in _STAGE_FUNCS[stage][1]}
+    products: dict = {}
     for stage in stage_list:
+        func, reads = _STAGE_FUNCS[stage]
         wall, cpu = perf_counter(), process_time()
         try:
-            _STAGE_FUNCS[stage](run)
+            # the last reader takes a product out, so the call holds it alone and it is freed when the stage returns
+            products.update(func(run, *[products.pop(n) if last_reader[n] == stage else products[n] for n in reads]))
         except Exception as exc:
             run.manifest.failed_stage = stage
             save()
             raise StageError(stage, exc, run.manifest) from exc
-        for name in _RELEASED_AFTER.get(stage, ()):
-            setattr(run, name, None)
         run.manifest.timings.append(StageTiming(stage, perf_counter() - wall, process_time() - cpu, _peak_rss_mb()))
 
     save()

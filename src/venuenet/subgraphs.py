@@ -299,7 +299,6 @@ class HistogramBin:
 
 @dataclass
 class StatReport:
-    bins: int
     histograms: dict[str, dict[str, list[HistogramBin]]]  # metric -> kind -> bins
     pagerank_medians: dict[str, list[tuple[float, float]]]  # metric -> (rank bin, median)
 
@@ -347,7 +346,7 @@ def profile_statistics(rows: Iterable[ProfileRow], bins: int = DEFAULT_HISTOGRAM
                 by_rank.setdefault(round(r.pagerank, 2), []).append(x)
         medians[metric] = [(rank, float(_median(ranked))) for rank, ranked in sorted(by_rank.items())]
 
-    return StatReport(bins=bins, histograms=histograms, pagerank_medians=medians)
+    return StatReport(histograms=histograms, pagerank_medians=medians)
 
 
 PROFILES_HEADER = "venue\tkind\tsubgraph\tm1_density\tm2_avg_clustering\tm3_max_betweenness\tm4_lcc_fraction\tnodes\tedges\ttype\tpagerank"

@@ -262,13 +262,13 @@ def linked_case(meta_refs: dict, cite_refs: dict, pairs: list[tuple[str, str]]):
 @st.composite
 def linked_cases(draw):
     """References to metadata ids, citation ids and raw strings on both
-    sides, and matches of any metadata ids, one not in the corpus among
-    them, to citation ids: a citation id matched twice, a carried list
-    naming a matched citation id or empty, no matches."""
+    sides, and matches of metadata records to citation records: a citation
+    id matched twice, a carried list naming a matched citation id or empty,
+    no matches."""
     targets = st.lists(st.sampled_from(META_IDS + CITE_IDS + ["raw", "Raw "]), max_size=5)
     meta_refs = {rid: draw(targets) for rid in draw(st.lists(st.sampled_from(META_IDS), unique=True))}
     cite_refs = {rid: draw(targets) for rid in draw(st.lists(st.sampled_from(CITE_IDS), unique=True))}
-    lefts = draw(st.lists(st.sampled_from(META_IDS + ["m9"]), unique=True)) if cite_refs else []
+    lefts = draw(st.lists(st.sampled_from(sorted(meta_refs)), unique=True)) if meta_refs and cite_refs else []
     return linked_case(meta_refs, cite_refs, [(left, draw(st.sampled_from(sorted(cite_refs)))) for left in lefts])
 
 
@@ -290,6 +290,17 @@ def test_linked_columns_equal_the_walk(case):
     assert len(set(linked.targets)) == len(linked.targets)
     assert linked.reference_counts() == reference_counts_walk(walk)
     assert_columns_are_the_walks(linked)
+
+
+@pytest.mark.parametrize("pair, message", [
+    (("m9", "c1"), "left_id 'm9' names no record of the left corpus"),
+    (("m1", "c9"), "right_id 'c9' names no record of the right corpus"),
+], ids=["left", "right"])
+def test_attach_refuses_an_id_that_names_no_record(pair, message):
+    meta, cite, matches = linked_case({"m1": []}, {"c1": []}, [pair])
+    with pytest.raises(ValueError) as info:
+        attach_references(meta, cite, matches)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("make", [_jsonl(30, 20, 1), _linked], ids=["jsonl", "linked-dblp"])

@@ -379,20 +379,20 @@ class TestRunReport:
         save_corpus(meta, tmp_path / "meta.jsonl")
         save_corpus(cite, tmp_path / "cite.jsonl")
         cfg = fixture_config(tmp_path, tmp_path / "meta.jsonl", citation_corpus=str(tmp_path / "cite.jsonl"))
-        link, build = pipeline._STAGE_FUNCS["link"], pipeline._STAGE_FUNCS["build"]
+        (link, link_reads), (build, build_reads) = pipeline._STAGE_FUNCS["link"], pipeline._STAGE_FUNCS["build"]
         indexed, parsed, held = [], [], []
 
-        def watched_link(run):
-            indexed.append(run.cite._references)
-            parsed.extend([weakref.ref(run.meta), weakref.ref(run.cite)])
-            link(run)
+        def watched_link(run, meta, cite):
+            indexed.append(cite._references)
+            parsed.extend([weakref.ref(meta), weakref.ref(cite)])
+            return link(run, meta, cite)
 
-        def watched_build(run):
-            held.append((run.meta, run.cite, [corpus() for corpus in parsed], len(run.linked.records)))
-            build(run)
+        def watched_build(run, linked):
+            held.append((sorted(vars(run)), [corpus() for corpus in parsed], len(linked.records)))
+            return build(run, linked)
 
-        monkeypatch.setitem(pipeline._STAGE_FUNCS, "link", watched_link)
-        monkeypatch.setitem(pipeline._STAGE_FUNCS, "build", watched_build)
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "link", (watched_link, link_reads))
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "build", (watched_build, build_reads))
         run_pipeline(cfg)
         out_dir = Path(cfg.out_dir)
         funnel = json.loads((out_dir / "run_report.json").read_text())["linkage"]
@@ -404,8 +404,8 @@ class TestRunReport:
         assert "canopy_pairs" not in (out_dir / "manifest.json").read_text()
         # nothing indexes the citation corpus's references: ingest only counts them
         assert indexed == [None]
-        # after link only the linked corpus is alive; the parsed two are freed
-        assert held == [(None, None, [None, None], len(meta.records))]
+        # after link only the linked corpus is alive; the parsed two are freed, and the run holds no product
+        assert held == [(["cfg", "manifest", "out_dir"], [None, None], len(meta.records))]
 
     def test_report_counts_the_clustering(self, tmp_path, planted):
         corpus, _ = planted
@@ -422,41 +422,50 @@ class TestRunReport:
         assert funnel["merges"] <= funnel["heap_pops"] <= edges + funnel["heap_pushes"]
         assert "heap_pops" not in (out_dir / "manifest.json").read_text()
 
-    def test_stage_products_are_released_after_their_last_reader(self, tmp_path, planted, monkeypatch):
-        """Each field of pipeline._RELEASED_AFTER is None when every later
-        stage starts; the coupling matrix, the partition and PageRank are
-        freed then, not only unreferenced."""
+    @pytest.mark.parametrize("slice_years", [(), (1995,)], ids=["no-slices", "slices"])
+    def test_stage_products_are_released_after_their_last_reader(self, tmp_path, planted, monkeypatch, slice_years):
+        """Each product is freed when the last stage of the run that reads it
+        returns: the parsed corpora after link, the coupling matrix and the
+        partition after project, PageRank after subgraphs, and the linked
+        corpus after subgraphs, or after snapshots when the run has them."""
         corpus, _ = planted
         meta, cite = split_for_linkage(corpus)
         save_corpus(meta, tmp_path / "meta.jsonl")
         save_corpus(cite, tmp_path / "cite.jsonl")
         cfg = fixture_config(tmp_path, tmp_path / "meta.jsonl", citation_corpus=str(tmp_path / "cite.jsonl"),
-                             slice_years=(1995,))
-        released = pipeline._RELEASED_AFTER
-        fields = {name for names in released.values() for name in names}
-        alive, products = {}, {}
+                             slice_years=slice_years)
+        products, alive = {}, []
 
-        def watch(stage, func):
-            def watched(run):
-                alive[stage] = {name for name in fields if getattr(run, name) is not None}
-                alive[stage] |= {name for name, ref in products.items() if ref() is not None}
-                func(run)
-                for name in ("coupling", "partition", "pagerank"):
-                    if name not in products and getattr(run, name) is not None:
-                        products[name] = weakref.ref(getattr(run, name))
+        def watch(func):
+            def watched(run, *args):
+                made = func(run, *args)
+                for name in {"meta", "cite", "linked", "coupling", "partition", "pagerank"} & set(made):
+                    products[name] = weakref.ref(made[name])
+                return made
             return watched
 
-        for stage, func in list(pipeline._STAGE_FUNCS.items()):
-            monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, watch(stage, func))
+        def peak_rss_mb():  # the loop reads it once each stage has returned
+            alive.append({name for name, ref in products.items() if ref() is not None})
+            return None
+
+        for stage, (func, reads) in list(pipeline._STAGE_FUNCS.items()):
+            monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, (watch(func), reads))
+        monkeypatch.setattr(pipeline, "_peak_rss_mb", peak_rss_mb)
         run_pipeline(cfg)
-        order = [*STAGES, "snapshots"]
-        assert list(alive) == order
-        for i, stage in enumerate(order):
-            gone = {name for earlier in order[:i] for name in released.get(earlier, ())}
-            assert not alive[stage] & gone, stage
-        assert set(products) == {"coupling", "partition", "pagerank"}
-        assert {"coupling", "partition"} <= alive["project"] and "pagerank" in alive["subgraphs"]
-        assert all(ref() is None for ref in products.values())
+        linked = {"linked"}
+        expected = [
+            {"meta", "cite"},                           # ingest
+            linked,                                     # link
+            linked | {"coupling"},                      # build
+            linked | {"coupling"},                      # threshold
+            linked | {"coupling", "partition"},         # cluster
+            linked,                                     # project
+            linked | {"pagerank"},                      # metrics
+            linked if slice_years else set(),           # subgraphs
+            linked if slice_years else set(),           # stats
+        ]
+        assert alive == (expected + [set()] if slice_years else expected)
+        assert set(products) == {"meta", "cite", "linked", "coupling", "partition", "pagerank"}
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status to read VmHWM from")
     def test_report_peak_rss_is_the_runs_own(self, tmp_path):
@@ -918,20 +927,20 @@ class TestCli:
                 collections.append(info["generation"])
 
         order = [*STAGES, "snapshots"] if cfg.slice_years else list(STAGES)
-        func = pipeline._STAGE_FUNCS[stage]
+        func, reads = pipeline._STAGE_FUNCS[stage]
         after = None if stage == order[-1] else order[order.index(stage) + 1]
 
-        def watched(run):
+        def watched(run, *products):
             gc.callbacks.append(hook)
-            func(run)
+            return func(run, *products)
 
-        def stop(run):  # the window ends here: a collection set off by `stage` comes before the next stage
+        def stop(run, *products):  # the window ends here: a collection set off by `stage` comes before the next stage
             gc.callbacks.remove(hook)
             raise RuntimeError("stop")
 
-        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, watched)
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, (watched, reads))
         if after is not None:
-            monkeypatch.setitem(pipeline._STAGE_FUNCS, after, stop)
+            monkeypatch.setitem(pipeline._STAGE_FUNCS, after, (stop, pipeline._STAGE_FUNCS[after][1]))
         was = gc.isenabled()
         gc.enable()
         try:
@@ -1000,7 +1009,8 @@ class TestCli:
                 run_pipeline(bad)
             assert info.value.stage == "ingest"
             assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
-            monkeypatch.setitem(pipeline._STAGE_FUNCS, "metrics", lambda run: 1 / 0)
+            metrics_reads = pipeline._STAGE_FUNCS["metrics"][1]
+            monkeypatch.setitem(pipeline._STAGE_FUNCS, "metrics", (lambda run, *products: 1 / 0, metrics_reads))
             with pytest.raises(StageError) as info:
                 run_pipeline(good)
             assert info.value.stage == "metrics"

@@ -1,6 +1,8 @@
 """The README's Python API note, its Quickstart run as written, and its table headers."""
 
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -26,6 +28,15 @@ def run_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
 def test_all_lists_the_documented_modules():
     note = next(line for line in README.splitlines() if line.startswith("Python API:"))
     assert venuenet.__all__ == sorted(set(re.findall(r"`venuenet\.(\w+)", note)))
+
+
+def test_code_names_are_defined():
+    """Each `module.name` code span over a venuenet module, a call's
+    arguments allowed after it, names an attribute that module defines."""
+    modules = "|".join(m.name for m in pkgutil.iter_modules(venuenet.__path__))
+    named = re.findall(rf"`({modules})\.(\w+)(?:\([^`]*\))?`", README)
+    assert named
+    assert [f"{m}.{n}" for m, n in named if not hasattr(importlib.import_module(f"venuenet.{m}"), n)] == []
 
 
 def test_import_loads_no_submodule(tmp_path):

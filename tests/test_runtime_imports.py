@@ -2,6 +2,7 @@
 else (scipy, networkx, hypothesis, ...) may serve only tests and benchmarks."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import venuenet
 from conftest import write_dblp
+from venuenet import pipeline
 from venuenet.corpus import save_corpus
 from venuenet.pipeline import PipelineConfig
 from venuenet.synth import scale_corpus, split_for_linkage
@@ -344,25 +346,22 @@ def test_input_errors_have_one_rule():
     assert caught <= {"OSError", "ValueError", "StageError"}
 
 
-# The _Run fields no stage releases: the run's settings and record, and the
-# linked corpus, which the optional snapshots stage reads last.
-KEPT_RUN_FIELDS = {"cfg", "out_dir", "manifest", "linked"}
-
-
-def test_every_stage_product_has_a_lifetime():
-    """Every field `pipeline._Run.__init__` sets is either released after a
-    stage in `_RELEASED_AFTER` or one of KEPT_RUN_FIELDS, and the table
-    names only such fields: a field added later needs an explicit lifetime."""
-    tree = ast.parse((Path(venuenet.__file__).parent / "pipeline.py").read_text(encoding="utf-8"))
-    run_class = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Run")
-    init = next(node for node in run_class.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
-    fields = set()
-    for node in ast.walk(init):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
-        fields.update(t.attr for t in targets if isinstance(t, ast.Attribute) and getattr(t.value, "id", "") == "self")
-    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and any(getattr(t, "id", "") == "_RELEASED_AFTER" for t in node.targets))
-    released = [name for names in ast.literal_eval(table).values() for name in names]
-    assert len(released) == len(set(released))  # each field released once
-    assert fields == set(released) | KEPT_RUN_FIELDS
-    assert not set(released) & KEPT_RUN_FIELDS
+def test_stage_table_names_what_each_stage_reads_and_makes():
+    """For each stage of `pipeline._STAGE_FUNCS`, in run order: its
+    function's parameters after `run` are its declared reads, every product
+    it reads an earlier stage returns, and every product it returns (the
+    keys of the dict each of its `return`s builds) a later stage reads,
+    `snapshots` included, so no stage computes a product nobody reads."""
+    tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = list(pipeline._STAGE_FUNCS.items())
+    assert [stage for stage, _ in table] == [*pipeline.STAGES, "snapshots"]
+    made = set()
+    for i, (stage, (func, reads)) in enumerate(table):
+        assert list(inspect.signature(func).parameters)[1:] == list(reads), stage
+        assert set(reads) <= made, stage
+        returns = [node.value for node in ast.walk(defs[func.__name__]) if isinstance(node, ast.Return)]
+        assert returns and all(isinstance(value, ast.Dict) for value in returns), stage
+        makes = {ast.literal_eval(key) for value in returns for key in value.keys}
+        assert makes <= {name for _, (_, later) in table[i + 1:] for name in later}, stage
+        made |= makes
