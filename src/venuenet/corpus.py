@@ -492,37 +492,67 @@ def parse_jsonl(stream: BinaryIO | Iterable[bytes], source: str = METADATA_CORPU
 
 
 _DBLP_KINDS = {"article": JOURNAL, "inproceedings": CONFERENCE}
+# Bytes the XML parser takes at a time; the records they finish are read after each.
+_XML_READ = 64 * 1024
+
+
+def _nested(box) -> bool:
+    """Whether a record lies deeper under `box` than its children: a few
+    passes of ElementTree's C iterators, no Python code per element."""
+    return any(len(box.findall(kind)) < len(list(box.iter(kind))) for kind in _DBLP_KINDS)
+
+
+def _end_order(top, opened=frozenset()) -> Iterator:
+    """The elements of the tree at `top`, each after its children (the
+    order their end tags came in), but those in `opened`."""
+    stack = [(top, iter(top))]
+    while stack:
+        elem, children = stack[-1]
+        child = next(children, None)
+        if child is not None:
+            stack.append((child, iter(child)))
+            continue
+        stack.pop()
+        if elem not in opened:
+            yield elem
 
 
 @gc_paused
 def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
     """Parse the supported DBLP export subset (article / inproceedings).
-    Every other element is skipped. No element stays on the root once one
-    ends (the parser holds the open ones; a root that is a record keeps its
-    children), so memory follows one record, not the file."""
+
+    Records at any depth are read in the order their end tags come, and
+    every other element is skipped. The stream is fed to ElementTree's
+    parser `_XML_READ` bytes at a time; after each read, the document
+    element's finished children are read and dropped (a root that is a
+    record keeps its children and is read last), so memory follows one
+    read, not the file. On a syntax error, the records that ended before
+    it are read first, so that a fault of theirs is the one raised."""
     import xml.etree.ElementTree as ET  # here, so that a JSONL run never imports it
 
     build = _Builder({})
+    venue_table = build.venue_table
     index = 0
 
-    try:
-        events = ET.iterparse(stream, events=("start", "end"))
-        _, root = next(events)
-        for event, elem in events:
-            if event == "end" and root.tag not in _DBLP_KINDS:
-                root.clear()
-            if event == "start" or elem.tag not in _DBLP_KINDS:
+    def read(elems: Iterable) -> None:
+        """Add the records among `elems`, numbering them on."""
+        nonlocal index
+        for elem in elems:
+            kind = _DBLP_KINDS.get(elem.tag)
+            if kind is None:
                 continue
             index += 1
             key = elem.get("key")
-            position = f"element {index} ({elem.tag})"
             if not key:
-                raise MalformedEntryError(position, "missing key attribute")
+                raise MalformedEntryError(f"element {index} ({elem.tag})", "missing key attribute")
             position = f"element {index} (key={key})"
             build.row(key, position)
 
-            title = elem.find("title")  # its whole text, inline markup (<i>, <sub>, ...) included
-            title = "".join("".join(title.itertext() if title is not None else ()).split("\n")).strip()
+            title = elem.find("title")
+            if title is None:
+                title = ""
+            else:  # its whole text, inline markup (<i>, <sub>, ...) included
+                title = ("".join(title.itertext()) if len(title) else title.text or "").replace("\n", "").strip()
             if not title:
                 raise MalformedEntryError(position, "missing title")
             year_text = elem.findtext("year")
@@ -532,23 +562,47 @@ def parse_dblp_xml(stream: BinaryIO, source: str = METADATA_CORPUS) -> Corpus:
                     year = int(year_text)
                 except ValueError as exc:
                     raise MalformedEntryError(position, f"non-numeric year {year_text!r}") from exc
-                year = _check_year(year, position)
+                if not YEAR_MIN <= year <= YEAR_MAX:
+                    _check_year(year, position)
 
-            parts = key.split("/")
+            parts = key.split("/", 2)
             venue_key = venue_info = None
-            if len(parts) >= 3:
-                venue_key = "/".join(parts[:2])
-                venue_name = elem.findtext("journal") or elem.findtext("booktitle")
-                venue_info = VenueInfo(name=venue_name or venue_key, kind=_DBLP_KINDS[elem.tag])
+            if len(parts) == 3:
+                venue_key = f"{parts[0]}/{parts[1]}"
+                if venue_key not in venue_table:  # only a venue's first record names it
+                    venue_name = elem.findtext("journal") or elem.findtext("booktitle")
+                    venue_info = VenueInfo(name=venue_name or venue_key, kind=kind)
 
-            cites = (c.text.strip() for c in elem.findall("cite") if c.text)
-            refs = [text for text in cites if text and text != "..."]
-            build.add(position, title, (a.text or "" for a in elem.findall("author")), venue_key, year, refs, venue_info)
+            refs = [text for c in elem.findall("cite") if (text := (c.text or "").strip()) and text != "..."]
+            build.add(position, title, [a.text or "" for a in elem.findall("author")], venue_key, year, refs, venue_info)
+
+    tb = ET.TreeBuilder()
+    top = tb.start("", {})  # the document element becomes its one child
+    parser = ET.XMLParser(target=tb)
+    done = ET.Element("")
+    error = None
+    try:
+        while data := stream.read(_XML_READ):
+            parser.feed(data)
+            if len(top) and top[0].tag not in _DBLP_KINDS:
+                doc = top[0]
+                done[:] = doc[:-1]  # its last child may still be open
+                del doc[:-1]
+                read(_end_order(done) if _nested(done) else done)
+                del done[:]
+        parser.close()
     except ET.ParseError as exc:
-        raise MalformedEntryError(f"line {exc.position[0]}", f"XML syntax error: {exc.msg if hasattr(exc, 'msg') else exc}") from exc
+        error = exc
     except LookupError as exc:  # the XML declaration names an unknown encoding
         raise MalformedEntryError("line 1", str(exc)) from exc
 
+    opened = set()
+    if error is not None:
+        while (elem := tb.end("")) is not top:  # closes the innermost open element
+            opened.add(elem)
+    read(_end_order(top, opened))
+    if error is not None:
+        raise MalformedEntryError(f"line {error.position[0]}", f"XML syntax error: {error.msg}") from error
     return build.fill(Corpus.__new__(Corpus), source)
 
 

@@ -26,7 +26,9 @@ dict-of-dicts graph with its edge walks (threshold, modularity, CNM set-up,
 clustering and components) instead of the compressed rows, and a search of
 each record's id and venue key instead of one search over all ids and one
 over the venue table's keys, and per-canopy dicts of prefix tokens with
-frozenset intersections instead of the integer sort-join of linkage blocking.
+frozenset intersections instead of the integer sort-join of linkage blocking,
+and the DBLP XML read one `iterparse` event at a time instead of as the
+finished records of a tree builder fed by hand.
 """
 
 from __future__ import annotations
@@ -51,13 +53,18 @@ import numpy as np
 from venuenet import arrays, metrics
 from venuenet.community import ClusterPartition, modularity
 from venuenet.corpus import (
+    _DBLP_KINDS,
     _UNCARRIED,
+    METADATA_CORPUS,
     AuthorName,
     Corpus,
     MalformedEntryError,
     PublicationRecord,
     ReferenceIndex,
     VenueInfo,
+    _Builder,
+    _check_year,
+    gc_paused,
     normalize_reference_key,
 )
 from venuenet.exports import _GRAPHML_NS, _attr_type, _format_attr
@@ -1024,6 +1031,63 @@ def serialize_corpus_dumps(corpus: Corpus) -> bytes:
             obj["year"] = rec.year
         out.write(json.dumps(obj, sort_keys=True) + "\n")
     return out.getvalue().encode("utf-8")
+
+
+@gc_paused
+def parse_dblp_xml_events(stream, source: str = METADATA_CORPUS) -> Corpus:
+    """The DBLP XML subset read one `iterparse` event at a time: each record
+    as its end event comes, the root cleared on every end event (a root that
+    is a record kept whole), and a syntax error raised once the events
+    before it are read. The corpus or error `corpus.parse_dblp_xml` must
+    give, byte for byte."""
+    build = _Builder({})
+    index = 0
+
+    try:
+        events = ET.iterparse(stream, events=("start", "end"))
+        _, root = next(events)
+        for event, elem in events:
+            if event == "end" and root.tag not in _DBLP_KINDS:
+                root.clear()
+            if event == "start" or elem.tag not in _DBLP_KINDS:
+                continue
+            index += 1
+            key = elem.get("key")
+            position = f"element {index} ({elem.tag})"
+            if not key:
+                raise MalformedEntryError(position, "missing key attribute")
+            position = f"element {index} (key={key})"
+            build.row(key, position)
+
+            title = elem.find("title")
+            title = "".join("".join(title.itertext() if title is not None else ()).split("\n")).strip()
+            if not title:
+                raise MalformedEntryError(position, "missing title")
+            year_text = elem.findtext("year")
+            year = None
+            if year_text:
+                try:
+                    year = int(year_text)
+                except ValueError as exc:
+                    raise MalformedEntryError(position, f"non-numeric year {year_text!r}") from exc
+                year = _check_year(year, position)
+
+            parts = key.split("/")
+            venue_key = venue_info = None
+            if len(parts) >= 3:
+                venue_key = "/".join(parts[:2])
+                venue_name = elem.findtext("journal") or elem.findtext("booktitle")
+                venue_info = VenueInfo(name=venue_name or venue_key, kind=_DBLP_KINDS[elem.tag])
+
+            cites = (c.text.strip() for c in elem.findall("cite") if c.text)
+            refs = [text for text in cites if text and text != "..."]
+            build.add(position, title, (a.text or "" for a in elem.findall("author")), venue_key, year, refs, venue_info)
+    except ET.ParseError as exc:
+        raise MalformedEntryError(f"line {exc.position[0]}", f"XML syntax error: {exc.msg if hasattr(exc, 'msg') else exc}") from exc
+    except LookupError as exc:
+        raise MalformedEntryError("line 1", str(exc)) from exc
+
+    return build.fill(Corpus.__new__(Corpus), source)
 
 
 # Characters that JSON must escape or that are easy to mishandle: quotes,

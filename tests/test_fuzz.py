@@ -3,6 +3,7 @@ bytes, only the documented input errors may escape (the CLI turns those into
 exit 1 with a message), never a traceback-producing exception."""
 
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -10,9 +11,9 @@ import tempfile
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from oracles import DictVenueGraph
+from oracles import DictVenueGraph, parse_dblp_xml_events
 from venuenet.community import read_partition
 from venuenet.corpus import parse_dblp_xml, parse_jsonl
 from venuenet.exports import _GRAPHML_NS, export_graph, finite_float, import_graph, read_table, write_table
@@ -82,6 +83,92 @@ XML_PIECES = st.sampled_from(
 @given(st.lists(XML_PIECES, max_size=40).map("".join) | st.binary(max_size=40).map(lambda b: b.decode("latin-1")))
 def test_parse_dblp_xml(text):
     _only_input_errors(parse_dblp_xml, io.BytesIO(_encode(text)))
+
+
+class Trickle(io.BytesIO):
+    """A stream whose reads return the next of `sizes` bytes, in turn,
+    whatever size is asked for."""
+
+    def __init__(self, data: bytes, sizes: list[int]):
+        super().__init__(data)
+        self.sizes = itertools.cycle(sizes)
+
+    def read(self, size=-1):
+        return super().read(next(self.sizes))
+
+
+def _parsed(parse, data: bytes, sizes):
+    """The columns of the corpus `parse` reads from `data` (read `sizes`
+    bytes at a time, or all at once), or the type and message it raises."""
+    try:
+        c = parse(io.BytesIO(data) if sizes is None else Trickle(data, sizes))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (c.ids, c.titles, c.venue_keys, c.venue.tolist(), c.venue_table, c.years.tolist(),
+            [a.full_name for a in c.authors], c.author_offsets.tolist(), c.author_codes.tolist(),
+            c.targets, c.ref_offsets.tolist(), c.ref_codes.tolist(), c.source)
+
+
+def _record(i: int) -> str:
+    tag, venue, prefix = ("article", "journal", "journals") if i % 3 else ("inproceedings", "booktitle", "conf")
+    return (f'<{tag} key="{prefix}/v{i % 5}/r{i}"><author>Ann {i % 7}</author><title>T <i>{i}</i>\n</title>'
+            f"<year>{1990 + i % 20}</year><{venue}>V{i % 5}</{venue}><cite> journals/v0/r{i // 2} </cite>"
+            f"<cite>...</cite></{tag}>")
+
+
+MANY_RECORDS = "<dblp>\n" + "".join(_record(i) + ("<www><title>h</title></www>\n" if i % 10 == 0 else "\n")
+                                    for i in range(2000)) + "</dblp>\n"
+
+
+DBLP_PIECES = XML_PIECES | st.sampled_from(["<www>", "</www>", "<i>", "</i>", "\n"])
+DBLP_TEXTS = st.sampled_from(["", "x", "&amp;", "\n"])
+# well-formed trees of the subset's elements, nested any way
+DBLP_TREES = st.recursive(
+    st.sampled_from(["<title>T</title>", "<title>A <i>b</i>\n</title>", "<author>A</author>", "<year>1995</year>",
+                     "<cite>journals/j/a1</cite>", "<cite>...</cite>", "<journal>J</journal>",
+                     '<article key="journals/k/a4"><title>U</title><cite>x</cite></article>',
+                     '<inproceedings key="conf/d/b3"><title>V</title><booktitle>B</booktitle></inproceedings>']),
+    lambda inner: st.tuples(
+        st.sampled_from(["dblp", "article", "inproceedings", "www", "title", "author", "year", "cite", "journal", "i"]),
+        st.sampled_from(["", ' key="journals/j/a1"', ' key="journals/j/a2"', ' key="journals/k/a3"', ' key="conf/c/b1"',
+                         ' key="conf/c/b2"', ' key="x/y"']),
+        st.lists(inner | DBLP_TEXTS, max_size=4),
+    ).map(lambda t: f"<{t[0]}{t[1]}>{''.join(t[2])}</{t[0]}>"),
+    max_leaves=16,
+)
+
+
+@st.composite
+def dblp_documents(draw) -> str:
+    """Pieces shuffled, or trees under a `dblp` root or one tree as the
+    root, whole or with a piece put anywhere in it."""
+    shape = draw(st.sampled_from(["pieces", "dblp", "tree"]))
+    if shape == "pieces":
+        return "".join(draw(st.lists(DBLP_PIECES, max_size=40)))
+    text = draw(DBLP_TREES) if shape == "tree" else "<dblp>" + "".join(draw(st.lists(DBLP_TREES, max_size=6))) + "</dblp>"
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(DBLP_PIECES) + text[at:]
+    return text
+
+
+@FUZZ
+@given(dblp_documents(), st.none() | st.lists(st.integers(1, 7), min_size=1, max_size=4))
+@example('<dblp><article key="journals/j/a1"><title>A</title>'  # a nested record
+         '<inproceedings key="conf/c/b2"><title>B</title></inproceedings></article></dblp>', None)
+@example('<dblp><www><article key="journals/j/a1"><title>A</title></article></www>'  # a record inside www
+         '<article key="journals/j/a2"><title>C</title></article></dblp>', None)
+@example('<article key="journals/j/a1"><title>A</title>'  # a root that is a record
+         '<inproceedings key="conf/c/b2"><title>B</title></inproceedings></article>', None)
+@example('<dblp><www><article key="journals/j/a1"></article><x></y></www></dblp>', None)  # a fault, then a syntax error
+@example('<dblp><article key="journals/j/a1"></article><www></x></www></dblp>', None)  # ... in a later top-level element
+@example('<dblp><article key="journals/j/a1"><title>A</title><x></article></dblp>', None)  # a syntax error in a record
+@example(MANY_RECORDS, [1, 2, 3, 4, 5, 6, 7])
+def test_parse_dblp_xml_matches_the_event_parser(text, sizes):
+    """The tree-builder parse gives the event-at-a-time parser's corpus, or
+    its error, byte for byte, however the stream splits its reads."""
+    data = _encode(text)
+    assert _parsed(parse_dblp_xml, data, sizes) == _parsed(parse_dblp_xml_events, data, sizes)
 
 
 CONFIG_KEYS = st.sampled_from(["schema", "metadata_corpus", "cosine_min", "pagerank_max_iter", "slice_years",

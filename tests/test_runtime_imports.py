@@ -256,6 +256,31 @@ def test_builtin_sum_only_at_integer_sites():
     assert sorted(sites) == sorted(INTEGER_SUMS)
 
 
+# numpy hands these to BLAS, whose kernels (and their summation order) vary
+# with the CPU, the BLAS build and its thread count, so a float result could
+# differ between machines. Every product in the package is an elementwise
+# operation or a reduction numpy runs itself.
+BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}
+
+
+def test_no_blas_routed_operation():
+    """No `@` anywhere in the package, no attribute named in BLAS_NAMES (a
+    function, a method or `np.linalg`), and no call or import of one."""
+    found = []
+    for path in sorted(Path(venuenet.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in BLAS_NAMES:
+                found.append((path.name, node.lineno, node.func.id))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+                found += [(path.name, node.lineno, name) for name in names if BLAS_NAMES & set(name.split("."))]
+    assert found == []
+
+
 # The one UTF-8 decode of an input: exports.decode_text for every file but a
 # corpus, and parse_jsonl's per-line decode of a streamed JSONL corpus.
 DECODE_SITES = {("exports.py", "decode_text"), ("corpus.py", "parse_jsonl")}
